@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "core/length_replication.hh"
 #include "core/spill.hh"
+#include "ddg/analysis.hh"
 #include "eval/result_cache.hh"
 #include "partition/multilevel.hh"
 #include "partition/refine.hh"
@@ -200,20 +203,28 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             result.comsFinal = 0;
         }
 
-        // Copy-mutate-retry boundary: the replication pass grew the
-        // work graph through span relocations, leaving dead arena
+        // Copy-mutate-retry boundary: when the replication pass grew
+        // the work graph through span relocations, it left dead arena
         // regions behind. Repack to fromSlots density (adjacency
         // preserved bit-for-bit; debug builds assert it) before the
-        // graph is copied below and walked by the scheduler - the two
-        // copies and every later traversal then touch the minimal
-        // arena. No views are live here: the passes above take and
-        // drop their own.
-        work.compact();
+        // scheduler walks the graph. An unchanged graph still shares
+        // the caller's storage and is left alone. No views are live
+        // here: the passes above take and drop their own.
+        if (work.generation() != original.generation())
+            work.compact();
 
-        // Keep the pre-copy graph: section 5.1 replication works on
-        // it after a successful schedule.
-        Ddg pre_copy = work;
-        Partition pre_copy_part = part;
+        // Section 5.1 replication, the pre-copy graph's only reader,
+        // works on it after a successful schedule. Kept only when that
+        // pass runs: a kept copy shares the work graph's storage, so
+        // insertCopies would clone the work graph on every attempt.
+        const bool length_repl =
+            opts.lengthReplication && !mach.isUnified();
+        std::optional<Ddg> pre_copy;
+        std::optional<Partition> pre_copy_part;
+        if (length_repl) {
+            pre_copy.emplace(work);
+            pre_copy_part.emplace(part);
+        }
 
         insertCopies(work, part, mach);
         const PhaseClock::time_point t_sched = PhaseClock::now();
@@ -272,19 +283,22 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         result.ok = true;
         result.ii = ii;
         result.spills = spills_done;
-        result.schedule = attempt.sched;
+        result.schedule = std::move(attempt.sched);
         result.finalDdg = std::move(work);
         result.partition = std::move(part);
         result.repl = rstats;
 
-        if (opts.lengthReplication && !mach.isUnified()) {
-            reduceScheduleLength(result, pre_copy, pre_copy_part,
+        if (length_repl) {
+            reduceScheduleLength(result, *pre_copy, *pre_copy_part,
                                  mach, sched_opts);
         }
         // The returned graph is the long-lived one (callers keep it
-        // for simulation and metrics): hand it back without the slack
-        // that copy insertion / spilling / length replication grew.
-        result.finalDdg.compact();
+        // for simulation and metrics): a changed graph goes back
+        // without the slack that replication, copy insertion,
+        // spilling or length replication grew; an unchanged one keeps
+        // sharing the caller's storage.
+        if (result.finalDdg.generation() != original.generation())
+            result.finalDdg.compact();
         compile_span.arg("ii", ii);
         finish_telemetry();
         return result;
@@ -302,6 +316,13 @@ CompileResult
 compile(const Ddg &original, const MachineConfig &mach,
         const PipelineOptions &opts, CompileCaches *caches)
 {
+    // Bad input fails typed, before any cache sees it: deep inside a
+    // pass, topoOrder would abort the whole process on it.
+    if (hasZeroDistanceCycle(original)) {
+        throw InvalidInput("distance-0 edges close a cycle in a " +
+                           std::to_string(original.numNodes()) +
+                           "-node graph");
+    }
     if (caches == nullptr) {
         // The canonical no-caches path: one long-lived scratch per
         // thread, so repeated plain compile() calls amortize their

@@ -13,6 +13,8 @@
 #define CVLIW_CORE_PIPELINE_HH
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/replicator.hh"
@@ -24,6 +26,21 @@ namespace cvliw
 {
 
 class ResultCache;
+
+/**
+ * Thrown by compile() for an input graph the pipeline cannot compile:
+ * today, a graph whose distance-0 edges close a cycle (no iteration
+ * could ever start). The serving frontier turns it into a `Failed`
+ * job like any other exception.
+ */
+class InvalidInput : public std::runtime_error
+{
+  public:
+    explicit InvalidInput(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
 
 /** Pipeline configuration. */
 struct PipelineOptions
@@ -212,7 +229,11 @@ struct CompileCaches
  * the pipeline - there is exactly one compile() - the historical
  * by-reference caches overload collapsed into the optional trailing
  * pointer. The input graph is copied; the caller's DDG is never
- * modified.
+ * modified. The copy shares the input's storage (see "Shared storage"
+ * in ddg/ddg.hh), so a result whose graph the pipeline left unchanged
+ * (a unified-machine loop that needs no spill, a clustered loop that
+ * needs no copy) holds no graph storage of its own, and a changed
+ * result graph is compacted to exact size.
  *
  * @p caches selects the scratch/memo state (see CompileCaches):
  *
@@ -229,7 +250,9 @@ struct CompileCaches
  *    workers) discard and replace their caches after any throwing
  *    compile, since a throw may have unwound a memo mid-update.
  *
- * With default options compile never throws for policy reasons: an
+ * A graph whose distance-0 edges close a cycle throws InvalidInput
+ * before any cache (scratch or result cache) is touched. Otherwise,
+ * with default options compile never throws for policy reasons: an
  * infeasible job returns `ok == false`. When @p opts arms a deadline
  * (stepBudget / softDeadlineMs) an expired limit throws
  * DeadlineExceeded at the next cooperative checkpoint, and an armed

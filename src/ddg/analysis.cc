@@ -7,8 +7,15 @@
 namespace cvliw
 {
 
+namespace
+{
+
+/**
+ * Kahn's algorithm over the distance-0 edges. The order is short of
+ * the live node count exactly when those edges close a cycle.
+ */
 std::vector<NodeId>
-topoOrder(const Ddg &ddg)
+kahnOrder(const Ddg &ddg)
 {
     std::vector<int> indeg(ddg.numNodeSlots(), 0);
     for (EdgeId eid : ddg.edges()) {
@@ -36,11 +43,26 @@ topoOrder(const Ddg &ddg)
         }
     }
 
+    return order;
+}
+
+} // namespace
+
+std::vector<NodeId>
+topoOrder(const Ddg &ddg)
+{
+    std::vector<NodeId> order = kahnOrder(ddg);
     if (static_cast<int>(order.size()) != ddg.numNodes())
         cv_panic("distance-0 subgraph has a cycle (",
                  order.size(), " of ", ddg.numNodes(),
                  " nodes ordered)");
     return order;
+}
+
+bool
+hasZeroDistanceCycle(const Ddg &ddg)
+{
+    return static_cast<int>(kahnOrder(ddg).size()) != ddg.numNodes();
 }
 
 namespace

@@ -49,6 +49,13 @@ struct NodeTimes
  */
 std::vector<NodeId> topoOrder(const Ddg &ddg);
 
+/**
+ * True when the distance-0 subgraph has a cycle, the one graph shape
+ * topoOrder panics on. compile() checks it at entry, so bad input
+ * fails with a typed error instead.
+ */
+bool hasZeroDistanceCycle(const Ddg &ddg);
+
 /** Compute ASAP/ALAP/height/depth and the critical-path length. */
 NodeTimes computeTimes(const Ddg &ddg, const MachineConfig &mach);
 

@@ -19,7 +19,8 @@ namespace
  * pre-relocation data.
  */
 void
-appendAdj(std::vector<EdgeId> &arena, detail::AdjSlot &slot, EdgeId id)
+appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
+          EdgeId id)
 {
     if (slot.count == slot.capacity) {
         const std::uint32_t cap =
@@ -30,14 +31,14 @@ appendAdj(std::vector<EdgeId> &arena, detail::AdjSlot &slot, EdgeId id)
         const std::uint32_t off =
             static_cast<std::uint32_t>(arena.size());
         arena.resize(arena.size() + cap, invalidEdge);
-        // Copy through indices: the old region lives in the same
-        // vector, so pointers taken before resize would dangle.
-        for (std::uint32_t i = 0; i < slot.count; ++i)
-            arena[off + i] = arena[slot.offset + i];
+        // Pointers taken before resize would dangle: it may move the
+        // arena.
+        EdgeId *a = arena.writable();
+        std::copy_n(a + slot.offset, slot.count, a + off);
         slot.offset = off;
         slot.capacity = cap;
     }
-    arena[slot.offset + slot.count++] = id;
+    arena.writable()[slot.offset + slot.count++] = id;
 }
 
 } // namespace
@@ -91,27 +92,32 @@ Ddg::fromSlots(std::vector<DdgNode> nodes, std::vector<DdgEdge> edges,
         ++out_deg[e.src];
         ++in_deg[e.dst];
     }
-    return fromSlotsTrusted(std::move(nodes), std::move(edges),
-                            std::move(labels), in_deg.data(),
-                            out_deg.data());
+    return fromSlotsTrusted(
+        reinterpret_cast<const unsigned char *>(nodes.data()),
+        static_cast<std::uint32_t>(nodes.size()),
+        reinterpret_cast<const unsigned char *>(edges.data()),
+        static_cast<std::uint32_t>(edges.size()), labels, in_deg.data(),
+        out_deg.data());
 }
 
 Ddg
-Ddg::fromSlotsTrusted(std::vector<DdgNode> nodes,
-                      std::vector<DdgEdge> edges, std::string labels,
+Ddg::fromSlotsTrusted(const unsigned char *node_bytes,
+                      std::uint32_t node_slots,
+                      const unsigned char *edge_bytes,
+                      std::uint32_t edge_slots, std::string_view labels,
                       const std::uint32_t *in_deg,
                       const std::uint32_t *out_deg)
 {
     Ddg g;
-    g.nodes_ = std::move(nodes);
-    g.edges_ = std::move(edges);
-    g.labels_ = std::move(labels);
+    g.nodes_.append(node_bytes, node_slots);
+    g.edges_.append(edge_bytes, edge_slots);
+    g.labels_.append(labels.data(), labels.size());
 
-    const int node_slots = g.numNodeSlots();
+    DdgNode *nodes = g.nodes_.writable();
     g.liveNodes_ = 0;
-    for (int i = 0; i < node_slots; ++i) {
-        DdgNode &n = g.nodes_[i];
-        n.id = i;
+    for (std::uint32_t i = 0; i < node_slots; ++i) {
+        DdgNode &n = nodes[i];
+        n.id = static_cast<NodeId>(i);
         if (n.alive)
             ++g.liveNodes_;
     }
@@ -121,24 +127,27 @@ Ddg::fromSlotsTrusted(std::vector<DdgNode> nodes,
     // compact no-slack form), filled in edge-id order. Dead edge ids
     // stay in the spans; the views skip them.
     g.slots_.resize(2 * static_cast<std::size_t>(node_slots));
+    detail::AdjSlot *slots = g.slots_.writable();
     std::uint32_t total = 0;
-    for (int i = 0; i < node_slots; ++i) {
-        g.slots_[2 * i] = {total, 0, in_deg[i]};
+    for (std::uint32_t i = 0; i < node_slots; ++i) {
+        slots[2 * i] = {total, 0, in_deg[i]};
         total += in_deg[i];
-        g.slots_[2 * i + 1] = {total, 0, out_deg[i]};
+        slots[2 * i + 1] = {total, 0, out_deg[i]};
         total += out_deg[i];
     }
     g.arena_.resize(total);
+    EdgeId *arena = g.arena_.writable();
+    DdgEdge *edges = g.edges_.writable();
     g.liveEdges_ = 0;
-    for (std::size_t i = 0; i < g.edges_.size(); ++i) {
-        DdgEdge &e = g.edges_[i];
+    for (std::uint32_t i = 0; i < edge_slots; ++i) {
+        DdgEdge &e = edges[i];
         e.id = static_cast<EdgeId>(i);
         if (e.alive)
             ++g.liveEdges_;
-        detail::AdjSlot &out = g.slots_[2 * e.src + 1];
-        g.arena_[out.offset + out.count++] = e.id;
-        detail::AdjSlot &in = g.slots_[2 * e.dst];
-        g.arena_[in.offset + in.count++] = e.id;
+        detail::AdjSlot &out = slots[2 * e.src + 1];
+        arena[out.offset + out.count++] = e.id;
+        detail::AdjSlot &in = slots[2 * e.dst];
+        arena[in.offset + in.count++] = e.id;
     }
     // One fresh stamp for the whole load (the constructor already
     // produced one; bulk loading is a single structural mutation).
@@ -165,15 +174,28 @@ Ddg::compact()
     }
     const bool adj_dense = arena_.size() == adj_total;
     const bool labels_dense = labels_.size() == label_total;
-    if (adj_dense && labels_dense)
+    // Capacity slack goes last, except in arrays another graph still
+    // shares (see CowArray::shrinkToFit).
+    const auto trim = [this] {
+        nodes_.shrinkToFit();
+        edges_.shrinkToFit();
+        arena_.shrinkToFit();
+        slots_.shrinkToFit();
+        labels_.shrinkToFit();
+    };
+    if (adj_dense && labels_dense) {
+        trim();
         return;
+    }
 
 #ifndef NDEBUG
     // Adjacency must survive bit-for-bit: same edge ids, same order,
     // per span. Live labels likewise. Snapshot before repacking,
-    // verify after.
-    const std::vector<EdgeId> pre_arena = arena_;
-    const std::vector<detail::AdjSlot> pre_slots = slots_;
+    // verify after. Deep copies: a sharing copy would keep the trim
+    // below from dropping slack.
+    const std::vector<EdgeId> pre_arena(arena_.begin(), arena_.end());
+    const std::vector<detail::AdjSlot> pre_slots(slots_.begin(),
+                                                 slots_.end());
     std::vector<std::string> pre_labels;
     pre_labels.reserve(nodes_.size());
     for (const DdgNode &n : nodes_)
@@ -182,11 +204,14 @@ Ddg::compact()
 #endif
 
     if (!adj_dense) {
-        std::vector<EdgeId> packed(adj_total);
+        detail::CowArray<EdgeId> packed;
+        packed.resize(adj_total);
+        EdgeId *out = packed.writable();
+        detail::AdjSlot *slots = slots_.writable();
         std::uint32_t off = 0;
-        for (detail::AdjSlot &s : slots_) {
-            for (std::uint32_t i = 0; i < s.count; ++i)
-                packed[off + i] = arena_[s.offset + i];
+        for (std::size_t k = 0; k < slots_.size(); ++k) {
+            detail::AdjSlot &s = slots[k];
+            std::copy_n(arena_.data() + s.offset, s.count, out + off);
             s.offset = off;
             s.capacity = s.count;
             off += s.count;
@@ -198,9 +223,11 @@ Ddg::compact()
         // Live labels packed in node order; dead slots lose their
         // bytes and read back empty from now on (labels are
         // diagnostic-only, so this is the documented lossy effect).
-        std::string packed;
+        detail::CowArray<char> packed;
         packed.reserve(label_total);
-        for (DdgNode &n : nodes_) {
+        DdgNode *nodes = nodes_.writable();
+        for (std::size_t k = 0; k < nodes_.size(); ++k) {
+            DdgNode &n = nodes[k];
             if (!n.alive) {
                 n.labelOffset = 0;
                 n.labelLen = 0;
@@ -208,7 +235,7 @@ Ddg::compact()
             }
             const std::uint32_t off =
                 static_cast<std::uint32_t>(packed.size());
-            packed.append(labels_, n.labelOffset, n.labelLen);
+            packed.append(labels_.data() + n.labelOffset, n.labelLen);
             n.labelOffset = off;
         }
         labels_ = std::move(packed);
@@ -233,8 +260,9 @@ Ddg::compact()
         }
     }
 #endif
+    trim();
     // No generation bump: the graph's structure (nodes, edges,
-    // traversal order) is untouched; only the arena layout moved.
+    // traversal order) is untouched; only the storage layout moved.
 }
 
 std::uint32_t
@@ -244,22 +272,10 @@ Ddg::internLabel(std::string_view s)
                   std::numeric_limits<std::uint32_t>::max(),
               "label arena overflow");
     const std::uint32_t off = static_cast<std::uint32_t>(labels_.size());
-    if (s.empty())
-        return off;
-    const char *base = labels_.data();
-    if (s.data() >= base && s.data() + s.size() <= base + labels_.size()) {
-        // The view aliases our own arena (e.g. a label(id) passed
-        // straight back in). Re-derive it through its offset and make
-        // room up front: append must not reallocate the blob while
-        // still reading the source bytes - the same held-reference-
-        // across-realloc class that bit addReplica and spillOneValue.
-        const std::size_t src =
-            static_cast<std::size_t>(s.data() - base);
-        labels_.reserve(labels_.size() + s.size());
-        labels_.append(labels_.data() + src, s.size());
-    } else {
-        labels_.append(s.data(), s.size());
-    }
+    // A view of our own arena (e.g. a label(id) passed straight back
+    // in) is safe: an append that reallocates reads the source bytes
+    // before it releases the old block.
+    labels_.append(s.data(), s.size());
     return off;
 }
 
@@ -280,8 +296,7 @@ Ddg::addNode(OpClass cls, std::string_view label)
     }
     n.semanticId = id;
     nodes_.push_back(n);
-    slots_.emplace_back(); // in-span
-    slots_.emplace_back(); // out-span
+    slots_.resize(slots_.size() + 2); // in-span, out-span
     ++liveNodes_;
     bumpGeneration();
     return id;
@@ -329,8 +344,7 @@ Ddg::addReplica(NodeId original, std::string_view label_suffix)
     n.semanticId = semantic;
     n.isReplica = true;
     nodes_.push_back(n);
-    slots_.emplace_back(); // in-span
-    slots_.emplace_back(); // out-span
+    slots_.resize(slots_.size() + 2); // in-span, out-span
     ++liveNodes_;
     bumpGeneration();
     return n.id;
@@ -344,7 +358,7 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
     checkNode(dst);
     cv_assert(distance >= 0, "edge distance must be >= 0");
     if (kind == EdgeKind::RegFlow) {
-        cv_assert(producesValue(node(src).cls),
+        cv_assert(producesValue(nodes_[src].cls),
                   "flow edge from non-value-producing op ",
                   label(src));
     }
@@ -357,8 +371,9 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
     e.distance = distance;
     e.memLatency = mem_latency;
     edges_.push_back(e);
-    appendAdj(arena_, slots_[2 * src + 1], e.id);
-    appendAdj(arena_, slots_[2 * dst], e.id);
+    detail::AdjSlot *slots = slots_.writable();
+    appendAdj(arena_, slots[2 * src + 1], e.id);
+    appendAdj(arena_, slots[2 * dst], e.id);
     ++liveEdges_;
     bumpGeneration();
     return e.id;
@@ -368,19 +383,20 @@ void
 Ddg::removeNode(NodeId id)
 {
     checkNode(id);
+    DdgEdge *edges = edges_.writable();
     for (EdgeId eid : inEdgesRaw(id)) {
-        if (edges_[eid].alive) {
-            edges_[eid].alive = false;
+        if (edges[eid].alive) {
+            edges[eid].alive = false;
             --liveEdges_;
         }
     }
     for (EdgeId eid : outEdgesRaw(id)) {
-        if (edges_[eid].alive) {
-            edges_[eid].alive = false;
+        if (edges[eid].alive) {
+            edges[eid].alive = false;
             --liveEdges_;
         }
     }
-    nodes_[id].alive = false;
+    nodes_.writable()[id].alive = false;
     --liveNodes_;
     bumpGeneration();
 }
@@ -389,7 +405,7 @@ void
 Ddg::removeEdge(EdgeId id)
 {
     checkEdge(id);
-    edges_[id].alive = false;
+    edges_.writable()[id].alive = false;
     --liveEdges_;
     bumpGeneration();
 }
@@ -405,7 +421,7 @@ DdgNode &
 Ddg::node(NodeId id)
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    return nodes_[id];
+    return nodes_.writable()[id];
 }
 
 const DdgEdge &
@@ -419,7 +435,7 @@ DdgEdge &
 Ddg::edge(EdgeId id)
 {
     cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    return edges_[id];
+    return edges_.writable()[id];
 }
 
 std::string_view
@@ -427,7 +443,7 @@ Ddg::label(NodeId id) const
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
     const DdgNode &n = nodes_[id];
-    return std::string_view(labels_).substr(n.labelOffset, n.labelLen);
+    return std::string_view(labels_.data() + n.labelOffset, n.labelLen);
 }
 
 LiveAdjRange

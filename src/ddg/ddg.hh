@@ -43,13 +43,13 @@
  *
  * ## Label arena
  *
- * Node labels live in one per-graph `std::string` blob; each node
- * stores a `{labelOffset, labelLen}` pair into it, which makes
- * `DdgNode` (and `DdgEdge`) trivially copyable PODs and a whole-graph
- * copy a fixed handful of flat buffer copies - zero per-node
- * allocations on the pipeline's copy-mutate-retry path. Read a label
- * through `label(id)`, which returns a `std::string_view` borrowing
- * arena storage.
+ * Node labels live in one per-graph byte blob; each node stores a
+ * `{labelOffset, labelLen}` pair into it, which makes `DdgNode` (and
+ * `DdgEdge`) trivially copyable PODs, so cloning a graph's storage is
+ * a fixed handful of flat buffer copies - zero per-node allocations
+ * on the pipeline's copy-mutate-retry path. Read a label through
+ * `label(id)`, which returns a `std::string_view` borrowing arena
+ * storage.
  *
  * Arena rules mirror the adjacency arena's:
  *  - label bytes are append-only; mutation APIs never rewrite or
@@ -58,8 +58,9 @@
  *  - `label()` views borrow the blob's storage and are invalidated by
  *    any label-appending mutation (`addNode`, `addReplica`) and by
  *    `compact()`; never hold one across those. Passing a view of this
- *    graph's own arena back into `addNode`/`addReplica` is safe - the
- *    interner re-derives it through offsets before appending;
+ *    graph's own arena back into `addNode`/`addReplica` is safe - an
+ *    append that reallocates copies the source bytes before it
+ *    releases the old block;
  *  - `compact()` repacks the blob to live-label density: live nodes'
  *    bytes packed in node order, dead slots' label bytes dropped
  *    (their labels read back empty - the one lossy effect compaction
@@ -78,23 +79,51 @@
  * none of them may allocate.
  *
  * View validity: an adjacency view addresses the arena through the
- * graph object (vector indirection) and snapshots the viewed node's
- * span bounds at creation. It therefore stays valid - never dangles -
- * across every mutation short of destroying/moving the graph:
- * tombstoning (`removeNode`/`removeEdge`), `addNode`/`addReplica`,
- * and `addEdge` anywhere. The one staleness rule: a view taken before
- * an `addEdge` that appends to the *viewed* list keeps observing the
- * pre-insertion snapshot (it misses newer edges; if the span
- * relocated it reads the intact dead region). Take a fresh view after
- * growing the list you iterate.
+ * graph object (the storage handle inside it) and snapshots the
+ * viewed node's span bounds at creation. It therefore stays valid -
+ * never dangles - across every mutation short of destroying/moving
+ * the graph: tombstoning (`removeNode`/`removeEdge`),
+ * `addNode`/`addReplica`, `addEdge` anywhere, and the clone a first
+ * write to shared storage makes (see "Shared storage"). The one
+ * staleness rule: a view taken before an `addEdge` that appends to
+ * the *viewed* list keeps observing the pre-insertion snapshot (it
+ * misses newer edges; if the span relocated it reads the intact dead
+ * region). Take a fresh view after growing the list you iterate.
  *
  * The raw-span accessors (`inEdgesRaw()`/`outEdgesRaw()`) are the
  * no-filter fast path for read-only kernels: they yield the whole
  * span (tombstones included) as a borrowed pointer range, so the
  * caller merges the `alive` check into the edge fetch it already
  * does. Unlike the views they borrow arena storage directly and are
- * invalidated by any subsequent `addEdge` (arena growth may
- * reallocate); never hold one across a mutation.
+ * invalidated by any subsequent mutation (arena growth, or the clone
+ * a first write makes, may move the storage); never hold one across
+ * a mutation.
+ *
+ * ## Shared storage (copy-on-write)
+ *
+ * The five arrays behind a graph (nodes, edges, adjacency arena,
+ * adjacency slots, label arena) are copy-on-write blocks with atomic
+ * reference counts (`detail::CowArray`):
+ *  - a copy is a reference-count bump per array: no allocation, no
+ *    element copy, at any graph size. Copies may be made from any
+ *    number of threads at once (the pool's workers copy one client
+ *    graph concurrently);
+ *  - the first write to a shared array clones that array alone, so
+ *    the other sharers stay bit-identical; a block is never written
+ *    while shared. Writes are every structural mutation and the
+ *    non-const `node()`/`edge()` accessors, so code that only reads
+ *    a graph it may later change reads through a const reference;
+ *  - the generation stamp is a per-object field, not shared storage:
+ *    `bumpGeneration()` never clones;
+ *  - the filtering views follow a clone as they follow a span
+ *    relocation (see above); raw spans, `label()` views and
+ *    references from `node()`/`edge()` borrow the storage itself and
+ *    do not. A mutable reference must not be held across a copy of
+ *    its graph either: writing through it after the copy would write
+ *    a block the copy shares;
+ *  - `compact()` of a shared graph clones what it repacks; the other
+ *    sharers keep the old layout. Its capacity trim skips arrays that
+ *    are still shared, which trimming would duplicate, not shrink.
  *
  * ## Generation counter
  *
@@ -114,12 +143,18 @@
 #ifndef CVLIW_DDG_DDG_HH
 #define CVLIW_DDG_DDG_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "machine/config.hh"
@@ -228,6 +263,173 @@ static_assert(sizeof(DdgNode) == 24 && offsetof(DdgNode, id) == 0 &&
 
 namespace detail
 {
+
+/**
+ * Copy-on-write array of trivially copyable elements: the storage of
+ * every Ddg array (see "Shared storage" in the file comment). A copy
+ * shares the block and bumps its atomic reference count; the first
+ * write through a shared handle clones the block, so a shared block
+ * is never written. The handle holds the element pointer itself (the
+ * count sits in a header just before the elements), so a read costs
+ * what a std::vector read costs. Size and capacity live in the
+ * handle; sharers agree on them because a shared block never changes.
+ */
+template <typename T>
+class CowArray
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "CowArray copies elements as raw bytes");
+
+  public:
+    CowArray() = default;
+    CowArray(const CowArray &o) noexcept
+        : data_(o.data_), size_(o.size_), cap_(o.cap_)
+    {
+        if (data_)
+            refs(data_).fetch_add(1, std::memory_order_relaxed);
+    }
+    CowArray(CowArray &&o) noexcept
+        : data_(std::exchange(o.data_, nullptr)),
+          size_(std::exchange(o.size_, 0)),
+          cap_(std::exchange(o.cap_, 0))
+    {
+    }
+    CowArray &operator=(CowArray o) noexcept
+    {
+        std::swap(data_, o.data_);
+        std::swap(size_, o.size_);
+        std::swap(cap_, o.cap_);
+        return *this;
+    }
+    ~CowArray() { release(data_); }
+
+    std::size_t size() const { return size_; }
+    const T *data() const { return data_; }
+    const T *begin() const { return data_; }
+    const T *end() const { return data_ + size_; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+
+    /** Writable elements; a shared block is cloned exactly sized. */
+    T *writable()
+    {
+        if (shared())
+            reallocate(size_);
+        return data_;
+    }
+
+    /**
+     * Append @p n elements copied from @p src: elements of this type
+     * or their raw bytes, at any alignment. @p src may point into this
+     * array: a reallocating append copies it before it releases the
+     * old block.
+     */
+    void append(const void *src, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        const std::size_t need = size_ + n;
+        if (need > cap_ || shared()) {
+            const std::size_t cap =
+                need > cap_ ? std::max(need, 2 * cap_) : cap_;
+            T *fresh = allocate(cap);
+            copy(fresh, data_, size_);
+            copy(fresh + size_, src, n);
+            release(data_);
+            data_ = fresh;
+            cap_ = cap;
+        } else {
+            copy(data_ + size_, src, n);
+        }
+        size_ = need;
+    }
+
+    void push_back(const T &v) { append(&v, 1); }
+
+    /** Writable room for @p n elements (capacity grows 2x). */
+    void reserve(std::size_t n)
+    {
+        if (n > cap_)
+            reallocate(std::max(n, 2 * cap_));
+        else if (shared())
+            reallocate(cap_);
+    }
+
+    /** Grow to @p n elements (n >= size()), new ones set to @p fill. */
+    void resize(std::size_t n, const T &fill = T())
+    {
+        reserve(n);
+        std::uninitialized_fill_n(data_ + size_, n - size_, fill);
+        size_ = n;
+    }
+
+    /**
+     * Drop capacity slack. A shared block keeps its slack: trimming
+     * it would add a copy, not drop one.
+     */
+    void shrinkToFit()
+    {
+        if (cap_ > size_ && !shared())
+            reallocate(size_);
+    }
+
+  private:
+    using Count = std::atomic<std::size_t>;
+    static constexpr std::size_t kHeader = sizeof(Count);
+    static_assert(alignof(T) <= alignof(Count),
+                  "elements follow the count header unpadded");
+
+    static Count &refs(T *data)
+    {
+        return *std::launder(reinterpret_cast<Count *>(
+            reinterpret_cast<unsigned char *>(data) - kHeader));
+    }
+
+    static T *allocate(std::size_t cap)
+    {
+        auto *raw = static_cast<unsigned char *>(
+            ::operator new(kHeader + cap * sizeof(T)));
+        new (raw) Count(1);
+        return reinterpret_cast<T *>(raw + kHeader);
+    }
+
+    static void release(T *data) noexcept
+    {
+        if (data &&
+            refs(data).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            ::operator delete(reinterpret_cast<unsigned char *>(data) -
+                              kHeader);
+        }
+    }
+
+    static void copy(T *dst, const void *src, std::size_t n)
+    {
+        if (n)
+            std::memcpy(static_cast<void *>(dst), src, n * sizeof(T));
+    }
+
+    /** True when another handle shares this block. */
+    bool shared() const
+    {
+        // Acquire pairs with a former sharer's releasing decrement:
+        // its reads of the block happen before our writes to it.
+        return data_ &&
+               refs(data_).load(std::memory_order_acquire) != 1;
+    }
+
+    /** Move the elements into a fresh block of @p cap >= size(). */
+    void reallocate(std::size_t cap)
+    {
+        T *fresh = cap ? allocate(cap) : nullptr;
+        copy(fresh, data_, size_);
+        release(data_);
+        data_ = fresh;
+        cap_ = cap;
+    }
+
+    T *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+};
 
 /**
  * One node's span inside an adjacency arena: `count` edge ids stored
@@ -339,7 +541,7 @@ struct LiveSlotPolicy
 {
     using value_type = Id;
 
-    const std::vector<Entity> *arr = nullptr;
+    const CowArray<Entity> *arr = nullptr;
 
     std::size_t limit() const { return arr->size(); }
     bool admit(std::size_t i) const { return (*arr)[i].alive; }
@@ -348,15 +550,16 @@ struct LiveSlotPolicy
 
 /**
  * Live edge ids of one adjacency span. The arena is addressed through
- * the owning vector (not a raw pointer) so the policy survives arena
- * reallocation; the span bounds are a snapshot taken at creation.
+ * the graph's storage handle (not a raw pointer) so the policy
+ * survives arena reallocation and copy-on-write clones; the span
+ * bounds are a snapshot taken at creation.
  */
 struct LiveAdjPolicy
 {
     using value_type = EdgeId;
 
-    const std::vector<EdgeId> *arena = nullptr;
-    const std::vector<DdgEdge> *edges = nullptr;
+    const CowArray<EdgeId> *arena = nullptr;
+    const CowArray<DdgEdge> *edges = nullptr;
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
 
@@ -377,8 +580,8 @@ struct FlowNeighborPolicy
 {
     using value_type = NodeId;
 
-    const std::vector<EdgeId> *arena = nullptr;
-    const std::vector<DdgEdge> *edges = nullptr;
+    const CowArray<EdgeId> *arena = nullptr;
+    const CowArray<DdgEdge> *edges = nullptr;
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
     bool srcSide = false;
@@ -408,7 +611,7 @@ class LiveIdRange
     : public detail::SkipFilterRange<detail::LiveSlotPolicy<Entity, Id>>
 {
   public:
-    explicit LiveIdRange(const std::vector<Entity> &arr)
+    explicit LiveIdRange(const detail::CowArray<Entity> &arr)
         : detail::SkipFilterRange<detail::LiveSlotPolicy<Entity, Id>>(
               detail::LiveSlotPolicy<Entity, Id>{&arr})
     {
@@ -426,9 +629,9 @@ class LiveAdjRange
     : public detail::SkipFilterRange<detail::LiveAdjPolicy>
 {
   public:
-    LiveAdjRange(const std::vector<EdgeId> &arena,
+    LiveAdjRange(const detail::CowArray<EdgeId> &arena,
                  const detail::AdjSlot &slot,
-                 const std::vector<DdgEdge> &edges)
+                 const detail::CowArray<DdgEdge> &edges)
         : detail::SkipFilterRange<detail::LiveAdjPolicy>(
               detail::LiveAdjPolicy{&arena, &edges, slot.offset,
                                     slot.count})
@@ -446,9 +649,10 @@ class FlowNeighborRange
     : public detail::SkipFilterRange<detail::FlowNeighborPolicy>
 {
   public:
-    FlowNeighborRange(const std::vector<EdgeId> &arena,
+    FlowNeighborRange(const detail::CowArray<EdgeId> &arena,
                       const detail::AdjSlot &slot,
-                      const std::vector<DdgEdge> &edges, bool src_side)
+                      const detail::CowArray<DdgEdge> &edges,
+                      bool src_side)
         : detail::SkipFilterRange<detail::FlowNeighborPolicy>(
               detail::FlowNeighborPolicy{&arena, &edges, slot.offset,
                                          slot.count, src_side})
@@ -519,11 +723,16 @@ class Ddg
      * supplies each node's in/out degree, dead edges included.
      * suite_io's deserializer computes the degrees for free inside
      * its own validation loop; anyone loading untrusted bytes must
-     * use plain fromSlots.
+     * use plain fromSlots. The slots arrive as raw bytes in the
+     * host's DdgNode/DdgEdge layout (the suite v3 records, on
+     * little-endian hosts) at any alignment, so a suite load copies
+     * each array once, straight from the mapped file into the graph.
      */
-    static Ddg fromSlotsTrusted(std::vector<DdgNode> nodes,
-                                std::vector<DdgEdge> edges,
-                                std::string labels,
+    static Ddg fromSlotsTrusted(const unsigned char *node_bytes,
+                                std::uint32_t node_slots,
+                                const unsigned char *edge_bytes,
+                                std::uint32_t edge_slots,
+                                std::string_view labels,
                                 const std::uint32_t *in_deg,
                                 const std::uint32_t *out_deg);
 
@@ -598,7 +807,10 @@ class Ddg
      * `fromSlots` alongside copies of the slot arrays reproduces the
      * graph's labels exactly.
      */
-    std::string_view labelArena() const { return labels_; }
+    std::string_view labelArena() const
+    {
+        return std::string_view(labels_.data(), labels_.size());
+    }
 
     /** Live incoming edges of @p id (zero-allocation view). */
     LiveAdjRange inEdges(NodeId id) const;
@@ -663,11 +875,14 @@ class Ddg
      * order are preserved exactly - traversals, and therefore every
      * compile decision, are unchanged (asserted field-for-field in
      * debug builds) - and the generation stamp does not advance
-     * (structure is identical). The label arena is likewise repacked
+ * (structure is identical). The label arena is likewise repacked
      * to live-label density: live nodes' bytes packed in node order,
      * dead slots' label bytes dropped (their labels read back empty;
-     * see the label arena rules). No-op when both arenas are already
-     * dense.
+     * see the label arena rules). Last, every array this graph owns
+     * alone drops its capacity slack, so a compacted graph is as
+     * exactly sized as a `fromSlots` load; arrays still shared with
+     * another graph keep theirs (see "Shared storage"). No-op when
+     * both arenas are dense and no owned array has slack.
      *
      * **The one view-invalidating operation:** compaction moves span
      * offsets and label bytes, so every outstanding filtering view
@@ -692,18 +907,20 @@ class Ddg
      */
     std::uint32_t internLabel(std::string_view s);
 
-    std::vector<DdgNode> nodes_;
-    std::vector<DdgEdge> edges_;
+    // Every array is copy-on-write storage; see "Shared storage" in
+    // the header comment.
+    detail::CowArray<DdgNode> nodes_;
+    detail::CowArray<DdgEdge> edges_;
     // CSR-style adjacency: one flat edge-id arena plus two spans per
     // node slot, interleaved as slots_[2*id] = in, slots_[2*id+1] =
     // out so a node's pair shares a cache line (and a suite load pays
     // two allocations per graph, not four). See the header comment
     // for the invariants and relocation rules.
-    std::vector<EdgeId> arena_;
-    std::vector<detail::AdjSlot> slots_;
+    detail::CowArray<EdgeId> arena_;
+    detail::CowArray<detail::AdjSlot> slots_;
     // Label arena: every node's label bytes, append-only; see the
     // header comment for the invariants.
-    std::string labels_;
+    detail::CowArray<char> labels_;
     int liveNodes_ = 0;
     int liveEdges_ = 0;
     std::uint64_t generation_ = freshGeneration();

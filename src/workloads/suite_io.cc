@@ -388,20 +388,18 @@ deserializeGraph(Reader &r)
     }
 
     // --- Bulk materialization of the fully-validated bytes. -----------
-    std::vector<DdgNode> nodes(node_slots);
-    std::vector<DdgEdge> edges(edge_slots);
-    if (kHostLittleEndian) {
-        // memcpy (not a cast) also sidesteps mmap alignment: records
-        // start at arbitrary byte offsets.
-        if (node_slots) {
-            std::memcpy(nodes.data(), nrec,
-                        node_slots * kNodeRecBytes);
-        }
-        if (edge_slots) {
-            std::memcpy(edges.data(), erec,
-                        edge_slots * kEdgeRecBytes);
-        }
-    } else {
+    // Little-endian hosts hand the mapped records to the graph as they
+    // are: it copies each array once into its own storage, by memcpy,
+    // which also sidesteps mmap alignment (records start at arbitrary
+    // byte offsets). Big-endian hosts assemble host-layout slots field
+    // by field first.
+    const unsigned char *node_bytes = nrec;
+    const unsigned char *edge_bytes = erec;
+    std::vector<DdgNode> nodes;
+    std::vector<DdgEdge> edges;
+    if (!kHostLittleEndian) {
+        nodes.resize(node_slots);
+        edges.resize(edge_slots);
         for (std::uint32_t i = 0; i < node_slots; ++i) {
             const unsigned char *q = nrec + i * kNodeRecBytes;
             DdgNode &n = nodes[i];
@@ -425,17 +423,19 @@ deserializeGraph(Reader &r)
             e.kind = static_cast<EdgeKind>(q[20]);
             e.alive = q[21] != 0;
         }
+        node_bytes = reinterpret_cast<const unsigned char *>(nodes.data());
+        edge_bytes = reinterpret_cast<const unsigned char *>(edges.data());
     }
-    std::string labels(reinterpret_cast<const char *>(lrec),
-                       label_bytes);
+    const std::string_view labels(reinterpret_cast<const char *>(lrec),
+                                  label_bytes);
     r.pos += static_cast<std::size_t>(fixed);
 
     // Everything above threw on the first inconsistency, which is
     // exactly the precondition the trusted bulk loader asks for
     // (fromSlotsTrusted re-derives the id fields, so the on-disk ids
     // need no validation of their own).
-    return Ddg::fromSlotsTrusted(std::move(nodes), std::move(edges),
-                                 std::move(labels), in_deg, out_deg);
+    return Ddg::fromSlotsTrusted(node_bytes, node_slots, edge_bytes,
+                                 edge_slots, labels, in_deg, out_deg);
 }
 
 Loop

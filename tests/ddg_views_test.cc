@@ -8,6 +8,9 @@
  * covers the label-interning arena: replica suffix synthesis,
  * allocation-free graph copies, compact() dropping dead-node label
  * bytes, and alias safety of label views passed back into the graph.
+ * The DdgShared section covers copy-on-write storage: copies share,
+ * a first write clones, views follow the clone, and concurrent copies
+ * of one graph are race-free (the TSan job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +18,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -29,7 +36,7 @@
 
 // --- Global operator-new hook (this binary only). --------------------
 // The DdgLabels allocation tests flip g_count_news on around a graph
-// copy and read how many heap allocations it made. Replacement
+// copy or write and read how many heap allocations it made. Replacement
 // operators must live at global scope; outside the counting window
 // they are plain malloc/free pass-throughs.
 namespace
@@ -101,6 +108,33 @@ struct SmallGraph
         ac_mem = g.addEdge(a, c, EdgeKind::Memory, 0, 2);
     }
 };
+
+/**
+ * Every byte a graph's storage holds - node and edge records, each
+ * node's raw spans, the label arena - as one string, for bit-identity
+ * checks. Reads through const accessors only, which never clone.
+ */
+std::string
+imageOf(const Ddg &g)
+{
+    std::string img;
+    const auto put = [&](const void *p, std::size_t n) {
+        if (n)
+            img.append(static_cast<const char *>(p), n);
+    };
+    for (NodeId n = 0; n < g.numNodeSlots(); ++n) {
+        put(&g.node(n), sizeof(DdgNode));
+        for (const EdgeSpan span : {g.inEdgesRaw(n), g.outEdgesRaw(n)}) {
+            const std::uint32_t k = span.size();
+            put(&k, sizeof k);
+            put(span.begin(), k * sizeof(EdgeId));
+        }
+    }
+    for (EdgeId e = 0; e < g.numEdgeSlots(); ++e)
+        put(&g.edge(e), sizeof(DdgEdge));
+    img.append(g.labelArena());
+    return img;
+}
 
 TEST(DdgViews, NodeRangeSkipsTombstones)
 {
@@ -406,7 +440,10 @@ struct AdjOracle
  * addReplica / removeNode / removeEdge / removeDeadCode against the
  * oracle. Exercises span growth through relocation (many edges on one
  * node), tombstoning, and bulk sweeps - the mutations the arena's
- * amortized-growth rules must keep exact.
+ * amortized-growth rules must keep exact. The graph is copied at
+ * random points and mutated on while the copies live, so every
+ * mutation also runs as a first write to shared storage; each copy
+ * must keep its exact bytes.
  */
 TEST(DdgArena, MutationFuzzMatchesVectorOracle)
 {
@@ -416,6 +453,11 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
         AdjOracle oracle;
         std::vector<NodeId> live_nodes;
         std::vector<EdgeId> live_edges;
+        std::vector<std::pair<Ddg, std::string>> frozen; // copy, image
+        const auto checkFrozen = [&] {
+            for (const auto &[copy, image] : frozen)
+                ASSERT_EQ(imageOf(copy), image) << "a write leaked";
+        };
 
         auto spawn = [&](OpClass cls) {
             const NodeId n = g.addNode(cls);
@@ -502,12 +544,23 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
             // here): everything the oracle observes must be unmoved.
             if (rng.chance(0.05))
                 g.compact();
-            if (step % 25 == 0)
+            // Freeze a sharer of the current graph; dropping the
+            // oldest one makes storage unshared again mid-stream.
+            if (rng.chance(0.05))
+                frozen.emplace_back(g, imageOf(g));
+            if (!frozen.empty() && rng.chance(0.02)) {
+                checkFrozen();
+                frozen.erase(frozen.begin());
+            }
+            if (step % 25 == 0) {
                 oracle.check(g);
+                checkFrozen();
+            }
         }
         oracle.check(g);
         g.compact();
         oracle.check(g);
+        checkFrozen();
 
         // Tombstone accounting survives the whole interleaving.
         int alive_nodes = 0;
@@ -629,20 +682,17 @@ TEST(DdgLabels, AddReplicaSynthesizesSuffixIntoArena)
     EXPECT_EQ(g.label(d), "n" + std::to_string(d));
 }
 
-/** Heap allocations a copy of @p g makes (counted via the global
- *  operator-new hook above). */
+/** Heap allocations @p fn makes (counted via the global operator-new
+ *  hook above). */
+template <typename Fn>
 std::size_t
-copyAllocCount(const Ddg &g)
+allocsDuring(Fn &&fn)
 {
     g_new_calls.store(0, std::memory_order_relaxed);
     g_count_news.store(true, std::memory_order_relaxed);
-    const Ddg copy(g);
+    fn();
     g_count_news.store(false, std::memory_order_relaxed);
-    const std::size_t calls =
-        g_new_calls.load(std::memory_order_relaxed);
-    EXPECT_EQ(copy.numNodes(), g.numNodes());
-    EXPECT_EQ(copy.labelArena(), g.labelArena());
-    return calls;
+    return g_new_calls.load(std::memory_order_relaxed);
 }
 
 /** A chain of @p n nodes with long labels (defeats SSO) and edges. */
@@ -663,20 +713,27 @@ labeledChain(int n)
 
 TEST(DdgLabels, GraphCopyDoesNoPerNodeAllocation)
 {
-    // With labels interned into one arena string, copying a graph is
-    // a fixed handful of buffer copies (one per container), however
-    // many nodes it has. Per-node std::string labels would scale the
-    // count with the node count.
-    const Ddg small = labeledChain(16);
-    const Ddg big = labeledChain(128);
-    const std::size_t small_allocs = copyAllocCount(small);
-    const std::size_t big_allocs = copyAllocCount(big);
-    EXPECT_EQ(small_allocs, big_allocs)
-        << "copy allocations scale with graph size";
-    // nodes_, edges_, adjacency arena, slots_, label arena - plus a
-    // little slack for library bookkeeping.
-    EXPECT_LE(big_allocs, 8u);
-    EXPECT_GE(big_allocs, 1u) << "counting hook is not engaged";
+    // A copy shares all five arrays, so it allocates nothing at any
+    // size. Its first write clones only the arrays it writes, each as
+    // one flat buffer copy: labels live in one arena, so the count
+    // never scales with the node count as per-node strings would.
+    std::size_t first_write[2] = {};
+    const int sizes[2] = {16, 128};
+    for (int k = 0; k < 2; ++k) {
+        const Ddg g = labeledChain(sizes[k]);
+        std::optional<Ddg> copy;
+        EXPECT_EQ(allocsDuring([&] { copy.emplace(g); }), 0u)
+            << sizes[k] << "-node copy allocated";
+        EXPECT_EQ(copy->numNodes(), g.numNodes());
+        EXPECT_EQ(copy->labelArena(), g.labelArena());
+        first_write[k] = allocsDuring(
+            [&] { copy->addNode(OpClass::IntAlu, "tail"); });
+    }
+    EXPECT_EQ(first_write[0], first_write[1])
+        << "first-write allocations scale with graph size";
+    // addNode writes the node, slot and label arrays: one clone each.
+    EXPECT_GE(first_write[1], 1u) << "counting hook is not engaged";
+    EXPECT_LE(first_write[1], 3u);
 }
 
 TEST(DdgLabels, CompactDropsDeadNodeLabelBytes)
@@ -767,6 +824,116 @@ TEST(DdgLabels, FromSlotsRejectsLabelSliceOutsideArena)
     EXPECT_DEATH(Ddg::fromSlots(std::move(nodes), std::move(edges),
                                 std::string(g.labelArena())),
                  "label");
+}
+
+// --- Copy-on-write storage. -------------------------------------------
+
+TEST(DdgShared, CopySharesStorage)
+{
+    const Ddg g = labeledChain(32);
+    const Ddg copy(g);
+    EXPECT_EQ(copy.labelArena().data(), g.labelArena().data());
+    EXPECT_EQ(copy.inEdgesRaw(1).begin(), g.inEdgesRaw(1).begin());
+    EXPECT_EQ(&copy.node(0), &g.node(0));
+    EXPECT_EQ(&copy.edge(0), &g.edge(0));
+    EXPECT_EQ(copy.generation(), g.generation());
+}
+
+TEST(DdgShared, FirstWriteClonesAndLeavesTheOtherSharerBitIdentical)
+{
+    Ddg a = labeledChain(24);
+    const Ddg &ca = a; // reads that must not clone
+    const std::string image = imageOf(a);
+
+    // Writes to the copy. A field write clones the node array alone.
+    Ddg b(a);
+    const Ddg &cb = b;
+    b.node(3).liveOut = true;
+    EXPECT_NE(&cb.node(0), &ca.node(0));
+    EXPECT_EQ(&cb.edge(0), &ca.edge(0));
+    EXPECT_EQ(cb.inEdgesRaw(2).begin(), ca.inEdgesRaw(2).begin());
+    b.addEdge(0, 5, EdgeKind::RegFlow, 1);
+    b.removeNode(7);
+    b.addReplica(2, ".r");
+    b.compact();
+    EXPECT_EQ(imageOf(a), image);
+    EXPECT_NE(imageOf(b), image);
+
+    // Writes to the original: the copy keeps the old bytes.
+    const Ddg c(a);
+    a.addNode(OpClass::Store, "tail");
+    a.addEdge(4, 24, EdgeKind::RegFlow, 0);
+    a.removeEdge(0);
+    a.node(1).isSpill = true;
+    a.compact();
+    EXPECT_EQ(imageOf(c), image);
+    EXPECT_NE(imageOf(a), image);
+
+    // The stamp is per object: bumping it clones nothing.
+    Ddg d(c);
+    d.bumpGeneration();
+    EXPECT_NE(d.generation(), c.generation());
+    EXPECT_EQ(&std::as_const(d).node(0), &c.node(0));
+    EXPECT_EQ(d.labelArena().data(), c.labelArena().data());
+}
+
+TEST(DdgShared, ViewsFollowTheCloneAndOutliveTheOtherSharer)
+{
+    // Under ASan a view left pointing into the pre-clone storage reads
+    // freed memory once the other sharer is gone.
+    Ddg g = labeledChain(16);
+    auto other = std::make_unique<Ddg>(g);
+    const LiveAdjRange out = g.outEdges(2);
+    const FlowNeighborRange succs = g.flowSuccs(2);
+    const LiveNodeRange nodes = g.nodes();
+    const LiveEdgeRange edges = g.edges();
+    const std::vector<EdgeId> out_before = out.toVector();
+
+    g.node(9).liveOut = true;
+    const NodeId x = g.addNode(OpClass::Store, "x");
+    g.addEdge(5, x, EdgeKind::RegFlow, 0);
+    g.removeEdge(g.inEdgesRaw(12)[0]);
+    other.reset();
+
+    EXPECT_EQ(out.toVector(), out_before);
+    EXPECT_EQ(succs.toVector(), std::vector<NodeId>{3});
+    EXPECT_EQ(nodes.size(), 17u);
+    EXPECT_EQ(edges.size(), 15u); // 15 chain edges, +1 added, -1 removed
+    EXPECT_TRUE(g.node(9).liveOut);
+}
+
+TEST(DdgShared, ConcurrentCopiesAreRaceFree)
+{
+    // The pool's workers copy one client graph at once, and a write
+    // to a copy clones from storage the other threads are copying.
+    Ddg g = labeledChain(64);
+    const std::string image = imageOf(g);
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < 8; ++t) {
+        pool.emplace_back([&, t] {
+            for (int i = 0; i < 400; ++i) {
+                Ddg copy(std::as_const(g));
+                if ((i + t) % 4 == 0) {
+                    copy.node(0).liveOut = true;
+                    copy.addEdge(0, 1 + i % 63, EdgeKind::RegFlow, 1);
+                }
+                if (copy.numNodes() != 64 ||
+                    copy.label(63) != std::as_const(g).label(63))
+                    wrong.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(imageOf(g), image);
+
+    // Every copy dropped its references: g owns its storage alone
+    // again, so a write lands in place.
+    const DdgNode *before = &std::as_const(g).node(0);
+    g.node(0).liveOut = true;
+    EXPECT_EQ(&std::as_const(g).node(0), before);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
+#include "eval/result_cache.hh"
 #include "paper_graph.hh"
 #include "sched/comms.hh"
 #include "sched/mii.hh"
@@ -235,6 +236,100 @@ TEST(Pipeline, GenerousStepBudgetChangesNothing)
         EXPECT_EQ(plain.partition.vec(), capped.partition.vec())
             << loops[i].name();
     }
+}
+
+/**
+ * Do two graphs read the same storage? Compared through const
+ * accessors, which never clone: the node, edge and label arrays and
+ * the adjacency arena (through node 1's in-span).
+ */
+bool
+sameStorage(const Ddg &a, const Ddg &b)
+{
+    return &a.node(0) == &b.node(0) && &a.edge(0) == &b.edge(0) &&
+           a.labelArena().data() == b.labelArena().data() &&
+           a.inEdgesRaw(1).begin() == b.inEdgesRaw(1).begin();
+}
+
+TEST(Pipeline, UnchangedResultGraphSharesTheInputStorage)
+{
+    // Unified machine: nothing edits the work graph.
+    DdgBuilder b;
+    b.op("ld", OpClass::Load);
+    b.op("f", OpClass::FpAlu, {"ld"});
+    b.op("st", OpClass::Store, {"f"});
+    const Ddg g = b.take();
+    const auto r = compile(g, MachineConfig::unified());
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.spills, 0);
+    EXPECT_TRUE(sameStorage(r.finalDdg, g));
+
+    // Clustered machine, a loop whose communications fit without a
+    // copy: two independent chains, one per cluster.
+    DdgBuilder c;
+    c.op("ld0", OpClass::Load);
+    c.op("f0", OpClass::FpAlu, {"ld0"});
+    c.op("st0", OpClass::Store, {"f0"});
+    c.op("ld1", OpClass::Load);
+    c.op("f1", OpClass::FpAlu, {"ld1"});
+    c.op("st1", OpClass::Store, {"f1"});
+    const Ddg two = c.take();
+    const auto rc = compile(two, MachineConfig::fromString("2c1b2l64r"));
+    ASSERT_TRUE(rc.ok);
+    EXPECT_EQ(rc.comsFinal, 0);
+    EXPECT_EQ(rc.repl.replicasAdded, 0);
+    EXPECT_TRUE(sameStorage(rc.finalDdg, two));
+}
+
+TEST(Pipeline, ResultGraphWithCopiesDoesNotAliasTheInput)
+{
+    PaperExample ex;
+    const Ddg &in = ex.ddg;
+    const auto r = compile(in, ex.mach);
+    ASSERT_TRUE(r.ok);
+    ASSERT_TRUE(r.finalDdg.hasCopies());
+    EXPECT_NE(&r.finalDdg.node(0), &in.node(0));
+    EXPECT_NE(&r.finalDdg.edge(0), &in.edge(0));
+    EXPECT_NE(r.finalDdg.labelArena().data(), in.labelArena().data());
+    EXPECT_NE(r.finalDdg.inEdgesRaw(1).begin(), in.inEdgesRaw(1).begin());
+    EXPECT_FALSE(in.hasCopies()) << "the input was written";
+}
+
+/** a -> b -> a, both at distance 0: no iteration could ever start. */
+Ddg
+zeroDistanceCycle()
+{
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu, "a");
+    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    g.addEdge(a, b, EdgeKind::RegFlow, 0);
+    g.addEdge(b, a, EdgeKind::RegFlow, 0);
+    return g;
+}
+
+TEST(Pipeline, ZeroDistanceCycleThrowsInvalidInput)
+{
+    const Ddg g = zeroDistanceCycle();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    EXPECT_THROW(compile(g, MachineConfig::unified()), InvalidInput);
+    EXPECT_THROW(compile(g, m), InvalidInput);
+
+    // Rejected before any cache is touched: the result cache never
+    // sees the job.
+    ResultCache cache;
+    PipelineOptions cached;
+    cached.resultCache = &cache;
+    EXPECT_THROW(compile(g, m, cached), InvalidInput);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    // The same loop with the back edge loop-carried compiles.
+    Ddg ok;
+    const NodeId a = ok.addNode(OpClass::IntAlu, "a");
+    const NodeId b = ok.addNode(OpClass::IntAlu, "b");
+    ok.addEdge(a, b, EdgeKind::RegFlow, 0);
+    ok.addEdge(b, a, EdgeKind::RegFlow, 1);
+    EXPECT_TRUE(compile(ok, m).ok);
 }
 
 } // namespace

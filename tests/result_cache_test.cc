@@ -451,6 +451,7 @@ TEST(ResultCacheDedup, FollowersInheritTheLeadersFailure)
 
     std::mutex gate_lock;
     std::condition_variable gate_cv;
+    bool leading = false; // the leader's compute is running
     bool release = false;
 
     std::atomic<int> deadline_count{0};
@@ -460,6 +461,8 @@ TEST(ResultCacheDedup, FollowersInheritTheLeadersFailure)
         try {
             cache.getOrCompute(key, [&]() -> CompileResult {
                 std::unique_lock<std::mutex> lock(gate_lock);
+                leading = true;
+                gate_cv.notify_all();
                 gate_cv.wait(lock, [&] { return release; });
                 throw DeadlineExceeded("leader ran out of budget");
             });
@@ -467,6 +470,13 @@ TEST(ResultCacheDedup, FollowersInheritTheLeadersFailure)
             deadline_count.fetch_add(1);
         }
     });
+    // Followers start only once the leader's compute runs: one that
+    // reached getOrCompute first would lead and publish instead, and
+    // dedupJoins would never reach kFollowers.
+    {
+        std::unique_lock<std::mutex> lock(gate_lock);
+        gate_cv.wait(lock, [&] { return leading; });
+    }
     for (int t = 0; t < kFollowers; ++t) {
         pool.emplace_back([&] {
             try {

@@ -205,6 +205,46 @@ TEST(CompileService, FacadeFlattensFailuresToNotOk)
     }
 }
 
+TEST(CompileService, InvalidInputFailsOnlyItsJob)
+{
+    // A graph whose distance-0 edges close a cycle is a typed compile
+    // error: its job ends Failed and the rest of the batch finishes.
+    Ddg cyclic;
+    const NodeId a = cyclic.addNode(OpClass::IntAlu, "a");
+    const NodeId b = cyclic.addNode(OpClass::IntAlu, "b");
+    cyclic.addEdge(a, b, EdgeKind::RegFlow, 0);
+    cyclic.addEdge(b, a, EdgeKind::RegFlow, 0);
+
+    const auto &loops = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    constexpr std::size_t kBad = 3;
+    std::vector<CompileService::Job> jobs;
+    for (std::size_t i = 0; i < 8; ++i) {
+        CompileService::Job job;
+        job.ddg = i == kBad ? &cyclic : &loops[i].ddg;
+        job.mach = &m;
+        jobs.push_back(job);
+    }
+
+    CompileService service(2);
+    const auto handle = service.frontier().submit(jobs);
+    handle.wait();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const auto view = handle.job(i);
+        if (i == kBad) {
+            EXPECT_EQ(view.outcome, JobOutcome::Failed);
+            EXPECT_NE(view.error.find("cycle"), std::string::npos)
+                << view.error;
+            continue;
+        }
+        ASSERT_EQ(view.outcome, JobOutcome::Ok) << "job " << i;
+        ResultDigest got, want;
+        mixCompileResult(got, *view.result);
+        mixCompileResult(want, compile(*jobs[i].ddg, m));
+        EXPECT_EQ(got.h, want.h) << "job " << i;
+    }
+}
+
 TEST(CompileService, RunSuiteDelegatesToService)
 {
     const auto &loops = sampleLoops();
