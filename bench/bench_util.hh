@@ -3,13 +3,15 @@
  * Shared plumbing for the benchmark harness binaries: the cached
  * 678-loop suite, sweep execution and paper-style table printing.
  * Every bench prints (a) the measured numbers and (b) the
- * corresponding claim from the paper, so EXPERIMENTS.md can record
- * paper-vs-measured directly from the output.
+ * corresponding claim from the paper, so paper-vs-measured can be
+ * read directly from the output.
  *
- * All sweeps run on the process-wide `CompileService` pool
- * (eval/service.hh), so per-worker caches stay warm across the many
- * config sweeps a figure bench performs, and the suite itself comes
- * from the build-generated cache file when present
+ * All sweeps are blocking `compileSuite` calls on the process-wide
+ * `CompileService` pool (eval/service.hh), whose workers and their
+ * per-worker caches live across the many config sweeps a figure
+ * bench performs; a loop that does not compile is logged once, with
+ * its config and reason, and left out of the aggregates. The suite
+ * itself comes from the build-generated cache file when present
  * (workloads/suite_io.hh) instead of being regenerated per process.
  */
 

@@ -24,8 +24,6 @@
 #include "core/pipeline.hh"
 #include "core/replicator.hh"
 #include "ddg/analysis.hh"
-#include "eval/frontier.hh"
-#include "eval/result_cache.hh"
 #include "eval/service.hh"
 #include "partition/multilevel.hh"
 #include "partition/refine.hh"
@@ -496,353 +494,6 @@ BM_BatchCompileMultiConfig(benchmark::State &state)
 }
 BENCHMARK(BM_BatchCompileMultiConfig)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-/**
- * The multi-tenant serving shape (eval/frontier.hh): a large
- * low-priority background sweep (half the suite) shares the pool
- * with a small high-priority batch submitted right after it. The
- * frontier must let the urgent tenant overtake: its latency is
- * reported as the hi_latency_ms counter, and the overtake counter
- * stays 1.0 as long as every iteration saw the high-priority batch
- * finish while the background one was still running - the acceptance
- * criterion of the serving-frontier PR. Total iteration time (both
- * batches drained) is the measured number, comparable to
- * BM_BatchCompile's per-suite cost.
- */
-void
-BM_FrontierMixedTenants(benchmark::State &state)
-{
-    std::vector<Loop> background_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 2)
-        background_loops.push_back(suite()[i]);
-    std::vector<Loop> urgent_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 48)
-        urgent_loops.push_back(suite()[i]);
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-
-    auto jobs = [&](const std::vector<Loop> &loops) {
-        std::vector<Frontier::Job> js(loops.size());
-        for (std::size_t i = 0; i < loops.size(); ++i)
-            js[i] = Frontier::Job{&loops[i].ddg, &m, nullptr};
-        return js;
-    };
-
-    Frontier frontier;
-    double overtakes = 0;
-    double hi_latency_ms = 0;
-    std::int64_t iterations = 0;
-    for (auto _ : state) {
-        auto background = frontier.submit(jobs(background_loops),
-                                          /*priority=*/0);
-        const auto t0 = std::chrono::steady_clock::now();
-        auto urgent = frontier.submit(jobs(urgent_loops),
-                                      /*priority=*/10);
-        urgent.wait();
-        const auto t1 = std::chrono::steady_clock::now();
-        overtakes += background.status().done ? 0.0 : 1.0;
-        hi_latency_ms +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        ++iterations;
-        background.wait();
-    }
-    state.counters["overtake"] =
-        iterations ? overtakes / static_cast<double>(iterations) : 0.0;
-    state.counters["hi_latency_ms"] =
-        iterations ? hi_latency_ms / static_cast<double>(iterations)
-                   : 0.0;
-    state.SetLabel(std::to_string(frontier.numWorkers()) +
-                   " workers, " +
-                   std::to_string(background_loops.size()) +
-                   " background + " +
-                   std::to_string(urgent_loops.size()) +
-                   " high-priority loops");
-}
-BENCHMARK(BM_FrontierMixedTenants)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Fault-isolation overhead guard: a healthy tenant shares the pool
- * with a tenant whose every job times out instantly (stepBudget = -1
- * expires at the first checkpoint - deterministic, no fault points
- * armed, so this also measures the disarmed faults::point() cost on
- * the hot path). The measured number is the healthy tenant's batch
- * latency with the faulty neighbour present; the healthy_solo_ms
- * counter is the same batch on the same frontier with no neighbour,
- * and overhead_pct their relative gap. Per-job error isolation is
- * cheap bookkeeping plus a cache rebuild on the faulty worker, so the
- * gap must stay within noise of the faulty tenant's (tiny) queue
- * share - a regression here means failures started bleeding into
- * healthy tenants' throughput.
- */
-void
-BM_FrontierFaultyTenant(benchmark::State &state)
-{
-    std::vector<Loop> healthy_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 4)
-        healthy_loops.push_back(suite()[i]);
-    std::vector<Loop> faulty_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 16)
-        faulty_loops.push_back(suite()[i]);
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-    PipelineOptions instant_timeout;
-    instant_timeout.stepBudget = -1;
-
-    auto jobs = [&](const std::vector<Loop> &loops,
-                    const PipelineOptions *opts) {
-        std::vector<Frontier::Job> js(loops.size());
-        for (std::size_t i = 0; i < loops.size(); ++i)
-            js[i] = Frontier::Job{&loops[i].ddg, &m, opts};
-        return js;
-    };
-
-    Frontier frontier;
-    double with_faulty_ms = 0;
-    double solo_ms = 0;
-    std::int64_t iterations = 0;
-    for (auto _ : state) {
-        // Phase 1 (measured): healthy batch with the faulty tenant
-        // submitted first at equal priority, so its timed-out jobs
-        // interleave with the healthy ones on every worker.
-        const auto t0 = std::chrono::steady_clock::now();
-        auto faulty =
-            frontier.submit(jobs(faulty_loops, &instant_timeout));
-        auto healthy = frontier.submit(jobs(healthy_loops, nullptr));
-        healthy.wait();
-        const auto t1 = std::chrono::steady_clock::now();
-        faulty.wait();
-
-        // Phase 2 (baseline, excluded from the measured time): the
-        // same healthy batch, no neighbour.
-        state.PauseTiming();
-        const auto t2 = std::chrono::steady_clock::now();
-        auto solo = frontier.submit(jobs(healthy_loops, nullptr));
-        solo.wait();
-        const auto t3 = std::chrono::steady_clock::now();
-        state.ResumeTiming();
-
-        with_faulty_ms +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        solo_ms +=
-            std::chrono::duration<double, std::milli>(t3 - t2).count();
-        ++iterations;
-    }
-    const double avg_with =
-        iterations ? with_faulty_ms / static_cast<double>(iterations)
-                   : 0.0;
-    const double avg_solo =
-        iterations ? solo_ms / static_cast<double>(iterations) : 0.0;
-    state.counters["healthy_solo_ms"] = avg_solo;
-    state.counters["overhead_pct"] =
-        avg_solo > 0 ? 100.0 * (avg_with - avg_solo) / avg_solo : 0.0;
-    state.SetLabel(std::to_string(frontier.numWorkers()) +
-                   " workers, " + std::to_string(healthy_loops.size()) +
-                   " healthy + " + std::to_string(faulty_loops.size()) +
-                   " timing-out loops");
-}
-BENCHMARK(BM_FrontierFaultyTenant)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The starvation guard the fair-share redesign is pinned by: a
- * saturating bulk tenant (weight 8, priority 10, half the suite per
- * batch) shares the pool with a weight-1 background tenant submitting
- * a 4-loop batch right after it. Under the old strict-priority claim
- * rule the background tenant waited for the entire bulk stream; under
- * weighted fair share its latency must stay bounded by its pool
- * share, not by the bulk queue depth. Counters:
- *
- *  - bg_p99_ms: the background tenant's p99 submit-to-done latency
- *    from the frontier's own per-tenant histogram - THE pinned
- *    number; a regression here means starvation is back.
- *  - bg_first_done_ms: streaming latency to the background batch's
- *    *first* completed job (nextDone), reported beside...
- *  - bg_wait_ms: ...the full batch wait() latency, so the gap shows
- *    what streaming consumers gain over batch waiters.
- *  - starved: fraction of iterations where the bulk batch finished
- *    before the background one - 0.0 when fairness holds.
- */
-void
-BM_FrontierStarvation(benchmark::State &state)
-{
-    std::vector<Loop> bulk_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 2)
-        bulk_loops.push_back(suite()[i]);
-    std::vector<Loop> bg_loops;
-    for (std::size_t i = 0; i < suite().size(); i += 160)
-        bg_loops.push_back(suite()[i]);
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-
-    auto jobs = [&](const std::vector<Loop> &loops) {
-        std::vector<Frontier::Job> js(loops.size());
-        for (std::size_t i = 0; i < loops.size(); ++i)
-            js[i] = Frontier::Job{&loops[i].ddg, &m, nullptr};
-        return js;
-    };
-
-    TenantOptions bulk;
-    bulk.tenant = "bulk";
-    bulk.weight = 8.0;
-    bulk.priority = 10;
-    TenantOptions background;
-    background.tenant = "background";
-    background.weight = 1.0;
-
-    Frontier frontier;
-    double first_done_ms = 0;
-    double wait_ms = 0;
-    double starved = 0;
-    std::int64_t iterations = 0;
-    for (auto _ : state) {
-        auto heavy = frontier.submit(jobs(bulk_loops), bulk);
-        const auto t0 = std::chrono::steady_clock::now();
-        auto small = frontier.submit(jobs(bg_loops), background);
-        // Streaming consumer: latency to the first landed job...
-        benchmark::DoNotOptimize(small.nextDone());
-        const auto t1 = std::chrono::steady_clock::now();
-        // ...versus the batch waiter's latency to the last.
-        small.wait();
-        const auto t2 = std::chrono::steady_clock::now();
-        starved += heavy.status().done ? 1.0 : 0.0;
-        first_done_ms +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        wait_ms +=
-            std::chrono::duration<double, std::milli>(t2 - t0).count();
-        ++iterations;
-        heavy.wait();
-    }
-    state.counters["bg_p99_ms"] =
-        frontier.statsFor("background").p99LatencyMs;
-    state.counters["bg_first_done_ms"] =
-        iterations ? first_done_ms / static_cast<double>(iterations)
-                   : 0.0;
-    state.counters["bg_wait_ms"] =
-        iterations ? wait_ms / static_cast<double>(iterations) : 0.0;
-    state.counters["starved"] =
-        iterations ? starved / static_cast<double>(iterations) : 0.0;
-    state.SetLabel(std::to_string(frontier.numWorkers()) +
-                   " workers, " + std::to_string(bulk_loops.size()) +
-                   " bulk (w=8,p=10) + " +
-                   std::to_string(bg_loops.size()) +
-                   " background (w=1) loops");
-}
-BENCHMARK(BM_FrontierStarvation)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Result-cache hit path on the largest suite loop: key derivation
- * (three content digests over the graph, machine and options) plus
- * the locked lookup and the result copy-out. Compare against
- * BM_EndToEndCompileLargest/0 - the same compile served cold - for
- * the cache's speedup; the cold_ms counter carries this bench's own
- * one-shot cold measurement so the ratio is visible in one record.
- * The acceptance bar is >= 10x.
- */
-void
-BM_ResultCacheHit(benchmark::State &state)
-{
-    const Loop &loop = largestLoop(0);
-    const auto m = MachineConfig::fromString("4c2b4l64r");
-    ResultCache cache;
-    PipelineOptions opts;
-    opts.resultCache = &cache;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    compile(loop.ddg, m, opts); // prime: the one cold compile
-    const auto t1 = std::chrono::steady_clock::now();
-
-    for (auto _ : state)
-        benchmark::DoNotOptimize(compile(loop.ddg, m, opts));
-
-    state.counters["cold_ms"] =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
-}
-BENCHMARK(BM_ResultCacheHit);
-
-/**
- * The dedup storm: a full pool races one batch of identical jobs
- * through a fresh cache every iteration, so exactly one worker
- * compiles as the in-flight leader while the rest join its result.
- * The measured time is the whole batch; the compiles_per_batch
- * counter (misses per iteration - pinned to 1.0 by the cache-contract
- * tests) is the proof the storm cost one compile, not numWorkers.
- */
-void
-BM_DedupStorm(benchmark::State &state)
-{
-    const Loop &loop = largestLoop(1);
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-    constexpr std::size_t kJobs = 64;
-
-    Frontier frontier;
-    double misses = 0;
-    std::int64_t iterations = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        ResultCache cache;
-        PipelineOptions opts;
-        opts.resultCache = &cache;
-        std::vector<Frontier::Job> jobs(
-            kJobs, Frontier::Job{&loop.ddg, &m, &opts});
-        state.ResumeTiming();
-
-        auto handle = frontier.submit(jobs);
-        handle.wait();
-
-        state.PauseTiming();
-        misses += static_cast<double>(cache.stats().misses);
-        ++iterations;
-        state.ResumeTiming();
-    }
-    state.counters["compiles_per_batch"] =
-        iterations ? misses / static_cast<double>(iterations) : 0.0;
-    state.SetLabel(std::to_string(frontier.numWorkers()) +
-                   " workers, " + std::to_string(kJobs) +
-                   " identical jobs");
-}
-BENCHMARK(BM_DedupStorm)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Warm restart: a fresh process loads the persistent tier (CVRCACHE
- * v1, written by a prior run) and serves a suite sweep entirely from
- * it. Measured per iteration: loadFrom (header + index + per-record
- * digest validation + graph parses) plus every "compile" as a hit.
- * Compare against BM_BatchCompile for what the restart skipped.
- */
-void
-BM_WarmRestart(benchmark::State &state)
-{
-    std::vector<Loop> loops;
-    for (std::size_t i = 0; i < suite().size(); i += 8)
-        loops.push_back(suite()[i]);
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-
-    const std::string path = "/tmp/cvliw_perf_warm." +
-                             std::to_string(::getpid()) + ".cvrcache";
-    {
-        ResultCache warm;
-        PipelineOptions opts;
-        opts.resultCache = &warm;
-        for (const Loop &loop : loops)
-            compile(loop.ddg, m, opts);
-        warm.saveTo(path);
-    }
-
-    std::size_t loaded = 0;
-    for (auto _ : state) {
-        ResultCache cache;
-        loaded = cache.loadFrom(path);
-        PipelineOptions opts;
-        opts.resultCache = &cache;
-        for (const Loop &loop : loops)
-            benchmark::DoNotOptimize(compile(loop.ddg, m, opts));
-    }
-    state.counters["entries"] = static_cast<double>(loaded);
-    state.SetLabel(std::to_string(loops.size()) + " loops from disk");
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_WarmRestart)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -9,7 +9,6 @@
 #include "core/length_replication.hh"
 #include "core/spill.hh"
 #include "ddg/analysis.hh"
-#include "eval/result_cache.hh"
 #include "partition/multilevel.hh"
 #include "partition/refine.hh"
 #include "sched/comms.hh"
@@ -81,8 +80,7 @@ msSince(PhaseClock::time_point t0)
 
 /**
  * The pipeline proper. The public compile(..., caches) below wraps
- * it with the optional content-addressed result cache; everything
- * from here down is a cache *miss* path.
+ * it with the input check and the default caches.
  */
 CompileResult
 compileImpl(const Ddg &original, const MachineConfig &mach,
@@ -326,30 +324,11 @@ compile(const Ddg &original, const MachineConfig &mach,
     if (caches == nullptr) {
         // The canonical no-caches path: one long-lived scratch per
         // thread, so repeated plain compile() calls amortize their
-        // buffer allocations exactly like a frontier worker does.
+        // buffer allocations exactly like a pool worker does.
         // Never quarantined - the (generation, config-id) memo keys
         // make a stale hit impossible even after a throwing compile.
         static thread_local CompileCaches tls_caches;
         caches = &tls_caches;
-    }
-    if (opts.resultCache != nullptr) {
-        // Content-addressed route: serve a prior identical job's
-        // result, join a concurrent identical compile, or compile
-        // here as the dedup leader and publish. A throwing compile
-        // (deadline, injected fault) propagates without populating
-        // the cache - same quarantine stance the frontier's workers
-        // take with their CompileCaches.
-        bool compiled_here = false;
-        CompileResult result = opts.resultCache->getOrCompute(
-            makeResultCacheKey(original, mach, opts), [&] {
-                compiled_here = true;
-                return compileImpl(original, mach, opts, *caches);
-            });
-        // A result this call did not compute came from the cache: a
-        // memory hit or a dedup join (the flag is per-caller, so the
-        // dedup leader itself reports cacheHit = false).
-        result.telemetry.cacheHit = !compiled_here;
-        return result;
     }
     return compileImpl(original, mach, opts, *caches);
 }

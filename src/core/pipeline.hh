@@ -25,13 +25,11 @@
 namespace cvliw
 {
 
-class ResultCache;
-
 /**
  * Thrown by compile() for an input graph the pipeline cannot compile:
  * today, a graph whose distance-0 edges close a cycle (no iteration
- * could ever start). The serving frontier turns it into a `Failed`
- * job like any other exception.
+ * could ever start). A `CompileService` batch turns it into a
+ * `Failed` job like any other exception.
  */
 class InvalidInput : public std::runtime_error
 {
@@ -101,38 +99,19 @@ struct PipelineOptions
      * use the budget where reproducibility matters.
      */
     double softDeadlineMs = 0.0;
-
-    /**
-     * Opt-in content-addressed result cache (eval/result_cache.hh):
-     * when non-null, `compile(..., caches)` consults it before
-     * compiling and publishes what it computes, deduplicating
-     * concurrent identical jobs across threads - including the
-     * frontier's workers and `CompileService`, which inherit the
-     * behaviour through this field with no wiring of their own.
-     * Non-owning; the cache must outlive every compile using it. NOT
-     * part of the job identity (pipelineOptionsDigest skips it): two
-     * option sets differing only here are the same job.
-     */
-    ResultCache *resultCache = nullptr;
 };
 
 /**
- * Per-job observability counters filled by every compile (tentpole
- * of the observability layer; surfaced through `Frontier::JobView`
- * and rendered by examples/frontier_server).
+ * Per-job observability counters filled by every compile.
  *
- * The structural counters (everything except the *Ms timings and
- * cacheHit) are **deterministic**: a given (graph, machine, options)
- * always produces the same values, on any thread, at any worker
- * count, with any cache state - pinned by tests/trace_test.cc. The
- * *Ms fields are wall-clock phase attributions and naturally vary
- * run to run; cacheHit depends on which caller won the dedup race.
+ * The structural counters (everything except the *Ms timings) are
+ * **deterministic**: a given (graph, machine, options) always
+ * produces the same values, on any thread, at any worker count, with
+ * any cache state - pinned by tests/trace_test.cc. The *Ms fields are
+ * wall-clock phase attributions and naturally vary run to run.
  *
  * Telemetry is deliberately NOT part of the result digest
- * (eval/digest.hh) or the result-cache value codec: a result served
- * from the persistent CVRCACHE tier carries zeroed counters with
- * cacheHit set, and an in-memory hit carries the original compile's
- * counters with cacheHit set.
+ * (eval/digest.hh).
  */
 struct CompileTelemetry
 {
@@ -156,9 +135,6 @@ struct CompileTelemetry
 
     /** Schedule retries forced by spilling, over every II attempt. */
     std::uint32_t spillRetries = 0;
-
-    /** Result served by the result cache (memory hit or dedup join). */
-    bool cacheHit = false;
 
     // Wall-clock phase attribution (steady_clock, milliseconds).
     double totalMs = 0.0;       //!< compile entry to return
@@ -196,21 +172,19 @@ struct CompileResult
 /**
  * Long-lived scratch and memo state for one compile worker. The
  * pipeline allocates all of its reusable buffers here, so a caller
- * that compiles many loops (the suite runner, the serving frontier's
- * workers) amortizes every allocation across jobs instead of paying
- * it per compile. Safe to reuse across arbitrary graphs *and* machine
- * configs - and, under the multi-tenant frontier (eval/frontier.hh),
- * across *batches from unrelated clients*: every memo inside is keyed
- * on (`Ddg::generation()`, `MachineConfig::id()`). Generation stamps
- * are process-unique and advance on every structural mutation, and
- * config ids are process-unique and re-stamped by `setLatency`, so a
- * cache hit can never surface a result computed for a different graph
- * or machine no matter which tenant's job warmed the entry (the
- * PseudoScratch memo inside additionally re-binds per (ddg, mach, ii)
- * and the reservation-table pool is reset per schedule attempt -
- * nothing keyed more weakly leaks across jobs). One instance serves
- * one thread; results are bit-identical whether a cache is fresh or
- * has served a thousand other jobs from any mix of batches.
+ * that compiles many loops (the `CompileService` pool's workers)
+ * amortizes every allocation across jobs instead of paying it per
+ * compile. Safe to reuse across arbitrary graphs, machine configs
+ * and batches: every memo inside is keyed on (`Ddg::generation()`,
+ * `MachineConfig::id()`). Generation stamps are process-unique and
+ * advance on every structural mutation, and config ids are
+ * process-unique and re-stamped by `setLatency`, so a cache hit can
+ * never surface a result computed for a different graph or machine
+ * (the PseudoScratch memo inside additionally re-binds per (ddg,
+ * mach, ii) and the reservation-table pool is reset per schedule
+ * attempt - nothing keyed more weakly leaks across jobs). One
+ * instance serves one thread; results are bit-identical whether a
+ * cache is fresh or has served a thousand other jobs.
  */
 struct CompileCaches
 {
@@ -246,31 +220,21 @@ struct CompileCaches
  *    can never surface stale data (results stay bit-identical for
  *    any cache state - the digest harness pins it).
  *  - **non-null**: compile reuses exactly the caller's caches. Owners
- *    that want the conservative quarantine contract (the frontier's
- *    workers) discard and replace their caches after any throwing
- *    compile, since a throw may have unwound a memo mid-update.
+ *    that want the conservative quarantine contract (the
+ *    `CompileService` workers) discard and replace their caches after
+ *    any throwing compile, since a throw may have unwound a memo
+ *    mid-update.
  *
  * A graph whose distance-0 edges close a cycle throws InvalidInput
- * before any cache (scratch or result cache) is touched. Otherwise,
- * with default options compile never throws for policy reasons: an
- * infeasible job returns `ok == false`. When @p opts arms a deadline
+ * before any cache is touched. Otherwise, with default options
+ * compile never throws for policy reasons: an infeasible job returns
+ * `ok == false`. When @p opts arms a deadline
  * (stepBudget / softDeadlineMs) an expired limit throws
  * DeadlineExceeded at the next cooperative checkpoint, and an armed
  * fault-injection schedule (support/faultpoint.hh) may throw
- * FaultInjected at the compiled-in fault points. The serving frontier
- * catches both and turns them into structured per-job outcomes
- * (`TimedOut` / `Failed`); direct callers that arm either feature own
- * the catch.
- *
- * When `opts.resultCache` is set the compile is routed through the
- * result cache: a content-identical prior result is returned without
- * compiling, a concurrent identical compile is joined instead of
- * duplicated, and a fresh result is published for future callers.
- * Results are bit-identical either way (the cache key is exactly the
- * pipeline's input content). A compile that throws never populates
- * the cache; when a dedup *leader* throws, joined callers receive the
- * propagated failure (DeadlineExceeded for a timed-out leader, a
- * std::runtime_error carrying the leader's message otherwise).
+ * FaultInjected at the compiled-in fault points. `CompileService`
+ * catches both and turns them into per-job outcomes (`TimedOut` /
+ * `Failed`); direct callers that arm either feature own the catch.
  */
 CompileResult compile(const Ddg &original, const MachineConfig &mach,
                       const PipelineOptions &opts = {},

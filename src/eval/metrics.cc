@@ -1,77 +1,11 @@
 #include "eval/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/logging.hh"
 
 namespace cvliw
 {
-
-void
-LatencyHistogram::record(double ms)
-{
-    const double us = std::max(0.0, ms) * 1000.0;
-    int b = 0;
-    // Smallest b with us < 2^b (b <= kBuckets-1): the log2 bucket.
-    while (b < kBuckets - 1 && us >= static_cast<double>(1ull << b))
-        ++b;
-    ++buckets_[static_cast<std::size_t>(b)];
-    ++count_;
-    sumMs_ += std::max(0.0, ms);
-    maxMs_ = std::max(maxMs_, std::max(0.0, ms));
-}
-
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (int b = 0; b < kBuckets; ++b)
-        buckets_[static_cast<std::size_t>(b)] +=
-            other.buckets_[static_cast<std::size_t>(b)];
-    count_ += other.count_;
-    sumMs_ += other.sumMs_;
-    maxMs_ = std::max(maxMs_, other.maxMs_);
-}
-
-LatencyHistogram::Snapshot
-LatencyHistogram::snapshot() const
-{
-    Snapshot snap;
-    snap.buckets = buckets_;
-    snap.count = count_;
-    snap.sumMs = sumMs_;
-    snap.maxMs = maxMs_;
-    return snap;
-}
-
-double
-LatencyHistogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    q = std::min(1.0, std::max(0.0, q));
-    // ceil(q * count) samples must be covered; q = 0 still needs one
-    // (the minimum-bucket convention).
-    const std::uint64_t need = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::ceil(q * static_cast<double>(count_))));
-    std::uint64_t seen = 0;
-    int last = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-        if (buckets_[static_cast<std::size_t>(b)] == 0)
-            continue;
-        seen += buckets_[static_cast<std::size_t>(b)];
-        last = b;
-        if (seen >= need)
-            break;
-    }
-    // Upper edge of the covering bucket, us -> ms; never report past
-    // the true maximum (the top populated bucket's edge is a bound,
-    // the max is exact - and all-zero samples quantile to exactly 0).
-    const double edge_ms =
-        static_cast<double>(1ull << last) / 1000.0;
-    return std::min(edge_ms, maxMs_);
-}
 
 double
 BenchmarkAggregate::ipc() const

@@ -11,8 +11,6 @@
 #define CVLIW_EVAL_METRICS_HH
 
 #include <array>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -21,81 +19,6 @@
 
 namespace cvliw
 {
-
-/**
- * Fixed-footprint latency recorder for serving metrics (the
- * frontier's per-tenant p50/p99): samples land in logarithmic
- * power-of-two buckets of microseconds, so record() is O(1), the
- * histogram never allocates, and quantile() is exact to within one
- * bucket (~2x resolution) at any sample count. Deterministic: the
- * same sample sequence always yields the same quantiles. Not thread
- * safe; the owner locks (the frontier records under its state mutex).
- */
-class LatencyHistogram
-{
-  public:
-    // Bucket b holds samples in [2^(b-1), 2^b) microseconds (bucket 0:
-    // < 1us). 48 buckets top out past 8 years - no overflow bucket
-    // needed for latencies.
-    static constexpr int kBuckets = 48;
-
-    /**
-     * A copy of the histogram's state, decoupled from the (locked)
-     * owner: what the metrics registry renders as a Prometheus
-     * histogram family without re-recording samples.
-     */
-    struct Snapshot
-    {
-        std::array<std::uint64_t, kBuckets> buckets{};
-        std::uint64_t count = 0;
-        double sumMs = 0.0;
-        double maxMs = 0.0;
-
-        /** Upper bucket edge in milliseconds: 2^b us. */
-        static double
-        bucketEdgeMs(int b)
-        {
-            return static_cast<double>(1ull << b) / 1000.0;
-        }
-    };
-
-    /** Record one latency sample (negative values clamp to 0). */
-    void record(double ms);
-
-    /**
-     * Fold another histogram's samples into this one: bucket-wise
-     * addition, summed counts/totals, max of maxima. Aggregating via
-     * merge() is exact - the merged quantiles equal those of a
-     * histogram that recorded both sample streams.
-     */
-    void merge(const LatencyHistogram &other);
-
-    /** Copy out the full state (buckets, count, sum, max). */
-    Snapshot snapshot() const;
-
-    /** Samples recorded so far. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * The smallest recorded-bucket upper bound covering fraction @p q
-     * of the samples, in milliseconds; the top bucket reports the
-     * exact maximum seen instead of its (unbounded) upper edge.
-     * Returns 0 when empty. @p q outside [0, 1] is clamped.
-     */
-    double quantile(double q) const;
-
-    /** Largest single sample recorded, ms. */
-    double maxMs() const { return maxMs_; }
-
-    /** Sum of all samples, ms (Prometheus histogram `_sum`). */
-    double sumMs() const { return sumMs_; }
-
-  private:
-    std::array<std::uint64_t, kBuckets> buckets_{};
-    std::uint64_t count_ = 0;
-    double sumMs_ = 0.0;
-    double maxMs_ = 0.0;
-};
 
 /** Aggregated dynamic behaviour of one benchmark on one config. */
 struct BenchmarkAggregate

@@ -1,32 +1,216 @@
 #include "eval/service.hh"
 
+#include <cerrno>
+#include <cstdlib>
+#include <exception>
+#include <iterator>
+#include <memory>
+
+#include "support/deadline.hh"
+#include "support/faultpoint.hh"
 #include "support/logging.hh"
+#include "support/trace.hh"
 
 namespace cvliw
 {
 
-std::vector<CompileResult>
-CompileService::compileBatch(const std::vector<Job> &jobs,
-                             const TenantOptions &tenant)
+namespace
 {
-    // submit() validates the jobs and copies the descriptors; the
-    // graphs/configs they point at are the caller's and stay alive
-    // until take() returns. The default TenantOptions makes
-    // synchronous callers plain default-tenant traffic, sharing the
-    // pool fairly with anything else on the frontier.
-    Frontier::BatchHandle handle = frontier_.submit(jobs, tenant);
-    handle.wait();
-    // The facade flattens the outcome taxonomy to result.ok, so a
-    // non-Ok job must at least be visible in the log (async clients
-    // read job(i) instead and get no warning).
-    for (std::size_t i = 0; i < handle.size(); ++i) {
-        const Frontier::JobView view = handle.job(i);
-        if (view.outcome != JobOutcome::Ok) {
-            cv_warn("batch job ", i, " ", toString(view.outcome),
-                    ": ", view.error);
-        }
+
+/** Lvalue defaults for jobs without options. */
+const PipelineOptions kDefaultPipelineOptions{};
+
+/**
+ * Run one job on a worker's @p caches and store its ending in slot
+ * @p i of @p out. Every exception ends here, so one job's failure
+ * never reaches the worker, the batch or the caller.
+ */
+void
+runJob(const CompileService::Job &job, std::size_t i,
+       std::unique_ptr<CompileCaches> &caches, std::uint64_t batch,
+       CompileService::BatchResult &out)
+{
+    trace::TraceSpan span("service", "job");
+    if (span.active()) {
+        span.arg("batch", static_cast<long long>(batch));
+        span.arg("job", static_cast<long long>(i));
     }
-    return handle.take();
+    JobOutcome outcome = JobOutcome::Ok;
+    std::string error;
+    CompileResult res;
+    try {
+        faults::point("service.claim");
+        res = compile(*job.ddg, *job.mach,
+                      job.opts ? *job.opts : kDefaultPipelineOptions,
+                      caches.get());
+        faults::point("service.complete");
+    } catch (const DeadlineExceeded &err) {
+        outcome = JobOutcome::TimedOut;
+        error = err.what();
+    } catch (const std::exception &err) {
+        outcome = JobOutcome::Failed;
+        error = err.what();
+        if (error.empty())
+            error = "unknown error";
+    } catch (...) {
+        outcome = JobOutcome::Failed;
+        error = "non-standard exception";
+    }
+    if (outcome != JobOutcome::Ok) {
+        // Quarantine: the throw may have unwound through a memo
+        // mid-update. The memo keys make a stale hit impossible, but
+        // a half-written buffer is still a liability; failure is the
+        // rare path, so the rebuild costs nothing that matters.
+        caches = std::make_unique<CompileCaches>();
+        res = CompileResult{};
+    }
+    out.results[i] = std::move(res);
+    out.outcomes[i] = outcome;
+    out.errors[i] = std::move(error);
+}
+
+/** One warning per loop of @p suite whose slot in @p batch is not ok. */
+void
+warnNotOk(const std::vector<Loop> &suite, const MachineConfig &mach,
+          const CompileService::BatchResult &batch, std::size_t first)
+{
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const std::size_t k = first + i;
+        if (batch.results[k].ok)
+            continue;
+        const JobOutcome outcome = batch.outcomes[k];
+        cv_warn("loop ", suite[i].name(), " failed to compile on ",
+                mach.name(), ": job ", toString(outcome), ": ",
+                outcome == JobOutcome::Ok ? "no schedule found"
+                                          : batch.errors[k]);
+    }
+}
+
+} // namespace
+
+const char *
+toString(JobOutcome outcome)
+{
+    switch (outcome) {
+    case JobOutcome::Ok:       return "ok";
+    case JobOutcome::Failed:   return "failed";
+    case JobOutcome::TimedOut: return "timed-out";
+    }
+    return "unknown";
+}
+
+int
+CompileService::defaultWorkerCount()
+{
+    if (const char *env = std::getenv("CVLIW_THREADS")) {
+        char *end = nullptr;
+        errno = 0;
+        const long n = std::strtol(env, &end, 10);
+        const bool clean = end != env && *end == '\0' &&
+                           errno != ERANGE;
+        if (clean && n > 0 && n <= 1 << 16)
+            return static_cast<int>(n);
+        // Garbage must not silently become the hardware default: a
+        // typo ("4x", "abc", an overflow) would otherwise change the
+        // pool size with no trace.
+        cv_warn_once("ignoring invalid CVLIW_THREADS='", env,
+                     "' (want a positive integer <= 65536); using "
+                     "hardware concurrency");
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? static_cast<int>(hw) : 1;
+}
+
+CompileService::CompileService(int workers)
+{
+    if (workers <= 0)
+        workers = defaultWorkerCount();
+    workers_.reserve(static_cast<std::size_t>(workers));
+    try {
+        for (int w = 0; w < workers; ++w)
+            workers_.emplace_back([this] { workerMain(); });
+    } catch (...) {
+        // Thread spawn failed (resource exhaustion): join the threads
+        // that did start, then let the caller see the error.
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stopping_ = true;
+        }
+        workCv_.notify_all();
+        for (std::thread &t : workers_)
+            t.join();
+        throw;
+    }
+}
+
+CompileService::~CompileService()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+    }
+    workCv_.notify_all();
+    for (std::thread &t : workers_)
+        t.join();
+}
+
+void
+CompileService::workerMain()
+{
+    auto caches = std::make_unique<CompileCaches>();
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+        workCv_.wait(lock, [&] { return stopping_ || batch_ != seen; });
+        if (stopping_)
+            return;
+        seen = batch_;
+        const std::vector<Job> &jobs = *jobs_;
+        BatchResult &out = *out_;
+        lock.unlock();
+
+        // Slots are disjoint per claimed index, so the writes need no
+        // lock; the caller reads them only after every worker checked
+        // out under mutex_, which orders them before its read.
+        for (std::size_t i = next_.fetch_add(1); i < jobs.size();
+             i = next_.fetch_add(1))
+            runJob(jobs[i], i, caches, seen, out);
+
+        lock.lock();
+        if (++checkedOut_ == workers_.size())
+            doneCv_.notify_one();
+    }
+}
+
+CompileService::BatchResult
+CompileService::compileBatch(const std::vector<Job> &jobs)
+{
+    for (const Job &job : jobs) {
+        cv_assert(job.ddg && job.mach,
+                  "compile job without a graph or machine");
+    }
+    BatchResult out;
+    out.results.resize(jobs.size());
+    out.outcomes.assign(jobs.size(), JobOutcome::Ok);
+    out.errors.resize(jobs.size());
+    if (jobs.empty())
+        return out;
+
+    // Every worker checks out of every batch before the next one
+    // starts, so no worker can still be claiming from a batch whose
+    // jobs and slots are gone.
+    std::lock_guard<std::mutex> serial(batchMutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    jobs_ = &jobs;
+    out_ = &out;
+    next_.store(0, std::memory_order_relaxed);
+    checkedOut_ = 0;
+    ++batch_;
+    workCv_.notify_all();
+    doneCv_.wait(lock, [&] { return checkedOut_ == workers_.size(); });
+    jobs_ = nullptr;
+    out_ = nullptr;
+    return out;
 }
 
 SuiteResult
@@ -38,14 +222,10 @@ CompileService::compileSuite(const std::vector<Loop> &suite,
     for (std::size_t i = 0; i < suite.size(); ++i)
         jobs[i] = Job{&suite[i].ddg, &mach, &opts};
 
+    BatchResult batch = compileBatch(jobs);
+    warnNotOk(suite, mach, batch, 0);
     SuiteResult result;
-    result.loops = compileBatch(jobs);
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (!result.loops[i].ok) {
-            cv_warn("loop ", suite[i].name(), " failed to compile on ",
-                    mach.name());
-        }
-    }
+    result.loops = std::move(batch.results);
     return result;
 }
 
@@ -60,22 +240,18 @@ CompileService::compileSuite(const std::vector<Loop> &suite,
         for (const Loop &loop : suite)
             jobs.push_back(Job{&loop.ddg, &mach, &opts});
     }
-    std::vector<CompileResult> flat = compileBatch(jobs);
+    BatchResult batch = compileBatch(jobs);
 
     std::vector<SuiteResult> results(machs.size());
     for (std::size_t m = 0; m < machs.size(); ++m) {
-        auto first = flat.begin() +
-                     static_cast<std::ptrdiff_t>(m * suite.size());
-        results[m].loops.assign(std::make_move_iterator(first),
-                                std::make_move_iterator(
-                                    first + static_cast<std::ptrdiff_t>(
-                                                suite.size())));
-        for (std::size_t i = 0; i < suite.size(); ++i) {
-            if (!results[m].loops[i].ok) {
-                cv_warn("loop ", suite[i].name(),
-                        " failed to compile on ", machs[m].name());
-            }
-        }
+        const std::size_t first = m * suite.size();
+        warnNotOk(suite, machs[m], batch, first);
+        auto begin = batch.results.begin() +
+                     static_cast<std::ptrdiff_t>(first);
+        results[m].loops.assign(
+            std::make_move_iterator(begin),
+            std::make_move_iterator(
+                begin + static_cast<std::ptrdiff_t>(suite.size())));
     }
     return results;
 }

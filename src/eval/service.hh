@@ -1,139 +1,145 @@
 /**
  * @file
- * `CompileService`: the synchronous compile facade for the
- * heavy-traffic scenario (many machine configs x many loops per
- * process), built on the multi-tenant serving frontier
- * (eval/frontier.hh).
+ * `CompileService`: the batch compiler every figure harness, the
+ * digest tools and the benchmarks reach the worker pool through.
  *
- * ## What the service is now
+ * ## Pool shape
  *
- * The service used to own the worker pool and run one batch at a
- * time; the pool, the per-worker `CompileCaches` and all completion
- * tracking moved into `Frontier`, and the service became the
- * blocking convenience layer over it: `compileBatch` is exactly
- * `frontier().submit(jobs).wait()` with the results moved out, so it
- * keeps its historical contract - one result per job in job order,
- * bit-identical for any worker count - while concurrent callers of
- * the same service are no longer serialized: each call is its own
- * batch on the shared frontier, and the pool crosses batch
- * boundaries freely.
+ * The constructor starts a fixed set of worker threads and the
+ * destructor joins them; workers live as long as the service, so
+ * a client that changes its own CPU affinity between batches never
+ * hands a narrowed mask to a pool thread. The service runs one batch
+ * at a time: a mutex serialises concurrent callers, and within a
+ * batch the workers claim jobs by atomic index, in job order. Each
+ * worker keeps one long-lived `CompileCaches` (core/pipeline.hh) for
+ * every job it ever runs, which is safe because every memo inside is
+ * keyed on (`Ddg::generation()`, `MachineConfig::id()`).
  *
- * Clients that want the asynchronous API (priorities, overlapping
- * batches, cancellation, non-blocking polling) use `frontier()`
- * directly; see eval/frontier.hh for the scheduling model and the
- * cache-reuse contract.
+ * ## Outcomes
  *
- * Setting `PipelineOptions::resultCache` on the jobs routes every
- * compile through the content-addressed result cache
- * (eval/result_cache.hh): duplicated jobs inside a batch - or across
- * batches and tenants - compile once, concurrent identical jobs are
- * deduplicated in flight, and results stay bit-identical to the
- * cache-off run (the cache key is the job's full input content).
+ * Every job ends in exactly one `JobOutcome`. `Failed` carries the
+ * text of whatever the compile threw (an `InvalidInput` graph, an
+ * injected fault, a bug); `TimedOut` carries the `DeadlineExceeded`
+ * text of an expired `PipelineOptions::stepBudget` or
+ * `softDeadlineMs`. A non-Ok slot holds a default `CompileResult`
+ * (`ok == false`): partial work is discarded, and the worker that
+ * caught the throw rebuilds its `CompileCaches` before its next job
+ * (quarantine), so a throw that unwound through a memo mid-update
+ * cannot reach a later job. A job that throws never disturbs the
+ * other jobs of its batch.
  *
  * ## Determinism
  *
- * Every job is compiled independently: result[i] depends only on
- * job[i], never on which worker ran it, in what order, or what other
- * batches were in flight. Combined with the (generation, config-id)
- * keyed caches, a batch produces **bit-identical** results for any
- * worker count (tests/service_test.cc pins 1 == 2 == 8 workers;
- * examples/suite_digest.cpp pins the combined suite digest).
+ * result[i] depends only on job[i], never on which worker ran it or
+ * in what order, so a batch is bit-identical for any worker count
+ * (tests/service_test.cc pins 1 == 2 == 8 workers;
+ * tests/digest_test.cc pins the combined suite digest at 1, 4 and
+ * hardware-concurrency workers).
  *
  * ## Usage
  *
  * ```
- * CompileService svc;                       // hardware concurrency
+ * CompileService svc;                           // hardware concurrency
  * SuiteResult r = svc.compileSuite(suite, mach);
  * auto rs = svc.compileSuite(suite, configs);   // one batch, n configs
+ * auto b = svc.compileBatch(jobs);              // results + outcomes
  * CompileService::shared().compileSuite(...);   // process-wide pool
- * auto h = svc.frontier().submit(jobs, 10);     // async, high priority
  * ```
  */
 
 #ifndef CVLIW_EVAL_SERVICE_HH
 #define CVLIW_EVAL_SERVICE_HH
 
+#include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <cstdint>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hh"
-#include "eval/frontier.hh"
 #include "eval/runner.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
 {
 
+/** How one job of a batch ended (see "Outcomes" above). */
+enum class JobOutcome : std::uint8_t
+{
+    Ok,       //!< compile returned; its result is in the slot
+    Failed,   //!< compile threw; the error holds what()
+    TimedOut, //!< stepBudget / softDeadlineMs expired mid-compile
+};
+
+/** Stable lowercase name of @p outcome (for logs and tests). */
+const char *toString(JobOutcome outcome);
+
 class CompileService
 {
   public:
-    /** One compile job (shared with the frontier). */
-    using Job = Frontier::Job;
-
-    /** See Frontier::defaultWorkerCount. */
-    static int defaultWorkerCount()
+    /** One compile job: a loop body and the machine to compile for. */
+    struct Job
     {
-        return Frontier::defaultWorkerCount();
-    }
+        const Ddg *ddg = nullptr;
+        const MachineConfig *mach = nullptr;
+        const PipelineOptions *opts = nullptr; //!< null = defaults
+    };
+
+    /** One batch's per-job results, outcomes and errors, in job order. */
+    struct BatchResult
+    {
+        std::vector<CompileResult> results; //!< default where not Ok
+        std::vector<JobOutcome> outcomes;
+        std::vector<std::string> errors; //!< empty where Ok
+    };
+
+    /**
+     * Pool size a default-constructed service uses: the CVLIW_THREADS
+     * environment variable, then hardware concurrency, then 1. An
+     * unparsable or out-of-range CVLIW_THREADS (trailing junk,
+     * overflow, non-positive) is ignored with a once-per-process
+     * warning.
+     */
+    static int defaultWorkerCount();
 
     /**
      * Start the worker pool.
      * @param workers thread count; <= 0 picks defaultWorkerCount()
-     * @param limits admission control for the underlying frontier
-     *        (default: unlimited; see eval/frontier.hh)
      */
-    explicit CompileService(int workers = 0, FrontierLimits limits = {})
-        : frontier_(workers, limits)
-    {
-    }
+    explicit CompileService(int workers = 0);
 
-    /** Drains every submitted batch and joins the workers. */
-    ~CompileService() = default;
+    /** Joins the workers; no batch may be running. */
+    ~CompileService();
 
     CompileService(const CompileService &) = delete;
     CompileService &operator=(const CompileService &) = delete;
 
-    int numWorkers() const { return frontier_.numWorkers(); }
+    int numWorkers() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * The serving frontier under this service: submit asynchronous,
-     * prioritized, cancellable batches that share the pool (and its
-     * warmed per-worker caches) with the synchronous calls below.
+     * Compile @p jobs and block until every job has ended. The
+     * pointed-to graphs, configs and options are borrowed for the
+     * call. Logs nothing: callers read the outcomes.
      */
-    Frontier &frontier() { return frontier_; }
+    BatchResult compileBatch(const std::vector<Job> &jobs);
 
     /**
-     * Compile @p jobs, one result per job in job order. Blocks until
-     * the batch is done - a `submit().wait()` wrapper. Deterministic:
-     * the results never depend on the worker count, on scheduling, on
-     * tenant weights, or on other batches in flight.
-     *
-     * @p tenant names the fair-share account the batch runs under
-     * (weight, intra-tenant priority, partial-admission consent - see
-     * eval/frontier.hh TenantOptions); the default is the shared
-     * default tenant, the historical behaviour.
-     *
-     * Failure semantics follow the frontier: a job that throws, times
-     * out (PipelineOptions::stepBudget / softDeadlineMs) or is
-     * rejected/shed yields a default CompileResult (`ok == false`) in
-     * its slot - with a one-line warning naming the outcome and error
-     * - and never disturbs the other jobs. Callers that need the full
-     * taxonomy submit through frontier() and read `job(i)`
-     * themselves.
+     * Compile every loop of @p suite for @p mach. Logs one warning
+     * per loop whose result is not ok, naming the loop, the config,
+     * the outcome and the error.
      */
-    std::vector<CompileResult>
-    compileBatch(const std::vector<Job> &jobs,
-                 const TenantOptions &tenant = {});
-
-    /** Compile every loop of @p suite for @p mach. */
     SuiteResult compileSuite(const std::vector<Loop> &suite,
                              const MachineConfig &mach,
                              const PipelineOptions &opts = {});
 
     /**
      * Compile every loop of @p suite for every config of @p machs as
-     * one batch (suite-major order), so the pool crosses config
-     * boundaries without a barrier: the per-config results are
-     * returned in @p machs order.
+     * one batch (config-major order), so the pool crosses config
+     * boundaries without a barrier; the per-config results are
+     * returned in @p machs order. Logs like the overload above.
      */
     std::vector<SuiteResult>
     compileSuite(const std::vector<Loop> &suite,
@@ -148,7 +154,25 @@ class CompileService
     static CompileService &shared();
 
   private:
-    Frontier frontier_;
+    void workerMain();
+
+    /** Serialises compileBatch callers: one batch at a time. */
+    std::mutex batchMutex_;
+
+    // The running batch, published to the workers under mutex_.
+    std::mutex mutex_;
+    std::condition_variable workCv_; //!< workers: new batch or stop
+    std::condition_variable doneCv_; //!< caller: every worker checked out
+    const std::vector<Job> *jobs_ = nullptr;
+    BatchResult *out_ = nullptr;
+    std::uint64_t batch_ = 0;    //!< batches started so far
+    std::size_t checkedOut_ = 0; //!< workers done with the batch
+    bool stopping_ = false;
+
+    /** Next unclaimed job of the running batch. */
+    std::atomic<std::size_t> next_{0};
+
+    std::vector<std::thread> workers_;
 };
 
 } // namespace cvliw

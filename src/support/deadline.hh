@@ -6,9 +6,8 @@
  * its natural retry boundaries (the pipeline's II bumps and
  * replication rounds), and an expired deadline surfaces as a
  * `DeadlineExceeded` throw there - stack unwinding discards the
- * partial work deterministically, and the serving layer
- * (eval/frontier.hh) turns the throw into a structured `TimedOut`
- * job outcome.
+ * partial work deterministically, and `CompileService`
+ * (eval/service.hh) turns the throw into a `TimedOut` job outcome.
  *
  * Two independent limits compose:
  *

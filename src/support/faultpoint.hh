@@ -1,19 +1,19 @@
 /**
  * @file
  * Deterministic fault injection: named fault points compiled into the
- * serving stack (pipeline, frontier), armed by an explicit schedule
+ * pipeline and the `CompileService` pool, armed by an explicit schedule
  * from tests or the CVLIW_FAULTS environment variable, off by default
  * with near-zero overhead (one relaxed atomic load per point).
  *
  * ## Why
  *
- * The serving layer's whole job is to degrade per-job instead of
- * per-process: a poisoned graph, an infeasible machine config or a
- * plain bug inside compile() must become one structured `Failed`
- * outcome, never a dead worker. None of those paths can be exercised
- * reliably by luck; fault points make every one of them a
- * deterministic test (tests/faultpoint_test.cc, the fault-tolerance
- * suite in tests/frontier_test.cc, and the CI fault-injection sweep).
+ * The pool's job is to degrade per-job instead of per-process: a
+ * poisoned graph, an infeasible machine config or a plain bug inside
+ * compile() must become one `Failed` outcome, never a dead worker.
+ * None of those paths can be exercised reliably by luck; fault points
+ * make every one of them a deterministic test (tests/faultpoint_test.cc,
+ * the fault tests in tests/service_test.cc, and the CI
+ * fault-injection sweep).
  *
  * ## Fault points
  *
@@ -27,18 +27,9 @@
  *  - `pipeline.start`       - compile() entry, before any work
  *  - `pipeline.ii_bump`     - top of every II attempt
  *  - `replicate.round`      - every replication selection round
- *  - `frontier.claim`       - worker claimed a job, before compile
- *  - `frontier.complete`    - worker finished a compile, before
- *                             publishing the result
- *  - `frontier.dispatch`    - dispatcher delivered a streaming
- *                             completion callback (fires after the
- *                             callback ran: a throw here models a
- *                             crashing consumer without breaking
- *                             exactly-once delivery)
- *  - `resultcache.leader`   - result-cache dedup leader registered,
- *                             before its compile runs
- *  - `resultcache.publish`  - leader's compile returned, before the
- *                             result is published to followers
+ *  - `service.claim`        - pool worker claimed a job, before compile
+ *  - `service.complete`     - pool worker finished a compile, before
+ *                             storing the result
  *
  * ## Schedule syntax (CVLIW_FAULTS and faults::arm)
  *
@@ -62,14 +53,14 @@
  * ```
  * CVLIW_FAULTS='pipeline.start@3:throw=boom'         # 3rd compile dies
  * CVLIW_FAULTS='pipeline.ii_bump@1+:throw'           # every compile dies
- * CVLIW_FAULTS='frontier.claim@~42/10:delay=2'       # ~10% claims lag 2ms
+ * CVLIW_FAULTS='service.claim@~42/10:delay=2'        # ~10% claims lag 2ms
  * CVLIW_FAULTS='a@1:throw;b@~7/50:delay=0.5'         # terms compose
  * ```
  *
  * Hit counters are per term and process-global (atomic under the
  * injector mutex), so `@N` triggers are exact under concurrency; which
  * *job* owns the Nth hit depends on the claim interleaving, which is
- * deterministic for a single-worker frontier and scheduling-dependent
+ * deterministic for a single-worker service and scheduling-dependent
  * otherwise (tests that pin a specific victim use one worker).
  *
  * ## Environment arming
@@ -87,7 +78,7 @@
  * bit-identity. Armed, `delay` actions never change any result (only
  * timing) and `throw` actions only ever remove work; jobs that still
  * complete `Ok` under an armed schedule remain bit-identical to an
- * uninjected run (pinned by the env-sweep test in frontier_test).
+ * uninjected run (pinned by CompileServiceEnvFaults in service_test).
  */
 
 #ifndef CVLIW_SUPPORT_FAULTPOINT_HH

@@ -1,12 +1,11 @@
 /**
  * @file
- * FNV-1a(64) constants and the shared 4-lane payload digest, used by
- * every digest in the tree (the compile-result digests in
- * eval/digest.hh, the graph content digests in eval/result_cache.hh,
- * and the on-disk record digests of workloads/suite_io.cc and the
- * result cache's persistent tier). Contract-bearing: the recorded
- * suite digests and both cache file formats depend on these exact
- * values and on fnvDigest4Lane's exact folding order.
+ * FNV-1a(64) constants and the 4-lane payload digest, used by every
+ * digest in the tree (the compile-result digests in eval/digest.hh,
+ * the seeded fault triggers of support/faultpoint.cc and the on-disk
+ * record digests of workloads/suite_io.cc). Contract-bearing: the
+ * recorded suite digests and the suite cache file format depend on
+ * these exact values and on fnvDigest4Lane's exact folding order.
  */
 
 #ifndef CVLIW_SUPPORT_FNV_HH
@@ -31,8 +30,7 @@ constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;
  * integrity checks ~4x cheaper and still sensitive to any flipped
  * bit. Words are assembled by explicit shifts, so the digest is
  * identical on any host endianness. This is the per-record digest of
- * the suite cache (format v3) and of the result cache's persistent
- * tier; both formats pin this exact function.
+ * the suite cache (format v3), which pins this exact function.
  */
 std::uint64_t fnvDigest4Lane(const unsigned char *data,
                              std::size_t size);

@@ -15,10 +15,9 @@
  * itself regardless of level. An unrecognized CVLIW_LOG value warns
  * once and keeps the default.
  *
- * Every warn()/inform() *call* is counted (even when suppressed by
- * the level), and the counters are exported by the metrics registry
- * as `cvliw_log_messages_total{level=...}` - a quiet log does not
- * mean nothing happened.
+ * Every warn()/inform() *call* is counted, even when suppressed by
+ * the level (logging::warnCount / informCount), so a quiet log does
+ * not mean nothing happened.
  */
 
 #ifndef CVLIW_SUPPORT_LOGGING_HH

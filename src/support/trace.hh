@@ -1,6 +1,6 @@
 /**
  * @file
- * Always-compiled, off-by-default tracing for the serving stack:
+ * Always-compiled, off-by-default tracing for the compile pipeline:
  * RAII spans recorded into per-thread append-only buffers, exported
  * as Chrome trace-event JSON (load the file at https://ui.perfetto.dev
  * or chrome://tracing).
@@ -32,9 +32,7 @@
  *
  *  - pipeline: compile / partition / ii_attempt / refine / replicate /
  *    replicate.round / schedule / spill_retry
- *  - frontier: submit / job (claim->complete, with tenant + batch +
- *    job args) / dispatch, plus claim/complete instants
- *  - resultcache: hit / miss / publish instants, dedup_wait span
+ *  - service: job (one per pool job, with batch + job args)
  *  - suite: load / build / save
  *
  * ## Memory safety

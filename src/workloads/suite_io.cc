@@ -95,10 +95,8 @@ loadLe64(const unsigned char *p)
     return v;
 }
 
-// The per-record payload digest is the shared 4-lane interleaved
-// word-FNV from support/fnv.hh (it moved there so the result cache's
-// persistent tier pins the identical function); this alias keeps the
-// call sites readable.
+// The per-record payload digest is the 4-lane interleaved word-FNV
+// from support/fnv.hh; this alias keeps the call sites readable.
 constexpr auto payloadDigest = fnvDigest4Lane;
 
 /** Append-only little-endian byte sink. */
@@ -211,9 +209,8 @@ struct Reader
 };
 
 /**
- * Write the v3 graph section: slot counts, POD node/edge records,
- * label arena. Shared verbatim between suite loop records and the
- * result cache's persistent tier (via suite_v3::appendGraph).
+ * Write the v3 graph section of a loop record: slot counts, POD
+ * node/edge records, label arena.
  *
  * Slot-level dump including tombstones, so removal history that
  * matters (dead slots between live ones) survives the round trip.
@@ -273,9 +270,8 @@ serializeLoop(Writer &w, const Loop &loop)
 }
 
 /**
- * Parse one v3 graph section (the Ddg portion of a loop record, also
- * the graph portion of a result cache record via
- * suite_v3::parseGraph). Every field is validated HERE - this is the
+ * Parse one v3 graph section (the Ddg portion of a loop record).
+ * Every field is validated HERE - this is the
  * only validation layer: the slots go to Ddg::fromSlotsTrusted,
  * which skips the graph layer's own consistency checks on the
  * strength of this function's guarantees. Any check removed here is
@@ -451,30 +447,6 @@ deserializeLoop(Reader &r)
 }
 
 } // namespace
-
-namespace suite_v3
-{
-
-void
-appendGraph(std::vector<unsigned char> &out, const Ddg &g)
-{
-    Writer w;
-    serializeGraph(w, g);
-    out.insert(out.end(), w.bytes.begin(), w.bytes.end());
-}
-
-Ddg
-parseGraph(const unsigned char *data, std::size_t size,
-           std::size_t &pos, const std::string &context)
-{
-    Reader r{data, size, context};
-    r.pos = pos;
-    Ddg g = deserializeGraph(r);
-    pos = r.pos;
-    return g;
-}
-
-} // namespace suite_v3
 
 void
 saveSuite(const std::vector<Loop> &suite, const std::string &path,

@@ -233,31 +233,6 @@ std::string defaultSuiteCachePath();
  */
 std::vector<Loop> loadOrBuildSuite(std::uint64_t seed = 42);
 
-/**
- * The v3 *graph section* codec (the `nodeSlots` field onward in the
- * record layout above), exposed so other on-disk formats embed graphs
- * byte-compatibly with suite records - the result cache's persistent
- * tier (eval/result_cache.hh) stores each entry's `finalDdg` this
- * way. Same canonical bytes, same single-sweep validation, same
- * bit-identity contract as a full loop record.
- */
-namespace suite_v3
-{
-
-/** Append the canonical v3 graph record of @p g to @p out. */
-void appendGraph(std::vector<unsigned char> &out, const Ddg &g);
-
-/**
- * Validate and materialize one v3 graph record at @p pos inside
- * [data, data+size), advancing @p pos past it. @p context names the
- * source (e.g. a file path) in error messages.
- * @throws SuiteIoError on any truncated or inconsistent record
- */
-Ddg parseGraph(const unsigned char *data, std::size_t size,
-               std::size_t &pos, const std::string &context);
-
-} // namespace suite_v3
-
 } // namespace cvliw
 
 #endif // CVLIW_WORKLOADS_SUITE_IO_HH

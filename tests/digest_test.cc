@@ -22,7 +22,6 @@
 #include <cstdlib>
 
 #include "eval/digest.hh"
-#include "eval/result_cache.hh"
 #include "eval/service.hh"
 #include "workloads/suite_io.hh"
 
@@ -65,93 +64,6 @@ TEST(SuiteDigest, SubsetDigestsPinned)
         all.mix(h);
     }
     EXPECT_EQ(all.h, expected_combined);
-}
-
-TEST(SuiteDigest, SubsetDigestsPinnedWithResultCache)
-{
-    // The acceptance bar for the result cache: the pinned digests are
-    // bit-exact with the cache on, cold AND warm, and the stats close.
-    const auto subset = subsetSuite();
-    ASSERT_EQ(subset.size(), 43u);
-
-    const std::uint64_t expected[] = {0x138824d791729e8dull,
-                                      0xbcb5b042636e5fd9ull,
-                                      0xf289039d9e620614ull};
-    const std::uint64_t expected_combined = 0x5f7ff8d38700f3feull;
-
-    ResultCache cache;
-    PipelineOptions opts;
-    opts.resultCache = &cache;
-
-    CompileService service(4);
-    for (int pass = 0; pass < 2; ++pass) {
-        ResultDigest all;
-        for (std::size_t c = 0; c < 3; ++c) {
-            const auto m = MachineConfig::fromString(kConfigs[c]);
-            const std::uint64_t h = digestSuiteResult(
-                service.compileSuite(subset, m, opts));
-            EXPECT_EQ(h, expected[c])
-                << "config " << kConfigs[c] << ", pass " << pass;
-            all.mix(h);
-        }
-        EXPECT_EQ(all.h, expected_combined) << "pass " << pass;
-    }
-
-    // Books: one of hits/misses per job; every loop/config pair
-    // compiled at most once (pass 2 was all hits).
-    const ResultCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, 43u * 3u * 2u);
-    EXPECT_LE(s.misses, 43u * 3u);
-    EXPECT_GE(s.hits, 43u * 3u);
-    EXPECT_EQ(s.evictions, 0u);
-}
-
-TEST(SuiteDigest, FullSuiteDigestPinnedWithResultCache)
-{
-    if (!std::getenv("CVLIW_DIGEST_FULL")) {
-        GTEST_SKIP() << "set CVLIW_DIGEST_FULL=1 to run the full "
-                        "678-loop cache-on digest";
-    }
-    const auto suite = loadOrBuildSuite(42);
-    ASSERT_EQ(suite.size(), 678u);
-
-    const std::uint64_t expected[] = {0x290f2e7f6d769c9full,
-                                      0x2a9f8f118be94bd5ull,
-                                      0x24ef7e20a9753f3bull};
-    const std::uint64_t expected_combined = 0xf607a8cc685dd8a4ull;
-
-    // One cache shared across every worker width: the second and
-    // third services serve the whole suite from the first one's
-    // results - and the combined digest must not move a bit.
-    ResultCache cache(1ull << 30);
-    PipelineOptions opts;
-    opts.resultCache = &cache;
-
-    std::uint64_t misses_after_first = 0;
-    for (int workers : {1, 4, 0}) {
-        CompileService service(workers);
-        ResultDigest all;
-        for (std::size_t c = 0; c < 3; ++c) {
-            const auto m = MachineConfig::fromString(kConfigs[c]);
-            const std::uint64_t h = digestSuiteResult(
-                service.compileSuite(suite, m, opts));
-            EXPECT_EQ(h, expected[c])
-                << "config " << kConfigs[c] << ", "
-                << service.numWorkers() << " workers";
-            all.mix(h);
-        }
-        EXPECT_EQ(all.h, expected_combined)
-            << service.numWorkers() << " workers";
-        if (workers == 1)
-            misses_after_first = cache.stats().misses;
-        ASSERT_EQ(cache.stats().evictions, 0u)
-            << "budget too small for a pure-hit comparison";
-    }
-
-    // Widths 4 and hw never compiled: every job hit.
-    const ResultCacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, misses_after_first);
-    EXPECT_EQ(s.hits + s.misses, 678u * 3u * 3u);
 }
 
 TEST(SuiteDigest, FullSuiteDigestPinned)

@@ -14,134 +14,6 @@ namespace cvliw
 namespace
 {
 
-TEST(Metrics, LatencyHistogramEmptyAndClamping)
-{
-    LatencyHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.maxMs(), 0.0);
-
-    // Negative samples clamp to zero instead of corrupting a bucket.
-    h.record(-5.0);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.maxMs(), 0.0);
-
-    // Out-of-range q clamps to [0, 1].
-    h.record(3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(-1.0), h.quantile(0.0));
-    EXPECT_DOUBLE_EQ(h.quantile(2.0), h.quantile(1.0));
-}
-
-TEST(Metrics, LatencyHistogramSingleSampleIsExact)
-{
-    // One sample: every quantile is that sample - the top populated
-    // bucket reports the exact maximum, not its upper edge.
-    LatencyHistogram h;
-    h.record(5.0);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.99), 5.0);
-    EXPECT_DOUBLE_EQ(h.maxMs(), 5.0);
-}
-
-TEST(Metrics, LatencyHistogramQuantilesWithinOneBucket)
-{
-    // 1..1000 ms uniformly: p50 must land within its log2 bucket of
-    // the true median (500ms -> the [512ms, 1024ms) bucket edge) and
-    // the quantiles must be monotone and bounded by the max.
-    LatencyHistogram h;
-    for (int ms = 1; ms <= 1000; ++ms)
-        h.record(static_cast<double>(ms));
-    EXPECT_EQ(h.count(), 1000u);
-    const double p50 = h.quantile(0.50);
-    const double p99 = h.quantile(0.99);
-    EXPECT_GE(p50, 250.0);
-    EXPECT_LE(p50, 1000.0);
-    EXPECT_GE(p99, p50);
-    EXPECT_LE(p99, h.maxMs());
-    EXPECT_DOUBLE_EQ(h.maxMs(), 1000.0);
-}
-
-TEST(Metrics, LatencyHistogramIsDeterministic)
-{
-    // Same samples, any order: identical quantiles (the frontier's
-    // per-tenant stats must not depend on completion interleaving).
-    LatencyHistogram a, b;
-    const double samples[] = {0.2, 1.5, 3.0, 40.0, 500.0, 7.25};
-    for (double s : samples)
-        a.record(s);
-    for (int i = 5; i >= 0; --i)
-        b.record(samples[i]);
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
-}
-
-TEST(Metrics, LatencyHistogramMergeEqualsCombinedStream)
-{
-    // merge() must be exact aggregation: two shards merged give the
-    // same buckets, count, sum and quantiles as one histogram fed
-    // every sample (the registry scrape merges per-tenant shards).
-    LatencyHistogram a, b, combined;
-    for (int i = 1; i <= 200; ++i) {
-        const double ms = 0.05 * i * i; // spans several buckets
-        ((i % 3 == 0) ? a : b).record(ms);
-        combined.record(ms);
-    }
-    LatencyHistogram merged;
-    merged.merge(a);
-    merged.merge(b);
-    EXPECT_EQ(merged.count(), combined.count());
-    EXPECT_DOUBLE_EQ(merged.maxMs(), combined.maxMs());
-    EXPECT_DOUBLE_EQ(merged.sumMs(), combined.sumMs());
-    for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(merged.quantile(q), combined.quantile(q))
-            << "q=" << q;
-    const auto ms = merged.snapshot();
-    const auto cs = combined.snapshot();
-    for (int bkt = 0; bkt < LatencyHistogram::kBuckets; ++bkt)
-        EXPECT_EQ(ms.buckets[bkt], cs.buckets[bkt]) << "bucket " << bkt;
-}
-
-TEST(Metrics, LatencyHistogramMergeEmptyIsIdentity)
-{
-    LatencyHistogram h, empty;
-    h.record(2.0);
-    h.record(8.0);
-    const auto before = h.snapshot();
-    h.merge(empty);
-    const auto after = h.snapshot();
-    EXPECT_EQ(after.count, before.count);
-    EXPECT_DOUBLE_EQ(after.sumMs, before.sumMs);
-    EXPECT_DOUBLE_EQ(after.maxMs, before.maxMs);
-
-    // Merging into an empty histogram copies the source exactly.
-    LatencyHistogram fresh;
-    fresh.merge(h);
-    EXPECT_EQ(fresh.count(), h.count());
-    EXPECT_DOUBLE_EQ(fresh.quantile(0.5), h.quantile(0.5));
-}
-
-TEST(Metrics, LatencyHistogramSnapshotShape)
-{
-    LatencyHistogram h;
-    h.record(0.5);   // 500us -> bucket [256us, 512us)
-    h.record(100.0); // 100ms
-    const auto s = h.snapshot();
-    EXPECT_EQ(s.count, 2u);
-    EXPECT_DOUBLE_EQ(s.sumMs, 100.5);
-    EXPECT_DOUBLE_EQ(s.maxMs, 100.0);
-    std::uint64_t total = 0;
-    for (int b = 0; b < LatencyHistogram::kBuckets; ++b)
-        total += s.buckets[b];
-    EXPECT_EQ(total, 2u);
-    // Bucket edges are monotone powers of two in ms.
-    EXPECT_DOUBLE_EQ(LatencyHistogram::Snapshot::bucketEdgeMs(0),
-                     0.001);
-    EXPECT_LT(LatencyHistogram::Snapshot::bucketEdgeMs(10),
-              LatencyHistogram::Snapshot::bucketEdgeMs(11));
-}
-
 TEST(Metrics, HarmonicMean)
 {
     EXPECT_DOUBLE_EQ(hmean({2.0, 2.0}), 2.0);

@@ -90,9 +90,8 @@ TEST(Logging, VerbositySwitch)
 
 TEST(Logging, LevelsAndCallCounting)
 {
-    // Every cv_warn/cv_inform *call* is counted, printed or not -
-    // the registry's cvliw_log_messages_total must see suppressed
-    // messages too.
+    // Every cv_warn/cv_inform *call* is counted, printed or not:
+    // suppressed messages count too.
     const auto warns0 = logging::warnCount();
     const auto informs0 = logging::informCount();
     logging::setLevel(logging::Level::Silent);

@@ -9,7 +9,6 @@
 
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
-#include "eval/result_cache.hh"
 #include "paper_graph.hh"
 #include "sched/comms.hh"
 #include "sched/mii.hh"
@@ -204,7 +203,7 @@ TEST(Pipeline, StepBudgetThrowsDeadlineExceeded)
 {
     // The direct-call contract: a cooperative deadline that expires
     // surfaces as DeadlineExceeded from compile() itself (the
-    // frontier's workers turn it into JobOutcome::TimedOut).
+    // CompileService workers turn it into JobOutcome::TimedOut).
     const auto loops = buildBenchmark("tomcatv");
     const auto m = MachineConfig::fromString("4c2b2l64r");
 
@@ -313,15 +312,6 @@ TEST(Pipeline, ZeroDistanceCycleThrowsInvalidInput)
     const auto m = MachineConfig::fromString("4c2b2l64r");
     EXPECT_THROW(compile(g, MachineConfig::unified()), InvalidInput);
     EXPECT_THROW(compile(g, m), InvalidInput);
-
-    // Rejected before any cache is touched: the result cache never
-    // sees the job.
-    ResultCache cache;
-    PipelineOptions cached;
-    cached.resultCache = &cache;
-    EXPECT_THROW(compile(g, m, cached), InvalidInput);
-    EXPECT_EQ(cache.stats().misses, 0u);
-    EXPECT_EQ(cache.stats().hits, 0u);
 
     // The same loop with the back edge loop-carried compiles.
     Ddg ok;

@@ -1,19 +1,25 @@
 /**
  * @file
- * CompileService determinism and concurrency tests: the same batch
- * must produce bit-identical results for any worker count (1, 2 and
- * 8), whether jobs mix configs and options in one batch, and across
- * repeated batches on one service instance (whose per-worker caches
- * then serve jobs in a different interleaving). The CI ThreadSanitizer
- * job runs this binary to catch data races in the pool itself.
+ * CompileService tests: the same batch must produce bit-identical
+ * results for any worker count (1, 2 and 8), for batches mixing
+ * configs and options, across repeated batches on one service, and
+ * for concurrent callers. Each job ends Ok, Failed or TimedOut
+ * without disturbing the other jobs of its batch, and a worker whose
+ * job threw keeps serving bit-exact results. The CI ThreadSanitizer
+ * job runs this binary to catch data races in the pool itself, and
+ * the CI fault sweep runs it under CVLIW_FAULTS schedules.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "eval/digest.hh"
 #include "eval/service.hh"
+#include "support/faultpoint.hh"
+#include "support/logging.hh"
 #include "workloads/suite_io.hh"
 
 namespace cvliw
@@ -33,6 +39,53 @@ sampleLoops()
         return out;
     }();
     return sample;
+}
+
+std::vector<CompileService::Job>
+jobsFor(const std::vector<Loop> &loops, const MachineConfig &mach)
+{
+    std::vector<CompileService::Job> jobs(loops.size());
+    for (std::size_t i = 0; i < loops.size(); ++i)
+        jobs[i] = CompileService::Job{&loops[i].ddg, &mach, nullptr};
+    return jobs;
+}
+
+std::uint64_t
+digestOf(const CompileResult &r)
+{
+    ResultDigest d;
+    mixCompileResult(d, r);
+    return d.h;
+}
+
+/** Digest of compile(loop, mach) with fault injection suspended. */
+std::uint64_t
+oracleDigest(const Ddg &ddg, const MachineConfig &m)
+{
+    faults::Suspend suspend;
+    return digestOf(compile(ddg, m));
+}
+
+/** Arm for one test, disarm on the way out whatever happens. */
+struct ArmGuard
+{
+    explicit ArmGuard(const std::string &schedule)
+    {
+        faults::arm(schedule);
+    }
+    ~ArmGuard() { faults::disarm(); }
+};
+
+/** a -> b -> a, both at distance 0: compile() throws InvalidInput. */
+Ddg
+zeroDistanceCycle()
+{
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu, "a");
+    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    g.addEdge(a, b, EdgeKind::RegFlow, 0);
+    g.addEdge(b, a, EdgeKind::RegFlow, 0);
+    return g;
 }
 
 /** Field-level equality, stronger diagnostics than the digest. */
@@ -146,75 +199,40 @@ TEST(CompileService, MixedJobBatch)
     }
 
     CompileService service(4);
-    const std::vector<CompileResult> batch = service.compileBatch(jobs);
-    ASSERT_EQ(batch.size(), jobs.size());
+    const auto batch = service.compileBatch(jobs);
+    ASSERT_EQ(batch.results.size(), jobs.size());
+    ASSERT_EQ(batch.outcomes.size(), jobs.size());
+    ASSERT_EQ(batch.errors.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_TRUE(batch.errors[i].empty()) << "job " << i;
         const CompileResult direct =
             jobs[i].opts ? compile(*jobs[i].ddg, *jobs[i].mach,
                                    *jobs[i].opts)
                          : compile(*jobs[i].ddg, *jobs[i].mach);
-        ResultDigest a, b;
-        mixCompileResult(a, batch[i]);
-        mixCompileResult(b, direct);
-        EXPECT_EQ(a.h, b.h) << "job " << i;
+        EXPECT_EQ(digestOf(batch.results[i]), digestOf(direct))
+            << "job " << i;
     }
 }
 
 TEST(CompileService, EmptyBatch)
 {
     CompileService service(2);
-    EXPECT_TRUE(service.compileBatch({}).empty());
+    const auto batch = service.compileBatch({});
+    EXPECT_TRUE(batch.results.empty());
+    EXPECT_TRUE(batch.outcomes.empty());
+    EXPECT_TRUE(batch.errors.empty());
     const SuiteResult r =
         service.compileSuite({}, MachineConfig::unified());
     EXPECT_TRUE(r.loops.empty());
 }
 
-TEST(CompileService, FacadeFlattensFailuresToNotOk)
-{
-    // The synchronous facade never throws for a failed or timed-out
-    // job: the slot holds a default result (ok == false), the other
-    // slots are untouched.
-    const auto &loops = sampleLoops();
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-
-    PipelineOptions instant_timeout;
-    instant_timeout.stepBudget = -1; // expires at the first checkpoint
-
-    std::vector<CompileService::Job> jobs;
-    for (std::size_t i = 0; i < 6; ++i) {
-        CompileService::Job job;
-        job.ddg = &loops[i].ddg;
-        job.mach = &m;
-        if (i == 2)
-            job.opts = &instant_timeout;
-        jobs.push_back(job);
-    }
-
-    CompileService service(2);
-    const std::vector<CompileResult> batch = service.compileBatch(jobs);
-    ASSERT_EQ(batch.size(), jobs.size());
-    EXPECT_FALSE(batch[2].ok);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (i == 2)
-            continue;
-        EXPECT_TRUE(batch[i].ok) << "job " << i;
-        ResultDigest a, b;
-        mixCompileResult(a, batch[i]);
-        mixCompileResult(b, compile(*jobs[i].ddg, m));
-        EXPECT_EQ(a.h, b.h) << "job " << i;
-    }
-}
-
 TEST(CompileService, InvalidInputFailsOnlyItsJob)
 {
     // A graph whose distance-0 edges close a cycle is a typed compile
-    // error: its job ends Failed and the rest of the batch finishes.
-    Ddg cyclic;
-    const NodeId a = cyclic.addNode(OpClass::IntAlu, "a");
-    const NodeId b = cyclic.addNode(OpClass::IntAlu, "b");
-    cyclic.addEdge(a, b, EdgeKind::RegFlow, 0);
-    cyclic.addEdge(b, a, EdgeKind::RegFlow, 0);
-
+    // error: its job ends Failed with a default result, and every
+    // other job of the batch is bit-exact to a direct compile().
+    const Ddg cyclic = zeroDistanceCycle();
     const auto &loops = sampleLoops();
     const auto m = MachineConfig::fromString("4c2b2l64r");
     constexpr std::size_t kBad = 3;
@@ -227,22 +245,144 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
     }
 
     CompileService service(2);
-    const auto handle = service.frontier().submit(jobs);
-    handle.wait();
+    const auto batch = service.compileBatch(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const auto view = handle.job(i);
         if (i == kBad) {
-            EXPECT_EQ(view.outcome, JobOutcome::Failed);
-            EXPECT_NE(view.error.find("cycle"), std::string::npos)
-                << view.error;
+            EXPECT_EQ(batch.outcomes[i], JobOutcome::Failed);
+            EXPECT_NE(batch.errors[i].find("cycle"), std::string::npos)
+                << batch.errors[i];
+            EXPECT_EQ(digestOf(batch.results[i]),
+                      digestOf(CompileResult{}));
             continue;
         }
-        ASSERT_EQ(view.outcome, JobOutcome::Ok) << "job " << i;
-        ResultDigest got, want;
-        mixCompileResult(got, *view.result);
-        mixCompileResult(want, compile(*jobs[i].ddg, m));
-        EXPECT_EQ(got.h, want.h) << "job " << i;
+        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_EQ(digestOf(batch.results[i]),
+                  oracleDigest(*jobs[i].ddg, m))
+            << "job " << i;
     }
+}
+
+TEST(CompileService, ExpiredDeadlinesTimeOutOnlyTheirJob)
+{
+    // A negative step budget or soft deadline expires at the first
+    // checkpoint: deterministic TimedOut, the neighbours untouched.
+    const auto &loops = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    PipelineOptions no_steps;
+    no_steps.stepBudget = -1;
+    PipelineOptions past_deadline;
+    past_deadline.softDeadlineMs = -1.0;
+
+    const std::vector<Loop> some(loops.begin(), loops.begin() + 6);
+    std::vector<CompileService::Job> jobs = jobsFor(some, m);
+    jobs[1].opts = &no_steps;
+    jobs[4].opts = &past_deadline;
+
+    CompileService service(2);
+    const auto batch = service.compileBatch(jobs);
+    EXPECT_EQ(batch.outcomes[1], JobOutcome::TimedOut);
+    EXPECT_NE(batch.errors[1].find("step budget"), std::string::npos)
+        << batch.errors[1];
+    EXPECT_EQ(batch.outcomes[4], JobOutcome::TimedOut);
+    EXPECT_NE(batch.errors[4].find("soft deadline"), std::string::npos)
+        << batch.errors[4];
+    for (std::size_t i : {1u, 4u})
+        EXPECT_EQ(digestOf(batch.results[i]), digestOf(CompileResult{}));
+    for (std::size_t i : {0u, 2u, 3u, 5u}) {
+        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_TRUE(batch.errors[i].empty()) << "job " << i;
+        EXPECT_EQ(digestOf(batch.results[i]),
+                  oracleDigest(some[i].ddg, m))
+            << "job " << i;
+    }
+}
+
+TEST(CompileService, WorkerKeepsServingBitExactAfterAThrow)
+{
+    // Quarantine: on one worker, the third compile throws mid-batch
+    // and the same worker then runs every later job on rebuilt
+    // caches; those results must equal direct compiles.
+    const auto &loops = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    const std::vector<Loop> some(loops.begin(), loops.begin() + 8);
+    std::vector<std::uint64_t> oracle;
+    for (const Loop &loop : some)
+        oracle.push_back(oracleDigest(loop.ddg, m));
+
+    CompileService service(1);
+    CompileService::BatchResult batch;
+    {
+        ArmGuard guard("pipeline.start@3:throw=injected boom");
+        batch = service.compileBatch(jobsFor(some, m));
+    }
+    EXPECT_EQ(batch.outcomes[2], JobOutcome::Failed);
+    EXPECT_NE(batch.errors[2].find("injected boom"), std::string::npos)
+        << batch.errors[2];
+    EXPECT_FALSE(batch.results[2].ok);
+    for (std::size_t i = 0; i < some.size(); ++i) {
+        if (i == 2)
+            continue;
+        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_EQ(digestOf(batch.results[i]), oracle[i]) << "job " << i;
+    }
+}
+
+TEST(CompileService, ConcurrentCallersMatchSerialCalls)
+{
+    // Two client threads share one service; the service runs their
+    // batches one at a time, and each gets what a serial call gets.
+    const auto &loops = sampleLoops();
+    const auto ma = MachineConfig::fromString("4c2b2l64r");
+    const auto mb = MachineConfig::fromString("2c1b2l64r");
+
+    CompileService service(3);
+    const auto serial_a = service.compileBatch(jobsFor(loops, ma));
+    const auto serial_b = service.compileBatch(jobsFor(loops, mb));
+
+    CompileService::BatchResult par_a, par_b;
+    std::thread ta([&] {
+        for (int round = 0; round < 3; ++round)
+            par_a = service.compileBatch(jobsFor(loops, ma));
+    });
+    std::thread tb([&] {
+        for (int round = 0; round < 3; ++round)
+            par_b = service.compileBatch(jobsFor(loops, mb));
+    });
+    ta.join();
+    tb.join();
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        EXPECT_EQ(digestOf(par_a.results[i]),
+                  digestOf(serial_a.results[i]))
+            << "job " << i;
+        EXPECT_EQ(digestOf(par_b.results[i]),
+                  digestOf(serial_b.results[i]))
+            << "job " << i;
+    }
+    EXPECT_EQ(par_a.outcomes, serial_a.outcomes);
+    EXPECT_EQ(par_b.outcomes, serial_b.outcomes);
+}
+
+TEST(CompileService, CompileSuiteWarnsOncePerFailedLoop)
+{
+    // One line per loop that did not compile, naming the loop, the
+    // config, the outcome and the error; none for the loops that did.
+    const auto &loops = sampleLoops();
+    std::vector<Loop> suite(loops.begin(), loops.begin() + 4);
+    suite[1].ddg = zeroDistanceCycle();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+
+    CompileService service(2);
+    const auto warns0 = logging::warnCount();
+    const SuiteResult r = service.compileSuite(suite, m);
+    EXPECT_EQ(logging::warnCount(), warns0 + 1);
+    EXPECT_FALSE(r.loops[1].ok);
+    EXPECT_TRUE(r.loops[0].ok && r.loops[2].ok && r.loops[3].ok);
+
+    const auto per_config = service.compileSuite(
+        suite, {m, MachineConfig::fromString("2c1b2l64r")});
+    EXPECT_EQ(logging::warnCount(), warns0 + 3);
+    EXPECT_FALSE(per_config[0].loops[1].ok);
+    EXPECT_FALSE(per_config[1].loops[1].ok);
 }
 
 TEST(CompileService, RunSuiteDelegatesToService)
@@ -252,6 +392,68 @@ TEST(CompileService, RunSuiteDelegatesToService)
     const SuiteResult via_run_suite = runSuite(loops, m, {}, 2);
     CompileService service(5);
     expectResultsEqual(via_run_suite, service.compileSuite(loops, m));
+}
+
+TEST(CompileServiceEnvFaults, ScheduleInvariantsHold)
+{
+    // CI sweep entry point: under any CVLIW_FAULTS schedule, throwing
+    // ones included, every job is either Ok and bit-exact to its
+    // oracle, or Failed/TimedOut with an error and a default result;
+    // nothing hangs, and the service serves cleanly afterwards.
+    const std::string schedule = faults::envSchedule();
+    if (schedule.empty())
+        GTEST_SKIP() << "set CVLIW_FAULTS to exercise this test";
+
+    const auto &sample = sampleLoops();
+    const std::vector<MachineConfig> machs = {
+        MachineConfig::fromString("2c1b2l64r"),
+        MachineConfig::fromString("4c2b2l64r"),
+    };
+    const std::vector<Loop> loops(sample.begin(), sample.begin() + 24);
+
+    // Oracles with injection off (earlier tests may have disarmed the
+    // env schedule; (re)arm it only after these).
+    faults::disarm();
+    std::vector<std::vector<std::uint64_t>> oracle(machs.size());
+    for (std::size_t c = 0; c < machs.size(); ++c) {
+        for (const Loop &loop : loops)
+            oracle[c].push_back(oracleDigest(loop.ddg, machs[c]));
+    }
+    const std::uint64_t empty = digestOf(CompileResult{});
+
+    faults::arm(schedule);
+    CompileService service(0); // hardware concurrency: stress the pool
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t c = 0; c < machs.size(); ++c) {
+            const auto batch =
+                service.compileBatch(jobsFor(loops, machs[c]));
+            for (std::size_t i = 0; i < loops.size(); ++i) {
+                const JobOutcome outcome = batch.outcomes[i];
+                if (outcome == JobOutcome::Ok) {
+                    EXPECT_TRUE(batch.errors[i].empty());
+                    EXPECT_EQ(digestOf(batch.results[i]), oracle[c][i])
+                        << "round " << round << " config " << c
+                        << " job " << i;
+                    continue;
+                }
+                EXPECT_TRUE(outcome == JobOutcome::Failed ||
+                            outcome == JobOutcome::TimedOut)
+                    << toString(outcome);
+                EXPECT_FALSE(batch.errors[i].empty());
+                EXPECT_EQ(digestOf(batch.results[i]), empty);
+            }
+        }
+    }
+
+    // Recovery: with injection off again the same service (and its
+    // quarantined-or-not caches) serves bit-exact results.
+    faults::disarm();
+    const auto after = service.compileBatch(jobsFor(loops, machs[0]));
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        ASSERT_EQ(after.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_EQ(digestOf(after.results[i]), oracle[0][i])
+            << "job " << i;
+    }
 }
 
 } // namespace

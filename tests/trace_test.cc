@@ -3,7 +3,7 @@
  * Tracing and telemetry tests: span nesting per thread, the
  * armed-vs-disarmed determinism contract (tracing must be a pure
  * observer), JSON export shape, and CompileTelemetry's deterministic
- * counters across worker counts and cache paths.
+ * counters across worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "eval/digest.hh"
-#include "eval/result_cache.hh"
 #include "eval/service.hh"
 #include "support/trace.hh"
 #include "workloads/suite.hh"
@@ -171,11 +170,16 @@ TEST(Trace, ArmedCompileIsBitIdenticalToDisarmed)
     trace::disarm();
 
     EXPECT_EQ(armed.h, disarmed.h);
-    // The armed sweep actually recorded the pipeline spans.
+    // The armed sweep actually recorded the pipeline spans, and the
+    // pool one service/job span per job.
     bool saw_compile = false;
-    for (const auto &ev : trace::snapshot())
+    std::size_t jobs = 0;
+    for (const auto &ev : trace::snapshot()) {
         saw_compile |= (ev.cat == "pipeline" && ev.name == "compile");
+        jobs += ev.cat == "service" && ev.name == "job";
+    }
     EXPECT_TRUE(saw_compile);
+    EXPECT_EQ(jobs, suite.size());
     resetTrace();
 }
 
@@ -211,8 +215,7 @@ struct CounterSlice
 TEST(Telemetry, CountersIndependentOfWorkerCount)
 {
     // The structural counters are part of the determinism contract:
-    // same job, same counters, at any pool size. No result cache, so
-    // every compile is a real compile (cacheHit false everywhere).
+    // same job, same counters, at any pool size.
     const auto suite = buildBenchmark("tomcatv");
     const auto m = MachineConfig::fromString("2c1b2l64r");
 
@@ -231,9 +234,6 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
         EXPECT_TRUE(CounterSlice(a[i].telemetry) ==
                     CounterSlice(c[i].telemetry))
             << "loop " << i << ": 1 vs hw workers";
-        EXPECT_FALSE(a[i].telemetry.cacheHit);
-        EXPECT_FALSE(b[i].telemetry.cacheHit);
-        EXPECT_FALSE(c[i].telemetry.cacheHit);
     }
 }
 
@@ -247,29 +247,8 @@ TEST(Telemetry, CountersReflectTheCompile)
     // Success at some II means at least one attempt, and the final
     // attempt's ultimate II is what the result reports.
     EXPECT_GE(t.iiAttempts, 1u);
-    EXPECT_FALSE(t.cacheHit);
     EXPECT_GE(t.totalMs, 0.0);
     EXPECT_GE(t.refineProbes, t.refineCommits);
-}
-
-TEST(Telemetry, CacheHitCarriesOriginalCounters)
-{
-    const auto suite = buildBenchmark("swim");
-    const auto m = MachineConfig::fromString("2c1b2l64r");
-    ResultCache cache;
-    PipelineOptions opts;
-    opts.resultCache = &cache;
-
-    const auto first = compile(suite[0].ddg, m, opts);
-    ASSERT_TRUE(first.ok);
-    EXPECT_FALSE(first.telemetry.cacheHit);
-
-    const auto second = compile(suite[0].ddg, m, opts);
-    ASSERT_TRUE(second.ok);
-    EXPECT_TRUE(second.telemetry.cacheHit);
-    // A memory hit serves the original compile's counters verbatim.
-    EXPECT_TRUE(CounterSlice(second.telemetry) ==
-                CounterSlice(first.telemetry));
 }
 
 } // namespace
