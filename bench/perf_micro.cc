@@ -17,9 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
-#include <thread>
-#include <unordered_map>
+#include <numeric>
 
 #include "core/pipeline.hh"
 #include "core/replicator.hh"
@@ -30,6 +28,7 @@
 #include "sched/copies.hh"
 #include "sched/mii.hh"
 #include "sched/scheduler.hh"
+#include "support/cpus.hh"
 #include "support/trace.hh"
 #include "workloads/suite.hh"
 #include "workloads/suite_io.hh"
@@ -46,104 +45,34 @@ suite()
     return s;
 }
 
-/**
- * Lazy single-loop access for the sampled benches: open the suite
- * cache once, skim the per-record facts (benchmark, index, live node
- * count), and materialize only the records a bench actually touches -
- * instead of parsing all 678 loops per process. Falls back to the
- * fully-loaded suite() when no valid cache file exists (bare
- * checkouts, CVLIW_SUITE_CACHE unset and no baked build path).
- */
-class LazySuite
-{
-  public:
-    static LazySuite &instance()
-    {
-        static LazySuite s;
-        return s;
-    }
-
-    const Loop &sample(const char *bench, int idx)
-    {
-        int seen = 0;
-        for (std::uint32_t i = 0; i < meta_.size(); ++i) {
-            if (meta_[i].benchmark == bench && seen++ == idx)
-                return record(i);
-        }
-        return record(0);
-    }
-
-    /** The @p rank-th largest suite loop (rank 0 = largest). */
-    const Loop &largest(int rank)
-    {
-        if (bySize_.empty()) {
-            bySize_.resize(meta_.size());
-            for (std::uint32_t i = 0; i < meta_.size(); ++i)
-                bySize_[i] = i;
-            std::stable_sort(bySize_.begin(), bySize_.end(),
-                             [&](std::uint32_t a, std::uint32_t b) {
-                                 return meta_[a].liveNodes >
-                                        meta_[b].liveNodes;
-                             });
-        }
-        return record(bySize_[static_cast<std::size_t>(rank) %
-                              bySize_.size()]);
-    }
-
-  private:
-    LazySuite()
-    {
-        const std::string path = defaultSuiteCachePath();
-        if (!path.empty()) {
-            try {
-                auto f = std::make_unique<SuiteCacheFile>(path);
-                // An empty cache is valid on disk but useless here
-                // (and rank % 0 must never happen): fall back too.
-                if (f->seed() == 42 && f->loopCount() > 0) {
-                    meta_ = f->scan();
-                    file_ = std::move(f);
-                    return;
-                }
-            } catch (const std::exception &) {
-                // Bad cache: fall through to the eager suite.
-            }
-        }
-        // No usable cache: index the eagerly-built suite so both
-        // paths share one selection implementation.
-        meta_.resize(suite().size());
-        for (std::size_t i = 0; i < suite().size(); ++i) {
-            meta_[i] = {suite()[i].benchmark, suite()[i].index,
-                        suite()[i].ddg.numNodes()};
-        }
-    }
-
-    const Loop &record(std::uint32_t i)
-    {
-        if (!file_)
-            return suite()[i];
-        auto it = loaded_.find(i);
-        if (it == loaded_.end())
-            it = loaded_.emplace(i, file_->loadLoop(i)).first;
-        return it->second;
-    }
-
-    std::unique_ptr<SuiteCacheFile> file_;
-    std::vector<SuiteLoopInfo> meta_;
-    std::vector<std::uint32_t> bySize_;
-    std::unordered_map<std::uint32_t, Loop> loaded_;
-};
-
+/** The @p idx-th loop of benchmark @p bench (the first loop if absent). */
 const Loop &
 sampleLoop(const char *bench, int idx)
 {
-    return LazySuite::instance().sample(bench, idx);
+    int seen = 0;
+    for (const Loop &loop : suite()) {
+        if (loop.benchmark == bench && seen++ == idx)
+            return loop;
+    }
+    return suite().front();
 }
 
 /** The @p rank-th largest loop of the whole suite (rank 0 = largest). */
 const Loop &
 largestLoop(int rank)
 {
-    return LazySuite::instance().largest(rank);
+    static const std::vector<std::size_t> by_size = [] {
+        std::vector<std::size_t> order(suite().size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [](std::size_t a, std::size_t b) {
+                             return suite()[a].ddg.numNodes() >
+                                    suite()[b].ddg.numNodes();
+                         });
+        return order;
+    }();
+    return suite()[by_size[static_cast<std::size_t>(rank) %
+                           by_size.size()]];
 }
 
 void
@@ -356,54 +285,11 @@ BM_SuiteLoad(benchmark::State &state)
 BENCHMARK(BM_SuiteLoad);
 
 /**
- * Cold single-record path of the lazy v3 contract: a fresh
- * SuiteCacheFile open (which integrity-checks only the header and
- * index table) plus one loadLoop (which verifies just that record's
- * digest). validated_bytes counts what the open + load actually
- * checked; file_bytes is what an eager whole-payload digest pass (the
- * v2 design) would have touched on every open. The gap is the point:
- * a binary that samples one loop no longer pays for 678.
- */
-void
-BM_SuiteLoadCold(benchmark::State &state)
-{
-    const std::string path = "/tmp/cvliw_perf_suite_cold." +
-                             std::to_string(::getpid()) + ".cvsuite";
-    saveSuite(suite(), path, 42);
-
-    std::uint32_t record = 0;
-    std::uint64_t file_bytes = 0;
-    {
-        const SuiteCacheFile probe(path);
-        record = probe.loopCount() / 2;
-        file_bytes = probe.validatedBytesOnOpen();
-        for (std::uint32_t i = 0; i < probe.loopCount(); ++i)
-            file_bytes += probe.recordBytes(i);
-    }
-
-    std::uint64_t validated = 0;
-    for (auto _ : state) {
-        SuiteCacheFile cache(path);
-        benchmark::DoNotOptimize(cache.loadLoop(record));
-        validated =
-            cache.validatedBytesOnOpen() + cache.recordBytes(record);
-    }
-    state.counters["validated_bytes"] =
-        static_cast<double>(validated);
-    state.counters["file_bytes"] = static_cast<double>(file_bytes);
-    state.counters["validated_pct"] =
-        100.0 * static_cast<double>(validated) /
-        static_cast<double>(file_bytes);
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_SuiteLoadCold);
-
-/**
  * CompileService batch throughput: the whole suite compiled for one
  * config on a persistent pool with long-lived per-worker caches.
- * Arg = worker count (0 = hardware concurrency); compare Arg(1)
- * against Arg(0) for the multi-worker speedup. Results are
- * bit-identical for every worker count (tests/service_test.cc).
+ * Arg = worker count (0 = usable CPUs); compare Arg(1) against
+ * Arg(0) for the multi-worker speedup. Results are bit-identical for
+ * every worker count (tests/service_test.cc).
  */
 void
 BM_BatchCompile(benchmark::State &state)
@@ -411,10 +297,8 @@ BM_BatchCompile(benchmark::State &state)
     const auto &loops = suite();
     const auto m = MachineConfig::fromString("4c2b2l64r");
     int workers = static_cast<int>(state.range(0));
-    if (workers == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        workers = hw ? static_cast<int>(hw) : 1;
-    }
+    if (workers == 0)
+        workers = static_cast<int>(usableCpuCount());
     CompileService service(workers);
     for (auto _ : state)
         benchmark::DoNotOptimize(service.compileSuite(loops, m));
@@ -437,8 +321,7 @@ BM_TraceOverhead(benchmark::State &state)
 {
     const auto &loops = suite();
     const auto m = MachineConfig::fromString("4c2b2l64r");
-    const unsigned hw = std::thread::hardware_concurrency();
-    CompileService service(hw ? static_cast<int>(hw) : 1);
+    CompileService service(static_cast<int>(usableCpuCount()));
     using Clock = std::chrono::steady_clock;
 
     trace::disarm();

@@ -96,13 +96,6 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     const std::uint64_t probes0 = caches.pseudo.probeCount();
     const std::uint64_t commits0 = caches.pseudo.commitCount();
 
-    // Cooperative deadline: one checkpoint here (so "expire
-    // immediately" configurations never reach the initial partition),
-    // one per II attempt below, one per replication round inside
-    // reduceCommunications. Inactive with default options.
-    CooperativeDeadline deadline(opts.stepBudget, opts.softDeadlineMs);
-    deadline.checkpoint("compile entry");
-
     CompileResult result;
     result.mii = minimumIi(original, mach);
     result.usefulOps = original.numNodes();
@@ -144,7 +137,6 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
 
     for (int ii = result.mii; ii <= opts.maxIi; ++ii) {
         faults::point("pipeline.ii_bump");
-        deadline.checkpoint("II bump");
         trace::TraceSpan ii_span("pipeline", "ii_attempt");
         ii_span.arg("ii", ii);
         ++result.telemetry.iiAttempts;
@@ -173,8 +165,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                 const PhaseClock::time_point t0 = PhaseClock::now();
                 repl_ok = reduceCommunications(
                     work, part, mach, ii, &rstats, opts.mode,
-                    &pr.hierarchy, &caches.subgraph,
-                    deadline.active() ? &deadline : nullptr);
+                    &pr.hierarchy, &caches.subgraph);
                 result.telemetry.replicationMs += msSince(t0);
                 result.telemetry.replicationRounds +=
                     static_cast<std::uint32_t>(

@@ -20,7 +20,6 @@
 #include "core/replicator.hh"
 #include "sched/pseudo.hh"
 #include "sched/scheduler.hh"
-#include "support/deadline.hh"
 
 namespace cvliw
 {
@@ -74,31 +73,6 @@ struct PipelineOptions
      * MaxLive improvement the loop is reported as failed.
      */
     int registerStagnationLimit = 24;
-
-    /**
-     * Cooperative step budget: every deadline checkpoint - compile
-     * entry, each II attempt, each replication round - consumes one
-     * step, and exceeding the budget throws DeadlineExceeded
-     * (support/deadline.hh), discarding the partial work. 0 = no
-     * budget (the default; compile never throws for budget reasons).
-     * Negative budgets expire at the very first checkpoint, before
-     * the initial partition - the deterministic "fail immediately"
-     * configuration. Deterministic: a given (graph, machine, opts)
-     * always times out at the same boundary.
-     */
-    std::int64_t stepBudget = 0;
-
-    /**
-     * Soft wall-clock deadline in milliseconds from compile entry,
-     * checked at the same cooperative boundaries as stepBudget; on
-     * expiry compile throws DeadlineExceeded. "Soft": overrun is
-     * bounded by the longest stretch between checkpoints, nothing is
-     * pre-empted mid-kernel. 0 = no deadline (the default). Negative
-     * values expire at the first checkpoint (deterministic tests).
-     * Unlike stepBudget this limit is inherently timing-dependent;
-     * use the budget where reproducibility matters.
-     */
-    double softDeadlineMs = 0.0;
 };
 
 /**
@@ -226,15 +200,12 @@ struct CompileCaches
  *    mid-update.
  *
  * A graph whose distance-0 edges close a cycle throws InvalidInput
- * before any cache is touched. Otherwise, with default options
- * compile never throws for policy reasons: an infeasible job returns
- * `ok == false`. When @p opts arms a deadline
- * (stepBudget / softDeadlineMs) an expired limit throws
- * DeadlineExceeded at the next cooperative checkpoint, and an armed
- * fault-injection schedule (support/faultpoint.hh) may throw
- * FaultInjected at the compiled-in fault points. `CompileService`
- * catches both and turns them into per-job outcomes (`TimedOut` /
- * `Failed`); direct callers that arm either feature own the catch.
+ * before any cache is touched. Otherwise compile never throws for
+ * policy reasons: an infeasible job returns `ok == false`, and
+ * `maxIi` bounds the II search. An armed fault-injection schedule
+ * (support/faultpoint.hh) may throw FaultInjected at the compiled-in
+ * fault points. `CompileService` turns any throw into a `Failed` job
+ * outcome; direct callers that arm faults own the catch.
  */
 CompileResult compile(const Ddg &original, const MachineConfig &mach,
                       const PipelineOptions &opts = {},

@@ -6,7 +6,6 @@
 #include "core/removable.hh"
 #include "core/weights.hh"
 #include "sched/comms.hh"
-#include "support/deadline.hh"
 #include "support/faultpoint.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -294,8 +293,7 @@ reduceCommunications(Ddg &ddg, Partition &part,
                      const MachineConfig &mach, int ii,
                      ReplicationStats *stats, ReplicationMode mode,
                      const CoarseningHierarchy *hier,
-                     SubgraphScratch *scratch,
-                     CooperativeDeadline *deadline)
+                     SubgraphScratch *scratch)
 {
     if (mach.isUnified())
         return true;
@@ -360,8 +358,6 @@ reduceCommunications(Ddg &ddg, Partition &part,
         faults::point("replicate.round");
         trace::TraceSpan round_span("pipeline", "replicate.round");
         round_span.arg("comms", comms.count());
-        if (deadline)
-            deadline->checkpoint("replication round");
         if (stats)
             ++stats->roundsConsidered;
 

@@ -20,8 +20,6 @@
 namespace cvliw
 {
 
-class CooperativeDeadline;
-
 /** Statistics of one replication run (one II attempt). */
 struct ReplicationStats
 {
@@ -52,11 +50,6 @@ enum class ReplicationMode : std::uint8_t
  *        its per-worker scratch so II retries (and, via
  *        CompileCaches, whole compiles) stop allocating per walk.
  *        Null uses a pass-local scratch.
- * @param deadline optional cooperative deadline, checkpointed once
- *        per selection round (the pipeline's refinement-round
- *        boundary); an expired one throws DeadlineExceeded out of
- *        the pass, leaving @p ddg / @p part mid-replication - the
- *        pipeline's work copies, discarded by the unwind
  * @return true when extra_coms reached zero; false when no feasible
  *         replication remains (the caller must raise the II)
  */
@@ -66,8 +59,7 @@ bool reduceCommunications(Ddg &ddg, Partition &part,
                           ReplicationMode mode =
                               ReplicationMode::MinWeight,
                           const CoarseningHierarchy *hier = nullptr,
-                          SubgraphScratch *scratch = nullptr,
-                          CooperativeDeadline *deadline = nullptr);
+                          SubgraphScratch *scratch = nullptr);
 
 /**
  * Replicate the value of @p producer into @p cluster without removing

@@ -71,7 +71,7 @@ class BenchmarkAggregates
  * for any thread count.
  *
  * @param threads worker threads (0 = CVLIW_THREADS env, then
- *        hardware concurrency)
+ *        the usable CPU count)
  */
 SuiteResult runSuite(const std::vector<Loop> &suite,
                      const MachineConfig &mach,

@@ -6,7 +6,7 @@
 #include <iterator>
 #include <memory>
 
-#include "support/deadline.hh"
+#include "support/cpus.hh"
 #include "support/faultpoint.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -44,9 +44,6 @@ runJob(const CompileService::Job &job, std::size_t i,
                       job.opts ? *job.opts : kDefaultPipelineOptions,
                       caches.get());
         faults::point("service.complete");
-    } catch (const DeadlineExceeded &err) {
-        outcome = JobOutcome::TimedOut;
-        error = err.what();
     } catch (const std::exception &err) {
         outcome = JobOutcome::Failed;
         error = err.what();
@@ -92,9 +89,8 @@ const char *
 toString(JobOutcome outcome)
 {
     switch (outcome) {
-    case JobOutcome::Ok:       return "ok";
-    case JobOutcome::Failed:   return "failed";
-    case JobOutcome::TimedOut: return "timed-out";
+    case JobOutcome::Ok:     return "ok";
+    case JobOutcome::Failed: return "failed";
     }
     return "unknown";
 }
@@ -110,15 +106,14 @@ CompileService::defaultWorkerCount()
                            errno != ERANGE;
         if (clean && n > 0 && n <= 1 << 16)
             return static_cast<int>(n);
-        // Garbage must not silently become the hardware default: a
+        // Garbage must not silently become the CPU-count default: a
         // typo ("4x", "abc", an overflow) would otherwise change the
         // pool size with no trace.
         cv_warn_once("ignoring invalid CVLIW_THREADS='", env,
                      "' (want a positive integer <= 65536); using "
-                     "hardware concurrency");
+                     "the usable CPU count");
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? static_cast<int>(hw) : 1;
+    return static_cast<int>(usableCpuCount());
 }
 
 CompileService::CompileService(int workers)

@@ -19,9 +19,7 @@
  *
  * Every job ends in exactly one `JobOutcome`. `Failed` carries the
  * text of whatever the compile threw (an `InvalidInput` graph, an
- * injected fault, a bug); `TimedOut` carries the `DeadlineExceeded`
- * text of an expired `PipelineOptions::stepBudget` or
- * `softDeadlineMs`. A non-Ok slot holds a default `CompileResult`
+ * injected fault, a bug). A non-Ok slot holds a default `CompileResult`
  * (`ok == false`): partial work is discarded, and the worker that
  * caught the throw rebuilds its `CompileCaches` before its next job
  * (quarantine), so a throw that unwound through a memo mid-update
@@ -39,7 +37,7 @@
  * ## Usage
  *
  * ```
- * CompileService svc;                           // hardware concurrency
+ * CompileService svc;                           // one per usable CPU
  * SuiteResult r = svc.compileSuite(suite, mach);
  * auto rs = svc.compileSuite(suite, configs);   // one batch, n configs
  * auto b = svc.compileBatch(jobs);              // results + outcomes
@@ -69,9 +67,8 @@ namespace cvliw
 /** How one job of a batch ended (see "Outcomes" above). */
 enum class JobOutcome : std::uint8_t
 {
-    Ok,       //!< compile returned; its result is in the slot
-    Failed,   //!< compile threw; the error holds what()
-    TimedOut, //!< stepBudget / softDeadlineMs expired mid-compile
+    Ok,     //!< compile returned; its result is in the slot
+    Failed, //!< compile threw; the error holds what()
 };
 
 /** Stable lowercase name of @p outcome (for logs and tests). */
@@ -98,10 +95,10 @@ class CompileService
 
     /**
      * Pool size a default-constructed service uses: the CVLIW_THREADS
-     * environment variable, then hardware concurrency, then 1. An
-     * unparsable or out-of-range CVLIW_THREADS (trailing junk,
-     * overflow, non-positive) is ignored with a once-per-process
-     * warning.
+     * environment variable, else the CPUs the calling thread may run
+     * on (support/cpus.hh). An unparsable or out-of-range
+     * CVLIW_THREADS (trailing junk, overflow, non-positive) is
+     * ignored with a once-per-process warning.
      */
     static int defaultWorkerCount();
 

@@ -1,8 +1,8 @@
 #include "workloads/suite_io.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include "support/trace.hh"
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -18,8 +18,10 @@
 #define CVLIW_SUITE_HAVE_MMAP 0
 #endif
 
+#include "support/cpus.hh"
 #include "support/fnv.hh"
 #include "support/logging.hh"
+#include "support/trace.hh"
 
 // Baked-in cache location (the build directory's generated cache);
 // overridable per-process with the CVLIW_SUITE_CACHE environment
@@ -39,15 +41,10 @@ constexpr char kMagic[8] = {'C', 'V', 'S', 'U', 'I', 'T', 'E', '\0'};
 // 2 = same layout, 4-lane interleaved word-FNV payload digest (the
 // serial multiply chain was the bottleneck of cache opens); 3 = POD
 // node/edge records matching DdgNode/DdgEdge byte-for-byte plus a
-// per-record label blob, and per-record digests in the index table
-// so opens validate only header + index and each record is verified
-// lazily when touched.
+// per-record label blob, and per-record digests in the index table.
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 
-// Fixed header bytes before the index table (magic + version +
-// endianTag + seed + loopCount + payloadSize + indexFnv).
-constexpr std::uint64_t kHeaderBytes = 8 + 4 + 4 + 8 + 4 + 8 + 8;
 // Index table entry: u64 record offset + u64 record digest.
 constexpr std::uint64_t kIndexEntryBytes = 16;
 // On-disk node/edge records are the in-memory PODs; ddg.hh's
@@ -57,9 +54,10 @@ constexpr std::size_t kEdgeRecBytes = sizeof(DdgEdge);
 static_assert(kNodeRecBytes == 24 && kEdgeRecBytes == 24,
               "suite v3 record layout drifted from the graph PODs");
 
-// On little-endian hosts the wire format matches memory layout, so
-// fixed-width fields load with a single memcpy; the shift-assembly
-// fallback keeps big-endian hosts correct.
+// The loader reads the little-endian wire format with plain memcpy
+// loads and hands the records to the graph as they are, so it runs
+// on little-endian hosts only; elsewhere loadSuite throws and
+// loadOrBuildSuite generates the suite.
 #if defined(__BYTE_ORDER__) &&                                          \
     __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 constexpr bool kHostLittleEndian = true;
@@ -70,34 +68,18 @@ constexpr bool kHostLittleEndian = false;
 std::uint32_t
 loadLe32(const unsigned char *p)
 {
-    if (kHostLittleEndian) {
-        std::uint32_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return v;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+    std::uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
     return v;
 }
 
 std::uint64_t
 loadLe64(const unsigned char *p)
 {
-    if (kHostLittleEndian) {
-        std::uint64_t v;
-        std::memcpy(&v, p, sizeof(v));
-        return v;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
     return v;
 }
-
-// The per-record payload digest is the 4-lane interleaved word-FNV
-// from support/fnv.hh; this alias keeps the call sites readable.
-constexpr auto payloadDigest = fnvDigest4Lane;
 
 /** Append-only little-endian byte sink. */
 struct Writer
@@ -157,18 +139,6 @@ struct Reader
         }
     }
 
-    std::uint8_t u8()
-    {
-        need(1);
-        return data[pos++];
-    }
-
-    void skip(std::size_t n)
-    {
-        need(n);
-        pos += n;
-    }
-
     std::uint32_t u32()
     {
         need(4);
@@ -203,9 +173,6 @@ struct Reader
         pos += n;
         return s;
     }
-
-    /** Skip a length-prefixed string without materializing it. */
-    void skipStr() { skip(u32()); }
 };
 
 /**
@@ -287,9 +254,8 @@ serializeLoop(Writer &w, const Loop &loop)
  * structural fields (endpoints, label slices, live-edge consistency)
  * in the same pass; degrees fall out of the edge sweep for free.
  * Only after a row is fully proven does anything typed exist: one
- * bulk memcpy per array on little-endian hosts - no per-node parse
- * loop and no per-node allocation. Big-endian hosts assemble the
- * same bytes field by field instead of the memcpy.
+ * bulk memcpy per array - no per-node parse loop and no per-node
+ * allocation.
  */
 Ddg
 deserializeGraph(Reader &r)
@@ -383,55 +349,18 @@ deserializeGraph(Reader &r)
         ++in_deg[dst];
     }
 
-    // --- Bulk materialization of the fully-validated bytes. -----------
-    // Little-endian hosts hand the mapped records to the graph as they
-    // are: it copies each array once into its own storage, by memcpy,
-    // which also sidesteps mmap alignment (records start at arbitrary
-    // byte offsets). Big-endian hosts assemble host-layout slots field
-    // by field first.
-    const unsigned char *node_bytes = nrec;
-    const unsigned char *edge_bytes = erec;
-    std::vector<DdgNode> nodes;
-    std::vector<DdgEdge> edges;
-    if (!kHostLittleEndian) {
-        nodes.resize(node_slots);
-        edges.resize(edge_slots);
-        for (std::uint32_t i = 0; i < node_slots; ++i) {
-            const unsigned char *q = nrec + i * kNodeRecBytes;
-            DdgNode &n = nodes[i];
-            n.semanticId = static_cast<NodeId>(loadLe32(q + 4));
-            n.labelOffset = loadLe32(q + 8);
-            n.labelLen = loadLe32(q + 12);
-            n.cls = static_cast<OpClass>(q[16]);
-            n.isReplica = q[17] != 0;
-            n.isSpill = q[18] != 0;
-            n.liveOut = q[19] != 0;
-            n.alive = q[20] != 0;
-        }
-        for (std::uint32_t i = 0; i < edge_slots; ++i) {
-            const unsigned char *q = erec + i * kEdgeRecBytes;
-            DdgEdge &e = edges[i];
-            e.src = static_cast<NodeId>(loadLe32(q + 4));
-            e.dst = static_cast<NodeId>(loadLe32(q + 8));
-            e.distance = static_cast<std::int32_t>(loadLe32(q + 12));
-            e.memLatency =
-                static_cast<std::int32_t>(loadLe32(q + 16));
-            e.kind = static_cast<EdgeKind>(q[20]);
-            e.alive = q[21] != 0;
-        }
-        node_bytes = reinterpret_cast<const unsigned char *>(nodes.data());
-        edge_bytes = reinterpret_cast<const unsigned char *>(edges.data());
-    }
-    const std::string_view labels(reinterpret_cast<const char *>(lrec),
-                                  label_bytes);
-    r.pos += static_cast<std::size_t>(fixed);
-
     // Everything above threw on the first inconsistency, which is
-    // exactly the precondition the trusted bulk loader asks for
-    // (fromSlotsTrusted re-derives the id fields, so the on-disk ids
-    // need no validation of their own).
-    return Ddg::fromSlotsTrusted(node_bytes, node_slots, edge_bytes,
-                                 edge_slots, labels, in_deg, out_deg);
+    // exactly the precondition the trusted bulk loader asks for. It
+    // memcpys each mapped array into the graph's own storage (records
+    // start at arbitrary byte offsets, so nothing is read in place)
+    // and re-derives the id fields, so the on-disk ids need no
+    // validation of their own.
+    r.pos += static_cast<std::size_t>(fixed);
+    return Ddg::fromSlotsTrusted(
+        nrec, node_slots, erec, edge_slots,
+        std::string_view(reinterpret_cast<const char *>(lrec),
+                         label_bytes),
+        in_deg, out_deg);
 }
 
 Loop
@@ -446,6 +375,57 @@ deserializeLoop(Reader &r)
     return loop;
 }
 
+/** A whole regular file mapped read-only; unmapped on destruction. */
+class MappedFile
+{
+  public:
+    /** @throws SuiteIoError naming @p path on any failure */
+    explicit MappedFile(const std::string &path)
+    {
+#if CVLIW_SUITE_HAVE_MMAP
+        const int fd = ::open(path.c_str(), O_RDONLY);
+        if (fd < 0)
+            throw SuiteIoError("cannot open suite cache '" + path + "'");
+        struct stat st;
+        if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+            ::close(fd);
+            throw SuiteIoError("suite cache '" + path +
+                               "' is not a regular file");
+        }
+        size_ = static_cast<std::size_t>(st.st_size);
+        // An empty file maps nothing; the header check rejects it.
+        void *m = size_ ? ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE,
+                                 fd, 0)
+                        : nullptr;
+        ::close(fd); // the mapping holds its own file reference
+        if (m == MAP_FAILED)
+            throw SuiteIoError("cannot map suite cache '" + path + "'");
+        data_ = static_cast<const unsigned char *>(m);
+#else
+        throw SuiteIoError("cannot map suite cache '" + path +
+                           "': no mmap on this platform");
+#endif
+    }
+
+    ~MappedFile()
+    {
+#if CVLIW_SUITE_HAVE_MMAP
+        if (data_)
+            ::munmap(const_cast<unsigned char *>(data_), size_);
+#endif
+    }
+
+    MappedFile(const MappedFile &) = delete;
+    MappedFile &operator=(const MappedFile &) = delete;
+
+    const unsigned char *data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+  private:
+    const unsigned char *data_ = nullptr;
+    std::size_t size_ = 0;
+};
+
 } // namespace
 
 void
@@ -455,8 +435,8 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
     trace::TraceSpan span("suite", "save");
     span.arg("loops", static_cast<long long>(suite.size()));
     // Payload plus the per-loop index that makes records
-    // independently addressable (parallel loading, random access) and
-    // independently verifiable (lazy per-record digests).
+    // independently addressable (parallel loading) and independently
+    // verifiable (per-record digests).
     Writer payload;
     std::vector<std::uint64_t> offsets, digests;
     offsets.reserve(suite.size());
@@ -465,13 +445,13 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
         const std::uint64_t off = payload.bytes.size();
         offsets.push_back(off);
         serializeLoop(payload, loop);
-        digests.push_back(payloadDigest(payload.bytes.data() + off,
-                                        payload.bytes.size() - off));
+        digests.push_back(fnvDigest4Lane(payload.bytes.data() + off,
+                                         payload.bytes.size() - off));
     }
 
-    // The index table gets its own digest (verified at open) so a
-    // flipped offset or record digest cannot silently redirect or
-    // whitewash a record.
+    // The index table gets its own digest (verified before any record
+    // is read) so a flipped offset or record digest cannot silently
+    // redirect or whitewash a record.
     Writer index;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         index.u64(offsets[i]);
@@ -485,7 +465,7 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
     out.u64(seed);
     out.u32(static_cast<std::uint32_t>(suite.size()));
     out.u64(payload.bytes.size());
-    out.u64(payloadDigest(index.bytes.data(), index.bytes.size()));
+    out.u64(fnvDigest4Lane(index.bytes.data(), index.bytes.size()));
     out.bytes.insert(out.bytes.end(), index.bytes.begin(),
                      index.bytes.end());
     out.bytes.insert(out.bytes.end(), payload.bytes.begin(),
@@ -500,140 +480,18 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
         throw SuiteIoError("short write to '" + path + "'");
 }
 
-/**
- * Open, validated suite cache bytes: everything loadSuite's header
- * pass used to compute, kept alive so records can be materialized
- * independently (lazily or in parallel).
- *
- * The backing storage is the file mmapped read-only where the
- * platform has mmap (zero-copy: records parse straight out of the
- * page cache, the untouched ones stay clean evictable file pages,
- * and concurrent opens of the same cache share physical memory) and
- * a plain slurp into an owned buffer otherwise - or when
- * CVLIW_SUITE_MMAP=0 forces the fallback. Every consumer reads
- * through data()/dataSize() and cannot tell the two apart.
- */
-struct SuiteCacheFile::Impl
+std::vector<Loop>
+loadSuite(const std::string &path, std::uint64_t *seed_out)
 {
-    std::vector<unsigned char> bytes; //!< slurp fallback storage
-#if CVLIW_SUITE_HAVE_MMAP
-    void *map = nullptr; //!< mmap base, or null when slurped
-    std::size_t mapSize = 0;
-#endif
-    std::vector<std::uint64_t> offsets;
-    std::vector<std::uint64_t> digests; //!< per-record, from the index
-    const unsigned char *payload = nullptr; //!< into data()
-    std::uint64_t payloadSize = 0;
-    std::uint32_t loopCount = 0;
-
-    ~Impl()
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            ::munmap(map, mapSize);
-#endif
+    trace::TraceSpan span("suite", "load");
+    if (!kHostLittleEndian) {
+        throw SuiteIoError("suite cache '" + path +
+                           "': this loader needs a little-endian host");
     }
-
-    const unsigned char *data() const
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            return static_cast<const unsigned char *>(map);
-#endif
-        return bytes.data();
-    }
-
-    std::size_t dataSize() const
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            return mapSize;
-#endif
-        return bytes.size();
-    }
-
-    /**
-     * Map @p path read-only. False on any failure (no mmap support,
-     * empty file, unmappable file system): the caller slurps instead.
-     */
-    bool tryMap(const std::string &path)
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (const char *env = std::getenv("CVLIW_SUITE_MMAP")) {
-            if (env[0] == '0' && env[1] == '\0')
-                return false;
-        }
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        struct stat st;
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0 ||
-            !S_ISREG(st.st_mode)) {
-            ::close(fd);
-            return false;
-        }
-        void *m = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd); // the mapping holds its own file reference
-        if (m == MAP_FAILED)
-            return false;
-        map = m;
-        mapSize = static_cast<std::size_t>(st.st_size);
-        return true;
-#else
-        (void)path;
-        return false;
-#endif
-    }
-
-    std::uint64_t recordEnd(std::uint32_t i) const
-    {
-        return i + 1 < loopCount ? offsets[i + 1] : payloadSize;
-    }
-
-    /**
-     * Bounds-checked reader over one loop record, verified against
-     * the record's index digest first - the lazy-validation contract:
-     * exactly the bytes a consumer touches get integrity-checked,
-     * exactly when first touched.
-     */
-    Reader record(std::uint32_t i, const std::string &path) const
-    {
-        const std::uint64_t begin = offsets[i];
-        const std::uint64_t end = recordEnd(i);
-        Reader r{payload + begin,
-                 static_cast<std::size_t>(end - begin), path};
-        if (payloadDigest(r.data, r.size) != digests[i]) {
-            r.fail("record " + std::to_string(i) +
-                   " digest mismatch (corrupted file)");
-        }
-        return r;
-    }
-};
-
-SuiteCacheFile::SuiteCacheFile(const std::string &path)
-    : impl_(new Impl), path_(path)
-{
-    Impl &im = *impl_;
-    if (!im.tryMap(path)) {
-        std::ifstream f(path, std::ios::binary | std::ios::ate);
-        if (!f) {
-            throw SuiteIoError("cannot open suite cache '" + path +
-                               "'");
-        }
-        const std::streamsize size = f.tellg();
-        f.seekg(0);
-        im.bytes.resize(static_cast<std::size_t>(size));
-        if (size > 0) {
-            f.read(reinterpret_cast<char *>(im.bytes.data()), size);
-            if (!f)
-                throw SuiteIoError("short read from '" + path + "'");
-        }
-    }
-
-    Reader r{im.data(), im.dataSize(), path_};
+    const MappedFile file(path);
+    Reader r{file.data(), file.size(), path};
     r.need(sizeof(kMagic));
-    if (std::memcmp(im.data(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(r.data, kMagic, sizeof(kMagic)) != 0)
         r.fail("not a suite cache (bad magic)");
     r.pos = sizeof(kMagic);
     const std::uint32_t version = r.u32();
@@ -644,219 +502,103 @@ SuiteCacheFile::SuiteCacheFile(const std::string &path)
     }
     if (r.u32() != kEndianTag)
         r.fail("foreign-endian file");
-    seed_ = r.u64();
-    im.loopCount = r.u32();
+    const std::uint64_t seed = r.u64();
+    const std::uint32_t loop_count = r.u32();
     const std::uint64_t payload_size = r.u64();
     const std::uint64_t index_digest = r.u64();
+    span.arg("loops", static_cast<long long>(loop_count));
 
     // The header is not covered by the index digest, so bound the
-    // index-table allocation by the actual file size before trusting
-    // loopCount (a flipped header byte must fail cleanly, not OOM).
-    if (static_cast<std::uint64_t>(im.loopCount) * kIndexEntryBytes >
-        r.size - r.pos) {
+    // index table by the actual file size before trusting loopCount
+    // (a flipped header byte must fail cleanly, not over-read).
+    const std::uint64_t index_bytes = loop_count * kIndexEntryBytes;
+    if (index_bytes > r.size - r.pos)
         r.fail("loop count exceeds the file size");
-    }
-    // Verify the raw index bytes before parsing them: a flipped
-    // offset or record digest must be caught here, at open, not
-    // laundered into a "corrupt record" error later (or worse, a
-    // whitewashed one).
-    if (payloadDigest(im.data() + r.pos,
-                      static_cast<std::size_t>(im.loopCount) *
-                          kIndexEntryBytes) != index_digest) {
+    // Verify the raw index bytes before reading them: a flipped
+    // offset or record digest must be caught here, not laundered into
+    // a "corrupt record" error later (or worse, a whitewashed one).
+    const unsigned char *index = r.data + r.pos;
+    if (fnvDigest4Lane(index, static_cast<std::size_t>(index_bytes)) !=
+        index_digest) {
         r.fail("index digest mismatch (corrupted file)");
     }
-    im.offsets.resize(im.loopCount);
-    im.digests.resize(im.loopCount);
-    for (std::uint32_t i = 0; i < im.loopCount; ++i) {
-        im.offsets[i] = r.u64();
-        im.digests[i] = r.u64();
-        if (im.offsets[i] >= payload_size ||
-            (i > 0 && im.offsets[i] <= im.offsets[i - 1]) ||
-            (i == 0 && im.offsets[i] != 0)) {
+    auto offset = [&](std::uint32_t i) {
+        return i < loop_count ? loadLe64(index + i * kIndexEntryBytes)
+                              : payload_size;
+    };
+    for (std::uint32_t i = 0; i < loop_count; ++i) {
+        if (offset(i) >= payload_size ||
+            (i == 0 ? offset(i) != 0 : offset(i) <= offset(i - 1))) {
             r.fail("corrupt loop offset table");
         }
     }
-
-    im.payload = im.data() + r.pos;
-    im.payloadSize = payload_size;
-    if (im.dataSize() - r.pos != payload_size) {
+    r.pos += static_cast<std::size_t>(index_bytes);
+    if (r.size - r.pos != payload_size) {
         r.fail("payload size mismatch (header says " +
                std::to_string(payload_size) + ", file holds " +
-               std::to_string(im.dataSize() - r.pos) + ")");
+               std::to_string(r.size - r.pos) + ")");
     }
-    // No whole-payload digest pass: record digests are verified
-    // lazily, each the first time its record is touched. An mmap'd
-    // open therefore faults in only the header + index pages.
-}
-
-SuiteCacheFile::~SuiteCacheFile() = default;
-SuiteCacheFile::SuiteCacheFile(SuiteCacheFile &&) noexcept = default;
-SuiteCacheFile &
-SuiteCacheFile::operator=(SuiteCacheFile &&) noexcept = default;
-
-std::uint32_t
-SuiteCacheFile::loopCount() const
-{
-    return impl_->loopCount;
-}
-
-Loop
-SuiteCacheFile::loadLoop(std::uint32_t record) const
-{
-    const Impl &im = *impl_;
-    if (record >= im.loopCount) {
-        throw SuiteIoError("suite cache '" + path_ + "': record " +
-                           std::to_string(record) +
-                           " out of range (" +
-                           std::to_string(im.loopCount) + " loops)");
-    }
-    Reader rec = im.record(record, path_);
-    Loop loop = deserializeLoop(rec);
-    if (rec.pos != rec.size)
-        rec.fail("loop record has trailing bytes");
-    return loop;
-}
-
-std::vector<SuiteLoopInfo>
-SuiteCacheFile::scan() const
-{
-    const Impl &im = *impl_;
-    std::vector<SuiteLoopInfo> infos(im.loopCount);
-    for (std::uint32_t i = 0; i < im.loopCount; ++i) {
-        // record() digest-verifies each record as the skim touches it
-        // (scan reads every record, so this is a full-payload pass -
-        // the price of returning facts about all of them).
-        Reader rec = im.record(i, path_);
-        SuiteLoopInfo &info = infos[i];
-        info.benchmark = rec.str();
-        info.index = rec.i32();
-        rec.skip(16); // visits + avgIters
-        const std::uint32_t node_slots = rec.u32();
-        rec.skip(8); // edge slot + label byte counts
-        rec.need(static_cast<std::size_t>(node_slots) *
-                 kNodeRecBytes);
-        // Fixed-stride records: the liveness byte sits at offset 20
-        // of each 24-byte node record (see the DdgNode asserts).
-        const unsigned char *q = rec.data + rec.pos;
-        for (std::uint32_t n = 0; n < node_slots; ++n) {
-            if (q[n * kNodeRecBytes + 20])
-                ++info.liveNodes;
-        }
-    }
-    return infos;
-}
-
-std::uint64_t
-SuiteCacheFile::validatedBytesOnOpen() const
-{
-    return kHeaderBytes +
-           static_cast<std::uint64_t>(impl_->loopCount) *
-               kIndexEntryBytes;
-}
-
-std::uint64_t
-SuiteCacheFile::recordBytes(std::uint32_t record) const
-{
-    const Impl &im = *impl_;
-    if (record >= im.loopCount) {
-        throw SuiteIoError("suite cache '" + path_ + "': record " +
-                           std::to_string(record) +
-                           " out of range (" +
-                           std::to_string(im.loopCount) + " loops)");
-    }
-    return im.recordEnd(record) - im.offsets[record];
-}
-
-Loop
-loadSuiteLoop(const std::string &path, std::uint32_t record)
-{
-    return SuiteCacheFile(path).loadLoop(record);
-}
-
-std::vector<Loop>
-loadSuite(const std::string &path, std::uint64_t *seed_out)
-{
-    trace::TraceSpan span("suite", "load");
-    const SuiteCacheFile file(path);
-    span.arg("loops",
-             static_cast<long long>(file.impl_->loopCount));
-    const SuiteCacheFile::Impl &im = *file.impl_;
-    const std::uint32_t loop_count = im.loopCount;
-
-    std::vector<Loop> suite(loop_count);
-    auto parseRange = [&](std::uint32_t lo, std::uint32_t hi) {
-        for (std::uint32_t i = lo; i < hi; ++i) {
-            Reader rec = im.record(i, path);
-            suite[i] = deserializeLoop(rec);
-            if (rec.pos != rec.size)
-                rec.fail("loop record has trailing bytes");
-        }
-    };
+    const unsigned char *payload = r.data + r.pos;
 
     // Records are independent thanks to the offset table, so large
-    // suites parse in parallel; each worker writes disjoint slots.
-    // Spawn failures degrade gracefully: chunks whose thread never
-    // started are parsed right here on the calling thread.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const std::uint32_t per_worker = 128;
-    std::uint32_t workers =
-        std::min<std::uint32_t>(hw ? hw : 1,
-                                loop_count / per_worker);
-    if (workers > 1) {
-        std::vector<std::thread> pool;
-        std::exception_ptr error;
-        std::mutex error_mutex;
-        const std::uint32_t chunk = (loop_count + workers - 1) / workers;
-        std::uint32_t spawned = 0;
+    // suites parse in parallel, each thread into disjoint slots. The
+    // calling thread parses chunk 0 and every chunk whose thread
+    // failed to start; the first error is rethrown after the joins.
+    const std::uint32_t threads = std::max<std::uint32_t>(
+        1, std::min<std::uint32_t>(usableCpuCount(), loop_count / 128));
+    const std::uint32_t chunk = (loop_count + threads - 1) / threads;
+    std::vector<Loop> suite(loop_count);
+    std::exception_ptr error;
+    std::mutex error_mutex;
+    auto parseChunk = [&](std::uint32_t c) {
         try {
-            pool.reserve(workers);
-            for (std::uint32_t w = 0; w < workers; ++w) {
-                const std::uint32_t lo = w * chunk;
-                const std::uint32_t hi =
-                    std::min(loop_count, lo + chunk);
-                pool.emplace_back([&, lo, hi]() {
-                    try {
-                        parseRange(lo, hi);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(error_mutex);
-                        if (!error)
-                            error = std::current_exception();
-                    }
-                });
-                ++spawned;
+            const std::uint32_t end = std::min(loop_count, (c + 1) * chunk);
+            for (std::uint32_t i = c * chunk; i < end; ++i) {
+                Reader rec{payload + offset(i),
+                           static_cast<std::size_t>(offset(i + 1) -
+                                                    offset(i)),
+                           path};
+                if (fnvDigest4Lane(rec.data, rec.size) !=
+                    loadLe64(index + i * kIndexEntryBytes + 8)) {
+                    rec.fail("record " + std::to_string(i) +
+                             " digest mismatch (corrupted file)");
+                }
+                suite[i] = deserializeLoop(rec);
+                if (rec.pos != rec.size)
+                    rec.fail("loop record has trailing bytes");
             }
         } catch (...) {
-            // Out of threads; fall through and parse the rest serially.
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (!error)
+                error = std::current_exception();
         }
-        for (std::uint32_t i = spawned * chunk; i < loop_count;
-             i += chunk) {
-            parseRange(i, std::min(loop_count, i + chunk));
-        }
-        for (auto &t : pool)
-            t.join();
-        if (error)
-            std::rethrow_exception(error);
-    } else {
-        parseRange(0, loop_count);
+    };
+    std::vector<std::thread> pool;
+    try {
+        for (std::uint32_t c = 1; c < threads; ++c)
+            pool.emplace_back(parseChunk, c);
+    } catch (...) {
+        // Out of threads: the rest is parsed right here.
     }
+    parseChunk(0);
+    for (auto c = static_cast<std::uint32_t>(pool.size()) + 1;
+         c < threads; ++c)
+        parseChunk(c);
+    for (std::thread &t : pool)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 
     if (seed_out)
-        *seed_out = file.seed();
+        *seed_out = seed;
     return suite;
-}
-
-std::string
-defaultSuiteCachePath()
-{
-    if (const char *env = std::getenv("CVLIW_SUITE_CACHE"))
-        return env;
-    return CVLIW_SUITE_CACHE_DEFAULT;
 }
 
 std::vector<Loop>
 loadOrBuildSuite(std::uint64_t seed)
 {
-    const std::string path = defaultSuiteCachePath();
+    const char *env = std::getenv("CVLIW_SUITE_CACHE");
+    const std::string path = env ? env : CVLIW_SUITE_CACHE_DEFAULT;
     if (!path.empty() && std::ifstream(path).good()) {
         // Probe first: a build tree that never generated the cache
         // is normal and falls back silently; only a present-but-bad

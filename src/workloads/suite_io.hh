@@ -2,19 +2,16 @@
  * @file
  * Suite serialization: write the generated loop suite to a versioned
  * flat binary file and load it back bit-identically, so binaries stop
- * paying the ~7 ms `buildSuite` regeneration per process (the CMake
- * build generates the cache once; see below).
+ * paying the `buildSuite` regeneration per process (the CMake build
+ * generates the cache once; see below).
  *
  * ## File format (version 3)
  *
  * All multi-byte fields are little-endian and fixed-width; the layout
  * is a single flat sequence (mmap-friendly: no pointers, no
- * alignment holes that depend on the host). Integrity is *lazy and
- * per-record*: the header and index table carry their own digest,
- * verified at open, and every loop record carries a digest in the
- * index, verified only when that record is touched - an open faults
- * in ~a dozen KB no matter how large the suite is, and untouched
- * records stay clean evictable file pages.
+ * alignment holes that depend on the host). The header and index
+ * table carry their own digest, and every loop record carries a
+ * digest in the index.
  *
  * ```
  * header (44 bytes):
@@ -50,48 +47,37 @@
  *
  * The node/edge records ARE the in-memory PODs (static_asserts in
  * ddg/ddg.hh pin the layout): after one validation pass over the raw
- * bytes, deserialization on little-endian hosts is one bulk memcpy
- * per array plus one label-blob copy - no per-node parse loop, no
- * per-node allocation. Big-endian hosts fall back to per-field
- * assembly of the same bytes.
+ * bytes, a record deserializes as one bulk memcpy per array plus one
+ * label-blob copy - no per-node parse loop, no per-node allocation.
  *
- * Any truncation, corruption (digest mismatch), bad magic or
- * unsupported version is rejected with a `SuiteIoError` carrying a
- * clear message - never undefined behaviour. Version bumps are
- * append-only: readers reject versions they do not know (a stale v2
- * cache is rejected at open, and `loadOrBuildSuite` warns once with
- * the path and both versions before regenerating). The offset table
- * makes loop records independently addressable, so big suites
- * deserialize on several threads, and `SuiteCacheFile` materializes
- * single records lazily for binaries that touch a few loops (e.g.
- * perf_micro's sampled benches).
+ * ## Loading
  *
- * ## Bit-identity contract
+ * `loadSuite` maps the file read-only, checks the header and the
+ * index digest, then parses the records in parallel (one thread per
+ * usable CPU, at most one per 128 records), verifying each record's
+ * digest before parsing it. Truncation, corruption (digest mismatch),
+ * bad magic, an unknown version, a missing or non-regular file, a
+ * host without mmap and a big-endian host all throw a `SuiteIoError`
+ * naming the path - never undefined behaviour. A stale v2 cache is
+ * rejected with both versions; bump the version for any layout
+ * change. The file is only ever mapped because mapping measured
+ * fastest: on a 4-CPU x86-64 host (Release, perf_micro's
+ * BM_SuiteLoad, medians of alternating runs) the 678-loop cache loads
+ * in 1.02 ms, against ~1.47 ms when read into a buffer first, and
+ * `buildSuite(42)` takes ~10 ms.
  *
- * `loadSuite` rebuilds each `Ddg` via `Ddg::fromSlots`, which derives
- * ids and adjacency lists exactly as an addNode/addEdge/remove*
- * replay would, so every observable `Loop` field (names, profiles,
- * node/edge arrays including tombstones and adjacency order) matches
- * `buildSuite`'s output exactly. The only exception is
- * `Ddg::generation()`, which is process-unique by design and never
- * serialized. tests/suite_io_test.cc pins the field-level round-trip.
- *
- * ## How binaries consume the cache
- *
- * The build generates `suite-42.cvsuite` in the build directory once
- * (tools/suite_cache_gen, wired as a CMake custom command) and bakes
- * that path into the library as the default. `loadOrBuildSuite()`
- * resolves, in order: the `CVLIW_SUITE_CACHE` environment variable,
- * the baked build-directory default, then `buildSuite()` generation
- * as the fallback - so test and bench binaries transparently load the
- * cache when it exists and still work from a bare checkout.
+ * The loaded suite is bit-identical to `buildSuite`'s on every
+ * observable `Loop` field (names, profiles, node/edge arrays
+ * including tombstones, adjacency order): `Ddg::fromSlotsTrusted`
+ * derives ids and adjacency exactly as an addNode/addEdge/remove*
+ * replay would. Only the process-unique `Ddg::generation()` differs.
+ * tests/suite_io_test.cc pins the field-level round trip.
  */
 
 #ifndef CVLIW_WORKLOADS_SUITE_IO_HH
 #define CVLIW_WORKLOADS_SUITE_IO_HH
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -122,114 +108,19 @@ void saveSuite(const std::vector<Loop> &suite, const std::string &path,
  * Load a suite saved by saveSuite(). Bit-identical to the generated
  * suite (see the contract above).
  * @param seed_out when non-null, receives the header's seed
- * @throws SuiteIoError on any malformed, truncated or corrupt input
+ * @throws SuiteIoError on any malformed, truncated, corrupt or
+ *         unmappable input
  */
 std::vector<Loop> loadSuite(const std::string &path,
                             std::uint64_t *seed_out = nullptr);
 
-/** Cheap per-record facts readable without building a graph. */
-struct SuiteLoopInfo
-{
-    std::string benchmark; //!< benchmark the loop belongs to
-    int index = 0;         //!< loop index within the benchmark
-    int liveNodes = 0;     //!< live (non-tombstoned) DDG nodes
-};
-
 /**
- * An open, validated suite cache: the constructor parses the header
- * and verifies the index digest - nothing else - after which records
- * are independently addressable through the offset table, each
- * verified against its own digest the first time it is touched
- * (`validatedBytesOnOpen()` reports how little the open checked). The
- * lazy counterpart of `loadSuite` for binaries that touch a few
- * loops: `loadLoop(i)` materializes one record (~1/678 of the parse,
- * validation and allocation work), and `scan()` skims every record's
- * header facts without building any graph. All methods are const; a
- * const SuiteCacheFile is safe to share across threads.
- *
- * Where the platform has mmap the file is mapped read-only instead of
- * slurped: an open faults in only the header + index pages, records
- * parse zero-copy out of the page cache when touched, untouched
- * records cost nothing at all, and concurrent opens of one cache
- * share physical memory. Everywhere else - or with
- * `CVLIW_SUITE_MMAP=0` in the environment - the original whole-file
- * slurp is used; behaviour is identical either way (tests pin both
- * paths). Mapped mode trusts the file not to be truncated while open,
- * like every mmap consumer; the build-generated cache is write-once.
- */
-class SuiteCacheFile
-{
-  public:
-    /** Open and validate @p path. @throws SuiteIoError */
-    explicit SuiteCacheFile(const std::string &path);
-    ~SuiteCacheFile();
-    SuiteCacheFile(SuiteCacheFile &&) noexcept;
-    SuiteCacheFile &operator=(SuiteCacheFile &&) noexcept;
-
-    const std::string &path() const { return path_; }
-    std::uint64_t seed() const { return seed_; }
-    std::uint32_t loopCount() const;
-
-    /**
-     * Materialize record @p record (0-based, in suite order). Fully
-     * validated; bit-identical to `loadSuite(path)[record]`.
-     * @throws SuiteIoError on a bad record index or malformed record
-     */
-    Loop loadLoop(std::uint32_t record) const;
-
-    /**
-     * Skim every record's benchmark, index and live node count -
-     * enough to pick records by name or size before materializing
-     * only the ones needed. O(payload bytes) but allocation-light:
-     * no graphs, no labels, no edge parsing.
-     * @throws SuiteIoError on a malformed record header
-     */
-    std::vector<SuiteLoopInfo> scan() const;
-
-    /**
-     * Bytes the constructor integrity-checked: the fixed header plus
-     * the index table. Everything else is verified lazily, record by
-     * record, as it is touched - the number perf_micro's cold-load
-     * bench reports against the file size.
-     */
-    std::uint64_t validatedBytesOnOpen() const;
-
-    /** Payload bytes of record @p record (index-bounds-checked). */
-    std::uint64_t recordBytes(std::uint32_t record) const;
-
-  private:
-    // loadSuite shares the validated byte buffer for its parallel
-    // whole-suite parse instead of re-validating per record.
-    friend std::vector<Loop> loadSuite(const std::string &,
-                                       std::uint64_t *);
-
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-    std::string path_;
-    std::uint64_t seed_ = 0;
-};
-
-/**
- * Convenience single-record load: open + validate @p path and
- * materialize just record @p record. Callers loading several records
- * should hold a `SuiteCacheFile` instead (one validation pass).
- * @throws SuiteIoError
- */
-Loop loadSuiteLoop(const std::string &path, std::uint32_t record);
-
-/**
- * The suite cache path binaries should try first: the
- * `CVLIW_SUITE_CACHE` environment variable if set, else the path
- * baked in at build time (the build-directory cache), else "".
- */
-std::string defaultSuiteCachePath();
-
-/**
- * The fast path to a suite: load `defaultSuiteCachePath()` when it
- * holds a valid cache for @p seed (~1.2 ms single-core vs ~7 ms
- * generation; multi-core loads parse records in parallel), else
- * generate with `buildSuite(seed)`. Never throws: any cache problem
- * falls back to generation.
+ * The fast path to a suite: load the `CVLIW_SUITE_CACHE` file if that
+ * variable is set, else the build-directory cache whose path is baked
+ * in at build time (tools/suite_cache_gen writes it once per build
+ * tree). When that file is missing, bad or holds another seed,
+ * generate with `buildSuite(seed)` instead, warning if a file was
+ * present but bad. Never throws.
  */
 std::vector<Loop> loadOrBuildSuite(std::uint64_t seed = 42);
 

@@ -199,44 +199,6 @@ TEST(Pipeline, Figure1CausesAreTracked)
     EXPECT_GT(static_cast<double>(bus) / total, 0.5);
 }
 
-TEST(Pipeline, StepBudgetThrowsDeadlineExceeded)
-{
-    // The direct-call contract: a cooperative deadline that expires
-    // surfaces as DeadlineExceeded from compile() itself (the
-    // CompileService workers turn it into JobOutcome::TimedOut).
-    const auto loops = buildBenchmark("tomcatv");
-    const auto m = MachineConfig::fromString("4c2b2l64r");
-
-    PipelineOptions expired;
-    expired.stepBudget = -1; // expire at the first checkpoint
-    EXPECT_THROW(compile(loops[0].ddg, m, expired), DeadlineExceeded);
-
-    PipelineOptions wall;
-    wall.softDeadlineMs = -1.0; // already past the wall-clock deadline
-    EXPECT_THROW(compile(loops[0].ddg, m, wall), DeadlineExceeded);
-}
-
-TEST(Pipeline, GenerousStepBudgetChangesNothing)
-{
-    // An unhit budget must not perturb the result: the checkpoints
-    // only count, never steer.
-    const auto loops = buildBenchmark("tomcatv");
-    const auto m = MachineConfig::fromString("4c1b2l64r");
-    PipelineOptions budgeted;
-    budgeted.stepBudget = 1 << 20;
-    for (std::size_t i = 0; i < 4 && i < loops.size(); ++i) {
-        const auto plain = compile(loops[i].ddg, m);
-        const auto capped = compile(loops[i].ddg, m, budgeted);
-        ASSERT_TRUE(plain.ok);
-        ASSERT_TRUE(capped.ok);
-        EXPECT_EQ(plain.ii, capped.ii) << loops[i].name();
-        EXPECT_EQ(plain.schedule.length, capped.schedule.length)
-            << loops[i].name();
-        EXPECT_EQ(plain.partition.vec(), capped.partition.vec())
-            << loops[i].name();
-    }
-}
-
 /**
  * Do two graphs read the same storage? Compared through const
  * accessors, which never clone: the node, edge and label arrays and

@@ -203,59 +203,19 @@ TEST(SuiteIo, SaveLoadSaveIsByteIdentical)
 
 TEST(SuiteIo, RejectsMissingFile)
 {
-    EXPECT_THROW(loadSuite("/nonexistent/no/such.cvsuite"),
-                 SuiteIoError);
-    EXPECT_THROW(loadSuiteLoop("/nonexistent/no/such.cvsuite", 0),
-                 SuiteIoError);
-}
-
-TEST(SuiteIo, LazySingleLoopLoadMatchesFullLoad)
-{
-    const auto built = buildBenchmark("applu");
-    TempFile file("lazy.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const SuiteCacheFile cache(file.path());
-    EXPECT_EQ(cache.seed(), 42u);
-    ASSERT_EQ(cache.loopCount(), built.size());
-
-    // Every record materialized alone (first, middle, last) is
-    // bit-identical to the same slot of the eager load.
-    for (std::uint32_t i :
-         {std::uint32_t{0},
-          static_cast<std::uint32_t>(built.size() / 2),
-          static_cast<std::uint32_t>(built.size() - 1)}) {
-        const Loop lazy = cache.loadLoop(i);
-        SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(lazy.benchmark, built[i].benchmark);
-        EXPECT_EQ(lazy.index, built[i].index);
-        EXPECT_EQ(lazy.profile.visits, built[i].profile.visits);
-        expectDdgIdentical(built[i].ddg, lazy.ddg);
-    }
-
-    // The one-shot convenience agrees.
-    const Loop one = loadSuiteLoop(file.path(), 1);
-    EXPECT_EQ(one.benchmark, built[1].benchmark);
-    expectDdgIdentical(built[1].ddg, one.ddg);
-
-    EXPECT_THROW(cache.loadLoop(cache.loopCount()), SuiteIoError);
-}
-
-TEST(SuiteIo, ScanSkimsRecordFactsWithoutGraphs)
-{
-    const auto built = buildSuite(42);
-    TempFile file("scan.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const SuiteCacheFile cache(file.path());
-    const auto infos = cache.scan();
-    ASSERT_EQ(infos.size(), built.size());
-    for (std::size_t i = 0; i < built.size(); ++i) {
-        EXPECT_EQ(infos[i].benchmark, built[i].benchmark)
-            << "record " << i;
-        EXPECT_EQ(infos[i].index, built[i].index) << "record " << i;
-        EXPECT_EQ(infos[i].liveNodes, built[i].ddg.numNodes())
-            << "record " << i;
+    // A missing path and a directory (not a regular file) both fail
+    // as a SuiteIoError that names the path.
+    for (const std::string &path :
+         {std::string("/nonexistent/no/such.cvsuite"),
+          ::testing::TempDir()}) {
+        try {
+            loadSuite(path);
+            ADD_FAILURE() << "'" << path << "' was accepted";
+        } catch (const SuiteIoError &err) {
+            EXPECT_NE(std::string(err.what()).find(path),
+                      std::string::npos)
+                << err.what();
+        }
     }
 }
 
@@ -284,68 +244,38 @@ TEST(SuiteIo, RejectsTruncationAtEveryRegion)
 TEST(SuiteIo, RejectsCorruptedPayload)
 {
     const auto built = buildBenchmark("applu");
+    ASSERT_GE(built.size(), 2u);
     TempFile file("corrupt.cvsuite");
     saveSuite(built, file.path(), 42);
-    auto bytes = file.bytes();
+    const auto clean = file.bytes();
 
-    // Flip one bit deep in the payload: the digest must catch it.
-    bytes[bytes.size() - 20] ^= 0x10;
-    file.write(bytes);
-    try {
-        loadSuite(file.path());
-        FAIL() << "corrupted payload was accepted";
-    } catch (const SuiteIoError &err) {
-        EXPECT_NE(std::string(err.what()).find("digest"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(SuiteIo, OpenIsLazyAndValidatesOnlyTouchedRecords)
-{
-    // v3 contract: the constructor checks only the header and index
-    // table; each record's digest is verified the first time that
-    // record is touched. A corrupt record must not fail the open or
-    // poison its neighbours.
-    const auto built = buildBenchmark("applu");
-    ASSERT_GE(built.size(), 2u);
-    TempFile file("lazyvalidate.cvsuite");
-    saveSuite(built, file.path(), 42);
-    auto bytes = file.bytes();
-
-    std::uint64_t payload_start = 0;
-    std::uint64_t rec0_bytes = 0;
-    {
-        const SuiteCacheFile cache(file.path());
-        payload_start = cache.validatedBytesOnOpen();
-        // header(44) + 16 bytes of index per record - a sliver of
-        // the file.
-        EXPECT_EQ(payload_start, 44u + 16u * cache.loopCount());
-        EXPECT_LT(payload_start, bytes.size() / 4);
-        rec0_bytes = cache.recordBytes(0);
-        std::uint64_t total = 0;
-        for (std::uint32_t i = 0; i < cache.loopCount(); ++i)
-            total += cache.recordBytes(i);
-        EXPECT_EQ(payload_start + total, bytes.size());
-        EXPECT_THROW(cache.recordBytes(cache.loopCount()),
-                     SuiteIoError);
+    // The 44-byte header is followed by a 16-byte index entry per
+    // loop (u64 offset, u64 digest), then the records.
+    const std::size_t index_start = 44;
+    const std::size_t payload_start = index_start + 16 * built.size();
+    std::size_t record1 = 0; // offset of record 1 = size of record 0
+    for (int b = 0; b < 8; ++b) {
+        record1 |= static_cast<std::size_t>(clean[index_start + 16 + b])
+                   << (8 * b);
     }
 
-    // Flip a bit in the middle of record 0 only.
-    bytes[payload_start + rec0_bytes / 2] ^= 0x04;
-    file.write(bytes);
-
-    const SuiteCacheFile cache(file.path()); // open still succeeds
-    const Loop ok = cache.loadLoop(1);       // untouched record: fine
-    EXPECT_EQ(ok.benchmark, built[1].benchmark);
-    expectDdgIdentical(ok.ddg, built[1].ddg);
-    try {
-        cache.loadLoop(0);
-        FAIL() << "corrupt record was accepted";
-    } catch (const SuiteIoError &err) {
-        EXPECT_NE(std::string(err.what()).find("digest"),
-                  std::string::npos)
-            << err.what();
+    // One flipped bit deep in the payload, in the middle of the first
+    // record, and in record 1's offset in the index table: a digest
+    // catches each.
+    for (std::size_t at :
+         {clean.size() - 20, payload_start + record1 / 2,
+          index_start + 16 + 2}) {
+        auto bytes = clean;
+        bytes[at] ^= 0x10;
+        file.write(bytes);
+        try {
+            loadSuite(file.path());
+            ADD_FAILURE() << "bit flip at byte " << at << " was accepted";
+        } catch (const SuiteIoError &err) {
+            EXPECT_NE(std::string(err.what()).find("digest"),
+                      std::string::npos)
+                << "byte " << at << ": " << err.what();
+        }
     }
 }
 
@@ -441,39 +371,6 @@ TEST(SuiteIo, RejectsTrailingGarbage)
     bytes.push_back(0xab);
     file.write(bytes);
     EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
-}
-
-TEST(SuiteIo, MmapAndSlurpBackendsAgree)
-{
-    // SuiteCacheFile maps the file where it can; CVLIW_SUITE_MMAP=0
-    // forces the slurp fallback. Both backends must produce
-    // bit-identical loops, facts and rejections.
-    const auto built = buildBenchmark("applu");
-    TempFile file("backends.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const auto mapped = loadSuite(file.path());
-    setenv("CVLIW_SUITE_MMAP", "0", 1);
-    const auto slurped = loadSuite(file.path());
-    const SuiteCacheFile slurp_cache(file.path());
-    unsetenv("CVLIW_SUITE_MMAP");
-    const SuiteCacheFile map_cache(file.path());
-
-    expectSuitesIdentical(mapped, slurped);
-    ASSERT_EQ(map_cache.loopCount(), slurp_cache.loopCount());
-    const Loop a = map_cache.loadLoop(1);
-    const Loop b = slurp_cache.loadLoop(1);
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    expectDdgIdentical(a.ddg, b.ddg);
-
-    // Corruption is rejected identically through both backends.
-    auto bytes = file.bytes();
-    bytes[bytes.size() - 20] ^= 0x10;
-    file.write(bytes);
-    EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
-    setenv("CVLIW_SUITE_MMAP", "0", 1);
-    EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
-    unsetenv("CVLIW_SUITE_MMAP");
 }
 
 TEST(SuiteIo, LoadOrBuildFallsBackOnBadCache)
