@@ -228,12 +228,16 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         // spill code (store after definition, reload at the distant
         // consumers), exactly like the substrate compiler would.
         int spills_done = 0;
-        int spill_budget =
+        const int spill_budget =
             opts.spilling ? 4 * mach.numClusters() + 8 : 0;
+        bool nothing_to_spill = false;
         while (!attempt.ok &&
                attempt.cause == FailCause::Registers &&
-               spill_budget-- > 0 &&
-               spillOneValue(work, part, mach, attempt.sched)) {
+               spills_done < spill_budget) {
+            if (!spillOneValue(work, part, mach, attempt.sched)) {
+                nothing_to_spill = true;
+                break;
+            }
             ++spills_done;
             trace::TraceSpan span("pipeline", "spill_retry");
             attempt = scheduleAtIi(work, mach, part, ii, sched_opts,
@@ -254,10 +258,19 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                     reg_stagnation = 0;
                 } else if (++reg_stagnation >=
                            opts.registerStagnationLimit) {
+                    const std::string spill_end =
+                        !opts.spilling ? "spilling is off"
+                        : nothing_to_spill
+                            ? "no value was left to spill"
+                            : "its spill budget of " +
+                                  std::to_string(spill_budget) +
+                                  " values was spent";
                     cv_warn("register pressure stuck at ", worst,
                             " > ", mach.regsPerCluster(),
-                            " regs/cluster; giving up (no spill "
-                            "model)");
+                            " regs/cluster: ", reg_stagnation,
+                            " register-bound IIs in a row brought no "
+                            "MaxLive improvement, and at II ", ii, " ",
+                            spill_end, "; giving up");
                     result.ok = false;
                     finish_telemetry();
                     return result;

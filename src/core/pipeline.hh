@@ -65,12 +65,14 @@ struct PipelineOptions
     int maxIi = 2048;
 
     /**
-     * Give up early when register pressure stops improving: raising
-     * the II shrinks lifetime *overlap*, but a cluster whose
-     * single-iteration width exceeds its register file can never fit
-     * without spill code (which, like the paper, we do not model).
-     * After this many consecutive register-caused increments with no
-     * MaxLive improvement the loop is reported as failed.
+     * Give up early when register pressure stops improving. Raising
+     * the II shrinks lifetime *overlap*, and with `spilling` on each
+     * II also gets a bounded number of spilled values, but neither
+     * cures every cluster: one whose single-iteration width exceeds
+     * its register file may never fit. After this many consecutive
+     * register-caused failures with no MaxLive improvement the loop
+     * is reported as failed, with a warning that says why spilling
+     * did not help (off, budget spent, or no value left to spill).
      */
     int registerStagnationLimit = 24;
 };

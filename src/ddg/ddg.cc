@@ -54,8 +54,8 @@ Ddg::freshGeneration()
 }
 
 Ddg
-Ddg::fromSlots(std::vector<DdgNode> nodes, std::vector<DdgEdge> edges,
-               std::string labels)
+Ddg::fromSlots(const std::vector<DdgNode> &nodes,
+               const std::vector<DdgEdge> &edges, std::string_view labels)
 {
     // Validate (the trusted path's documented preconditions), count
     // degrees, then share the layout code.
@@ -71,8 +71,9 @@ Ddg::fromSlots(std::vector<DdgNode> nodes, std::vector<DdgEdge> edges,
                       label_bytes,
                   "label slice outside the label arena");
     }
-    std::vector<std::uint32_t> in_deg(node_slots, 0),
-        out_deg(node_slots, 0);
+    std::vector<std::uint32_t> deg(2 * static_cast<std::size_t>(node_slots));
+    std::uint32_t *in_deg = deg.data();
+    std::uint32_t *out_deg = in_deg + node_slots;
     for (const DdgEdge &e : edges) {
         cv_assert(e.src >= 0 && e.src < node_slots && e.dst >= 0 &&
                       e.dst < node_slots,
@@ -84,9 +85,8 @@ Ddg::fromSlots(std::vector<DdgNode> nodes, std::vector<DdgEdge> edges,
             if (e.kind == EdgeKind::RegFlow) {
                 cv_assert(producesValue(nodes[e.src].cls),
                           "flow edge from non-value-producing op ",
-                          std::string_view(labels).substr(
-                              nodes[e.src].labelOffset,
-                              nodes[e.src].labelLen));
+                          labels.substr(nodes[e.src].labelOffset,
+                                        nodes[e.src].labelLen));
             }
         }
         ++out_deg[e.src];
@@ -96,8 +96,8 @@ Ddg::fromSlots(std::vector<DdgNode> nodes, std::vector<DdgEdge> edges,
         reinterpret_cast<const unsigned char *>(nodes.data()),
         static_cast<std::uint32_t>(nodes.size()),
         reinterpret_cast<const unsigned char *>(edges.data()),
-        static_cast<std::uint32_t>(edges.size()), labels, in_deg.data(),
-        out_deg.data());
+        static_cast<std::uint32_t>(edges.size()), labels, in_deg,
+        out_deg);
 }
 
 Ddg

@@ -35,7 +35,10 @@
  *    pre-relocation data;
  *  - `Ddg::fromSlots` bulk loads build exactly-sized arenas
  *    (capacity == count, zero slack, no relocation ever happened) -
- *    the compact layout every deserialized graph starts from;
+ *    the compact layout every deserialized graph starts from, and
+ *    every generated one too: the workload generator assembles a
+ *    loop's records in scratch buffers and builds its graph with one
+ *    `fromSlots` call (workloads/generator.hh);
  *  - the arenas only ever grow; `removeNode`/`removeEdge` tombstone
  *    edges but never move spans. The one exception is an explicit
  *    `compact()` call, which repacks every span to fromSlots density
@@ -696,10 +699,11 @@ class Ddg
 {
   public:
     /**
-     * Bulk-load a graph from fully-described slot arrays, the fast
-     * path of suite deserialization (workloads/suite_io.hh): one
-     * generation stamp and exactly-sized adjacency arenas (capacity
+     * Build a graph from fully-described slot arrays in one step: one
+     * generation stamp and exactly-sized arrays (adjacency capacity
      * == count, zero slack) instead of per-element mutation calls.
+     * The arrays are copied, so a caller can reuse its buffers for
+     * the next graph (the workload generator does).
      * The caller fills every entity field except `id`; adjacency is
      * derived here: ids become the slot indices and each node's spans
      * hold its incident edge ids in edge-id order - exactly the
@@ -707,13 +711,14 @@ class Ddg
      * graph built this way is field-identical to its original.
      * @p labels becomes the label arena verbatim; every node's
      * {labelOffset, labelLen} must slice it. Panics on inconsistent
-     * input (bad endpoints, label slices out of bounds, live edges on
-     * dead nodes, flow edges from non-value producers); deserializers
-     * must validate untrusted bytes *before* calling.
+     * input (semantic ids or label slices out of bounds, edge
+     * endpoints outside the node array, negative distances, live
+     * edges on dead nodes, flow edges from non-value producers);
+     * deserializers must validate untrusted bytes *before* calling.
      */
-    static Ddg fromSlots(std::vector<DdgNode> nodes,
-                         std::vector<DdgEdge> edges,
-                         std::string labels);
+    static Ddg fromSlots(const std::vector<DdgNode> &nodes,
+                         const std::vector<DdgEdge> &edges,
+                         std::string_view labels);
 
     /**
      * The validated-input fast path of fromSlots: bit-identical

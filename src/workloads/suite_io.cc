@@ -481,7 +481,7 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
 }
 
 std::vector<Loop>
-loadSuite(const std::string &path, std::uint64_t *seed_out)
+loadSuite(const std::string &path, std::optional<std::uint64_t> seed)
 {
     trace::TraceSpan span("suite", "load");
     if (!kHostLittleEndian) {
@@ -502,11 +502,16 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
     }
     if (r.u32() != kEndianTag)
         r.fail("foreign-endian file");
-    const std::uint64_t seed = r.u64();
+    const std::uint64_t file_seed = r.u64();
     const std::uint32_t loop_count = r.u32();
     const std::uint64_t payload_size = r.u64();
     const std::uint64_t index_digest = r.u64();
     span.arg("loops", static_cast<long long>(loop_count));
+    if (seed && *seed != file_seed) {
+        throw SuiteSeedMismatch("suite cache '" + path + "' holds seed " +
+                                std::to_string(file_seed) + ", wanted " +
+                                std::to_string(*seed));
+    }
 
     // The header is not covered by the index digest, so bound the
     // index table by the actual file size before trusting loopCount
@@ -588,9 +593,6 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
         t.join();
     if (error)
         std::rethrow_exception(error);
-
-    if (seed_out)
-        *seed_out = seed;
     return suite;
 }
 
@@ -604,13 +606,9 @@ loadOrBuildSuite(std::uint64_t seed)
         // is normal and falls back silently; only a present-but-bad
         // cache warrants a warning.
         try {
-            std::uint64_t cached_seed = 0;
-            std::vector<Loop> suite = loadSuite(path, &cached_seed);
-            if (cached_seed == seed)
-                return suite;
-            cv_inform("suite cache '", path, "' holds seed ",
-                      cached_seed, ", wanted ", seed,
-                      "; regenerating");
+            return loadSuite(path, seed);
+        } catch (const SuiteSeedMismatch &err) {
+            cv_inform(err.what(), "; regenerating");
         } catch (const std::exception &err) {
             // SuiteIoError, or anything the parallel load surfaced
             // (e.g. bad_alloc): generation is always the safe answer,

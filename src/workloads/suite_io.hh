@@ -52,10 +52,13 @@
  *
  * ## Loading
  *
- * `loadSuite` maps the file read-only, checks the header and the
- * index digest, then parses the records in parallel (one thread per
- * usable CPU, at most one per 128 records), verifying each record's
- * digest before parsing it. Truncation, corruption (digest mismatch),
+ * `loadSuite` maps the file read-only and checks the header. A
+ * caller that names the seed it wants gets a file built from another
+ * seed rejected right there (`SuiteSeedMismatch`), before the index
+ * digest or any record is read. Otherwise it checks the index digest,
+ * then parses the records in parallel (one thread per usable CPU, at
+ * most one per 128 records), verifying each record's digest before
+ * parsing it. Truncation, corruption (digest mismatch),
  * bad magic, an unknown version, a missing or non-regular file, a
  * host without mmap and a big-endian host all throw a `SuiteIoError`
  * naming the path - never undefined behaviour. A stale v2 cache is
@@ -63,8 +66,10 @@
  * change. The file is only ever mapped because mapping measured
  * fastest: on a 4-CPU x86-64 host (Release, perf_micro's
  * BM_SuiteLoad, medians of alternating runs) the 678-loop cache loads
- * in 1.02 ms, against ~1.47 ms when read into a buffer first, and
- * `buildSuite(42)` takes ~10 ms.
+ * in 1.02 ms, against ~1.47 ms when read into a buffer first.
+ * `buildSuite(42)` takes ~4.3 ms there (BM_SuiteGeneration, median of
+ * 10 runs alternating with a build that grew each graph through
+ * addNode/addEdge, which took ~10.4 ms).
  *
  * The loaded suite is bit-identical to `buildSuite`'s on every
  * observable `Loop` field (names, profiles, node/edge arrays
@@ -78,6 +83,7 @@
 #define CVLIW_WORKLOADS_SUITE_IO_HH
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -94,6 +100,13 @@ class SuiteIoError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** A suite cache whose header records another seed than the one wanted. */
+class SuiteSeedMismatch : public SuiteIoError
+{
+  public:
+    using SuiteIoError::SuiteIoError;
+};
+
 /**
  * Serialize @p suite to @p path (format above).
  * @param seed the generator seed the suite was built from, recorded
@@ -107,12 +120,15 @@ void saveSuite(const std::vector<Loop> &suite, const std::string &path,
 /**
  * Load a suite saved by saveSuite(). Bit-identical to the generated
  * suite (see the contract above).
- * @param seed_out when non-null, receives the header's seed
+ * @param seed when set, the generator seed the caller wants; a file
+ *        whose header records another seed is rejected before any
+ *        record is read
+ * @throws SuiteSeedMismatch when the header's seed is not @p seed
  * @throws SuiteIoError on any malformed, truncated, corrupt or
  *         unmappable input
  */
 std::vector<Loop> loadSuite(const std::string &path,
-                            std::uint64_t *seed_out = nullptr);
+                            std::optional<std::uint64_t> seed = {});
 
 /**
  * The fast path to a suite: load the `CVLIW_SUITE_CACHE` file if that
@@ -120,7 +136,8 @@ std::vector<Loop> loadSuite(const std::string &path,
  * in at build time (tools/suite_cache_gen writes it once per build
  * tree). When that file is missing, bad or holds another seed,
  * generate with `buildSuite(seed)` instead, warning if a file was
- * present but bad. Never throws.
+ * present but bad. A file for another seed is rejected from its
+ * header with an info line, not a warning. Never throws.
  */
 std::vector<Loop> loadOrBuildSuite(std::uint64_t seed = 42);
 

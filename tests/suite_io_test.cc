@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.hh"
 #include "workloads/suite_io.hh"
 
 namespace cvliw
@@ -122,10 +123,9 @@ TEST(SuiteIo, RoundTripIsBitIdenticalToBuildSuite)
     TempFile file("roundtrip.cvsuite");
     saveSuite(built, file.path(), 42);
 
-    std::uint64_t seed = 0;
-    const auto loaded = loadSuite(file.path(), &seed);
-    EXPECT_EQ(seed, 42u);
+    const auto loaded = loadSuite(file.path(), 42);
     expectSuitesIdentical(built, loaded);
+    EXPECT_THROW(loadSuite(file.path(), 43), SuiteSeedMismatch);
 }
 
 TEST(SuiteIo, NonDefaultSeedRoundTrips)
@@ -134,10 +134,9 @@ TEST(SuiteIo, NonDefaultSeedRoundTrips)
     TempFile file("seed7.cvsuite");
     saveSuite(built, file.path(), 7);
 
-    std::uint64_t seed = 0;
-    const auto loaded = loadSuite(file.path(), &seed);
-    EXPECT_EQ(seed, 7u);
+    const auto loaded = loadSuite(file.path(), 7);
     expectSuitesIdentical(built, loaded);
+    EXPECT_THROW(loadSuite(file.path(), 42), SuiteSeedMismatch);
 }
 
 TEST(SuiteIo, TombstonesAndReplicasRoundTrip)
@@ -397,13 +396,28 @@ TEST(SuiteIo, LoadOrBuildUsesEnvCache)
 TEST(SuiteIo, LoadOrBuildRegeneratesOnSeedMismatch)
 {
     const auto built42 = buildSuite(42);
+    const auto built9 = buildSuite(9);
     TempFile file("seedmismatch.cvsuite");
     saveSuite(built42, file.path(), 42);
-    setenv("CVLIW_SUITE_CACHE", file.path().c_str(), 1);
+    auto corrupt = file.bytes();
+    // One bit in record 0, which follows the 44-byte header and the
+    // 16-byte index entries.
+    corrupt[44 + 16 * built42.size() + 20] ^= 0x10;
     // Asking for seed 9 must regenerate, not return the cached 42.
-    const auto suite = loadOrBuildSuite(9);
-    unsetenv("CVLIW_SUITE_CACHE");
-    expectSuitesIdentical(buildSuite(9), suite);
+    // The seed is compared in the header, before any record is read,
+    // so a corrupt record of the seed-42 file goes unnoticed: no
+    // warning.
+    for (bool corrupt_record : {false, true}) {
+        SCOPED_TRACE(corrupt_record ? "corrupt record 0" : "clean file");
+        if (corrupt_record)
+            file.write(corrupt);
+        setenv("CVLIW_SUITE_CACHE", file.path().c_str(), 1);
+        const std::uint64_t warns = logging::warnCount();
+        const auto suite = loadOrBuildSuite(9);
+        EXPECT_EQ(logging::warnCount(), warns);
+        unsetenv("CVLIW_SUITE_CACHE");
+        expectSuitesIdentical(built9, suite);
+    }
 }
 
 } // namespace

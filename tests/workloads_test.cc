@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 
 #include "ddg/analysis.hh"
-#include "workloads/suite.hh"
+#include "support/fnv.hh"
+#include "workloads/suite_io.hh"
 
 namespace cvliw
 {
@@ -47,6 +51,27 @@ TEST(Suite, Deterministic)
         EXPECT_EQ(s1[i].profile.visits, s2[i].profile.visits);
         EXPECT_EQ(s1[i].profile.avgIters, s2[i].profile.avgIters);
     }
+
+    // Pinned bytes: the digest of four seeds' saved suites, which
+    // hold every node and edge slot, label and profile, so any change
+    // to what the generator emits shows here.
+    const std::string path =
+        ::testing::TempDir() + "cvliw_deterministic.cvsuite";
+    const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+        {1, 0xd952d0e65bff870cULL},
+        {7, 0x1321e8f06fd39854ULL},
+        {42, 0x55a187e253b17188ULL},
+        {203, 0x734ca692c97c3275ULL}};
+    for (const auto &[seed, digest] : pinned) {
+        saveSuite(buildSuite(seed), path, seed);
+        std::ifstream f(path, std::ios::binary);
+        const std::vector<unsigned char> bytes(
+            (std::istreambuf_iterator<char>(f)),
+            std::istreambuf_iterator<char>());
+        EXPECT_EQ(fnvDigest4Lane(bytes.data(), bytes.size()), digest)
+            << "seed " << seed;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Suite, DifferentSeedsDiffer)
