@@ -12,19 +12,19 @@ namespace
 {
 
 /**
- * Append @p id to @p slot in @p arena. Fast path: write into the
- * span's slack. Full span: relocate to fresh arena tail with doubled
- * capacity (amortized O(1)); the dead region left behind is never
- * reused, so stale views of the old location keep reading intact
- * pre-relocation data.
+ * Append @p id to @p slot in @p arena: in place while the entry just
+ * past the span is `invalidEdge` (slack). A full span relocates to
+ * fresh arena tail, twice its length (4 if empty) with the rest
+ * filled with `invalidEdge`; the dead region left behind is never
+ * reused, so stale views of it keep reading pre-relocation data.
  */
 void
 appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
           EdgeId id)
 {
-    if (slot.count == slot.capacity) {
-        const std::uint32_t cap =
-            slot.capacity ? 2 * slot.capacity : 4;
+    const std::size_t end = std::size_t{slot.offset} + slot.count;
+    if (end >= arena.size() || arena[end] != invalidEdge) {
+        const std::uint32_t cap = slot.count ? 2 * slot.count : 4;
         cv_assert(arena.size() + cap <=
                       std::numeric_limits<std::uint32_t>::max(),
                   "adjacency arena overflow");
@@ -36,7 +36,6 @@ appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
         EdgeId *a = arena.writable();
         std::copy_n(a + slot.offset, slot.count, a + off);
         slot.offset = off;
-        slot.capacity = cap;
     }
     arena.writable()[slot.offset + slot.count++] = id;
 }
@@ -113,41 +112,33 @@ Ddg::fromSlotsTrusted(const unsigned char *node_bytes,
     g.edges_.append(edge_bytes, edge_slots);
     g.labels_.append(labels.data(), labels.size());
 
-    DdgNode *nodes = g.nodes_.writable();
     g.liveNodes_ = 0;
-    for (std::uint32_t i = 0; i < node_slots; ++i) {
-        DdgNode &n = nodes[i];
-        n.id = static_cast<NodeId>(i);
-        if (n.alive)
-            ++g.liveNodes_;
-    }
+    for (const DdgNode &n : g.nodes_)
+        g.liveNodes_ += n.alive;
 
     // Exactly-sized arena: spans laid out back to back in node order
-    // (in-span then out-span per node) with capacity == count (the
-    // compact no-slack form), filled in edge-id order. Dead edge ids
-    // stay in the spans; the views skip them.
+    // (in-span then out-span per node) with no slack (the compact
+    // form), filled in edge-id order. Dead edge ids stay in the
+    // spans; the views skip them.
     g.slots_.resize(2 * static_cast<std::size_t>(node_slots));
     detail::AdjSlot *slots = g.slots_.writable();
     std::uint32_t total = 0;
     for (std::uint32_t i = 0; i < node_slots; ++i) {
-        slots[2 * i] = {total, 0, in_deg[i]};
+        slots[2 * i].offset = total;
         total += in_deg[i];
-        slots[2 * i + 1] = {total, 0, out_deg[i]};
+        slots[2 * i + 1].offset = total;
         total += out_deg[i];
     }
     g.arena_.resize(total);
     EdgeId *arena = g.arena_.writable();
-    DdgEdge *edges = g.edges_.writable();
     g.liveEdges_ = 0;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        DdgEdge &e = edges[i];
-        e.id = static_cast<EdgeId>(i);
-        if (e.alive)
-            ++g.liveEdges_;
+        const DdgEdge &e = g.edges_[i];
+        g.liveEdges_ += e.alive;
         detail::AdjSlot &out = slots[2 * e.src + 1];
-        arena[out.offset + out.count++] = e.id;
+        arena[out.offset + out.count++] = static_cast<EdgeId>(i);
         detail::AdjSlot &in = slots[2 * e.dst];
-        arena[in.offset + in.count++] = e.id;
+        arena[in.offset + in.count++] = static_cast<EdgeId>(i);
     }
     // One fresh stamp for the whole load (the constructor already
     // produced one; bulk loading is a single structural mutation).
@@ -158,8 +149,8 @@ void
 Ddg::compact()
 {
     // Already at fromSlots density? arena_.size() == sum(count) holds
-    // exactly when no span carries slack (capacity > count) and no
-    // dead region was left behind by a relocation.
+    // exactly when no span carries slack and no dead region was left
+    // behind by a relocation.
     std::size_t adj_total = 0;
     for (const detail::AdjSlot &s : slots_)
         adj_total += s.count;
@@ -198,9 +189,9 @@ Ddg::compact()
                                                  slots_.end());
     std::vector<std::string> pre_labels;
     pre_labels.reserve(nodes_.size());
-    for (const DdgNode &n : nodes_)
-        pre_labels.emplace_back(n.alive ? label(n.id)
-                                        : std::string_view());
+    for (NodeId n = 0; n < numNodeSlots(); ++n)
+        pre_labels.emplace_back(nodes_[n].alive ? label(n)
+                                                : std::string_view());
 #endif
 
     if (!adj_dense) {
@@ -213,7 +204,6 @@ Ddg::compact()
             detail::AdjSlot &s = slots[k];
             std::copy_n(arena_.data() + s.offset, s.count, out + off);
             s.offset = off;
-            s.capacity = s.count;
             off += s.count;
         }
         arena_ = std::move(packed);
@@ -253,9 +243,9 @@ Ddg::compact()
                       "compact changed adjacency content");
         }
     }
-    for (const DdgNode &n : nodes_) {
-        if (n.alive) {
-            cv_assert(label(n.id) == pre_labels[n.id],
+    for (NodeId n = 0; n < numNodeSlots(); ++n) {
+        if (nodes_[n].alive) {
+            cv_assert(label(n) == pre_labels[n],
                       "compact changed a live node's label");
         }
     }
@@ -284,7 +274,6 @@ Ddg::addNode(OpClass cls, std::string_view label)
 {
     const NodeId id = static_cast<NodeId>(nodes_.size());
     DdgNode n;
-    n.id = id;
     n.cls = cls;
     if (label.empty()) {
         const std::string def = "n" + std::to_string(id);
@@ -336,8 +325,8 @@ Ddg::addReplica(NodeId original, std::string_view label_suffix)
     }
     internLabel(label_suffix);
 
+    const NodeId id = static_cast<NodeId>(nodes_.size());
     DdgNode n;
-    n.id = static_cast<NodeId>(nodes_.size());
     n.cls = cls;
     n.labelOffset = off;
     n.labelLen = original_len + suffix_len;
@@ -347,7 +336,7 @@ Ddg::addReplica(NodeId original, std::string_view label_suffix)
     slots_.resize(slots_.size() + 2); // in-span, out-span
     ++liveNodes_;
     bumpGeneration();
-    return n.id;
+    return id;
 }
 
 EdgeId
@@ -357,26 +346,29 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
     checkNode(src);
     checkNode(dst);
     cv_assert(distance >= 0, "edge distance must be >= 0");
+    cv_assert(mem_latency >= std::numeric_limits<std::int16_t>::min() &&
+                  mem_latency <= std::numeric_limits<std::int16_t>::max(),
+              "memory latency ", mem_latency, " outside int16_t");
     if (kind == EdgeKind::RegFlow) {
         cv_assert(producesValue(nodes_[src].cls),
                   "flow edge from non-value-producing op ",
                   label(src));
     }
 
+    const EdgeId id = static_cast<EdgeId>(edges_.size());
     DdgEdge e;
-    e.id = static_cast<EdgeId>(edges_.size());
     e.src = src;
     e.dst = dst;
     e.kind = kind;
     e.distance = distance;
-    e.memLatency = mem_latency;
+    e.memLatency = static_cast<std::int16_t>(mem_latency);
     edges_.push_back(e);
     detail::AdjSlot *slots = slots_.writable();
-    appendAdj(arena_, slots[2 * src + 1], e.id);
-    appendAdj(arena_, slots[2 * dst], e.id);
+    appendAdj(arena_, slots[2 * src + 1], id);
+    appendAdj(arena_, slots[2 * dst], id);
     ++liveEdges_;
     bumpGeneration();
-    return e.id;
+    return id;
 }
 
 void

@@ -13,13 +13,23 @@
  * and the replication algorithm (replicas, dead-code removal) edit it;
  * removal uses tombstones so node ids stay stable.
  *
+ * ## Record sizes
+ *
+ * DDG storage is most of the heap, so its records hold no redundant
+ * bytes. `DdgNode` and `DdgEdge` are 16 bytes with no id field (an id
+ * is its slot index); an adjacency span is 8 bytes, offset and count
+ * (see the slack rule below). A node slot thus costs 32 bytes and an
+ * edge slot 24, plus arena slack. A `Ddg` handle is 96 bytes: five
+ * 16-byte array handles, two live counts and the generation stamp.
+ * static_asserts pin all four sizes.
+ *
  * ## Adjacency arena (CSR layout)
  *
  * Per-node adjacency is not stored as one heap vector per node but as
  * one flat `EdgeId` arena owned by the graph plus two
- * `{offset, count, capacity}` spans per node (its in-list and its
- * out-list, interleaved in one slot table so a node's pair shares a
- * cache line). Contiguity is the point: every compile pass iterates
+ * `{offset, count}` spans per node (its in-list and its out-list,
+ * interleaved in one slot table so a node's pair shares a cache
+ * line). Contiguity is the point: every compile pass iterates
  * adjacency millions of times, and one arena per graph replaces ~80
  * small allocations per loop with two, keeps neighbouring spans on
  * the same cache lines, and copies adjacency as two flat memcpys.
@@ -28,13 +38,15 @@
  *  - a span's ids are stored contiguously in insertion (edge-creation)
  *    order; tombstoned edge ids stay in place and are skipped by the
  *    filtering views;
- *  - `addEdge` appends into span slack when `count < capacity`;
- *    otherwise the span relocates to fresh arena tail with doubled
- *    capacity (amortized O(1) growth). Dead regions left behind are
- *    never reused or rewritten, so stale spans still read valid,
- *    pre-relocation data;
- *  - `Ddg::fromSlots` bulk loads build exactly-sized arenas
- *    (capacity == count, zero slack, no relocation ever happened) -
+ *  - the slack rule: `addEdge` appends in place while the arena entry
+ *    just past the span is `invalidEdge`; otherwise the span is full
+ *    and relocates to fresh arena tail, twice its length (4 if empty)
+ *    with the rest filled with `invalidEdge` (amortized O(1) growth).
+ *    Only full spans move, so a dead region holds no `invalidEdge`;
+ *    it is never reused or rewritten, so stale spans still read
+ *    valid, pre-relocation data;
+ *  - `Ddg::fromSlots` bulk loads build exactly-sized arenas (no
+ *    slack, no relocation ever happened) -
  *    the compact layout every deserialized graph starts from, and
  *    every generated one too: the workload generator assembles a
  *    loop's records in scratch buffers and builds its graph with one
@@ -186,46 +198,47 @@ enum class EdgeKind : std::uint8_t
 };
 
 /**
- * One dependence edge. A 24-byte trivially-copyable POD whose exact
+ * One dependence edge. A 16-byte trivially-copyable POD whose exact
  * byte layout doubles as the suite cache's on-disk edge record
- * (workloads/suite_io.cc, format v3): deserialization bulk-copies
+ * (workloads/suite_io.cc, format v4): deserialization bulk-copies
  * whole edge arrays off an mmap instead of parsing per edge. The
  * static_asserts below pin the layout; changing any field means a
  * suite format version bump.
  */
 struct DdgEdge
 {
-    EdgeId id = invalidEdge;
     NodeId src = invalidNode;
     NodeId dst = invalidNode;
-    int distance = 0;    //!< iteration distance (>= 0)
-    int memLatency = 1;  //!< latency for Memory edges only
+    int distance = 0;            //!< iteration distance (>= 0)
+    std::int16_t memLatency = 1; //!< latency for Memory edges only
     EdgeKind kind = EdgeKind::RegFlow;
     bool alive = true;
-    std::uint8_t pad_[2] = {0, 0}; //!< explicit zeroed tail padding
 };
 
 static_assert(std::is_trivially_copyable_v<DdgEdge>,
-              "DdgEdge must stay a POD (bulk graph copies, suite v3)");
-static_assert(sizeof(DdgEdge) == 24 && offsetof(DdgEdge, id) == 0 &&
-                  offsetof(DdgEdge, src) == 4 &&
-                  offsetof(DdgEdge, dst) == 8 &&
-                  offsetof(DdgEdge, distance) == 12 &&
-                  offsetof(DdgEdge, memLatency) == 16 &&
-                  offsetof(DdgEdge, kind) == 20 &&
-                  offsetof(DdgEdge, alive) == 21,
-              "DdgEdge layout is the suite v3 edge record; bump the "
+              "DdgEdge must stay a POD (bulk graph copies, suite v4)");
+static_assert(sizeof(DdgEdge) == 16 && offsetof(DdgEdge, src) == 0 &&
+                  offsetof(DdgEdge, dst) == 4 &&
+                  offsetof(DdgEdge, distance) == 8 &&
+                  offsetof(DdgEdge, memLatency) == 12 &&
+                  offsetof(DdgEdge, kind) == 14 &&
+                  offsetof(DdgEdge, alive) == 15,
+              "DdgEdge layout is the suite v4 edge record; bump the "
               "format version if it changes");
 
 /**
- * One operation. Like DdgEdge a 24-byte trivially-copyable POD that
- * is also the suite v3 on-disk node record; its label lives in the
+ * One operation. Like DdgEdge a 16-byte trivially-copyable POD that
+ * is also the suite v4 on-disk node record; its label lives in the
  * owning graph's label arena as an {offset, len} slice (read through
- * `Ddg::label(id)`), never as an owned string.
+ * `Ddg::label(id)`), never as an owned string. The four flags are
+ * 1-bit fields of byte 13 (bit 0 first with GCC and Clang; the rest
+ * of the byte is zero).
  */
 struct DdgNode
 {
-    NodeId id = invalidNode;
+    // C++17 bit-fields take no default member initializers.
+    DdgNode() : isReplica(), isSpill(), liveOut(), alive(true), flagPad_() {}
+
     /**
      * Identity of the computation this node performs. Replicas share
      * the semanticId of the instruction they duplicate, so the
@@ -237,31 +250,29 @@ struct DdgNode
     std::uint32_t labelOffset = 0;
     std::uint32_t labelLen = 0;
     OpClass cls = OpClass::IntAlu;
-    bool isReplica = false;
+    bool isReplica : 1;
     /** True for spill stores and spill reloads (identity value). */
-    bool isSpill = false;
+    bool isSpill : 1;
     /**
      * True when the value is consumed after the loop (e.g. a
      * reduction result). Live-out instructions are never deleted by
      * the post-replication dead-code removal.
      */
-    bool liveOut = false;
-    bool alive = true;
-    std::uint8_t pad_[3] = {0, 0, 0}; //!< explicit zeroed tail padding
+    bool liveOut : 1;
+    bool alive : 1;
+    std::uint8_t flagPad_ : 4;     //!< explicit zeroed flag-byte tail
+    std::uint8_t pad_[2] = {0, 0}; //!< explicit zeroed tail padding
 };
 
 static_assert(std::is_trivially_copyable_v<DdgNode>,
-              "DdgNode must stay a POD (bulk graph copies, suite v3)");
-static_assert(sizeof(DdgNode) == 24 && offsetof(DdgNode, id) == 0 &&
-                  offsetof(DdgNode, semanticId) == 4 &&
-                  offsetof(DdgNode, labelOffset) == 8 &&
-                  offsetof(DdgNode, labelLen) == 12 &&
-                  offsetof(DdgNode, cls) == 16 &&
-                  offsetof(DdgNode, isReplica) == 17 &&
-                  offsetof(DdgNode, isSpill) == 18 &&
-                  offsetof(DdgNode, liveOut) == 19 &&
-                  offsetof(DdgNode, alive) == 20,
-              "DdgNode layout is the suite v3 node record; bump the "
+              "DdgNode must stay a POD (bulk graph copies, suite v4)");
+static_assert(sizeof(DdgNode) == 16 &&
+                  offsetof(DdgNode, semanticId) == 0 &&
+                  offsetof(DdgNode, labelOffset) == 4 &&
+                  offsetof(DdgNode, labelLen) == 8 &&
+                  offsetof(DdgNode, cls) == 12 &&
+                  offsetof(DdgNode, pad_) == 14,
+              "DdgNode layout is the suite v4 node record; bump the "
               "format version if it changes");
 
 namespace detail
@@ -275,7 +286,8 @@ namespace detail
  * is never written. The handle holds the element pointer itself (the
  * count sits in a header just before the elements), so a read costs
  * what a std::vector read costs. Size and capacity live in the
- * handle; sharers agree on them because a shared block never changes.
+ * handle as 32-bit counts; sharers agree on them because a shared
+ * block never changes.
  */
 template <typename T>
 class CowArray
@@ -332,18 +344,17 @@ class CowArray
             return;
         const std::size_t need = size_ + n;
         if (need > cap_ || shared()) {
-            const std::size_t cap =
-                need > cap_ ? std::max(need, 2 * cap_) : cap_;
+            const std::size_t cap = need > cap_ ? grown(need) : cap_;
             T *fresh = allocate(cap);
             copy(fresh, data_, size_);
             copy(fresh + size_, src, n);
             release(data_);
             data_ = fresh;
-            cap_ = cap;
+            cap_ = static_cast<std::uint32_t>(cap);
         } else {
             copy(data_ + size_, src, n);
         }
-        size_ = need;
+        size_ = static_cast<std::uint32_t>(need);
     }
 
     void push_back(const T &v) { append(&v, 1); }
@@ -352,7 +363,7 @@ class CowArray
     void reserve(std::size_t n)
     {
         if (n > cap_)
-            reallocate(std::max(n, 2 * cap_));
+            reallocate(grown(n));
         else if (shared())
             reallocate(cap_);
     }
@@ -362,7 +373,7 @@ class CowArray
     {
         reserve(n);
         std::uninitialized_fill_n(data_ + size_, n - size_, fill);
-        size_ = n;
+        size_ = static_cast<std::uint32_t>(n);
     }
 
     /**
@@ -419,6 +430,13 @@ class CowArray
                refs(data_).load(std::memory_order_acquire) != 1;
     }
 
+    /** Capacity for @p need elements: 2x growth, 32-bit bound. */
+    std::size_t grown(std::size_t need) const
+    {
+        const std::size_t doubled = 2 * std::size_t{cap_};
+        return std::min<std::size_t>(std::max(need, doubled), UINT32_MAX);
+    }
+
     /** Move the elements into a fresh block of @p cap >= size(). */
     void reallocate(std::size_t cap)
     {
@@ -426,25 +444,25 @@ class CowArray
         copy(fresh, data_, size_);
         release(data_);
         data_ = fresh;
-        cap_ = cap;
+        cap_ = static_cast<std::uint32_t>(cap);
     }
 
     T *data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t cap_ = 0;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = 0;
 };
 
 /**
  * One node's span inside an adjacency arena: `count` edge ids stored
- * at `offset`, with room for `capacity` before the span must relocate
- * to fresh arena tail. Exactly-sized loads have capacity == count.
+ * at `offset` (growth follows the slack rule in the file comment).
  */
 struct AdjSlot
 {
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
-    std::uint32_t capacity = 0;
 };
+
+static_assert(sizeof(AdjSlot) == 8, "two 4-byte fields per span");
 
 /**
  * The one skip-filtering forward range behind every traversal view.
@@ -700,15 +718,15 @@ class Ddg
   public:
     /**
      * Build a graph from fully-described slot arrays in one step: one
-     * generation stamp and exactly-sized arrays (adjacency capacity
-     * == count, zero slack) instead of per-element mutation calls.
+     * generation stamp and exactly-sized arrays (no adjacency slack)
+     * instead of per-element mutation calls.
      * The arrays are copied, so a caller can reuse its buffers for
      * the next graph (the workload generator does).
-     * The caller fills every entity field except `id`; adjacency is
-     * derived here: ids become the slot indices and each node's spans
-     * hold its incident edge ids in edge-id order - exactly the
-     * state an addNode/addEdge/remove* replay would produce, so a
-     * graph built this way is field-identical to its original.
+     * Ids are the slot indices; adjacency is derived here: each
+     * node's spans hold its incident edge ids in edge-id order -
+     * exactly the state an addNode/addEdge/remove* replay would
+     * produce, so a graph built this way is field-identical to its
+     * original.
      * @p labels becomes the label arena verbatim; every node's
      * {labelOffset, labelLen} must slice it. Panics on inconsistent
      * input (semantic ids or label slices out of bounds, edge
@@ -729,7 +747,7 @@ class Ddg
      * suite_io's deserializer computes the degrees for free inside
      * its own validation loop; anyone loading untrusted bytes must
      * use plain fromSlots. The slots arrive as raw bytes in the
-     * host's DdgNode/DdgEdge layout (the suite v3 records, on
+     * host's DdgNode/DdgEdge layout (the suite v4 records, on
      * little-endian hosts) at any alignment, so a suite load copies
      * each array once, straight from the mapped file into the graph.
      */
@@ -763,7 +781,7 @@ class Ddg
      * @param dst consumer
      * @param kind register flow or memory ordering
      * @param distance iteration distance (>= 0)
-     * @param mem_latency latency used for Memory edges
+     * @param mem_latency latency used for Memory edges (an int16_t)
      */
     EdgeId addEdge(NodeId src, NodeId dst, EdgeKind kind,
                    int distance = 0, int mem_latency = 1);
@@ -870,8 +888,8 @@ class Ddg
     /**
      * Squeeze the adjacency and label arenas back to `fromSlots`
      * density. Adjacency:
-     * every span packed back-to-back in node order with capacity ==
-     * count, dead regions left behind by span relocations discarded.
+     * every span packed back-to-back in node order with no slack,
+     * dead regions left behind by span relocations discarded.
      * A graph that grew through heavy replication carries those dead
      * regions (never reused by design; see the arena invariants)
      * until destruction; compaction reclaims them for long-lived
@@ -930,6 +948,9 @@ class Ddg
     int liveEdges_ = 0;
     std::uint64_t generation_ = freshGeneration();
 };
+
+static_assert(sizeof(Ddg) == 96,
+              "five 16-byte array handles, two counts and a stamp");
 
 } // namespace cvliw
 

@@ -30,7 +30,7 @@ constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;
  * integrity checks ~4x cheaper and still sensitive to any flipped
  * bit. Words are assembled by explicit shifts, so the digest is
  * identical on any host endianness. This is the per-record digest of
- * the suite cache (format v3), which pins this exact function.
+ * the suite cache (since format v3), which pins this exact function.
  */
 std::uint64_t fnvDigest4Lane(const unsigned char *data,
                              std::size_t size);

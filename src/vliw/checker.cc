@@ -45,8 +45,11 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
             ddg.node(e.src).cls == OpClass::Copy) {
             lat = 0;
         }
-        const int lhs = sched.start[e.dst] + ii * e.distance;
-        const int rhs = sched.start[e.src] + lat;
+        // 64-bit: ii * distance can exceed an int.
+        const long long lhs =
+            sched.start[e.dst] + static_cast<long long>(ii) * e.distance;
+        const long long rhs =
+            static_cast<long long>(sched.start[e.src]) + lat;
         if (lhs < rhs) {
             errs.push_back(
                 "dependence violated: " + lbl(e.src) +

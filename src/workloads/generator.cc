@@ -73,7 +73,7 @@ struct ComponentBuilder
         e.dst = dst;
         e.kind = kind;
         e.distance = distance;
-        e.memLatency = mem_latency;
+        e.memLatency = static_cast<std::int16_t>(mem_latency);
         s.edges.push_back(e);
         if (kind == EdgeKind::RegFlow)
             ++s.flowOut[src];

@@ -37,12 +37,8 @@ namespace
 {
 
 constexpr char kMagic[8] = {'C', 'V', 'S', 'U', 'I', 'T', 'E', '\0'};
-// Version history: 1 = initial format (byte-serial word FNV digest);
-// 2 = same layout, 4-lane interleaved word-FNV payload digest (the
-// serial multiply chain was the bottleneck of cache opens); 3 = POD
-// node/edge records matching DdgNode/DdgEdge byte-for-byte plus a
-// per-record label blob, and per-record digests in the index table.
-constexpr std::uint32_t kVersion = 3;
+// The version history is in suite_io.hh.
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 
 // Index table entry: u64 record offset + u64 record digest.
@@ -51,8 +47,11 @@ constexpr std::uint64_t kIndexEntryBytes = 16;
 // static_asserts pin the field offsets this file's validator reads.
 constexpr std::size_t kNodeRecBytes = sizeof(DdgNode);
 constexpr std::size_t kEdgeRecBytes = sizeof(DdgEdge);
-static_assert(kNodeRecBytes == 24 && kEdgeRecBytes == 24,
-              "suite v3 record layout drifted from the graph PODs");
+static_assert(kNodeRecBytes == 16 && kEdgeRecBytes == 16,
+              "suite v4 record layout drifted from the graph PODs");
+// Node flag byte (record byte 13): isReplica, isSpill, liveOut, alive
+// in bits 0-3, as DdgNode's bit-fields; bits 4-7 are zero.
+constexpr unsigned kAliveFlag = 1u << 3;
 
 // The loader reads the little-endian wire format with plain memcpy
 // loads and hands the records to the graph as they are, so it runs
@@ -86,19 +85,16 @@ struct Writer
 {
     std::vector<unsigned char> bytes;
 
+    /** The low @p n bytes of @p v, least significant first. */
+    void le(std::uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            bytes.push_back((v >> (8 * i)) & 0xff);
+    }
+
     void u8(std::uint8_t v) { bytes.push_back(v); }
-
-    void u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            bytes.push_back((v >> (8 * i)) & 0xff);
-    }
-
-    void u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back((v >> (8 * i)) & 0xff);
-    }
+    void u32(std::uint32_t v) { le(v, 4); }
+    void u64(std::uint64_t v) { le(v, 8); }
 
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
 
@@ -176,7 +172,7 @@ struct Reader
 };
 
 /**
- * Write the v3 graph section of a loop record: slot counts, POD
+ * Write the v4 graph section of a loop record: slot counts, POD
  * node/edge records, label arena.
  *
  * Slot-level dump including tombstones, so removal history that
@@ -196,30 +192,22 @@ serializeGraph(Writer &w, const Ddg &g)
     w.u32(static_cast<std::uint32_t>(labels.size()));
     for (NodeId id = 0; id < g.numNodeSlots(); ++id) {
         const DdgNode &n = g.node(id);
-        w.i32(n.id);
         w.i32(n.semanticId);
         w.u32(n.labelOffset);
         w.u32(n.labelLen);
         w.u8(static_cast<std::uint8_t>(n.cls));
-        w.u8(n.isReplica ? 1 : 0);
-        w.u8(n.isSpill ? 1 : 0);
-        w.u8(n.liveOut ? 1 : 0);
-        w.u8(n.alive ? 1 : 0);
-        w.u8(0);
-        w.u8(0);
-        w.u8(0);
+        w.u8(n.isReplica | n.isSpill << 1 | n.liveOut << 2 |
+             n.alive << 3);
+        w.le(0, 2);
     }
     for (EdgeId id = 0; id < g.numEdgeSlots(); ++id) {
         const DdgEdge &e = g.edge(id);
-        w.i32(e.id);
         w.i32(e.src);
         w.i32(e.dst);
         w.i32(e.distance);
-        w.i32(e.memLatency);
+        w.le(static_cast<std::uint16_t>(e.memLatency), 2);
         w.u8(static_cast<std::uint8_t>(e.kind));
         w.u8(e.alive ? 1 : 0);
-        w.u8(0);
-        w.u8(0);
     }
     // Label arena verbatim: dead slots' label bytes (and any orphaned
     // bytes) ride along so the round trip is bit-identical.
@@ -237,7 +225,7 @@ serializeLoop(Writer &w, const Loop &loop)
 }
 
 /**
- * Parse one v3 graph section (the Ddg portion of a loop record).
+ * Parse one v4 graph section (the Ddg portion of a loop record).
  * Every field is validated HERE - this is the
  * only validation layer: the slots go to Ddg::fromSlotsTrusted,
  * which skips the graph layer's own consistency checks on the
@@ -245,17 +233,10 @@ serializeLoop(Writer &w, const Loop &loop)
  * removed entirely; untrusted bytes must never reach the graph
  * unvalidated.
  *
- * The v3 records are the graph PODs byte-for-byte, so validation is
- * one sweep per array over the raw mapped bytes - a masked 64-bit
- * load covers the whole flag/enum/padding tail of a row (flag bytes
- * strictly 0/1, op class / edge kind in range, padding zero - the
- * bools the memcpy below materializes must never hold trap
- * representations) and plain unaligned u32 loads cover the
- * structural fields (endpoints, label slices, live-edge consistency)
- * in the same pass; degrees fall out of the edge sweep for free.
- * Only after a row is fully proven does anything typed exist: one
- * bulk memcpy per array - no per-node parse loop and no per-node
- * allocation.
+ * The v4 records are the graph PODs byte-for-byte, so validation is
+ * one sweep per array over the raw mapped bytes, and only after every
+ * row is proven does anything typed exist: one bulk memcpy per array
+ * - no per-node parse loop and no per-node allocation.
  */
 Ddg
 deserializeGraph(Reader &r)
@@ -276,34 +257,32 @@ deserializeGraph(Reader &r)
     const unsigned char *lrec = erec + edge_slots * kEdgeRecBytes;
 
     // --- Single validation sweep per array over the raw bytes. --------
-    // One 64-bit load and two masks cover a row's whole tail: bytes
-    // 16..23 of a node record are (cls, 4 flag bytes, 3 zero pads)
-    // and bytes 16..23 of an edge record are (memLatency, kind,
-    // alive, 2 zero pads). Flag bytes must be proven 0/1 BEFORE the
-    // memcpy below materializes C++ bools from them (a byte > 1
-    // would be a trap representation). The structural fields ride in
-    // the same sweep as unaligned u32 loads - free on x86, and it
-    // saves a second full pass over both arrays.
+    // One 32-bit load covers a row's tail: bytes 12..15 are (cls, flag
+    // byte, 2 zero pads) in a node record and (memLatency, kind,
+    // alive) in an edge record. The edge's alive byte must be proven
+    // 0/1 BEFORE the memcpy below materializes a C++ bool from it (a
+    // byte > 1 would be a trap representation). The structural fields
+    // ride in the same sweep as unaligned u32 loads.
     for (std::uint32_t i = 0; i < node_slots; ++i) {
         const unsigned char *q = nrec + i * kNodeRecBytes;
-        const std::uint64_t tail = loadLe64(q + 16);
-        // Bits that may be set: cls (any byte), flags (bit 0 each).
-        if ((tail & 0xffffff'fefefefe'00ull) != 0 ||
+        const std::uint32_t tail = loadLe32(q + 12);
+        // Bits that may be set: cls (any byte), flag bits 0-3.
+        if ((tail & 0xfffff000u) != 0 ||
             (tail & 0xff) >=
                 static_cast<std::uint8_t>(OpClass::NumOpClasses)) {
-            r.fail("bad node flag/class/padding byte in record row " +
+            r.fail("bad class/flag/padding byte in node record row " +
                    std::to_string(i));
         }
         // semanticId: unsigned compare folds the negative case (as a
         // u32 it exceeds any in-range slot count).
-        const std::uint32_t sid = loadLe32(q + 4);
+        const std::uint32_t sid = loadLe32(q);
         if (sid >= node_slots) {
             r.fail("semantic id " +
                    std::to_string(static_cast<NodeId>(sid)) +
                    " outside the node array");
         }
-        if (static_cast<std::uint64_t>(loadLe32(q + 8)) +
-                loadLe32(q + 12) > label_bytes) {
+        if (static_cast<std::uint64_t>(loadLe32(q + 4)) +
+                loadLe32(q + 8) > label_bytes) {
             r.fail("label slice outside the label arena");
         }
     }
@@ -318,30 +297,29 @@ deserializeGraph(Reader &r)
     std::uint32_t *out_deg = in_deg + node_slots;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const unsigned char *q = erec + i * kEdgeRecBytes;
-        const std::uint64_t tail = loadLe64(q + 16);
-        // memLatency (bytes 0-3) is any i32; alive must be 0/1; the
-        // two pad bytes must be zero; kind capped at the last enum.
-        if ((tail & 0xfffffe'00'00000000ull) != 0 ||
-            ((tail >> 32) & 0xff) >
-                static_cast<std::uint8_t>(EdgeKind::Spill)) {
-            r.fail("bad edge kind/flag/padding byte in record row " +
+        const std::uint32_t tail = loadLe32(q + 12);
+        // memLatency (bytes 0-1) is any i16; kind capped at the last
+        // enum; alive must be 0/1.
+        const std::uint32_t kind = (tail >> 16) & 0xff;
+        if (kind > static_cast<std::uint8_t>(EdgeKind::Spill) ||
+            (tail >> 24) > 1) {
+            r.fail("bad kind/alive byte in edge record row " +
                    std::to_string(i));
         }
-        const std::uint32_t src = loadLe32(q + 4);
-        const std::uint32_t dst = loadLe32(q + 8);
+        const std::uint32_t src = loadLe32(q);
+        const std::uint32_t dst = loadLe32(q + 4);
         if (src >= node_slots || dst >= node_slots)
             r.fail("edge endpoint outside the node array");
-        if (loadLe32(q + 12) >= 0x80000000u)
+        if (loadLe32(q + 8) >= 0x80000000u)
             r.fail("negative edge distance");
-        if ((tail >> 40) & 0xff) { // alive (flag byte proven 0/1)
+        if (tail >> 24) { // alive (proven 0/1)
             const unsigned char *srow = nrec + src * kNodeRecBytes;
-            if (srow[20] == 0 ||
-                nrec[dst * kNodeRecBytes + 20] == 0) {
+            if (!(srow[13] & kAliveFlag) ||
+                !(nrec[dst * kNodeRecBytes + 13] & kAliveFlag)) {
                 r.fail("live edge on a dead node");
             }
-            if (static_cast<EdgeKind>((tail >> 32) & 0xff) ==
-                    EdgeKind::RegFlow &&
-                !producesValue(static_cast<OpClass>(srow[16]))) {
+            if (static_cast<EdgeKind>(kind) == EdgeKind::RegFlow &&
+                !producesValue(static_cast<OpClass>(srow[12]))) {
                 r.fail("flow edge from a non-value-producing op");
             }
         }
@@ -352,9 +330,7 @@ deserializeGraph(Reader &r)
     // Everything above threw on the first inconsistency, which is
     // exactly the precondition the trusted bulk loader asks for. It
     // memcpys each mapped array into the graph's own storage (records
-    // start at arbitrary byte offsets, so nothing is read in place)
-    // and re-derives the id fields, so the on-disk ids need no
-    // validation of their own.
+    // start at arbitrary byte offsets, so nothing is read in place).
     r.pos += static_cast<std::size_t>(fixed);
     return Ddg::fromSlotsTrusted(
         nrec, node_slots, erec, edge_slots,

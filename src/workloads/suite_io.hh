@@ -5,7 +5,7 @@
  * paying the `buildSuite` regeneration per process (the CMake build
  * generates the cache once; see below).
  *
- * ## File format (version 3)
+ * ## File format (version 4)
  *
  * All multi-byte fields are little-endian and fixed-width; the layout
  * is a single flat sequence (mmap-friendly: no pointers, no
@@ -16,7 +16,7 @@
  * ```
  * header (44 bytes):
  *   u8[8]  magic       "CVSUITE\0"
- *   u32    version     3
+ *   u32    version     4
  *   u32    endianTag   0x01020304 (rejects foreign-endian writers)
  *   u64    seed        generator seed the suite was built from
  *   u32    loopCount
@@ -35,15 +35,21 @@
  *   u32    nodeSlots   (including tombstones)
  *   u32    edgeSlots   (including tombstones)
  *   u32    labelBytes
- *   nodeSlots x 24-byte node record = DdgNode's exact byte layout
- *     (i32 id, i32 semanticId, u32 labelOffset, u32 labelLen,
- *      u8 opClass, u8 isReplica, u8 isSpill, u8 liveOut, u8 alive,
- *      u8[3] zero padding)
- *   edgeSlots x 24-byte edge record = DdgEdge's exact byte layout
- *     (i32 id, i32 src, i32 dst, i32 distance, i32 memLatency,
- *      u8 kind, u8 alive, u8[2] zero padding)
+ *   nodeSlots x 16-byte node record = DdgNode's exact byte layout
+ *     (i32 semanticId, u32 labelOffset, u32 labelLen, u8 opClass,
+ *      u8 flags = isReplica | isSpill << 1 | liveOut << 2 |
+ *      alive << 3, u8[2] zero padding)
+ *   edgeSlots x 16-byte edge record = DdgEdge's exact byte layout
+ *     (i32 src, i32 dst, i32 distance, i16 memLatency, u8 kind,
+ *      u8 alive)
  *   u8[labelBytes]     the graph's label arena, verbatim
  * ```
+ *
+ * Ids are slot indices, so no record stores one. Versions: 1 was the
+ * first format; 2 kept its layout with the 4-lane payload digest; 3
+ * made the records 24-byte copies of the graph structs, added the
+ * label blob and per-record digests; 4 shrank the records to 16
+ * bytes. The seed-42 suite takes 1.17 MB.
  *
  * The node/edge records ARE the in-memory PODs (static_asserts in
  * ddg/ddg.hh pin the layout): after one validation pass over the raw
@@ -61,15 +67,13 @@
  * parsing it. Truncation, corruption (digest mismatch),
  * bad magic, an unknown version, a missing or non-regular file, a
  * host without mmap and a big-endian host all throw a `SuiteIoError`
- * naming the path - never undefined behaviour. A stale v2 cache is
+ * naming the path - never undefined behaviour. A stale v3 cache is
  * rejected with both versions; bump the version for any layout
  * change. The file is only ever mapped because mapping measured
- * fastest: on a 4-CPU x86-64 host (Release, perf_micro's
- * BM_SuiteLoad, medians of alternating runs) the 678-loop cache loads
- * in 1.02 ms, against ~1.47 ms when read into a buffer first.
- * `buildSuite(42)` takes ~4.3 ms there (BM_SuiteGeneration, median of
- * 10 runs alternating with a build that grew each graph through
- * addNode/addEdge, which took ~10.4 ms).
+ * fastest (v3 cache: ~1.0 ms mapped, ~1.47 ms read into a buffer
+ * first). On a 4-CPU x86-64 host (Release, perf_micro medians of 10
+ * runs) the cache loads in 0.64 ms (BM_SuiteLoad) and
+ * `buildSuite(42)` takes 3.0 ms (BM_SuiteGeneration).
  *
  * The loaded suite is bit-identical to `buildSuite`'s on every
  * observable `Loop` field (names, profiles, node/edge arrays

@@ -67,6 +67,27 @@ TEST(Checker, DetectsDependenceViolation)
     EXPECT_NE(errs[0].find("dependence"), std::string::npos);
 }
 
+TEST(Checker, HugeDistanceDoesNotOverflow)
+{
+    // II * distance = 2^32 does not fit in an int: wrapped to 0, the
+    // consumer would seem to read before the producer's latency.
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu, "a");
+    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    g.addEdge(a, b, EdgeKind::Memory, 1 << 30, 1);
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    Partition p(2, g.numNodeSlots());
+    p.assign(a, 0);
+    p.assign(b, 0);
+    Schedule s;
+    s.ii = 4;
+    s.start.assign(g.numNodeSlots(), 0);
+    s.busOf.assign(g.numNodeSlots(), -1);
+    s.length = 1;
+    s.stageCount = 1;
+    EXPECT_EQ(checkSchedule(g, m, p, s), std::vector<std::string>{});
+}
+
 TEST(Checker, DetectsUnscheduledNode)
 {
     Fixture f;

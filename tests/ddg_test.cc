@@ -108,6 +108,16 @@ TEST(Ddg, FlowEdgesFromStoresRejected)
                  "non-value-producing");
 }
 
+TEST(Ddg, MemoryLatencyMustFitInt16)
+{
+    Ddg g;
+    const NodeId st = g.addNode(OpClass::Store, "st");
+    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    g.addEdge(st, ld, EdgeKind::Memory, 1, 32767);
+    EXPECT_DEATH(g.addEdge(st, ld, EdgeKind::Memory, 1, 32768),
+                 "memory latency 32768 outside int16_t");
+}
+
 TEST(Ddg, MemoryEdgesFromStoresAllowed)
 {
     Ddg g;

@@ -574,6 +574,49 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
     }
 }
 
+/**
+ * A span grows in place while the arena entry just past it is
+ * `invalidEdge` and relocates otherwise. Three hubs' in- and
+ * out-spans and their sinks' in-spans grow in turn, so relocated
+ * regions abut. Each hub span relocates at lengths 0, 4, 8 and 16,
+ * then at 21 and 42 after compact() leaves it without slack. A copy
+ * taken midway shares the arena until the next append clones it.
+ * Every list must match the vector model after every append, and
+ * the copy its own model.
+ */
+TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
+{
+    Ddg g;
+    AdjOracle model;
+    const auto spawn = [&](OpClass cls) {
+        model.onNode();
+        return g.addNode(cls);
+    };
+    const NodeId hubs[] = {spawn(OpClass::IntAlu), spawn(OpClass::Load),
+                           spawn(OpClass::FpAlu)};
+    std::optional<Ddg> copy;
+    AdjOracle copy_model;
+    for (int round = 0; round < 48; ++round) {
+        const NodeId sink = spawn(OpClass::Store);
+        for (const NodeId hub : hubs) {
+            model.onEdge(g, g.addEdge(hub, sink, EdgeKind::RegFlow, 0));
+            model.check(g);
+            model.onEdge(g, g.addEdge(sink, hub, EdgeKind::Memory, 1));
+            model.check(g);
+        }
+        if (round == 12) {
+            copy.emplace(g);
+            copy_model = model;
+        }
+        if (round == 20)
+            g.compact();
+        if (copy)
+            copy_model.check(*copy);
+    }
+    EXPECT_EQ(g.outEdges(hubs[1]).size(), 48u);
+    EXPECT_EQ(g.inEdges(hubs[2]).size(), 48u);
+}
+
 /** A graph rebuilt by fromSlots must carry exactly-sized spans that
  *  still grow correctly when mutated afterwards. */
 TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
@@ -654,7 +697,7 @@ TEST(DdgArena, CompactPreservesAdjacencyAndGeneration)
     g.compact();
     EXPECT_EQ(g.generation(), stamp);
 
-    // Growth from capacity == count relocates cleanly again.
+    // Growth from a span without slack relocates cleanly again.
     const NodeId extra = g.addNode(OpClass::IntAlu, "extra");
     const EdgeId e = g.addEdge(hub, extra, EdgeKind::RegFlow, 0);
     EXPECT_EQ(g.outEdges(hub).toVector().back(), e);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "support/fnv.hh"
 #include "support/logging.hh"
 #include "workloads/suite_io.hh"
 
@@ -69,7 +70,6 @@ expectDdgIdentical(const Ddg &a, const Ddg &b)
     for (NodeId n = 0; n < a.numNodeSlots(); ++n) {
         const DdgNode &x = a.node(n);
         const DdgNode &y = b.node(n);
-        EXPECT_EQ(x.id, y.id);
         EXPECT_EQ(x.cls, y.cls) << "node " << n;
         EXPECT_EQ(x.labelLen, y.labelLen) << "node " << n;
         EXPECT_EQ(a.label(n), b.label(n)) << "node " << n;
@@ -92,7 +92,6 @@ expectDdgIdentical(const Ddg &a, const Ddg &b)
     for (EdgeId e = 0; e < a.numEdgeSlots(); ++e) {
         const DdgEdge &x = a.edge(e);
         const DdgEdge &y = b.edge(e);
-        EXPECT_EQ(x.id, y.id);
         EXPECT_EQ(x.src, y.src) << "edge " << e;
         EXPECT_EQ(x.dst, y.dst) << "edge " << e;
         EXPECT_EQ(x.kind, y.kind) << "edge " << e;
@@ -172,9 +171,134 @@ TEST(SuiteIo, TombstonesAndReplicasRoundTrip)
     expectSuitesIdentical({loop}, loaded);
 }
 
+/**
+ * One loop whose graph holds every op class, all 16 combinations of
+ * the node flags, every edge kind, both int16 memLatency extremes,
+ * and dead node and edge slots.
+ */
+Loop
+everyFieldLoop()
+{
+    Loop loop;
+    loop.benchmark = "fields";
+    loop.index = 0;
+    Ddg &g = loop.ddg;
+    // Node n has flag bits n and op class n % NumOpClasses.
+    const int classes = static_cast<int>(OpClass::NumOpClasses);
+    for (NodeId n = 0; n < 16; ++n) {
+        g.addNode(static_cast<OpClass>(n % classes));
+        g.node(n).isReplica = n & 1;
+        g.node(n).isSpill = n & 2;
+        g.node(n).liveOut = n & 4;
+    }
+    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    const NodeId st = g.addNode(OpClass::Store, "st");
+    g.addEdge(ld, st, EdgeKind::RegFlow, 0);
+    g.addEdge(st, ld, EdgeKind::Memory, 1, -32768);
+    g.addEdge(ld, st, EdgeKind::Memory, 2, 32767);
+    g.addEdge(st, ld, EdgeKind::Spill, 3);
+    g.removeEdge(g.addEdge(ld, ld, EdgeKind::RegFlow, 1));
+    g.addEdge(ld, 0, EdgeKind::Memory, 0, 7); // dies with node 0
+    for (NodeId n = 0; n < 8; ++n)
+        g.removeNode(n); // flag bit 3 (alive) clear
+    return loop;
+}
+
+TEST(SuiteIo, EveryFieldValueRoundTrips)
+{
+    // Bit-field order is implementation-defined: this pins the v4
+    // flag byte the writer emits to what the loader's memcpy makes of
+    // it, for every flag combination.
+    const Loop loop = everyFieldLoop();
+    TempFile file("fields.cvsuite");
+    saveSuite({loop}, file.path(), 5);
+    const auto loaded = loadSuite(file.path(), 5);
+    ASSERT_EQ(loaded.size(), 1u);
+    expectSuitesIdentical({loop}, loaded);
+    const Ddg &g = loaded[0].ddg;
+    for (NodeId n = 0; n < 16; ++n) {
+        const DdgNode &x = g.node(n);
+        EXPECT_EQ(x.isReplica | x.isSpill << 1 | x.liveOut << 2 |
+                      x.alive << 3,
+                  n);
+    }
+    EXPECT_EQ(g.edge(1).memLatency, -32768);
+    EXPECT_EQ(g.edge(2).memLatency, 32767);
+    EXPECT_EQ(g.edge(3).kind, EdgeKind::Spill);
+    EXPECT_FALSE(g.edge(4).alive);
+    EXPECT_FALSE(g.edge(5).alive);
+}
+
+/**
+ * A single-loop file's bytes with the record and index digests
+ * re-stamped, so the loader's structural checks see an edit instead
+ * of its digest check. The 44-byte header ends with the index digest;
+ * the one 16-byte index entry holds the record offset and digest.
+ */
+void
+restampSingleLoop(std::vector<unsigned char> &bytes)
+{
+    const auto put64 = [&](std::size_t at, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            bytes[at + i] = static_cast<unsigned char>(v >> (8 * i));
+    };
+    put64(52, fnvDigest4Lane(bytes.data() + 60, bytes.size() - 60));
+    put64(36, fnvDigest4Lane(bytes.data() + 44, 16));
+}
+
+TEST(SuiteIo, RejectsBadFlagPaddingKindAndAliveBytes)
+{
+    const Loop loop = everyFieldLoop();
+    TempFile file("badrow.cvsuite");
+    saveSuite({loop}, file.path(), 5);
+    const auto clean = file.bytes();
+    // The record: name (u32 length + bytes), i32 index, two f64s and
+    // three u32 counts precede the 16-byte node rows, then edge rows.
+    const std::size_t nodes_at = 60 + 4 + loop.benchmark.size() + 32;
+    const std::size_t edges_at =
+        nodes_at + 16 * static_cast<std::size_t>(loop.ddg.numNodeSlots());
+    struct Case
+    {
+        const char *what;
+        std::size_t at;
+        unsigned char value;
+        const char *row;
+    };
+    // Node row 9 (flags 0x9) and edge row 2 (a live Memory edge).
+    const std::size_t node9 = nodes_at + 16 * 9, edge2 = edges_at + 16 * 2;
+    const char *in_node9 = "node record row 9";
+    const char *in_edge2 = "edge record row 2";
+    const Case cases[] = {
+        {"node flag bit 4", node9 + 13, 0x19, in_node9},
+        {"node flag bit 7", node9 + 13, 0x89, in_node9},
+        {"node pad byte 14", node9 + 14, 1, in_node9},
+        {"node pad byte 15", node9 + 15, 0x80, in_node9},
+        {"edge kind above Spill", edge2 + 14, 3, in_edge2},
+        {"edge alive byte 2", edge2 + 15, 2, in_edge2},
+    };
+
+    auto restamped = clean;
+    restampSingleLoop(restamped);
+    ASSERT_EQ(restamped, clean) << "the re-stamp must match saveSuite";
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        auto bytes = clean;
+        bytes[c.at] = c.value;
+        restampSingleLoop(bytes);
+        file.write(bytes);
+        try {
+            loadSuite(file.path());
+            ADD_FAILURE() << "accepted";
+        } catch (const SuiteIoError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find(c.row), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(SuiteIo, SaveLoadSaveIsByteIdentical)
 {
-    // The v3 records are the in-memory PODs and the label arena is
+    // The v4 records are the in-memory PODs and the label arena is
     // written verbatim (dead-slot label bytes included), so a loaded
     // suite re-serializes to the exact same bytes.
     auto suite = buildBenchmark("applu");
@@ -310,26 +434,26 @@ TEST(SuiteIo, RejectsBadMagicAndWrongVersion)
     }
 }
 
-TEST(SuiteIo, RejectsStaleV2CacheAndRegenerates)
+TEST(SuiteIo, RejectsStaleV3CacheAndRegenerates)
 {
-    // A build tree upgraded across the v2 -> v3 format bump keeps its
+    // A build tree upgraded across the v3 -> v4 format bump keeps its
     // old cache on disk until the next cache regeneration. The reader
     // must reject it with the path and both versions (so the log is
     // actionable), and loadOrBuildSuite must fall back to generation.
     const auto built = buildBenchmark("applu");
-    TempFile file("stale_v2.cvsuite");
+    TempFile file("stale_v3.cvsuite");
     saveSuite(built, file.path(), 42);
     auto bytes = file.bytes();
-    bytes[8] = 0x02; // version field follows the 8-byte magic
+    bytes[8] = 0x03; // version field follows the 8-byte magic
     file.write(bytes);
 
     try {
         loadSuite(file.path());
-        FAIL() << "stale v2 cache was accepted";
+        FAIL() << "stale v3 cache was accepted";
     } catch (const SuiteIoError &err) {
         const std::string what = err.what();
-        EXPECT_NE(what.find("version 2"), std::string::npos) << what;
         EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+        EXPECT_NE(what.find("version 4"), std::string::npos) << what;
         EXPECT_NE(what.find(file.path()), std::string::npos) << what;
     }
 

@@ -7,14 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
+#include <cstring>
 #include <map>
+#include <string_view>
 
 #include "ddg/analysis.hh"
 #include "support/fnv.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -40,6 +39,70 @@ TEST(Profiles, BenchmarkNames)
         EXPECT_EQ(profiles[i].name, expected[i]);
 }
 
+/**
+ * Digest of everything the generator emits, read through the graph's
+ * public accessors: loop names and profiles, every field of every
+ * node and edge slot, labels and raw in/out spans. It does not depend
+ * on the suite cache's file format.
+ */
+std::uint64_t
+contentDigest(const std::vector<Loop> &suite)
+{
+    std::vector<unsigned char> bytes;
+    const auto put = [&](long long v) {
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<unsigned char>(v >> (8 * i)));
+    };
+    const auto putStr = [&](std::string_view s) {
+        put(static_cast<long long>(s.size()));
+        bytes.insert(bytes.end(), s.begin(), s.end());
+    };
+    const auto putF64 = [&](double v) {
+        long long bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        put(bits);
+    };
+    for (const Loop &loop : suite) {
+        putStr(loop.name());
+        putF64(loop.profile.visits);
+        putF64(loop.profile.avgIters);
+        const Ddg &g = loop.ddg;
+        put(g.numNodeSlots());
+        put(g.numEdgeSlots());
+        for (NodeId n = 0; n < g.numNodeSlots(); ++n) {
+            const DdgNode &x = g.node(n);
+            for (long long v :
+                 {static_cast<long long>(x.semanticId),
+                  static_cast<long long>(x.labelOffset),
+                  static_cast<long long>(x.labelLen),
+                  static_cast<long long>(x.cls),
+                  static_cast<long long>(x.isReplica),
+                  static_cast<long long>(x.isSpill),
+                  static_cast<long long>(x.liveOut),
+                  static_cast<long long>(x.alive)})
+                put(v);
+            putStr(g.label(n));
+            for (const EdgeSpan span :
+                 {g.inEdgesRaw(n), g.outEdgesRaw(n)}) {
+                put(span.size());
+                for (EdgeId e : span)
+                    put(e);
+            }
+        }
+        for (EdgeId e = 0; e < g.numEdgeSlots(); ++e) {
+            const DdgEdge &x = g.edge(e);
+            for (long long v : {static_cast<long long>(x.src),
+                                static_cast<long long>(x.dst),
+                                static_cast<long long>(x.distance),
+                                static_cast<long long>(x.memLatency),
+                                static_cast<long long>(x.kind),
+                                static_cast<long long>(x.alive)})
+                put(v);
+        }
+    }
+    return fnvDigest4Lane(bytes.data(), bytes.size());
+}
+
 TEST(Suite, Deterministic)
 {
     const auto s1 = buildSuite(42);
@@ -52,26 +115,17 @@ TEST(Suite, Deterministic)
         EXPECT_EQ(s1[i].profile.avgIters, s2[i].profile.avgIters);
     }
 
-    // Pinned bytes: the digest of four seeds' saved suites, which
-    // hold every node and edge slot, label and profile, so any change
-    // to what the generator emits shows here.
-    const std::string path =
-        ::testing::TempDir() + "cvliw_deterministic.cvsuite";
+    // Pinned content of four seeds' suites, so any change to what the
+    // generator emits shows here, whatever the cache format.
     const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
-        {1, 0xd952d0e65bff870cULL},
-        {7, 0x1321e8f06fd39854ULL},
-        {42, 0x55a187e253b17188ULL},
-        {203, 0x734ca692c97c3275ULL}};
+        {1, 0x2619c0a94617dcc1ULL},
+        {7, 0x73ff82a5fba568b7ULL},
+        {42, 0x7ec214148dc540d2ULL},
+        {203, 0xf0a9881eb25b6dacULL}};
     for (const auto &[seed, digest] : pinned) {
-        saveSuite(buildSuite(seed), path, seed);
-        std::ifstream f(path, std::ios::binary);
-        const std::vector<unsigned char> bytes(
-            (std::istreambuf_iterator<char>(f)),
-            std::istreambuf_iterator<char>());
-        EXPECT_EQ(fnvDigest4Lane(bytes.data(), bytes.size()), digest)
+        EXPECT_EQ(contentDigest(buildSuite(seed)), digest)
             << "seed " << seed;
     }
-    std::remove(path.c_str());
 }
 
 TEST(Suite, DifferentSeedsDiffer)
