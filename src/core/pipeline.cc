@@ -95,6 +95,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     const PhaseClock::time_point t_compile = PhaseClock::now();
     const std::uint64_t probes0 = caches.pseudo.probeCount();
     const std::uint64_t commits0 = caches.pseudo.commitCount();
+    const std::uint64_t asap0 = caches.pseudo.asapRunCount();
+    const std::uint64_t sweeps0 = caches.pseudo.widthSweepCount();
 
     CompileResult result;
     result.mii = minimumIi(original, mach);
@@ -105,6 +107,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             caches.pseudo.probeCount() - probes0;
         result.telemetry.refineCommits =
             caches.pseudo.commitCount() - commits0;
+        result.telemetry.asapRuns =
+            caches.pseudo.asapRunCount() - asap0;
+        result.telemetry.widthSweeps =
+            caches.pseudo.widthSweepCount() - sweeps0;
         result.telemetry.totalMs = msSince(t_compile);
     };
 
@@ -298,9 +304,11 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         // for simulation and metrics): a changed graph goes back
         // without the slack that replication, copy insertion,
         // spilling or length replication grew; an unchanged one keeps
-        // sharing the caller's storage.
+        // sharing the caller's storage. The partition drops the
+        // growth slack of the nodes those passes assigned.
         if (result.finalDdg.generation() != original.generation())
             result.finalDdg.compact();
+        result.partition.shrinkToFit();
         compile_span.arg("ii", ii);
         finish_telemetry();
         return result;

@@ -100,6 +100,14 @@ struct CompileTelemetry
     /** Refinement moves actually committed. */
     std::uint64_t refineCommits = 0;
 
+    /**
+     * Runs of the pseudo-scheduler's O(V+E) kernels (PseudoScratch),
+     * by refinement probes and from-scratch evaluations alike: the
+     * ASAP length estimate and the register-width sweep.
+     */
+    std::uint64_t asapRuns = 0;
+    std::uint64_t widthSweeps = 0;
+
     /** Replication selection rounds, summed over every II attempt. */
     std::uint32_t replicationRounds = 0;
 
@@ -127,7 +135,8 @@ struct CompileResult
     int ii = 0;           //!< achieved initiation interval
     Schedule schedule;    //!< over finalDdg
     Ddg finalDdg;         //!< original + replicas + copies
-    Partition partition;  //!< covers every node of finalDdg
+    /** Covers every node of finalDdg; no spare capacity. */
+    Partition partition;
     ReplicationStats repl;//!< replication statistics at the final II
     /** Cause of each II increment beyond MII, in order. */
     std::vector<FailCause> iiIncreases;

@@ -43,7 +43,12 @@ struct ResultDigest
 
     void mix(int v) { mix(static_cast<std::uint64_t>(v)); }
 
-    void mix(const std::vector<int> &vs)
+    /**
+     * The size, then each entry widened to int: the one-byte cluster
+     * and bus arrays mix exactly as the int arrays they replaced.
+     */
+    template <typename T>
+    void mix(const std::vector<T> &vs)
     {
         mix(vs.size());
         for (int v : vs)

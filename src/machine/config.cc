@@ -20,6 +20,21 @@ MachineConfig::freshId()
 namespace
 {
 
+/**
+ * Reject cluster and bus counts above MachineConfig::maxUnits: every
+ * id must fit the one-byte arrays of partitions and schedules.
+ */
+void
+checkUnitCounts(int clusters, int buses)
+{
+    if (clusters > MachineConfig::maxUnits)
+        cv_fatal("cluster count ", clusters, " exceeds the limit of ",
+                 MachineConfig::maxUnits);
+    if (buses > MachineConfig::maxUnits)
+        cv_fatal("bus count ", buses, " exceeds the limit of ",
+                 MachineConfig::maxUnits);
+}
+
 /** Fill the latency table with Table-1 defaults. */
 void
 fillDefaultLatencies(
@@ -74,6 +89,7 @@ MachineConfig::clustered(int clusters, int buses, int bus_lat, int regs)
 {
     if (clusters < 1)
         cv_fatal("need at least one cluster");
+    checkUnitCounts(clusters, buses);
     if (clusters > 1 && (buses < 1 || bus_lat < 1))
         cv_fatal("clustered machine needs >=1 bus of latency >=1");
     if (4 % clusters != 0)
@@ -107,6 +123,7 @@ MachineConfig::universal(int clusters, int fus_per_cluster, int buses,
 {
     if (clusters < 1 || fus_per_cluster < 1)
         cv_fatal("bad universal machine shape");
+    checkUnitCounts(clusters, buses);
     if (regs % clusters != 0)
         cv_fatal("registers (", regs, ") not divisible by clusters (",
                  clusters, ")");
@@ -127,6 +144,7 @@ MachineConfig::custom(int clusters, ClusterResources res, int buses,
 {
     if (clusters < 1)
         cv_fatal("need at least one cluster");
+    checkUnitCounts(clusters, buses);
     if (regs % clusters != 0)
         cv_fatal("registers (", regs, ") not divisible by clusters (",
                  clusters, ")");

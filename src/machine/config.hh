@@ -42,6 +42,14 @@ class MachineConfig
 {
   public:
     /**
+     * Most clusters, and most buses, one machine may have: partitions
+     * and schedules store cluster and bus ids in one byte
+     * (`ClusterId`, partition/partition.hh). Every factory rejects a
+     * larger count.
+     */
+    static constexpr int maxUnits = 127;
+
+    /**
      * Parse a configuration name.
      * Accepts `wcxbylzr` (e.g. "4c2b4l64r"), "unified" (64 registers)
      * or "unified<z>r" (e.g. "unified128r").

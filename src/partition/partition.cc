@@ -8,7 +8,9 @@ namespace cvliw
 Partition::Partition(int num_clusters, int num_node_slots)
     : numClusters_(num_clusters), clusterOf_(num_node_slots, -1)
 {
-    cv_assert(num_clusters >= 1);
+    cv_assert(num_clusters >= 1 &&
+                  num_clusters <= MachineConfig::maxUnits,
+              "bad cluster count ", num_clusters);
 }
 
 int
@@ -36,7 +38,7 @@ Partition::assign(NodeId n, int cluster)
               cluster);
     if (n >= static_cast<NodeId>(clusterOf_.size()))
         clusterOf_.resize(n + 1, -1);
-    clusterOf_[n] = cluster;
+    clusterOf_[n] = static_cast<ClusterId>(cluster);
 }
 
 std::vector<int>

@@ -6,12 +6,27 @@
 #ifndef CVLIW_PARTITION_PARTITION_HH
 #define CVLIW_PARTITION_PARTITION_HH
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "ddg/ddg.hh"
 
 namespace cvliw
 {
+
+/**
+ * Element type of every per-node cluster array (a `Partition`, the
+ * arrays the partitioner and the communication analysis take) and of
+ * a schedule's per-copy bus ids (`Schedule::busOf`). -1 means
+ * "unassigned" or "no bus". One byte holds every id a machine can
+ * have: the MachineConfig factories reject more than
+ * `MachineConfig::maxUnits` clusters or buses.
+ */
+using ClusterId = std::int8_t;
+static_assert(MachineConfig::maxUnits - 1 <=
+                  std::numeric_limits<ClusterId>::max(),
+              "every cluster and bus id must fit a ClusterId");
 
 /**
  * Maps every DDG node to a cluster. Grows on demand so that nodes
@@ -24,7 +39,8 @@ class Partition
     Partition() : Partition(1, 0) {}
 
     /**
-     * @param num_clusters number of clusters in the machine
+     * @param num_clusters number of clusters in the machine (at most
+     *        MachineConfig::maxUnits)
      * @param num_node_slots initial size of the assignment array
      */
     Partition(int num_clusters, int num_node_slots);
@@ -40,8 +56,14 @@ class Partition
     /** Assign @p n to @p cluster (grows the array as needed). */
     void assign(NodeId n, int cluster);
 
+    /**
+     * Drop the spare capacity that assign()'s growth left behind.
+     * The size, and so every assignment, is unchanged.
+     */
+    void shrinkToFit() { clusterOf_.shrink_to_fit(); }
+
     /** Raw assignment vector (-1 = unassigned), indexed by NodeId. */
-    const std::vector<int> &vec() const { return clusterOf_; }
+    const std::vector<ClusterId> &vec() const { return clusterOf_; }
 
     /** Number of live non-copy ops of @p ddg in each cluster. */
     std::vector<int> opCounts(const Ddg &ddg) const;
@@ -55,7 +77,7 @@ class Partition
 
   private:
     int numClusters_;
-    std::vector<int> clusterOf_;
+    std::vector<ClusterId> clusterOf_;
 };
 
 } // namespace cvliw

@@ -1,5 +1,7 @@
 #include "partition/refine.hh"
 
+#include <limits>
+
 #include "support/logging.hh"
 
 namespace cvliw
@@ -22,9 +24,17 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
     PseudoResult best = s.bind(ddg, mach, part.vec(), ii);
 
     const auto live = ddg.nodes();
+    // The node of the previous pass's last commit (live nodes run in
+    // id order). Past it, a pass that has committed nothing probes
+    // the same state against the same `best` as the previous pass
+    // did, so it would reject every move again: it stops there.
+    NodeId last_commit = std::numeric_limits<NodeId>::max();
     for (int pass = 0; pass < max_passes; ++pass) {
         bool improved = false;
+        NodeId pass_last_commit = invalidNode;
         for (NodeId n : live) {
+            if (!improved && n > last_commit)
+                break;
             if (ddg.node(n).cls == OpClass::Copy)
                 continue;
             const int home = s.assignment()[n];
@@ -41,10 +51,12 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
             if (best_cluster != home) {
                 s.commitMove(n, best_cluster);
                 improved = true;
+                pass_last_commit = n;
             }
         }
         if (!improved)
             break;
+        last_commit = pass_last_commit;
     }
 
     for (NodeId n : live)

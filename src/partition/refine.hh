@@ -18,9 +18,11 @@ namespace cvliw
 
 /**
  * Hill-climb on single-node moves until a full pass makes no
- * improvement (bounded by @p max_passes). Each candidate move is
- * evaluated incrementally against the current best via
- * PseudoScratch::probeMove (see sched/pseudo.hh for the delta
+ * improvement (bounded by @p max_passes). A pass that has committed
+ * nothing stops after the node of the previous pass's last commit:
+ * every later probe would repeat one the previous pass rejected. Each
+ * candidate move is evaluated incrementally against the current best
+ * via PseudoScratch::probeMove (see sched/pseudo.hh for the delta
  * invariants); the result is identical to probing every candidate
  * with a from-scratch pseudoSchedule.
  *

@@ -17,8 +17,9 @@ namespace
  * and the incremental patch so they can never disagree.
  */
 void
-remoteClustersOf(const Ddg &ddg, const std::vector<int> &cluster_of,
-                 NodeId n, std::vector<int> &remote)
+remoteClustersOf(const Ddg &ddg,
+                 const std::vector<ClusterId> &cluster_of, NodeId n,
+                 std::vector<int> &remote)
 {
     remote.clear();
     const DdgNode &node = ddg.node(n);
@@ -51,7 +52,8 @@ remoteClustersOf(const Ddg &ddg, const std::vector<int> &cluster_of,
 } // namespace
 
 CommInfo
-findCommunications(const Ddg &ddg, const std::vector<int> &cluster_of)
+findCommunications(const Ddg &ddg,
+                   const std::vector<ClusterId> &cluster_of)
 {
     CommInfo info;
     info.communicated.assign(ddg.numNodeSlots(), false);
@@ -73,7 +75,8 @@ findCommunications(const Ddg &ddg, const std::vector<int> &cluster_of)
 }
 
 std::vector<NodeId>
-CommInfo::update(const Ddg &ddg, const std::vector<int> &cluster_of,
+CommInfo::update(const Ddg &ddg,
+                 const std::vector<ClusterId> &cluster_of,
                  std::vector<NodeId> touched)
 {
     communicated.resize(ddg.numNodeSlots(), false);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ddg/ddg.hh"
+#include "partition/partition.hh"
 
 namespace cvliw
 {
@@ -50,7 +51,7 @@ struct CommInfo
      *         pass seeds its subgraph-staleness walk with them)
      */
     std::vector<NodeId> update(const Ddg &ddg,
-                               const std::vector<int> &cluster_of,
+                               const std::vector<ClusterId> &cluster_of,
                                std::vector<NodeId> touched);
 };
 
@@ -60,7 +61,7 @@ struct CommInfo
  * not producers of new ones.
  */
 CommInfo findCommunications(const Ddg &ddg,
-                            const std::vector<int> &cluster_of);
+                            const std::vector<ClusterId> &cluster_of);
 
 /** Max communications schedulable in one II: floor(II/lat)*buses. */
 int busCapacity(const MachineConfig &mach, int ii);

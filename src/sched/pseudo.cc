@@ -23,7 +23,7 @@ constexpr auto numKinds =
  */
 void
 asapWithBusPenalty(const Ddg &ddg, const MachineConfig &mach,
-                   const std::vector<int> &cluster_of,
+                   const std::vector<ClusterId> &cluster_of,
                    const std::vector<NodeId> &order,
                    std::vector<int> &est)
 {
@@ -68,7 +68,7 @@ lengthFromAsap(const Ddg &ddg, const MachineConfig &mach,
  */
 void
 widthSweep(const Ddg &ddg, const MachineConfig &mach,
-           const std::vector<int> &cluster_of,
+           const std::vector<ClusterId> &cluster_of,
            const std::vector<int> &asap,
            std::vector<std::vector<std::pair<int, int>>> &events,
            std::vector<int> &carried, std::vector<int> &last,
@@ -170,7 +170,7 @@ PseudoResult::better(const PseudoResult &o) const
 
 PseudoResult
 pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
-               const std::vector<int> &cluster_of, int ii,
+               const std::vector<ClusterId> &cluster_of, int ii,
                PseudoScratch &scratch)
 {
     PseudoResult r;
@@ -208,10 +208,12 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
 
     // --- Estimated length: ASAP where cut flow edges pay the bus. -----
     const auto &order = scratch.cache_.topo(ddg);
+    ++scratch.asapRuns_;
     asapWithBusPenalty(ddg, mach, cluster_of, order, scratch.est_);
     r.length = lengthFromAsap(ddg, mach, order, scratch.est_);
 
     // --- Register width. ------------------------------------------------
+    ++scratch.widthSweeps_;
     widthSweep(ddg, mach, cluster_of, scratch.est_, scratch.events_,
                scratch.carried_, scratch.last_, scratch.maxDist_,
                scratch.width_);
@@ -230,7 +232,7 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
 
 PseudoResult
 PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
-                    const std::vector<int> &cluster_of, int ii)
+                    const std::vector<ClusterId> &cluster_of, int ii)
 {
     ddg_ = &ddg;
     mach_ = &mach;
@@ -352,7 +354,7 @@ PseudoScratch::applyMove(NodeId n, int to)
         }
     }
 
-    assign_[n] = to;
+    assign_[n] = static_cast<ClusterId>(to);
 
     if (tracked_[n]) {
         const int *cnt = &consCnt_[static_cast<std::size_t>(n) *
@@ -391,22 +393,48 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
         return false;
     const bool accept_on_ii = r.iiPart < best.iiPart;
     const int best_deficit = best.overflow + best.regOverflow;
-    // regOverflow >= 0, so the resource overflow alone can already
-    // sink the deficit comparison.
-    if (!accept_on_ii && r.overflow > best_deficit)
-        return false;
 
     const auto &order = cache_.topo(ddg);
     bool have_est = false;
     auto ensure_est = [&] {
         if (!have_est) {
+            ++asapRuns_;
             asapWithBusPenalty(ddg, mach, assign_, order, est_);
             have_est = true;
         }
     };
+    bool have_length = false;
+    auto ensure_length = [&] {
+        if (!have_length) {
+            ensure_est();
+            r.length = lengthFromAsap(ddg, mach, order, est_);
+            have_length = true;
+        }
+    };
+    // With the deficits tied, does the move lose on (comms, length,
+    // imbalance)?
+    auto loses_after_deficit = [&] {
+        if (r.comms != best.comms)
+            return r.comms > best.comms;
+        ensure_length();
+        return std::tie(r.length, r.imbalance) >=
+               std::tie(best.length, best.imbalance);
+    };
+
+    if (!accept_on_ii) {
+        // regOverflow >= 0, so the resource overflow alone can already
+        // sink the deficit comparison. At a tie the deficit can only
+        // tie or lose, so a move that loses on the later keys loses
+        // either way, and the register sweep is not needed to say so.
+        if (r.overflow > best_deficit)
+            return false;
+        if (r.overflow == best_deficit && loses_after_deficit())
+            return false;
+    }
 
     if (widthCanOverflow_) {
         ensure_est();
+        ++widthSweeps_;
         widthSweep(ddg, mach, assign_, est_, events_, carried_, last_,
                    maxDist_, width_);
         for (int c = 0; c < clusters_; ++c) {
@@ -415,32 +443,15 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
         }
     }
 
-    bool have_length = false;
     if (!accept_on_ii) {
         const int deficit = r.overflow + r.regOverflow;
         if (deficit > best_deficit)
             return false;
-        if (deficit == best_deficit) {
-            if (r.comms > best.comms)
-                return false;
-            if (r.comms == best.comms) {
-                ensure_est();
-                r.length = lengthFromAsap(ddg, mach, order, est_);
-                have_length = true;
-                if (r.length > best.length)
-                    return false;
-                if (r.length == best.length &&
-                    r.imbalance >= best.imbalance) {
-                    return false;
-                }
-            }
-        }
+        if (deficit == best_deficit && loses_after_deficit())
+            return false;
     }
 
-    if (!have_length) {
-        ensure_est();
-        r.length = lengthFromAsap(ddg, mach, order, est_);
-    }
+    ensure_length();
     out = r;
     return true;
 }

@@ -36,9 +36,12 @@
  *    register-width sweep) run only when the cheap lexicographic
  *    prefix of `PseudoResult::better` - partition-induced II, then
  *    the resource-overflow lower bound of the deficit - does not
- *    already decide the comparison, and the register sweep is also
- *    skipped when an assignment-independent upper bound proves no
- *    cluster can exceed its register file.
+ *    already decide the comparison. When that lower bound ties the
+ *    best deficit, the deficit can only tie or lose, so a move that
+ *    loses on (comms, length, imbalance) is rejected before the
+ *    register sweep; the sweep is also skipped when an
+ *    assignment-independent upper bound proves no cluster can exceed
+ *    its register file.
  * 3. `probeMove()` leaves the scratch state exactly as it found it;
  *    only `commitMove()` (and `bind()`) change the bound assignment.
  */
@@ -52,6 +55,7 @@
 
 #include "ddg/analysis.hh"
 #include "ddg/ddg.hh"
+#include "partition/partition.hh"
 
 namespace cvliw
 {
@@ -95,10 +99,10 @@ class PseudoScratch
      * from-scratch oracle).
      */
     PseudoResult bind(const Ddg &ddg, const MachineConfig &mach,
-                      const std::vector<int> &cluster_of, int ii);
+                      const std::vector<ClusterId> &cluster_of, int ii);
 
     /** Current assignment (valid after bind(), kept by commitMove()). */
-    const std::vector<int> &assignment() const { return assign_; }
+    const std::vector<ClusterId> &assignment() const { return assign_; }
 
     /**
      * Does moving @p n to cluster @p c beat @p best? On true, @p out
@@ -126,11 +130,21 @@ class PseudoScratch
     std::uint64_t probeCount() const { return probes_; }
     std::uint64_t commitCount() const { return commits_; }
 
+    /**
+     * Lifetime runs of the two O(V+E) kernels on this scratch, by
+     * probes and by from-scratch evaluations alike: the ASAP length
+     * estimate and the register-width sweep. Monotone and
+     * deterministic like probeCount(); the pipeline differences them
+     * into CompileTelemetry::asapRuns / widthSweeps.
+     */
+    std::uint64_t asapRunCount() const { return asapRuns_; }
+    std::uint64_t widthSweepCount() const { return widthSweeps_; }
+
   private:
     friend PseudoResult pseudoSchedule(const Ddg &,
                                        const MachineConfig &,
-                                       const std::vector<int> &, int,
-                                       PseudoScratch &);
+                                       const std::vector<ClusterId> &,
+                                       int, PseudoScratch &);
 
     /** Move @p n to @p to, updating every incremental structure. */
     void applyMove(NodeId n, int to);
@@ -151,7 +165,7 @@ class PseudoScratch
     AnalysisCache cache_;
 
     // Incremental state (valid between bind() and the next bind()).
-    std::vector<int> assign_;
+    std::vector<ClusterId> assign_;
     std::vector<int> usage_; //!< [kind * clusters_ + c]
     std::vector<int> ops_;   //!< per cluster
     /** Per (producer, cluster): live non-copy flow-consumer edges. */
@@ -164,6 +178,8 @@ class PseudoScratch
 
     std::uint64_t probes_ = 0;
     std::uint64_t commits_ = 0;
+    std::uint64_t asapRuns_ = 0;
+    std::uint64_t widthSweeps_ = 0;
 
     // Buffers of the from-scratch path and the expensive kernels.
     std::vector<int> usageFull_;
@@ -190,8 +206,8 @@ class PseudoScratch
  *        probes hundreds of assignments against one graph
  */
 PseudoResult pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
-                            const std::vector<int> &cluster_of, int ii,
-                            PseudoScratch &scratch);
+                            const std::vector<ClusterId> &cluster_of,
+                            int ii, PseudoScratch &scratch);
 
 } // namespace cvliw
 

@@ -1,6 +1,7 @@
 #include "sched/regpressure.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -9,6 +10,20 @@ namespace cvliw
 
 namespace
 {
+
+/**
+ * Last use of a value read at cycle @p consumer_start, @p distance
+ * iterations later: computed in 64 bits (ii * distance can exceed an
+ * int) and clamped into the int range of the live ranges.
+ */
+int
+useCycle(int consumer_start, int ii, int distance)
+{
+    return static_cast<int>(std::min<long long>(
+        static_cast<long long>(consumer_start) +
+            static_cast<long long>(ii) * distance,
+        std::numeric_limits<int>::max()));
+}
 
 /** Add one live range [def, last_use) to a cluster's phase counts. */
 void
@@ -47,7 +62,7 @@ computeMaxLive(const Ddg &ddg, const MachineConfig &mach,
                     continue;
                 const int c = part.clusterOf(e.dst);
                 last[c] = std::max(last[c],
-                                   start[e.dst] + ii * e.distance);
+                                   useCycle(start[e.dst], ii, e.distance));
             }
             for (int c = 0; c < clusters; ++c) {
                 if (last[c] >= def)
@@ -65,7 +80,8 @@ computeMaxLive(const Ddg &ddg, const MachineConfig &mach,
                     continue;
                 if (part.clusterOf(e.dst) != c)
                     continue;
-                last = std::max(last, start[e.dst] + ii * e.distance);
+                last = std::max(last,
+                                useCycle(start[e.dst], ii, e.distance));
             }
             if (last >= def)
                 addRange(press[c], def, last, ii);

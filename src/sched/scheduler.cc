@@ -61,6 +61,20 @@ namespace
 constexpr int intMin = std::numeric_limits<int>::min();
 constexpr int intMax = std::numeric_limits<int>::max();
 
+/**
+ * A placement-window bound, computed in 64 bits (ii * distance can
+ * exceed an int) and clamped to [intMin + ii, intMax - ii]: the scans
+ * step up to ii - 1 cycles past a bound without overflowing, and no
+ * bound reaches intMin, the "nothing placed" sentinel.
+ */
+int
+windowBound(long long t, int ii)
+{
+    return static_cast<int>(std::clamp<long long>(
+        t, static_cast<long long>(intMin) + ii,
+        static_cast<long long>(intMax) - ii));
+}
+
 } // namespace
 
 ScheduleAttempt
@@ -113,17 +127,24 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
             if (!e.alive || !placed[e.src])
                 continue;
             has_pred = true;
-            early = std::max(early,
-                             start[e.src] + eff_lat[eid] -
-                                 ii * e.distance);
+            early = std::max(
+                early,
+                windowBound(static_cast<long long>(start[e.src]) +
+                                eff_lat[eid] -
+                                static_cast<long long>(ii) * e.distance,
+                            ii));
         }
         for (EdgeId eid : ddg.outEdgesRaw(v)) {
             const DdgEdge &e = ddg.edge(eid);
             if (!e.alive || !placed[e.dst])
                 continue;
             has_succ = true;
-            late = std::min(late, start[e.dst] - eff_lat[eid] +
-                                      ii * e.distance);
+            late = std::min(
+                late,
+                windowBound(static_cast<long long>(start[e.dst]) -
+                                eff_lat[eid] +
+                                static_cast<long long>(ii) * e.distance,
+                            ii));
         }
 
         // For copies the probe also yields the bus handle, so the
@@ -185,8 +206,8 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         }
 
         if (is_copy)
-            attempt.sched.busOf[v] = tables.placeCopy(chosen,
-                                                      probe_bus);
+            attempt.sched.busOf[v] = static_cast<ClusterId>(
+                tables.placeCopy(chosen, probe_bus));
         else
             tables.placeOp(cluster, kind, chosen);
         start[v] = chosen;
@@ -202,7 +223,7 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     // their source's home-cluster lifetime when sunk), it is rolled
     // back.
     const std::vector<int> presink_start = start;
-    const std::vector<int> presink_bus = attempt.sched.busOf;
+    const std::vector<ClusterId> presink_bus = attempt.sched.busOf;
     {
         const auto &fwd = memo.analyses.topo(ddg);
         for (auto it = fwd.rbegin(); it != fwd.rend(); ++it) {
@@ -257,10 +278,10 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
                 // chosen_bus belongs to the scan hit; when no later
                 // slot fit, the copy goes back to its old cycle and
                 // the probe must be redone there.
-                attempt.sched.busOf[v] =
+                attempt.sched.busOf[v] = static_cast<ClusterId>(
                     chosen == start[v]
                         ? tables.placeCopy(chosen)
-                        : tables.placeCopy(chosen, chosen_bus);
+                        : tables.placeCopy(chosen, chosen_bus));
             } else {
                 tables.placeOp(cluster, kind, chosen);
             }

@@ -43,8 +43,8 @@ struct Schedule
     int ii = 0;
     /** Absolute start cycle per NodeId (-1 for dead/unscheduled). */
     std::vector<int> start;
-    /** Bus used by each Copy node (-1 for non-copies). */
-    std::vector<int> busOf;
+    /** Bus used by each Copy node (-1 for non-copies), one byte each. */
+    std::vector<ClusterId> busOf;
     int length = 0;     //!< span of one iteration in cycles
     int stageCount = 0; //!< SC = ceil(length / II)
     std::vector<int> maxLive; //!< per-cluster register pressure

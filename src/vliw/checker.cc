@@ -1,6 +1,6 @@
 #include "vliw/checker.hh"
 
-#include <map>
+#include <algorithm>
 
 #include "sched/regpressure.hh"
 #include "support/logging.hh"
@@ -62,10 +62,22 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
     }
 
     // --- Modulo resource constraints. ----------------------------------
-    // ops[(kind, cluster, phase)] -> count
-    std::map<std::tuple<int, int, int>, int> ops;
-    // bus[(bus, phase)] -> user label
-    std::map<std::pair<int, int>, NodeId> bus;
+    // Reservations per (kind, cluster, phase) and the first user of
+    // each (bus, phase), in flat kind-major and bus-major arrays.
+    constexpr int num_kinds =
+        static_cast<int>(ResourceKind::NumResourceKinds);
+    const int clusters = std::max(mach.numClusters(), part.numClusters());
+    auto op_slot = [&](int kind, int cluster, int ph) {
+        return (static_cast<std::size_t>(kind) * clusters + cluster) *
+                   static_cast<std::size_t>(ii) +
+               static_cast<std::size_t>(ph);
+    };
+    std::vector<int> ops(static_cast<std::size_t>(num_kinds) * clusters *
+                             static_cast<std::size_t>(ii),
+                         0);
+    std::vector<NodeId> bus(static_cast<std::size_t>(mach.numBuses()) *
+                                static_cast<std::size_t>(ii),
+                            invalidNode);
     for (NodeId v : ddg.nodes()) {
         const DdgNode &node = ddg.node(v);
         if (node.cls == OpClass::Copy) {
@@ -83,32 +95,39 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
                                std::to_string(ph));
             }
             for (int k = 0; k < mach.busLatency(); ++k) {
-                const auto key =
-                    std::make_pair(b, phase(sched.start[v] + k));
-                auto [it, fresh] = bus.emplace(key, v);
-                if (!fresh) {
-                    errs.push_back(
-                        "bus " + std::to_string(b) + " phase " +
-                        std::to_string(key.second) +
-                        " double-booked by " + lbl(v) + " and " +
-                        lbl(it->second));
+                const int bus_ph = phase(sched.start[v] + k);
+                NodeId &user = bus[static_cast<std::size_t>(b) *
+                                       static_cast<std::size_t>(ii) +
+                                   static_cast<std::size_t>(bus_ph)];
+                if (user == invalidNode) {
+                    user = v;
+                    continue;
                 }
+                errs.push_back("bus " + std::to_string(b) + " phase " +
+                               std::to_string(bus_ph) +
+                               " double-booked by " + lbl(v) + " and " +
+                               lbl(user));
             }
         } else {
             const auto kind =
                 static_cast<int>(mach.resourceFor(node.cls));
-            ++ops[{kind, part.clusterOf(v), phase(sched.start[v])}];
+            ++ops[op_slot(kind, part.clusterOf(v),
+                          phase(sched.start[v]))];
         }
     }
-    for (const auto &[key, count] : ops) {
-        const auto kind = static_cast<ResourceKind>(std::get<0>(key));
-        if (count > mach.available(kind)) {
-            errs.push_back(
-                std::string("overbooked ") + toString(kind) +
-                " in cluster " + std::to_string(std::get<1>(key)) +
-                " phase " + std::to_string(std::get<2>(key)) + ": " +
-                std::to_string(count) + " > " +
-                std::to_string(mach.available(kind)));
+    for (int k = 0; k < num_kinds; ++k) {
+        const auto kind = static_cast<ResourceKind>(k);
+        for (int c = 0; c < clusters; ++c) {
+            for (int ph = 0; ph < ii; ++ph) {
+                const int count = ops[op_slot(k, c, ph)];
+                if (count <= mach.available(kind))
+                    continue;
+                errs.push_back(
+                    std::string("overbooked ") + toString(kind) +
+                    " in cluster " + std::to_string(c) + " phase " +
+                    std::to_string(ph) + ": " + std::to_string(count) +
+                    " > " + std::to_string(mach.available(kind)));
+            }
         }
     }
 

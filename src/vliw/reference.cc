@@ -1,7 +1,6 @@
 #include "vliw/reference.hh"
 
 #include <algorithm>
-#include <tuple>
 
 #include "ddg/analysis.hh"
 #include "support/logging.hh"
@@ -23,6 +22,15 @@ mix64(std::uint64_t x)
     return x;
 }
 
+/** The fold's starting value for (@p semantic, @p cls). */
+std::uint64_t
+combineSeed(std::uint64_t seed, NodeId semantic, OpClass cls)
+{
+    return mix64(seed ^ (static_cast<std::uint64_t>(semantic) + 1) *
+                            0x9e3779b97f4a7c15ULL) ^
+           mix64(static_cast<std::uint64_t>(cls) + 0x1234567ULL);
+}
+
 } // namespace
 
 std::uint64_t
@@ -36,14 +44,11 @@ liveInValue(std::uint64_t seed, NodeId semantic, long long iter)
 
 std::uint64_t
 combineValue(std::uint64_t seed, NodeId semantic, OpClass cls,
-             const std::vector<std::uint64_t> &sorted_operands)
+             const std::vector<Operand> &sorted_operands)
 {
-    std::uint64_t h =
-        mix64(seed ^ (static_cast<std::uint64_t>(semantic) + 1) *
-                         0x9e3779b97f4a7c15ULL) ^
-        mix64(static_cast<std::uint64_t>(cls) + 0x1234567ULL);
-    for (std::uint64_t op : sorted_operands)
-        h = mix64(h ^ op);
+    std::uint64_t h = combineSeed(seed, semantic, cls);
+    for (const Operand &op : sorted_operands)
+        h = mix64(h ^ std::get<2>(op));
     return h;
 }
 
@@ -51,28 +56,31 @@ std::uint64_t
 sourceValue(std::uint64_t seed, NodeId semantic, OpClass cls,
             long long iter)
 {
-    return combineValue(seed, semantic, cls,
-                        {mix64(static_cast<std::uint64_t>(iter) + 77)});
+    // combineValue of the single operand mix64(iter + 77).
+    return mix64(combineSeed(seed, semantic, cls) ^
+                 mix64(static_cast<std::uint64_t>(iter) + 77));
 }
 
 ReferenceInterpreter::ReferenceInterpreter(const Ddg &original,
                                            int iterations,
                                            std::uint64_t seed)
-    : ddg_(original), iterations_(iterations), seed_(seed)
+    : ddg_(original), iterations_(iterations), seed_(seed),
+      slots_(static_cast<std::size_t>(original.numNodeSlots()))
 {
     cv_assert(iterations >= 1);
     const auto order = topoOrder(ddg_);
-    values_.assign(iterations,
-                   std::vector<std::uint64_t>(ddg_.numNodeSlots(), 0));
+    values_.assign(static_cast<std::size_t>(iterations) * slots_, 0);
 
+    std::vector<Operand> ops; // reused by every instance
     for (int i = 0; i < iterations; ++i) {
+        std::uint64_t *row = &values_[static_cast<std::size_t>(i) * slots_];
         for (NodeId v : order) {
             const DdgNode &node = ddg_.node(v);
             // Canonical operand order: (producer semantic, distance,
             // value). The simulator reproduces the same ordering on
             // the transformed graph, where copies collapse to their
             // sources and replicas share semantic ids.
-            std::vector<std::tuple<NodeId, int, std::uint64_t>> ops;
+            ops.clear();
             for (EdgeId eid : ddg_.inEdgesRaw(v)) {
                 const DdgEdge &e = ddg_.edge(eid);
                 if (!e.alive || e.kind != EdgeKind::RegFlow)
@@ -81,25 +89,19 @@ ReferenceInterpreter::ReferenceInterpreter(const Ddg &original,
                     static_cast<long long>(i) - e.distance;
                 const std::uint64_t val =
                     src_iter >= 0
-                        ? values_[src_iter][e.src]
+                        ? values_[static_cast<std::size_t>(src_iter) *
+                                      slots_ +
+                                  static_cast<std::size_t>(e.src)]
                         : liveInValue(seed_, e.src, src_iter);
                 ops.emplace_back(e.src, e.distance, val);
             }
-            std::sort(ops.begin(), ops.end());
-            std::vector<std::uint64_t> operand_values;
-            operand_values.reserve(ops.size());
-            for (const auto &[p, d, val] : ops) {
-                (void)p;
-                (void)d;
-                operand_values.push_back(val);
-            }
-            if (operand_values.empty()) {
+            if (ops.empty()) {
                 // Source node (e.g. a load off a live-in address):
                 // deterministic per (node, iteration).
-                values_[i][v] = sourceValue(seed_, v, node.cls, i);
+                row[v] = sourceValue(seed_, v, node.cls, i);
             } else {
-                values_[i][v] =
-                    combineValue(seed_, v, node.cls, operand_values);
+                std::sort(ops.begin(), ops.end());
+                row[v] = combineValue(seed_, v, node.cls, ops);
             }
         }
     }
@@ -112,7 +114,8 @@ ReferenceInterpreter::value(NodeId semantic, long long iter) const
         return liveInValue(seed_, semantic, iter);
     cv_assert(iter < iterations_, "iteration ", iter,
               " beyond simulated range");
-    return values_[iter][semantic];
+    return values_[static_cast<std::size_t>(iter) * slots_ +
+                   static_cast<std::size_t>(semantic)];
 }
 
 } // namespace cvliw

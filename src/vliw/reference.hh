@@ -12,6 +12,7 @@
 #define CVLIW_VLIW_REFERENCE_HH
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "ddg/ddg.hh"
@@ -24,14 +25,20 @@ std::uint64_t liveInValue(std::uint64_t seed, NodeId semantic,
                           long long iter);
 
 /**
- * Deterministic combining function shared by the reference
- * interpreter and the simulator. Operands must be pre-sorted into
- * the canonical order: ascending (producer semantic id, distance,
- * value).
+ * One operand of an instruction instance: (producer semantic id,
+ * distance, value). Sorted ascending, this is the canonical operand
+ * order of the reference interpreter and the simulator.
  */
-std::uint64_t
-combineValue(std::uint64_t seed, NodeId semantic, OpClass cls,
-             const std::vector<std::uint64_t> &sorted_operands);
+using Operand = std::tuple<NodeId, int, std::uint64_t>;
+
+/**
+ * Deterministic combining function shared by the reference
+ * interpreter and the simulator: folds the operand values in order.
+ * Operands must be pre-sorted into the canonical order.
+ */
+std::uint64_t combineValue(std::uint64_t seed, NodeId semantic,
+                           OpClass cls,
+                           const std::vector<Operand> &sorted_operands);
 
 /**
  * Value of an operand-less source node (e.g. a load whose address is
@@ -63,8 +70,9 @@ class ReferenceInterpreter
     const Ddg &ddg_;
     int iterations_;
     std::uint64_t seed_;
-    /** values_[iter][node] */
-    std::vector<std::vector<std::uint64_t>> values_;
+    std::size_t slots_; //!< node slots of the original graph
+    /** Value of (iter, node) at values_[iter * slots_ + node]. */
+    std::vector<std::uint64_t> values_;
 };
 
 } // namespace cvliw

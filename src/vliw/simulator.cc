@@ -1,7 +1,6 @@
 #include "vliw/simulator.hh"
 
 #include <algorithm>
-#include <tuple>
 
 #include "ddg/analysis.hh"
 #include "support/logging.hh"
@@ -68,18 +67,23 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
     const auto order = topoOrder(final_ddg);
     const int ii = sched.ii;
 
-    // values[iter][node]
-    std::vector<std::vector<std::uint64_t>> values(
-        iterations,
-        std::vector<std::uint64_t>(final_ddg.numNodeSlots(), 0));
+    // Value of (iter, node) at values[iter * slots + node].
+    const auto slots = static_cast<std::size_t>(final_ddg.numNodeSlots());
+    std::vector<std::uint64_t> values(
+        static_cast<std::size_t>(iterations) * slots, 0);
+    auto value_at = [&](long long iter, NodeId v) -> std::uint64_t & {
+        return values[static_cast<std::size_t>(iter) * slots +
+                      static_cast<std::size_t>(v)];
+    };
 
+    std::vector<Operand> ops; // reused by every instance
     for (int i = 0; i < iterations; ++i) {
         for (NodeId v : order) {
             const DdgNode &node = final_ddg.node(v);
 
             // Gather operands in the canonical (semantic, distance,
             // value) order that the reference interpreter uses.
-            std::vector<std::tuple<NodeId, int, std::uint64_t>> ops;
+            ops.clear();
             for (EdgeId eid : final_ddg.inEdgesRaw(v)) {
                 const DdgEdge &e = final_ddg.edge(eid);
                 if (!e.alive || e.kind == EdgeKind::Memory)
@@ -130,11 +134,9 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                 collapseTransparent(final_ddg, sem_src, total_dist);
                 const NodeId sem =
                     final_ddg.node(sem_src).semanticId;
-                const long long eff_iter =
-                    static_cast<long long>(i) - e.distance;
                 std::uint64_t val;
-                if (eff_iter >= 0) {
-                    val = values[eff_iter][p];
+                if (src_iter >= 0) {
+                    val = value_at(src_iter, p);
                 } else {
                     // Live-in: the value semantically equals the
                     // collapsed source at the collapsed distance.
@@ -147,34 +149,26 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                 ops.emplace_back(sem, total_dist, val);
             }
 
+            std::uint64_t &out = value_at(i, v);
             if (isTransparent(node)) {
                 cv_assert(ops.size() == 1,
                           "transparent node with fan-in != 1");
-                values[i][v] = std::get<2>(ops[0]);
+                out = std::get<2>(ops[0]);
                 continue;
             }
 
-            std::sort(ops.begin(), ops.end());
-            std::vector<std::uint64_t> operand_values;
-            operand_values.reserve(ops.size());
-            for (const auto &[s, d, val] : ops) {
-                (void)s;
-                (void)d;
-                operand_values.push_back(val);
-            }
-            if (operand_values.empty()) {
-                values[i][v] =
-                    sourceValue(seed, node.semanticId, node.cls, i);
+            if (ops.empty()) {
+                out = sourceValue(seed, node.semanticId, node.cls, i);
             } else {
-                values[i][v] = combineValue(seed, node.semanticId,
-                                            node.cls, operand_values);
+                std::sort(ops.begin(), ops.end());
+                out = combineValue(seed, node.semanticId, node.cls, ops);
             }
 
             // Compare against the reference execution.
             const std::uint64_t expected =
                 ref.value(node.semanticId, i);
             ++report.valuesChecked;
-            if (values[i][v] != expected) {
+            if (out != expected) {
                 report.errors.push_back(
                     std::string(final_ddg.label(v)) + "@" +
                     std::to_string(i) +

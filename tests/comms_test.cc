@@ -20,7 +20,7 @@ TEST(Comms, NoCommsWhenColocated)
     b.op("a", OpClass::IntAlu);
     b.op("c", OpClass::IntAlu, {"a"});
     const Ddg g = b.take();
-    const std::vector<int> part{0, 0};
+    const std::vector<ClusterId> part{0, 0};
     EXPECT_EQ(findCommunications(g, part).count(), 0);
 }
 
@@ -33,7 +33,7 @@ TEST(Comms, OneCommPerValueNotPerEdge)
     b.op("w1", OpClass::IntAlu, {"p"});
     b.op("w2", OpClass::IntAlu, {"p"});
     const Ddg g = b.take();
-    const std::vector<int> part{0, 1, 2};
+    const std::vector<ClusterId> part{0, 1, 2};
     const auto info = findCommunications(g, part);
     EXPECT_EQ(info.count(), 1);
     EXPECT_EQ(info.producers[0], b.id("p"));
@@ -49,7 +49,7 @@ TEST(Comms, MultipleProducers)
     b.op("q", OpClass::FpAlu);
     b.op("w", OpClass::FpAlu, {"p", "q"});
     const Ddg g = b.take();
-    const std::vector<int> part{0, 1, 2};
+    const std::vector<ClusterId> part{0, 1, 2};
     EXPECT_EQ(findCommunications(g, part).count(), 2);
 }
 
@@ -62,7 +62,7 @@ TEST(Comms, MemoryEdgesNeverCommunicate)
     b.op("ld", OpClass::Load);
     b.mem("st", "ld", 1);
     const Ddg g = b.take();
-    const std::vector<int> part{0, 0, 1};
+    const std::vector<ClusterId> part{0, 0, 1};
     EXPECT_EQ(findCommunications(g, part).count(), 0);
 }
 
@@ -73,7 +73,7 @@ TEST(Comms, LoopCarriedFlowStillCommunicates)
     b.op("y", OpClass::FpAlu);
     b.flow("x", "y", 2);
     const Ddg g = b.take();
-    const std::vector<int> part{0, 1};
+    const std::vector<ClusterId> part{0, 1};
     EXPECT_EQ(findCommunications(g, part).count(), 1);
 }
 
@@ -85,7 +85,7 @@ TEST(Comms, CopyConsumersDoNotCount)
     const NodeId w = g.addNode(OpClass::IntAlu, "w");
     g.addEdge(p, c, EdgeKind::RegFlow, 0);
     g.addEdge(c, w, EdgeKind::RegFlow, 0);
-    const std::vector<int> part{0, 0, 1};
+    const std::vector<ClusterId> part{0, 0, 1};
     // p's only non-copy consumer is reached through the copy; the
     // copy itself is the communication and is not re-counted.
     EXPECT_EQ(findCommunications(g, part).count(), 0);
@@ -150,7 +150,7 @@ TEST(Comms, WorkedExampleHasThree)
     b.op("H", OpClass::IntAlu, {"G", "J"});
     const Ddg g = b.take();
 
-    std::vector<int> part(g.numNodeSlots(), -1);
+    std::vector<ClusterId> part(g.numNodeSlots(), -1);
     auto assign = [&](const char *n, int c) { part[b.id(n)] = c; };
     assign("L", 0); assign("M", 0); assign("N", 0);
     assign("I", 1); assign("J", 1); assign("K", 1);

@@ -43,6 +43,24 @@ subsetSuite()
     return subset;
 }
 
+TEST(ResultDigest, NarrowArraysMixLikeIntArrays)
+{
+    // Partitions and bus ids are one-byte arrays; they must fold into
+    // the digest exactly as the int arrays they replaced.
+    const std::vector<ClusterId> narrow{0, -1, 3, 126, -1, 1};
+    const std::vector<int> wide{0, -1, 3, 126, -1, 1};
+    ResultDigest a, b;
+    a.mix(narrow);
+    b.mix(wide);
+    EXPECT_EQ(a.h, b.h);
+
+    ResultDigest empty_narrow, empty_wide;
+    empty_narrow.mix(std::vector<ClusterId>{});
+    empty_wide.mix(std::vector<int>{});
+    EXPECT_EQ(empty_narrow.h, empty_wide.h);
+    EXPECT_NE(a.h, empty_narrow.h);
+}
+
 TEST(SuiteDigest, SubsetDigestsPinned)
 {
     const auto subset = subsetSuite();

@@ -59,7 +59,7 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
             const auto m = MachineConfig::fromString(cfg);
             const int ii = minimumIi(loop.ddg, m);
 
-            std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
+            std::vector<ClusterId> assign(loop.ddg.numNodeSlots(), 0);
             for (NodeId n : nodes) {
                 assign[n] = static_cast<int>(
                     rng.uniformInt(0, m.numClusters() - 1));
@@ -82,7 +82,7 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
                 if (c == inc.assignment()[n])
                     continue;
 
-                std::vector<int> moved = inc.assignment();
+                std::vector<ClusterId> moved = inc.assignment();
                 moved[n] = c;
                 const PseudoResult full =
                     pseudoSchedule(loop.ddg, m, moved, ii, oracle);
@@ -121,7 +121,7 @@ TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)
         const auto nodes = loop.ddg.nodes().toVector();
         const auto m = MachineConfig::fromString("4c2b2l64r");
 
-        std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
+        std::vector<ClusterId> assign(loop.ddg.numNodeSlots(), 0);
         for (NodeId n : nodes) {
             assign[n] = static_cast<int>(
                 rng.uniformInt(0, m.numClusters() - 1));
@@ -159,7 +159,7 @@ TEST(Incremental, CommInfoUpdateHandlesGraphEdits)
     Ddg g = b.take();
     const NodeId a = 0, x = 1, s = 2;
 
-    std::vector<int> assign{0, 1, 1};
+    std::vector<ClusterId> assign{0, 1, 1};
     CommInfo inc = findCommunications(g, assign);
     EXPECT_EQ(inc.count(), 1); // a -> x crosses clusters
 

@@ -184,5 +184,23 @@ TEST(ConfigDeathTest, RejectsBadShapes)
                 ::testing::ExitedWithCode(1), "fatal");
 }
 
+TEST(ConfigDeathTest, RejectsMoreUnitsThanOneByteIdsHold)
+{
+    // Cluster and bus ids are stored in one byte: 127 of each at most.
+    const ClusterResources res{1, 1, 1, 0};
+    EXPECT_EXIT(MachineConfig::custom(128, res, 1, 1, 128),
+                ::testing::ExitedWithCode(1), "cluster count 128");
+    EXPECT_EXIT(MachineConfig::custom(2, res, 128, 1, 64),
+                ::testing::ExitedWithCode(1), "bus count 128");
+    EXPECT_EXIT(MachineConfig::universal(128, 1, 1, 1, 128),
+                ::testing::ExitedWithCode(1), "cluster count 128");
+    EXPECT_EXIT(MachineConfig::clustered(2, 128, 1, 64),
+                ::testing::ExitedWithCode(1), "bus count 128");
+
+    const auto widest = MachineConfig::custom(127, res, 127, 1, 127);
+    EXPECT_EQ(widest.numClusters(), 127);
+    EXPECT_EQ(widest.numBuses(), 127);
+}
+
 } // namespace
 } // namespace cvliw

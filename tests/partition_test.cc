@@ -36,6 +36,27 @@ TEST(Partition, AssignAndQuery)
     EXPECT_EQ(p.clusterOf(10), 1);
 }
 
+TEST(Partition, LargestClusterIdRoundTrips)
+{
+    // The widest machine has MachineConfig::maxUnits clusters; its
+    // last id must survive the one-byte storage.
+    const int clusters = MachineConfig::maxUnits;
+    Partition p(clusters, 2);
+    p.assign(0, clusters - 1);
+    p.assign(5, clusters - 2);
+    EXPECT_EQ(p.clusterOf(0), 126);
+    EXPECT_EQ(p.clusterOf(5), 125);
+    EXPECT_EQ(p.vec()[0], 126);
+    EXPECT_FALSE(p.isAssigned(1));
+    EXPECT_EQ(p.vec()[1], -1);
+
+    // Trimming the growth slack keeps the size and every entry.
+    const std::vector<ClusterId> before = p.vec();
+    p.shrinkToFit();
+    EXPECT_EQ(p.vec(), before);
+    EXPECT_EQ(p.vec().capacity(), p.vec().size());
+}
+
 TEST(Partition, UsageCountsByKind)
 {
     DdgBuilder b;

@@ -13,6 +13,7 @@
 #include "sched/comms.hh"
 #include "sched/mii.hh"
 #include "vliw/checker.hh"
+#include "vliw/simulator.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
@@ -36,6 +37,39 @@ TEST(Pipeline, UnifiedMachineSchedulesAtMii)
     EXPECT_FALSE(r.finalDdg.hasCopies());
     EXPECT_TRUE(
         checkSchedule(r.finalDdg, m, r.partition, r.schedule).empty());
+}
+
+TEST(Pipeline, HugeMemoryDistanceCompilesAtMii)
+{
+    // f's recurrence sets the MII to the FpAlu latency (3), and the
+    // store may not overwrite what the load read 2^30 iterations
+    // earlier. At II 3, ii * distance = 3 * 2^30 exceeds an int: the
+    // scheduler's placement window must not overflow on it.
+    constexpr int distance = 1 << 30;
+    DdgBuilder b;
+    b.op("ld", OpClass::Load);
+    b.op("f", OpClass::FpAlu, {"ld"});
+    b.flow("f", "f", 1);
+    b.op("st", OpClass::Store, {"f"});
+    b.mem("ld", "st", distance);
+    const Ddg g = b.take();
+
+    for (const char *cfg : {"unified", "2c1b2l64r", "4c2b4l64r"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        const auto r = compile(g, m);
+        ASSERT_TRUE(r.ok) << cfg;
+        EXPECT_EQ(r.ii, r.mii) << cfg;
+        EXPECT_GT(static_cast<long long>(r.ii) * distance, 1LL << 31)
+            << cfg;
+        EXPECT_TRUE(
+            checkSchedule(r.finalDdg, m, r.partition, r.schedule).empty())
+            << cfg;
+        const auto sim =
+            simulate(r.finalDdg, m, r.partition, r.schedule, g);
+        EXPECT_TRUE(sim.ok) << cfg << ": "
+                            << (sim.errors.empty() ? ""
+                                                   : sim.errors.front());
+    }
 }
 
 TEST(Pipeline, IiNeverBelowMii)

@@ -25,7 +25,7 @@ TEST(Pseudo, BalancedPartitionIsFeasible)
     const auto m = MachineConfig::fromString("2c1b2l64r");
     PseudoScratch scratch;
 
-    const std::vector<int> part{0, 0, 1, 1};
+    const std::vector<ClusterId> part{0, 0, 1, 1};
     const auto r = pseudoSchedule(g, m, part, 1, scratch);
     EXPECT_EQ(r.comms, 0);
     EXPECT_EQ(r.overflow, 0);
@@ -42,10 +42,10 @@ TEST(Pseudo, ResourcePressureRaisesIiPart)
     const auto m = MachineConfig::fromString("4c1b2l64r");
     PseudoScratch scratch;
     // All four loads in one cluster with one memory port: IIpart 4.
-    const std::vector<int> part{0, 0, 0, 0};
+    const std::vector<ClusterId> part{0, 0, 0, 0};
     EXPECT_EQ(pseudoSchedule(g, m, part, 2, scratch).iiPart, 4);
     // Spread out: IIpart 1 (one load per cluster).
-    const std::vector<int> spread{0, 1, 2, 3};
+    const std::vector<ClusterId> spread{0, 1, 2, 3};
     EXPECT_EQ(pseudoSchedule(g, m, spread, 2, scratch).iiPart, 1);
 }
 
@@ -61,7 +61,7 @@ TEST(Pseudo, BusPressureRaisesIiPart)
     PseudoScratch scratch;
     // Three producers remote from w: 3 comms, 1 bus of latency 2
     // -> bus-induced II 6.
-    const std::vector<int> part{0, 1, 2, 3};
+    const std::vector<ClusterId> part{0, 1, 2, 3};
     const auto r = pseudoSchedule(g, m, part, 2, scratch);
     EXPECT_EQ(r.comms, 3);
     EXPECT_EQ(r.iiPart, 6);
@@ -77,8 +77,8 @@ TEST(Pseudo, CutEdgesLengthenEstimate)
     const auto m = MachineConfig::fromString("2c1b2l64r");
     PseudoScratch scratch;
 
-    const std::vector<int> together{0, 0};
-    const std::vector<int> split{0, 1};
+    const std::vector<ClusterId> together{0, 0};
+    const std::vector<ClusterId> split{0, 1};
     const auto r0 = pseudoSchedule(g, m, together, 2, scratch);
     const auto r1 = pseudoSchedule(g, m, split, 2, scratch);
     EXPECT_EQ(r0.length, 2);

@@ -189,13 +189,16 @@ struct CounterSlice
     std::uint32_t iiAttempts;
     std::uint64_t refineProbes;
     std::uint64_t refineCommits;
+    std::uint64_t asapRuns;
+    std::uint64_t widthSweeps;
     std::uint32_t replicationRounds;
     std::int64_t comsRemoved;
     std::uint32_t spillRetries;
 
     explicit CounterSlice(const CompileTelemetry &t)
         : iiAttempts(t.iiAttempts), refineProbes(t.refineProbes),
-          refineCommits(t.refineCommits),
+          refineCommits(t.refineCommits), asapRuns(t.asapRuns),
+          widthSweeps(t.widthSweeps),
           replicationRounds(t.replicationRounds),
           comsRemoved(t.comsRemoved), spillRetries(t.spillRetries)
     {
@@ -206,6 +209,7 @@ struct CounterSlice
         return iiAttempts == o.iiAttempts &&
                refineProbes == o.refineProbes &&
                refineCommits == o.refineCommits &&
+               asapRuns == o.asapRuns && widthSweeps == o.widthSweeps &&
                replicationRounds == o.replicationRounds &&
                comsRemoved == o.comsRemoved &&
                spillRetries == o.spillRetries;
@@ -227,6 +231,7 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
     ASSERT_EQ(b.size(), suite.size());
     ASSERT_EQ(c.size(), suite.size());
 
+    std::uint64_t asap_runs = 0, width_sweeps = 0;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         EXPECT_TRUE(CounterSlice(a[i].telemetry) ==
                     CounterSlice(b[i].telemetry))
@@ -234,7 +239,12 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
         EXPECT_TRUE(CounterSlice(a[i].telemetry) ==
                     CounterSlice(c[i].telemetry))
             << "loop " << i << ": 1 vs hw workers";
+        asap_runs += a[i].telemetry.asapRuns;
+        width_sweeps += a[i].telemetry.widthSweeps;
     }
+    // The kernel counters are not vacuous on a clustered machine.
+    EXPECT_GT(asap_runs, 0u);
+    EXPECT_GT(width_sweeps, 0u);
 }
 
 TEST(Telemetry, CountersReflectTheCompile)
@@ -249,6 +259,9 @@ TEST(Telemetry, CountersReflectTheCompile)
     EXPECT_GE(t.iiAttempts, 1u);
     EXPECT_GE(t.totalMs, 0.0);
     EXPECT_GE(t.refineProbes, t.refineCommits);
+    // Every width sweep reads an ASAP estimate computed for it.
+    EXPECT_GE(t.asapRuns, t.widthSweeps);
+    EXPECT_GT(t.asapRuns, 0u);
 }
 
 } // namespace
