@@ -35,8 +35,7 @@ service()
 {
     // The process-wide pool (already sized by CVLIW_THREADS, then
     // core count): per-worker caches survive every sweep the binary
-    // runs, and no second pool is spawned for code that also reaches
-    // the shared service via runSuite.
+    // runs.
     return CompileService::shared();
 }
 

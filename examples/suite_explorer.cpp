@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "eval/runner.hh"
+#include "eval/service.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
 
@@ -47,7 +48,8 @@ main(int argc, char **argv)
                 continue;
             PipelineOptions opts;
             opts.replication = replication;
-            const auto res = runSuite(loops, m, opts);
+            const auto res =
+                CompileService::shared().compileSuite(loops, m, opts);
             const auto aggs = aggregateByBenchmark(loops, res);
             const auto &a = aggs.at(bench);
             table.addRow({

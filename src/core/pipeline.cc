@@ -14,7 +14,6 @@
 #include "sched/comms.hh"
 #include "sched/copies.hh"
 #include "sched/mii.hh"
-#include "support/faultpoint.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -86,7 +85,6 @@ CompileResult
 compileImpl(const Ddg &original, const MachineConfig &mach,
             const PipelineOptions &opts, CompileCaches &caches)
 {
-    faults::point("pipeline.start");
     trace::TraceSpan compile_span("pipeline", "compile");
     compile_span.arg("nodes", original.numNodes());
 
@@ -142,7 +140,6 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     int best_worst_live = std::numeric_limits<int>::max();
 
     for (int ii = result.mii; ii <= opts.maxIi; ++ii) {
-        faults::point("pipeline.ii_bump");
         trace::TraceSpan ii_span("pipeline", "ii_attempt");
         ii_span.arg("ii", ii);
         ++result.telemetry.iiAttempts;
@@ -178,12 +175,11 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                         rstats.roundsConsidered);
                 result.telemetry.comsRemoved += rstats.comsRemoved;
                 span.arg("rounds", rstats.roundsConsidered);
-            } else {
-                rstats.comsInitial =
-                    findCommunications(work, part.vec()).count();
             }
             const CommInfo comms =
                 findCommunications(work, part.vec());
+            if (!opts.replication)
+                rstats.comsInitial = comms.count();
             if (!repl_ok ||
                 extraComs(comms.count(), mach, ii) > 0) {
                 bump(FailCause::Bus);

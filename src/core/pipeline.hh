@@ -213,10 +213,9 @@ struct CompileCaches
  * A graph whose distance-0 edges close a cycle throws InvalidInput
  * before any cache is touched. Otherwise compile never throws for
  * policy reasons: an infeasible job returns `ok == false`, and
- * `maxIi` bounds the II search. An armed fault-injection schedule
- * (support/faultpoint.hh) may throw FaultInjected at the compiled-in
- * fault points. `CompileService` turns any throw into a `Failed` job
- * outcome; direct callers that arm faults own the catch.
+ * `maxIi` bounds the II search; what else can escape is
+ * `std::bad_alloc`. `CompileService` turns any throw into a `Failed`
+ * job outcome; direct callers own the catch.
  */
 CompileResult compile(const Ddg &original, const MachineConfig &mach,
                       const PipelineOptions &opts = {},

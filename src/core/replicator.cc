@@ -6,7 +6,6 @@
 #include "core/removable.hh"
 #include "core/weights.hh"
 #include "sched/comms.hh"
-#include "support/faultpoint.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -355,7 +354,6 @@ reduceCommunications(Ddg &ddg, Partition &part,
     while (true) {
         if (extraComs(comms.count(), mach, ii) == 0)
             return true; // no pool work when nothing must be removed
-        faults::point("replicate.round");
         trace::TraceSpan round_span("pipeline", "replicate.round");
         round_span.arg("comms", comms.count());
         if (stats)

@@ -40,104 +40,99 @@ appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
     arena.writable()[slot.offset + slot.count++] = id;
 }
 
+/** Reject row @p row of a fromSlots array for breaking @p rule. */
+[[noreturn]] void
+rejectSlot(const char *array, std::uint32_t row, const std::string &rule)
+{
+    throw DdgSlotError(std::string(array) + " record row " +
+                       std::to_string(row) + ": " + rule);
+}
+
 } // namespace
 
 std::uint64_t
 Ddg::freshGeneration()
 {
-    // Process-unique stamps: runSuite compiles loops from several
-    // threads, so the counter must be atomic. Relaxed is enough - the
-    // stamp only needs uniqueness, not ordering.
+    // Process-unique stamps: CompileService compiles loops from
+    // several threads, so the counter must be atomic. Relaxed is
+    // enough - the stamp only needs uniqueness, not ordering.
     static std::atomic<std::uint64_t> counter{0};
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 Ddg
-Ddg::fromSlots(const std::vector<DdgNode> &nodes,
-               const std::vector<DdgEdge> &edges, std::string_view labels)
-{
-    // Validate (the trusted path's documented preconditions), count
-    // degrees, then share the layout code.
-    const int node_slots = static_cast<int>(nodes.size());
-    const std::uint64_t label_bytes = labels.size();
-    for (int i = 0; i < node_slots; ++i) {
-        cv_assert(nodes[i].semanticId >= 0 &&
-                      nodes[i].semanticId < node_slots,
-                  "semantic id outside the node array");
-        // 64-bit sum: offset + len must not be able to wrap.
-        cv_assert(static_cast<std::uint64_t>(nodes[i].labelOffset) +
-                          nodes[i].labelLen <=
-                      label_bytes,
-                  "label slice outside the label arena");
-    }
-    std::vector<std::uint32_t> deg(2 * static_cast<std::size_t>(node_slots));
-    std::uint32_t *in_deg = deg.data();
-    std::uint32_t *out_deg = in_deg + node_slots;
-    for (const DdgEdge &e : edges) {
-        cv_assert(e.src >= 0 && e.src < node_slots && e.dst >= 0 &&
-                      e.dst < node_slots,
-                  "edge endpoint outside the node array");
-        cv_assert(e.distance >= 0, "edge distance must be >= 0");
-        if (e.alive) {
-            cv_assert(nodes[e.src].alive && nodes[e.dst].alive,
-                      "live edge on a dead node");
-            if (e.kind == EdgeKind::RegFlow) {
-                cv_assert(producesValue(nodes[e.src].cls),
-                          "flow edge from non-value-producing op ",
-                          labels.substr(nodes[e.src].labelOffset,
-                                        nodes[e.src].labelLen));
-            }
-        }
-        ++out_deg[e.src];
-        ++in_deg[e.dst];
-    }
-    return fromSlotsTrusted(
-        reinterpret_cast<const unsigned char *>(nodes.data()),
-        static_cast<std::uint32_t>(nodes.size()),
-        reinterpret_cast<const unsigned char *>(edges.data()),
-        static_cast<std::uint32_t>(edges.size()), labels, in_deg,
-        out_deg);
-}
-
-Ddg
-Ddg::fromSlotsTrusted(const unsigned char *node_bytes,
-                      std::uint32_t node_slots,
-                      const unsigned char *edge_bytes,
-                      std::uint32_t edge_slots, std::string_view labels,
-                      const std::uint32_t *in_deg,
-                      const std::uint32_t *out_deg)
+Ddg::fromSlots(const void *node_bytes, std::uint32_t node_slots,
+               const void *edge_bytes, std::uint32_t edge_slots,
+               std::string_view labels)
 {
     Ddg g;
     g.nodes_.append(node_bytes, node_slots);
     g.edges_.append(edge_bytes, edge_slots);
     g.labels_.append(labels.data(), labels.size());
 
+    // The rules are checked on the graph's own aligned copies; a
+    // throw discards them with the graph.
     g.liveNodes_ = 0;
-    for (const DdgNode &n : g.nodes_)
+    for (std::uint32_t i = 0; i < node_slots; ++i) {
+        const DdgNode &n = g.nodes_[i];
+        // Unsigned compare folds the negative case.
+        if (static_cast<std::uint32_t>(n.semanticId) >= node_slots) {
+            rejectSlot("node", i,
+                       "semantic id " + std::to_string(n.semanticId) +
+                           " outside the node array");
+        }
+        // 64-bit sum: offset + len must not be able to wrap.
+        if (std::uint64_t{n.labelOffset} + n.labelLen > labels.size())
+            rejectSlot("node", i,
+                       "label slice outside the label arena");
         g.liveNodes_ += n.alive;
+    }
+
+    // Each span's count is its degree, dead edges included; the
+    // prefix sums below turn the counts into offsets.
+    g.slots_.resize(2 * static_cast<std::size_t>(node_slots));
+    detail::AdjSlot *slots = g.slots_.writable();
+    g.liveEdges_ = 0;
+    for (std::uint32_t i = 0; i < edge_slots; ++i) {
+        const DdgEdge &e = g.edges_[i];
+        if (static_cast<std::uint32_t>(e.src) >= node_slots ||
+            static_cast<std::uint32_t>(e.dst) >= node_slots) {
+            rejectSlot("edge", i, "endpoint outside the node array");
+        }
+        if (e.distance < 0)
+            rejectSlot("edge", i, "negative distance");
+        if (e.alive) {
+            if (!g.nodes_[e.src].alive || !g.nodes_[e.dst].alive)
+                rejectSlot("edge", i, "live edge on a dead node");
+            if (e.kind == EdgeKind::RegFlow &&
+                !producesValue(g.nodes_[e.src].cls)) {
+                rejectSlot("edge", i,
+                           "flow edge from a non-value-producing op");
+            }
+        }
+        g.liveEdges_ += e.alive;
+        ++slots[2 * static_cast<std::size_t>(e.src) + 1].count;
+        ++slots[2 * static_cast<std::size_t>(e.dst)].count;
+    }
 
     // Exactly-sized arena: spans laid out back to back in node order
     // (in-span then out-span per node) with no slack (the compact
     // form), filled in edge-id order. Dead edge ids stay in the
     // spans; the views skip them.
-    g.slots_.resize(2 * static_cast<std::size_t>(node_slots));
-    detail::AdjSlot *slots = g.slots_.writable();
     std::uint32_t total = 0;
-    for (std::uint32_t i = 0; i < node_slots; ++i) {
-        slots[2 * i].offset = total;
-        total += in_deg[i];
-        slots[2 * i + 1].offset = total;
-        total += out_deg[i];
+    for (std::size_t k = 0; k < g.slots_.size(); ++k) {
+        slots[k].offset = total;
+        total += slots[k].count;
+        slots[k].count = 0;
     }
     g.arena_.resize(total);
     EdgeId *arena = g.arena_.writable();
-    g.liveEdges_ = 0;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = g.edges_[i];
-        g.liveEdges_ += e.alive;
-        detail::AdjSlot &out = slots[2 * e.src + 1];
+        detail::AdjSlot &out =
+            slots[2 * static_cast<std::size_t>(e.src) + 1];
         arena[out.offset + out.count++] = static_cast<EdgeId>(i);
-        detail::AdjSlot &in = slots[2 * e.dst];
+        detail::AdjSlot &in = slots[2 * static_cast<std::size_t>(e.dst)];
         arena[in.offset + in.count++] = static_cast<EdgeId>(i);
     }
     // One fresh stamp for the whole load (the constructor already

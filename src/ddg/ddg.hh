@@ -166,6 +166,7 @@
 #include <iterator>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -710,6 +711,17 @@ class EdgeSpan
 };
 
 /**
+ * Slot arrays that break one of `Ddg::fromSlots`' structural rules;
+ * what() names the rule and the row, e.g. "edge record row 2:
+ * negative distance".
+ */
+class DdgSlotError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * A mutable data dependence graph. Node/edge ids are dense indices
  * into internal arrays; removed entities remain as tombstones.
  */
@@ -719,45 +731,30 @@ class Ddg
     /**
      * Build a graph from fully-described slot arrays in one step: one
      * generation stamp and exactly-sized arrays (no adjacency slack)
-     * instead of per-element mutation calls.
-     * The arrays are copied, so a caller can reuse its buffers for
-     * the next graph (the workload generator does).
+     * instead of per-element mutation calls. The slots arrive as
+     * bytes in the host's DdgNode/DdgEdge layout at any alignment (a
+     * vector's data(), or suite v4 records straight from the mapped
+     * file), and each array is copied once into the graph, so a
+     * caller can reuse its buffers for the next graph (the workload
+     * generator does). @p labels becomes the label arena verbatim.
      * Ids are the slot indices; adjacency is derived here: each
      * node's spans hold its incident edge ids in edge-id order -
      * exactly the state an addNode/addEdge/remove* replay would
      * produce, so a graph built this way is field-identical to its
      * original.
-     * @p labels becomes the label arena verbatim; every node's
-     * {labelOffset, labelLen} must slice it. Panics on inconsistent
-     * input (semantic ids or label slices out of bounds, edge
-     * endpoints outside the node array, negative distances, live
-     * edges on dead nodes, flow edges from non-value producers);
-     * deserializers must validate untrusted bytes *before* calling.
+     *
+     * Every field must hold a value of its type (an op class or edge
+     * kind in range, a bool byte of 0 or 1); a loader proves that on
+     * the raw bytes first. The copies are then checked against six
+     * structural rules: a semantic id inside the node array, a label
+     * slice inside @p labels, edge endpoints inside the node array, a
+     * distance >= 0, no live edge on a dead node, and no flow edge
+     * from an op that produces no value.
+     * @throws DdgSlotError naming the rule and the node or edge row
      */
-    static Ddg fromSlots(const std::vector<DdgNode> &nodes,
-                         const std::vector<DdgEdge> &edges,
+    static Ddg fromSlots(const void *nodes, std::uint32_t node_slots,
+                         const void *edges, std::uint32_t edge_slots,
                          std::string_view labels);
-
-    /**
-     * The validated-input fast path of fromSlots: bit-identical
-     * output, but the consistency re-checks and the degree-counting
-     * pass are skipped - the caller attests it has already fully
-     * validated the slots (fromSlots' documented preconditions) and
-     * supplies each node's in/out degree, dead edges included.
-     * suite_io's deserializer computes the degrees for free inside
-     * its own validation loop; anyone loading untrusted bytes must
-     * use plain fromSlots. The slots arrive as raw bytes in the
-     * host's DdgNode/DdgEdge layout (the suite v4 records, on
-     * little-endian hosts) at any alignment, so a suite load copies
-     * each array once, straight from the mapped file into the graph.
-     */
-    static Ddg fromSlotsTrusted(const unsigned char *node_bytes,
-                                std::uint32_t node_slots,
-                                const unsigned char *edge_bytes,
-                                std::uint32_t edge_slots,
-                                std::string_view labels,
-                                const std::uint32_t *in_deg,
-                                const std::uint32_t *out_deg);
 
     /**
      * Create an operation of class @p cls. The label bytes are copied

@@ -2,28 +2,10 @@
 
 #include <unordered_set>
 
-#include "eval/service.hh"
 #include "support/logging.hh"
 
 namespace cvliw
 {
-
-SuiteResult
-runSuite(const std::vector<Loop> &suite, const MachineConfig &mach,
-         const PipelineOptions &opts, int threads)
-{
-    // The process-wide service serves every default-sized call, so
-    // its warmed per-worker caches persist across suites and configs.
-    // An explicit different thread count gets a dedicated pool (the
-    // results are bit-identical either way; tests use this to pin
-    // determinism across worker counts).
-    if (threads <= 0 ||
-        threads == CompileService::defaultWorkerCount()) {
-        return CompileService::shared().compileSuite(suite, mach, opts);
-    }
-    CompileService service(threads);
-    return service.compileSuite(suite, mach, opts);
-}
 
 const BenchmarkAggregate &
 BenchmarkAggregates::at(const std::string &name) const

@@ -1,8 +1,9 @@
 /**
  * @file
- * Suite runner: compiles every loop of a suite for a machine
- * configuration (optionally in parallel) and aggregates results per
- * benchmark. All benchmark binaries are built on top of this.
+ * Suite results and their per-benchmark aggregates: `SuiteResult`
+ * holds one compile result per loop (`CompileService::compileSuite`,
+ * eval/service.hh, fills it), and the functions below fold it into
+ * the per-benchmark IPCs and the HMEAN the figures report.
  */
 
 #ifndef CVLIW_EVAL_RUNNER_HH
@@ -60,22 +61,6 @@ class BenchmarkAggregates
     std::vector<value_type> items_;
     std::unordered_map<std::string, std::size_t> index_;
 };
-
-/**
- * Compile every loop of @p suite for @p mach with @p opts.
- *
- * Convenience wrapper over `CompileService` (eval/service.hh): the
- * default thread count runs on the process-wide shared service (so
- * repeated calls reuse warmed per-worker caches); an explicit
- * different count gets a dedicated pool. Results are bit-identical
- * for any thread count.
- *
- * @param threads worker threads (0 = CVLIW_THREADS env, then
- *        the usable CPU count)
- */
-SuiteResult runSuite(const std::vector<Loop> &suite,
-                     const MachineConfig &mach,
-                     const PipelineOptions &opts = {}, int threads = 0);
 
 /** Aggregate @p results per benchmark (keyed by benchmark name). */
 BenchmarkAggregates

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "support/cpus.hh"
-#include "support/faultpoint.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -39,11 +38,9 @@ runJob(const CompileService::Job &job, std::size_t i,
     std::string error;
     CompileResult res;
     try {
-        faults::point("service.claim");
         res = compile(*job.ddg, *job.mach,
                       job.opts ? *job.opts : kDefaultPipelineOptions,
                       caches.get());
-        faults::point("service.complete");
     } catch (const std::exception &err) {
         outcome = JobOutcome::Failed;
         error = err.what();

@@ -18,13 +18,15 @@
  * ## Outcomes
  *
  * Every job ends in exactly one `JobOutcome`. `Failed` carries the
- * text of whatever the compile threw (an `InvalidInput` graph, an
- * injected fault, a bug). A non-Ok slot holds a default `CompileResult`
+ * text of whatever the compile threw (an `InvalidInput` graph, or
+ * `std::bad_alloc`; a failed `cv_assert` aborts the process and never
+ * gets here). A non-Ok slot holds a default `CompileResult`
  * (`ok == false`): partial work is discarded, and the worker that
  * caught the throw rebuilds its `CompileCaches` before its next job
  * (quarantine), so a throw that unwound through a memo mid-update
  * cannot reach a later job. A job that throws never disturbs the
- * other jobs of its batch.
+ * other jobs of its batch (tests/service_test.cc drives this path
+ * with real distance-0-cycle graphs).
  *
  * ## Determinism
  *

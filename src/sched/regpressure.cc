@@ -25,12 +25,27 @@ useCycle(int consumer_start, int ii, int distance)
         std::numeric_limits<int>::max()));
 }
 
-/** Add one live range [def, last_use) to a cluster's phase counts. */
+/**
+ * Add one live range [def, last_use) to a cluster's phase counts in
+ * O(ii): every whole II of the range adds one to each phase, then the
+ * remaining cycles are walked from def's phase. Counts are 64-bit:
+ * a range clamped at INT_MAX is ~2^31 cycles long, so at II 2 three
+ * of them already sum past INT_MAX in one phase.
+ */
 void
-addRange(std::vector<int> &phases, int def, int last_use, int ii)
+addRange(std::vector<long long> &phases, int def, int last_use, int ii)
 {
-    for (int t = def; t < last_use; ++t)
-        ++phases[((t % ii) + ii) % ii];
+    const long long len = static_cast<long long>(last_use) - def;
+    if (len >= ii) {
+        for (long long &count : phases)
+            count += len / ii;
+    }
+    int phase = ((def % ii) + ii) % ii;
+    for (long long left = len % ii; left > 0; --left) {
+        ++phases[phase];
+        if (++phase == ii)
+            phase = 0;
+    }
 }
 
 } // namespace
@@ -41,8 +56,8 @@ computeMaxLive(const Ddg &ddg, const MachineConfig &mach,
                int ii)
 {
     const int clusters = mach.numClusters();
-    std::vector<std::vector<int>> press(clusters,
-                                        std::vector<int>(ii, 0));
+    std::vector<std::vector<long long>> press(
+        clusters, std::vector<long long>(ii, 0));
 
     for (NodeId v : ddg.nodes()) {
         const DdgNode &node = ddg.node(v);
@@ -90,8 +105,9 @@ computeMaxLive(const Ddg &ddg, const MachineConfig &mach,
 
     std::vector<int> max_live(clusters, 0);
     for (int c = 0; c < clusters; ++c) {
-        for (int t = 0; t < ii; ++t)
-            max_live[c] = std::max(max_live[c], press[c][t]);
+        max_live[c] = static_cast<int>(std::min<long long>(
+            *std::max_element(press[c].begin(), press[c].end()),
+            std::numeric_limits<int>::max()));
     }
     return max_live;
 }

@@ -21,7 +21,9 @@ namespace cvliw
 {
 
 /**
- * MaxLive per cluster for the schedule @p start at interval @p ii.
+ * MaxLive per cluster for the schedule @p start at interval @p ii,
+ * in O(ii) per value whatever its lifetime; a count past INT_MAX
+ * reads INT_MAX.
  * @param start absolute start cycle per NodeId (live nodes only)
  */
 std::vector<int> computeMaxLive(const Ddg &ddg,

@@ -61,18 +61,35 @@ namespace
 constexpr int intMin = std::numeric_limits<int>::min();
 constexpr int intMax = std::numeric_limits<int>::max();
 
-/**
- * A placement-window bound, computed in 64 bits (ii * distance can
- * exceed an int) and clamped to [intMin + ii, intMax - ii]: the scans
- * step up to ii - 1 cycles past a bound without overflowing, and no
- * bound reaches intMin, the "nothing placed" sentinel.
+/** Largest magnitude a window bound is clamped to. */
+constexpr long long kBoundLimit = 1 << 29;
+
+/*
+ * Window bounds are computed in 64 bits (ii * distance can exceed an
+ * int) and clamped only where that narrows the window: an early bound
+ * is raised to -kBoundLimit and a late bound lowered to kBoundLimit.
+ * Clamping the other way would let a consumer start before its
+ * producer's value exists. The clamps keep every start within
+ * kBoundLimit of 0 plus the latencies and scan slack of a chain, so
+ * the normalised starts, start + latency, the length and the stage
+ * count fit an int, and no bound reaches intMin, the "nothing placed"
+ * sentinel. Neither cast truncates: distances are >= 0, so an early
+ * bound is at most start(src) + lat and a late bound at least
+ * start(dst) - lat.
  */
+
+/** Lower bound start(src) + lat - ii * distance on a consumer. */
 int
-windowBound(long long t, int ii)
+earlyBound(long long t)
 {
-    return static_cast<int>(std::clamp<long long>(
-        t, static_cast<long long>(intMin) + ii,
-        static_cast<long long>(intMax) - ii));
+    return static_cast<int>(std::max(t, -kBoundLimit));
+}
+
+/** Upper bound start(dst) - lat + ii * distance on a producer. */
+int
+lateBound(long long t)
+{
+    return static_cast<int>(std::min(t, kBoundLimit));
 }
 
 } // namespace
@@ -129,10 +146,9 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
             has_pred = true;
             early = std::max(
                 early,
-                windowBound(static_cast<long long>(start[e.src]) +
-                                eff_lat[eid] -
-                                static_cast<long long>(ii) * e.distance,
-                            ii));
+                earlyBound(static_cast<long long>(start[e.src]) +
+                           eff_lat[eid] -
+                           static_cast<long long>(ii) * e.distance));
         }
         for (EdgeId eid : ddg.outEdgesRaw(v)) {
             const DdgEdge &e = ddg.edge(eid);
@@ -141,10 +157,9 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
             has_succ = true;
             late = std::min(
                 late,
-                windowBound(static_cast<long long>(start[e.dst]) -
-                                eff_lat[eid] +
-                                static_cast<long long>(ii) * e.distance,
-                            ii));
+                lateBound(static_cast<long long>(start[e.dst]) -
+                          eff_lat[eid] +
+                          static_cast<long long>(ii) * e.distance));
         }
 
         // For copies the probe also yields the bus handle, so the
@@ -228,18 +243,18 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         const auto &fwd = memo.analyses.topo(ddg);
         for (auto it = fwd.rbegin(); it != fwd.rend(); ++it) {
             const NodeId v = *it;
-            long long late = std::numeric_limits<long long>::max();
+            int late = intMax;
             bool has_out = false;
             for (EdgeId eid : ddg.outEdgesRaw(v)) {
                 const DdgEdge &e = ddg.edge(eid);
                 if (!e.alive)
                     continue;
                 has_out = true;
-                late = std::min(late,
-                                static_cast<long long>(start[e.dst]) +
-                                    static_cast<long long>(ii) *
-                                        e.distance -
-                                    eff_lat[eid]);
+                late = std::min(
+                    late,
+                    lateBound(static_cast<long long>(start[e.dst]) -
+                              eff_lat[eid] +
+                              static_cast<long long>(ii) * e.distance));
             }
             if (!has_out || late <= start[v])
                 continue;
@@ -258,19 +273,17 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
             // the upper bound suffices.
             int chosen = start[v];
             int chosen_bus = -1;
-            const long long floor_t =
-                std::max<long long>(start[v] + 1, late - ii + 1);
-            for (long long t = late; t >= floor_t; --t) {
-                const int ti = static_cast<int>(t);
+            const int floor_t = std::max(start[v] + 1, late - ii + 1);
+            for (int t = late; t >= floor_t; --t) {
                 bool ok;
                 if (is_copy) {
-                    chosen_bus = tables.busFreeAt(ti);
+                    chosen_bus = tables.busFreeAt(t);
                     ok = chosen_bus >= 0;
                 } else {
-                    ok = tables.canPlaceOp(cluster, kind, ti);
+                    ok = tables.canPlaceOp(cluster, kind, t);
                 }
                 if (ok) {
-                    chosen = ti;
+                    chosen = t;
                     break;
                 }
             }

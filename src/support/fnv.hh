@@ -1,11 +1,11 @@
 /**
  * @file
  * FNV-1a(64) constants and the 4-lane payload digest, used by every
- * digest in the tree (the compile-result digests in eval/digest.hh,
- * the seeded fault triggers of support/faultpoint.cc and the on-disk
- * record digests of workloads/suite_io.cc). Contract-bearing: the
- * recorded suite digests and the suite cache file format depend on
- * these exact values and on fnvDigest4Lane's exact folding order.
+ * digest in the tree (the compile-result digests in eval/digest.hh
+ * and the on-disk record digests of workloads/suite_io.cc).
+ * Contract-bearing: the recorded suite digests and the suite cache
+ * file format depend on these exact values and on fnvDigest4Lane's
+ * exact folding order.
  */
 
 #ifndef CVLIW_SUPPORT_FNV_HH

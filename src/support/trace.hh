@@ -7,12 +7,12 @@
  *
  * ## Discipline
  *
- * Same contract as support/faultpoint.hh: disarmed (the default), a
- * span construction is one relaxed atomic load and a never-taken
- * branch - no allocation, no lock, no clock read - so tracing can be
- * compiled into the hottest pipeline loops without perturbing them
- * (the digest harness pins full-suite bit-identity armed *and*
- * disarmed, and BM_TraceOverhead pins the disarmed delta).
+ * Disarmed (the default), a span construction is one relaxed atomic
+ * load and a never-taken branch - no allocation, no lock, no clock
+ * read - so tracing can be compiled into the hottest pipeline loops
+ * without perturbing them (the digest harness pins full-suite
+ * bit-identity armed *and* disarmed, and BM_TraceOverhead pins the
+ * disarmed delta).
  *
  * Armed, each span appends one event to a per-thread buffer under a
  * per-thread mutex (contended only by snapshot/export readers), with

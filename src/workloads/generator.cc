@@ -324,8 +324,11 @@ generateLoop(const BenchmarkProfile &prof, Rng &rng, int index,
         if (node.cls != OpClass::Store && scratch.flowOut[n] == 0)
             node.liveOut = true;
     }
-    loop.ddg =
-        Ddg::fromSlots(scratch.nodes, scratch.edges, scratch.labels);
+    loop.ddg = Ddg::fromSlots(
+        scratch.nodes.data(),
+        static_cast<std::uint32_t>(scratch.nodes.size()),
+        scratch.edges.data(),
+        static_cast<std::uint32_t>(scratch.edges.size()), scratch.labels);
 
     // Dynamic profile: lognormal-ish jitter around the averages.
     const double iter_jit =

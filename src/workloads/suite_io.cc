@@ -49,9 +49,6 @@ constexpr std::size_t kNodeRecBytes = sizeof(DdgNode);
 constexpr std::size_t kEdgeRecBytes = sizeof(DdgEdge);
 static_assert(kNodeRecBytes == 16 && kEdgeRecBytes == 16,
               "suite v4 record layout drifted from the graph PODs");
-// Node flag byte (record byte 13): isReplica, isSpill, liveOut, alive
-// in bits 0-3, as DdgNode's bit-fields; bits 4-7 are zero.
-constexpr unsigned kAliveFlag = 1u << 3;
 
 // The loader reads the little-endian wire format with plain memcpy
 // loads and hands the records to the graph as they are, so it runs
@@ -226,17 +223,13 @@ serializeLoop(Writer &w, const Loop &loop)
 
 /**
  * Parse one v4 graph section (the Ddg portion of a loop record).
- * Every field is validated HERE - this is the
- * only validation layer: the slots go to Ddg::fromSlotsTrusted,
- * which skips the graph layer's own consistency checks on the
- * strength of this function's guarantees. Any check removed here is
- * removed entirely; untrusted bytes must never reach the graph
- * unvalidated.
- *
- * The v4 records are the graph PODs byte-for-byte, so validation is
- * one sweep per array over the raw mapped bytes, and only after every
- * row is proven does anything typed exist: one bulk memcpy per array
- * - no per-node parse loop and no per-node allocation.
+ * This layer checks what only raw bytes can show: the op class and
+ * edge kind ranges, the reserved flag bits and pad bytes, and that
+ * each edge's alive byte is 0 or 1 (proven before Ddg::fromSlots
+ * copies it into a C++ bool, where a byte > 1 would be a trap
+ * representation). Ddg::fromSlots then copies each array once,
+ * straight from the mapped file, and checks the structural rules;
+ * its DdgSlotError comes back as a SuiteIoError naming the path.
  */
 Ddg
 deserializeGraph(Reader &r)
@@ -256,48 +249,23 @@ deserializeGraph(Reader &r)
     const unsigned char *erec = nrec + node_slots * kNodeRecBytes;
     const unsigned char *lrec = erec + edge_slots * kEdgeRecBytes;
 
-    // --- Single validation sweep per array over the raw bytes. --------
     // One 32-bit load covers a row's tail: bytes 12..15 are (cls, flag
     // byte, 2 zero pads) in a node record and (memLatency, kind,
-    // alive) in an edge record. The edge's alive byte must be proven
-    // 0/1 BEFORE the memcpy below materializes a C++ bool from it (a
-    // byte > 1 would be a trap representation). The structural fields
-    // ride in the same sweep as unaligned u32 loads.
+    // alive) in an edge record.
     for (std::uint32_t i = 0; i < node_slots; ++i) {
-        const unsigned char *q = nrec + i * kNodeRecBytes;
-        const std::uint32_t tail = loadLe32(q + 12);
-        // Bits that may be set: cls (any byte), flag bits 0-3.
+        const std::uint32_t tail = loadLe32(nrec + i * kNodeRecBytes + 12);
+        // Bits that may be set: cls (any byte) and flag bits 0-3
+        // (isReplica, isSpill, liveOut, alive, as DdgNode's
+        // bit-fields); flag bits 4-7 and both pad bytes are zero.
         if ((tail & 0xfffff000u) != 0 ||
             (tail & 0xff) >=
                 static_cast<std::uint8_t>(OpClass::NumOpClasses)) {
             r.fail("bad class/flag/padding byte in node record row " +
                    std::to_string(i));
         }
-        // semanticId: unsigned compare folds the negative case (as a
-        // u32 it exceeds any in-range slot count).
-        const std::uint32_t sid = loadLe32(q);
-        if (sid >= node_slots) {
-            r.fail("semantic id " +
-                   std::to_string(static_cast<NodeId>(sid)) +
-                   " outside the node array");
-        }
-        if (static_cast<std::uint64_t>(loadLe32(q + 4)) +
-                loadLe32(q + 8) > label_bytes) {
-            r.fail("label slice outside the label arena");
-        }
     }
-    // Degrees fall out of the edge sweep for free; they feed
-    // Ddg::fromSlotsTrusted so the graph build skips its own
-    // validation + degree pass. Thread-local scratch: deserializing a
-    // suite record-by-record would otherwise pay two allocations per
-    // record just for this transient.
-    static thread_local std::vector<std::uint32_t> deg_scratch;
-    deg_scratch.assign(2 * static_cast<std::size_t>(node_slots), 0);
-    std::uint32_t *in_deg = deg_scratch.data();
-    std::uint32_t *out_deg = in_deg + node_slots;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        const unsigned char *q = erec + i * kEdgeRecBytes;
-        const std::uint32_t tail = loadLe32(q + 12);
+        const std::uint32_t tail = loadLe32(erec + i * kEdgeRecBytes + 12);
         // memLatency (bytes 0-1) is any i16; kind capped at the last
         // enum; alive must be 0/1.
         const std::uint32_t kind = (tail >> 16) & 0xff;
@@ -306,37 +274,17 @@ deserializeGraph(Reader &r)
             r.fail("bad kind/alive byte in edge record row " +
                    std::to_string(i));
         }
-        const std::uint32_t src = loadLe32(q);
-        const std::uint32_t dst = loadLe32(q + 4);
-        if (src >= node_slots || dst >= node_slots)
-            r.fail("edge endpoint outside the node array");
-        if (loadLe32(q + 8) >= 0x80000000u)
-            r.fail("negative edge distance");
-        if (tail >> 24) { // alive (proven 0/1)
-            const unsigned char *srow = nrec + src * kNodeRecBytes;
-            if (!(srow[13] & kAliveFlag) ||
-                !(nrec[dst * kNodeRecBytes + 13] & kAliveFlag)) {
-                r.fail("live edge on a dead node");
-            }
-            if (static_cast<EdgeKind>(kind) == EdgeKind::RegFlow &&
-                !producesValue(static_cast<OpClass>(srow[12]))) {
-                r.fail("flow edge from a non-value-producing op");
-            }
-        }
-        ++out_deg[src];
-        ++in_deg[dst];
     }
 
-    // Everything above threw on the first inconsistency, which is
-    // exactly the precondition the trusted bulk loader asks for. It
-    // memcpys each mapped array into the graph's own storage (records
-    // start at arbitrary byte offsets, so nothing is read in place).
     r.pos += static_cast<std::size_t>(fixed);
-    return Ddg::fromSlotsTrusted(
-        nrec, node_slots, erec, edge_slots,
-        std::string_view(reinterpret_cast<const char *>(lrec),
-                         label_bytes),
-        in_deg, out_deg);
+    try {
+        return Ddg::fromSlots(
+            nrec, node_slots, erec, edge_slots,
+            std::string_view(reinterpret_cast<const char *>(lrec),
+                             label_bytes));
+    } catch (const DdgSlotError &err) {
+        r.fail(err.what());
+    }
 }
 
 Loop

@@ -52,9 +52,14 @@
  * bytes. The seed-42 suite takes 1.17 MB.
  *
  * The node/edge records ARE the in-memory PODs (static_asserts in
- * ddg/ddg.hh pin the layout): after one validation pass over the raw
- * bytes, a record deserializes as one bulk memcpy per array plus one
- * label-blob copy - no per-node parse loop, no per-node allocation.
+ * ddg/ddg.hh pin the layout). The loader checks the bytes only it can
+ * see (op class and edge kind ranges, reserved flag bits and pad
+ * bytes, an edge alive byte of 0 or 1); `Ddg::fromSlots` then copies
+ * each array and the label blob once - no per-node parse loop, no
+ * per-node allocation - and checks the structural rules (semantic
+ * ids, label slices, edge endpoints, distances, live edges on live
+ * nodes, flow edges from value producers). A broken rule is a
+ * `SuiteIoError` naming the path, the rule and the row.
  *
  * ## Loading
  *
@@ -77,7 +82,7 @@
  *
  * The loaded suite is bit-identical to `buildSuite`'s on every
  * observable `Loop` field (names, profiles, node/edge arrays
- * including tombstones, adjacency order): `Ddg::fromSlotsTrusted`
+ * including tombstones, adjacency order): `Ddg::fromSlots`
  * derives ids and adjacency exactly as an addNode/addEdge/remove*
  * replay would. Only the process-unique `Ddg::generation()` differs.
  * tests/suite_io_test.cc pins the field-level round trip.

@@ -631,8 +631,10 @@ TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
     std::vector<DdgEdge> edges;
     for (EdgeId e = 0; e < s.g.numEdgeSlots(); ++e)
         edges.push_back(s.g.edge(e));
-    Ddg loaded = Ddg::fromSlots(std::move(nodes), std::move(edges),
-                                std::string(s.g.labelArena()));
+    Ddg loaded = Ddg::fromSlots(
+        nodes.data(), static_cast<std::uint32_t>(nodes.size()),
+        edges.data(), static_cast<std::uint32_t>(edges.size()),
+        s.g.labelArena());
 
     for (NodeId n = 0; n < s.g.numNodeSlots(); ++n) {
         const EdgeSpan a = s.g.inEdgesRaw(n), b = loaded.inEdgesRaw(n);
@@ -859,14 +861,10 @@ TEST(DdgLabels, FromSlotsRejectsLabelSliceOutsideArena)
 {
     Ddg g;
     g.addNode(OpClass::Load, "ok");
-    std::vector<DdgNode> nodes;
-    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
-        nodes.push_back(g.node(n));
-    std::vector<DdgEdge> edges;
-    nodes[0].labelLen = 1000; // slice runs past the arena
-    EXPECT_DEATH(Ddg::fromSlots(std::move(nodes), std::move(edges),
-                                std::string(g.labelArena())),
-                 "label");
+    DdgNode node = g.node(0);
+    node.labelLen = 1000; // slice runs past the arena
+    EXPECT_THROW(Ddg::fromSlots(&node, 1, nullptr, 0, g.labelArena()),
+                 DdgSlotError);
 }
 
 // --- Copy-on-write storage. -------------------------------------------

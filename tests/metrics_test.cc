@@ -8,6 +8,7 @@
 #include "ddg/builder.hh"
 #include "eval/metrics.hh"
 #include "eval/runner.hh"
+#include "eval/service.hh"
 
 namespace cvliw
 {
@@ -47,7 +48,8 @@ TEST(Metrics, IpcBoundedByIssueWidth)
 {
     const auto suite = buildBenchmark("swim");
     const auto m = MachineConfig::fromString("2c1b2l64r");
-    const auto res = runSuite(suite, m, {}, 2);
+    CompileService service(2);
+    const auto res = service.compileSuite(suite, m);
     const auto aggs = aggregateByBenchmark(suite, res);
     ASSERT_EQ(aggs.size(), 1u);
     const double ipc = aggs.at("swim").ipc();
@@ -59,7 +61,8 @@ TEST(Metrics, RunnerKeepsSuiteOrder)
 {
     const auto suite = buildBenchmark("mgrid");
     const auto m = MachineConfig::fromString("4c1b2l64r");
-    const auto res = runSuite(suite, m, {}, 2);
+    CompileService service(2);
+    const auto res = service.compileSuite(suite, m);
     ASSERT_EQ(res.loops.size(), suite.size());
     const auto ipcs = benchmarkIpcs(suite, res);
     ASSERT_EQ(ipcs.size(), 1u);
@@ -71,8 +74,10 @@ TEST(Metrics, ParallelAndSerialRunsAgree)
 {
     const auto suite = buildBenchmark("tomcatv");
     const auto m = MachineConfig::fromString("4c2b2l64r");
-    const auto serial = runSuite(suite, m, {}, 1);
-    const auto parallel = runSuite(suite, m, {}, 4);
+    CompileService one(1);
+    CompileService four(4);
+    const auto serial = one.compileSuite(suite, m);
+    const auto parallel = four.compileSuite(suite, m);
     ASSERT_EQ(serial.loops.size(), parallel.loops.size());
     for (std::size_t i = 0; i < serial.loops.size(); ++i) {
         EXPECT_EQ(serial.loops[i].ii, parallel.loops[i].ii);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
 #include "paper_graph.hh"
@@ -41,35 +43,114 @@ TEST(Pipeline, UnifiedMachineSchedulesAtMii)
 
 TEST(Pipeline, HugeMemoryDistanceCompilesAtMii)
 {
-    // f's recurrence sets the MII to the FpAlu latency (3), and the
-    // store may not overwrite what the load read 2^30 iterations
-    // earlier. At II 3, ii * distance = 3 * 2^30 exceeds an int: the
-    // scheduler's placement window must not overflow on it.
+    // f's recurrence sets the MII to the FpAlu latency (3), and a
+    // memory edge of distance 2^30 joins the load and the store. At
+    // II 3, ii * distance = 3 * 2^30 exceeds an int. Two inputs:
+    //  - ld -> st: the store may not overwrite what the load read
+    //    2^30 iterations earlier; the scheduler's placement window
+    //    must not overflow on it;
+    //  - st -> ld: the store's only out-edge is that memory edge, so
+    //    the sink pass bounds it by start(ld) + 3 * 2^30; that bound
+    //    must not be truncated to an int.
     constexpr int distance = 1 << 30;
+    std::vector<Ddg> graphs;
+    for (const bool store_first : {false, true}) {
+        DdgBuilder b;
+        b.op("ld", OpClass::Load);
+        b.op("f", OpClass::FpAlu, {"ld"});
+        b.flow("f", "f", 1);
+        b.op("st", OpClass::Store, {"f"});
+        if (store_first)
+            b.mem("st", "ld", distance);
+        else
+            b.mem("ld", "st", distance);
+        graphs.push_back(b.take());
+    }
+
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        const Ddg &g = graphs[i];
+        for (const char *cfg : {"unified", "2c1b2l64r", "4c2b4l64r"}) {
+            SCOPED_TRACE(std::string(cfg) + ", graph " +
+                         std::to_string(i));
+            const auto m = MachineConfig::fromString(cfg);
+            const auto r = compile(g, m);
+            ASSERT_TRUE(r.ok);
+            EXPECT_EQ(r.ii, r.mii);
+            EXPECT_GT(static_cast<long long>(r.ii) * distance, 1LL << 31);
+            const auto errors =
+                checkSchedule(r.finalDdg, m, r.partition, r.schedule);
+            EXPECT_TRUE(errors.empty()) << errors.front();
+            const auto sim =
+                simulate(r.finalDdg, m, r.partition, r.schedule, g);
+            EXPECT_TRUE(sim.ok)
+                << (sim.errors.empty() ? "" : sim.errors.front());
+        }
+    }
+}
+
+TEST(Pipeline, SunkNodeKeepsItsCompletionInIntRange)
+{
+    // ld2 is live-out and its only successor at placement time is ld,
+    // over a memory edge, so at II 1 the scheduler places or sinks it
+    // as late as its upper bound allows. Two inputs:
+    //  - distance INT_MAX: that bound must leave room for ld2's
+    //    latency: its completion cycle, the schedule length and the
+    //    stage count are ints;
+    //  - distance 2^30 and a consumer use of ld2: ld2 lands on the
+    //    bound's cap, and use's start must not be clamped down to
+    //    that same cap, before the load completes.
+    for (const bool with_use : {false, true}) {
+        SCOPED_TRACE(with_use ? "with use" : "without use");
+        DdgBuilder b;
+        b.op("ld", OpClass::Load);
+        b.op("f", OpClass::FpAlu, {"ld"});
+        b.op("st", OpClass::Store, {"f"});
+        b.op("ld2", OpClass::Load);
+        b.mem("ld2", "ld",
+              with_use ? 1 << 30 : std::numeric_limits<int>::max());
+        if (with_use)
+            b.op("use", OpClass::IntAlu, {"ld2"});
+        Ddg g = b.take();
+        g.node(b.id("ld2")).liveOut = true;
+        const auto m = MachineConfig::unified();
+        const auto r = compile(g, m);
+        ASSERT_TRUE(r.ok);
+        EXPECT_EQ(r.ii, 1);
+        const long long done =
+            static_cast<long long>(r.schedule.start[b.id("ld2")]) +
+            m.latency(OpClass::Load);
+        EXPECT_GE(r.schedule.length, done);
+        EXPECT_GE(r.schedule.stageCount, 1);
+        const auto errors =
+            checkSchedule(r.finalDdg, m, r.partition, r.schedule);
+        EXPECT_TRUE(errors.empty()) << errors.front();
+        const auto sim =
+            simulate(r.finalDdg, m, r.partition, r.schedule, g);
+        EXPECT_TRUE(sim.ok)
+            << (sim.errors.empty() ? "" : sim.errors.front());
+    }
+}
+
+TEST(Pipeline, HugeFlowDistanceGivesUpAtMaxIi)
+{
+    // The load's value is read 2^26 iterations later, so it lives
+    // ii * 2^26 cycles and no II up to maxIi fits it in registers.
+    // MaxLive costs O(ii) per value, so the six register-bound IIs
+    // take microseconds, not ii * 2^26 steps each.
     DdgBuilder b;
     b.op("ld", OpClass::Load);
     b.op("f", OpClass::FpAlu, {"ld"});
     b.flow("f", "f", 1);
     b.op("st", OpClass::Store, {"f"});
-    b.mem("ld", "st", distance);
+    b.flow("ld", "st", 1 << 26);
     const Ddg g = b.take();
-
-    for (const char *cfg : {"unified", "2c1b2l64r", "4c2b4l64r"}) {
-        const auto m = MachineConfig::fromString(cfg);
-        const auto r = compile(g, m);
-        ASSERT_TRUE(r.ok) << cfg;
-        EXPECT_EQ(r.ii, r.mii) << cfg;
-        EXPECT_GT(static_cast<long long>(r.ii) * distance, 1LL << 31)
-            << cfg;
-        EXPECT_TRUE(
-            checkSchedule(r.finalDdg, m, r.partition, r.schedule).empty())
-            << cfg;
-        const auto sim =
-            simulate(r.finalDdg, m, r.partition, r.schedule, g);
-        EXPECT_TRUE(sim.ok) << cfg << ": "
-                            << (sim.errors.empty() ? ""
-                                                   : sim.errors.front());
-    }
+    PipelineOptions opts;
+    opts.maxIi = 8;
+    const auto r = compile(g, MachineConfig::unified(), opts);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.mii, 3);
+    EXPECT_EQ(r.iiIncreases,
+              std::vector<FailCause>(6, FailCause::Registers));
 }
 
 TEST(Pipeline, IiNeverBelowMii)

@@ -1,10 +1,13 @@
 /**
  * @file
  * MaxLive register-pressure tests: lifetime accounting, modulo
- * wrapping of long lifetimes and copy-delivered values.
+ * wrapping of long lifetimes (exact per-phase counts for a 2^28
+ * distance, saturation past INT_MAX) and copy-delivered values.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "ddg/builder.hh"
 #include "sched/regpressure.hh"
@@ -122,6 +125,64 @@ TEST(MaxLive, ManyOverlappingValues)
     const auto ml = computeMaxLive(
         g, m, p, starts(g, {{b.id("a"), 0}, {b.id("c"), 5}}), 1);
     EXPECT_EQ(ml[0], 4); // live [1,5) wraps II=1 four times
+}
+
+TEST(MaxLive, HugeDistancePhaseCountsMatchClosedForm)
+{
+    // a's value is read 2^28 iterations later: at II 5 it lives
+    // len = 5 * 2^28 + 2 cycles, so every phase holds len / 5 copies
+    // and the len % 5 phases from def's on hold one more. A one-cycle
+    // probe value at phase p reads phase p's count back: the counts
+    // differ by at most one, so MaxLive = count[p] + 1.
+    constexpr int ii = 5;
+    DdgBuilder b;
+    b.op("a", OpClass::IntAlu);
+    b.op("c", OpClass::IntAlu);
+    b.flow("a", "c", 1 << 28);
+    b.op("x", OpClass::IntAlu);
+    b.op("y", OpClass::IntAlu, {"x"});
+    Ddg g = b.take();
+    const auto m = MachineConfig::unified();
+    Partition part(1, g.numNodeSlots());
+    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
+        part.assign(n, 0);
+    const int lat = m.latency(OpClass::IntAlu);
+
+    const long long def = lat;
+    const long long len = 3 + ii * (1LL << 28) - def;
+    for (int p = 0; p < ii; ++p) {
+        const int x_def = 10 * ii + p;
+        const auto ml = computeMaxLive(
+            g, m, part,
+            starts(g, {{b.id("a"), 0},
+                       {b.id("c"), 3},
+                       {b.id("x"), x_def - lat},
+                       {b.id("y"), x_def + 1}}),
+            ii);
+        const long long count =
+            len / ii + ((p - def % ii + ii) % ii < len % ii ? 1 : 0);
+        EXPECT_EQ(ml[0], count + 1) << "phase " << p;
+    }
+}
+
+TEST(MaxLive, CountsPastIntMaxSaturate)
+{
+    // Three values read 2^30 iterations later at II 2: each range
+    // runs to the INT_MAX clamp on its last use, 2^30 - 1 copies per
+    // phase, so their sum in one phase passes INT_MAX.
+    Ddg g;
+    for (int v = 0; v < 3; ++v) {
+        const NodeId def = g.addNode(OpClass::IntAlu);
+        const NodeId use = g.addNode(OpClass::IntAlu);
+        g.addEdge(def, use, EdgeKind::RegFlow, 1 << 30);
+    }
+    const auto m = MachineConfig::unified();
+    Partition part(1, g.numNodeSlots());
+    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
+        part.assign(n, 0);
+    const std::vector<int> start(g.numNodeSlots(), 0);
+    const auto ml = computeMaxLive(g, m, part, start, 2);
+    EXPECT_EQ(ml[0], std::numeric_limits<int>::max());
 }
 
 } // namespace

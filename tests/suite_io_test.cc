@@ -248,6 +248,10 @@ restampSingleLoop(std::vector<unsigned char> &bytes)
 
 TEST(SuiteIo, RejectsBadFlagPaddingKindAndAliveBytes)
 {
+    // One re-stamped byte edit per check: the loader's own byte
+    // checks, then each structural rule of Ddg::fromSlots. Every
+    // rejection is a SuiteIoError naming the path, the check and the
+    // row.
     const Loop loop = everyFieldLoop();
     TempFile file("badrow.cvsuite");
     saveSuite({loop}, file.path(), 5);
@@ -263,18 +267,37 @@ TEST(SuiteIo, RejectsBadFlagPaddingKindAndAliveBytes)
         std::size_t at;
         unsigned char value;
         const char *row;
+        const char *check;
     };
-    // Node row 9 (flags 0x9) and edge row 2 (a live Memory edge).
-    const std::size_t node9 = nodes_at + 16 * 9, edge2 = edges_at + 16 * 2;
+    // Node row 9 (flags 0x9, semantic id 9), edge row 1 (a live
+    // Memory edge st -> ld) and edge row 2 (a live Memory edge
+    // ld -> st, distance 2). Ids and distances are little-endian i32s:
+    // byte 3 = 0x80 makes one negative.
+    const std::size_t node9 = nodes_at + 16 * 9;
+    const std::size_t edge1 = edges_at + 16, edge2 = edges_at + 16 * 2;
     const char *in_node9 = "node record row 9";
+    const char *in_edge1 = "edge record row 1";
     const char *in_edge2 = "edge record row 2";
+    const auto reg_flow = static_cast<unsigned char>(EdgeKind::RegFlow);
     const Case cases[] = {
-        {"node flag bit 4", node9 + 13, 0x19, in_node9},
-        {"node flag bit 7", node9 + 13, 0x89, in_node9},
-        {"node pad byte 14", node9 + 14, 1, in_node9},
-        {"node pad byte 15", node9 + 15, 0x80, in_node9},
-        {"edge kind above Spill", edge2 + 14, 3, in_edge2},
-        {"edge alive byte 2", edge2 + 15, 2, in_edge2},
+        {"node flag bit 4", node9 + 13, 0x19, in_node9, "padding"},
+        {"node flag bit 7", node9 + 13, 0x89, in_node9, "padding"},
+        {"node pad byte 14", node9 + 14, 1, in_node9, "padding"},
+        {"node pad byte 15", node9 + 15, 0x80, in_node9, "padding"},
+        {"edge kind above Spill", edge2 + 14, 3, in_edge2, "kind/alive"},
+        {"edge alive byte 2", edge2 + 15, 2, in_edge2, "kind/alive"},
+        {"negative semantic id", node9 + 3, 0x80, in_node9,
+         "semantic id"},
+        {"label offset past the arena", node9 + 7, 1, in_node9,
+         "label slice"},
+        {"negative edge source", edge2 + 3, 0x80, in_edge2,
+         "endpoint outside the node array"},
+        {"negative distance", edge2 + 11, 0x80, in_edge2,
+         "negative distance"},
+        {"live edge into dead node 3", edge2 + 4, 3, in_edge2,
+         "live edge on a dead node"},
+        {"flow edge from a store", edge1 + 14, reg_flow, in_edge1,
+         "flow edge from a non-value-producing op"},
     };
 
     auto restamped = clean;
@@ -283,6 +306,7 @@ TEST(SuiteIo, RejectsBadFlagPaddingKindAndAliveBytes)
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
         auto bytes = clean;
+        ASSERT_NE(bytes[c.at], c.value);
         bytes[c.at] = c.value;
         restampSingleLoop(bytes);
         file.write(bytes);
@@ -291,7 +315,9 @@ TEST(SuiteIo, RejectsBadFlagPaddingKindAndAliveBytes)
             ADD_FAILURE() << "accepted";
         } catch (const SuiteIoError &err) {
             const std::string what = err.what();
+            EXPECT_NE(what.find(file.path()), std::string::npos) << what;
             EXPECT_NE(what.find(c.row), std::string::npos) << what;
+            EXPECT_NE(what.find(c.check), std::string::npos) << what;
         }
     }
 }
