@@ -5,7 +5,7 @@
 
 #include "support/strutil.hh"
 #include "support/table.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -15,7 +15,7 @@ namespace benchutil
 const std::vector<Loop> &
 suite()
 {
-    static const std::vector<Loop> loops = loadOrBuildSuite(42);
+    static const std::vector<Loop> loops = buildSuite(42);
     return loops;
 }
 

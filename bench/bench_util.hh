@@ -11,8 +11,7 @@
  * per-worker caches live across the many config sweeps a figure
  * bench performs; a loop that does not compile is logged once, with
  * its config and reason, and left out of the aggregates. The suite
- * itself comes from the build-generated cache file when present
- * (workloads/suite_io.hh) instead of being regenerated per process.
+ * is generated once per process by `buildSuite(42)`.
  */
 
 #ifndef CVLIW_BENCH_BENCH_UTIL_HH
@@ -29,7 +28,7 @@ namespace cvliw
 namespace benchutil
 {
 
-/** The full suite (seed 42), loaded from the cache or built once. */
+/** The full suite (seed 42), built once per process. */
 const std::vector<Loop> &suite();
 
 /** Loops of a single benchmark (view into suite()). */

@@ -12,11 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <numeric>
 
 #include "core/pipeline.hh"
@@ -31,7 +28,6 @@
 #include "support/cpus.hh"
 #include "support/trace.hh"
 #include "workloads/suite.hh"
-#include "workloads/suite_io.hh"
 
 namespace
 {
@@ -41,7 +37,7 @@ using namespace cvliw;
 const std::vector<Loop> &
 suite()
 {
-    static const std::vector<Loop> s = loadOrBuildSuite(42);
+    static const std::vector<Loop> s = buildSuite(42);
     return s;
 }
 
@@ -263,26 +259,6 @@ BM_SuiteGeneration(benchmark::State &state)
         benchmark::DoNotOptimize(buildSuite(42));
 }
 BENCHMARK(BM_SuiteGeneration);
-
-/**
- * loadSuite vs BM_SuiteGeneration: what every binary saves per
- * process by reading the build-generated suite cache instead of
- * regenerating 678 loops (multi-core machines also parse records in
- * parallel via the offset table).
- */
-void
-BM_SuiteLoad(benchmark::State &state)
-{
-    // PID-suffixed so concurrent perf_micro runs (baseline vs head
-    // builds) never truncate each other's file mid-load.
-    const std::string path = "/tmp/cvliw_perf_suite." +
-                             std::to_string(::getpid()) + ".cvsuite";
-    saveSuite(suite(), path, 42);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(loadSuite(path));
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_SuiteLoad);
 
 /**
  * CompileService batch throughput: the whole suite compiled for one

@@ -20,7 +20,7 @@
 
 #include "eval/digest.hh"
 #include "eval/service.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 int
 main(int argc, char **argv)
@@ -29,7 +29,7 @@ main(int argc, char **argv)
 
     const std::uint64_t seed =
         argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-    const auto suite = loadOrBuildSuite(seed);
+    const auto suite = buildSuite(seed);
 
     const char *configs[] = {"2c1b2l64r", "4c2b2l64r", "4c2b4l64r"};
     ResultDigest all;

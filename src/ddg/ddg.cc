@@ -61,17 +61,17 @@ Ddg::freshGeneration()
 }
 
 Ddg
-Ddg::fromSlots(const void *node_bytes, std::uint32_t node_slots,
-               const void *edge_bytes, std::uint32_t edge_slots,
+Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
+               const DdgEdge *edges, std::uint32_t edge_slots,
                std::string_view labels)
 {
     Ddg g;
-    g.nodes_.append(node_bytes, node_slots);
-    g.edges_.append(edge_bytes, edge_slots);
+    g.nodes_.append(nodes, node_slots);
+    g.edges_.append(edges, edge_slots);
     g.labels_.append(labels.data(), labels.size());
 
-    // The rules are checked on the graph's own aligned copies; a
-    // throw discards them with the graph.
+    // The rules are checked on the graph's own copies; a throw
+    // discards them with the graph.
     g.liveNodes_ = 0;
     for (std::uint32_t i = 0; i < node_slots; ++i) {
         const DdgNode &n = g.nodes_[i];

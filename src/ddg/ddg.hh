@@ -45,11 +45,10 @@
  *    Only full spans move, so a dead region holds no `invalidEdge`;
  *    it is never reused or rewritten, so stale spans still read
  *    valid, pre-relocation data;
- *  - `Ddg::fromSlots` bulk loads build exactly-sized arenas (no
- *    slack, no relocation ever happened) -
- *    the compact layout every deserialized graph starts from, and
- *    every generated one too: the workload generator assembles a
- *    loop's records in scratch buffers and builds its graph with one
+ *  - `Ddg::fromSlots` builds exactly-sized arenas (no slack, no
+ *    relocation ever happened) - the compact layout every generated
+ *    graph starts from: the workload generator assembles a loop's
+ *    records in scratch buffers and builds its graph with one
  *    `fromSlots` call (workloads/generator.hh);
  *  - the arenas only ever grow; `removeNode`/`removeEdge` tombstone
  *    edges but never move spans. The one exception is an explicit
@@ -199,12 +198,8 @@ enum class EdgeKind : std::uint8_t
 };
 
 /**
- * One dependence edge. A 16-byte trivially-copyable POD whose exact
- * byte layout doubles as the suite cache's on-disk edge record
- * (workloads/suite_io.cc, format v4): deserialization bulk-copies
- * whole edge arrays off an mmap instead of parsing per edge. The
- * static_asserts below pin the layout; changing any field means a
- * suite format version bump.
+ * One dependence edge. A 16-byte trivially-copyable POD, so a graph
+ * copies whole edge arrays as flat buffers.
  */
 struct DdgEdge
 {
@@ -217,23 +212,15 @@ struct DdgEdge
 };
 
 static_assert(std::is_trivially_copyable_v<DdgEdge>,
-              "DdgEdge must stay a POD (bulk graph copies, suite v4)");
-static_assert(sizeof(DdgEdge) == 16 && offsetof(DdgEdge, src) == 0 &&
-                  offsetof(DdgEdge, dst) == 4 &&
-                  offsetof(DdgEdge, distance) == 8 &&
-                  offsetof(DdgEdge, memLatency) == 12 &&
-                  offsetof(DdgEdge, kind) == 14 &&
-                  offsetof(DdgEdge, alive) == 15,
-              "DdgEdge layout is the suite v4 edge record; bump the "
-              "format version if it changes");
+              "DdgEdge must stay a POD (bulk graph copies)");
+static_assert(sizeof(DdgEdge) == 16, "no padding, no id field");
 
 /**
- * One operation. Like DdgEdge a 16-byte trivially-copyable POD that
- * is also the suite v4 on-disk node record; its label lives in the
- * owning graph's label arena as an {offset, len} slice (read through
- * `Ddg::label(id)`), never as an owned string. The four flags are
- * 1-bit fields of byte 13 (bit 0 first with GCC and Clang; the rest
- * of the byte is zero).
+ * One operation. Like DdgEdge a 16-byte trivially-copyable POD; its
+ * label lives in the owning graph's label arena as an {offset, len}
+ * slice (read through `Ddg::label(id)`), never as an owned string.
+ * The four flags are 1-bit fields of one byte (the rest of the byte
+ * is zero).
  */
 struct DdgNode
 {
@@ -266,15 +253,8 @@ struct DdgNode
 };
 
 static_assert(std::is_trivially_copyable_v<DdgNode>,
-              "DdgNode must stay a POD (bulk graph copies, suite v4)");
-static_assert(sizeof(DdgNode) == 16 &&
-                  offsetof(DdgNode, semanticId) == 0 &&
-                  offsetof(DdgNode, labelOffset) == 4 &&
-                  offsetof(DdgNode, labelLen) == 8 &&
-                  offsetof(DdgNode, cls) == 12 &&
-                  offsetof(DdgNode, pad_) == 14,
-              "DdgNode layout is the suite v4 node record; bump the "
-              "format version if it changes");
+              "DdgNode must stay a POD (bulk graph copies)");
+static_assert(sizeof(DdgNode) == 16, "no id field, packed flags");
 
 namespace detail
 {
@@ -334,12 +314,11 @@ class CowArray
     }
 
     /**
-     * Append @p n elements copied from @p src: elements of this type
-     * or their raw bytes, at any alignment. @p src may point into this
-     * array: a reallocating append copies it before it releases the
-     * old block.
+     * Append @p n elements copied from @p src. @p src may point into
+     * this array: a reallocating append copies it before it releases
+     * the old block.
      */
-    void append(const void *src, std::size_t n)
+    void append(const T *src, std::size_t n)
     {
         if (n == 0)
             return;
@@ -416,7 +395,7 @@ class CowArray
         }
     }
 
-    static void copy(T *dst, const void *src, std::size_t n)
+    static void copy(T *dst, const T *src, std::size_t n)
     {
         if (n)
             std::memcpy(static_cast<void *>(dst), src, n * sizeof(T));
@@ -731,29 +710,26 @@ class Ddg
     /**
      * Build a graph from fully-described slot arrays in one step: one
      * generation stamp and exactly-sized arrays (no adjacency slack)
-     * instead of per-element mutation calls. The slots arrive as
-     * bytes in the host's DdgNode/DdgEdge layout at any alignment (a
-     * vector's data(), or suite v4 records straight from the mapped
-     * file), and each array is copied once into the graph, so a
-     * caller can reuse its buffers for the next graph (the workload
-     * generator does). @p labels becomes the label arena verbatim.
-     * Ids are the slot indices; adjacency is derived here: each
-     * node's spans hold its incident edge ids in edge-id order -
-     * exactly the state an addNode/addEdge/remove* replay would
-     * produce, so a graph built this way is field-identical to its
-     * original.
+     * instead of per-element mutation calls. Each array is copied
+     * once into the graph, so a caller can reuse its buffers for the
+     * next graph (the workload generator does). @p labels becomes the
+     * label arena verbatim. Ids are the slot indices; adjacency is
+     * derived here: each node's spans hold its incident edge ids in
+     * edge-id order - exactly the state an addNode/addEdge/remove*
+     * replay would produce, so a graph rebuilt from another graph's
+     * slots and label arena is field-identical to it.
      *
-     * Every field must hold a value of its type (an op class or edge
-     * kind in range, a bool byte of 0 or 1); a loader proves that on
-     * the raw bytes first. The copies are then checked against six
-     * structural rules: a semantic id inside the node array, a label
-     * slice inside @p labels, edge endpoints inside the node array, a
-     * distance >= 0, no live edge on a dead node, and no flow edge
-     * from an op that produces no value.
+     * Every op class and edge kind must be a named enumerator: they
+     * are not checked here, and the pipeline indexes tables by op
+     * class. The slots are checked against six structural rules: a
+     * semantic id inside the node array, a label slice inside
+     * @p labels, edge endpoints inside the node array, a distance
+     * >= 0, no live edge on a dead node, and no flow edge from an op
+     * that produces no value.
      * @throws DdgSlotError naming the rule and the node or edge row
      */
-    static Ddg fromSlots(const void *nodes, std::uint32_t node_slots,
-                         const void *edges, std::uint32_t edge_slots,
+    static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
+                         const DdgEdge *edges, std::uint32_t edge_slots,
                          std::string_view labels);
 
     /**
@@ -822,10 +798,10 @@ class Ddg
     std::string_view label(NodeId id) const;
 
     /**
-     * The whole label arena blob (serialization only). Every node's
-     * {labelOffset, labelLen} slices this; feeding it back through
-     * `fromSlots` alongside copies of the slot arrays reproduces the
-     * graph's labels exactly.
+     * The whole label arena blob. Every node's {labelOffset,
+     * labelLen} slices this; feeding it back through `fromSlots`
+     * alongside copies of the slot arrays reproduces the graph's
+     * labels exactly.
      */
     std::string_view labelArena() const
     {
@@ -933,7 +909,7 @@ class Ddg
     detail::CowArray<DdgEdge> edges_;
     // CSR-style adjacency: one flat edge-id arena plus two spans per
     // node slot, interleaved as slots_[2*id] = in, slots_[2*id+1] =
-    // out so a node's pair shares a cache line (and a suite load pays
+    // out so a node's pair shares a cache line (and adjacency costs
     // two allocations per graph, not four). See the header comment
     // for the invariants and relocation rules.
     detail::CowArray<EdgeId> arena_;

@@ -7,10 +7,17 @@
 namespace cvliw
 {
 
+namespace
+{
+
+/** Refinement passes per call. */
+constexpr int kMaxPasses = 4;
+
+} // namespace
+
 Partition
 refinePartition(const Ddg &ddg, const MachineConfig &mach,
-                const Partition &initial, int ii,
-                PseudoScratch *scratch, int max_passes)
+                const Partition &initial, int ii, PseudoScratch *scratch)
 {
     if (mach.numClusters() == 1)
         return initial;
@@ -29,7 +36,7 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
     // the same state against the same `best` as the previous pass
     // did, so it would reject every move again: it stops there.
     NodeId last_commit = std::numeric_limits<NodeId>::max();
-    for (int pass = 0; pass < max_passes; ++pass) {
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
         bool improved = false;
         NodeId pass_last_commit = invalidNode;
         for (NodeId n : live) {

@@ -18,7 +18,7 @@ namespace cvliw
 
 /**
  * Hill-climb on single-node moves until a full pass makes no
- * improvement (bounded by @p max_passes). A pass that has committed
+ * improvement (at most four passes). A pass that has committed
  * nothing stops after the node of the previous pass's last commit:
  * every later probe would repeat one the previous pass rejected. Each
  * candidate move is evaluated incrementally against the current best
@@ -33,13 +33,11 @@ namespace cvliw
  * @param scratch optional reusable evaluation state; the pipeline
  *        threads one instance through every refinement so buffers
  *        and the topological-order memo survive across II bumps
- * @param max_passes pass bound
  * @return the refined partition (never worse than @p initial)
  */
 Partition refinePartition(const Ddg &ddg, const MachineConfig &mach,
                           const Partition &initial, int ii,
-                          PseudoScratch *scratch = nullptr,
-                          int max_passes = 4);
+                          PseudoScratch *scratch = nullptr);
 
 } // namespace cvliw
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * How many CPUs the calling thread may run on, for sizing worker
- * pools (eval/service.cc) and parallel loads (workloads/suite_io.cc).
+ * pools (eval/service.cc).
  * `std::thread::hardware_concurrency()` counts every CPU of the host,
  * so under `taskset -c 0` it would still start one thread per CPU on
  * the single allowed one.

@@ -112,11 +112,4 @@ informCount()
 
 } // namespace logging
 
-void
-setVerboseLogging(bool enabled)
-{
-    logging::setLevel(enabled ? logging::Level::Info
-                              : logging::Level::Warn);
-}
-
 } // namespace cvliw

@@ -91,12 +91,6 @@ std::uint64_t informCount();
 
 } // namespace logging
 
-/**
- * Enable or disable inform() output (warnings are unaffected).
- * Legacy switch: maps onto setLevel(Info) / setLevel(Warn).
- */
-void setVerboseLogging(bool enabled);
-
 } // namespace cvliw
 
 /**

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 
 #include "support/logging.hh"
 
@@ -55,15 +56,12 @@ struct Event
     const char *name = nullptr;
     std::uint64_t t0 = 0;
     std::uint64_t t1 = 0;
-    bool isInstant = false;
     bool open = false;
 
     struct Arg
     {
         const char *key = nullptr;
-        bool isString = false;
         long long vi = 0;
-        char vs[24];
     };
     std::array<Arg, 3> args;
     int nargs = 0;
@@ -216,35 +214,7 @@ spanArg(Event *ev, const char *key, long long value)
         return;
     Event::Arg &a = ev->args[static_cast<std::size_t>(ev->nargs++)];
     a.key = key;
-    a.isString = false;
     a.vi = value;
-}
-
-void
-spanArg(Event *ev, const char *key, std::string_view value)
-{
-    std::lock_guard<std::mutex> lock(tlsLog->mutex);
-    if (ev->nargs >= static_cast<int>(ev->args.size()))
-        return;
-    Event::Arg &a = ev->args[static_cast<std::size_t>(ev->nargs++)];
-    a.key = key;
-    a.isString = true;
-    const std::size_t n = std::min(value.size(), sizeof(a.vs) - 1);
-    std::memcpy(a.vs, value.data(), n);
-    a.vs[n] = '\0';
-}
-
-Event *
-instantSlow(const char *cat, const char *name)
-{
-    Event *ev = beginSpan(cat, name);
-    if (ev) {
-        std::lock_guard<std::mutex> lock(tlsLog->mutex);
-        ev->t1 = ev->t0;
-        ev->isInstant = true;
-        ev->open = false;
-    }
-    return ev;
 }
 
 } // namespace detail
@@ -341,14 +311,11 @@ snapshot()
             view.tid = log->tid;
             view.startNs = ev.t0;
             view.endNs = ev.open ? 0 : ev.t1;
-            view.instant = ev.isInstant;
             view.open = ev.open;
             for (int i = 0; i < ev.nargs; ++i) {
                 const Event::Arg &a =
                     ev.args[static_cast<std::size_t>(i)];
-                view.args.emplace_back(
-                    a.key, a.isString ? std::string(a.vs)
-                                      : std::to_string(a.vi));
+                view.args.emplace_back(a.key, std::to_string(a.vi));
             }
             out.push_back(std::move(view));
         }
@@ -381,20 +348,12 @@ writeJson(std::ostream &os)
         out += ",\"cat\":";
         appendJsonString(out, ev.cat);
         const double tsUs = static_cast<double>(ev.startNs) / 1e3;
-        if (ev.instant) {
-            std::snprintf(buf, sizeof(buf),
-                          ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f",
-                          tsUs);
-            out += buf;
-        } else {
-            const std::uint64_t end = ev.open ? now : ev.endNs;
-            const double durUs =
-                static_cast<double>(end - ev.startNs) / 1e3;
-            std::snprintf(buf, sizeof(buf),
-                          ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f",
-                          tsUs, durUs);
-            out += buf;
-        }
+        const std::uint64_t end = ev.open ? now : ev.endNs;
+        const double durUs = static_cast<double>(end - ev.startNs) / 1e3;
+        std::snprintf(buf, sizeof(buf),
+                      ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f", tsUs,
+                      durUs);
+        out += buf;
         std::snprintf(buf, sizeof(buf), ",\"pid\":1,\"tid\":%u",
                       ev.tid);
         out += buf;

@@ -33,7 +33,6 @@
  *  - pipeline: compile / partition / ii_attempt / refine / replicate /
  *    replicate.round / schedule / spill_retry
  *  - service: job (one per pool job, with batch + job args)
- *  - suite: load / build / save
  *
  * ## Memory safety
  *
@@ -50,7 +49,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,12 +71,8 @@ Event *beginSpan(const char *cat, const char *name);
 /** Stamp the end time of @p ev (nullptr-safe at the call site). */
 void endSpan(Event *ev);
 
-/** Attach a small integer / string argument to an open span. */
+/** Attach an integer argument to an open span. */
 void spanArg(Event *ev, const char *key, long long value);
-void spanArg(Event *ev, const char *key, std::string_view value);
-
-/** Append a zero-duration instant event (args optional). */
-Event *instantSlow(const char *cat, const char *name);
 
 } // namespace detail
 
@@ -116,38 +110,12 @@ class TraceSpan
             detail::spanArg(ev_, key, value);
     }
 
-    void
-    arg(const char *key, std::string_view value)
-    {
-        if (ev_)
-            detail::spanArg(ev_, key, value);
-    }
-
     /** True iff this span is recording (tracing was armed at entry). */
     bool active() const { return ev_ != nullptr; }
 
   private:
     detail::Event *ev_;
 };
-
-/** Record a zero-duration instant event. */
-inline void
-instant(const char *cat, const char *name)
-{
-    if (armed())
-        detail::instantSlow(cat, name);
-}
-
-/** Instant event with one integer argument. */
-inline void
-instant(const char *cat, const char *name, const char *key,
-        long long value)
-{
-    if (armed()) {
-        if (detail::Event *ev = detail::instantSlow(cat, name))
-            detail::spanArg(ev, key, value);
-    }
-}
 
 /**
  * Arm tracing. @p path, if non-empty, is where the Chrome trace JSON
@@ -182,8 +150,7 @@ struct EventView
     std::string name;
     std::uint32_t tid = 0;       ///< small per-thread id (1-based)
     std::uint64_t startNs = 0;   ///< since the process trace epoch
-    std::uint64_t endNs = 0;     ///< == startNs for instants
-    bool instant = false;
+    std::uint64_t endNs = 0;
     bool open = false;           ///< destructor has not run yet
     std::vector<std::pair<std::string, std::string>> args;
 };

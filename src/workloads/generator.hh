@@ -16,7 +16,7 @@
  * of a `LoopScratch`, in exactly the order and with exactly the
  * fields `addNode`/`addEdge` would give them, and then builds the
  * graph with one validated `Ddg::fromSlots` call: exactly-sized
- * arrays, like a suite-cache load, and the checks `addEdge` makes
+ * arrays, and the checks `addEdge` makes
  * (endpoints in range, distance >= 0, flow edges only from value
  * producers). Its two questions about the half-built graph are
  * answered from scratch arrays: a register-flow out-degree per node

@@ -8,8 +8,11 @@
  * covers the label-interning arena: replica suffix synthesis,
  * allocation-free graph copies, compact() dropping dead-node label
  * bytes, and alias safety of label views passed back into the graph.
- * The DdgShared section covers copy-on-write storage: copies share,
- * a first write clones, views follow the clone, and concurrent copies
+ * The DdgSlots section covers `Ddg::fromSlots`: each of its six
+ * structural rules rejects a bad row, and a graph rebuilt from its
+ * own slot arrays and label arena is field-identical to it. The
+ * DdgShared section covers copy-on-write storage: copies share, a
+ * first write clones, views follow the clone, and concurrent copies
  * of one graph are race-free (the TSan job runs this binary).
  */
 
@@ -17,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -617,24 +621,37 @@ TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
     EXPECT_EQ(g.inEdges(hubs[2]).size(), 48u);
 }
 
+/** A graph's slot arrays and label arena, copied out for fromSlots. */
+struct Slots
+{
+    std::vector<DdgNode> nodes;
+    std::vector<DdgEdge> edges;
+    std::string labels;
+
+    explicit Slots(const Ddg &g) : labels(g.labelArena())
+    {
+        for (NodeId n = 0; n < g.numNodeSlots(); ++n)
+            nodes.push_back(g.node(n));
+        for (EdgeId e = 0; e < g.numEdgeSlots(); ++e)
+            edges.push_back(g.edge(e));
+    }
+
+    Ddg build() const
+    {
+        return Ddg::fromSlots(
+            nodes.data(), static_cast<std::uint32_t>(nodes.size()),
+            edges.data(), static_cast<std::uint32_t>(edges.size()),
+            labels);
+    }
+};
+
 /** A graph rebuilt by fromSlots must carry exactly-sized spans that
  *  still grow correctly when mutated afterwards. */
 TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
 {
     SmallGraph s;
     s.g.removeEdge(s.bc);
-
-    // Round-trip through slot arrays (what suite deserialization does).
-    std::vector<DdgNode> nodes;
-    for (NodeId n = 0; n < s.g.numNodeSlots(); ++n)
-        nodes.push_back(s.g.node(n));
-    std::vector<DdgEdge> edges;
-    for (EdgeId e = 0; e < s.g.numEdgeSlots(); ++e)
-        edges.push_back(s.g.edge(e));
-    Ddg loaded = Ddg::fromSlots(
-        nodes.data(), static_cast<std::uint32_t>(nodes.size()),
-        edges.data(), static_cast<std::uint32_t>(edges.size()),
-        s.g.labelArena());
+    Ddg loaded = Slots(s.g).build();
 
     for (NodeId n = 0; n < s.g.numNodeSlots(); ++n) {
         const EdgeSpan a = s.g.inEdgesRaw(n), b = loaded.inEdgesRaw(n);
@@ -857,14 +874,202 @@ TEST(DdgLabels, InterningIsAliasSafeAcrossArenaRealloc)
         EXPECT_EQ(g.label(ids[k]), oracle[k]) << "node " << ids[k];
 }
 
-TEST(DdgLabels, FromSlotsRejectsLabelSliceOutsideArena)
+// --- Bulk construction (fromSlots). ----------------------------------
+
+/** Field-by-field equality of two graphs, raw spans included. */
+void
+expectDdgIdentical(const Ddg &a, const Ddg &b)
+{
+    ASSERT_EQ(a.numNodeSlots(), b.numNodeSlots());
+    ASSERT_EQ(a.numEdgeSlots(), b.numEdgeSlots());
+    EXPECT_EQ(a.numNodes(), b.numNodes());
+    EXPECT_EQ(a.numEdges(), b.numEdges());
+    for (NodeId n = 0; n < a.numNodeSlots(); ++n) {
+        const DdgNode &x = a.node(n);
+        const DdgNode &y = b.node(n);
+        EXPECT_EQ(x.cls, y.cls) << "node " << n;
+        EXPECT_EQ(x.labelLen, y.labelLen) << "node " << n;
+        EXPECT_EQ(a.label(n), b.label(n)) << "node " << n;
+        EXPECT_EQ(x.semanticId, y.semanticId) << "node " << n;
+        EXPECT_EQ(x.isReplica, y.isReplica) << "node " << n;
+        EXPECT_EQ(x.isSpill, y.isSpill) << "node " << n;
+        EXPECT_EQ(x.liveOut, y.liveOut) << "node " << n;
+        EXPECT_EQ(x.alive, y.alive) << "node " << n;
+        // Adjacency spans (tombstoned slots included) must hold the
+        // same edge ids in the same insertion order.
+        const EdgeSpan ai = a.inEdgesRaw(n), bi = b.inEdgesRaw(n);
+        EXPECT_EQ(std::vector<EdgeId>(ai.begin(), ai.end()),
+                  std::vector<EdgeId>(bi.begin(), bi.end()))
+            << "node " << n;
+        const EdgeSpan ao = a.outEdgesRaw(n), bo = b.outEdgesRaw(n);
+        EXPECT_EQ(std::vector<EdgeId>(ao.begin(), ao.end()),
+                  std::vector<EdgeId>(bo.begin(), bo.end()))
+            << "node " << n;
+    }
+    for (EdgeId e = 0; e < a.numEdgeSlots(); ++e) {
+        const DdgEdge &x = a.edge(e);
+        const DdgEdge &y = b.edge(e);
+        EXPECT_EQ(x.src, y.src) << "edge " << e;
+        EXPECT_EQ(x.dst, y.dst) << "edge " << e;
+        EXPECT_EQ(x.kind, y.kind) << "edge " << e;
+        EXPECT_EQ(x.distance, y.distance) << "edge " << e;
+        EXPECT_EQ(x.memLatency, y.memLatency) << "edge " << e;
+        EXPECT_EQ(x.alive, y.alive) << "edge " << e;
+    }
+}
+
+/**
+ * A graph that holds every op class, all 16 combinations of the node
+ * flags, every edge kind, both int16 memLatency extremes, and dead
+ * node and edge slots.
+ */
+Ddg
+everyFieldDdg()
 {
     Ddg g;
-    g.addNode(OpClass::Load, "ok");
-    DdgNode node = g.node(0);
-    node.labelLen = 1000; // slice runs past the arena
-    EXPECT_THROW(Ddg::fromSlots(&node, 1, nullptr, 0, g.labelArena()),
-                 DdgSlotError);
+    // Node n has flag bits n and op class n % NumOpClasses.
+    const int classes = static_cast<int>(OpClass::NumOpClasses);
+    for (NodeId n = 0; n < 16; ++n) {
+        g.addNode(static_cast<OpClass>(n % classes));
+        g.node(n).isReplica = n & 1;
+        g.node(n).isSpill = n & 2;
+        g.node(n).liveOut = n & 4;
+    }
+    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    const NodeId st = g.addNode(OpClass::Store, "st");
+    g.addEdge(ld, st, EdgeKind::RegFlow, 0);
+    g.addEdge(st, ld, EdgeKind::Memory, 1, -32768);
+    g.addEdge(ld, st, EdgeKind::Memory, 2, 32767);
+    g.addEdge(st, ld, EdgeKind::Spill, 3);
+    g.removeEdge(g.addEdge(ld, ld, EdgeKind::RegFlow, 1));
+    g.addEdge(ld, 0, EdgeKind::Memory, 0, 7); // dies with node 0
+    for (NodeId n = 0; n < 8; ++n)
+        g.removeNode(n); // flag bit 3 (alive) clear
+    return g;
+}
+
+TEST(DdgSlots, FromSlotsRebuildsEveryFieldExactly)
+{
+    // Removal history, replicas and spill/live-out flags: shapes the
+    // generator never emits but the pipeline does.
+    Ddg history;
+    {
+        Ddg &g = history;
+        const NodeId a = g.addNode(OpClass::Load, "a");
+        const NodeId b = g.addNode(OpClass::IntAlu, "b");
+        const NodeId c = g.addNode(OpClass::FpMul, "c");
+        const NodeId d = g.addNode(OpClass::Store, "d");
+        const NodeId r = g.addReplica(b, ".r1");
+        g.node(c).liveOut = true;
+        g.node(a).isSpill = true;
+        g.addEdge(a, b, EdgeKind::RegFlow, 0);
+        const EdgeId bc = g.addEdge(b, c, EdgeKind::RegFlow, 1);
+        g.addEdge(c, d, EdgeKind::RegFlow, 0);
+        g.addEdge(a, d, EdgeKind::Memory, 2, 3);
+        g.addEdge(a, r, EdgeKind::RegFlow, 0);
+        g.addEdge(r, c, EdgeKind::Spill, 1);
+        g.removeEdge(bc);
+        g.removeNode(b); // dead slot between live ones
+    }
+    // Spans that relocated many times while they grew.
+    Ddg fan_out;
+    const NodeId hub = fan_out.addNode(OpClass::IntAlu, "hub");
+    for (int i = 0; i < 37; ++i)
+        fan_out.addEdge(hub, fan_out.addNode(OpClass::IntAlu),
+                        EdgeKind::RegFlow, 0);
+    const Ddg every = everyFieldDdg();
+
+    const Ddg empty;
+    const Ddg *const graphs[] = {&empty, &history, &fan_out, &every};
+    for (const Ddg *g : graphs) {
+        SCOPED_TRACE(std::to_string(g->numNodeSlots()) + "-slot graph");
+        expectDdgIdentical(*g, Slots(*g).build());
+    }
+
+    // Bit-field order is implementation-defined: the rebuilt flags
+    // read back as written, for every combination.
+    const Ddg g = Slots(every).build();
+    for (NodeId n = 0; n < 16; ++n) {
+        const DdgNode &x = g.node(n);
+        EXPECT_EQ(x.isReplica | x.isSpill << 1 | x.liveOut << 2 |
+                      x.alive << 3,
+                  n);
+    }
+    EXPECT_EQ(g.edge(1).memLatency, -32768);
+    EXPECT_EQ(g.edge(2).memLatency, 32767);
+    EXPECT_EQ(g.edge(3).kind, EdgeKind::Spill);
+    EXPECT_FALSE(g.edge(4).alive);
+    EXPECT_FALSE(g.edge(5).alive);
+}
+
+TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
+{
+    // One edited field per row of everyFieldDdg()'s slots: node 9 is
+    // live and node 3 dead; edge 1 is a live Memory edge st -> ld and
+    // edge 2 a live Memory edge ld -> st at distance 2.
+    const Slots clean(everyFieldDdg());
+    ASSERT_EQ(clean.nodes.size(), 18u);
+    ASSERT_NO_THROW(clean.build());
+    struct Case
+    {
+        const char *what;
+        void (*edit)(Slots &);
+        const char *row;
+        const char *rule;
+    };
+    const char *in_node9 = "node record row 9";
+    const char *in_edge1 = "edge record row 1";
+    const char *in_edge2 = "edge record row 2";
+    const char *label_rule = "label slice outside the label arena";
+    const char *endpoint_rule = "endpoint outside the node array";
+    const Case cases[] = {
+        {"negative semantic id",
+         [](Slots &s) { s.nodes[9].semanticId = -1; }, in_node9,
+         "semantic id -1 outside the node array"},
+        {"semantic id one past the last slot",
+         [](Slots &s) { s.nodes[9].semanticId = 18; }, in_node9,
+         "semantic id 18 outside the node array"},
+        {"label slice one byte past the arena",
+         [](Slots &s) {
+             s.nodes[9].labelOffset =
+                 static_cast<std::uint32_t>(s.labels.size());
+             s.nodes[9].labelLen = 1;
+         },
+         in_node9, label_rule},
+        {"label slice that wraps 32 bits",
+         [](Slots &s) {
+             s.nodes[9].labelOffset = UINT32_MAX;
+             s.nodes[9].labelLen = 2;
+         },
+         in_node9, label_rule},
+        {"negative edge source", [](Slots &s) { s.edges[2].src = -1; },
+         in_edge2, endpoint_rule},
+        {"edge target one past the last slot",
+         [](Slots &s) {
+             s.edges[2].dst = static_cast<NodeId>(s.nodes.size());
+         },
+         in_edge2, endpoint_rule},
+        {"negative distance", [](Slots &s) { s.edges[2].distance = -1; },
+         in_edge2, "negative distance"},
+        {"live edge into dead node 3", [](Slots &s) { s.edges[2].dst = 3; },
+         in_edge2, "live edge on a dead node"},
+        {"flow edge from a store",
+         [](Slots &s) { s.edges[1].kind = EdgeKind::RegFlow; }, in_edge1,
+         "flow edge from a non-value-producing op"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        Slots bad = clean;
+        c.edit(bad);
+        try {
+            bad.build();
+            ADD_FAILURE() << "accepted";
+        } catch (const DdgSlotError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find(c.row), std::string::npos) << what;
+            EXPECT_NE(what.find(c.rule), std::string::npos) << what;
+        }
+    }
 }
 
 // --- Copy-on-write storage. -------------------------------------------

@@ -23,7 +23,7 @@
 
 #include "eval/digest.hh"
 #include "eval/service.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -36,7 +36,7 @@ const char *const kConfigs[] = {"2c1b2l64r", "4c2b2l64r", "4c2b4l64r"};
 std::vector<Loop>
 subsetSuite()
 {
-    const auto suite = loadOrBuildSuite(42);
+    const auto suite = buildSuite(42);
     std::vector<Loop> subset;
     for (std::size_t i = 0; i < suite.size(); i += 16)
         subset.push_back(suite[i]);
@@ -90,7 +90,7 @@ TEST(SuiteDigest, FullSuiteDigestPinned)
         GTEST_SKIP() << "set CVLIW_DIGEST_FULL=1 to run the full "
                         "678-loop digest (~1 s of compiles)";
     }
-    const auto suite = loadOrBuildSuite(42);
+    const auto suite = buildSuite(42);
     ASSERT_EQ(suite.size(), 678u);
 
     // The exact values examples/suite_digest prints; combined digest

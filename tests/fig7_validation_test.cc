@@ -15,7 +15,7 @@
 #include "eval/service.hh"
 #include "vliw/checker.hh"
 #include "vliw/simulator.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -24,7 +24,7 @@ namespace
 
 TEST(Fig7Validation, EveryResultChecksAndSimulates)
 {
-    const auto suite = loadOrBuildSuite(42);
+    const auto suite = buildSuite(42);
     ASSERT_EQ(suite.size(), 678u);
 
     std::vector<MachineConfig> machs;

@@ -1,14 +1,14 @@
 /**
  * @file
  * Coverage for the remaining public surfaces: Graphviz export, the
- * section-5.2 ModeComparison helper and logging verbosity.
+ * section-5.2 replication-mode comparison and logging levels.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/macronode.hh"
+#include "core/pipeline.hh"
 #include "ddg/builder.hh"
 #include "ddg/dot.hh"
 #include "support/logging.hh"
@@ -51,41 +51,32 @@ TEST(Dot, MarksReplicas)
 
 TEST(ModeComparison, MacroNodeCostsAtLeastAsMuch)
 {
-    // Run the section-5.2 helper on a communication-bound loop.
+    // Compile communication-bound loops in both section-5.2 modes.
     // The paper's conclusion is an aggregate statement: per loop the
     // two modes may settle at different IIs with different
     // communication counts, so only the summed cost is compared.
     const auto loops = buildBenchmark("su2cor");
     const auto m = MachineConfig::fromString("4c1b2l64r");
+    PipelineOptions macro_opts;
+    macro_opts.mode = ReplicationMode::MacroNode;
     long long min_replicas = 0, min_removed = 0;
     long long mac_replicas = 0, mac_removed = 0;
     for (std::size_t i = 0; i < 6 && i < loops.size(); ++i) {
-        const auto cmp = compareReplicationModes(loops[i].ddg, m);
-        ASSERT_TRUE(cmp.minWeight.ok);
-        ASSERT_TRUE(cmp.macroNode.ok);
-        min_replicas += cmp.minWeight.repl.replicasAdded;
-        min_removed += cmp.minWeight.repl.comsRemoved;
-        mac_replicas += cmp.macroNode.repl.replicasAdded;
-        mac_removed += cmp.macroNode.repl.comsRemoved;
+        const CompileResult min_weight = compile(loops[i].ddg, m);
+        const CompileResult macro = compile(loops[i].ddg, m, macro_opts);
+        ASSERT_TRUE(min_weight.ok);
+        ASSERT_TRUE(macro.ok);
+        min_replicas += min_weight.repl.replicasAdded;
+        min_removed += min_weight.repl.comsRemoved;
+        mac_replicas += macro.repl.replicasAdded;
+        mac_removed += macro.repl.comsRemoved;
         // The macro-node mode must never beat min-weight on II.
-        EXPECT_GE(cmp.macroNode.ii, cmp.minWeight.ii)
-            << loops[i].name();
+        EXPECT_GE(macro.ii, min_weight.ii) << loops[i].name();
     }
     ASSERT_GT(min_removed, 0);
     ASSERT_GT(mac_removed, 0);
     EXPECT_GE(static_cast<double>(mac_replicas) / mac_removed + 0.25,
               static_cast<double>(min_replicas) / min_removed);
-}
-
-TEST(Logging, VerbositySwitch)
-{
-    // inform() must be silent by default and must not crash when
-    // enabled.
-    setVerboseLogging(true);
-    cv_inform("coverage message ", 42);
-    setVerboseLogging(false);
-    cv_inform("suppressed");
-    SUCCEED();
 }
 
 TEST(Logging, LevelsAndCallCounting)

@@ -27,7 +27,7 @@
 #include "eval/service.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
-#include "workloads/suite_io.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -39,7 +39,7 @@ const std::vector<Loop> &
 sampleLoops()
 {
     static const std::vector<Loop> sample = [] {
-        const auto suite = loadOrBuildSuite(42);
+        const auto suite = buildSuite(42);
         std::vector<Loop> out;
         for (std::size_t i = 0; i < suite.size(); i += 8)
             out.push_back(suite[i]);

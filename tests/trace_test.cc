@@ -41,7 +41,6 @@ TEST(Trace, DisarmedSpansRecordNothing)
         trace::TraceSpan span("test", "noop");
         EXPECT_FALSE(span.active());
         span.arg("ignored", 1); // must be a no-op, not a crash
-        trace::instant("test", "noop_instant");
     }
     EXPECT_EQ(trace::bufferedEvents(), 0u);
     EXPECT_TRUE(trace::snapshot().empty());
@@ -63,7 +62,7 @@ TEST(Trace, SpansNestProperlyPerThread)
                 outer.arg("rep", rep);
                 {
                     trace::TraceSpan inner("test", "inner");
-                    trace::instant("test", "tick", "rep", rep);
+                    inner.arg("rep", rep);
                 }
             }
         });
@@ -73,8 +72,8 @@ TEST(Trace, SpansNestProperlyPerThread)
     trace::disarm();
 
     const auto events = trace::snapshot();
-    // 4 threads x 3 reps x (outer + inner + instant).
-    EXPECT_EQ(events.size(), std::size_t(kThreads * 3 * 3));
+    // 4 threads x 3 reps x (outer + inner).
+    EXPECT_EQ(events.size(), std::size_t(kThreads * 3 * 2));
 
     // Per thread, spans must be properly nested: sorted by start
     // time, a stack of open intervals never partially overlaps.
@@ -88,7 +87,7 @@ TEST(Trace, SpansNestProperlyPerThread)
         }
         while (!stack.empty() && stack.back()->endNs <= ev.startNs)
             stack.pop_back();
-        if (!stack.empty() && !ev.instant) {
+        if (!stack.empty()) {
             EXPECT_GE(ev.startNs, stack.back()->startNs);
             EXPECT_LE(ev.endNs, stack.back()->endNs)
                 << ev.name << " straddles " << stack.back()->name;
@@ -97,8 +96,7 @@ TEST(Trace, SpansNestProperlyPerThread)
             ASSERT_FALSE(stack.empty());
             EXPECT_EQ(stack.back()->name, "outer");
         }
-        if (!ev.instant)
-            stack.push_back(&ev);
+        stack.push_back(&ev);
     }
 
     // Span args survive the buffer round-trip.
@@ -120,9 +118,8 @@ TEST(Trace, WriteJsonProducesChromeTraceShape)
     trace::arm();
     {
         trace::TraceSpan span("test", "json \"quoted\" name\n");
-        span.arg("note", std::string_view("hello"));
+        span.arg("note", -7);
     }
-    trace::instant("test", "marker");
     trace::disarm();
 
     std::ostringstream os;
@@ -130,7 +127,7 @@ TEST(Trace, WriteJsonProducesChromeTraceShape)
     const std::string json = os.str();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+    EXPECT_NE(json.find("\"args\":{\"note\":\"-7\"}"), std::string::npos);
     // Control characters and quotes must be escaped, never raw.
     EXPECT_NE(json.find("json \\\"quoted\\\" name\\n"),
               std::string::npos);
