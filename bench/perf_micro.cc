@@ -149,17 +149,20 @@ BM_ScheduleAtIiCached(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleAtIiCached)->Arg(0)->Arg(1);
 
-/** RecMII binary search: dominated by Bellman-Ford edge relaxation. */
+/**
+ * One loop analysis: topological order, node times, SCCs and the
+ * per-recurrence RecMII searches (Bellman-Ford edge relaxation).
+ */
 void
-BM_RecurrenceMii(benchmark::State &state)
+BM_LoopAnalysis(benchmark::State &state)
 {
     const Loop &loop = largestLoop(static_cast<int>(state.range(0)));
     const auto m = MachineConfig::fromString("4c2b4l64r");
     for (auto _ : state)
-        benchmark::DoNotOptimize(recurrenceMii(loop.ddg, m));
+        benchmark::DoNotOptimize(analyzeLoop(loop.ddg, m));
     state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
 }
-BENCHMARK(BM_RecurrenceMii)->Arg(0)->Arg(1);
+BENCHMARK(BM_LoopAnalysis)->Arg(0)->Arg(1);
 
 /**
  * refinePartition alone, from a degenerate everything-in-cluster-0

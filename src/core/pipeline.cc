@@ -79,25 +79,42 @@ msSince(PhaseClock::time_point t0)
 
 /**
  * The pipeline proper. The public compile(..., caches) below wraps
- * it with the input check and the default caches.
+ * it with the default caches.
  */
 CompileResult
 compileImpl(const Ddg &original, const MachineConfig &mach,
             const PipelineOptions &opts, CompileCaches &caches)
 {
-    trace::TraceSpan compile_span("pipeline", "compile");
-    compile_span.arg("nodes", original.numNodes());
-
-    // Telemetry baselines: the scratch's probe/commit counters are
-    // lifetime-monotone, so this compile's share is a difference.
+    // Telemetry baselines: the caches' counters are lifetime-monotone,
+    // so this compile's share is a difference.
     const PhaseClock::time_point t_compile = PhaseClock::now();
     const std::uint64_t probes0 = caches.pseudo.probeCount();
     const std::uint64_t commits0 = caches.pseudo.commitCount();
     const std::uint64_t asap0 = caches.pseudo.asapRunCount();
     const std::uint64_t sweeps0 = caches.pseudo.widthSweepCount();
+    const auto analysis_runs = [&] {
+        return caches.pseudo.analyses().runs() +
+               caches.sched.analyses.runs();
+    };
+    const std::uint64_t analyses0 = analysis_runs();
+
+    // The input's one analysis: the partitioner and every refinement
+    // read it from the same memo. Bad input fails typed here: deep
+    // inside a pass, the SMS order's assertion would abort the whole
+    // process on it.
+    const LoopAnalysis &input =
+        caches.pseudo.analyses().get(original, mach);
+    if (input.zeroDistanceCycle) {
+        throw InvalidInput("distance-0 edges close a cycle in a " +
+                           std::to_string(original.numNodes()) +
+                           "-node graph");
+    }
+
+    trace::TraceSpan compile_span("pipeline", "compile");
+    compile_span.arg("nodes", original.numNodes());
 
     CompileResult result;
-    result.mii = minimumIi(original, mach);
+    result.mii = std::max(resourceMii(original, mach), input.recMii);
     result.usefulOps = original.numNodes();
 
     const auto finish_telemetry = [&] {
@@ -109,12 +126,13 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             caches.pseudo.asapRunCount() - asap0;
         result.telemetry.widthSweeps =
             caches.pseudo.widthSweepCount() - sweeps0;
+        result.telemetry.analysisRuns = analysis_runs() - analyses0;
         result.telemetry.totalMs = msSince(t_compile);
     };
 
     // One scratch across the initial partition and every per-II
-    // refinement: buffers and the topo memo survive II bumps - and,
-    // when the caller hands in long-lived caches, whole compiles.
+    // refinement: buffers and the input's analysis survive II bumps -
+    // and, when the caller hands in long-lived caches, whole compiles.
     PseudoScratch &pseudo_scratch = caches.pseudo;
 
     PartitionResult pr;
@@ -132,8 +150,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     // One memo across every II bump and spill retry: attempts whose
     // graph carries the same generation stamp (e.g. unified machines,
     // where no replication or copy insertion ever edits the work
-    // copy) reuse the SMS order, node times and topological order
-    // wholesale.
+    // copy) reuse the work graph's analysis and SMS order wholesale.
     SchedulerCache &sched_cache = caches.sched;
 
     int reg_stagnation = 0;
@@ -322,13 +339,6 @@ CompileResult
 compile(const Ddg &original, const MachineConfig &mach,
         const PipelineOptions &opts, CompileCaches *caches)
 {
-    // Bad input fails typed, before any cache sees it: deep inside a
-    // pass, topoOrder would abort the whole process on it.
-    if (hasZeroDistanceCycle(original)) {
-        throw InvalidInput("distance-0 edges close a cycle in a " +
-                           std::to_string(original.numNodes()) +
-                           "-node graph");
-    }
     if (caches == nullptr) {
         // The canonical no-caches path: one long-lived scratch per
         // thread, so repeated plain compile() calls amortize their

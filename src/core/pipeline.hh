@@ -83,8 +83,10 @@ struct PipelineOptions
  * The structural counters (everything except the *Ms timings) are
  * **deterministic**: a given (graph, machine, options) always
  * produces the same values, on any thread, at any worker count, with
- * any cache state - pinned by tests/trace_test.cc. The *Ms fields are
- * wall-clock phase attributions and naturally vary run to run.
+ * any cache state (analysisRuns, which counts memo misses: with caches
+ * that have not analysed this graph yet) - pinned by
+ * tests/trace_test.cc. The *Ms fields are wall-clock phase
+ * attributions and naturally vary run to run.
  *
  * Telemetry is deliberately NOT part of the result digest
  * (eval/digest.hh).
@@ -107,6 +109,9 @@ struct CompileTelemetry
      */
     std::uint64_t asapRuns = 0;
     std::uint64_t widthSweeps = 0;
+
+    /** LoopAnalysis runs: the input's, plus one per work graph. */
+    std::uint64_t analysisRuns = 0;
 
     /** Replication selection rounds, summed over every II attempt. */
     std::uint32_t replicationRounds = 0;
@@ -173,10 +178,10 @@ struct CompileResult
  */
 struct CompileCaches
 {
-    /** Partition-refinement scratch + analysis memo. */
+    /** Partition-refinement scratch + the input graph's analysis. */
     PseudoScratch pseudo;
 
-    /** Scheduler memo (SMS order, times, pooled reservation tables). */
+    /** The work graph's analysis, SMS order, reservation tables. */
     SchedulerCache sched;
 
     /** Replication subgraph-walk buffers. */
@@ -211,7 +216,8 @@ struct CompileCaches
  *    mid-update.
  *
  * A graph whose distance-0 edges close a cycle throws InvalidInput
- * before any cache is touched. Otherwise compile never throws for
+ * once its analysis, the first step of a compile, shows the cycle;
+ * no pass has run yet. Otherwise compile never throws for
  * policy reasons: an infeasible job returns `ok == false`, and
  * `maxIi` bounds the II search; what else can escape is
  * `std::bad_alloc`. `CompileService` turns any throw into a `Failed`

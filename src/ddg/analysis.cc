@@ -46,32 +46,10 @@ kahnOrder(const Ddg &ddg)
     return order;
 }
 
-} // namespace
-
-std::vector<NodeId>
-topoOrder(const Ddg &ddg)
-{
-    std::vector<NodeId> order = kahnOrder(ddg);
-    if (static_cast<int>(order.size()) != ddg.numNodes())
-        cv_panic("distance-0 subgraph has a cycle (",
-                 order.size(), " of ", ddg.numNodes(),
-                 " nodes ordered)");
-    return order;
-}
-
-bool
-hasZeroDistanceCycle(const Ddg &ddg)
-{
-    return static_cast<int>(kahnOrder(ddg).size()) != ddg.numNodes();
-}
-
-namespace
-{
-
-/** computeTimes over a precomputed topological order. */
+/** ASAP/ALAP/height/depth and the critical-path length over @p order. */
 NodeTimes
-computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
-                    const std::vector<NodeId> &order)
+nodeTimes(const Ddg &ddg, const MachineConfig &mach,
+          const std::vector<NodeId> &order)
 {
     NodeTimes t;
     const int slots = ddg.numNodeSlots();
@@ -80,7 +58,7 @@ computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
     t.height.assign(slots, 0);
     t.depth.assign(slots, 0);
 
-    // Forward pass: ASAP and depth.
+    // Forward pass: ASAP, depth and the length (all results produced).
     for (NodeId n : order) {
         for (EdgeId eid : ddg.inEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
@@ -90,12 +68,8 @@ computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
             t.asap[n] = std::max(t.asap[n], t.asap[e.src] + lat);
             t.depth[n] = std::max(t.depth[n], t.depth[e.src] + lat);
         }
-    }
-
-    // Schedule length: all results produced.
-    for (NodeId n : order) {
-        const int lat = mach.latency(ddg.node(n).cls);
-        t.length = std::max(t.length, t.asap[n] + lat);
+        t.length = std::max(t.length,
+                            t.asap[n] + mach.latency(ddg.node(n).cls));
     }
 
     // Backward pass: ALAP and height.
@@ -116,20 +90,16 @@ computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
     return t;
 }
 
-} // namespace
-
-NodeTimes
-computeTimes(const Ddg &ddg, const MachineConfig &mach)
-{
-    return computeTimesOrdered(ddg, mach, topoOrder(ddg));
-}
-
-std::vector<int>
-stronglyConnectedComponents(const Ddg &ddg)
+/**
+ * Tarjan's strongly connected components over all live edges.
+ * @return the number of components; @p comp gets one per NodeId
+ */
+int
+tarjan(const Ddg &ddg, std::vector<int> &comp)
 {
     const int slots = ddg.numNodeSlots();
     std::vector<int> index(slots, -1), lowlink(slots, -1);
-    std::vector<int> comp(slots, -1);
+    comp.assign(slots, -1);
     std::vector<bool> on_stack(slots, false);
     std::vector<NodeId> stack;
     int next_index = 0;
@@ -192,36 +162,34 @@ stronglyConnectedComponents(const Ddg &ddg)
             }
         }
     }
-    return comp;
+    return next_comp;
 }
 
-std::vector<FlatEdge>
-flattenEdges(const Ddg &ddg, const MachineConfig &mach)
+/** An edge inside one recurrence, its latency resolved once. */
+struct CycleEdge
 {
-    std::vector<FlatEdge> flat;
-    flat.reserve(ddg.numEdges());
-    for (EdgeId eid : ddg.edges()) {
-        const DdgEdge &e = ddg.edge(eid);
-        flat.push_back({e.src, e.dst, ddg.edgeLatency(eid, mach),
-                        e.distance});
-    }
-    return flat;
-}
+    NodeId src;
+    NodeId dst;
+    int latency;
+    int distance;
+};
 
+/**
+ * Does a cycle of @p edges not fit @p ii? Bellman-Ford with weight
+ * latency - II * distance: a relaxation in pass |members| proves a
+ * positive-weight cycle. @p dist is scratch indexed by NodeId.
+ */
 bool
-hasPositiveCycleFlat(const std::vector<FlatEdge> &edges, int num_nodes,
-                     int slots, int ii, std::vector<long long> &dist)
+exceedsIi(const std::vector<CycleEdge> &edges,
+          const std::vector<NodeId> &members, long long ii,
+          std::vector<long long> &dist)
 {
-    // Bellman-Ford longest-path relaxation with edge weight
-    // latency - II * distance; a relaxation in pass |V| proves a
-    // positive-weight cycle, i.e. a recurrence that does not fit II.
-    dist.assign(slots, 0);
-    const int passes = num_nodes;
-    for (int pass = 0; pass <= passes; ++pass) {
+    for (NodeId n : members)
+        dist[n] = 0;
+    for (std::size_t pass = 0; pass <= members.size(); ++pass) {
         bool relaxed = false;
-        for (const FlatEdge &e : edges) {
-            const long long w =
-                e.latency - static_cast<long long>(ii) * e.distance;
+        for (const CycleEdge &e : edges) {
+            const long long w = e.latency - ii * e.distance;
             if (dist[e.src] + w > dist[e.dst]) {
                 dist[e.dst] = dist[e.src] + w;
                 relaxed = true;
@@ -229,46 +197,29 @@ hasPositiveCycleFlat(const std::vector<FlatEdge> &edges, int num_nodes,
         }
         if (!relaxed)
             return false;
-        if (pass == passes)
-            return true;
     }
-    return false;
+    return true;
 }
 
-bool
-hasPositiveCycle(const Ddg &ddg, const MachineConfig &mach, int ii)
-{
-    const auto edges = flattenEdges(ddg, mach);
-    std::vector<long long> dist;
-    return hasPositiveCycleFlat(edges, ddg.numNodes(),
-                                ddg.numNodeSlots(), ii, dist);
-}
-
+/** RecMII of one recurrence: the smallest II all its cycles fit. */
 int
-recurrenceMii(const Ddg &ddg, const MachineConfig &mach)
+cycleMii(const std::vector<CycleEdge> &edges,
+         const std::vector<NodeId> &members, std::vector<long long> &dist)
 {
-    // Flatten once: the binary search probes many IIs over the same
-    // edge weights.
-    const auto edges = flattenEdges(ddg, mach);
-    const int num_nodes = ddg.numNodes();
-    const int slots = ddg.numNodeSlots();
-    std::vector<long long> dist;
-
-    // Upper bound: the total latency of all edges bounds any single
-    // cycle's latency sum; a cycle has distance sum >= 1.
-    long long hi = 1;
-    for (const FlatEdge &e : edges)
-        hi += e.latency;
-
-    if (!hasPositiveCycleFlat(edges, num_nodes, slots, 1, dist))
+    if (!exceedsIi(edges, members, 1, dist))
         return 1;
 
-    // Smallest II in (1, hi] with no positive cycle; monotone in II.
-    long long lo = 1; // has positive cycle
+    // Upper bound: a cycle's latency sum is at most the sum of the
+    // positive latencies, and its distance sum is at least 1.
+    long long hi = 1;
+    for (const CycleEdge &e : edges)
+        hi += std::max(0, e.latency);
+
+    // Smallest II in (1, hi] with every cycle fitting; monotone in II.
+    long long lo = 1;
     while (lo + 1 < hi) {
-        long long mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycleFlat(edges, num_nodes, slots,
-                                 static_cast<int>(mid), dist))
+        const long long mid = lo + (hi - lo) / 2;
+        if (exceedsIi(edges, members, mid, dist))
             lo = mid;
         else
             hi = mid;
@@ -276,60 +227,78 @@ recurrenceMii(const Ddg &ddg, const MachineConfig &mach)
     return static_cast<int>(hi);
 }
 
-std::vector<bool>
-nodesOnRecurrences(const Ddg &ddg)
-{
-    const auto comp = stronglyConnectedComponents(ddg);
-    std::vector<int> comp_size(ddg.numNodeSlots(), 0);
-    for (NodeId n : ddg.nodes())
-        ++comp_size[comp[n]];
+} // namespace
 
-    std::vector<bool> on(ddg.numNodeSlots(), false);
+std::vector<NodeId>
+topoOrder(const Ddg &ddg)
+{
+    std::vector<NodeId> order = kahnOrder(ddg);
+    if (static_cast<int>(order.size()) != ddg.numNodes())
+        cv_panic("distance-0 subgraph has a cycle (",
+                 order.size(), " of ", ddg.numNodes(),
+                 " nodes ordered)");
+    return order;
+}
+
+LoopAnalysis
+analyzeLoop(const Ddg &ddg, const MachineConfig &mach)
+{
+    LoopAnalysis a;
+    a.order = kahnOrder(ddg);
+    a.zeroDistanceCycle =
+        static_cast<int>(a.order.size()) != ddg.numNodes();
+    a.times = nodeTimes(ddg, mach, a.order);
+
+    // A component is a recurrence exactly when an edge joins two of
+    // its nodes (or one node to itself). rec_of: -2 for the others,
+    // then -1 until its first member, in NodeId order, numbers it.
+    const int num_comps = tarjan(ddg, a.scc);
+    std::vector<int> rec_of(num_comps, -2);
+    for (EdgeId eid : ddg.edges()) {
+        const DdgEdge &e = ddg.edge(eid);
+        if (a.scc[e.src] == a.scc[e.dst])
+            rec_of[a.scc[e.src]] = -1;
+    }
     for (NodeId n : ddg.nodes()) {
-        if (comp_size[comp[n]] > 1) {
-            on[n] = true;
-            continue;
+        int &r = rec_of[a.scc[n]];
+        if (r == -1) {
+            r = static_cast<int>(a.recurrences.size());
+            a.recurrences.emplace_back();
         }
-        for (EdgeId eid : ddg.outEdgesRaw(n)) {
-            const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && e.dst == n) { // self-loop recurrence
-                on[n] = true;
-                break;
+        if (r >= 0)
+            a.recurrences[r].members.push_back(n);
+    }
+
+    std::vector<CycleEdge> edges;
+    std::vector<long long> dist(ddg.numNodeSlots(), 0);
+    for (Recurrence &r : a.recurrences) {
+        edges.clear();
+        for (NodeId n : r.members) {
+            for (EdgeId eid : ddg.outEdgesRaw(n)) {
+                const DdgEdge &e = ddg.edge(eid);
+                if (e.alive && a.scc[e.dst] == a.scc[n]) {
+                    edges.push_back({e.src, e.dst,
+                                     ddg.edgeLatency(eid, mach),
+                                     e.distance});
+                }
             }
         }
+        r.recMii = cycleMii(edges, r.members, dist);
+        a.recMii = std::max(a.recMii, r.recMii);
     }
-    return on;
+    return a;
 }
 
-const std::vector<NodeId> &
-AnalysisCache::topo(const Ddg &ddg)
+const LoopAnalysis &
+AnalysisCache::get(const Ddg &ddg, const MachineConfig &mach)
 {
-    if (topoGen_ != ddg.generation()) {
-        topo_ = topoOrder(ddg);
-        topoGen_ = ddg.generation();
+    if (gen_ != ddg.generation() || cfg_ != mach.id()) {
+        analysis_ = analyzeLoop(ddg, mach);
+        gen_ = ddg.generation();
+        cfg_ = mach.id();
+        ++runs_;
     }
-    return topo_;
-}
-
-const NodeTimes &
-AnalysisCache::times(const Ddg &ddg, const MachineConfig &mach)
-{
-    if (timesGen_ != ddg.generation() || timesCfg_ != mach.id()) {
-        times_ = computeTimesOrdered(ddg, mach, topo(ddg));
-        timesGen_ = ddg.generation();
-        timesCfg_ = mach.id();
-    }
-    return times_;
-}
-
-const std::vector<int> &
-AnalysisCache::scc(const Ddg &ddg)
-{
-    if (sccGen_ != ddg.generation()) {
-        scc_ = stronglyConnectedComponents(ddg);
-        sccGen_ = ddg.generation();
-    }
-    return scc_;
+    return analysis_;
 }
 
 } // namespace cvliw

@@ -75,6 +75,11 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
     g.liveNodes_ = 0;
     for (std::uint32_t i = 0; i < node_slots; ++i) {
         const DdgNode &n = g.nodes_[i];
+        if (n.cls >= OpClass::NumOpClasses)
+            rejectSlot("node", i,
+                       "op class " +
+                           std::to_string(static_cast<int>(n.cls)) +
+                           " outside the op classes");
         // Unsigned compare folds the negative case.
         if (static_cast<std::uint32_t>(n.semanticId) >= node_slots) {
             rejectSlot("node", i,
@@ -95,6 +100,11 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
     g.liveEdges_ = 0;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = g.edges_[i];
+        if (e.kind > EdgeKind::Spill)
+            rejectSlot("edge", i,
+                       "edge kind " +
+                           std::to_string(static_cast<int>(e.kind)) +
+                           " outside the edge kinds");
         if (static_cast<std::uint32_t>(e.src) >= node_slots ||
             static_cast<std::uint32_t>(e.dst) >= node_slots) {
             rejectSlot("edge", i, "endpoint outside the node array");

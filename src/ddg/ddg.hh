@@ -145,12 +145,13 @@
  * mutation (`addNode` / `addReplica` / `addEdge` / `removeNode` /
  * `removeEdge`). Stamps are process-unique: two `Ddg` objects carry
  * the same stamp only when one is an unmodified copy of the other,
- * so analysis caches (see `AnalysisCache` in ddg/analysis.hh) can key
- * cached results on the stamp alone and stay correct across the
- * pipeline's copy-mutate-retry loop. Field writes through the
- * non-const `node()` / `edge()` accessors do NOT advance the stamp;
- * callers that change analysis-relevant fields that way (op class,
- * edge distance or latency) must call `bumpGeneration()` themselves.
+ * so the loop-analysis memo (`AnalysisCache` in ddg/analysis.hh) can
+ * key a `LoopAnalysis` on the stamp plus the config's id and stay
+ * correct across the pipeline's copy-mutate-retry loop. Field writes
+ * through the non-const `node()` / `edge()` accessors do NOT advance
+ * the stamp; callers that change analysis-relevant fields that way
+ * (op class, edge distance or latency) must call `bumpGeneration()`
+ * themselves.
  * Flag-only writes (`liveOut`, `isSpill`, labels) need no bump.
  */
 
@@ -719,13 +720,13 @@ class Ddg
      * replay would produce, so a graph rebuilt from another graph's
      * slots and label arena is field-identical to it.
      *
-     * Every op class and edge kind must be a named enumerator: they
-     * are not checked here, and the pipeline indexes tables by op
-     * class. The slots are checked against six structural rules: a
-     * semantic id inside the node array, a label slice inside
-     * @p labels, edge endpoints inside the node array, a distance
-     * >= 0, no live edge on a dead node, and no flow edge from an op
-     * that produces no value.
+     * The slots are checked against eight structural rules: an op
+     * class below `OpClass::NumOpClasses` (the pipeline indexes
+     * tables by op class), a semantic id inside the node array, a
+     * label slice inside @p labels, an edge kind no greater than
+     * `EdgeKind::Spill`, edge endpoints inside the node array, a
+     * distance >= 0, no live edge on a dead node, and no flow edge
+     * from an op that produces no value.
      * @throws DdgSlotError naming the rule and the node or edge row
      */
     static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 
-#include "ddg/analysis.hh"
-
 namespace cvliw
 {
 
 std::vector<long long>
-computeEdgeWeights(const Ddg &ddg, const MachineConfig &mach)
+computeEdgeWeights(const Ddg &ddg, const MachineConfig &mach,
+                   const LoopAnalysis &analysis)
 {
-    const NodeTimes times = computeTimes(ddg, mach);
-    const auto scc = stronglyConnectedComponents(ddg);
+    const NodeTimes &times = analysis.times;
+    const std::vector<int> &scc = analysis.scc;
     const int bus_lat = std::max(1, mach.busLatency());
 
     std::vector<long long> w(ddg.numEdgeSlots(), 0);

@@ -12,13 +12,14 @@
 
 #include <vector>
 
-#include "ddg/ddg.hh"
+#include "ddg/analysis.hh"
 
 namespace cvliw
 {
 
 /**
- * Weight per EdgeId (dead/memory edges get weight 0).
+ * Weight per EdgeId (dead/memory edges get weight 0); @p analysis is
+ * analyzeLoop(ddg, mach).
  *
  * Components, in decreasing priority:
  *  - recurrence membership: adding latency to an edge inside an SCC
@@ -28,7 +29,8 @@ namespace cvliw
  *  - a base weight of 1 so any flow edge beats no edge.
  */
 std::vector<long long> computeEdgeWeights(const Ddg &ddg,
-                                          const MachineConfig &mach);
+                                          const MachineConfig &mach,
+                                          const LoopAnalysis &analysis);
 
 } // namespace cvliw
 

@@ -24,7 +24,10 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
         return result;
     }
 
-    const auto weights = computeEdgeWeights(ddg, mach);
+    PseudoScratch local;
+    PseudoScratch &s = scratch ? *scratch : local;
+    const auto weights =
+        computeEdgeWeights(ddg, mach, s.analyses().get(ddg, mach));
     result.hierarchy = coarsen(ddg, mach, ii, weights);
 
     // Project: bin-pack the final macro-nodes into clusters. Heavier
@@ -114,7 +117,7 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
     }
 
     result.partition =
-        refinePartition(ddg, mach, result.partition, ii, scratch);
+        refinePartition(ddg, mach, result.partition, ii, &s);
     return result;
 }
 

@@ -32,7 +32,7 @@ namespace cvliw
  * @param ii probed initiation interval
  * @param scratch optional reusable evaluation state; the pipeline
  *        threads one instance through every refinement so buffers
- *        and the topological-order memo survive across II bumps
+ *        and the loop-analysis memo survive across II bumps
  * @return the refined partition (never worse than @p initial)
  */
 Partition refinePartition(const Ddg &ddg, const MachineConfig &mach,

@@ -39,7 +39,7 @@ resourceMii(const Ddg &ddg, const MachineConfig &mach)
 int
 minimumIi(const Ddg &ddg, const MachineConfig &mach)
 {
-    return std::max(resourceMii(ddg, mach), recurrenceMii(ddg, mach));
+    return std::max(resourceMii(ddg, mach), analyzeLoop(ddg, mach).recMii);
 }
 
 } // namespace cvliw

@@ -22,7 +22,7 @@ namespace cvliw
  */
 int resourceMii(const Ddg &ddg, const MachineConfig &mach);
 
-/** max(ResMII, RecMII). */
+/** max(ResMII, RecMII), RecMII from analyzeLoop(). */
 int minimumIi(const Ddg &ddg, const MachineConfig &mach);
 
 } // namespace cvliw

@@ -207,7 +207,7 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
     r.iiPart = std::max(ii_res, ii_bus);
 
     // --- Estimated length: ASAP where cut flow edges pay the bus. -----
-    const auto &order = scratch.cache_.topo(ddg);
+    const auto &order = scratch.cache_.get(ddg, mach).order;
     ++scratch.asapRuns_;
     asapWithBusPenalty(ddg, mach, cluster_of, order, scratch.est_);
     r.length = lengthFromAsap(ddg, mach, order, scratch.est_);
@@ -394,7 +394,7 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
     const bool accept_on_ii = r.iiPart < best.iiPart;
     const int best_deficit = best.overflow + best.regOverflow;
 
-    const auto &order = cache_.topo(ddg);
+    const auto &order = cache_.get(ddg, mach).order;
     bool have_est = false;
     auto ensure_est = [&] {
         if (!have_est) {

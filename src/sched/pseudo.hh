@@ -84,12 +84,13 @@ struct PseudoResult
  * from-scratch path, and the incremental move-evaluation state of
  * the refinement hot path (see the file comment). One instance
  * serves one thread; the pipeline threads one through every
- * refinement and every II retry.
+ * refinement and every II retry, so its memo holds the input graph's
+ * LoopAnalysis for the whole compile.
  */
 class PseudoScratch
 {
   public:
-    /** Analysis memo shared by every evaluation on this scratch. */
+    /** The input graph's analysis memo (see the class comment). */
     AnalysisCache &analyses() { return cache_; }
 
     /**

@@ -28,10 +28,12 @@ toString(FailCause cause)
 const std::vector<NodeId> &
 SchedulerCache::order(const Ddg &ddg, const MachineConfig &mach)
 {
-    if (orderGen_ != ddg.generation() || orderCfg_ != mach.id()) {
-        order_ = smsOrder(ddg, mach, analyses);
-        orderGen_ = ddg.generation();
-        orderCfg_ = mach.id();
+    // The order is a function of the analysis: recompute it exactly
+    // when the analysis memo does.
+    const LoopAnalysis &analysis = analyses.get(ddg, mach);
+    if (orderRun_ != analyses.runs()) {
+        order_ = smsOrder(ddg, analysis);
+        orderRun_ = analyses.runs();
     }
     return order_;
 }
@@ -92,6 +94,23 @@ lateBound(long long t)
     return static_cast<int>(std::min(t, kBoundLimit));
 }
 
+/**
+ * Shift the live starts by a multiple of the II, which keeps every
+ * modulo phase and bus slot, so the earliest lies in [0, II).
+ * computeMaxLive reads a start of -1 as "unscheduled".
+ */
+void
+normalizeStarts(const Ddg &ddg, int ii, std::vector<int> &start)
+{
+    int min_start = intMax;
+    for (NodeId v : ddg.nodes())
+        min_start = std::min(min_start, start[v]);
+    // Round down to a multiple of the II, negative starts included.
+    const int shift = min_start - (min_start % ii + ii) % ii;
+    for (NodeId v : ddg.nodes())
+        start[v] -= shift;
+}
+
 } // namespace
 
 ScheduleAttempt
@@ -107,7 +126,7 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     SchedulerCache local_cache;
     SchedulerCache &memo = cache ? *cache : local_cache;
 
-    const NodeTimes &times = memo.analyses.times(ddg, mach);
+    const LoopAnalysis &analysis = memo.analyses.get(ddg, mach);
     const auto &order = memo.order(ddg, mach);
     ReservationTables &tables = memo.tables(mach, ii);
 
@@ -176,7 +195,7 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         int chosen = intMin;
         bool sandwiched = false;
         if (!has_pred && !has_succ) {
-            const int base = times.asap[v];
+            const int base = analysis.times.asap[v];
             for (int t = base; t < base + ii; ++t) {
                 if (fits(t)) {
                     chosen = t;
@@ -236,11 +255,13 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     // lets MaxLive drop below the register budget as the II grows.
     // If the pass happens to worsen the pressure (copies extend
     // their source's home-cluster lifetime when sunk), it is rolled
-    // back.
+    // back. Placement may have started nodes at negative cycles, so
+    // normalise before the roll-back check reads MaxLive.
+    normalizeStarts(ddg, ii, start);
     const std::vector<int> presink_start = start;
     const std::vector<ClusterId> presink_bus = attempt.sched.busOf;
     {
-        const auto &fwd = memo.analyses.topo(ddg);
+        const auto &fwd = analysis.order;
         for (auto it = fwd.rbegin(); it != fwd.rend(); ++it) {
             const NodeId v = *it;
             int late = intMax;
@@ -318,23 +339,8 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         }
     }
 
-    // Normalize so the earliest op starts within [0, II). The shift
-    // must be a multiple of the II: that keeps every modulo phase
-    // (and the bus slot alignment) exactly as scheduled.
-    int min_start = intMax;
-    for (NodeId v : ddg.nodes())
-        min_start = std::min(min_start, start[v]);
-    if (min_start != intMax) {
-        // Floor division towards -infinity for negative starts.
-        int stages = min_start / ii;
-        if (min_start % ii < 0)
-            --stages;
-        const int shift = stages * ii;
-        if (shift != 0) {
-            for (NodeId v : ddg.nodes())
-                start[v] -= shift;
-        }
-    }
+    // Sinking may have moved every start up by whole stages.
+    normalizeStarts(ddg, ii, start);
 
     // Length: cycles until every result of one iteration is produced.
     int length = 1;

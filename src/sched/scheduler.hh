@@ -73,23 +73,20 @@ struct SchedulerOptions
 /**
  * Generation-keyed memo shared across scheduling attempts. The
  * pipeline retries scheduleAtIi at every II bump and after every
- * spill, and the SMS order / node times / topological order only
- * depend on the graph (never on the II) - so attempts on an
- * unchanged graph reuse them wholesale, and even a single attempt
- * reuses the times and SCCs between the ordering and the placement
- * loop. Entries carry the machine config's identity stamp, so one
- * cache may serve several configs without stale reuse (like
- * AnalysisCache). The reservation tables are also pooled here: every
- * attempt resets them in place instead of reallocating.
+ * spill, and the work graph's LoopAnalysis and SMS order only depend
+ * on the graph (never on the II) - so attempts on an unchanged graph
+ * reuse them wholesale, and the ordering and the placement loop
+ * share one analysis. Entries carry the machine config's identity
+ * stamp, so one cache may serve several configs without stale reuse.
+ * The input graph's analysis lives in PseudoScratch, so a changed
+ * work graph never evicts it. The reservation tables are also pooled
+ * here: every attempt resets them in place instead of reallocating.
  */
 struct SchedulerCache
 {
     AnalysisCache analyses;
 
-    /**
-     * Cached smsOrder(ddg, mach), keyed on (ddg.generation(),
-     * mach.id()).
-     */
+    /** Cached smsOrder(ddg, analyses.get(ddg, mach)). */
     const std::vector<NodeId> &order(const Ddg &ddg,
                                      const MachineConfig &mach);
 
@@ -101,8 +98,7 @@ struct SchedulerCache
     ReservationTables &tables(const MachineConfig &mach, int ii);
 
   private:
-    std::uint64_t orderGen_ = 0;
-    std::uint64_t orderCfg_ = 0;
+    std::uint64_t orderRun_ = 0; //!< analyses.runs() of order_
     std::vector<NodeId> order_;
     std::uint64_t tablesCfg_ = 0;
     const MachineConfig *tablesMach_ = nullptr;

@@ -1,119 +1,36 @@
 #include "sched/sms_order.hh"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <tuple>
 
-#include "ddg/analysis.hh"
 #include "support/logging.hh"
 
 namespace cvliw
 {
 
-int
-sccRecMii(const Ddg &ddg, const MachineConfig &mach,
-          const std::vector<NodeId> &members)
-{
-    // Collect intra-component edges with latencies resolved once:
-    // the binary search relaxes each edge members.size() times per
-    // probe, so edgeLatency() must not be in that loop.
-    std::vector<bool> in(ddg.numNodeSlots(), false);
-    for (NodeId n : members)
-        in[n] = true;
-    std::vector<FlatEdge> edges;
-    bool has_cycle_edge = false;
-    for (NodeId n : members) {
-        for (EdgeId eid : ddg.outEdgesRaw(n)) {
-            const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && in[e.dst]) {
-                edges.push_back({e.src, e.dst,
-                                 ddg.edgeLatency(eid, mach),
-                                 e.distance});
-                if (e.distance > 0)
-                    has_cycle_edge = true;
-            }
-        }
-    }
-    if (!has_cycle_edge)
-        return 0;
-
-    const int num_nodes = static_cast<int>(members.size());
-    const int slots = ddg.numNodeSlots();
-    std::vector<long long> dist;
-
-    long long hi = 1;
-    for (const FlatEdge &e : edges)
-        hi += e.latency;
-    if (!hasPositiveCycleFlat(edges, num_nodes, slots, 1, dist))
-        return 1;
-    long long lo = 1;
-    while (lo + 1 < hi) {
-        const long long mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycleFlat(edges, num_nodes, slots,
-                                 static_cast<int>(mid), dist))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return static_cast<int>(hi);
-}
-
 std::vector<NodeId>
-smsOrder(const Ddg &ddg, const MachineConfig &mach)
+smsOrder(const Ddg &ddg, const LoopAnalysis &analysis)
 {
-    AnalysisCache cache;
-    return smsOrder(ddg, mach, cache);
-}
+    const NodeTimes &times = analysis.times;
 
-std::vector<NodeId>
-smsOrder(const Ddg &ddg, const MachineConfig &mach,
-         AnalysisCache &cache)
-{
-    const NodeTimes &times = cache.times(ddg, mach);
-    const auto &comp = cache.scc(ddg);
-
-    // Group live nodes by SCC.
-    std::map<int, std::vector<NodeId>> by_comp;
-    for (NodeId n : ddg.nodes())
-        by_comp[comp[n]].push_back(n);
-
-    // A component is a recurrence when it has >1 node or a self-loop.
-    auto is_recurrence = [&](const std::vector<NodeId> &members) {
-        if (members.size() > 1)
-            return true;
-        for (EdgeId eid : ddg.outEdgesRaw(members[0])) {
-            const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && e.dst == members[0])
-                return true;
-        }
-        return false;
-    };
-
-    // Priority sets: recurrences by decreasing RecMII, then the rest
-    // by decreasing criticality (depth+height), as one trailing set.
-    struct SetInfo { int recMii; int key2; std::vector<NodeId> nodes; };
-    std::vector<SetInfo> sets;
-    std::vector<NodeId> rest;
-    for (auto &[c, members] : by_comp) {
-        std::sort(members.begin(), members.end());
-        if (is_recurrence(members)) {
-            const int rm = sccRecMii(ddg, mach, members);
-            sets.push_back({rm, -members.front(), members});
-        } else {
-            rest.insert(rest.end(), members.begin(), members.end());
-        }
-    }
-    std::sort(sets.begin(), sets.end(), [](const auto &a, const auto &b) {
-        return std::tie(b.recMii, b.key2) < std::tie(a.recMii, a.key2);
-    });
-    if (!rest.empty())
-        sets.push_back({0, 0, std::move(rest)});
+    // Priority sets: recurrences by decreasing RecMII (ties: lowest
+    // first member first), then the rest as one trailing set ordered
+    // by criticality alone.
+    std::vector<const Recurrence *> sets;
+    for (const Recurrence &r : analysis.recurrences)
+        sets.push_back(&r);
+    std::sort(sets.begin(), sets.end(),
+              [](const Recurrence *a, const Recurrence *b) {
+                  return std::tie(b->recMii, a->members.front()) <
+                         std::tie(a->recMii, b->members.front());
+              });
 
     // Rank per node: its set's position (tighter recurrences first).
-    std::vector<int> rank(ddg.numNodeSlots(), 0);
+    std::vector<int> rank(ddg.numNodeSlots(),
+                          static_cast<int>(sets.size()));
     for (std::size_t s = 0; s < sets.size(); ++s) {
-        for (NodeId n : sets[s].nodes)
+        for (NodeId n : sets[s]->members)
             rank[n] = static_cast<int>(s);
     }
 

@@ -26,27 +26,12 @@ namespace cvliw
 {
 
 /**
- * Compute the scheduling order of all live nodes.
- * Guarantees: every live node appears exactly once; recurrence nodes
- * of the tightest recurrences come first.
+ * Compute the scheduling order of all live nodes from @p analysis,
+ * analyzeLoop(ddg, mach). Guarantees: every live node appears exactly
+ * once; recurrence nodes of the tightest recurrences come first.
  */
-std::vector<NodeId> smsOrder(const Ddg &ddg, const MachineConfig &mach);
-
-/**
- * Same, reusing @p cache for the node times and SCCs (they are also
- * needed by the scheduler itself, so sharing one cache avoids
- * recomputing them within a single scheduling attempt).
- */
-std::vector<NodeId> smsOrder(const Ddg &ddg, const MachineConfig &mach,
-                             AnalysisCache &cache);
-
-/**
- * RecMII of one strongly connected component: max over its cycles of
- * ceil(latency sum / distance sum); 0 when the component has no cycle.
- * @param members nodes of the component
- */
-int sccRecMii(const Ddg &ddg, const MachineConfig &mach,
-              const std::vector<NodeId> &members);
+std::vector<NodeId> smsOrder(const Ddg &ddg,
+                             const LoopAnalysis &analysis);
 
 } // namespace cvliw
 

@@ -8,7 +8,7 @@
  * covers the label-interning arena: replica suffix synthesis,
  * allocation-free graph copies, compact() dropping dead-node label
  * bytes, and alias safety of label views passed back into the graph.
- * The DdgSlots section covers `Ddg::fromSlots`: each of its six
+ * The DdgSlots section covers `Ddg::fromSlots`: each of its eight
  * structural rules rejects a bad row, and a graph rebuilt from its
  * own slot arrays and label arena is field-identical to it. The
  * DdgShared section covers copy-on-write storage: copies share, a
@@ -266,40 +266,45 @@ TEST(DdgViews, AnalysisCacheTracksMutations)
     const auto m = MachineConfig::unified();
     AnalysisCache cache;
 
-    EXPECT_EQ(cache.topo(s.g), topoOrder(s.g));
-    // Cached pointer stays put while the graph is unchanged.
-    const auto *first = &cache.topo(s.g);
-    EXPECT_EQ(first, &cache.topo(s.g));
-    EXPECT_EQ(cache.times(s.g, m).asap, computeTimes(s.g, m).asap);
-    EXPECT_EQ(cache.scc(s.g), stronglyConnectedComponents(s.g));
+    EXPECT_EQ(cache.get(s.g, m).order, topoOrder(s.g));
+    // Cached record stays put while the graph is unchanged.
+    const LoopAnalysis *first = &cache.get(s.g, m);
+    EXPECT_EQ(first, &cache.get(s.g, m));
+    EXPECT_EQ(cache.runs(), 1u);
+    EXPECT_EQ(cache.get(s.g, m).times.asap,
+              analyzeLoop(s.g, m).times.asap);
+    EXPECT_EQ(cache.get(s.g, m).scc, analyzeLoop(s.g, m).scc);
+    EXPECT_EQ(cache.runs(), 1u);
 
     // Mutate: the memo must recompute.
     const NodeId d = s.g.addNode(OpClass::IntAlu, "d");
     s.g.addEdge(s.c, d, EdgeKind::RegFlow, 0);
-    EXPECT_EQ(cache.topo(s.g), topoOrder(s.g));
-    EXPECT_EQ(cache.times(s.g, m).length, computeTimes(s.g, m).length);
-    EXPECT_EQ(cache.scc(s.g), stronglyConnectedComponents(s.g));
+    EXPECT_EQ(cache.get(s.g, m).order, topoOrder(s.g));
+    EXPECT_EQ(cache.get(s.g, m).times.length,
+              analyzeLoop(s.g, m).times.length);
+    EXPECT_EQ(cache.get(s.g, m).scc, analyzeLoop(s.g, m).scc);
+    EXPECT_EQ(cache.runs(), 2u);
 }
 
-TEST(DdgViews, FlattenedEdgesMatchGraph)
+TEST(DdgViews, AnalysisReadsLiveEdgesAndTheirLatencies)
 {
+    // a -> b -> c -> a (distance 1) plus a memory edge a -> c of
+    // latency 2: the cycle through b is the tightest (2 + 1 + 3).
     SmallGraph s;
     const auto m = MachineConfig::unified();
+    auto a = analyzeLoop(s.g, m);
+    ASSERT_EQ(a.recurrences.size(), 1u);
+    EXPECT_EQ(a.recurrences[0].members,
+              (std::vector<NodeId>{s.a, s.b, s.c}));
+    EXPECT_EQ(a.recMii, 6);
+
+    // A dead edge is not part of any cycle: what is left is the memory
+    // edge's latency plus c's over distance 1.
     s.g.removeEdge(s.bc);
-    const auto flat = flattenEdges(s.g, m);
-    ASSERT_EQ(flat.size(), 3u);
-    for (const FlatEdge &e : flat) {
-        bool found = false;
-        for (EdgeId eid : s.g.edges()) {
-            const DdgEdge &ge = s.g.edge(eid);
-            if (ge.src == e.src && ge.dst == e.dst &&
-                ge.distance == e.distance &&
-                s.g.edgeLatency(eid, m) == e.latency) {
-                found = true;
-            }
-        }
-        EXPECT_TRUE(found);
-    }
+    a = analyzeLoop(s.g, m);
+    ASSERT_EQ(a.recurrences.size(), 1u);
+    EXPECT_EQ(a.recurrences[0].members, (std::vector<NodeId>{s.a, s.c}));
+    EXPECT_EQ(a.recMii, 5);
 }
 
 /**
@@ -1023,6 +1028,12 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
     const char *label_rule = "label slice outside the label arena";
     const char *endpoint_rule = "endpoint outside the node array";
     const Case cases[] = {
+        {"op class one past the last",
+         [](Slots &s) { s.nodes[9].cls = OpClass::NumOpClasses; },
+         in_node9, "op class 9 outside the op classes"},
+        {"op class 200",
+         [](Slots &s) { s.nodes[9].cls = static_cast<OpClass>(200); },
+         in_node9, "op class 200 outside the op classes"},
         {"negative semantic id",
          [](Slots &s) { s.nodes[9].semanticId = -1; }, in_node9,
          "semantic id -1 outside the node array"},
@@ -1042,6 +1053,12 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
              s.nodes[9].labelLen = 2;
          },
          in_node9, label_rule},
+        {"edge kind one past Spill",
+         [](Slots &s) {
+             s.edges[2].kind = static_cast<EdgeKind>(
+                 static_cast<int>(EdgeKind::Spill) + 1);
+         },
+         in_edge2, "edge kind 3 outside the edge kinds"},
         {"negative edge source", [](Slots &s) { s.edges[2].src = -1; },
          in_edge2, endpoint_rule},
         {"edge target one past the last slot",

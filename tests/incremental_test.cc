@@ -197,19 +197,20 @@ TEST(ConfigKeyedCaches, AnalysisTimesNotReusedAcrossConfigs)
     fast.setLatency(OpClass::FpMul, 1);
 
     AnalysisCache cache;
-    const NodeTimes t_slow = cache.times(g, slow); // copy: the slot
-                                                   // is overwritten
+    const NodeTimes t_slow = cache.get(g, slow).times; // copy: the
+                                                       // slot is reused
     EXPECT_EQ(t_slow.asap[1], slow.latency(OpClass::Load));
 
     // Same cache, same graph generation, different machine: the key
     // regression was returning the slow-machine times here.
-    const NodeTimes &t_fast = cache.times(g, fast);
+    const NodeTimes &t_fast = cache.get(g, fast).times;
     EXPECT_EQ(t_fast.asap[1], 1);
     EXPECT_NE(t_fast.asap[2], t_slow.asap[2]);
 
     // And switching back recomputes again instead of mixing.
-    EXPECT_EQ(cache.times(g, slow).asap[1],
+    EXPECT_EQ(cache.get(g, slow).times.asap[1],
               slow.latency(OpClass::Load));
+    EXPECT_EQ(cache.runs(), 3u);
 }
 
 TEST(ConfigKeyedCaches, SchedulerOrderNotReusedAcrossConfigs)
@@ -225,13 +226,11 @@ TEST(ConfigKeyedCaches, SchedulerOrderNotReusedAcrossConfigs)
 
     SchedulerCache shared;
     const auto order_a = shared.order(loop.ddg, a);
-    AnalysisCache fresh_b;
-    const auto expect_b = smsOrder(loop.ddg, bcfg, fresh_b);
+    const auto expect_b = smsOrder(loop.ddg, analyzeLoop(loop.ddg, bcfg));
     EXPECT_EQ(shared.order(loop.ddg, bcfg), expect_b);
 
-    AnalysisCache fresh_a;
     EXPECT_EQ(shared.order(loop.ddg, a),
-              smsOrder(loop.ddg, a, fresh_a));
+              smsOrder(loop.ddg, analyzeLoop(loop.ddg, a)));
     (void)order_a;
 }
 

@@ -88,7 +88,7 @@ TEST(EdgeWeights, RecurrenceEdgesAreHeaviest)
     b.op("z", OpClass::FpDiv, {"a", "y"});
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("4c1b2l64r");
-    const auto w = computeEdgeWeights(g, m);
+    const auto w = computeEdgeWeights(g, m, analyzeLoop(g, m));
 
     // Find one recurrence edge and one slack edge.
     long long rec_weight = 0, slack_weight = 0;
@@ -111,8 +111,8 @@ TEST(EdgeWeights, MemoryEdgesAreFree)
     b.op("ld", OpClass::Load);
     b.mem("st", "ld", 1);
     const Ddg g = b.take();
-    const auto w =
-        computeEdgeWeights(g, MachineConfig::fromString("2c1b2l64r"));
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    const auto w = computeEdgeWeights(g, m, analyzeLoop(g, m));
     for (EdgeId eid : g.edges()) {
         if (g.edge(eid).kind == EdgeKind::Memory)
             EXPECT_EQ(w[eid], 0);
@@ -162,7 +162,7 @@ TEST(Coarsen, StopsAtCapacityFrontier)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("4c1b2l64r");
     const auto hier =
-        coarsen(g, m, 3, computeEdgeWeights(g, m));
+        coarsen(g, m, 3, computeEdgeWeights(g, m, analyzeLoop(g, m)));
 
     const int last = hier.numLevels() - 1;
     // Never fewer macro-nodes than clusters; every node mapped; and
@@ -187,7 +187,8 @@ TEST(Coarsen, HierarchyLevelsNest)
         b.flow("n" + std::to_string(i), "n" + std::to_string(i + 1));
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("2c1b2l64r");
-    const auto hier = coarsen(g, m, 8, computeEdgeWeights(g, m));
+    const auto hier =
+        coarsen(g, m, 8, computeEdgeWeights(g, m, analyzeLoop(g, m)));
 
     ASSERT_GE(hier.numLevels(), 2);
     for (int l = 1; l < hier.numLevels(); ++l) {
@@ -209,7 +210,8 @@ TEST(Coarsen, MembersOfGroup)
     b.op("c", OpClass::IntAlu, {"a"});
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("2c1b2l64r");
-    const auto hier = coarsen(g, m, 4, computeEdgeWeights(g, m));
+    const auto hier =
+        coarsen(g, m, 4, computeEdgeWeights(g, m, analyzeLoop(g, m)));
     const auto members = hier.membersOf(b.id("a"), 0);
     EXPECT_EQ(members.size(), 1u);
 }

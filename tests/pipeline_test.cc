@@ -131,6 +131,61 @@ TEST(Pipeline, SunkNodeKeepsItsCompletionInIntRange)
     }
 }
 
+TEST(Pipeline, LoopCarriedFlowEdgeCompilesOnEverySuiteLoop)
+{
+    // Setting a distance-0 flow edge to distance 1 keeps a loop legal
+    // but lets the scheduler place a node at a negative cycle. The
+    // sink pass's MaxLive check must not read such a start as the
+    // "unscheduled" -1.
+    const auto suite = buildSuite(42);
+    for (const char *cfg : {"unified", "4c2b2l64r"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        for (const Loop &loop : suite) {
+            SCOPED_TRACE(std::string(cfg) + " " + loop.name());
+            Ddg g = loop.ddg;
+            for (EdgeId eid : loop.ddg.edges()) {
+                const DdgEdge &e = loop.ddg.edge(eid);
+                if (e.kind == EdgeKind::RegFlow && e.distance == 0) {
+                    g.edge(eid).distance = 1;
+                    g.bumpGeneration();
+                    break;
+                }
+            }
+            const auto r = compile(g, m);
+            ASSERT_TRUE(r.ok);
+            const auto errors =
+                checkSchedule(r.finalDdg, m, r.partition, r.schedule);
+            ASSERT_TRUE(errors.empty()) << errors.front();
+            const auto sim =
+                simulate(r.finalDdg, m, r.partition, r.schedule, g);
+            ASSERT_TRUE(sim.ok)
+                << (sim.errors.empty() ? "" : sim.errors.front());
+        }
+    }
+}
+
+TEST(Pipeline, InputGraphIsAnalysedOncePerCompile)
+{
+    // The MII, the edge weights and every refinement probe at every
+    // II read one memoized analysis of the input; the scheduler's
+    // memo analyses the work graphs.
+    const auto m = MachineConfig::fromString("4c1b2l64r");
+    int checked = 0;
+    for (const Loop &loop : buildBenchmark("tomcatv")) {
+        CompileCaches caches;
+        const auto r = compile(loop.ddg, m, {}, &caches);
+        ASSERT_TRUE(r.ok);
+        if (r.telemetry.iiAttempts < 2)
+            continue;
+        SCOPED_TRACE(loop.name());
+        EXPECT_EQ(caches.pseudo.analyses().runs(), 1u);
+        EXPECT_EQ(r.telemetry.analysisRuns,
+                  1u + caches.sched.analyses.runs());
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
+}
+
 TEST(Pipeline, HugeFlowDistanceGivesUpAtMaxIi)
 {
     // The load's value is read 2^26 iterations later, so it lives

@@ -122,7 +122,8 @@ TEST(Replicator, MacroNodeModeReplicatesMore)
     PaperExample ex;
 
     // Build a coarsening hierarchy for the macro-node variant.
-    const auto weights = computeEdgeWeights(ex.ddg, ex.mach);
+    const auto weights = computeEdgeWeights(
+        ex.ddg, ex.mach, analyzeLoop(ex.ddg, ex.mach));
     const auto hier = coarsen(ex.ddg, ex.mach, ex.ii, weights);
 
     Ddg g_min = ex.ddg;

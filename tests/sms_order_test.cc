@@ -27,7 +27,7 @@ TEST(SmsOrder, ContainsEveryNodeOnce)
     b.flow("y", "x", 1);
     b.op("st", OpClass::Store, {"y"});
     const Ddg g = b.take();
-    const auto order = smsOrder(g, MachineConfig::unified());
+    const auto order = smsOrder(g, analyzeLoop(g, MachineConfig::unified()));
     ASSERT_EQ(order.size(), 4u);
     auto sorted = order;
     std::sort(sorted.begin(), sorted.end());
@@ -43,7 +43,7 @@ TEST(SmsOrder, TightestRecurrenceFirst)
     b.flow("slow", "slow", 1);
     b.op("free", OpClass::IntAlu);
     const Ddg g = b.take();
-    const auto order = smsOrder(g, MachineConfig::unified());
+    const auto order = smsOrder(g, analyzeLoop(g, MachineConfig::unified()));
     // The most constraining recurrence must be ordered first.
     EXPECT_EQ(order.front(), b.id("slow"));
     // The free node comes after all recurrence nodes.
@@ -60,7 +60,7 @@ TEST(SmsOrder, AdjacencyInConnectedComponent)
     int checked = 0;
     for (std::size_t li = 0; li < 4 && li < loops.size(); ++li) {
         const Ddg &g = loops[li].ddg;
-        const auto order = smsOrder(g, m);
+        const auto order = smsOrder(g, analyzeLoop(g, m));
         std::vector<bool> placed(g.numNodeSlots(), false);
         std::vector<bool> first_of_component(g.numNodeSlots(), false);
 
@@ -88,26 +88,6 @@ TEST(SmsOrder, AdjacencyInConnectedComponent)
     EXPECT_GT(checked, 0);
 }
 
-TEST(SccRecMii, MatchesExpectedRatios)
-{
-    DdgBuilder b;
-    b.op("x", OpClass::FpMul);        // 6
-    b.op("y", OpClass::FpAlu, {"x"}); // 3
-    b.flow("y", "x", 1);              // cycle lat 9, dist 1
-    const Ddg g = b.take();
-    const std::vector<NodeId> members{b.id("x"), b.id("y")};
-    EXPECT_EQ(sccRecMii(g, MachineConfig::unified(), members), 9);
-}
-
-TEST(SccRecMii, NoCycleGivesZero)
-{
-    DdgBuilder b;
-    b.op("a", OpClass::IntAlu);
-    const Ddg g = b.take();
-    EXPECT_EQ(
-        sccRecMii(g, MachineConfig::unified(), {b.id("a")}), 0);
-}
-
 TEST(SmsOrder, CopiesAreOrderedToo)
 {
     Ddg g;
@@ -117,7 +97,7 @@ TEST(SmsOrder, CopiesAreOrderedToo)
     g.addEdge(p, c, EdgeKind::RegFlow, 0);
     g.addEdge(c, w, EdgeKind::RegFlow, 0);
     const auto order =
-        smsOrder(g, MachineConfig::fromString("2c1b2l64r"));
+        smsOrder(g, analyzeLoop(g, MachineConfig::fromString("2c1b2l64r")));
     EXPECT_EQ(order.size(), 3u);
 }
 

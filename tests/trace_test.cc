@@ -188,6 +188,7 @@ struct CounterSlice
     std::uint64_t refineCommits;
     std::uint64_t asapRuns;
     std::uint64_t widthSweeps;
+    std::uint64_t analysisRuns;
     std::uint32_t replicationRounds;
     std::int64_t comsRemoved;
     std::uint32_t spillRetries;
@@ -195,7 +196,7 @@ struct CounterSlice
     explicit CounterSlice(const CompileTelemetry &t)
         : iiAttempts(t.iiAttempts), refineProbes(t.refineProbes),
           refineCommits(t.refineCommits), asapRuns(t.asapRuns),
-          widthSweeps(t.widthSweeps),
+          widthSweeps(t.widthSweeps), analysisRuns(t.analysisRuns),
           replicationRounds(t.replicationRounds),
           comsRemoved(t.comsRemoved), spillRetries(t.spillRetries)
     {
@@ -207,6 +208,7 @@ struct CounterSlice
                refineProbes == o.refineProbes &&
                refineCommits == o.refineCommits &&
                asapRuns == o.asapRuns && widthSweeps == o.widthSweeps &&
+               analysisRuns == o.analysisRuns &&
                replicationRounds == o.replicationRounds &&
                comsRemoved == o.comsRemoved &&
                spillRetries == o.spillRetries;
@@ -228,7 +230,7 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
     ASSERT_EQ(b.size(), suite.size());
     ASSERT_EQ(c.size(), suite.size());
 
-    std::uint64_t asap_runs = 0, width_sweeps = 0;
+    std::uint64_t asap_runs = 0, width_sweeps = 0, analysis_runs = 0;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         EXPECT_TRUE(CounterSlice(a[i].telemetry) ==
                     CounterSlice(b[i].telemetry))
@@ -238,10 +240,13 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
             << "loop " << i << ": 1 vs hw workers";
         asap_runs += a[i].telemetry.asapRuns;
         width_sweeps += a[i].telemetry.widthSweeps;
+        analysis_runs += a[i].telemetry.analysisRuns;
     }
-    // The kernel counters are not vacuous on a clustered machine.
+    // The kernel counters are not vacuous on a clustered machine, and
+    // each compile analyses at least its input.
     EXPECT_GT(asap_runs, 0u);
     EXPECT_GT(width_sweeps, 0u);
+    EXPECT_GE(analysis_runs, suite.size());
 }
 
 TEST(Telemetry, CountersReflectTheCompile)
