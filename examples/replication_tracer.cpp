@@ -11,6 +11,8 @@
  */
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/removable.hh"
 #include "core/replicator.hh"
@@ -30,6 +32,8 @@ struct Example
     Ddg ddg;
     Partition part{4, 0};
     MachineConfig mach = MachineConfig::universal(4, 4, 1, 1, 64);
+    // The paper's letter of each original node, by node id.
+    std::vector<std::string> letters;
 
     Example()
     {
@@ -50,6 +54,9 @@ struct Example
         for (const char *n : {"N", "K", "H"})
             b.liveOut(n);
         ddg = b.graph();
+        letters.resize(ddg.numNodeSlots());
+        for (char c = 'A'; c <= 'N'; ++c)
+            letters[b.id(std::string(1, c))] = c;
         part = Partition(4, ddg.numNodeSlots());
         assign({"L", "M", "N"}, 0);
         assign({"I", "J", "K"}, 1);
@@ -62,6 +69,20 @@ struct Example
     {
         for (const char *n : names)
             part.assign(b.id(n), c);
+    }
+
+    /**
+     * The paper's name of @p v: its letter, with ".r<cluster>"
+     * appended on a replica.
+     */
+    std::string
+    name(NodeId v) const
+    {
+        const DdgNode &node = ddg.node(v);
+        if (!node.isReplica)
+            return letters[v];
+        return letters[node.semanticId] + ".r" +
+               std::to_string(part.clusterOf(v));
     }
 };
 
@@ -85,11 +106,10 @@ printRound(const Example &ex, int ii)
             ex.ddg, ex.part, sg.com, comms.communicated);
         const Rational w = subgraphWeight(ex.ddg, ex.mach, ex.part,
                                           ii, sg, pool, removable);
-        std::cout << "  S_" << ex.ddg.label(sg.com) << " = {";
+        std::cout << "  S_" << ex.name(sg.com) << " = {";
         bool first = true;
         for (const auto &[n, clusters] : sg.required) {
-            std::cout << (first ? "" : ", ")
-                      << ex.ddg.label(n) << "->{";
+            std::cout << (first ? "" : ", ") << ex.name(n) << "->{";
             for (std::size_t i = 0; i < clusters.size(); ++i)
                 std::cout << (i ? "," : "") << clusters[i];
             std::cout << "}";
@@ -97,8 +117,7 @@ printRound(const Example &ex, int ii)
         }
         std::cout << "}  removable {";
         for (std::size_t i = 0; i < removable.size(); ++i) {
-            std::cout << (i ? "," : "")
-                      << ex.ddg.label(removable[i]);
+            std::cout << (i ? "," : "") << ex.name(removable[i]);
         }
         std::cout << "}  weight " << w.toString() << "\n";
     }

@@ -99,11 +99,15 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     const std::uint64_t analyses0 = analysis_runs();
 
     // The input's one analysis: the partitioner and every refinement
-    // read it from the same memo. Bad input fails typed here: deep
-    // inside a pass, the SMS order's assertion would abort the whole
-    // process on it.
-    const LoopAnalysis &input =
-        caches.pseudo.analyses().get(original, mach);
+    // read it from the same memo. A unified machine partitions without
+    // it and schedules an unmodified copy of the input (same
+    // generation stamp), so there the scheduler's memo holds it. Bad
+    // input fails typed here: deep inside a pass, the SMS order's
+    // assertion would abort the whole process on it.
+    AnalysisCache &input_memo = mach.isUnified()
+                                    ? caches.sched.analyses
+                                    : caches.pseudo.analyses();
+    const LoopAnalysis &input = input_memo.get(original, mach);
     if (input.zeroDistanceCycle) {
         throw InvalidInput("distance-0 edges close a cycle in a " +
                            std::to_string(original.numNodes()) +

@@ -110,7 +110,10 @@ struct CompileTelemetry
     std::uint64_t asapRuns = 0;
     std::uint64_t widthSweeps = 0;
 
-    /** LoopAnalysis runs: the input's, plus one per work graph. */
+    /**
+     * LoopAnalysis runs: the input's, plus one per work graph (on a
+     * unified machine an unspilled work graph reuses the input's).
+     */
     std::uint64_t analysisRuns = 0;
 
     /** Replication selection rounds, summed over every II attempt. */
@@ -178,10 +181,16 @@ struct CompileResult
  */
 struct CompileCaches
 {
-    /** Partition-refinement scratch + the input graph's analysis. */
+    /**
+     * Partition-refinement scratch + the input graph's analysis (on
+     * a clustered machine).
+     */
     PseudoScratch pseudo;
 
-    /** The work graph's analysis, SMS order, reservation tables. */
+    /**
+     * The work graph's analysis (and a unified machine's input's),
+     * SMS order, reservation tables.
+     */
     SchedulerCache sched;
 
     /** Replication subgraph-walk buffers. */

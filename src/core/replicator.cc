@@ -63,8 +63,7 @@ applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
     // a create-then-wire split necessary).
     for (const auto &[v, clusters] : sg.required) {
         for (int c : clusters) {
-            const NodeId r =
-                ddg.addReplica(v, ".r" + std::to_string(c));
+            const NodeId r = ddg.addReplica(v);
             part.assign(r, c);
             index.addInstance(ddg.node(v).semanticId, c, r);
             countReplica(stats, ddg.node(v).cls);
@@ -107,10 +106,8 @@ applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
                     ddg.addEdge(p, r, EdgeKind::RegFlow, e.distance);
                     touch(p);
                 } else {
-                    cv_panic("operand ", ddg.label(p),
-                             " unavailable in cluster ", c,
-                             " while replicating ",
-                             ddg.label(sg.com));
+                    cv_panic("operand n", p, " unavailable in cluster ",
+                             c, " while replicating n", sg.com);
                 }
             }
             // Replicated loads/stores inherit outgoing memory

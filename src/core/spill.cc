@@ -102,17 +102,11 @@ spillOneValue(Ddg &ddg, Partition &part, const MachineConfig &mach,
             continue;
 
         // Insert store + reload and rewire the distant consumers.
-        // Copy before addNode: interning may reallocate the label
-        // arena, so a label view would dangle across the call (same
-        // hazard the sanitizer jobs caught in Ddg::addReplica).
-        const std::string victim_label(ddg.label(victim));
         const NodeId victim_sem = ddg.node(victim).semanticId;
-        const NodeId st =
-            ddg.addNode(OpClass::Store, victim_label + ".spst");
+        const NodeId st = ddg.addNode(OpClass::Store);
         ddg.node(st).isSpill = true;
         ddg.node(st).semanticId = victim_sem;
-        const NodeId ld =
-            ddg.addNode(OpClass::Load, victim_label + ".spld");
+        const NodeId ld = ddg.addNode(OpClass::Load);
         ddg.node(ld).isSpill = true;
         ddg.node(ld).semanticId = victim_sem;
         part.assign(st, cluster);

@@ -11,7 +11,7 @@ DdgBuilder::op(const std::string &name, OpClass cls,
 {
     if (byName_.count(name))
         cv_fatal("duplicate node name '", name, "'");
-    NodeId n = ddg_.addNode(cls, name);
+    NodeId n = ddg_.addNode(cls);
     byName_[name] = n;
     for (const auto &src : operands)
         ddg_.addEdge(id(src), n, EdgeKind::RegFlow, 0);

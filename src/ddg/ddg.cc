@@ -62,13 +62,11 @@ Ddg::freshGeneration()
 
 Ddg
 Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
-               const DdgEdge *edges, std::uint32_t edge_slots,
-               std::string_view labels)
+               const DdgEdge *edges, std::uint32_t edge_slots)
 {
     Ddg g;
     g.nodes_.append(nodes, node_slots);
     g.edges_.append(edges, edge_slots);
-    g.labels_.append(labels.data(), labels.size());
 
     // The rules are checked on the graph's own copies; a throw
     // discards them with the graph.
@@ -86,10 +84,6 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                        "semantic id " + std::to_string(n.semanticId) +
                            " outside the node array");
         }
-        // 64-bit sum: offset + len must not be able to wrap.
-        if (std::uint64_t{n.labelOffset} + n.labelLen > labels.size())
-            rejectSlot("node", i,
-                       "label slice outside the label arena");
         g.liveNodes_ += n.alive;
     }
 
@@ -159,17 +153,6 @@ Ddg::compact()
     std::size_t adj_total = 0;
     for (const detail::AdjSlot &s : slots_)
         adj_total += s.count;
-    // Same test for the label arena: slices never overlap (interning
-    // hands every node fresh bytes), so labels_.size() == the live
-    // nodes' summed labelLen exactly when no byte is dead (tombstoned
-    // node) or orphaned.
-    std::size_t label_total = 0;
-    for (const DdgNode &n : nodes_) {
-        if (n.alive)
-            label_total += n.labelLen;
-    }
-    const bool adj_dense = arena_.size() == adj_total;
-    const bool labels_dense = labels_.size() == label_total;
     // Capacity slack goes last, except in arrays another graph still
     // shares (see CowArray::shrinkToFit).
     const auto trim = [this] {
@@ -177,64 +160,33 @@ Ddg::compact()
         edges_.shrinkToFit();
         arena_.shrinkToFit();
         slots_.shrinkToFit();
-        labels_.shrinkToFit();
     };
-    if (adj_dense && labels_dense) {
+    if (arena_.size() == adj_total) {
         trim();
         return;
     }
 
 #ifndef NDEBUG
     // Adjacency must survive bit-for-bit: same edge ids, same order,
-    // per span. Live labels likewise. Snapshot before repacking,
-    // verify after. Deep copies: a sharing copy would keep the trim
-    // below from dropping slack.
+    // per span. Snapshot before repacking, verify after. Deep copies:
+    // a sharing copy would keep the trim below from dropping slack.
     const std::vector<EdgeId> pre_arena(arena_.begin(), arena_.end());
     const std::vector<detail::AdjSlot> pre_slots(slots_.begin(),
                                                  slots_.end());
-    std::vector<std::string> pre_labels;
-    pre_labels.reserve(nodes_.size());
-    for (NodeId n = 0; n < numNodeSlots(); ++n)
-        pre_labels.emplace_back(nodes_[n].alive ? label(n)
-                                                : std::string_view());
 #endif
 
-    if (!adj_dense) {
-        detail::CowArray<EdgeId> packed;
-        packed.resize(adj_total);
-        EdgeId *out = packed.writable();
-        detail::AdjSlot *slots = slots_.writable();
-        std::uint32_t off = 0;
-        for (std::size_t k = 0; k < slots_.size(); ++k) {
-            detail::AdjSlot &s = slots[k];
-            std::copy_n(arena_.data() + s.offset, s.count, out + off);
-            s.offset = off;
-            off += s.count;
-        }
-        arena_ = std::move(packed);
+    detail::CowArray<EdgeId> packed;
+    packed.resize(adj_total);
+    EdgeId *out = packed.writable();
+    detail::AdjSlot *slots = slots_.writable();
+    std::uint32_t off = 0;
+    for (std::size_t k = 0; k < slots_.size(); ++k) {
+        detail::AdjSlot &s = slots[k];
+        std::copy_n(arena_.data() + s.offset, s.count, out + off);
+        s.offset = off;
+        off += s.count;
     }
-
-    if (!labels_dense) {
-        // Live labels packed in node order; dead slots lose their
-        // bytes and read back empty from now on (labels are
-        // diagnostic-only, so this is the documented lossy effect).
-        detail::CowArray<char> packed;
-        packed.reserve(label_total);
-        DdgNode *nodes = nodes_.writable();
-        for (std::size_t k = 0; k < nodes_.size(); ++k) {
-            DdgNode &n = nodes[k];
-            if (!n.alive) {
-                n.labelOffset = 0;
-                n.labelLen = 0;
-                continue;
-            }
-            const std::uint32_t off =
-                static_cast<std::uint32_t>(packed.size());
-            packed.append(labels_.data() + n.labelOffset, n.labelLen);
-            n.labelOffset = off;
-        }
-        labels_ = std::move(packed);
-    }
+    arena_ = std::move(packed);
 
 #ifndef NDEBUG
     for (std::size_t n = 0; n < slots_.size(); ++n) {
@@ -248,46 +200,18 @@ Ddg::compact()
                       "compact changed adjacency content");
         }
     }
-    for (NodeId n = 0; n < numNodeSlots(); ++n) {
-        if (nodes_[n].alive) {
-            cv_assert(label(n) == pre_labels[n],
-                      "compact changed a live node's label");
-        }
-    }
 #endif
     trim();
     // No generation bump: the graph's structure (nodes, edges,
     // traversal order) is untouched; only the storage layout moved.
 }
 
-std::uint32_t
-Ddg::internLabel(std::string_view s)
-{
-    cv_assert(labels_.size() + s.size() <=
-                  std::numeric_limits<std::uint32_t>::max(),
-              "label arena overflow");
-    const std::uint32_t off = static_cast<std::uint32_t>(labels_.size());
-    // A view of our own arena (e.g. a label(id) passed straight back
-    // in) is safe: an append that reallocates reads the source bytes
-    // before it releases the old block.
-    labels_.append(s.data(), s.size());
-    return off;
-}
-
 NodeId
-Ddg::addNode(OpClass cls, std::string_view label)
+Ddg::addNode(OpClass cls)
 {
     const NodeId id = static_cast<NodeId>(nodes_.size());
     DdgNode n;
     n.cls = cls;
-    if (label.empty()) {
-        const std::string def = "n" + std::to_string(id);
-        n.labelOffset = internLabel(def);
-        n.labelLen = static_cast<std::uint32_t>(def.size());
-    } else {
-        n.labelOffset = internLabel(label);
-        n.labelLen = static_cast<std::uint32_t>(label.size());
-    }
     n.semanticId = id;
     nodes_.push_back(n);
     slots_.resize(slots_.size() + 2); // in-span, out-span
@@ -297,46 +221,14 @@ Ddg::addNode(OpClass cls, std::string_view label)
 }
 
 NodeId
-Ddg::addReplica(NodeId original, std::string_view label_suffix)
+Ddg::addReplica(NodeId original)
 {
     checkNode(original);
-    // Read fields before any mutation: push_back may reallocate
-    // nodes_ and interning may reallocate labels_, so neither a node
-    // reference nor a label view survives the calls below.
-    const OpClass cls = nodes_[original].cls;
-    const NodeId semantic = nodes_[original].semanticId;
-    const std::uint32_t original_len = nodes_[original].labelLen;
-    const std::uint32_t suffix_len =
-        static_cast<std::uint32_t>(label_suffix.size());
-    // Synthesize "<original label><suffix>" directly in the arena:
-    // two back-to-back appends yield one contiguous slice. Both
-    // inputs may alias the arena (label(original) always does);
-    // internLabel is alias-safe against its own append, but the
-    // suffix view must additionally survive the *first* intern's
-    // realloc - capture its arena offset now and re-derive after.
-    const char *base = labels_.data();
-    const bool suffix_aliases =
-        !label_suffix.empty() && label_suffix.data() >= base &&
-        label_suffix.data() + label_suffix.size() <=
-            base + labels_.size();
-    const std::size_t suffix_src =
-        suffix_aliases
-            ? static_cast<std::size_t>(label_suffix.data() - base)
-            : 0;
-    const std::uint32_t off = internLabel(label(original));
-    if (suffix_aliases) {
-        label_suffix =
-            std::string_view(labels_.data() + suffix_src, suffix_len);
-    }
-    internLabel(label_suffix);
-
-    const NodeId id = static_cast<NodeId>(nodes_.size());
     DdgNode n;
-    n.cls = cls;
-    n.labelOffset = off;
-    n.labelLen = original_len + suffix_len;
-    n.semanticId = semantic;
+    n.cls = nodes_[original].cls;
+    n.semanticId = nodes_[original].semanticId;
     n.isReplica = true;
+    const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(n);
     slots_.resize(slots_.size() + 2); // in-span, out-span
     ++liveNodes_;
@@ -356,8 +248,7 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
               "memory latency ", mem_latency, " outside int16_t");
     if (kind == EdgeKind::RegFlow) {
         cv_assert(producesValue(nodes_[src].cls),
-                  "flow edge from non-value-producing op ",
-                  label(src));
+                  "flow edge from non-value-producing op n", src);
     }
 
     const EdgeId id = static_cast<EdgeId>(edges_.size());
@@ -433,14 +324,6 @@ Ddg::edge(EdgeId id)
 {
     cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
     return edges_.writable()[id];
-}
-
-std::string_view
-Ddg::label(NodeId id) const
-{
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const DdgNode &n = nodes_[id];
-    return std::string_view(labels_.data() + n.labelOffset, n.labelLen);
 }
 
 LiveAdjRange
@@ -521,7 +404,7 @@ void
 Ddg::checkNode(NodeId id) const
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    cv_assert(nodes_[id].alive, "dead node ", label(id));
+    cv_assert(nodes_[id].alive, "dead node n", id);
 }
 
 void

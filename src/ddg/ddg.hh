@@ -16,10 +16,11 @@
  * ## Record sizes
  *
  * DDG storage is most of the heap, so its records hold no redundant
- * bytes. `DdgNode` and `DdgEdge` are 16 bytes with no id field (an id
- * is its slot index); an adjacency span is 8 bytes, offset and count
- * (see the slack rule below). A node slot thus costs 32 bytes and an
- * edge slot 24, plus arena slack. A `Ddg` handle is 96 bytes: five
+ * bytes. No record has an id field (an id is its slot index) and no
+ * node has a name: diagnostics call node v "n<v>". `DdgNode` is 8
+ * bytes, `DdgEdge` 16; an adjacency span is 8 bytes, offset and count
+ * (see the slack rule below). A node slot thus costs 24 bytes and an
+ * edge slot 24, plus arena slack. A `Ddg` handle is 80 bytes: four
  * 16-byte array handles, two live counts and the generation stamp.
  * static_asserts pin all four sizes.
  *
@@ -45,43 +46,15 @@
  *    Only full spans move, so a dead region holds no `invalidEdge`;
  *    it is never reused or rewritten, so stale spans still read
  *    valid, pre-relocation data;
- *  - `Ddg::fromSlots` builds exactly-sized arenas (no slack, no
+ *  - `Ddg::fromSlots` builds an exactly-sized arena (no slack, no
  *    relocation ever happened) - the compact layout every generated
  *    graph starts from: the workload generator assembles a loop's
  *    records in scratch buffers and builds its graph with one
  *    `fromSlots` call (workloads/generator.hh);
- *  - the arenas only ever grow; `removeNode`/`removeEdge` tombstone
+ *  - the arena only ever grows; `removeNode`/`removeEdge` tombstone
  *    edges but never move spans. The one exception is an explicit
  *    `compact()` call, which repacks every span to fromSlots density
  *    (and invalidates outstanding views; see its comment).
- *
- * ## Label arena
- *
- * Node labels live in one per-graph byte blob; each node stores a
- * `{labelOffset, labelLen}` pair into it, which makes `DdgNode` (and
- * `DdgEdge`) trivially copyable PODs, so cloning a graph's storage is
- * a fixed handful of flat buffer copies - zero per-node allocations
- * on the pipeline's copy-mutate-retry path. Read a label through
- * `label(id)`, which returns a `std::string_view` borrowing arena
- * storage.
- *
- * Arena rules mirror the adjacency arena's:
- *  - label bytes are append-only; mutation APIs never rewrite or
- *    reuse existing bytes. Tombstoning a node leaves its label bytes
- *    in place (dead slots still print in diagnostics);
- *  - `label()` views borrow the blob's storage and are invalidated by
- *    any label-appending mutation (`addNode`, `addReplica`) and by
- *    `compact()`; never hold one across those. Passing a view of this
- *    graph's own arena back into `addNode`/`addReplica` is safe - an
- *    append that reallocates copies the source bytes before it
- *    releases the old block;
- *  - `compact()` repacks the blob to live-label density: live nodes'
- *    bytes packed in node order, dead slots' label bytes dropped
- *    (their labels read back empty - the one lossy effect compaction
- *    has, and labels are diagnostic-only data);
- *  - labels never enter result digests (eval/digest mixes numeric
- *    compile results only), so label layout is free to change without
- *    perturbing bit-identity of compile outcomes.
  *
  * ## Traversal views
  *
@@ -115,9 +88,9 @@
  *
  * ## Shared storage (copy-on-write)
  *
- * The five arrays behind a graph (nodes, edges, adjacency arena,
- * adjacency slots, label arena) are copy-on-write blocks with atomic
- * reference counts (`detail::CowArray`):
+ * The four arrays behind a graph (nodes, edges, adjacency arena,
+ * adjacency slots) are copy-on-write blocks with atomic reference
+ * counts (`detail::CowArray`):
  *  - a copy is a reference-count bump per array: no allocation, no
  *    element copy, at any graph size. Copies may be made from any
  *    number of threads at once (the pool's workers copy one client
@@ -130,11 +103,11 @@
  *  - the generation stamp is a per-object field, not shared storage:
  *    `bumpGeneration()` never clones;
  *  - the filtering views follow a clone as they follow a span
- *    relocation (see above); raw spans, `label()` views and
- *    references from `node()`/`edge()` borrow the storage itself and
- *    do not. A mutable reference must not be held across a copy of
- *    its graph either: writing through it after the copy would write
- *    a block the copy shares;
+ *    relocation (see above); raw spans and references from
+ *    `node()`/`edge()` borrow the storage itself and do not. A
+ *    mutable reference must not be held across a copy of its graph
+ *    either: writing through it after the copy would write a block
+ *    the copy shares;
  *  - `compact()` of a shared graph clones what it repacks; the other
  *    sharers keep the old layout. Its capacity trim skips arrays that
  *    are still shared, which trimming would duplicate, not shrink.
@@ -152,7 +125,7 @@
  * the stamp; callers that change analysis-relevant fields that way
  * (op class, edge distance or latency) must call `bumpGeneration()`
  * themselves.
- * Flag-only writes (`liveOut`, `isSpill`, labels) need no bump.
+ * Flag-only writes (`liveOut`, `isSpill`) need no bump.
  */
 
 #ifndef CVLIW_DDG_DDG_HH
@@ -168,7 +141,6 @@
 #include <new>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -217,9 +189,7 @@ static_assert(std::is_trivially_copyable_v<DdgEdge>,
 static_assert(sizeof(DdgEdge) == 16, "no padding, no id field");
 
 /**
- * One operation. Like DdgEdge a 16-byte trivially-copyable POD; its
- * label lives in the owning graph's label arena as an {offset, len}
- * slice (read through `Ddg::label(id)`), never as an owned string.
+ * One operation: an 8-byte trivially-copyable POD, like DdgEdge.
  * The four flags are 1-bit fields of one byte (the rest of the byte
  * is zero).
  */
@@ -235,9 +205,6 @@ struct DdgNode
      * the original value.
      */
     NodeId semanticId = invalidNode;
-    /** Label slice into the owning Ddg's label arena. */
-    std::uint32_t labelOffset = 0;
-    std::uint32_t labelLen = 0;
     OpClass cls = OpClass::IntAlu;
     bool isReplica : 1;
     /** True for spill stores and spill reloads (identity value). */
@@ -255,7 +222,7 @@ struct DdgNode
 
 static_assert(std::is_trivially_copyable_v<DdgNode>,
               "DdgNode must stay a POD (bulk graph copies)");
-static_assert(sizeof(DdgNode) == 16, "no id field, packed flags");
+static_assert(sizeof(DdgNode) == 8, "no id field, packed flags");
 
 namespace detail
 {
@@ -713,41 +680,31 @@ class Ddg
      * generation stamp and exactly-sized arrays (no adjacency slack)
      * instead of per-element mutation calls. Each array is copied
      * once into the graph, so a caller can reuse its buffers for the
-     * next graph (the workload generator does). @p labels becomes the
-     * label arena verbatim. Ids are the slot indices; adjacency is
-     * derived here: each node's spans hold its incident edge ids in
-     * edge-id order - exactly the state an addNode/addEdge/remove*
-     * replay would produce, so a graph rebuilt from another graph's
-     * slots and label arena is field-identical to it.
+     * next graph (the workload generator does). Ids are the slot
+     * indices; adjacency is derived here: each node's spans hold its
+     * incident edge ids in edge-id order - exactly the state an
+     * addNode/addEdge/remove* replay would produce, so a graph
+     * rebuilt from another graph's slots is field-identical to it.
      *
-     * The slots are checked against eight structural rules: an op
+     * The slots are checked against seven structural rules: an op
      * class below `OpClass::NumOpClasses` (the pipeline indexes
-     * tables by op class), a semantic id inside the node array, a
-     * label slice inside @p labels, an edge kind no greater than
-     * `EdgeKind::Spill`, edge endpoints inside the node array, a
-     * distance >= 0, no live edge on a dead node, and no flow edge
-     * from an op that produces no value.
+     * tables by op class), a semantic id inside the node array, an
+     * edge kind no greater than `EdgeKind::Spill`, edge endpoints
+     * inside the node array, a distance >= 0, no live edge on a dead
+     * node, and no flow edge from an op that produces no value.
      * @throws DdgSlotError naming the rule and the node or edge row
      */
     static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
-                         const DdgEdge *edges, std::uint32_t edge_slots,
-                         std::string_view labels);
+                         const DdgEdge *edges, std::uint32_t edge_slots);
 
-    /**
-     * Create an operation of class @p cls. The label bytes are copied
-     * into the graph's label arena (an empty @p label synthesizes
-     * "n<id>"); a view into this graph's own arena is accepted (the
-     * interner is alias-safe across the append's reallocation).
-     */
-    NodeId addNode(OpClass cls, std::string_view label = {});
+    /** Create an operation of class @p cls. */
+    NodeId addNode(OpClass cls);
 
     /**
      * Create a replica of @p original (same op class and semantic
-     * identity); its label is the original's label + @p label_suffix,
-     * synthesized directly in the label arena. The caller wires up
-     * the replica's operand edges.
+     * identity). The caller wires up the replica's operand edges.
      */
-    NodeId addReplica(NodeId original, std::string_view label_suffix);
+    NodeId addReplica(NodeId original);
 
     /**
      * Add a dependence edge.
@@ -788,26 +745,6 @@ class Ddg
     DdgNode &node(NodeId id);
     const DdgEdge &edge(EdgeId id) const;
     DdgEdge &edge(EdgeId id);
-
-    /**
-     * Label of node @p id as a view into the label arena (dead slots
-     * readable, like `node()`). Borrowed storage: invalidated by any
-     * label-appending mutation (`addNode`/`addReplica`) and by
-     * `compact()` - copy it out before mutating (see spill.cc for the
-     * canonical pattern).
-     */
-    std::string_view label(NodeId id) const;
-
-    /**
-     * The whole label arena blob. Every node's {labelOffset,
-     * labelLen} slices this; feeding it back through `fromSlots`
-     * alongside copies of the slot arrays reproduces the graph's
-     * labels exactly.
-     */
-    std::string_view labelArena() const
-    {
-        return std::string_view(labels_.data(), labels_.size());
-    }
 
     /** Live incoming edges of @p id (zero-allocation view). */
     LiveAdjRange inEdges(NodeId id) const;
@@ -860,10 +797,9 @@ class Ddg
     void bumpGeneration() { generation_ = freshGeneration(); }
 
     /**
-     * Squeeze the adjacency and label arenas back to `fromSlots`
-     * density. Adjacency:
-     * every span packed back-to-back in node order with no slack,
-     * dead regions left behind by span relocations discarded.
+     * Squeeze the adjacency arena back to `fromSlots` density: every
+     * span packed back-to-back in node order with no slack, dead
+     * regions left behind by span relocations discarded.
      * A graph that grew through heavy replication carries those dead
      * regions (never reused by design; see the arena invariants)
      * until destruction; compaction reclaims them for long-lived
@@ -872,21 +808,18 @@ class Ddg
      * order are preserved exactly - traversals, and therefore every
      * compile decision, are unchanged (asserted field-for-field in
      * debug builds) - and the generation stamp does not advance
- * (structure is identical). The label arena is likewise repacked
-     * to live-label density: live nodes' bytes packed in node order,
-     * dead slots' label bytes dropped (their labels read back empty;
-     * see the label arena rules). Last, every array this graph owns
+     * (structure is identical). Last, every array this graph owns
      * alone drops its capacity slack, so a compacted graph is as
      * exactly sized as a `fromSlots` load; arrays still shared with
      * another graph keep theirs (see "Shared storage"). No-op when
-     * both arenas are dense and no owned array has slack.
+     * the arena is dense and no owned array has slack.
      *
      * **The one view-invalidating operation:** compaction moves span
-     * offsets and label bytes, so every outstanding filtering view
-     * (inEdges/outEdges/flowPreds/flowSuccs), raw span (inEdgesRaw/
-     * outEdgesRaw) and `label()` view of this graph is invalidated -
-     * the exception to the views' survive-every-mutation contract.
-     * Call only at quiescent boundaries with no views held.
+     * offsets, so every outstanding filtering view (inEdges/outEdges/
+     * flowPreds/flowSuccs) and raw span (inEdgesRaw/outEdgesRaw) of
+     * this graph is invalidated - the exception to the views'
+     * survive-every-mutation contract. Call only at quiescent
+     * boundaries with no views held.
      */
     void compact();
 
@@ -895,14 +828,6 @@ class Ddg
 
     void checkNode(NodeId id) const;
     void checkEdge(EdgeId id) const;
-
-    /**
-     * Append @p s to the label arena and return its start offset.
-     * Alias-safe: a view into labels_ itself is re-derived through
-     * its offset before the append can reallocate the blob (the
-     * addReplica/spillOneValue held-reference-across-realloc class).
-     */
-    std::uint32_t internLabel(std::string_view s);
 
     // Every array is copy-on-write storage; see "Shared storage" in
     // the header comment.
@@ -915,16 +840,13 @@ class Ddg
     // for the invariants and relocation rules.
     detail::CowArray<EdgeId> arena_;
     detail::CowArray<detail::AdjSlot> slots_;
-    // Label arena: every node's label bytes, append-only; see the
-    // header comment for the invariants.
-    detail::CowArray<char> labels_;
     int liveNodes_ = 0;
     int liveEdges_ = 0;
     std::uint64_t generation_ = freshGeneration();
 };
 
-static_assert(sizeof(Ddg) == 96,
-              "five 16-byte array handles, two counts and a stamp");
+static_assert(sizeof(Ddg) == 80,
+              "four 16-byte array handles, two counts and a stamp");
 
 } // namespace cvliw
 

@@ -19,7 +19,7 @@ writeDot(std::ostream &os, const Ddg &ddg,
        << "  node [shape=box, style=filled, fillcolor=white];\n";
     for (NodeId n : ddg.nodes()) {
         const DdgNode &node = ddg.node(n);
-        os << "  n" << n << " [label=\"" << ddg.label(n) << "\\n"
+        os << "  n" << n << " [label=\"n" << n << "\\n"
            << toString(node.cls) << "\"";
         if (n < static_cast<NodeId>(cluster_of.size()) &&
             cluster_of[n] >= 0) {

@@ -29,7 +29,7 @@ remoteClustersOf(const Ddg &ddg,
     }
     cv_assert(n < static_cast<NodeId>(cluster_of.size()) &&
               cluster_of[n] >= 0,
-              "node ", ddg.label(n), " has no cluster");
+              "node n", n, " has no cluster");
 
     for (EdgeId eid : ddg.outEdgesRaw(n)) {
         const DdgEdge &e = ddg.edge(eid);

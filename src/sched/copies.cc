@@ -15,10 +15,7 @@ insertCopies(Ddg &ddg, Partition &part, const MachineConfig &mach)
 
     const CommInfo comms = findCommunications(ddg, part.vec());
     for (NodeId p : comms.producers) {
-        // label(p) views the graph's own arena; the interner is
-        // alias-safe, so the concatenation can stay allocation-free.
-        const NodeId copy = ddg.addNode(
-            OpClass::Copy, std::string(ddg.label(p)) + ".copy");
+        const NodeId copy = ddg.addNode(OpClass::Copy);
         part.assign(copy, part.clusterOf(p));
         ddg.addEdge(p, copy, EdgeKind::RegFlow, 0);
 

@@ -85,7 +85,7 @@ struct PseudoResult
  * the refinement hot path (see the file comment). One instance
  * serves one thread; the pipeline threads one through every
  * refinement and every II retry, so its memo holds the input graph's
- * LoopAnalysis for the whole compile.
+ * LoopAnalysis for the whole compile on a clustered machine.
  */
 class PseudoScratch
 {

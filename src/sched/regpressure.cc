@@ -64,7 +64,7 @@ computeMaxLive(const Ddg &ddg, const MachineConfig &mach,
         if (!producesValue(node.cls))
             continue;
         cv_assert(start[v] >= 0 || ddg.outEdges(v).empty(),
-                  "unscheduled producer ", ddg.label(v));
+                  "unscheduled producer n", v);
 
         if (node.cls == OpClass::Copy) {
             // The broadcast creates one register instance per remote

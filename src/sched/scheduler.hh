@@ -78,8 +78,10 @@ struct SchedulerOptions
  * reuse them wholesale, and the ordering and the placement loop
  * share one analysis. Entries carry the machine config's identity
  * stamp, so one cache may serve several configs without stale reuse.
- * The input graph's analysis lives in PseudoScratch, so a changed
- * work graph never evicts it. The reservation tables are also pooled
+ * On a clustered machine the input graph's analysis lives in
+ * PseudoScratch, so a changed work graph never evicts it; a unified
+ * machine reads it once and schedules the input's unmodified copy,
+ * so there it lives here. The reservation tables are also pooled
  * here: every attempt resets them in place instead of reallocating.
  */
 struct SchedulerCache

@@ -17,9 +17,7 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
     std::vector<std::string> errs;
     const int ii = sched.ii;
     auto phase = [ii](int t) { return ((t % ii) + ii) % ii; };
-    // Labels are string_views into the graph's arena; error text wants
-    // owned strings it can concatenate.
-    auto lbl = [&ddg](NodeId v) { return std::string(ddg.label(v)); };
+    auto name = [](NodeId v) { return "n" + std::to_string(v); };
 
     if (ii < 1) {
         errs.push_back("II < 1");
@@ -30,7 +28,7 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
     for (NodeId v : ddg.nodes()) {
         if (v >= static_cast<NodeId>(sched.start.size()) ||
             sched.start[v] < 0) {
-            errs.push_back("unscheduled node " + lbl(v));
+            errs.push_back("unscheduled node " + name(v));
         }
     }
     if (!errs.empty())
@@ -52,8 +50,8 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
             static_cast<long long>(sched.start[e.src]) + lat;
         if (lhs < rhs) {
             errs.push_back(
-                "dependence violated: " + lbl(e.src) +
-                " -> " + lbl(e.dst) + " (start " +
+                "dependence violated: " + name(e.src) +
+                " -> " + name(e.dst) + " (start " +
                 std::to_string(sched.start[e.src]) + " lat " +
                 std::to_string(lat) + " dist " +
                 std::to_string(e.distance) + " consumer at " +
@@ -83,14 +81,14 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
         if (node.cls == OpClass::Copy) {
             const int b = sched.busOf[v];
             if (b < 0 || b >= mach.numBuses()) {
-                errs.push_back("copy " + lbl(v) +
+                errs.push_back("copy " + name(v) +
                                " has no bus assignment");
                 continue;
             }
             const int ph = phase(sched.start[v]);
             if (ph % mach.busLatency() != 0 ||
                 ph + mach.busLatency() > ii) {
-                errs.push_back("copy " + lbl(v) +
+                errs.push_back("copy " + name(v) +
                                " starts at unaligned bus phase " +
                                std::to_string(ph));
             }
@@ -105,8 +103,8 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
                 }
                 errs.push_back("bus " + std::to_string(b) + " phase " +
                                std::to_string(bus_ph) +
-                               " double-booked by " + lbl(v) + " and " +
-                               lbl(user));
+                               " double-booked by " + name(v) + " and " +
+                               name(user));
             }
         } else {
             const auto kind =
@@ -141,15 +139,15 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
         if (dst.cls == OpClass::Copy) {
             // A copy reads the register in its own cluster.
             if (part.clusterOf(e.src) != part.clusterOf(e.dst)) {
-                errs.push_back("copy " + lbl(e.dst) +
+                errs.push_back("copy " + name(e.dst) +
                                " reads remote register of " +
-                               lbl(e.src));
+                               name(e.src));
             }
         } else if (src.cls != OpClass::Copy &&
                    part.clusterOf(e.src) != part.clusterOf(e.dst)) {
-            errs.push_back(lbl(e.dst) + " in cluster " +
+            errs.push_back(name(e.dst) + " in cluster " +
                            std::to_string(part.clusterOf(e.dst)) +
-                           " reads " + lbl(e.src) + " from cluster " +
+                           " reads " + name(e.src) + " from cluster " +
                            std::to_string(part.clusterOf(e.src)) +
                            " without a copy");
         }
@@ -160,7 +158,7 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
         if (ddg.node(v).cls != OpClass::Copy)
             continue;
         if (ddg.flowPreds(v).size() != 1) {
-            errs.push_back("copy " + lbl(v) + " has " +
+            errs.push_back("copy " + name(v) + " has " +
                            std::to_string(ddg.flowPreds(v).size()) +
                            " operands");
         }

@@ -24,13 +24,12 @@ KernelView::KernelView(const Ddg &ddg, const MachineConfig &mach,
         const int t = sched.start[v];
         const int phase = ((t % ii_) + ii_) % ii_;
         const int stage = t / ii_;
-        const std::string tag = std::string(ddg.label(v)) + "/s" +
-                                std::to_string(stage);
+        const std::string name = "n" + std::to_string(v);
+        const std::string tag = name + "/s" + std::to_string(stage);
         if (node.cls == OpClass::Copy) {
             for (int k = 0; k < mach.busLatency(); ++k) {
                 busCells_[((t + k) % ii_ + ii_) % ii_].push_back(
-                    k == 0 ? tag
-                           : std::string(ddg.label(v)) + "...");
+                    k == 0 ? tag : name + "...");
             }
         } else {
             cells_[phase][part.clusterOf(v)].push_back(tag);

@@ -29,7 +29,7 @@ class KernelView
     /** Render the kernel table. */
     void print(std::ostream &os) const;
 
-    /** Ops issued in @p cluster at kernel @p phase ("label/stage"). */
+    /** Ops issued in @p cluster at kernel @p phase ("n<id>/s<stage>"). */
     const std::vector<std::string> &ops(int phase, int cluster) const;
 
     int ii() const { return ii_; }
@@ -39,9 +39,9 @@ class KernelView
     int ii_;
     int stageCount_;
     int numClusters_;
-    // cells_[phase][cluster] -> list of "label/s<stage>"
+    // cells_[phase][cluster] -> list of "n<id>/s<stage>"
     std::vector<std::vector<std::vector<std::string>>> cells_;
-    // busCells_[phase] -> list of copy labels occupying a bus
+    // busCells_[phase] -> list of the copies ("n<id>") occupying a bus
     std::vector<std::vector<std::string>> busCells_;
 };
 

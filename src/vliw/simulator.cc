@@ -76,6 +76,7 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                       static_cast<std::size_t>(v)];
     };
 
+    auto name = [](NodeId v) { return "n" + std::to_string(v); };
     std::vector<Operand> ops; // reused by every instance
     for (int i = 0; i < iterations; ++i) {
         for (NodeId v : order) {
@@ -99,9 +100,7 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                      pn.cls != OpClass::Copy)) {
                     if (part.clusterOf(p) != part.clusterOf(v)) {
                         report.errors.push_back(
-                            std::string(final_ddg.label(v)) +
-                            " reads " +
-                            std::string(final_ddg.label(p)) +
+                            name(v) + " reads " + name(p) +
                             " across clusters without a copy");
                     }
                 }
@@ -118,10 +117,8 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                         sched.start[v] + static_cast<long long>(i) * ii;
                     if (reads < ready) {
                         report.errors.push_back(
-                            std::string(final_ddg.label(v)) + "@" +
-                            std::to_string(i) + " reads " +
-                            std::string(final_ddg.label(p)) +
-                            " at cycle " +
+                            name(v) + "@" + std::to_string(i) +
+                            " reads " + name(p) + " at cycle " +
                             std::to_string(reads) +
                             " before it is ready at " +
                             std::to_string(ready));
@@ -170,10 +167,9 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
             ++report.valuesChecked;
             if (out != expected) {
                 report.errors.push_back(
-                    std::string(final_ddg.label(v)) + "@" +
-                    std::to_string(i) +
+                    name(v) + "@" + std::to_string(i) +
                     " computed a value different from the original " +
-                    std::string(original.label(node.semanticId)));
+                    name(node.semanticId));
             }
         }
         if (report.errors.size() > 20)

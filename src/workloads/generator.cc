@@ -1,7 +1,6 @@
 #include "workloads/generator.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "support/logging.hh"
@@ -18,15 +17,6 @@ Loop::name() const
 namespace
 {
 
-/** Append @p v in decimal, as std::to_string spells it. */
-void
-appendDecimal(std::string &out, int v)
-{
-    char buf[16];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, r.ptr);
-}
-
 /**
  * State for generating one dataflow component into a LoopScratch.
  * Nodes and edges get the ids, fields and order that addNode/addEdge
@@ -37,28 +27,14 @@ struct ComponentBuilder
     LoopScratch &s;
     const BenchmarkProfile &prof;
     Rng &rng;
-    std::string prefix;
 
-    /** Add a node labelled prefix + tag [+ num [+ "_" + sub]]. */
     NodeId
-    addNode(OpClass cls, std::string_view tag, int num = -1,
-            int sub = -1)
+    addNode(OpClass cls)
     {
         const NodeId id = static_cast<NodeId>(s.nodes.size());
         DdgNode n;
         n.cls = cls;
         n.semanticId = id;
-        n.labelOffset = static_cast<std::uint32_t>(s.labels.size());
-        s.labels += prefix;
-        s.labels += tag;
-        if (num >= 0)
-            appendDecimal(s.labels, num);
-        if (sub >= 0) {
-            s.labels += '_';
-            appendDecimal(s.labels, sub);
-        }
-        n.labelLen =
-            static_cast<std::uint32_t>(s.labels.size()) - n.labelOffset;
         s.nodes.push_back(n);
         s.flowOut.push_back(0);
         return id;
@@ -129,7 +105,7 @@ struct ComponentBuilder
         int num_stores = std::max(0, mem_ops - num_loads);
 
         // --- integer top: induction + address arithmetic --------------
-        const NodeId ind = addNode(OpClass::IntAlu, "i");
+        const NodeId ind = addNode(OpClass::IntAlu);
         addEdge(ind, ind, EdgeKind::RegFlow, 1); // i = i + 1
         s.intNodes.push_back(ind);
         for (int k = 1; k < int_ops; ++k) {
@@ -143,7 +119,7 @@ struct ComponentBuilder
                 rng.chance(0.35) && s.intNodes.size() > 1
                     ? s.intNodes[rng.uniformInt(1, s.intNodes.size() - 1)]
                     : ind;
-            const NodeId a = addNode(OpClass::IntAlu, "a", k);
+            const NodeId a = addNode(OpClass::IntAlu);
             addEdge(operand, a, EdgeKind::RegFlow, 0);
             s.intNodes.push_back(a);
         }
@@ -155,7 +131,7 @@ struct ComponentBuilder
             NodeId addr = ind;
             if (s.intNodes.size() > 1)
                 addr = s.intNodes[1 + (k % (s.intNodes.size() - 1))];
-            const NodeId ld = addNode(OpClass::Load, "ld", k);
+            const NodeId ld = addNode(OpClass::Load);
             addEdge(addr, ld, EdgeKind::RegFlow, 0);
             s.loads.push_back(ld);
         }
@@ -184,7 +160,7 @@ struct ComponentBuilder
                 else if (rng.chance(prof.fpMulFrac))
                     cls = OpClass::FpMul;
 
-                const NodeId op = addNode(cls, "f", c, k);
+                const NodeId op = addNode(cls);
 
                 // First operand: previous chain op, else this
                 // chain's (mostly private) load stream.
@@ -229,7 +205,7 @@ struct ComponentBuilder
 
         // --- stores -------------------------------------------------------
         for (int k = 0; k < num_stores; ++k) {
-            const NodeId st = addNode(OpClass::Store, "st", k);
+            const NodeId st = addNode(OpClass::Store);
             const NodeId val = s.chainTails[rng.uniformInt(
                 0, s.chainTails.size() - 1)];
             const NodeId addr =
@@ -299,7 +275,6 @@ generateLoop(const BenchmarkProfile &prof, Rng &rng, int index,
     loop.index = index;
     scratch.nodes.clear();
     scratch.edges.clear();
-    scratch.labels.clear();
     scratch.flowOut.clear();
 
     const int target_ops =
@@ -311,8 +286,7 @@ generateLoop(const BenchmarkProfile &prof, Rng &rng, int index,
 
     const int per_component = std::max(6, target_ops / components);
     for (int comp = 0; comp < components; ++comp) {
-        ComponentBuilder builder{scratch, prof, rng,
-                                 "c" + std::to_string(comp) + "."};
+        ComponentBuilder builder{scratch, prof, rng};
         builder.build(per_component);
     }
 
@@ -328,7 +302,7 @@ generateLoop(const BenchmarkProfile &prof, Rng &rng, int index,
         scratch.nodes.data(),
         static_cast<std::uint32_t>(scratch.nodes.size()),
         scratch.edges.data(),
-        static_cast<std::uint32_t>(scratch.edges.size()), scratch.labels);
+        static_cast<std::uint32_t>(scratch.edges.size()));
 
     // Dynamic profile: lognormal-ish jitter around the averages.
     const double iter_jit =

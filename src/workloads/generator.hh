@@ -12,8 +12,8 @@
  * ## How a loop is assembled
  *
  * The generator never grows a `Ddg` node by node. It appends each
- * loop's `DdgNode`/`DdgEdge` records and label bytes to the vectors
- * of a `LoopScratch`, in exactly the order and with exactly the
+ * loop's `DdgNode`/`DdgEdge` records to the vectors of a
+ * `LoopScratch`, in exactly the order and with exactly the
  * fields `addNode`/`addEdge` would give them, and then builds the
  * graph with one validated `Ddg::fromSlots` call: exactly-sized
  * arrays, and the checks `addEdge` makes
@@ -61,10 +61,9 @@ struct Loop
  */
 struct LoopScratch
 {
-    // The loop's records and label bytes, in creation order.
+    // The loop's records, in creation order.
     std::vector<DdgNode> nodes;
     std::vector<DdgEdge> edges;
-    std::string labels;
     // Register-flow out-degree per node.
     std::vector<std::uint32_t> flowOut;
     // One component's register-flow in-edge CSR, its search state and

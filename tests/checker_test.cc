@@ -65,6 +65,10 @@ TEST(Checker, DetectsDependenceViolation)
     const auto errs = checkSchedule(f.g, f.m, f.p, s);
     ASSERT_FALSE(errs.empty());
     EXPECT_NE(errs[0].find("dependence"), std::string::npos);
+    // Both ends, named n<id>.
+    const std::string edge = "n" + std::to_string(f.b.id("src")) +
+                             " -> n" + std::to_string(f.b.id("dst"));
+    EXPECT_NE(errs[0].find(edge), std::string::npos) << errs[0];
 }
 
 TEST(Checker, HugeDistanceDoesNotOverflow)
@@ -72,8 +76,8 @@ TEST(Checker, HugeDistanceDoesNotOverflow)
     // II * distance = 2^32 does not fit in an int: wrapped to 0, the
     // consumer would seem to read before the producer's latency.
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
     g.addEdge(a, b, EdgeKind::Memory, 1 << 30, 1);
     const auto m = MachineConfig::fromString("2c1b2l64r");
     Partition p(2, g.numNodeSlots());
@@ -138,11 +142,11 @@ TEST(Checker, DetectsCrossClusterReadWithoutCopy)
 TEST(Checker, DetectsBusDoubleBooking)
 {
     Ddg g;
-    const NodeId p0 = g.addNode(OpClass::IntAlu, "p0");
-    const NodeId c0 = g.addNode(OpClass::Copy, "c0");
-    const NodeId p1 = g.addNode(OpClass::IntAlu, "p1");
-    const NodeId c1 = g.addNode(OpClass::Copy, "c1");
-    const NodeId w = g.addNode(OpClass::IntAlu, "w");
+    const NodeId p0 = g.addNode(OpClass::IntAlu);
+    const NodeId c0 = g.addNode(OpClass::Copy);
+    const NodeId p1 = g.addNode(OpClass::IntAlu);
+    const NodeId c1 = g.addNode(OpClass::Copy);
+    const NodeId w = g.addNode(OpClass::IntAlu);
     g.node(w).liveOut = true;
     g.addEdge(p0, c0, EdgeKind::RegFlow, 0);
     g.addEdge(p1, c1, EdgeKind::RegFlow, 0);
@@ -180,9 +184,9 @@ TEST(Checker, DetectsBusDoubleBooking)
 TEST(Checker, DetectsMissingBusAssignment)
 {
     Ddg g;
-    const NodeId p0 = g.addNode(OpClass::IntAlu, "p0");
-    const NodeId c0 = g.addNode(OpClass::Copy, "c0");
-    const NodeId w = g.addNode(OpClass::IntAlu, "w");
+    const NodeId p0 = g.addNode(OpClass::IntAlu);
+    const NodeId c0 = g.addNode(OpClass::Copy);
+    const NodeId w = g.addNode(OpClass::IntAlu);
     g.node(w).liveOut = true;
     g.addEdge(p0, c0, EdgeKind::RegFlow, 0);
     g.addEdge(c0, w, EdgeKind::RegFlow, 0);

@@ -80,9 +80,9 @@ TEST(Comms, LoopCarriedFlowStillCommunicates)
 TEST(Comms, CopyConsumersDoNotCount)
 {
     Ddg g;
-    const NodeId p = g.addNode(OpClass::IntAlu, "p");
-    const NodeId c = g.addNode(OpClass::Copy, "p.copy");
-    const NodeId w = g.addNode(OpClass::IntAlu, "w");
+    const NodeId p = g.addNode(OpClass::IntAlu);
+    const NodeId c = g.addNode(OpClass::Copy);
+    const NodeId w = g.addNode(OpClass::IntAlu);
     g.addEdge(p, c, EdgeKind::RegFlow, 0);
     g.addEdge(c, w, EdgeKind::RegFlow, 0);
     const std::vector<ClusterId> part{0, 0, 1};

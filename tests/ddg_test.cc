@@ -17,8 +17,8 @@ namespace
 TEST(Ddg, AddNodesAndEdges)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::Load, "a");
-    const NodeId b = g.addNode(OpClass::FpAlu, "b");
+    const NodeId a = g.addNode(OpClass::Load);
+    const NodeId b = g.addNode(OpClass::FpAlu);
     g.addEdge(a, b, EdgeKind::RegFlow, 0);
 
     EXPECT_EQ(g.numNodes(), 2);
@@ -27,17 +27,10 @@ TEST(Ddg, AddNodesAndEdges)
     EXPECT_EQ(g.flowPreds(b).toVector(), std::vector<NodeId>{a});
 }
 
-TEST(Ddg, DefaultLabels)
-{
-    Ddg g;
-    const NodeId a = g.addNode(OpClass::Load);
-    EXPECT_EQ(g.label(a), "n0");
-}
-
 TEST(Ddg, SemanticIdDefaultsToSelf)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::Load, "a");
+    const NodeId a = g.addNode(OpClass::Load);
     EXPECT_EQ(g.node(a).semanticId, a);
     EXPECT_FALSE(g.node(a).isReplica);
 }
@@ -45,24 +38,23 @@ TEST(Ddg, SemanticIdDefaultsToSelf)
 TEST(Ddg, ReplicaSharesSemantics)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::FpMul, "a");
-    const NodeId r = g.addReplica(a, ".r2");
+    const NodeId a = g.addNode(OpClass::FpMul);
+    const NodeId r = g.addReplica(a);
     EXPECT_EQ(g.node(r).semanticId, a);
     EXPECT_EQ(g.node(r).cls, OpClass::FpMul);
     EXPECT_TRUE(g.node(r).isReplica);
-    EXPECT_EQ(g.label(r), "a.r2");
 
     // Replica of a replica still maps to the original.
-    const NodeId r2 = g.addReplica(r, ".r3");
+    const NodeId r2 = g.addReplica(r);
     EXPECT_EQ(g.node(r2).semanticId, a);
 }
 
 TEST(Ddg, RemoveNodeRemovesIncidentEdges)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
-    const NodeId c = g.addNode(OpClass::IntAlu, "c");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
+    const NodeId c = g.addNode(OpClass::IntAlu);
     g.addEdge(a, b, EdgeKind::RegFlow, 0);
     g.addEdge(b, c, EdgeKind::RegFlow, 0);
 
@@ -72,15 +64,14 @@ TEST(Ddg, RemoveNodeRemovesIncidentEdges)
     EXPECT_TRUE(g.flowSuccs(a).empty());
     EXPECT_TRUE(g.flowPreds(c).empty());
     // Ids of surviving nodes stay stable.
-    EXPECT_EQ(g.label(a), "a");
-    EXPECT_EQ(g.label(c), "c");
+    EXPECT_EQ(g.nodes().toVector(), (std::vector<NodeId>{a, c}));
 }
 
 TEST(Ddg, RemoveEdgeOnly)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
     const EdgeId e = g.addEdge(a, b, EdgeKind::RegFlow, 0);
     g.removeEdge(e);
     EXPECT_EQ(g.numNodes(), 2);
@@ -90,8 +81,8 @@ TEST(Ddg, RemoveEdgeOnly)
 TEST(Ddg, NodesListSkipsTombstones)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
     g.removeNode(a);
     const auto live = g.nodes().toVector();
     ASSERT_EQ(live.size(), 1u);
@@ -102,8 +93,8 @@ TEST(Ddg, NodesListSkipsTombstones)
 TEST(Ddg, FlowEdgesFromStoresRejected)
 {
     Ddg g;
-    const NodeId st = g.addNode(OpClass::Store, "st");
-    const NodeId b = g.addNode(OpClass::Load, "b");
+    const NodeId st = g.addNode(OpClass::Store);
+    const NodeId b = g.addNode(OpClass::Load);
     EXPECT_DEATH(g.addEdge(st, b, EdgeKind::RegFlow, 0),
                  "non-value-producing");
 }
@@ -111,8 +102,8 @@ TEST(Ddg, FlowEdgesFromStoresRejected)
 TEST(Ddg, MemoryLatencyMustFitInt16)
 {
     Ddg g;
-    const NodeId st = g.addNode(OpClass::Store, "st");
-    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    const NodeId st = g.addNode(OpClass::Store);
+    const NodeId ld = g.addNode(OpClass::Load);
     g.addEdge(st, ld, EdgeKind::Memory, 1, 32767);
     EXPECT_DEATH(g.addEdge(st, ld, EdgeKind::Memory, 1, 32768),
                  "memory latency 32768 outside int16_t");
@@ -121,8 +112,8 @@ TEST(Ddg, MemoryLatencyMustFitInt16)
 TEST(Ddg, MemoryEdgesFromStoresAllowed)
 {
     Ddg g;
-    const NodeId st = g.addNode(OpClass::Store, "st");
-    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    const NodeId st = g.addNode(OpClass::Store);
+    const NodeId ld = g.addNode(OpClass::Load);
     g.addEdge(st, ld, EdgeKind::Memory, 1, 1);
     EXPECT_EQ(g.numEdges(), 1);
     EXPECT_TRUE(g.flowPreds(ld).empty()); // memory edge is not flow
@@ -132,8 +123,8 @@ TEST(Ddg, EdgeLatencyIsProducerLatency)
 {
     const auto m = MachineConfig::unified();
     Ddg g;
-    const NodeId mul = g.addNode(OpClass::FpMul, "m");
-    const NodeId add = g.addNode(OpClass::FpAlu, "a");
+    const NodeId mul = g.addNode(OpClass::FpMul);
+    const NodeId add = g.addNode(OpClass::FpAlu);
     const EdgeId e = g.addEdge(mul, add, EdgeKind::RegFlow, 0);
     EXPECT_EQ(g.edgeLatency(e, m), 6); // FpMul latency
 }
@@ -142,9 +133,9 @@ TEST(Ddg, CopyEdgeLatencyIsBusLatency)
 {
     const auto m = MachineConfig::fromString("4c2b4l64r");
     Ddg g;
-    const NodeId p = g.addNode(OpClass::IntAlu, "p");
-    const NodeId c = g.addNode(OpClass::Copy, "p.copy");
-    const NodeId w = g.addNode(OpClass::IntAlu, "w");
+    const NodeId p = g.addNode(OpClass::IntAlu);
+    const NodeId c = g.addNode(OpClass::Copy);
+    const NodeId w = g.addNode(OpClass::IntAlu);
     g.addEdge(p, c, EdgeKind::RegFlow, 0);
     const EdgeId e = g.addEdge(c, w, EdgeKind::RegFlow, 0);
     EXPECT_EQ(g.edgeLatency(e, m), 4); // bus latency
@@ -154,8 +145,8 @@ TEST(Ddg, MemoryEdgeLatencyIsExplicit)
 {
     const auto m = MachineConfig::unified();
     Ddg g;
-    const NodeId st = g.addNode(OpClass::Store, "st");
-    const NodeId ld = g.addNode(OpClass::Load, "ld");
+    const NodeId st = g.addNode(OpClass::Store);
+    const NodeId ld = g.addNode(OpClass::Load);
     const EdgeId e = g.addEdge(st, ld, EdgeKind::Memory, 1, 3);
     EXPECT_EQ(g.edgeLatency(e, m), 3);
 }
@@ -163,9 +154,9 @@ TEST(Ddg, MemoryEdgeLatencyIsExplicit)
 TEST(Ddg, HasCopies)
 {
     Ddg g;
-    g.addNode(OpClass::IntAlu, "a");
+    g.addNode(OpClass::IntAlu);
     EXPECT_FALSE(g.hasCopies());
-    const NodeId c = g.addNode(OpClass::Copy, "c");
+    const NodeId c = g.addNode(OpClass::Copy);
     EXPECT_TRUE(g.hasCopies());
     g.removeNode(c);
     EXPECT_FALSE(g.hasCopies());

@@ -4,15 +4,12 @@
  * skipping after removals, iterator stability under const access,
  * the generation counter contract, the AnalysisCache memo, and a
  * regression check that compile() results on the paper's worked
- * example are unchanged by the view migration. The DdgLabels section
- * covers the label-interning arena: replica suffix synthesis,
- * allocation-free graph copies, compact() dropping dead-node label
- * bytes, and alias safety of label views passed back into the graph.
- * The DdgSlots section covers `Ddg::fromSlots`: each of its eight
- * structural rules rejects a bad row, and a graph rebuilt from its
- * own slot arrays and label arena is field-identical to it. The
- * DdgShared section covers copy-on-write storage: copies share, a
- * first write clones, views follow the clone, and concurrent copies
+ * example are unchanged by the view migration. The DdgSlots section
+ * covers `Ddg::fromSlots`: each of its seven structural rules rejects
+ * a bad row, and a graph rebuilt from its own slot arrays is
+ * field-identical to it. The DdgShared section covers copy-on-write
+ * storage: a copy shares and allocates nothing, a first write clones
+ * only what it writes, views follow the clone, and concurrent copies
  * of one graph are race-free (the TSan job runs this binary).
  */
 
@@ -39,8 +36,8 @@
 #include "paper_graph.hh"
 
 // --- Global operator-new hook (this binary only). --------------------
-// The DdgLabels allocation tests flip g_count_news on around a graph
-// copy or write and read how many heap allocations it made. Replacement
+// The DdgShared allocation test flips g_count_news on around a graph
+// copy or write and reads how many heap allocations it made. Replacement
 // operators must live at global scope; outside the counting window
 // they are plain malloc/free pass-throughs.
 namespace
@@ -103,9 +100,9 @@ struct SmallGraph
 
     SmallGraph()
     {
-        a = g.addNode(OpClass::Load, "a");
-        b = g.addNode(OpClass::IntAlu, "b");
-        c = g.addNode(OpClass::FpAlu, "c");
+        a = g.addNode(OpClass::Load);
+        b = g.addNode(OpClass::IntAlu);
+        c = g.addNode(OpClass::FpAlu);
         ab = g.addEdge(a, b, EdgeKind::RegFlow, 0);
         bc = g.addEdge(b, c, EdgeKind::RegFlow, 0);
         ca = g.addEdge(c, a, EdgeKind::RegFlow, 1);
@@ -114,9 +111,9 @@ struct SmallGraph
 };
 
 /**
- * Every byte a graph's storage holds - node and edge records, each
- * node's raw spans, the label arena - as one string, for bit-identity
- * checks. Reads through const accessors only, which never clone.
+ * Every byte a graph's storage holds - node and edge records and each
+ * node's raw spans - as one string, for bit-identity checks. Reads
+ * through const accessors only, which never clone.
  */
 std::string
 imageOf(const Ddg &g)
@@ -136,7 +133,6 @@ imageOf(const Ddg &g)
     }
     for (EdgeId e = 0; e < g.numEdgeSlots(); ++e)
         put(&g.edge(e), sizeof(DdgEdge));
-    img.append(g.labelArena());
     return img;
 }
 
@@ -224,10 +220,10 @@ TEST(DdgViews, GenerationAdvancesOnStructuralMutation)
 {
     Ddg g;
     const auto g0 = g.generation();
-    const NodeId a = g.addNode(OpClass::Load, "a");
+    const NodeId a = g.addNode(OpClass::Load);
     const auto g1 = g.generation();
     EXPECT_NE(g0, g1);
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId b = g.addNode(OpClass::IntAlu);
     const EdgeId e = g.addEdge(a, b, EdgeKind::RegFlow, 0);
     const auto g2 = g.generation();
     EXPECT_NE(g1, g2);
@@ -255,8 +251,8 @@ TEST(DdgViews, GenerationStampsAreProcessUnique)
     Ddg copy = s.g;
     EXPECT_EQ(copy.generation(), s.g.generation());
 
-    s.g.addNode(OpClass::IntAlu, "x");
-    copy.addNode(OpClass::IntAlu, "y");
+    s.g.addNode(OpClass::IntAlu);
+    copy.addNode(OpClass::IntAlu);
     EXPECT_NE(copy.generation(), s.g.generation());
 }
 
@@ -277,7 +273,7 @@ TEST(DdgViews, AnalysisCacheTracksMutations)
     EXPECT_EQ(cache.runs(), 1u);
 
     // Mutate: the memo must recompute.
-    const NodeId d = s.g.addNode(OpClass::IntAlu, "d");
+    const NodeId d = s.g.addNode(OpClass::IntAlu);
     s.g.addEdge(s.c, d, EdgeKind::RegFlow, 0);
     EXPECT_EQ(cache.get(s.g, m).order, topoOrder(s.g));
     EXPECT_EQ(cache.get(s.g, m).times.length,
@@ -343,10 +339,10 @@ TEST(DdgViews, CompileResultsUnchangedByMigration)
 TEST(DdgArena, ViewSnapshotSurvivesSpanRelocation)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
+    const NodeId a = g.addNode(OpClass::IntAlu);
     std::vector<NodeId> sinks;
     for (int i = 0; i < 12; ++i)
-        sinks.push_back(g.addNode(OpClass::Store, "s" + std::to_string(i)));
+        sinks.push_back(g.addNode(OpClass::Store));
     const EdgeId first = g.addEdge(a, sinks[0], EdgeKind::RegFlow, 0);
 
     // Snapshot a's out-view with one edge, then grow a's span far
@@ -369,8 +365,8 @@ TEST(DdgArena, ViewsSurviveMutationsOfOtherNodes)
     // addNode/addReplica (node storage growth) and addEdge on other
     // nodes (arena growth, possibly relocating *their* spans) must
     // not perturb a's view.
-    const NodeId d = s.g.addNode(OpClass::IntAlu, "d");
-    const NodeId r = s.g.addReplica(s.b, ".r");
+    const NodeId d = s.g.addNode(OpClass::IntAlu);
+    const NodeId r = s.g.addReplica(s.b);
     for (int i = 0; i < 8; ++i)
         s.g.addEdge(s.b, d, EdgeKind::RegFlow, i);
     s.g.addEdge(s.b, r, EdgeKind::RegFlow, 0);
@@ -518,7 +514,7 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
                 const NodeId orig =
                     live_nodes[static_cast<std::size_t>(
                         rng.uniformInt(0, live_nodes.size() - 1))];
-                const NodeId r = g.addReplica(orig, ".r");
+                const NodeId r = g.addReplica(orig);
                 oracle.onNode();
                 live_nodes.push_back(r);
             } else if (op == 3 && live_nodes.size() > 4) { // removeNode
@@ -626,14 +622,13 @@ TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
     EXPECT_EQ(g.inEdges(hubs[2]).size(), 48u);
 }
 
-/** A graph's slot arrays and label arena, copied out for fromSlots. */
+/** A graph's slot arrays, copied out for fromSlots. */
 struct Slots
 {
     std::vector<DdgNode> nodes;
     std::vector<DdgEdge> edges;
-    std::string labels;
 
-    explicit Slots(const Ddg &g) : labels(g.labelArena())
+    explicit Slots(const Ddg &g)
     {
         for (NodeId n = 0; n < g.numNodeSlots(); ++n)
             nodes.push_back(g.node(n));
@@ -645,8 +640,7 @@ struct Slots
     {
         return Ddg::fromSlots(
             nodes.data(), static_cast<std::uint32_t>(nodes.size()),
-            edges.data(), static_cast<std::uint32_t>(edges.size()),
-            labels);
+            edges.data(), static_cast<std::uint32_t>(edges.size()));
     }
 };
 
@@ -665,7 +659,7 @@ TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
     }
 
     // Post-load mutations relocate the exactly-sized spans.
-    const NodeId d = loaded.addNode(OpClass::Store, "d");
+    const NodeId d = loaded.addNode(OpClass::Store);
     const EdgeId ad = loaded.addEdge(s.a, d, EdgeKind::RegFlow, 0);
     std::vector<EdgeId> out_a = loaded.outEdges(s.a).toVector();
     EXPECT_EQ(out_a.back(), ad);
@@ -683,7 +677,7 @@ TEST(DdgArena, CompactPreservesAdjacencyAndGeneration)
     // Heavy fan-out on one node forces repeated span relocations, so
     // the arena accumulates dead regions and slack.
     Ddg g;
-    const NodeId hub = g.addNode(OpClass::IntAlu, "hub");
+    const NodeId hub = g.addNode(OpClass::IntAlu);
     std::vector<NodeId> leaves;
     for (int i = 0; i < 37; ++i) {
         const NodeId leaf = g.addNode(OpClass::IntAlu);
@@ -722,161 +716,9 @@ TEST(DdgArena, CompactPreservesAdjacencyAndGeneration)
     EXPECT_EQ(g.generation(), stamp);
 
     // Growth from a span without slack relocates cleanly again.
-    const NodeId extra = g.addNode(OpClass::IntAlu, "extra");
+    const NodeId extra = g.addNode(OpClass::IntAlu);
     const EdgeId e = g.addEdge(hub, extra, EdgeKind::RegFlow, 0);
     EXPECT_EQ(g.outEdges(hub).toVector().back(), e);
-}
-
-// --- Label interning. -------------------------------------------------
-
-TEST(DdgLabels, AddReplicaSynthesizesSuffixIntoArena)
-{
-    Ddg g;
-    const NodeId a = g.addNode(OpClass::FpMul, "mul");
-    const NodeId r1 = g.addReplica(a, ".r1");
-    EXPECT_EQ(g.label(r1), "mul.r1");
-    EXPECT_TRUE(g.node(r1).isReplica);
-    EXPECT_EQ(g.node(r1).semanticId, a);
-
-    // Replica of a replica: the full synthesized label is the prefix,
-    // and the semantic id stays pinned to the original.
-    const NodeId r2 = g.addReplica(r1, ".r2");
-    EXPECT_EQ(g.label(r2), "mul.r1.r2");
-    EXPECT_EQ(g.node(r2).semanticId, a);
-
-    // Default labels synthesize as "n<id>".
-    const NodeId d = g.addNode(OpClass::Load);
-    EXPECT_EQ(g.label(d), "n" + std::to_string(d));
-}
-
-/** Heap allocations @p fn makes (counted via the global operator-new
- *  hook above). */
-template <typename Fn>
-std::size_t
-allocsDuring(Fn &&fn)
-{
-    g_new_calls.store(0, std::memory_order_relaxed);
-    g_count_news.store(true, std::memory_order_relaxed);
-    fn();
-    g_count_news.store(false, std::memory_order_relaxed);
-    return g_new_calls.load(std::memory_order_relaxed);
-}
-
-/** A chain of @p n nodes with long labels (defeats SSO) and edges. */
-Ddg
-labeledChain(int n)
-{
-    Ddg g;
-    NodeId prev = g.addNode(OpClass::Load, "head_0_long_label_bytes");
-    for (int i = 1; i < n; ++i) {
-        const NodeId next = g.addNode(
-            OpClass::IntAlu,
-            "chain_" + std::to_string(i) + "_long_label_bytes");
-        g.addEdge(prev, next, EdgeKind::RegFlow, 0);
-        prev = next;
-    }
-    return g;
-}
-
-TEST(DdgLabels, GraphCopyDoesNoPerNodeAllocation)
-{
-    // A copy shares all five arrays, so it allocates nothing at any
-    // size. Its first write clones only the arrays it writes, each as
-    // one flat buffer copy: labels live in one arena, so the count
-    // never scales with the node count as per-node strings would.
-    std::size_t first_write[2] = {};
-    const int sizes[2] = {16, 128};
-    for (int k = 0; k < 2; ++k) {
-        const Ddg g = labeledChain(sizes[k]);
-        std::optional<Ddg> copy;
-        EXPECT_EQ(allocsDuring([&] { copy.emplace(g); }), 0u)
-            << sizes[k] << "-node copy allocated";
-        EXPECT_EQ(copy->numNodes(), g.numNodes());
-        EXPECT_EQ(copy->labelArena(), g.labelArena());
-        first_write[k] = allocsDuring(
-            [&] { copy->addNode(OpClass::IntAlu, "tail"); });
-    }
-    EXPECT_EQ(first_write[0], first_write[1])
-        << "first-write allocations scale with graph size";
-    // addNode writes the node, slot and label arrays: one clone each.
-    EXPECT_GE(first_write[1], 1u) << "counting hook is not engaged";
-    EXPECT_LE(first_write[1], 3u);
-}
-
-TEST(DdgLabels, CompactDropsDeadNodeLabelBytes)
-{
-    Ddg g;
-    const NodeId a = g.addNode(OpClass::Load, "alpha_long_label_x");
-    const NodeId b = g.addNode(OpClass::IntAlu, "beta_long_label_yy");
-    const NodeId c = g.addNode(OpClass::Store, "gamma_long_label_z");
-    g.addEdge(a, c, EdgeKind::RegFlow, 0);
-
-    const std::size_t before = g.labelArena().size();
-    g.removeNode(b);
-    // Removal alone keeps the bytes (tombstoned slots still resolve).
-    EXPECT_EQ(g.labelArena().size(), before);
-    EXPECT_EQ(g.label(b), "beta_long_label_yy");
-
-    g.compact();
-    EXPECT_EQ(g.labelArena().size(),
-              std::string("alpha_long_label_x").size() +
-                  std::string("gamma_long_label_z").size());
-    EXPECT_EQ(g.label(a), "alpha_long_label_x");
-    EXPECT_EQ(g.label(c), "gamma_long_label_z");
-    EXPECT_EQ(g.label(b).size(), 0u) << "dead label survived compact";
-
-    // Idempotent: a second compact changes nothing.
-    g.compact();
-    EXPECT_EQ(g.label(a), "alpha_long_label_x");
-    EXPECT_EQ(g.label(c), "gamma_long_label_z");
-}
-
-TEST(DdgLabels, InterningIsAliasSafeAcrossArenaRealloc)
-{
-    // Views into the arena passed straight back into the graph
-    // (addNode labels, addReplica suffixes) must survive the arena
-    // reallocating mid-call. The oracle strings catch stale-pointer
-    // copies; under ASan a dangling read is a hard failure.
-    Ddg g;
-    std::vector<NodeId> ids;
-    std::vector<std::string> oracle;
-    ids.push_back(g.addNode(OpClass::IntAlu, "seed_label_0123456789"));
-    oracle.push_back("seed_label_0123456789");
-
-    for (int i = 0; i < 48; ++i) {
-        const NodeId prev = ids.back();
-        const std::string &prev_label = oracle.back();
-        NodeId n = -1;
-        std::string expect;
-        switch (i % 3) {
-        case 0:
-            // Self-alias: the label is a view into the arena that
-            // addNode itself appends to.
-            n = g.addNode(OpClass::Load, g.label(prev));
-            expect = prev_label;
-            break;
-        case 1:
-            // Suffix aliases the arena AND the first intern inside
-            // addReplica may reallocate it before the suffix is read.
-            n = g.addReplica(prev, g.label(ids.front()));
-            expect = prev_label + oracle.front();
-            break;
-        default:
-            // Growing owned suffix keeps forcing reallocations.
-            n = g.addReplica(
-                prev, "." + std::string(static_cast<std::size_t>(i),
-                                        'x'));
-            expect = prev_label + "." +
-                     std::string(static_cast<std::size_t>(i), 'x');
-            break;
-        }
-        ids.push_back(n);
-        oracle.push_back(expect);
-    }
-
-    ASSERT_EQ(ids.size(), oracle.size());
-    for (std::size_t k = 0; k < ids.size(); ++k)
-        EXPECT_EQ(g.label(ids[k]), oracle[k]) << "node " << ids[k];
 }
 
 // --- Bulk construction (fromSlots). ----------------------------------
@@ -893,8 +735,6 @@ expectDdgIdentical(const Ddg &a, const Ddg &b)
         const DdgNode &x = a.node(n);
         const DdgNode &y = b.node(n);
         EXPECT_EQ(x.cls, y.cls) << "node " << n;
-        EXPECT_EQ(x.labelLen, y.labelLen) << "node " << n;
-        EXPECT_EQ(a.label(n), b.label(n)) << "node " << n;
         EXPECT_EQ(x.semanticId, y.semanticId) << "node " << n;
         EXPECT_EQ(x.isReplica, y.isReplica) << "node " << n;
         EXPECT_EQ(x.isSpill, y.isSpill) << "node " << n;
@@ -940,8 +780,8 @@ everyFieldDdg()
         g.node(n).isSpill = n & 2;
         g.node(n).liveOut = n & 4;
     }
-    const NodeId ld = g.addNode(OpClass::Load, "ld");
-    const NodeId st = g.addNode(OpClass::Store, "st");
+    const NodeId ld = g.addNode(OpClass::Load);
+    const NodeId st = g.addNode(OpClass::Store);
     g.addEdge(ld, st, EdgeKind::RegFlow, 0);
     g.addEdge(st, ld, EdgeKind::Memory, 1, -32768);
     g.addEdge(ld, st, EdgeKind::Memory, 2, 32767);
@@ -960,11 +800,11 @@ TEST(DdgSlots, FromSlotsRebuildsEveryFieldExactly)
     Ddg history;
     {
         Ddg &g = history;
-        const NodeId a = g.addNode(OpClass::Load, "a");
-        const NodeId b = g.addNode(OpClass::IntAlu, "b");
-        const NodeId c = g.addNode(OpClass::FpMul, "c");
-        const NodeId d = g.addNode(OpClass::Store, "d");
-        const NodeId r = g.addReplica(b, ".r1");
+        const NodeId a = g.addNode(OpClass::Load);
+        const NodeId b = g.addNode(OpClass::IntAlu);
+        const NodeId c = g.addNode(OpClass::FpMul);
+        const NodeId d = g.addNode(OpClass::Store);
+        const NodeId r = g.addReplica(b);
         g.node(c).liveOut = true;
         g.node(a).isSpill = true;
         g.addEdge(a, b, EdgeKind::RegFlow, 0);
@@ -978,7 +818,7 @@ TEST(DdgSlots, FromSlotsRebuildsEveryFieldExactly)
     }
     // Spans that relocated many times while they grew.
     Ddg fan_out;
-    const NodeId hub = fan_out.addNode(OpClass::IntAlu, "hub");
+    const NodeId hub = fan_out.addNode(OpClass::IntAlu);
     for (int i = 0; i < 37; ++i)
         fan_out.addEdge(hub, fan_out.addNode(OpClass::IntAlu),
                         EdgeKind::RegFlow, 0);
@@ -1025,7 +865,6 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
     const char *in_node9 = "node record row 9";
     const char *in_edge1 = "edge record row 1";
     const char *in_edge2 = "edge record row 2";
-    const char *label_rule = "label slice outside the label arena";
     const char *endpoint_rule = "endpoint outside the node array";
     const Case cases[] = {
         {"op class one past the last",
@@ -1040,19 +879,6 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
         {"semantic id one past the last slot",
          [](Slots &s) { s.nodes[9].semanticId = 18; }, in_node9,
          "semantic id 18 outside the node array"},
-        {"label slice one byte past the arena",
-         [](Slots &s) {
-             s.nodes[9].labelOffset =
-                 static_cast<std::uint32_t>(s.labels.size());
-             s.nodes[9].labelLen = 1;
-         },
-         in_node9, label_rule},
-        {"label slice that wraps 32 bits",
-         [](Slots &s) {
-             s.nodes[9].labelOffset = UINT32_MAX;
-             s.nodes[9].labelLen = 2;
-         },
-         in_node9, label_rule},
         {"edge kind one past Spill",
          [](Slots &s) {
              s.edges[2].kind = static_cast<EdgeKind>(
@@ -1091,11 +917,61 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
 
 // --- Copy-on-write storage. -------------------------------------------
 
+/** Heap allocations @p fn makes (counted via the global operator-new
+ *  hook above). */
+template <typename Fn>
+std::size_t
+allocsDuring(Fn &&fn)
+{
+    g_new_calls.store(0, std::memory_order_relaxed);
+    g_count_news.store(true, std::memory_order_relaxed);
+    fn();
+    g_count_news.store(false, std::memory_order_relaxed);
+    return g_new_calls.load(std::memory_order_relaxed);
+}
+
+/** A load feeding a chain of @p n - 1 integer ops. */
+Ddg
+chain(int n)
+{
+    Ddg g;
+    NodeId prev = g.addNode(OpClass::Load);
+    for (int i = 1; i < n; ++i) {
+        const NodeId next = g.addNode(OpClass::IntAlu);
+        g.addEdge(prev, next, EdgeKind::RegFlow, 0);
+        prev = next;
+    }
+    return g;
+}
+
+TEST(DdgShared, GraphCopyDoesNoPerNodeAllocation)
+{
+    // A copy shares all four arrays, so it allocates nothing at any
+    // size. Its first write clones only the arrays it writes, each as
+    // one flat buffer copy, so the count never scales with the node
+    // count.
+    std::size_t first_write[2] = {};
+    const int sizes[2] = {16, 128};
+    for (int k = 0; k < 2; ++k) {
+        const Ddg g = chain(sizes[k]);
+        std::optional<Ddg> copy;
+        EXPECT_EQ(allocsDuring([&] { copy.emplace(g); }), 0u)
+            << sizes[k] << "-node copy allocated";
+        EXPECT_EQ(copy->numNodes(), g.numNodes());
+        first_write[k] = allocsDuring(
+            [&] { copy->addNode(OpClass::IntAlu); });
+    }
+    EXPECT_EQ(first_write[0], first_write[1])
+        << "first-write allocations scale with graph size";
+    // addNode writes the node and slot arrays: one clone each.
+    EXPECT_GE(first_write[1], 1u) << "counting hook is not engaged";
+    EXPECT_LE(first_write[1], 2u);
+}
+
 TEST(DdgShared, CopySharesStorage)
 {
-    const Ddg g = labeledChain(32);
+    const Ddg g = chain(32);
     const Ddg copy(g);
-    EXPECT_EQ(copy.labelArena().data(), g.labelArena().data());
     EXPECT_EQ(copy.inEdgesRaw(1).begin(), g.inEdgesRaw(1).begin());
     EXPECT_EQ(&copy.node(0), &g.node(0));
     EXPECT_EQ(&copy.edge(0), &g.edge(0));
@@ -1104,7 +980,7 @@ TEST(DdgShared, CopySharesStorage)
 
 TEST(DdgShared, FirstWriteClonesAndLeavesTheOtherSharerBitIdentical)
 {
-    Ddg a = labeledChain(24);
+    Ddg a = chain(24);
     const Ddg &ca = a; // reads that must not clone
     const std::string image = imageOf(a);
 
@@ -1117,14 +993,14 @@ TEST(DdgShared, FirstWriteClonesAndLeavesTheOtherSharerBitIdentical)
     EXPECT_EQ(cb.inEdgesRaw(2).begin(), ca.inEdgesRaw(2).begin());
     b.addEdge(0, 5, EdgeKind::RegFlow, 1);
     b.removeNode(7);
-    b.addReplica(2, ".r");
+    b.addReplica(2);
     b.compact();
     EXPECT_EQ(imageOf(a), image);
     EXPECT_NE(imageOf(b), image);
 
     // Writes to the original: the copy keeps the old bytes.
     const Ddg c(a);
-    a.addNode(OpClass::Store, "tail");
+    a.addNode(OpClass::Store);
     a.addEdge(4, 24, EdgeKind::RegFlow, 0);
     a.removeEdge(0);
     a.node(1).isSpill = true;
@@ -1137,14 +1013,13 @@ TEST(DdgShared, FirstWriteClonesAndLeavesTheOtherSharerBitIdentical)
     d.bumpGeneration();
     EXPECT_NE(d.generation(), c.generation());
     EXPECT_EQ(&std::as_const(d).node(0), &c.node(0));
-    EXPECT_EQ(d.labelArena().data(), c.labelArena().data());
 }
 
 TEST(DdgShared, ViewsFollowTheCloneAndOutliveTheOtherSharer)
 {
     // Under ASan a view left pointing into the pre-clone storage reads
     // freed memory once the other sharer is gone.
-    Ddg g = labeledChain(16);
+    Ddg g = chain(16);
     auto other = std::make_unique<Ddg>(g);
     const LiveAdjRange out = g.outEdges(2);
     const FlowNeighborRange succs = g.flowSuccs(2);
@@ -1153,7 +1028,7 @@ TEST(DdgShared, ViewsFollowTheCloneAndOutliveTheOtherSharer)
     const std::vector<EdgeId> out_before = out.toVector();
 
     g.node(9).liveOut = true;
-    const NodeId x = g.addNode(OpClass::Store, "x");
+    const NodeId x = g.addNode(OpClass::Store);
     g.addEdge(5, x, EdgeKind::RegFlow, 0);
     g.removeEdge(g.inEdgesRaw(12)[0]);
     other.reset();
@@ -1169,7 +1044,7 @@ TEST(DdgShared, ConcurrentCopiesAreRaceFree)
 {
     // The pool's workers copy one client graph at once, and a write
     // to a copy clones from storage the other threads are copying.
-    Ddg g = labeledChain(64);
+    Ddg g = chain(64);
     const std::string image = imageOf(g);
     std::atomic<int> wrong{0};
     std::vector<std::thread> pool;
@@ -1182,7 +1057,7 @@ TEST(DdgShared, ConcurrentCopiesAreRaceFree)
                     copy.addEdge(0, 1 + i % 63, EdgeKind::RegFlow, 1);
                 }
                 if (copy.numNodes() != 64 ||
-                    copy.label(63) != std::as_const(g).label(63))
+                    std::as_const(copy).node(63).cls != OpClass::IntAlu)
                     wrong.fetch_add(1);
             }
         });

@@ -164,7 +164,7 @@ TEST(Incremental, CommInfoUpdateHandlesGraphEdits)
     EXPECT_EQ(inc.count(), 1); // a -> x crosses clusters
 
     // Replicate a into cluster 1 and rewire x to it.
-    const NodeId r = g.addReplica(a, ".r1");
+    const NodeId r = g.addReplica(a);
     assign.resize(g.numNodeSlots(), -1);
     assign[r] = 1;
     for (EdgeId eid : g.inEdges(x).toVector()) {

@@ -78,11 +78,11 @@ TEST(Kernel, StageTagsMatchStartCycles)
     // The store starts late: its stage tag must be > 0.
     const int st_start = r.schedule.start[b.id("st")];
     const int phase = st_start % r.ii;
+    const std::string st = "n" + std::to_string(b.id("st"));
     bool found = false;
     for (const std::string &cell : kv.ops(phase, 0)) {
-        if (cell.rfind("st/", 0) == 0) {
-            EXPECT_EQ(cell,
-                      "st/s" + std::to_string(st_start / r.ii));
+        if (cell.rfind(st + "/", 0) == 0) {
+            EXPECT_EQ(cell, st + "/s" + std::to_string(st_start / r.ii));
             found = true;
         }
     }

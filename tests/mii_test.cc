@@ -78,8 +78,8 @@ TEST(Mii, ResourceDominated)
 TEST(Mii, CopiesAreIgnored)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId c = g.addNode(OpClass::Copy, "a.copy");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId c = g.addNode(OpClass::Copy);
     g.addEdge(a, c, EdgeKind::RegFlow, 0);
     EXPECT_EQ(resourceMii(g, MachineConfig::fromString("2c1b2l64r")),
               1);

@@ -33,7 +33,7 @@ TEST(Dot, ContainsNodesEdgesAndClusters)
     writeDot(os, g, {0, 1, 0});
     const std::string out = os.str();
     EXPECT_NE(out.find("digraph"), std::string::npos);
-    EXPECT_NE(out.find("ld"), std::string::npos);
+    EXPECT_NE(out.find("label=\"n0\\nload\""), std::string::npos);
     EXPECT_NE(out.find("style=dashed"), std::string::npos); // mem edge
     EXPECT_NE(out.find("color=red"), std::string::npos); // carried
     EXPECT_NE(out.find("fillcolor"), std::string::npos); // clusters
@@ -42,8 +42,8 @@ TEST(Dot, ContainsNodesEdgesAndClusters)
 TEST(Dot, MarksReplicas)
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    g.addReplica(a, ".r1");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    g.addReplica(a);
     std::ostringstream os;
     writeDot(os, g);
     EXPECT_NE(os.str().find("peripheries=2"), std::string::npos);

@@ -186,6 +186,25 @@ TEST(Pipeline, InputGraphIsAnalysedOncePerCompile)
     EXPECT_GT(checked, 0);
 }
 
+TEST(Pipeline, UnifiedCompileAnalysesItsInputOnce)
+{
+    // A unified machine schedules an unmodified copy of the input, so
+    // without spill code the input's analysis serves every attempt.
+    const auto m = MachineConfig::unified();
+    int checked = 0;
+    for (const Loop &loop : buildBenchmark("tomcatv")) {
+        CompileCaches caches;
+        const auto r = compile(loop.ddg, m, {}, &caches);
+        ASSERT_TRUE(r.ok);
+        if (r.spills > 0)
+            continue;
+        SCOPED_TRACE(loop.name());
+        EXPECT_EQ(r.telemetry.analysisRuns, 1u);
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
+}
+
 TEST(Pipeline, HugeFlowDistanceGivesUpAtMaxIi)
 {
     // The load's value is read 2^26 iterations later, so it lives
@@ -371,14 +390,13 @@ TEST(Pipeline, Figure1CausesAreTracked)
 
 /**
  * Do two graphs read the same storage? Compared through const
- * accessors, which never clone: the node, edge and label arrays and
- * the adjacency arena (through node 1's in-span).
+ * accessors, which never clone: the node and edge arrays and the
+ * adjacency arena (through node 1's in-span).
  */
 bool
 sameStorage(const Ddg &a, const Ddg &b)
 {
     return &a.node(0) == &b.node(0) && &a.edge(0) == &b.edge(0) &&
-           a.labelArena().data() == b.labelArena().data() &&
            a.inEdgesRaw(1).begin() == b.inEdgesRaw(1).begin();
 }
 
@@ -421,7 +439,6 @@ TEST(Pipeline, ResultGraphWithCopiesDoesNotAliasTheInput)
     ASSERT_TRUE(r.finalDdg.hasCopies());
     EXPECT_NE(&r.finalDdg.node(0), &in.node(0));
     EXPECT_NE(&r.finalDdg.edge(0), &in.edge(0));
-    EXPECT_NE(r.finalDdg.labelArena().data(), in.labelArena().data());
     EXPECT_NE(r.finalDdg.inEdgesRaw(1).begin(), in.inEdgesRaw(1).begin());
     EXPECT_FALSE(in.hasCopies()) << "the input was written";
 }
@@ -431,8 +448,8 @@ Ddg
 zeroDistanceCycle()
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
     g.addEdge(a, b, EdgeKind::RegFlow, 0);
     g.addEdge(b, a, EdgeKind::RegFlow, 0);
     return g;
@@ -447,8 +464,8 @@ TEST(Pipeline, ZeroDistanceCycleThrowsInvalidInput)
 
     // The same loop with the back edge loop-carried compiles.
     Ddg ok;
-    const NodeId a = ok.addNode(OpClass::IntAlu, "a");
-    const NodeId b = ok.addNode(OpClass::IntAlu, "b");
+    const NodeId a = ok.addNode(OpClass::IntAlu);
+    const NodeId b = ok.addNode(OpClass::IntAlu);
     ok.addEdge(a, b, EdgeKind::RegFlow, 0);
     ok.addEdge(b, a, EdgeKind::RegFlow, 1);
     EXPECT_TRUE(compile(ok, m).ok);

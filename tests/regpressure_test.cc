@@ -71,9 +71,9 @@ TEST(MaxLive, LoopCarriedUseExtendsLifetime)
 TEST(MaxLive, CopyCreatesRemotePressureOnly)
 {
     Ddg g;
-    const NodeId prod = g.addNode(OpClass::IntAlu, "p");
-    const NodeId copy = g.addNode(OpClass::Copy, "p.copy");
-    const NodeId cons = g.addNode(OpClass::IntAlu, "w");
+    const NodeId prod = g.addNode(OpClass::IntAlu);
+    const NodeId copy = g.addNode(OpClass::Copy);
+    const NodeId cons = g.addNode(OpClass::IntAlu);
     g.addEdge(prod, copy, EdgeKind::RegFlow, 0);
     g.addEdge(copy, cons, EdgeKind::RegFlow, 0);
     const auto m = MachineConfig::fromString("2c1b2l64r"); // bus lat 2

@@ -77,8 +77,8 @@ Ddg
 zeroDistanceCycle()
 {
     Ddg g;
-    const NodeId a = g.addNode(OpClass::IntAlu, "a");
-    const NodeId b = g.addNode(OpClass::IntAlu, "b");
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
     g.addEdge(a, b, EdgeKind::RegFlow, 0);
     g.addEdge(b, a, EdgeKind::RegFlow, 0);
     return g;

@@ -116,6 +116,12 @@ TEST(Simulator, DetectsWrongOperandWiring)
 
     const auto rep = simulate(tampered, m, part, s, original);
     EXPECT_FALSE(rep.ok);
+    // The scheduled node and the original it must match, named n<id>.
+    ASSERT_FALSE(rep.errors.empty());
+    const std::string w = "n" + std::to_string(b.id("w"));
+    EXPECT_EQ(rep.errors[0].rfind(w + "@", 0), 0u) << rep.errors[0];
+    EXPECT_NE(rep.errors[0].find("original " + w), std::string::npos)
+        << rep.errors[0];
 }
 
 TEST(Simulator, DetectsWrongDistance)

@@ -76,10 +76,10 @@ TEST(Subgraph, ExistingInstancesNotRequired)
     const auto comms = findCommunications(ex.ddg, ex.part.vec());
     ReplicaIndex index(ex.ddg, ex.part);
     // Pretend A already has replicas everywhere (as after S_E).
-    const NodeId fake1 = ex.ddg.addReplica(ex.id("A"), ".r1");
+    const NodeId fake1 = ex.ddg.addReplica(ex.id("A"));
     ex.part.assign(fake1, 1);
     index.addInstance(ex.id("A"), 1, fake1);
-    const NodeId fake3 = ex.ddg.addReplica(ex.id("A"), ".r3");
+    const NodeId fake3 = ex.ddg.addReplica(ex.id("A"));
     ex.part.assign(fake3, 3);
     index.addInstance(ex.id("A"), 3, fake3);
 
