@@ -314,7 +314,7 @@ BM_TraceOverhead(benchmark::State &state)
         benchmark::DoNotOptimize(service.compileSuite(loops, m));
         const auto t2 = Clock::now();
         trace::disarm();
-        trace::clear(); // pool is idle: no open spans
+        trace::clear(); // keep one sweep's events at a time
         disarmed_ms +=
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         armed_ms +=

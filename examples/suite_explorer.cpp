@@ -6,10 +6,12 @@
  *
  * Usage: suite_explorer [benchmark] [config ...]
  *   benchmark defaults to su2cor; configs default to the paper's
- *   six plus "unified".
+ *   six plus "unified". An unknown benchmark or a malformed config
+ *   name prints the error and exits 1.
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,7 @@ using namespace cvliw;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string bench = argc > 1 ? argv[1] : "su2cor";
     std::vector<std::string> configs;
     for (int i = 2; i < argc; ++i)
@@ -73,4 +75,7 @@ main(int argc, char **argv)
                  "communications eliminated; +insns = dynamic "
                  "instruction increase from replicas.\n";
     return 0;
+} catch (const std::invalid_argument &err) {
+    std::cerr << "suite_explorer: " << err.what() << "\n";
+    return 1;
 }

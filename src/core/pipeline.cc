@@ -66,17 +66,6 @@ clusterCapacityOk(const Ddg &ddg, const MachineConfig &mach,
 namespace
 {
 
-using PhaseClock = std::chrono::steady_clock;
-
-/** Milliseconds elapsed since @p t0. */
-double
-msSince(PhaseClock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               PhaseClock::now() - t0)
-        .count();
-}
-
 /**
  * The pipeline proper. The public compile(..., caches) below wraps
  * it with the default caches.
@@ -87,7 +76,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
 {
     // Telemetry baselines: the caches' counters are lifetime-monotone,
     // so this compile's share is a difference.
-    const PhaseClock::time_point t_compile = PhaseClock::now();
+    const auto t_compile = std::chrono::steady_clock::now();
     const std::uint64_t probes0 = caches.pseudo.probeCount();
     const std::uint64_t commits0 = caches.pseudo.commitCount();
     const std::uint64_t asap0 = caches.pseudo.asapRunCount();
@@ -131,7 +120,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         result.telemetry.widthSweeps =
             caches.pseudo.widthSweepCount() - sweeps0;
         result.telemetry.analysisRuns = analysis_runs() - analyses0;
-        result.telemetry.totalMs = msSince(t_compile);
+        result.telemetry.totalMs =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - t_compile)
+                .count();
     };
 
     // One scratch across the initial partition and every per-II
@@ -141,11 +133,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
 
     PartitionResult pr;
     {
-        trace::TraceSpan span("pipeline", "partition");
-        const PhaseClock::time_point t0 = PhaseClock::now();
+        trace::TraceSpan span("pipeline", "partition",
+                              &result.telemetry.partitionMs);
         pr = multilevelPartition(original, mach, result.mii,
                                  &pseudo_scratch);
-        result.telemetry.partitionMs += msSince(t0);
     }
 
     SchedulerOptions sched_opts;
@@ -166,12 +157,11 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         ++result.telemetry.iiAttempts;
         if (ii > result.mii) {
             // Figure 2: more slots per cluster, so refine.
-            trace::TraceSpan span("pipeline", "refine");
-            const PhaseClock::time_point t0 = PhaseClock::now();
+            trace::TraceSpan span("pipeline", "refine",
+                                  &result.telemetry.partitionMs);
             pr.partition = refinePartition(original, mach,
                                            pr.partition, ii,
                                            &pseudo_scratch);
-            result.telemetry.partitionMs += msSince(t0);
         }
 
         Ddg work = original;
@@ -185,12 +175,11 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         if (!mach.isUnified()) {
             bool repl_ok = true;
             if (opts.replication) {
-                trace::TraceSpan span("pipeline", "replicate");
-                const PhaseClock::time_point t0 = PhaseClock::now();
+                trace::TraceSpan span("pipeline", "replicate",
+                                      &result.telemetry.replicationMs);
                 repl_ok = reduceCommunications(
                     work, part, mach, ii, &rstats, opts.mode,
                     &pr.hierarchy, &caches.subgraph);
-                result.telemetry.replicationMs += msSince(t0);
                 result.telemetry.replicationRounds +=
                     static_cast<std::uint32_t>(
                         rstats.roundsConsidered);
@@ -239,10 +228,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         }
 
         insertCopies(work, part, mach);
-        const PhaseClock::time_point t_sched = PhaseClock::now();
         ScheduleAttempt attempt;
         {
-            trace::TraceSpan span("pipeline", "schedule");
+            trace::TraceSpan span("pipeline", "schedule",
+                                  &result.telemetry.scheduleMs);
             attempt = scheduleAtIi(work, mach, part, ii, sched_opts,
                                    &sched_cache);
         }
@@ -257,16 +246,16 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         while (!attempt.ok &&
                attempt.cause == FailCause::Registers &&
                spills_done < spill_budget) {
+            trace::TraceSpan span("pipeline", "spill_retry",
+                                  &result.telemetry.scheduleMs);
             if (!spillOneValue(work, part, mach, attempt.sched)) {
                 nothing_to_spill = true;
                 break;
             }
             ++spills_done;
-            trace::TraceSpan span("pipeline", "spill_retry");
             attempt = scheduleAtIi(work, mach, part, ii, sched_opts,
                                    &sched_cache);
         }
-        result.telemetry.scheduleMs += msSince(t_sched);
         result.telemetry.spillRetries +=
             static_cast<std::uint32_t>(spills_done);
 

@@ -86,7 +86,10 @@ struct PipelineOptions
  * any cache state (analysisRuns, which counts memo misses: with caches
  * that have not analysed this graph yet) - pinned by
  * tests/trace_test.cc. The *Ms fields are wall-clock phase
- * attributions and naturally vary run to run.
+ * attributions and naturally vary run to run: each phase is one kind
+ * of trace span (support/trace.hh) that adds its duration to its
+ * field, armed or not, so an armed trace's spans sum to the fields
+ * exactly.
  *
  * Telemetry is deliberately NOT part of the result digest
  * (eval/digest.hh).
@@ -130,9 +133,9 @@ struct CompileTelemetry
 
     // Wall-clock phase attribution (steady_clock, milliseconds).
     double totalMs = 0.0;       //!< compile entry to return
-    double partitionMs = 0.0;   //!< initial partition + per-II refinement
-    double replicationMs = 0.0; //!< reduceCommunications
-    double scheduleMs = 0.0;    //!< scheduleAtIi attempts + spill retries
+    double partitionMs = 0.0;   //!< `partition` + `refine` spans
+    double replicationMs = 0.0; //!< `replicate` spans
+    double scheduleMs = 0.0;    //!< `schedule` + `spill_retry` spans
 };
 
 /** Everything the pipeline produced for one loop. */
@@ -224,13 +227,16 @@ struct CompileCaches
  *    any throwing compile, since a throw may have unwound a memo
  *    mid-update.
  *
- * A graph whose distance-0 edges close a cycle throws InvalidInput
- * once its analysis, the first step of a compile, shows the cycle;
- * no pass has run yet. Otherwise compile never throws for
- * policy reasons: an infeasible job returns `ok == false`, and
- * `maxIi` bounds the II search; what else can escape is
- * `std::bad_alloc`. `CompileService` turns any throw into a `Failed`
- * job outcome; direct callers own the catch.
+ * Bad input throws before any pass has run. A graph whose distance-0
+ * edges close a cycle throws InvalidInput once its analysis, the
+ * first step of a compile, shows the cycle. A machine with no unit of
+ * a kind the loop needs (say, no memory port for a load) throws
+ * `std::invalid_argument` from `resourceMii`. Otherwise compile never
+ * throws for policy reasons: an infeasible job returns `ok == false`,
+ * and `maxIi` bounds the II search; what else can escape is
+ * `std::bad_alloc`. No compile ends the process on bad input.
+ * `CompileService` turns any throw into a `Failed` job outcome;
+ * direct callers own the catch.
  */
 CompileResult compile(const Ddg &original, const MachineConfig &mach,
                       const PipelineOptions &opts = {},

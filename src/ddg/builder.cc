@@ -1,6 +1,6 @@
 #include "ddg/builder.hh"
 
-#include "support/logging.hh"
+#include <stdexcept>
 
 namespace cvliw
 {
@@ -10,7 +10,7 @@ DdgBuilder::op(const std::string &name, OpClass cls,
                std::initializer_list<std::string> operands)
 {
     if (byName_.count(name))
-        cv_fatal("duplicate node name '", name, "'");
+        throw std::invalid_argument("duplicate node name '" + name + "'");
     NodeId n = ddg_.addNode(cls);
     byName_[name] = n;
     for (const auto &src : operands)
@@ -44,7 +44,7 @@ DdgBuilder::id(const std::string &name) const
 {
     auto it = byName_.find(name);
     if (it == byName_.end())
-        cv_fatal("unknown node name '", name, "'");
+        throw std::invalid_argument("unknown node name '" + name + "'");
     return it->second;
 }
 

@@ -30,7 +30,8 @@ class DdgBuilder
   public:
     /**
      * Add an operation consuming the named @p operands through
-     * distance-0 flow edges.
+     * distance-0 flow edges. A duplicate @p name throws
+     * std::invalid_argument.
      */
     NodeId op(const std::string &name, OpClass cls,
               std::initializer_list<std::string> operands = {});
@@ -46,7 +47,7 @@ class DdgBuilder
     /** Mark a named node as live-out (consumed after the loop). */
     void liveOut(const std::string &name);
 
-    /** Look up a node by name (fatal when missing). */
+    /** Look up a node by name (std::invalid_argument when missing). */
     NodeId id(const std::string &name) const;
 
     /** Access the graph being built. */

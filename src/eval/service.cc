@@ -30,10 +30,8 @@ runJob(const CompileService::Job &job, std::size_t i,
        CompileService::BatchResult &out)
 {
     trace::TraceSpan span("service", "job");
-    if (span.active()) {
-        span.arg("batch", static_cast<long long>(batch));
-        span.arg("job", static_cast<long long>(i));
-    }
+    span.arg("batch", static_cast<long long>(batch));
+    span.arg("job", static_cast<long long>(i));
     JobOutcome outcome = JobOutcome::Ok;
     std::string error;
     CompileResult res;

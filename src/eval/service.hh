@@ -18,9 +18,10 @@
  * ## Outcomes
  *
  * Every job ends in exactly one `JobOutcome`. `Failed` carries the
- * text of whatever the compile threw (an `InvalidInput` graph, or
- * `std::bad_alloc`; a failed `cv_assert` aborts the process and never
- * gets here). A non-Ok slot holds a default `CompileResult`
+ * text of whatever the compile threw: an `InvalidInput` graph, a
+ * `std::invalid_argument` machine that lacks a unit kind the loop
+ * needs, or `std::bad_alloc` (a failed `cv_assert` aborts the process
+ * and never gets here). A non-Ok slot holds a default `CompileResult`
  * (`ok == false`): partial work is discarded, and the worker that
  * caught the throw rebuilds its `CompileCaches` before its next job
  * (quarantine), so a throw that unwound through a memo mid-update

@@ -1,6 +1,7 @@
 #include "machine/config.hh"
 
 #include <atomic>
+#include <stdexcept>
 
 #include "support/logging.hh"
 #include "support/strutil.hh"
@@ -21,19 +22,36 @@ namespace
 {
 
 /**
- * Reject cluster and bus counts above MachineConfig::maxUnits: every
- * id must fit the one-byte arrays of partitions and schedules.
+ * Reject a machine without clusters, cluster and bus counts above
+ * MachineConfig::maxUnits (every id must fit the one-byte arrays of
+ * partitions and schedules), several clusters without a bus, and
+ * registers that do not split evenly over the clusters.
  */
 void
-checkUnitCounts(int clusters, int buses)
+checkCounts(int clusters, int buses, int regs)
 {
+    if (clusters < 1)
+        throw std::invalid_argument("need at least one cluster");
     if (clusters > MachineConfig::maxUnits)
-        cv_fatal("cluster count ", clusters, " exceeds the limit of ",
-                 MachineConfig::maxUnits);
+        throw std::invalid_argument(
+            detail::concat("cluster count ", clusters,
+                           " exceeds the limit of ",
+                           MachineConfig::maxUnits));
     if (buses > MachineConfig::maxUnits)
-        cv_fatal("bus count ", buses, " exceeds the limit of ",
-                 MachineConfig::maxUnits);
+        throw std::invalid_argument(
+            detail::concat("bus count ", buses, " exceeds the limit of ",
+                           MachineConfig::maxUnits));
+    if (clusters > 1 && buses < 1)
+        throw std::invalid_argument("clustered machine needs >=1 bus");
+    if (regs % clusters != 0)
+        throw std::invalid_argument(
+            detail::concat("registers (", regs,
+                           ") not divisible by clusters (", clusters,
+                           ")"));
 }
+
+/** Longest number a machine name may hold: std::stoi never overflows. */
+constexpr std::size_t kMaxDigits = 9;
 
 /** Fill the latency table with Table-1 defaults. */
 void
@@ -57,13 +75,14 @@ MachineConfig::fromString(const std::string &name)
             return unified();
         if (rest.back() == 'r') {
             std::string digits = rest.substr(0, rest.size() - 1);
-            if (allDigits(digits))
+            if (allDigits(digits) && digits.size() <= kMaxDigits)
                 return unified(std::stoi(digits));
         }
-        cv_fatal("bad unified machine name '", name, "'");
+        throw std::invalid_argument("bad unified machine name '" +
+                                    name + "'");
     }
 
-    // wcxbylzr, each field an unsigned integer.
+    // wcxbylzr, each field an unsigned integer that fits an int.
     int fields[4];
     const char letters[4] = {'c', 'b', 'l', 'r'};
     std::size_t pos = 0;
@@ -73,31 +92,31 @@ MachineConfig::fromString(const std::string &name)
                std::isdigit(static_cast<unsigned char>(name[pos]))) {
             ++pos;
         }
-        if (start == pos || pos >= name.size() || name[pos] != letters[f])
-            cv_fatal("bad machine name '", name,
-                     "'; expected wcxbylzr, e.g. 4c2b4l64r");
+        if (start == pos || pos - start > kMaxDigits ||
+            pos >= name.size() || name[pos] != letters[f])
+            throw std::invalid_argument(
+                "bad machine name '" + name +
+                "'; expected wcxbylzr, e.g. 4c2b4l64r");
         fields[f] = std::stoi(name.substr(start, pos - start));
         ++pos;
     }
     if (pos != name.size())
-        cv_fatal("trailing characters in machine name '", name, "'");
+        throw std::invalid_argument(
+            "trailing characters in machine name '" + name + "'");
     return clustered(fields[0], fields[1], fields[2], fields[3]);
 }
 
 MachineConfig
 MachineConfig::clustered(int clusters, int buses, int bus_lat, int regs)
 {
-    if (clusters < 1)
-        cv_fatal("need at least one cluster");
-    checkUnitCounts(clusters, buses);
-    if (clusters > 1 && (buses < 1 || bus_lat < 1))
-        cv_fatal("clustered machine needs >=1 bus of latency >=1");
+    checkCounts(clusters, buses, regs);
+    if (clusters > 1 && bus_lat < 1)
+        throw std::invalid_argument(
+            "clustered machine needs >=1 bus of latency >=1");
     if (4 % clusters != 0)
-        cv_fatal("cluster count ", clusters,
-                 " does not evenly divide the 12-wide machine");
-    if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+        throw std::invalid_argument(
+            detail::concat("cluster count ", clusters,
+                           " does not evenly divide the 12-wide machine"));
 
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
@@ -122,11 +141,8 @@ MachineConfig::universal(int clusters, int fus_per_cluster, int buses,
                          int bus_lat, int regs)
 {
     if (clusters < 1 || fus_per_cluster < 1)
-        cv_fatal("bad universal machine shape");
-    checkUnitCounts(clusters, buses);
-    if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+        throw std::invalid_argument("bad universal machine shape");
+    checkCounts(clusters, buses, regs);
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
     cfg.numBuses_ = clusters == 1 ? 0 : buses;
@@ -142,12 +158,7 @@ MachineConfig
 MachineConfig::custom(int clusters, ClusterResources res, int buses,
                       int bus_lat, int regs)
 {
-    if (clusters < 1)
-        cv_fatal("need at least one cluster");
-    checkUnitCounts(clusters, buses);
-    if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+    checkCounts(clusters, buses, regs);
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
     cfg.numBuses_ = clusters == 1 ? 0 : buses;
@@ -200,7 +211,7 @@ void
 MachineConfig::setLatency(OpClass cls, int cycles)
 {
     if (cycles < 1)
-        cv_fatal("latency must be >= 1");
+        throw std::invalid_argument("latency must be >= 1");
     latency_[static_cast<std::size_t>(cls)] = cycles;
     // The override changes analysis-relevant behaviour without
     // changing name(); re-stamp so caches see a different machine.

@@ -37,6 +37,8 @@ struct ClusterResources
  * Immutable description of a target machine. All clusters are
  * homogeneous (section 2.1); the register file is partitioned evenly
  * across clusters; buses broadcast a copied value to every cluster.
+ * The factories, fromString() and setLatency() throw
+ * std::invalid_argument for a bad name, shape or latency.
  */
 class MachineConfig
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "ddg/analysis.hh"
 #include "support/logging.hh"
@@ -29,8 +30,9 @@ resourceMii(const Ddg &ddg, const MachineConfig &mach)
         const auto kind = static_cast<ResourceKind>(k);
         const int total = mach.available(kind) * mach.numClusters();
         if (total == 0)
-            cv_fatal("machine has no ", toString(kind),
-                     " units but the loop needs them");
+            throw std::invalid_argument(
+                detail::concat("machine has no ", toString(kind),
+                               " units but the loop needs them"));
         mii = std::max(mii, (uses[k] + total - 1) / total);
     }
     return mii;

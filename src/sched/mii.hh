@@ -18,7 +18,8 @@ namespace cvliw
  * Resource-constrained MII: for each resource kind, the number of
  * operations using it divided by the machine-wide unit count (all
  * clusters pooled — the tightest machine-independent-of-partition
- * bound), rounded up. At least 1.
+ * bound), rounded up. At least 1. Throws std::invalid_argument when
+ * the machine has no unit of a kind the loop needs.
  */
 int resourceMii(const Ddg &ddg, const MachineConfig &mach);
 

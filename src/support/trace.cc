@@ -1,13 +1,10 @@
 #include "support/trace.hh"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string_view>
@@ -21,20 +18,9 @@ namespace trace
 
 namespace detail
 {
+
 std::atomic<bool> armedFlag{false};
-} // namespace detail
 
-namespace
-{
-
-/**
- * Per-thread event cap: past this, events are dropped and counted.
- * Bounds armed-mode memory (~100 MB/thread worst case) without ever
- * blocking the traced thread.
- */
-constexpr std::size_t kMaxEventsPerThread = std::size_t(1) << 19;
-
-/** Nanoseconds since the process trace epoch (first use pins it). */
 std::uint64_t
 nowNs()
 {
@@ -45,28 +31,6 @@ nowNs()
             .count());
 }
 
-} // namespace
-
-namespace detail
-{
-
-struct Event
-{
-    const char *cat = nullptr;
-    const char *name = nullptr;
-    std::uint64_t t0 = 0;
-    std::uint64_t t1 = 0;
-    bool open = false;
-
-    struct Arg
-    {
-        const char *key = nullptr;
-        long long vi = 0;
-    };
-    std::array<Arg, 3> args;
-    int nargs = 0;
-};
-
 } // namespace detail
 
 namespace
@@ -74,54 +38,34 @@ namespace
 
 using detail::Event;
 
-/**
- * One thread's append-only event buffer. std::deque keeps element
- * addresses stable across push_back, so open spans hold raw Event
- * pointers. The mutex serializes the owning thread's appends against
- * snapshot/export readers; traced threads never contend with each
- * other.
- */
-struct ThreadLog
-{
-    std::mutex mutex;
-    std::uint32_t tid = 0;
-    std::deque<Event> events;
-    std::uint64_t dropped = 0;
-};
+/** Events the buffer holds; later ones are dropped. */
+constexpr std::size_t kMaxEvents = std::size_t(1) << 20;
 
-struct Registry
+/** The process's closed spans, and where to write them at exit. */
+struct Buffer
 {
     std::mutex mutex;
-    std::vector<std::shared_ptr<ThreadLog>> logs;
+    std::vector<Event> events;
     std::string path;
-    std::uint32_t nextTid = 1;
     bool exitWriterRegistered = false;
 };
 
 /** Leaked on purpose: immortal, safe from any static destructor. */
-Registry &
-registry()
+Buffer &
+buffer()
 {
-    static Registry *r = new Registry;
-    return *r;
+    static Buffer *b = new Buffer;
+    return *b;
 }
 
-thread_local std::shared_ptr<ThreadLog> tlsHolder;
-thread_local ThreadLog *tlsLog = nullptr;
-
-ThreadLog *
-threadLog()
+/** This thread's small id: 1-based, in order of first closed span. */
+std::uint32_t
+threadId()
 {
-    if (!tlsLog) {
-        auto log = std::make_shared<ThreadLog>();
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        log->tid = reg.nextTid++;
-        reg.logs.push_back(log);
-        tlsHolder = log;
-        tlsLog = log.get();
-    }
-    return tlsLog;
+    static std::atomic<std::uint32_t> next{1};
+    thread_local const std::uint32_t tid =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return tid;
 }
 
 void
@@ -129,12 +73,11 @@ writeAtExit()
 {
     std::string path;
     {
-        Registry &reg = registry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        path = reg.path;
+        Buffer &buf = buffer();
+        std::lock_guard<std::mutex> lock(buf.mutex);
+        path = buf.path;
     }
-    if (!path.empty())
-        writeJson(path);
+    writeJson(path);
 }
 
 /** Append a JSON string literal with the minimal required escapes. */
@@ -173,64 +116,39 @@ const bool envArmed = [] {
 
 } // namespace
 
-namespace detail
+void
+TraceSpan::close()
 {
-
-Event *
-beginSpan(const char *cat, const char *name)
-{
-    ThreadLog *log = threadLog();
-    std::lock_guard<std::mutex> lock(log->mutex);
-    if (log->events.size() >= kMaxEventsPerThread) {
-        ++log->dropped;
-        return nullptr;
+    ev_.endNs = detail::nowNs();
+    if (ms_)
+        *ms_ += toMs(ev_.endNs - ev_.startNs);
+    if (!recording_)
+        return;
+    ev_.tid = threadId();
+    Buffer &buf = buffer();
+    {
+        std::lock_guard<std::mutex> lock(buf.mutex);
+        if (buf.events.size() < kMaxEvents) {
+            buf.events.push_back(ev_);
+            return;
+        }
     }
-    log->events.emplace_back();
-    Event &ev = log->events.back();
-    ev.cat = cat;
-    ev.name = name;
-    ev.t0 = nowNs();
-    ev.open = true;
-    return &ev;
+    cv_warn_once("trace: buffer full at ", kMaxEvents,
+                 " events; later spans are dropped");
 }
-
-void
-endSpan(Event *ev)
-{
-    if (!ev)
-        return;
-    // Spans are stack-scoped: destruction runs on the thread that
-    // created the event, so tlsLog is this event's owning log.
-    std::lock_guard<std::mutex> lock(tlsLog->mutex);
-    ev->t1 = nowNs();
-    ev->open = false;
-}
-
-void
-spanArg(Event *ev, const char *key, long long value)
-{
-    std::lock_guard<std::mutex> lock(tlsLog->mutex);
-    if (ev->nargs >= static_cast<int>(ev->args.size()))
-        return;
-    Event::Arg &a = ev->args[static_cast<std::size_t>(ev->nargs++)];
-    a.key = key;
-    a.vi = value;
-}
-
-} // namespace detail
 
 void
 arm(const std::string &path)
 {
-    nowNs(); // pin the trace epoch before any event
-    Registry &reg = registry();
+    detail::nowNs(); // pin the trace epoch before any event
+    Buffer &buf = buffer();
     {
-        std::lock_guard<std::mutex> lock(reg.mutex);
+        std::lock_guard<std::mutex> lock(buf.mutex);
         if (!path.empty())
-            reg.path = path;
-        if (!reg.path.empty() && !reg.exitWriterRegistered) {
+            buf.path = path;
+        if (!buf.path.empty() && !buf.exitWriterRegistered) {
             std::atexit(writeAtExit);
-            reg.exitWriterRegistered = true;
+            buf.exitWriterRegistered = true;
         }
     }
     detail::armedFlag.store(true, std::memory_order_relaxed);
@@ -242,89 +160,45 @@ disarm()
     detail::armedFlag.store(false, std::memory_order_relaxed);
 }
 
-std::string
-armedPath()
-{
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.path;
-}
-
 void
 clear()
 {
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &log : reg.logs) {
-        std::lock_guard<std::mutex> logLock(log->mutex);
-        // Defensive: clearing under an open span would dangle its
-        // Event pointer, so a log that still has one is left intact
-        // (the documented contract requires quiescence anyway).
-        const bool anyOpen =
-            std::any_of(log->events.begin(), log->events.end(),
-                        [](const Event &ev) { return ev.open; });
-        if (!anyOpen) {
-            log->events.clear();
-            log->dropped = 0;
-        }
-    }
-}
-
-std::uint64_t
-droppedEvents()
-{
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::uint64_t total = 0;
-    for (const auto &log : reg.logs) {
-        std::lock_guard<std::mutex> logLock(log->mutex);
-        total += log->dropped;
-    }
-    return total;
-}
-
-std::uint64_t
-bufferedEvents()
-{
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::uint64_t total = 0;
-    for (const auto &log : reg.logs) {
-        std::lock_guard<std::mutex> logLock(log->mutex);
-        total += log->events.size();
-    }
-    return total;
+    Buffer &buf = buffer();
+    std::lock_guard<std::mutex> lock(buf.mutex);
+    buf.events.clear();
 }
 
 std::vector<EventView>
 snapshot()
 {
+    std::vector<Event> events;
+    {
+        Buffer &buf = buffer();
+        std::lock_guard<std::mutex> lock(buf.mutex);
+        events = buf.events;
+    }
     std::vector<EventView> out;
-    Registry &reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &log : reg.logs) {
-        std::lock_guard<std::mutex> logLock(log->mutex);
-        for (const Event &ev : log->events) {
-            EventView view;
-            view.cat = ev.cat;
-            view.name = ev.name;
-            view.tid = log->tid;
-            view.startNs = ev.t0;
-            view.endNs = ev.open ? 0 : ev.t1;
-            view.open = ev.open;
-            for (int i = 0; i < ev.nargs; ++i) {
-                const Event::Arg &a =
-                    ev.args[static_cast<std::size_t>(i)];
-                view.args.emplace_back(a.key, std::to_string(a.vi));
-            }
-            out.push_back(std::move(view));
+    out.reserve(events.size());
+    for (const Event &ev : events) {
+        EventView view;
+        view.cat = ev.cat;
+        view.name = ev.name;
+        view.tid = ev.tid;
+        view.startNs = ev.startNs;
+        view.endNs = ev.endNs;
+        for (int i = 0; i < ev.nargs; ++i) {
+            const Event::Arg &a = ev.args[static_cast<std::size_t>(i)];
+            view.args.emplace_back(a.key, std::to_string(a.value));
         }
+        out.push_back(std::move(view));
     }
     std::sort(out.begin(), out.end(),
               [](const EventView &a, const EventView &b) {
                   if (a.tid != b.tid)
                       return a.tid < b.tid;
-                  return a.startNs < b.startNs;
+                  if (a.startNs != b.startNs)
+                      return a.startNs < b.startNs;
+                  return a.endNs > b.endNs;
               });
     return out;
 }
@@ -333,7 +207,6 @@ void
 writeJson(std::ostream &os)
 {
     const std::vector<EventView> events = snapshot();
-    const std::uint64_t now = nowNs();
     std::string out;
     out.reserve(events.size() * 120 + 64);
     out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -348,8 +221,8 @@ writeJson(std::ostream &os)
         out += ",\"cat\":";
         appendJsonString(out, ev.cat);
         const double tsUs = static_cast<double>(ev.startNs) / 1e3;
-        const std::uint64_t end = ev.open ? now : ev.endNs;
-        const double durUs = static_cast<double>(end - ev.startNs) / 1e3;
+        const double durUs =
+            static_cast<double>(ev.endNs - ev.startNs) / 1e3;
         std::snprintf(buf, sizeof(buf),
                       ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f", tsUs,
                       durUs);

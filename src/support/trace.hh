@@ -1,24 +1,30 @@
 /**
  * @file
  * Always-compiled, off-by-default tracing for the compile pipeline:
- * RAII spans recorded into per-thread append-only buffers, exported
- * as Chrome trace-event JSON (load the file at https://ui.perfetto.dev
- * or chrome://tracing).
+ * RAII spans that each append one complete event to a process-wide
+ * buffer when they close, exported as Chrome trace-event JSON (load
+ * the file at https://ui.perfetto.dev or chrome://tracing).
  *
  * ## Discipline
  *
- * Disarmed (the default), a span construction is one relaxed atomic
- * load and a never-taken branch - no allocation, no lock, no clock
- * read - so tracing can be compiled into the hottest pipeline loops
- * without perturbing them (the digest harness pins full-suite
- * bit-identity armed *and* disarmed, and BM_TraceOverhead pins the
- * disarmed delta).
+ * Disarmed (the default), a span without a telemetry field costs one
+ * relaxed atomic load and a never-taken branch - no allocation, no
+ * lock, no clock read - so tracing can be compiled into the hottest
+ * pipeline loops without perturbing them (the digest harness pins
+ * full-suite bit-identity armed *and* disarmed, and BM_TraceOverhead
+ * pins the disarmed delta).
  *
- * Armed, each span appends one event to a per-thread buffer under a
- * per-thread mutex (contended only by snapshot/export readers), with
- * two steady-clock reads per span. Buffers are append-only with
- * stable element addresses, so an open span holds a raw pointer to
- * its event and stamps the end time on destruction.
+ * Armed, a span reads the steady clock when it opens and when it
+ * closes, keeps its category, name, start time and args in itself,
+ * and on closing appends the complete event to the one buffer under
+ * one mutex (a compile closes ~9 spans, so the lock is cheap to
+ * share). Nothing points into an open span, so clear() is safe at any
+ * time: a span open across it appends afterwards.
+ *
+ * A span given a `double *ms` adds its duration there when it closes,
+ * armed or not. compile() times `CompileTelemetry`'s phases this way,
+ * so an armed phase field equals its spans' summed durations
+ * (`toMs(endNs - startNs)`) exactly.
  *
  * ## Arming
  *
@@ -31,21 +37,22 @@
  * ## Spans compiled in today (grep `TraceSpan` for ground truth)
  *
  *  - pipeline: compile / partition / ii_attempt / refine / replicate /
- *    replicate.round / schedule / spill_retry
+ *    replicate.round / schedule / spill_retry (one spill and the
+ *    schedule after it; the last may find no value to spill)
  *  - service: job (one per pool job, with batch + job args)
  *
- * ## Memory safety
+ * ## Memory
  *
- * Each thread buffers at most kMaxEventsPerThread events; past that,
- * events are dropped and counted (droppedEvents()). clear() empties
- * the buffers and requires quiescence: no span may be open in any
- * thread while clear() runs (callers drain their pools first).
+ * The buffer holds at most 2^20 events (~90 MiB); past that, events
+ * are dropped with one warning per process.
  */
 
 #ifndef CVLIW_SUPPORT_TRACE_HH
 #define CVLIW_SUPPORT_TRACE_HH
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -63,16 +70,26 @@ namespace detail
 /** True iff tracing is armed (fast-path gate; relaxed load). */
 extern std::atomic<bool> armedFlag;
 
-struct Event;
+/** Nanoseconds since the process trace epoch (steady clock). */
+std::uint64_t nowNs();
 
-/** Slow path: append an open span event to this thread's buffer. */
-Event *beginSpan(const char *cat, const char *name);
+/** One span's event; a buffered one is complete. */
+struct Event
+{
+    struct Arg
+    {
+        const char *key = nullptr;
+        long long value = 0;
+    };
 
-/** Stamp the end time of @p ev (nullptr-safe at the call site). */
-void endSpan(Event *ev);
-
-/** Attach an integer argument to an open span. */
-void spanArg(Event *ev, const char *key, long long value);
+    const char *cat = nullptr;
+    const char *name = nullptr;
+    std::uint64_t startNs = 0;
+    std::uint64_t endNs = 0;
+    std::uint32_t tid = 0;
+    int nargs = 0;
+    std::array<Arg, 3> args{};
+};
 
 } // namespace detail
 
@@ -83,38 +100,62 @@ armed()
     return detail::armedFlag.load(std::memory_order_relaxed);
 }
 
+/** A span duration in milliseconds, as spans charge their fields. */
+inline double
+toMs(std::uint64_t ns)
+{
+    return static_cast<double>(ns) / 1e6;
+}
+
 /**
  * RAII trace span: covers the scope from construction to destruction.
- * Disarmed, construction is one relaxed load; every other member is a
- * null-pointer check. @p cat and @p name must be string literals (the
- * buffer stores the pointers, not copies).
+ * Whether it records is decided when it opens. @p cat and @p name
+ * must be string literals (the buffer stores the pointers, not
+ * copies). A non-null @p ms receives the span's duration in ms
+ * (added, armed or not) when it closes.
  */
 class TraceSpan
 {
   public:
-    TraceSpan(const char *cat, const char *name)
-        : ev_(armed() ? detail::beginSpan(cat, name) : nullptr)
+    TraceSpan(const char *cat, const char *name, double *ms = nullptr)
+        : ms_(ms), recording_(armed())
     {
+        ev_.cat = cat;
+        ev_.name = name;
+        if (recording_ || ms_)
+            ev_.startNs = detail::nowNs();
     }
 
-    ~TraceSpan() { detail::endSpan(ev_); }
+    ~TraceSpan()
+    {
+        if (recording_ || ms_)
+            close();
+    }
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    /** Attach a key/value argument (shows under "args" in Perfetto). */
+    /**
+     * Attach a key/value argument (shows under "args" in Perfetto);
+     * past three, or when not recording, a no-op.
+     */
     void
     arg(const char *key, long long value)
     {
-        if (ev_)
-            detail::spanArg(ev_, key, value);
+        if (recording_ && ev_.nargs < static_cast<int>(ev_.args.size()))
+            ev_.args[static_cast<std::size_t>(ev_.nargs++)] = {key, value};
     }
 
     /** True iff this span is recording (tracing was armed at entry). */
-    bool active() const { return ev_ != nullptr; }
+    bool active() const { return recording_; }
 
   private:
-    detail::Event *ev_;
+    /** Charge @p ms_ and, when recording, append the event. */
+    void close();
+
+    detail::Event ev_;
+    double *ms_;
+    bool recording_;
 };
 
 /**
@@ -128,22 +169,10 @@ void arm(const std::string &path = std::string());
 /** Stop recording. Buffered events stay readable until clear(). */
 void disarm();
 
-/** The exit-time output path ("" if none was configured). */
-std::string armedPath();
-
-/**
- * Drop all buffered events and reset the dropped-event counter.
- * Requires quiescence: no span may be open in any thread.
- */
+/** Drop all buffered events. Safe while spans are open. */
 void clear();
 
-/** Events dropped because a thread hit its buffer cap. */
-std::uint64_t droppedEvents();
-
-/** Events currently buffered across all threads. */
-std::uint64_t bufferedEvents();
-
-/** A completed (or still-open) event, for tests and tooling. */
+/** A buffered event, for tests and tooling. */
 struct EventView
 {
     std::string cat;
@@ -151,13 +180,12 @@ struct EventView
     std::uint32_t tid = 0;       ///< small per-thread id (1-based)
     std::uint64_t startNs = 0;   ///< since the process trace epoch
     std::uint64_t endNs = 0;
-    bool open = false;           ///< destructor has not run yet
     std::vector<std::pair<std::string, std::string>> args;
 };
 
 /**
- * Snapshot every buffered event, ordered by (tid, startNs). Open
- * spans appear with open=true and endNs 0.
+ * Snapshot every buffered event, ordered by (tid, startNs); of spans
+ * that start together, the longer comes first.
  */
 std::vector<EventView> snapshot();
 

@@ -1,6 +1,6 @@
 #include "workloads/suite.hh"
 
-#include "support/logging.hh"
+#include <stdexcept>
 
 namespace cvliw
 {
@@ -55,7 +55,7 @@ buildBenchmark(const std::string &benchmark, std::uint64_t seed)
                                       profiles[b].numLoops);
         }
     }
-    cv_fatal("unknown benchmark '", benchmark, "'");
+    throw std::invalid_argument("unknown benchmark '" + benchmark + "'");
 }
 
 } // namespace cvliw

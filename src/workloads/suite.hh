@@ -20,7 +20,10 @@ namespace cvliw
  */
 std::vector<Loop> buildSuite(std::uint64_t seed = 42);
 
-/** Build only the loops of @p benchmark (e.g. "mgrid"). */
+/**
+ * Build only the loops of @p benchmark (e.g. "mgrid"); an unknown
+ * name throws std::invalid_argument.
+ */
 std::vector<Loop> buildBenchmark(const std::string &benchmark,
                                  std::uint64_t seed = 42);
 

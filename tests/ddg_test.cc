@@ -8,6 +8,7 @@
 
 #include "ddg/builder.hh"
 #include "ddg/ddg.hh"
+#include "expect_invalid.hh"
 
 namespace cvliw
 {
@@ -182,9 +183,9 @@ TEST(DdgBuilder, RejectsDuplicatesAndUnknowns)
 {
     DdgBuilder b;
     b.op("x", OpClass::Load);
-    EXPECT_EXIT(b.op("x", OpClass::Load),
-                ::testing::ExitedWithCode(1), "duplicate");
-    EXPECT_EXIT(b.id("nope"), ::testing::ExitedWithCode(1), "unknown");
+    EXPECT_INVALID_ARGUMENT(b.op("x", OpClass::Load),
+                            "duplicate node name 'x'");
+    EXPECT_INVALID_ARGUMENT(b.id("nope"), "unknown node name 'nope'");
 }
 
 TEST(Ddg, InOutEdgeQueries)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_invalid.hh"
 #include "machine/config.hh"
 
 namespace cvliw
@@ -159,43 +160,61 @@ TEST(MachineConfig, AvailablePerKind)
     EXPECT_EQ(m.available(ResourceKind::AnyFu), 0);
 }
 
-using ConfigDeathTest = ::testing::Test;
-
-TEST(ConfigDeathTest, RejectsMalformedNames)
+TEST(MachineConfig, RejectsMalformedNames)
 {
-    EXPECT_EXIT(MachineConfig::fromString("garbage"),
-                ::testing::ExitedWithCode(1), "fatal");
-    EXPECT_EXIT(MachineConfig::fromString("4c2b4l"),
-                ::testing::ExitedWithCode(1), "fatal");
-    EXPECT_EXIT(MachineConfig::fromString("4c2b4l64rx"),
-                ::testing::ExitedWithCode(1), "fatal");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::fromString("garbage"),
+                            "bad machine name 'garbage'");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::fromString("4c2b4l"),
+                            "bad machine name '4c2b4l'");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::fromString("4c2b4l64rx"),
+                            "trailing characters");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::fromString("unifiedx"),
+                            "bad unified machine name");
+    // A number too long for an int is a bad name, not std::out_of_range.
+    EXPECT_INVALID_ARGUMENT(
+        MachineConfig::fromString("99999999999c1b1l64r"),
+        "bad machine name");
+    EXPECT_INVALID_ARGUMENT(
+        MachineConfig::fromString("unified99999999999r"),
+        "bad unified machine name");
 }
 
-TEST(ConfigDeathTest, RejectsBadShapes)
+TEST(MachineConfig, RejectsBadShapes)
 {
     // 3 clusters do not divide the 12-wide machine evenly.
-    EXPECT_EXIT(MachineConfig::clustered(3, 1, 1, 63),
-                ::testing::ExitedWithCode(1), "fatal");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(3, 1, 1, 63),
+                            "does not evenly divide");
     // Registers must divide evenly.
-    EXPECT_EXIT(MachineConfig::clustered(4, 1, 1, 63),
-                ::testing::ExitedWithCode(1), "fatal");
-    // A clustered machine needs buses.
-    EXPECT_EXIT(MachineConfig::clustered(4, 0, 1, 64),
-                ::testing::ExitedWithCode(1), "fatal");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(4, 1, 1, 63),
+                            "not divisible by clusters");
+    // A clustered machine needs buses of latency >= 1, whatever its
+    // factory (without one, compile() would abort in the comms pass).
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(4, 0, 1, 64),
+                            "needs >=1 bus");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(4, 1, 0, 64),
+                            "needs >=1 bus of latency >=1");
+    EXPECT_INVALID_ARGUMENT(
+        MachineConfig::custom(2, ClusterResources{2, 2, 2, 0}, 0, 1, 64),
+        "needs >=1 bus");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::universal(2, 4, 0, 1, 64),
+                            "needs >=1 bus");
+    EXPECT_INVALID_ARGUMENT(
+        MachineConfig::unified().setLatency(OpClass::Load, 0),
+        "latency must be >= 1");
 }
 
-TEST(ConfigDeathTest, RejectsMoreUnitsThanOneByteIdsHold)
+TEST(MachineConfig, RejectsMoreUnitsThanOneByteIdsHold)
 {
     // Cluster and bus ids are stored in one byte: 127 of each at most.
     const ClusterResources res{1, 1, 1, 0};
-    EXPECT_EXIT(MachineConfig::custom(128, res, 1, 1, 128),
-                ::testing::ExitedWithCode(1), "cluster count 128");
-    EXPECT_EXIT(MachineConfig::custom(2, res, 128, 1, 64),
-                ::testing::ExitedWithCode(1), "bus count 128");
-    EXPECT_EXIT(MachineConfig::universal(128, 1, 1, 1, 128),
-                ::testing::ExitedWithCode(1), "cluster count 128");
-    EXPECT_EXIT(MachineConfig::clustered(2, 128, 1, 64),
-                ::testing::ExitedWithCode(1), "bus count 128");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::custom(128, res, 1, 1, 128),
+                            "cluster count 128");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::custom(2, res, 128, 1, 64),
+                            "bus count 128");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::universal(128, 1, 1, 1, 128),
+                            "cluster count 128");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(2, 128, 1, 64),
+                            "bus count 128");
 
     const auto widest = MachineConfig::custom(127, res, 127, 1, 127);
     EXPECT_EQ(widest.numClusters(), 127);

@@ -7,7 +7,8 @@
  * disturbing the other jobs of its batch, and a worker whose job
  * threw keeps serving bit-exact results. The failing jobs are real
  * inputs: graphs whose distance-0 edges close a cycle, which
- * compile() rejects with InvalidInput. The CI ThreadSanitizer and
+ * compile() rejects with InvalidInput, and a machine without memory
+ * ports, which it rejects with std::invalid_argument. The CI ThreadSanitizer and
  * ASan+UBSan jobs run this binary to catch data races and memory
  * errors in the pool itself.
  */
@@ -323,6 +324,26 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
     EXPECT_GT(cyclic_jobs, 0u);
     EXPECT_LT(cyclic_jobs, 4 * loops.size());
     check(service, 0, std::vector<bool>(loops.size(), false));
+}
+
+TEST(CompileService, MachineWithoutMemoryPortsFailsEveryJob)
+{
+    // Every swim loop loads, and this machine has no memory port:
+    // resourceMii throws std::invalid_argument, and the pool turns
+    // each throw into a Failed job instead of ending the process.
+    const auto loops = buildBenchmark("swim");
+    const auto m =
+        MachineConfig::custom(2, ClusterResources{2, 2, 0, 0}, 1, 1, 64);
+    CompileService service(2);
+    const auto batch = service.compileBatch(jobsFor(loops, m));
+    ASSERT_EQ(batch.outcomes.size(), loops.size());
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        EXPECT_EQ(batch.outcomes[i], JobOutcome::Failed) << "job " << i;
+        EXPECT_EQ(batch.errors[i],
+                  "machine has no mem-port units but the loop needs them")
+            << "job " << i;
+        EXPECT_FALSE(batch.results[i].ok) << "job " << i;
+    }
 }
 
 TEST(CompileService, WorkerKeepsServingBitExactAfterAThrow)

@@ -1,17 +1,21 @@
 /**
  * @file
- * Tracing and telemetry tests: span nesting per thread, the
- * armed-vs-disarmed determinism contract (tracing must be a pure
- * observer), JSON export shape, and CompileTelemetry's deterministic
+ * Tracing and telemetry tests: span nesting per thread, clear() under
+ * an open span, the armed-vs-disarmed determinism contract (tracing
+ * must be a pure observer), JSON export shape, phase spans that sum to
+ * CompileTelemetry's phase fields exactly, and its deterministic
  * counters across worker counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +29,7 @@ namespace cvliw
 namespace
 {
 
-/** Fresh, quiescent trace state for each test in this binary. */
+/** Fresh trace state for each test in this binary. */
 void
 resetTrace()
 {
@@ -42,8 +46,60 @@ TEST(Trace, DisarmedSpansRecordNothing)
         EXPECT_FALSE(span.active());
         span.arg("ignored", 1); // must be a no-op, not a crash
     }
-    EXPECT_EQ(trace::bufferedEvents(), 0u);
     EXPECT_TRUE(trace::snapshot().empty());
+}
+
+TEST(Trace, DisarmedSpanStillChargesItsField)
+{
+    // A telemetry field is charged whether tracing is armed or not,
+    // and charging it records no event.
+    resetTrace();
+    double ms = 0.0;
+    {
+        trace::TraceSpan span("test", "timed", &ms);
+        EXPECT_FALSE(span.active());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(ms, 1.0);
+    const double first = ms;
+    {
+        trace::TraceSpan span("test", "timed", &ms);
+    }
+    EXPECT_GE(ms, first); // a second span adds to the field
+    EXPECT_TRUE(trace::snapshot().empty());
+}
+
+TEST(Trace, ClearUnderAnOpenSpanKeepsThatSpan)
+{
+    // A span keeps its event in itself until it closes, so clear()
+    // while another thread holds a span open is safe, and that span
+    // still lands afterwards: it is then the only event buffered.
+    resetTrace();
+    trace::arm();
+    {
+        trace::TraceSpan before("test", "before");
+    }
+    std::promise<void> opened, cleared;
+    std::thread holder([&] {
+        trace::TraceSpan span("test", "held");
+        span.arg("n", 3);
+        opened.set_value();
+        cleared.get_future().wait();
+    });
+    opened.get_future().wait();
+    trace::clear();
+    EXPECT_TRUE(trace::snapshot().empty());
+    cleared.set_value();
+    holder.join();
+    trace::disarm();
+
+    const auto events = trace::snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "held");
+    EXPECT_LE(events[0].startNs, events[0].endNs);
+    ASSERT_EQ(events[0].args.size(), 1u);
+    EXPECT_EQ(events[0].args[0].second, "3");
+    resetTrace();
 }
 
 TEST(Trace, SpansNestProperlyPerThread)
@@ -80,7 +136,6 @@ TEST(Trace, SpansNestProperlyPerThread)
     std::uint32_t tid = 0;
     std::vector<const trace::EventView *> stack;
     for (const auto &ev : events) {
-        EXPECT_FALSE(ev.open) << ev.name;
         if (ev.tid != tid) {
             tid = ev.tid;
             stack.clear();
@@ -177,6 +232,44 @@ TEST(Trace, ArmedCompileIsBitIdenticalToDisarmed)
     }
     EXPECT_TRUE(saw_compile);
     EXPECT_EQ(jobs, suite.size());
+    resetTrace();
+}
+
+TEST(Trace, PhaseSpansSumToTelemetryExactly)
+{
+    // Each phase is timed once, by its spans: armed, with every
+    // compile on this thread, the spans' durations summed in order
+    // are the telemetry fields bit for bit.
+    const auto loops = buildBenchmark("applu");
+    const auto m = MachineConfig::fromString("4c1b2l64r");
+    resetTrace();
+    trace::arm();
+    std::size_t spilled = 0;
+    for (const Loop &loop : loops) {
+        SCOPED_TRACE(loop.name());
+        trace::clear();
+        const CompileResult res = compile(loop.ddg, m);
+        double partition = 0.0, replicate = 0.0, schedule = 0.0;
+        for (const auto &ev : trace::snapshot()) {
+            const double ms = trace::toMs(ev.endNs - ev.startNs);
+            if (ev.name == "partition" || ev.name == "refine")
+                partition += ms;
+            else if (ev.name == "replicate")
+                replicate += ms;
+            else if (ev.name == "schedule" || ev.name == "spill_retry")
+                schedule += ms;
+        }
+        const CompileTelemetry &t = res.telemetry;
+        EXPECT_EQ(partition, t.partitionMs);
+        EXPECT_EQ(replicate, t.replicationMs);
+        EXPECT_EQ(schedule, t.scheduleMs);
+        EXPECT_LE(t.partitionMs + t.replicationMs + t.scheduleMs,
+                  t.totalMs);
+        spilled += t.spillRetries > 0;
+    }
+    trace::disarm();
+    // The spill_retry path ran, so its charge was checked too.
+    EXPECT_GT(spilled, 0u);
     resetTrace();
 }
 

@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "ddg/analysis.hh"
+#include "expect_invalid.hh"
 #include "support/fnv.hh"
 #include "workloads/suite.hh"
 
@@ -193,6 +194,8 @@ TEST(Suite, BenchmarkSubsetMatchesFullSuite)
         EXPECT_EQ(all[off + i].ddg.numNodes(),
                   mgrid[i].ddg.numNodes());
     }
+    EXPECT_INVALID_ARGUMENT(buildBenchmark("nope"),
+                            "unknown benchmark 'nope'");
 }
 
 TEST(Suite, LoopsAreStructurallySane)
