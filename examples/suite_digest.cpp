@@ -7,10 +7,14 @@
  * (II, schedule, partition, replication stats). Two builds that print
  * the same digests produce bit-identical compilation results on the
  * whole suite - the check the perf PRs use to prove a refactor
- * changed no decisions. The digest itself lives in eval/digest.hh
- * (shared with tests/digest_test.cc, which pins these values in CI);
- * compilation runs on the CompileService pool, whose results are
- * deterministic for any worker count.
+ * changed no decisions. Each configuration's digest line is followed
+ * by a line with the suite's summed work counters (II attempts,
+ * refinement probes and commits, ASAP runs, width sweeps, loop
+ * analyses): the same at every run, so a change in the work the
+ * compiler does shows there without timing noise. Both live in
+ * eval/digest.hh (shared with tests/digest_test.cc, which pins these
+ * values in CI); compilation runs on the CompileService pool, whose
+ * results are deterministic for any worker count.
  *
  * Usage: suite_digest [seed]   (default seed 42, the suite default)
  */
@@ -39,6 +43,7 @@ main(int argc, char **argv)
             CompileService::shared().compileSuite(suite, m);
         const std::uint64_t h = digestSuiteResult(results);
         std::cout << cfg << " " << std::hex << h << std::dec << "\n";
+        std::cout << cfg << " work " << sumSuiteWork(results) << "\n";
         all.mix(h);
     }
     std::cout << "combined " << std::hex << all.h << std::dec << "\n";

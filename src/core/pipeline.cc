@@ -87,16 +87,13 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     };
     const std::uint64_t analyses0 = analysis_runs();
 
-    // The input's one analysis: the partitioner and every refinement
-    // read it from the same memo. A unified machine partitions without
-    // it and schedules an unmodified copy of the input (same
-    // generation stamp), so there the scheduler's memo holds it. Bad
-    // input fails typed here: deep inside a pass, the SMS order's
-    // assertion would abort the whole process on it.
-    AnalysisCache &input_memo = mach.isUnified()
-                                    ? caches.sched.analyses
-                                    : caches.pseudo.analyses();
-    const LoopAnalysis &input = input_memo.get(original, mach);
+    // The input's one analysis: the partitioner, every refinement and
+    // the scheduler of an unmodified copy of the input (same
+    // generation stamp) read it from the same memo. Bad input fails
+    // typed here: deep inside a pass, the SMS order's assertion would
+    // abort the whole process on it.
+    const LoopAnalysis &input =
+        caches.pseudo.analyses().get(original, mach);
     if (input.zeroDistanceCycle) {
         throw InvalidInput("distance-0 edges close a cycle in a " +
                            std::to_string(original.numNodes()) +
@@ -145,7 +142,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     // One memo across every II bump and spill retry: attempts whose
     // graph carries the same generation stamp (e.g. unified machines,
     // where no replication or copy insertion ever edits the work
-    // copy) reuse the work graph's analysis and SMS order wholesale.
+    // copy) reuse the work graph's analysis and SMS order wholesale;
+    // an unmodified copy of the input reads the input's analysis.
     SchedulerCache &sched_cache = caches.sched;
 
     int reg_stagnation = 0;
@@ -204,13 +202,13 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             result.comsFinal = 0;
         }
 
-        // Copy-mutate-retry boundary: when the replication pass grew
-        // the work graph through span relocations, it left dead arena
-        // regions behind. Repack to fromSlots density (adjacency
-        // preserved bit-for-bit; debug builds assert it) before the
-        // scheduler walks the graph. An unchanged graph still shares
-        // the caller's storage and is left alone. No views are live
-        // here: the passes above take and drop their own.
+        // Copy-mutate-retry boundary: the replication pass grew the
+        // work graph through block relocations and tombstoned the
+        // edges of the code it removed. Rebuild it from its live edges
+        // (same nodes, same adjacency order, dense edge ids) before the
+        // scheduler walks it. An unchanged graph still shares the
+        // caller's storage and is left alone. No views or edge ids are
+        // live here: the passes above take and drop their own.
         if (work.generation() != original.generation())
             work.compact();
 
@@ -308,10 +306,11 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         }
         // The returned graph is the long-lived one (callers keep it
         // for simulation and metrics): a changed graph goes back
-        // without the slack that replication, copy insertion,
-        // spilling or length replication grew; an unchanged one keeps
-        // sharing the caller's storage. The partition drops the
-        // growth slack of the nodes those passes assigned.
+        // without the slack and the dead edges that replication, copy
+        // insertion, spilling or length replication left; an
+        // unchanged one keeps sharing the caller's storage. The
+        // partition drops the growth slack of the nodes those passes
+        // assigned.
         if (result.finalDdg.generation() != original.generation())
             result.finalDdg.compact();
         result.partition.shrinkToFit();

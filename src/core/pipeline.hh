@@ -114,8 +114,9 @@ struct CompileTelemetry
     std::uint64_t widthSweeps = 0;
 
     /**
-     * LoopAnalysis runs: the input's, plus one per work graph (on a
-     * unified machine an unspilled work graph reuses the input's).
+     * LoopAnalysis runs: the input's, plus one per changed work graph
+     * (an attempt that leaves the input unmodified - no replica, copy
+     * or spill - reuses the input's).
      */
     std::uint64_t analysisRuns = 0;
 
@@ -184,15 +185,17 @@ struct CompileResult
  */
 struct CompileCaches
 {
-    /**
-     * Partition-refinement scratch + the input graph's analysis (on
-     * a clustered machine).
-     */
+    CompileCaches() { sched.inputAnalyses = &pseudo.analyses(); }
+    // `sched` points into `pseudo`: pinned in place.
+    CompileCaches(const CompileCaches &) = delete;
+    CompileCaches &operator=(const CompileCaches &) = delete;
+
+    /** Partition-refinement scratch + the input graph's analysis. */
     PseudoScratch pseudo;
 
     /**
-     * The work graph's analysis (and a unified machine's input's),
-     * SMS order, reservation tables.
+     * The changed work graphs' analyses (an unmodified one reads the
+     * input's from `pseudo`), SMS order, reservation tables.
      */
     SchedulerCache sched;
 
@@ -208,8 +211,10 @@ struct CompileCaches
  * modified. The copy shares the input's storage (see "Shared storage"
  * in ddg/ddg.hh), so a result whose graph the pipeline left unchanged
  * (a unified-machine loop that needs no spill, a clustered loop that
- * needs no copy) holds no graph storage of its own, and a changed
- * result graph is compacted to exact size.
+ * needs no copy) holds no graph storage of its own. A changed result
+ * graph is compacted (`Ddg::compact`): it holds only live edges,
+ * renumbered densely in their old order, in exactly-sized arrays,
+ * with the input's node ids and a fresh generation stamp.
  *
  * @p caches selects the scratch/memo state (see CompileCaches):
  *

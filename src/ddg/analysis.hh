@@ -96,9 +96,10 @@ LoopAnalysis analyzeLoop(const Ddg &ddg, const MachineConfig &mach);
  *
  * A mutation or a config switch replaces the one slot, so give each
  * graph lineage its own memo: the pipeline keeps one for the input
- * graph (PseudoScratch) and one for the work graph it schedules
- * (SchedulerCache). It is intentionally not thread-safe; use one
- * instance per worker.
+ * graph (PseudoScratch) and one for the work graphs it schedules
+ * (SchedulerCache, which reads the input's first: an unmodified
+ * work graph is the input). It is intentionally not thread-safe; use
+ * one instance per worker.
  */
 class AnalysisCache
 {
@@ -108,6 +109,17 @@ class AnalysisCache
      * next call with a different key.
      */
     const LoopAnalysis &get(const Ddg &ddg, const MachineConfig &mach);
+
+    /**
+     * The held analysis if it is @p ddg's on @p mach (same stamp and
+     * config), else null; never runs one.
+     */
+    const LoopAnalysis *find(const Ddg &ddg,
+                             const MachineConfig &mach) const
+    {
+        return gen_ == ddg.generation() && cfg_ == mach.id() ? &analysis_
+                                                             : nullptr;
+    }
 
     /**
      * Lifetime analyzeLoop runs (memo misses) of this memo: monotone,

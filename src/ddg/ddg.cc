@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "support/logging.hh"
 
@@ -12,19 +15,22 @@ namespace
 {
 
 /**
- * Append @p id to @p slot in @p arena: in place while the entry just
- * past the span is `invalidEdge` (slack). A full span relocates to
- * fresh arena tail, twice its length (4 if empty) with the rest
- * filled with `invalidEdge`; the dead region left behind is never
- * reused, so stale views of it keep reading pre-relocation data.
+ * Append @p id to @p slot's in-list (@p in_side) or out-list by the
+ * growth rule in ddg.hh's file comment: in place into the block's
+ * slack, which an in-edge may take only while the out-list is empty,
+ * else by moving the whole block to the arena tail.
  */
 void
 appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
-          EdgeId id)
+          EdgeId id, bool in_side)
 {
-    const std::size_t end = std::size_t{slot.offset} + slot.count;
-    if (end >= arena.size() || arena[end] != invalidEdge) {
-        const std::uint32_t cap = slot.count ? 2 * slot.count : 4;
+    const std::uint32_t len = std::uint32_t{slot.in} + slot.out;
+    const std::size_t end = std::size_t{slot.offset} + len;
+    if ((!in_side || slot.out == 0) && end < arena.size() &&
+        arena[end] == invalidEdge) {
+        arena.writable()[end] = id;
+    } else {
+        const std::uint32_t cap = len ? 2 * len : 4;
         cv_assert(arena.size() + cap <=
                       std::numeric_limits<std::uint32_t>::max(),
                   "adjacency arena overflow");
@@ -34,10 +40,15 @@ appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
         // Pointers taken before resize would dangle: it may move the
         // arena.
         EdgeId *a = arena.writable();
-        std::copy_n(a + slot.offset, slot.count, a + off);
+        EdgeId *to = std::copy_n(a + slot.offset, slot.in, a + off);
+        if (in_side)
+            *to++ = id;
+        to = std::copy_n(a + slot.offset + slot.in, slot.out, to);
+        if (!in_side)
+            *to = id;
         slot.offset = off;
     }
-    arena.writable()[slot.offset + slot.count++] = id;
+    ++(in_side ? slot.in : slot.out);
 }
 
 /** Reject row @p row of a fromSlots array for breaking @p rule. */
@@ -46,6 +57,32 @@ rejectSlot(const char *array, std::uint32_t row, const std::string &rule)
 {
     throw DdgSlotError(std::string(array) + " record row " +
                        std::to_string(row) + ": " + rule);
+}
+
+/** The degree-limit rule for node @p v's @p side ("in" or "out") list. */
+std::string
+spanLimitRule(NodeId v, const char *side)
+{
+    return "more than " + std::to_string(Ddg::maxSpanSlots) + " " +
+           side + "-edge slots on n" + std::to_string(v);
+}
+
+/**
+ * Reject the edge row of @p edges that takes node @p v's in-list
+ * (@p in_side) or out-list past Ddg::maxSpanSlots. The list must be
+ * that long.
+ */
+[[noreturn]] void
+rejectSpanLimit(const DdgEdge *edges, std::uint32_t edge_slots, NodeId v,
+                bool in_side)
+{
+    std::uint32_t seen = 0;
+    for (std::uint32_t i = 0; i < edge_slots; ++i) {
+        const NodeId end = in_side ? edges[i].dst : edges[i].src;
+        if (end == v && ++seen > Ddg::maxSpanSlots)
+            rejectSlot("edge", i, spanLimitRule(v, in_side ? "in" : "out"));
+    }
+    cv_panic("n", v, " holds no edge past the span limit");
 }
 
 } // namespace
@@ -87,11 +124,16 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         g.liveNodes_ += n.alive;
     }
 
-    // Each span's count is its degree, dead edges included; the
-    // prefix sums below turn the counts into offsets.
-    g.slots_.resize(2 * static_cast<std::size_t>(node_slots));
-    detail::AdjSlot *slots = g.slots_.writable();
-    g.liveEdges_ = 0;
+    // Two counters per node, then two cursors: [2v] for v's in-span,
+    // [2v + 1] for its out-span, in a per-thread scratch that loads
+    // reuse. The counts are checked against the span limit once per
+    // node, not once per edge.
+    thread_local std::vector<std::uint32_t> scratch;
+    scratch.assign(2 * std::size_t{node_slots}, 0);
+    std::uint32_t *cur = scratch.data();
+
+    // Count each span, dead edges included.
+    int live_edges = 0;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = g.edges_[i];
         if (e.kind > EdgeKind::Spill)
@@ -114,30 +156,38 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                            "flow edge from a non-value-producing op");
             }
         }
-        g.liveEdges_ += e.alive;
-        ++slots[2 * static_cast<std::size_t>(e.src) + 1].count;
-        ++slots[2 * static_cast<std::size_t>(e.dst)].count;
+        ++cur[2 * static_cast<std::size_t>(e.src) + 1];
+        ++cur[2 * static_cast<std::size_t>(e.dst)];
+        live_edges += e.alive;
     }
+    g.liveEdges_ = live_edges;
 
-    // Exactly-sized arena: spans laid out back to back in node order
-    // (in-span then out-span per node) with no slack (the compact
-    // form), filled in edge-id order. Dead edge ids stay in the
-    // spans; the views skip them.
+    // Exactly-sized arena: blocks back to back in node order with no
+    // slack (the compact form), each span filled in edge-id order.
+    // Dead edge ids stay in the spans; the views skip them.
+    g.slots_.resize(node_slots);
+    detail::AdjSlot *slots = g.slots_.writable();
     std::uint32_t total = 0;
-    for (std::size_t k = 0; k < g.slots_.size(); ++k) {
-        slots[k].offset = total;
-        total += slots[k].count;
-        slots[k].count = 0;
+    for (std::size_t v = 0; v < node_slots; ++v) {
+        const std::uint32_t in = cur[2 * v], out = cur[2 * v + 1];
+        if (in > maxSpanSlots || out > maxSpanSlots) {
+            rejectSpanLimit(g.edges_.data(), edge_slots,
+                            static_cast<NodeId>(v), in > maxSpanSlots);
+        }
+        slots[v] = {total, static_cast<std::uint16_t>(in),
+                    static_cast<std::uint16_t>(out)};
+        cur[2 * v] = total;
+        cur[2 * v + 1] = total + in;
+        total += in + out;
     }
     g.arena_.resize(total);
     EdgeId *arena = g.arena_.writable();
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = g.edges_[i];
-        detail::AdjSlot &out =
-            slots[2 * static_cast<std::size_t>(e.src) + 1];
-        arena[out.offset + out.count++] = static_cast<EdgeId>(i);
-        detail::AdjSlot &in = slots[2 * static_cast<std::size_t>(e.dst)];
-        arena[in.offset + in.count++] = static_cast<EdgeId>(i);
+        arena[cur[2 * static_cast<std::size_t>(e.src) + 1]++] =
+            static_cast<EdgeId>(i);
+        arena[cur[2 * static_cast<std::size_t>(e.dst)]++] =
+            static_cast<EdgeId>(i);
     }
     // One fresh stamp for the whole load (the constructor already
     // produced one; bulk loading is a single structural mutation).
@@ -147,63 +197,28 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
 void
 Ddg::compact()
 {
-    // Already at fromSlots density? arena_.size() == sum(count) holds
-    // exactly when no span carries slack and no dead region was left
-    // behind by a relocation.
-    std::size_t adj_total = 0;
-    for (const detail::AdjSlot &s : slots_)
-        adj_total += s.count;
-    // Capacity slack goes last, except in arrays another graph still
-    // shares (see CowArray::shrinkToFit).
-    const auto trim = [this] {
+    // Already in fromSlots form? Every edge id sits in exactly two
+    // spans, so an arena of twice the edge slots has no slack and no
+    // dead region.
+    if (liveEdges_ == numEdgeSlots() &&
+        arena_.size() == 2 * edges_.size()) {
+        // Capacity slack only, except in arrays another graph still
+        // shares (see CowArray::shrinkToFit).
         nodes_.shrinkToFit();
         edges_.shrinkToFit();
         arena_.shrinkToFit();
         slots_.shrinkToFit();
-    };
-    if (arena_.size() == adj_total) {
-        trim();
         return;
     }
-
-#ifndef NDEBUG
-    // Adjacency must survive bit-for-bit: same edge ids, same order,
-    // per span. Snapshot before repacking, verify after. Deep copies:
-    // a sharing copy would keep the trim below from dropping slack.
-    const std::vector<EdgeId> pre_arena(arena_.begin(), arena_.end());
-    const std::vector<detail::AdjSlot> pre_slots(slots_.begin(),
-                                                 slots_.end());
-#endif
-
-    detail::CowArray<EdgeId> packed;
-    packed.resize(adj_total);
-    EdgeId *out = packed.writable();
-    detail::AdjSlot *slots = slots_.writable();
-    std::uint32_t off = 0;
-    for (std::size_t k = 0; k < slots_.size(); ++k) {
-        detail::AdjSlot &s = slots[k];
-        std::copy_n(arena_.data() + s.offset, s.count, out + off);
-        s.offset = off;
-        off += s.count;
+    std::vector<DdgEdge> live;
+    live.reserve(static_cast<std::size_t>(liveEdges_));
+    for (const DdgEdge &e : edges_) {
+        if (e.alive)
+            live.push_back(e);
     }
-    arena_ = std::move(packed);
-
-#ifndef NDEBUG
-    for (std::size_t n = 0; n < slots_.size(); ++n) {
-        const detail::AdjSlot &now = slots_[n];
-        const detail::AdjSlot &was = pre_slots[n];
-        cv_assert(now.count == was.count,
-                  "compact changed a span's length");
-        for (std::uint32_t i = 0; i < now.count; ++i) {
-            cv_assert(arena_[now.offset + i] ==
-                          pre_arena[was.offset + i],
-                      "compact changed adjacency content");
-        }
-    }
-#endif
-    trim();
-    // No generation bump: the graph's structure (nodes, edges,
-    // traversal order) is untouched; only the storage layout moved.
+    *this = fromSlots(nodes_.data(),
+                      static_cast<std::uint32_t>(nodes_.size()),
+                      live.data(), static_cast<std::uint32_t>(live.size()));
 }
 
 NodeId
@@ -214,7 +229,7 @@ Ddg::addNode(OpClass cls)
     n.cls = cls;
     n.semanticId = id;
     nodes_.push_back(n);
-    slots_.resize(slots_.size() + 2); // in-span, out-span
+    slots_.push_back(detail::AdjSlot{});
     ++liveNodes_;
     bumpGeneration();
     return id;
@@ -230,7 +245,7 @@ Ddg::addReplica(NodeId original)
     n.isReplica = true;
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(n);
-    slots_.resize(slots_.size() + 2); // in-span, out-span
+    slots_.push_back(detail::AdjSlot{});
     ++liveNodes_;
     bumpGeneration();
     return id;
@@ -250,6 +265,10 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
         cv_assert(producesValue(nodes_[src].cls),
                   "flow edge from non-value-producing op n", src);
     }
+    if (slots_[src].out == maxSpanSlots)
+        throw std::invalid_argument(spanLimitRule(src, "out"));
+    if (slots_[dst].in == maxSpanSlots)
+        throw std::invalid_argument(spanLimitRule(dst, "in"));
 
     const EdgeId id = static_cast<EdgeId>(edges_.size());
     DdgEdge e;
@@ -260,8 +279,8 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
     e.memLatency = static_cast<std::int16_t>(mem_latency);
     edges_.push_back(e);
     detail::AdjSlot *slots = slots_.writable();
-    appendAdj(arena_, slots[2 * src + 1], id);
-    appendAdj(arena_, slots[2 * dst], id);
+    appendAdj(arena_, slots[src], id, false);
+    appendAdj(arena_, slots[dst], id, true);
     ++liveEdges_;
     bumpGeneration();
     return id;
@@ -330,46 +349,49 @@ LiveAdjRange
 Ddg::inEdges(NodeId id) const
 {
     checkNode(id);
-    return LiveAdjRange(arena_, slots_[2 * id], edges_);
+    const detail::AdjSlot &s = slots_[id];
+    return LiveAdjRange(arena_, s.offset, s.in, edges_);
 }
 
 LiveAdjRange
 Ddg::outEdges(NodeId id) const
 {
     checkNode(id);
-    return LiveAdjRange(arena_, slots_[2 * id + 1], edges_);
+    const detail::AdjSlot &s = slots_[id];
+    return LiveAdjRange(arena_, s.offset + s.in, s.out, edges_);
 }
 
 EdgeSpan
 Ddg::inEdgesRaw(NodeId id) const
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const detail::AdjSlot &s = slots_[2 * id];
-    return EdgeSpan(s.count ? arena_.data() + s.offset : nullptr,
-                    s.count);
+    const detail::AdjSlot &s = slots_[id];
+    return EdgeSpan(s.in ? arena_.data() + s.offset : nullptr, s.in);
 }
 
 EdgeSpan
 Ddg::outEdgesRaw(NodeId id) const
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const detail::AdjSlot &s = slots_[2 * id + 1];
-    return EdgeSpan(s.count ? arena_.data() + s.offset : nullptr,
-                    s.count);
+    const detail::AdjSlot &s = slots_[id];
+    return EdgeSpan(s.out ? arena_.data() + s.offset + s.in : nullptr,
+                    s.out);
 }
 
 FlowNeighborRange
 Ddg::flowPreds(NodeId id) const
 {
     checkNode(id);
-    return FlowNeighborRange(arena_, slots_[2 * id], edges_, true);
+    const detail::AdjSlot &s = slots_[id];
+    return FlowNeighborRange(arena_, s.offset, s.in, edges_, true);
 }
 
 FlowNeighborRange
 Ddg::flowSuccs(NodeId id) const
 {
     checkNode(id);
-    return FlowNeighborRange(arena_, slots_[2 * id + 1], edges_,
+    const detail::AdjSlot &s = slots_[id];
+    return FlowNeighborRange(arena_, s.offset + s.in, s.out, edges_,
                              false);
 }
 

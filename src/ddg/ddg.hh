@@ -18,43 +18,56 @@
  * DDG storage is most of the heap, so its records hold no redundant
  * bytes. No record has an id field (an id is its slot index) and no
  * node has a name: diagnostics call node v "n<v>". `DdgNode` is 8
- * bytes, `DdgEdge` 16; an adjacency span is 8 bytes, offset and count
- * (see the slack rule below). A node slot thus costs 24 bytes and an
- * edge slot 24, plus arena slack. A `Ddg` handle is 80 bytes: four
- * 16-byte array handles, two live counts and the generation stamp.
+ * bytes, `DdgEdge` 16, and a node's adjacency block 8: a 4-byte
+ * offset and two 2-byte span lengths (see below). A node slot thus
+ * costs 16 bytes and an edge slot 24 (the record plus its id in two
+ * spans), plus arena slack. A `Ddg` handle is 80 bytes: four 16-byte
+ * array handles, two live counts and the generation stamp.
  * static_asserts pin all four sizes.
  *
  * ## Adjacency arena (CSR layout)
  *
  * Per-node adjacency is not stored as one heap vector per node but as
- * one flat `EdgeId` arena owned by the graph plus two
- * `{offset, count}` spans per node (its in-list and its out-list,
- * interleaved in one slot table so a node's pair shares a cache
- * line). Contiguity is the point: every compile pass iterates
- * adjacency millions of times, and one arena per graph replaces ~80
- * small allocations per loop with two, keeps neighbouring spans on
- * the same cache lines, and copies adjacency as two flat memcpys.
+ * one flat `EdgeId` arena owned by the graph plus one block per node,
+ * `{offset, in, out}`: the node's in-list is the arena span
+ * [offset, offset + in) and its out-list follows it at
+ * [offset + in, offset + in + out). Contiguity is the point: every
+ * compile pass iterates adjacency millions of times, and one arena
+ * per graph replaces ~80 small allocations per loop with two, keeps a
+ * node's two lists on the same cache line, and copies adjacency as
+ * two flat memcpys.
  *
- * Arena invariants and relocation rules:
+ * Arena invariants and growth rules:
  *  - a span's ids are stored contiguously in insertion (edge-creation)
  *    order; tombstoned edge ids stay in place and are skipped by the
  *    filtering views;
- *  - the slack rule: `addEdge` appends in place while the arena entry
- *    just past the span is `invalidEdge`; otherwise the span is full
- *    and relocates to fresh arena tail, twice its length (4 if empty)
- *    with the rest filled with `invalidEdge` (amortized O(1) growth).
- *    Only full spans move, so a dead region holds no `invalidEdge`;
- *    it is never reused or rewritten, so stale spans still read
- *    valid, pre-relocation data;
- *  - `Ddg::fromSlots` builds an exactly-sized arena (no slack, no
- *    relocation ever happened) - the compact layout every generated
- *    graph starts from: the workload generator assembles a loop's
- *    records in scratch buffers and builds its graph with one
- *    `fromSlots` call (workloads/generator.hh);
+ *  - the degree limit: a node holds at most `Ddg::maxSpanSlots`
+ *    (65,535) edge slots in each direction, tombstones included.
+ *    `fromSlots` rejects a larger span with `DdgSlotError` and
+ *    `addEdge` with `std::invalid_argument`, before any write;
+ *  - the growth rule: `addEdge` writes an out-edge in place while the
+ *    arena entry just past the block is `invalidEdge` (slack), and an
+ *    in-edge in place only while the out-list is also empty (the
+ *    block's end is then the in-list's end). Otherwise the whole block
+ *    relocates to fresh arena tail, twice its length (4 if empty),
+ *    with the new id inside its span and the rest filled with
+ *    `invalidEdge`. Out-edges grow in amortized O(1); an in-edge to a
+ *    node that has out-edges copies its block;
+ *  - every region (a block's extent, live or left behind by a
+ *    relocation) starts with a valid edge id, so an `invalidEdge` past
+ *    a block's end is always that block's own slack. A dead region is
+ *    never reused or rewritten, so stale views still read valid,
+ *    pre-relocation data;
+ *  - `Ddg::fromSlots` builds an exactly-sized arena (blocks back to
+ *    back in node order, no slack, no relocation ever happened) - the
+ *    compact layout every generated graph starts from: the workload
+ *    generator assembles a loop's records in scratch buffers and
+ *    builds its graph with one `fromSlots` call (workloads/generator.hh);
  *  - the arena only ever grows; `removeNode`/`removeEdge` tombstone
- *    edges but never move spans. The one exception is an explicit
- *    `compact()` call, which repacks every span to fromSlots density
- *    (and invalidates outstanding views; see its comment).
+ *    edges but never move blocks. The one exception is an explicit
+ *    `compact()` call, which rebuilds the graph from its live edges
+ *    (and invalidates outstanding views and edge ids; see its
+ *    comment).
  *
  * ## Traversal views
  *
@@ -67,15 +80,17 @@
  *
  * View validity: an adjacency view addresses the arena through the
  * graph object (the storage handle inside it) and snapshots the
- * viewed node's span bounds at creation. It therefore stays valid -
- * never dangles - across every mutation short of destroying/moving
- * the graph: tombstoning (`removeNode`/`removeEdge`),
- * `addNode`/`addReplica`, `addEdge` anywhere, and the clone a first
- * write to shared storage makes (see "Shared storage"). The one
- * staleness rule: a view taken before an `addEdge` that appends to
- * the *viewed* list keeps observing the pre-insertion snapshot (it
- * misses newer edges; if the span relocated it reads the intact dead
- * region). Take a fresh view after growing the list you iterate.
+ * viewed span's bounds at creation. It therefore stays valid - never
+ * dangles - across every mutation short of destroying/moving the
+ * graph or compacting it: tombstoning (`removeNode`/`removeEdge`),
+ * `addNode`/`addReplica`, `addEdge` anywhere (an append to the node's
+ * other list included, even when it relocates the block), and the
+ * clone a first write to shared storage makes (see "Shared
+ * storage"). The one staleness rule: a view taken before an `addEdge`
+ * that appends to the *viewed* list keeps observing the
+ * pre-insertion snapshot (it misses newer edges; if the block
+ * relocated it reads the intact dead region). Take a fresh view after
+ * growing the list you iterate.
  *
  * The raw-span accessors (`inEdgesRaw()`/`outEdgesRaw()`) are the
  * no-filter fast path for read-only kernels: they yield the whole
@@ -108,19 +123,21 @@
  *    mutable reference must not be held across a copy of its graph
  *    either: writing through it after the copy would write a block
  *    the copy shares;
- *  - `compact()` of a shared graph clones what it repacks; the other
- *    sharers keep the old layout. Its capacity trim skips arrays that
- *    are still shared, which trimming would duplicate, not shrink.
+ *  - `compact()` of a graph that holds a dead edge or arena slack
+ *    builds fresh arrays; the other sharers keep the old ones. Its
+ *    capacity trim skips arrays that are still shared, which trimming
+ *    would duplicate, not shrink.
  *
  * ## Generation counter
  *
  * `generation()` returns a stamp that changes on every structural
  * mutation (`addNode` / `addReplica` / `addEdge` / `removeNode` /
- * `removeEdge`). Stamps are process-unique: two `Ddg` objects carry
- * the same stamp only when one is an unmodified copy of the other,
- * so the loop-analysis memo (`AnalysisCache` in ddg/analysis.hh) can
- * key a `LoopAnalysis` on the stamp plus the config's id and stay
- * correct across the pipeline's copy-mutate-retry loop. Field writes
+ * `removeEdge`, and a `compact()` that renumbers edges). Stamps are
+ * process-unique: two `Ddg` objects carry the same stamp only when
+ * one is an unmodified copy of the other, so the loop-analysis memo
+ * (`AnalysisCache` in ddg/analysis.hh) can key a `LoopAnalysis` on
+ * the stamp plus the config's id and stay correct across the
+ * pipeline's copy-mutate-retry loop. Field writes
  * through the non-const `node()` / `edge()` accessors do NOT advance
  * the stamp; callers that change analysis-relevant fields that way
  * (op class, edge distance or latency) must call `bumpGeneration()`
@@ -401,16 +418,18 @@ class CowArray
 };
 
 /**
- * One node's span inside an adjacency arena: `count` edge ids stored
- * at `offset` (growth follows the slack rule in the file comment).
+ * One node's adjacency block inside the arena: the in-span at
+ * [offset, offset + in), the out-span right after it (growth follows
+ * the rule in the file comment).
  */
 struct AdjSlot
 {
     std::uint32_t offset = 0;
-    std::uint32_t count = 0;
+    std::uint16_t in = 0;
+    std::uint16_t out = 0;
 };
 
-static_assert(sizeof(AdjSlot) == 8, "two 4-byte fields per span");
+static_assert(sizeof(AdjSlot) == 8, "one 8-byte block per node");
 
 /**
  * The one skip-filtering forward range behind every traversal view.
@@ -599,11 +618,10 @@ class LiveAdjRange
 {
   public:
     LiveAdjRange(const detail::CowArray<EdgeId> &arena,
-                 const detail::AdjSlot &slot,
+                 std::uint32_t offset, std::uint32_t count,
                  const detail::CowArray<DdgEdge> &edges)
         : detail::SkipFilterRange<detail::LiveAdjPolicy>(
-              detail::LiveAdjPolicy{&arena, &edges, slot.offset,
-                                    slot.count})
+              detail::LiveAdjPolicy{&arena, &edges, offset, count})
     {
     }
 };
@@ -619,12 +637,12 @@ class FlowNeighborRange
 {
   public:
     FlowNeighborRange(const detail::CowArray<EdgeId> &arena,
-                      const detail::AdjSlot &slot,
+                      std::uint32_t offset, std::uint32_t count,
                       const detail::CowArray<DdgEdge> &edges,
                       bool src_side)
         : detail::SkipFilterRange<detail::FlowNeighborPolicy>(
-              detail::FlowNeighborPolicy{&arena, &edges, slot.offset,
-                                         slot.count, src_side})
+              detail::FlowNeighborPolicy{&arena, &edges, offset, count,
+                                         src_side})
     {
     }
 };
@@ -676,6 +694,12 @@ class Ddg
 {
   public:
     /**
+     * Most edge slots, tombstones included, that one node's in-list or
+     * out-list may hold: a block stores each length in 16 bits.
+     */
+    static constexpr int maxSpanSlots = 65535;
+
+    /**
      * Build a graph from fully-described slot arrays in one step: one
      * generation stamp and exactly-sized arrays (no adjacency slack)
      * instead of per-element mutation calls. Each array is copied
@@ -686,12 +710,14 @@ class Ddg
      * addNode/addEdge/remove* replay would produce, so a graph
      * rebuilt from another graph's slots is field-identical to it.
      *
-     * The slots are checked against seven structural rules: an op
+     * The slots are checked against eight structural rules: an op
      * class below `OpClass::NumOpClasses` (the pipeline indexes
      * tables by op class), a semantic id inside the node array, an
      * edge kind no greater than `EdgeKind::Spill`, edge endpoints
      * inside the node array, a distance >= 0, no live edge on a dead
-     * node, and no flow edge from an op that produces no value.
+     * node, no flow edge from an op that produces no value, and at
+     * most `maxSpanSlots` edges into and out of each node (the row
+     * named is the first edge past the limit).
      * @throws DdgSlotError naming the rule and the node or edge row
      */
     static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
@@ -713,6 +739,9 @@ class Ddg
      * @param kind register flow or memory ordering
      * @param distance iteration distance (>= 0)
      * @param mem_latency latency used for Memory edges (an int16_t)
+     * @throws std::invalid_argument, leaving the graph unchanged, when
+     *         @p src already holds `maxSpanSlots` out-edge slots or
+     *         @p dst as many in-edge slots
      */
     EdgeId addEdge(NodeId src, NodeId dst, EdgeKind kind,
                    int distance = 0, int mem_latency = 1);
@@ -797,29 +826,31 @@ class Ddg
     void bumpGeneration() { generation_ = freshGeneration(); }
 
     /**
-     * Squeeze the adjacency arena back to `fromSlots` density: every
-     * span packed back-to-back in node order with no slack, dead
-     * regions left behind by span relocations discarded.
-     * A graph that grew through heavy replication carries those dead
-     * regions (never reused by design; see the arena invariants)
-     * until destruction; compaction reclaims them for long-lived
-     * graphs, e.g. at the pipeline's copy-mutate-retry boundary
-     * before the graph is copied or retained. Adjacency content and
-     * order are preserved exactly - traversals, and therefore every
-     * compile decision, are unchanged (asserted field-for-field in
-     * debug builds) - and the generation stamp does not advance
-     * (structure is identical). Last, every array this graph owns
-     * alone drops its capacity slack, so a compacted graph is as
-     * exactly sized as a `fromSlots` load; arrays still shared with
-     * another graph keep theirs (see "Shared storage"). No-op when
-     * the arena is dense and no owned array has slack.
+     * Rebuild the graph from its live edges: `fromSlots` on the node
+     * slots and the live edges in id order. Tombstoned edges are
+     * dropped and the live ones renumbered densely, keeping their
+     * fields and their order, so every span lists the same edges in
+     * the same order as before. Node ids, node records and flags
+     * (dead node slots included) are unchanged. The graph comes back
+     * with exactly-sized arrays, no arena slack or dead region, and a
+     * fresh generation stamp (its edge ids changed). Replication and
+     * copy insertion leave dead edges and arena regions behind; the
+     * pipeline compacts at its copy-mutate-retry boundary and before
+     * it returns a changed graph, so a result holds only live edges.
+     * A graph with no dead edge slot and no arena slack already has
+     * that form: compaction then only drops the capacity slack of the
+     * arrays it owns alone (see "Shared storage") and keeps its
+     * stamp.
      *
-     * **The one view-invalidating operation:** compaction moves span
-     * offsets, so every outstanding filtering view (inEdges/outEdges/
-     * flowPreds/flowSuccs) and raw span (inEdgesRaw/outEdgesRaw) of
-     * this graph is invalidated - the exception to the views'
-     * survive-every-mutation contract. Call only at quiescent
-     * boundaries with no views held.
+     * **The one view-invalidating operation:** every outstanding
+     * filtering view (inEdges/outEdges/flowPreds/flowSuccs), raw span
+     * (inEdgesRaw/outEdgesRaw), edge id and per-edge table taken
+     * before a compaction that rebuilt the graph is invalid - the
+     * exception to the views' survive-every-mutation contract. Call
+     * only at quiescent boundaries with no views held.
+     * @throws DdgSlotError, leaving the graph unchanged, if the live
+     *         graph breaks a `fromSlots` rule (possible only after
+     *         field writes through `node()`/`edge()`)
      */
     void compact();
 
@@ -833,11 +864,10 @@ class Ddg
     // the header comment.
     detail::CowArray<DdgNode> nodes_;
     detail::CowArray<DdgEdge> edges_;
-    // CSR-style adjacency: one flat edge-id arena plus two spans per
-    // node slot, interleaved as slots_[2*id] = in, slots_[2*id+1] =
-    // out so a node's pair shares a cache line (and adjacency costs
-    // two allocations per graph, not four). See the header comment
-    // for the invariants and relocation rules.
+    // CSR-style adjacency: one flat edge-id arena plus one block per
+    // node slot, its in-span followed by its out-span (adjacency
+    // costs two allocations per graph). See the header comment for
+    // the invariants and the growth rule.
     detail::CowArray<EdgeId> arena_;
     detail::CowArray<detail::AdjSlot> slots_;
     int liveNodes_ = 0;

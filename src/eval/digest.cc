@@ -1,5 +1,8 @@
 #include "eval/digest.hh"
 
+#include <ostream>
+#include <tuple>
+
 namespace cvliw
 {
 
@@ -37,6 +40,42 @@ digestSuiteResult(const SuiteResult &results)
     for (const CompileResult &r : results.loops)
         mixCompileResult(f, r);
     return f.h;
+}
+
+bool
+SuiteWork::operator==(const SuiteWork &o) const
+{
+    return std::tie(iiAttempts, refineProbes, refineCommits, asapRuns,
+                    widthSweeps, analysisRuns) ==
+           std::tie(o.iiAttempts, o.refineProbes, o.refineCommits,
+                    o.asapRuns, o.widthSweeps, o.analysisRuns);
+}
+
+SuiteWork
+sumSuiteWork(const SuiteResult &results)
+{
+    SuiteWork w;
+    for (const CompileResult &r : results.loops) {
+        const CompileTelemetry &t = r.telemetry;
+        w.iiAttempts += t.iiAttempts;
+        w.refineProbes += t.refineProbes;
+        w.refineCommits += t.refineCommits;
+        w.asapRuns += t.asapRuns;
+        w.widthSweeps += t.widthSweeps;
+        w.analysisRuns += t.analysisRuns;
+    }
+    return w;
+}
+
+std::ostream &
+operator<<(std::ostream &os, const SuiteWork &w)
+{
+    return os << "iiAttempts=" << w.iiAttempts
+              << " refineProbes=" << w.refineProbes
+              << " refineCommits=" << w.refineCommits
+              << " asapRuns=" << w.asapRuns
+              << " widthSweeps=" << w.widthSweeps
+              << " analysisRuns=" << w.analysisRuns;
 }
 
 } // namespace cvliw

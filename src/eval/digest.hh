@@ -13,12 +13,18 @@
  * The mixing order is part of the contract: changing it invalidates
  * every recorded digest, including the ROADMAP's combined suite
  * digest, so treat it as append-only.
+ *
+ * `SuiteWork` is the digests' companion for performance work: the
+ * suite's summed deterministic work counters, which move when a
+ * change makes the compiler do more or less work, while wall time
+ * only says so through noise.
  */
 
 #ifndef CVLIW_EVAL_DIGEST_HH
 #define CVLIW_EVAL_DIGEST_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -64,6 +70,31 @@ void mixCompileResult(ResultDigest &digest, const CompileResult &result);
  * order. Equal digests mean bit-identical results on every loop.
  */
 std::uint64_t digestSuiteResult(const SuiteResult &results);
+
+/**
+ * The deterministic work counters of `CompileTelemetry`, summed over
+ * a suite run. Like the digest, the sums are the same at any worker
+ * count; `analysisRuns` also assumes caches that have not analysed
+ * the suite's graphs on the same machine before (a freshly built
+ * suite or a fresh machine config guarantees it).
+ */
+struct SuiteWork
+{
+    std::uint64_t iiAttempts = 0;
+    std::uint64_t refineProbes = 0;
+    std::uint64_t refineCommits = 0;
+    std::uint64_t asapRuns = 0;
+    std::uint64_t widthSweeps = 0;
+    std::uint64_t analysisRuns = 0;
+
+    bool operator==(const SuiteWork &o) const;
+};
+
+/** Sum the work counters of every loop of @p results. */
+SuiteWork sumSuiteWork(const SuiteResult &results);
+
+/** Prints "iiAttempts=<n> refineProbes=<n> ... analysisRuns=<n>". */
+std::ostream &operator<<(std::ostream &os, const SuiteWork &work);
 
 } // namespace cvliw
 

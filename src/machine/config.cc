@@ -43,6 +43,10 @@ checkCounts(int clusters, int buses, int regs)
                            MachineConfig::maxUnits));
     if (clusters > 1 && buses < 1)
         throw std::invalid_argument("clustered machine needs >=1 bus");
+    if (regs < clusters)
+        throw std::invalid_argument(
+            detail::concat("registers (", regs, ") fewer than clusters (",
+                           clusters, "): every cluster needs one"));
     if (regs % clusters != 0)
         throw std::invalid_argument(
             detail::concat("registers (", regs,

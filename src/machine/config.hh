@@ -64,7 +64,8 @@ class MachineConfig
      * @param clusters number of clusters (must divide 4, or be 1)
      * @param buses inter-cluster buses
      * @param bus_lat bus latency in cycles (>= 1)
-     * @param regs total architected registers (divisible by clusters)
+     * @param regs total architected registers (divisible by clusters,
+     *        at least one per cluster)
      */
     static MachineConfig clustered(int clusters, int buses, int bus_lat,
                                    int regs);

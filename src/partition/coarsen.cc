@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <tuple>
 
 #include "partition/matching.hh"
 #include "support/logging.hh"
@@ -81,6 +81,29 @@ mergeFits(const Usage &a, const Usage &b, const MachineConfig &mach,
     return true;
 }
 
+/**
+ * Sort @p edges by (a, b) and merge parallel ones into one edge that
+ * carries their summed weight: the candidate list of one level.
+ */
+void
+mergeParallel(std::vector<MatchEdge> &edges)
+{
+    std::sort(edges.begin(), edges.end(),
+              [](const MatchEdge &x, const MatchEdge &y) {
+                  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+              });
+    std::size_t kept = 0;
+    for (const MatchEdge &e : edges) {
+        if (kept > 0 && edges[kept - 1].a == e.a &&
+            edges[kept - 1].b == e.b) {
+            edges[kept - 1].weight += e.weight;
+        } else {
+            edges[kept++] = e;
+        }
+    }
+    edges.resize(kept);
+}
+
 } // namespace
 
 CoarseningHierarchy
@@ -109,8 +132,9 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         }
     }
 
-    // Accumulated edge weights between coarse vertices.
-    std::map<std::pair<int, int>, long long> weights;
+    // Accumulated edge weights between coarse vertices, one edge per
+    // vertex pair (a < b), sorted by (a, b).
+    std::vector<MatchEdge> weights;
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
         const long long w =
@@ -123,19 +147,15 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
             continue;
         if (a > b)
             std::swap(a, b);
-        weights[{a, b}] += w;
+        weights.push_back({a, b, w});
     }
+    mergeParallel(weights);
 
     while (num_vertices > clusters) {
-        std::vector<MatchEdge> cand;
-        cand.reserve(weights.size());
-        for (const auto &[key, w] : weights)
-            cand.push_back({key.first, key.second, w});
-
         auto feasible = [&](int a, int b) {
             return mergeFits(usage[a], usage[b], mach, ii);
         };
-        auto pairs = greedyMatching(num_vertices, cand, feasible);
+        auto pairs = greedyMatching(num_vertices, weights, feasible);
 
         // Never contract past the target count.
         const std::size_t limit =
@@ -175,17 +195,19 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         usage = std::move(nusage);
         size = std::move(nsize);
 
-        // Rebuild edge weights.
-        std::map<std::pair<int, int>, long long> nweights;
-        for (const auto &[key, w] : weights) {
-            int a = new_id[key.first], b = new_id[key.second];
+        // Rebuild edge weights: an edge inside a contracted pair
+        // vanishes, and edges that now join the same pair merge.
+        std::size_t kept = 0;
+        for (const MatchEdge &e : weights) {
+            int a = new_id[e.a], b = new_id[e.b];
             if (a == b)
                 continue;
             if (a > b)
                 std::swap(a, b);
-            nweights[{a, b}] += w;
+            weights[kept++] = {a, b, e.weight};
         }
-        weights = std::move(nweights);
+        weights.resize(kept);
+        mergeParallel(weights);
 
         // Record the level as original-node -> group.
         std::vector<int> level_map(slots, -1);

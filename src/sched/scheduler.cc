@@ -25,15 +25,25 @@ toString(FailCause cause)
     }
 }
 
+const LoopAnalysis &
+SchedulerCache::analysis(const Ddg &ddg, const MachineConfig &mach)
+{
+    if (inputAnalyses) {
+        if (const LoopAnalysis *input = inputAnalyses->find(ddg, mach))
+            return *input;
+    }
+    return analyses.get(ddg, mach);
+}
+
 const std::vector<NodeId> &
 SchedulerCache::order(const Ddg &ddg, const MachineConfig &mach)
 {
-    // The order is a function of the analysis: recompute it exactly
-    // when the analysis memo does.
-    const LoopAnalysis &analysis = analyses.get(ddg, mach);
-    if (orderRun_ != analyses.runs()) {
-        order_ = smsOrder(ddg, analysis);
-        orderRun_ = analyses.runs();
+    // Like the analysis, the order is a function of the graph and the
+    // machine.
+    if (orderGen_ != ddg.generation() || orderCfg_ != mach.id()) {
+        order_ = smsOrder(ddg, analysis(ddg, mach));
+        orderGen_ = ddg.generation();
+        orderCfg_ = mach.id();
     }
     return order_;
 }
@@ -126,7 +136,7 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     SchedulerCache local_cache;
     SchedulerCache &memo = cache ? *cache : local_cache;
 
-    const LoopAnalysis &analysis = memo.analyses.get(ddg, mach);
+    const LoopAnalysis &analysis = memo.analysis(ddg, mach);
     const auto &order = memo.order(ddg, mach);
     ReservationTables &tables = memo.tables(mach, ii);
 

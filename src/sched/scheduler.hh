@@ -78,17 +78,30 @@ struct SchedulerOptions
  * reuse them wholesale, and the ordering and the placement loop
  * share one analysis. Entries carry the machine config's identity
  * stamp, so one cache may serve several configs without stale reuse.
- * On a clustered machine the input graph's analysis lives in
- * PseudoScratch, so a changed work graph never evicts it; a unified
- * machine reads it once and schedules the input's unmodified copy,
- * so there it lives here. The reservation tables are also pooled
- * here: every attempt resets them in place instead of reallocating.
+ * The input graph's analysis lives in its own memo (PseudoScratch's),
+ * which a changed work graph never evicts; an attempt on an
+ * unmodified copy of the input reads it from there. The reservation
+ * tables are also pooled here: every attempt resets them in place
+ * instead of reallocating.
  */
 struct SchedulerCache
 {
+    /** The changed work graphs' analysis memo. */
     AnalysisCache analyses;
 
-    /** Cached smsOrder(ddg, analyses.get(ddg, mach)). */
+    /**
+     * A memo read before `analyses` (not owned; null for none).
+     * CompileCaches points it at the input graph's memo, so an attempt
+     * on an unmodified copy of the input (same stamp) uses the input's
+     * analysis instead of running it again.
+     */
+    const AnalysisCache *inputAnalyses = nullptr;
+
+    /** analyzeLoop(ddg, mach), from inputAnalyses or `analyses`. */
+    const LoopAnalysis &analysis(const Ddg &ddg,
+                                 const MachineConfig &mach);
+
+    /** Cached smsOrder(ddg, analysis(ddg, mach)). */
     const std::vector<NodeId> &order(const Ddg &ddg,
                                      const MachineConfig &mach);
 
@@ -100,7 +113,9 @@ struct SchedulerCache
     ReservationTables &tables(const MachineConfig &mach, int ii);
 
   private:
-    std::uint64_t orderRun_ = 0; //!< analyses.runs() of order_
+    // (graph stamp, config id) of order_; stamps start at 1.
+    std::uint64_t orderGen_ = 0;
+    std::uint64_t orderCfg_ = 0;
     std::vector<NodeId> order_;
     std::uint64_t tablesCfg_ = 0;
     const MachineConfig *tablesMach_ = nullptr;

@@ -4,13 +4,15 @@
  * skipping after removals, iterator stability under const access,
  * the generation counter contract, the AnalysisCache memo, and a
  * regression check that compile() results on the paper's worked
- * example are unchanged by the view migration. The DdgSlots section
- * covers `Ddg::fromSlots`: each of its seven structural rules rejects
- * a bad row, and a graph rebuilt from its own slot arrays is
- * field-identical to it. The DdgShared section covers copy-on-write
- * storage: a copy shares and allocates nothing, a first write clones
- * only what it writes, views follow the clone, and concurrent copies
- * of one graph are race-free (the TSan job runs this binary).
+ * example are unchanged by the view migration. The DdgArena section
+ * covers the adjacency blocks: the growth rule, stale views, the
+ * 65,535-slot limit and compact(). The DdgSlots section covers
+ * `Ddg::fromSlots`: each of its structural rules rejects a bad row,
+ * and a graph rebuilt from its own slot arrays is field-identical to
+ * it. The DdgShared section covers copy-on-write storage: a copy
+ * shares and allocates nothing, a first write clones only what it
+ * writes, views follow the clone, and concurrent copies of one graph
+ * are race-free (the TSan job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <optional>
@@ -33,6 +36,7 @@
 #include "ddg/ddg.hh"
 #include "partition/partition.hh"
 #include "support/rng.hh"
+#include "expect_invalid.hh"
 #include "paper_graph.hh"
 
 // --- Global operator-new hook (this binary only). --------------------
@@ -389,6 +393,24 @@ struct AdjOracle
         in[g.edge(e).dst].push_back(e);
     }
 
+    /**
+     * Mirror of compact(): @p ids maps each old edge id to its new
+     * one, or to invalidEdge for a dropped (dead) edge.
+     */
+    void onCompact(const std::vector<EdgeId> &ids)
+    {
+        for (auto *side : {&in, &out}) {
+            for (std::vector<EdgeId> &span : *side) {
+                std::vector<EdgeId> kept;
+                for (EdgeId e : span) {
+                    if (ids[e] != invalidEdge)
+                        kept.push_back(ids[e]);
+                }
+                span = std::move(kept);
+            }
+        }
+    }
+
     static std::vector<EdgeId> liveOf(const Ddg &g,
                                       const std::vector<EdgeId> &ids)
     {
@@ -441,8 +463,33 @@ struct AdjOracle
 };
 
 /**
+ * The ids compact() gives @p g's edge slots: the live edges numbered
+ * densely in id order, invalidEdge for the dead ones.
+ */
+std::vector<EdgeId>
+compactedIds(const Ddg &g)
+{
+    std::vector<EdgeId> ids(static_cast<std::size_t>(g.numEdgeSlots()),
+                            invalidEdge);
+    EdgeId next = 0;
+    for (EdgeId e = 0; e < g.numEdgeSlots(); ++e) {
+        if (g.edge(e).alive)
+            ids[static_cast<std::size_t>(e)] = next++;
+    }
+    return ids;
+}
+
+/** Copy of a raw span, for comparisons after the span is invalid. */
+std::vector<EdgeId>
+idsOf(EdgeSpan span)
+{
+    return std::vector<EdgeId>(span.begin(), span.end());
+}
+
+/**
  * Mutation fuzz: random interleavings of addNode / addEdge /
- * addReplica / removeNode / removeEdge / removeDeadCode against the
+ * addReplica / removeNode / removeEdge / removeDeadCode, in-appends
+ * to nodes that have out-edges, and compactions against the
  * oracle. Exercises span growth through relocation (many edges on one
  * node), tombstoning, and bulk sweeps - the mutations the arena's
  * amortized-growth rules must keep exact. The graph is copied at
@@ -485,9 +532,29 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
         for (int i = 0; i < 4; ++i)
             spawn(OpClass::IntAlu);
 
+        // compact(): the oracle and the test's own edge ids follow
+        // the renumbering, and a graph that held a dead edge comes
+        // back with a fresh stamp and none.
+        const auto compactAll = [&] {
+            const std::vector<EdgeId> ids = compactedIds(g);
+            const bool had_dead = g.numEdges() != g.numEdgeSlots();
+            const std::uint64_t stamp = g.generation();
+            g.compact();
+            oracle.onCompact(ids);
+            std::vector<EdgeId> kept;
+            for (EdgeId e : live_edges) {
+                if (ids[static_cast<std::size_t>(e)] != invalidEdge)
+                    kept.push_back(ids[static_cast<std::size_t>(e)]);
+            }
+            live_edges = std::move(kept);
+            ASSERT_EQ(g.numEdgeSlots(), g.numEdges());
+            if (had_dead)
+                ASSERT_NE(g.generation(), stamp);
+        };
+
         for (int step = 0; step < 300; ++step) {
             const std::size_t op =
-                rng.weightedIndex({3, 6, 2, 1, 1, 0.5});
+                rng.weightedIndex({3, 6, 2, 1, 1, 0.5, 2});
             if (op == 0) { // addNode
                 const double pick = rng.uniformReal();
                 spawn(pick < 0.5   ? OpClass::IntAlu
@@ -544,11 +611,45 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
                 // root survived; keep the op mix meaningful.
                 while (live_nodes.size() < 2)
                     spawn(OpClass::IntAlu);
+            } else if (op == 6) { // in-append to a node with out-edges
+                NodeId dst = invalidNode;
+                for (int tries = 0; tries < 32 && dst == invalidNode;
+                     ++tries) {
+                    const NodeId n = live_nodes[static_cast<std::size_t>(
+                        rng.uniformInt(0, live_nodes.size() - 1))];
+                    if (!g.outEdgesRaw(n).empty())
+                        dst = n;
+                }
+                const NodeId src = pickProducer();
+                if (dst == invalidNode || src == invalidNode)
+                    continue;
+                // The append relocates dst's whole block. Views taken
+                // before keep reading the old block: the in-list
+                // without the new edge, the out-list unchanged.
+                const LiveAdjRange in_before = g.inEdges(dst);
+                const LiveAdjRange out_before = g.outEdges(dst);
+                const std::vector<EdgeId> in_was = in_before.toVector();
+                const std::vector<EdgeId> out_was = out_before.toVector();
+                const std::vector<EdgeId> raw_in = idsOf(g.inEdgesRaw(dst));
+                const std::vector<EdgeId> raw_out =
+                    idsOf(g.outEdgesRaw(dst));
+                ASSERT_EQ(raw_in, oracle.in[dst]);
+                ASSERT_EQ(raw_out, oracle.out[dst]);
+                const EdgeId e = g.addEdge(src, dst, EdgeKind::RegFlow,
+                                           static_cast<int>(
+                                               rng.uniformInt(0, 3)));
+                oracle.onEdge(g, e);
+                live_edges.push_back(e);
+                ASSERT_EQ(in_before.toVector(), in_was);
+                ASSERT_EQ(out_before.toVector(), out_was);
+                ASSERT_EQ(idsOf(g.inEdgesRaw(dst)), oracle.in[dst]);
+                ASSERT_EQ(idsOf(g.outEdgesRaw(dst)), oracle.out[dst]);
+                ASSERT_EQ(g.inEdges(dst).toVector().back(), e);
             }
             // Compaction at random quiescent points (no view is held
-            // here): everything the oracle observes must be unmoved.
+            // here).
             if (rng.chance(0.05))
-                g.compact();
+                compactAll();
             // Freeze a sharer of the current graph; dropping the
             // oldest one makes storage unshared again mid-stream.
             if (rng.chance(0.05))
@@ -563,7 +664,7 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
             }
         }
         oracle.check(g);
-        g.compact();
+        compactAll();
         oracle.check(g);
         checkFrozen();
 
@@ -580,14 +681,14 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
 }
 
 /**
- * A span grows in place while the arena entry just past it is
- * `invalidEdge` and relocates otherwise. Three hubs' in- and
- * out-spans and their sinks' in-spans grow in turn, so relocated
- * regions abut. Each hub span relocates at lengths 0, 4, 8 and 16,
- * then at 21 and 42 after compact() leaves it without slack. A copy
- * taken midway shares the arena until the next append clones it.
- * Every list must match the vector model after every append, and
- * the copy its own model.
+ * A block grows in place while the arena entry just past it is
+ * `invalidEdge` (for an in-edge, only while its out-list is empty)
+ * and relocates otherwise. Three hubs' in- and out-lists and their
+ * sinks' in-lists grow in turn, so relocated regions abut, and every
+ * in-edge to a hub moves the hub's whole block. compact() at round 20
+ * leaves every block without slack. A copy taken midway shares the
+ * arena until the next append clones it. Every list must match the
+ * vector model after every append, and the copy its own model.
  */
 TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
 {
@@ -667,58 +768,222 @@ TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
 }
 
 /**
- * compact() repacks a relocation-grown arena to fromSlots density:
- * adjacency (order, tombstones, dead-slot spans) is preserved exactly,
- * the generation stamp does not advance, and the graph keeps growing
- * correctly afterwards from zero slack.
+ * compact() rebuilds a relocation-grown graph from its live edges:
+ * node slots and flags are unchanged, dead edges are gone, live edges
+ * keep their fields and order under dense new ids, every span equals
+ * the oracle's renumbered span, and the stamp is fresh. A second call
+ * finds nothing to drop and keeps the stamp, and the graph keeps
+ * growing correctly afterwards.
  */
-TEST(DdgArena, CompactPreservesAdjacencyAndGeneration)
+TEST(DdgArena, CompactKeepsOnlyLiveEdgesAndRestamps)
 {
-    // Heavy fan-out on one node forces repeated span relocations, so
-    // the arena accumulates dead regions and slack.
+    // Heavy fan-out on one node forces repeated block relocations, and
+    // in-edges to that node (which has out-edges) move its whole block
+    // each time, so the arena accumulates dead regions and slack.
     Ddg g;
-    const NodeId hub = g.addNode(OpClass::IntAlu);
+    AdjOracle oracle;
+    const auto spawn = [&] {
+        oracle.onNode();
+        return g.addNode(OpClass::IntAlu);
+    };
+    const NodeId hub = spawn();
     std::vector<NodeId> leaves;
     for (int i = 0; i < 37; ++i) {
-        const NodeId leaf = g.addNode(OpClass::IntAlu);
-        g.addEdge(hub, leaf, EdgeKind::RegFlow, 0);
-        leaves.push_back(leaf);
+        leaves.push_back(spawn());
+        oracle.onEdge(g, g.addEdge(hub, leaves.back(), EdgeKind::RegFlow,
+                                   0));
     }
-    g.removeNode(leaves[3]); // tombstones stay in the spans
+    for (int i = 0; i < 5; ++i) {
+        oracle.onEdge(g, g.addEdge(leaves[static_cast<std::size_t>(i)],
+                                   hub, EdgeKind::Memory, 1, 2));
+    }
+    g.node(leaves[9]).liveOut = true;
+    g.removeNode(leaves[3]); // two dead edges and a dead node slot
     g.removeEdge(g.outEdgesRaw(hub)[7]);
 
-    // Oracle: an unmodified copy (same adjacency, untouched arena).
-    const Ddg pre = g;
+    std::vector<DdgNode> nodes_was;
+    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
+        nodes_was.push_back(g.node(n));
+    std::vector<DdgEdge> live_was;
+    for (EdgeId e = 0; e < g.numEdgeSlots(); ++e) {
+        if (g.edge(e).alive)
+            live_was.push_back(g.edge(e));
+    }
+    ASSERT_EQ(live_was.size(), 39u);
+    const std::vector<EdgeId> ids = compactedIds(g);
     const std::uint64_t stamp = g.generation();
 
     g.compact();
+    oracle.onCompact(ids);
 
-    EXPECT_EQ(g.generation(), stamp) << "compact is not structural";
-    ASSERT_EQ(g.numNodeSlots(), pre.numNodeSlots());
+    EXPECT_NE(g.generation(), stamp) << "edge ids changed";
+    ASSERT_EQ(g.numNodeSlots(), static_cast<int>(nodes_was.size()));
+    EXPECT_EQ(g.numNodes(), 37);
     for (NodeId n = 0; n < g.numNodeSlots(); ++n) {
-        const EdgeSpan gi = g.inEdgesRaw(n), pi = pre.inEdgesRaw(n);
-        EXPECT_EQ(std::vector<EdgeId>(gi.begin(), gi.end()),
-                  std::vector<EdgeId>(pi.begin(), pi.end()))
-            << "in-span of node " << n;
-        const EdgeSpan go = g.outEdgesRaw(n), po = pre.outEdgesRaw(n);
-        EXPECT_EQ(std::vector<EdgeId>(go.begin(), go.end()),
-                  std::vector<EdgeId>(po.begin(), po.end()))
-            << "out-span of node " << n;
-        if (!g.node(n).alive)
-            continue;
-        EXPECT_EQ(g.inEdges(n).toVector(), pre.inEdges(n).toVector());
-        EXPECT_EQ(g.outEdges(n).toVector(),
-                  pre.outEdges(n).toVector());
+        EXPECT_EQ(std::memcmp(&g.node(n), &nodes_was[n], sizeof(DdgNode)),
+                  0)
+            << "node " << n;
     }
+    ASSERT_EQ(g.numEdgeSlots(), static_cast<int>(live_was.size()));
+    EXPECT_EQ(g.numEdges(), g.numEdgeSlots());
+    for (EdgeId e = 0; e < g.numEdgeSlots(); ++e) {
+        EXPECT_EQ(std::memcmp(&g.edge(e), &live_was[e], sizeof(DdgEdge)),
+                  0)
+            << "edge " << e;
+    }
+    oracle.check(g);
 
-    // Compact twice: the second call is the documented no-op.
+    // Compact twice: nothing is left to drop, so the stamp stays.
+    const std::uint64_t fresh = g.generation();
     g.compact();
-    EXPECT_EQ(g.generation(), stamp);
+    EXPECT_EQ(g.generation(), fresh);
+    oracle.check(g);
 
-    // Growth from a span without slack relocates cleanly again.
-    const NodeId extra = g.addNode(OpClass::IntAlu);
-    const EdgeId e = g.addEdge(hub, extra, EdgeKind::RegFlow, 0);
-    EXPECT_EQ(g.outEdges(hub).toVector().back(), e);
+    // Growth from blocks without slack relocates cleanly again.
+    const NodeId extra = spawn();
+    oracle.onEdge(g, g.addEdge(hub, extra, EdgeKind::RegFlow, 0));
+    oracle.onEdge(g, g.addEdge(extra, hub, EdgeKind::RegFlow, 1));
+    oracle.check(g);
+}
+
+/**
+ * An in-append to a node that has out-edges moves its whole block to
+ * the arena tail, at twice its length: the in-span, the new id, then
+ * the out-span. Views and raw spans taken before and after match the
+ * oracle, and the stale views keep reading the old block. A node
+ * without out-edges takes in-edges in place while its block has
+ * slack.
+ */
+TEST(DdgArena, InAppendToANodeWithOutEdgesMovesItsBlock)
+{
+    // fromSlots' exact layout: node 0's block holds its two out-edges
+    // at arena offset 0, v's block (two in, three out) follows at 2.
+    Ddg seed;
+    for (int i = 0; i < 5; ++i)
+        seed.addNode(OpClass::IntAlu);
+    const NodeId v = 1;
+    seed.addEdge(0, v, EdgeKind::RegFlow, 0);
+    seed.addEdge(0, v, EdgeKind::RegFlow, 1);
+    for (NodeId to : {2, 3, 4})
+        seed.addEdge(v, to, EdgeKind::RegFlow, 0);
+    Ddg g = Slots(seed).build();
+    AdjOracle oracle;
+    for (int i = 0; i < 5; ++i)
+        oracle.onNode();
+    for (EdgeId e = 0; e < 5; ++e)
+        oracle.onEdge(g, e);
+    oracle.check(g);
+
+    // Arena positions, measured from node 0's block, which never moves.
+    const auto at = [&](EdgeSpan span) {
+        return span.begin() - g.outEdgesRaw(0).begin();
+    };
+    EXPECT_EQ(at(g.inEdgesRaw(v)), 2);
+    EXPECT_EQ(g.inEdgesRaw(v).end(), g.outEdgesRaw(v).begin());
+
+    const LiveAdjRange in_before = g.inEdges(v);
+    const LiveAdjRange out_before = g.outEdges(v);
+    const FlowNeighborRange preds_before = g.flowPreds(v);
+    const std::vector<EdgeId> raw_in = idsOf(g.inEdgesRaw(v));
+    const std::vector<EdgeId> raw_out = idsOf(g.outEdgesRaw(v));
+    EXPECT_EQ(raw_in, (std::vector<EdgeId>{0, 1}));
+    EXPECT_EQ(raw_out, (std::vector<EdgeId>{2, 3, 4}));
+
+    // Node 3's out-append moves its one-slot block to the tail (the
+    // arena held 10 ids; it now holds 12), then v's five-slot block
+    // follows it with room for ten.
+    const EdgeId e = g.addEdge(3, v, EdgeKind::RegFlow, 1);
+    oracle.onEdge(g, e);
+    oracle.check(g);
+    EXPECT_EQ(at(g.inEdgesRaw(v)), 12);
+    EXPECT_EQ(g.inEdgesRaw(v).end(), g.outEdgesRaw(v).begin());
+    EXPECT_EQ(idsOf(g.inEdgesRaw(v)), (std::vector<EdgeId>{0, 1, e}));
+    EXPECT_EQ(idsOf(g.outEdgesRaw(v)), raw_out);
+    EXPECT_EQ(in_before.toVector(), raw_in) << "stale in-view";
+    EXPECT_EQ(out_before.toVector(), raw_out) << "stale out-view";
+    EXPECT_EQ(preds_before.toVector(), (std::vector<NodeId>{0, 0}));
+    EXPECT_EQ(g.flowPreds(v).toVector(), (std::vector<NodeId>{0, 0, 3}));
+
+    // Its slack does not help the next in-edge: the out-list is in the
+    // way, so the block moves again. Node 4's block moves to 22 first
+    // (two slots), so v's lands at 24, with room for twelve.
+    oracle.onEdge(g, g.addEdge(4, v, EdgeKind::Memory, 0, 3));
+    oracle.check(g);
+    EXPECT_EQ(at(g.inEdgesRaw(v)), 24);
+
+    // Node 2 has no out-edges: its full block moves on each of two
+    // in-edges (to two, then four slots) and takes the third in place.
+    oracle.onEdge(g, g.addEdge(4, 2, EdgeKind::RegFlow, 0));
+    oracle.onEdge(g, g.addEdge(4, 2, EdgeKind::RegFlow, 1));
+    const auto node2 = at(g.inEdgesRaw(2));
+    oracle.onEdge(g, g.addEdge(4, 2, EdgeKind::RegFlow, 2));
+    EXPECT_EQ(at(g.inEdgesRaw(2)), node2);
+    EXPECT_EQ(g.inEdgesRaw(2).size(), 4u);
+    oracle.check(g);
+}
+
+/**
+ * A node holds up to 65,535 edge slots each way, through fromSlots
+ * and addEdge alike. The next edge is rejected: fromSlots names its
+ * row, and addEdge throws std::invalid_argument and leaves the graph
+ * unchanged.
+ */
+TEST(DdgArena, SpanLimitIs65535SlotsEachWay)
+{
+    constexpr int limit = Ddg::maxSpanSlots;
+    static_assert(limit == 65535);
+    Ddg g;
+    const NodeId src = g.addNode(OpClass::IntAlu);
+    const NodeId hub = g.addNode(OpClass::IntAlu);
+    const NodeId dst = g.addNode(OpClass::Store);
+    const NodeId spare_src = g.addNode(OpClass::IntAlu);
+    const NodeId spare_dst = g.addNode(OpClass::Store);
+    for (int i = 0; i < limit; ++i)
+        g.addEdge(src, hub, EdgeKind::RegFlow, i % 3);
+    for (int i = 0; i < limit; ++i)
+        g.addEdge(hub, dst, EdgeKind::RegFlow, 0);
+    EXPECT_EQ(g.inEdgesRaw(hub).size(), 65535u);
+    EXPECT_EQ(g.outEdgesRaw(hub).size(), 65535u);
+    EXPECT_EQ(g.inEdges(hub).size(), 65535u);
+    EXPECT_EQ(g.flowSuccs(hub).size(), 65535u);
+
+    const std::string image = imageOf(g);
+    const std::uint64_t stamp = g.generation();
+    EXPECT_INVALID_ARGUMENT(g.addEdge(spare_src, hub, EdgeKind::RegFlow, 0),
+                            "more than 65535 in-edge slots on n1");
+    EXPECT_INVALID_ARGUMENT(g.addEdge(hub, spare_dst, EdgeKind::RegFlow, 0),
+                            "more than 65535 out-edge slots on n1");
+    EXPECT_EQ(g.generation(), stamp);
+    EXPECT_EQ(imageOf(g), image) << "a rejected edge wrote the graph";
+    g.addEdge(spare_src, spare_dst, EdgeKind::RegFlow, 0);
+    EXPECT_EQ(g.numEdges(), 2 * limit + 1);
+
+    const Slots slots(g);
+    const Ddg built = slots.build();
+    EXPECT_EQ(built.inEdgesRaw(hub).size(), 65535u);
+    EXPECT_EQ(built.outEdgesRaw(hub).size(), 65535u);
+    EXPECT_EQ(idsOf(built.outEdgesRaw(hub)), idsOf(g.outEdgesRaw(hub)));
+    const std::pair<NodeId, NodeId> past[] = {{spare_src, hub},
+                                              {hub, spare_dst}};
+    const char *rules[] = {"more than 65535 in-edge slots on n1",
+                           "more than 65535 out-edge slots on n1"};
+    for (int k = 0; k < 2; ++k) {
+        Slots bad = slots;
+        DdgEdge extra;
+        extra.src = past[k].first;
+        extra.dst = past[k].second;
+        bad.edges.push_back(extra);
+        try {
+            bad.build();
+            ADD_FAILURE() << "accepted " << rules[k];
+        } catch (const DdgSlotError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("edge record row 131071"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(rules[k]), std::string::npos) << what;
+        }
+    }
 }
 
 // --- Bulk construction (fromSlots). ----------------------------------

@@ -11,10 +11,17 @@
  * and ROADMAP records - runs when CVLIW_DIGEST_FULL is set (the CI
  * workflow sets it on one job).
  *
+ * Next to each digest the test pins the suite's summed work counters
+ * (`SuiteWork`): II attempts, refinement probes and commits, ASAP
+ * runs, width sweeps and loop analyses. They are the regression
+ * signal for compile work that timing noise cannot trip: a change
+ * that makes the compiler do more work fails here even when the
+ * digests hold.
+ *
  * If a PR changes these values *intentionally* (an algorithmic
  * change, not a refactor), re-pin them here and in ROADMAP.md and say
  * so in the PR: the digests are the proof that perf work preserved
- * behaviour.
+ * behaviour, and the work sums show what it saved.
  */
 
 #include <gtest/gtest.h>
@@ -72,13 +79,23 @@ TEST(SuiteDigest, SubsetDigestsPinned)
                                       0xbcb5b042636e5fd9ull,
                                       0xf289039d9e620614ull};
     const std::uint64_t expected_combined = 0x5f7ff8d38700f3feull;
+    // iiAttempts, refineProbes, refineCommits, asapRuns, widthSweeps,
+    // analysisRuns.
+    const SuiteWork expected_work[] = {
+        {53, 2852, 69, 364, 113, 69},
+        {73, 13518, 143, 1862, 235, 104},
+        {90, 15093, 138, 2243, 237, 101},
+    };
 
     ResultDigest all;
     for (std::size_t c = 0; c < 3; ++c) {
         const auto m = MachineConfig::fromString(kConfigs[c]);
-        const std::uint64_t h = digestSuiteResult(
-            CompileService::shared().compileSuite(subset, m));
+        const SuiteResult results =
+            CompileService::shared().compileSuite(subset, m);
+        const std::uint64_t h = digestSuiteResult(results);
         EXPECT_EQ(h, expected[c]) << "config " << kConfigs[c];
+        EXPECT_EQ(sumSuiteWork(results), expected_work[c])
+            << "config " << kConfigs[c];
         all.mix(h);
     }
     EXPECT_EQ(all.h, expected_combined);
@@ -101,15 +118,24 @@ TEST(SuiteDigest, FullSuiteDigestPinned)
                                       0x2a9f8f118be94bd5ull,
                                       0x24ef7e20a9753f3bull};
     const std::uint64_t expected_combined = 0xf607a8cc685dd8a4ull;
+    // The work sums examples/suite_digest prints.
+    const SuiteWork expected_work[] = {
+        {827, 47829, 1272, 5889, 1798, 1093},
+        {1043, 204777, 2287, 27056, 3663, 1516},
+        {1265, 229386, 2027, 30804, 3470, 1515},
+    };
 
     for (int workers : {1, 4, 0}) {
         CompileService service(workers);
         ResultDigest all;
         for (std::size_t c = 0; c < 3; ++c) {
             const auto m = MachineConfig::fromString(kConfigs[c]);
-            const std::uint64_t h =
-                digestSuiteResult(service.compileSuite(suite, m));
+            const SuiteResult results = service.compileSuite(suite, m);
+            const std::uint64_t h = digestSuiteResult(results);
             EXPECT_EQ(h, expected[c])
+                << "config " << kConfigs[c] << ", "
+                << service.numWorkers() << " workers";
+            EXPECT_EQ(sumSuiteWork(results), expected_work[c])
                 << "config " << kConfigs[c] << ", "
                 << service.numWorkers() << " workers";
             all.mix(h);

@@ -4,7 +4,9 @@
  * suite on the six paper configs, replication off and on (8,136
  * jobs), compiled as one CompileService batch. Every job must end Ok
  * with a feasible schedule that passes checkSchedule and simulates
- * equal to the reference interpreter - not a sample.
+ * equal to the reference interpreter - not a sample - and its graph
+ * must hold no dead edge slot (compile() compacts a changed graph;
+ * an unchanged one is the input's, which has none).
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +54,10 @@ TEST(Fig7Validation, EveryResultChecksAndSimulates)
         const CompileResult &r = batch.results[j];
         if (!r.ok)
             return "no schedule found";
+        if (r.finalDdg.numEdgeSlots() != r.finalDdg.numEdges())
+            return std::to_string(r.finalDdg.numEdgeSlots() -
+                                  r.finalDdg.numEdges()) +
+                   " dead edge slots";
         const MachineConfig &mach = *jobs[j].mach;
         const auto errs =
             checkSchedule(r.finalDdg, mach, r.partition, r.schedule);

@@ -203,6 +203,27 @@ TEST(MachineConfig, RejectsBadShapes)
         "latency must be >= 1");
 }
 
+TEST(MachineConfig, RejectsFewerRegistersThanClusters)
+{
+    // Without this check such a machine compiled through dozens of II
+    // attempts before giving up on register pressure.
+    EXPECT_INVALID_ARGUMENT(
+        MachineConfig::custom(2, ClusterResources{2, 2, 2, 0}, 1, 1, -64),
+        "registers (-64) fewer than clusters (2)");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::clustered(2, 1, 2, 0),
+                            "registers (0) fewer than clusters (2)");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::unified(0),
+                            "registers (0) fewer than clusters (1)");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::fromString("2c1b2l0r"),
+                            "registers (0) fewer than clusters (2)");
+    EXPECT_INVALID_ARGUMENT(MachineConfig::universal(4, 3, 1, 1, 2),
+                            "registers (2) fewer than clusters (4)");
+
+    // One register per cluster is a machine.
+    EXPECT_EQ(MachineConfig::fromString("4c1b2l4r").regsPerCluster(), 1);
+    EXPECT_EQ(MachineConfig::unified(1).regsPerCluster(), 1);
+}
+
 TEST(MachineConfig, RejectsMoreUnitsThanOneByteIdsHold)
 {
     // Cluster and bus ids are stored in one byte: 127 of each at most.

@@ -205,6 +205,28 @@ TEST(Pipeline, UnifiedCompileAnalysesItsInputOnce)
     EXPECT_GT(checked, 0);
 }
 
+TEST(Pipeline, UnmodifiedClusteredWorkGraphReusesTheInputAnalysis)
+{
+    // A clustered attempt that adds no replica, copy or spill
+    // schedules an unmodified copy of the input (same stamp): the
+    // scheduler reads the input's analysis instead of running it again.
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    int checked = 0;
+    for (const Loop &loop : buildSuite(42)) {
+        CompileCaches caches;
+        const auto r = compile(loop.ddg, m, {}, &caches);
+        ASSERT_TRUE(r.ok);
+        if (r.ii != r.mii || r.repl.replicasAdded > 0 ||
+            r.finalDdg.hasCopies() || r.spills > 0)
+            continue;
+        SCOPED_TRACE(loop.name());
+        EXPECT_EQ(r.finalDdg.generation(), loop.ddg.generation());
+        EXPECT_EQ(r.telemetry.analysisRuns, 1u);
+        ++checked;
+    }
+    EXPECT_GT(checked, 200);
+}
+
 TEST(Pipeline, HugeFlowDistanceGivesUpAtMaxIi)
 {
     // The load's value is read 2^26 iterations later, so it lives
