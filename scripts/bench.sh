@@ -10,9 +10,10 @@
 #
 # With --gate RATIO the script exits non-zero when any benchmark runs
 # slower than RATIO times its stored baseline (e.g. --gate 0.9 fails
-# on >10% regressions). Only benchmarks whose baseline is at least
-# 1 ms are gated: microsecond-scale benches swing past 10% from
-# scheduler noise alone on shared runners, while the coarse
+# on >10% regressions), or when a gated baseline benchmark is missing
+# from the run (renamed or deleted). Only benchmarks whose baseline
+# is at least 1 ms are gated: microsecond-scale benches swing past
+# 10% from scheduler noise alone on shared runners, while the coarse
 # end-to-end ones are stable. Only meaningful when the baseline was
 # recorded on comparable hardware; CI re-baselines first for that
 # reason.
@@ -117,10 +118,17 @@ if gate is not None:
 
     slow = {n: s for n, s in speedup.items()
             if s < gate and coarse(n)}
+    missing = sorted(n for n in baseline if coarse(n) and n not in current)
     if slow:
         print(f"FAIL: benchmarks regressed past the {gate}x gate:")
         for name in sorted(slow):
             print(f"  {name}: {slow[name]}x vs baseline")
+    if missing:
+        print("FAIL: gated baseline benchmarks missing from this run:")
+        for name in missing:
+            print(f"  {name}")
+    if slow or missing:
         sys.exit(1)
-    print(f"gate ok: no >=1ms benchmark below {gate}x of baseline")
+    print(f"gate ok: every >=1ms baseline benchmark ran, none below "
+          f"{gate}x of baseline")
 PY

@@ -14,6 +14,7 @@
 #include "sched/comms.hh"
 #include "sched/copies.hh"
 #include "sched/mii.hh"
+#include "sched/sms_order.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
@@ -81,29 +82,17 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     const std::uint64_t commits0 = caches.pseudo.commitCount();
     const std::uint64_t asap0 = caches.pseudo.asapRunCount();
     const std::uint64_t sweeps0 = caches.pseudo.widthSweepCount();
-    const auto analysis_runs = [&] {
-        return caches.pseudo.analyses().runs() +
-               caches.sched.analyses.runs();
-    };
-    const std::uint64_t analyses0 = analysis_runs();
 
-    // The input's one analysis: the partitioner, every refinement and
-    // the scheduler of an unmodified copy of the input (same
-    // generation stamp) read it from the same memo. Bad input fails
-    // typed here: deep inside a pass, the SMS order's assertion would
-    // abort the whole process on it.
-    const LoopAnalysis &input =
-        caches.pseudo.analyses().get(original, mach);
-    if (input.zeroDistanceCycle) {
-        throw InvalidInput("distance-0 edges close a cycle in a " +
-                           std::to_string(original.numNodes()) +
-                           "-node graph");
-    }
+    // The input's one analysis: the MII, the partitioner, every
+    // refinement and the scheduler of an unmodified copy of the input
+    // read it. Bad input fails typed here, before any pass runs.
+    const LoopAnalysis input = analyzeLoop(original, mach);
 
     trace::TraceSpan compile_span("pipeline", "compile");
     compile_span.arg("nodes", original.numNodes());
 
     CompileResult result;
+    result.telemetry.analysisRuns = 1;
     result.mii = std::max(resourceMii(original, mach), input.recMii);
     result.usefulOps = original.numNodes();
 
@@ -116,35 +105,26 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             caches.pseudo.asapRunCount() - asap0;
         result.telemetry.widthSweeps =
             caches.pseudo.widthSweepCount() - sweeps0;
-        result.telemetry.analysisRuns = analysis_runs() - analyses0;
         result.telemetry.totalMs =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t_compile)
                 .count();
     };
 
-    // One scratch across the initial partition and every per-II
-    // refinement: buffers and the input's analysis survive II bumps -
-    // and, when the caller hands in long-lived caches, whole compiles.
-    PseudoScratch &pseudo_scratch = caches.pseudo;
-
     PartitionResult pr;
     {
         trace::TraceSpan span("pipeline", "partition",
                               &result.telemetry.partitionMs);
-        pr = multilevelPartition(original, mach, result.mii,
-                                 &pseudo_scratch);
+        pr = multilevelPartition(original, mach, input, result.mii,
+                                 caches.pseudo);
     }
 
     SchedulerOptions sched_opts;
     sched_opts.zeroBusLatencyForLength = opts.zeroBusLatency;
 
-    // One memo across every II bump and spill retry: attempts whose
-    // graph carries the same generation stamp (e.g. unified machines,
-    // where no replication or copy insertion ever edits the work
-    // copy) reuse the work graph's analysis and SMS order wholesale;
-    // an unmodified copy of the input reads the input's analysis.
-    SchedulerCache &sched_cache = caches.sched;
+    // The input's SMS order, derived the first time an unmodified
+    // copy of the input is scheduled and reused by every later one.
+    std::optional<std::vector<NodeId>> input_order;
 
     int reg_stagnation = 0;
     int best_worst_live = std::numeric_limits<int>::max();
@@ -157,9 +137,9 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             // Figure 2: more slots per cluster, so refine.
             trace::TraceSpan span("pipeline", "refine",
                                   &result.telemetry.partitionMs);
-            pr.partition = refinePartition(original, mach,
+            pr.partition = refinePartition(original, mach, input,
                                            pr.partition, ii,
-                                           &pseudo_scratch);
+                                           caches.pseudo);
         }
 
         Ddg work = original;
@@ -226,12 +206,29 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         }
 
         insertCopies(work, part, mach);
+
+        // An unmodified copy of the input (same generation stamp: no
+        // replica, copy or spill) is scheduled with the input's
+        // analysis and order; a changed work graph is analysed here.
+        const auto schedule = [&] {
+            if (work.generation() == original.generation()) {
+                if (!input_order)
+                    input_order = smsOrder(original, input);
+                return scheduleAtIi(work, mach, input, *input_order,
+                                    part, ii, sched_opts, caches.sched);
+            }
+            ++result.telemetry.analysisRuns;
+            const LoopAnalysis analysis = analyzeLoop(work, mach);
+            return scheduleAtIi(work, mach, analysis,
+                                smsOrder(work, analysis), part, ii,
+                                sched_opts, caches.sched);
+        };
+
         ScheduleAttempt attempt;
         {
             trace::TraceSpan span("pipeline", "schedule",
                                   &result.telemetry.scheduleMs);
-            attempt = scheduleAtIi(work, mach, part, ii, sched_opts,
-                                   &sched_cache);
+            attempt = schedule();
         }
 
         // Register pressure that the II cannot cure is fixed with
@@ -251,8 +248,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                 break;
             }
             ++spills_done;
-            attempt = scheduleAtIi(work, mach, part, ii, sched_opts,
-                                   &sched_cache);
+            attempt = schedule();
         }
         result.telemetry.spillRetries +=
             static_cast<std::uint32_t>(spills_done);
@@ -335,8 +331,6 @@ compile(const Ddg &original, const MachineConfig &mach,
         // The canonical no-caches path: one long-lived scratch per
         // thread, so repeated plain compile() calls amortize their
         // buffer allocations exactly like a pool worker does.
-        // Never quarantined - the (generation, config-id) memo keys
-        // make a stale hit impossible even after a throwing compile.
         static thread_local CompileCaches tls_caches;
         caches = &tls_caches;
     }

@@ -13,31 +13,16 @@
 #define CVLIW_CORE_PIPELINE_HH
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/replicator.hh"
+#include "ddg/analysis.hh"
 #include "sched/pseudo.hh"
+#include "sched/reservation.hh"
 #include "sched/scheduler.hh"
 
 namespace cvliw
 {
-
-/**
- * Thrown by compile() for an input graph the pipeline cannot compile:
- * today, a graph whose distance-0 edges close a cycle (no iteration
- * could ever start). A `CompileService` batch turns it into a
- * `Failed` job like any other exception.
- */
-class InvalidInput : public std::runtime_error
-{
-  public:
-    explicit InvalidInput(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
 
 /** Pipeline configuration. */
 struct PipelineOptions
@@ -82,9 +67,8 @@ struct PipelineOptions
  *
  * The structural counters (everything except the *Ms timings) are
  * **deterministic**: a given (graph, machine, options) always
- * produces the same values, on any thread, at any worker count, with
- * any cache state (analysisRuns, which counts memo misses: with caches
- * that have not analysed this graph yet) - pinned by
+ * produces the same values, on any thread, at any worker count,
+ * whatever the caches compiled before - pinned by
  * tests/trace_test.cc. The *Ms fields are wall-clock phase
  * attributions and naturally vary run to run: each phase is one kind
  * of trace span (support/trace.hh) that adds its duration to its
@@ -114,9 +98,9 @@ struct CompileTelemetry
     std::uint64_t widthSweeps = 0;
 
     /**
-     * LoopAnalysis runs: the input's, plus one per changed work graph
-     * (an attempt that leaves the input unmodified - no replica, copy
-     * or spill - reuses the input's).
+     * analyzeLoop runs: the input's, plus one per schedule call on a
+     * changed work graph (an attempt that leaves the input unmodified
+     * - no replica, copy or spill - reuses the input's).
      */
     std::uint64_t analysisRuns = 0;
 
@@ -167,37 +151,24 @@ struct CompileResult
 };
 
 /**
- * Long-lived scratch and memo state for one compile worker. The
- * pipeline allocates all of its reusable buffers here, so a caller
- * that compiles many loops (the `CompileService` pool's workers)
- * amortizes every allocation across jobs instead of paying it per
- * compile. Safe to reuse across arbitrary graphs, machine configs
- * and batches: every memo inside is keyed on (`Ddg::generation()`,
- * `MachineConfig::id()`). Generation stamps are process-unique and
- * advance on every structural mutation, and config ids are
- * process-unique and re-stamped by `setLatency`, so a cache hit can
- * never surface a result computed for a different graph or machine
- * (the PseudoScratch memo inside additionally re-binds per (ddg,
- * mach, ii) and the reservation-table pool is reset per schedule
- * attempt - nothing keyed more weakly leaks across jobs). One
- * instance serves one thread; results are bit-identical whether a
- * cache is fresh or has served a thousand other jobs.
+ * Reusable buffers for one compile worker. The pipeline allocates its
+ * large scratch arrays here, so a caller that compiles many loops
+ * (the `CompileService` pool's workers) amortizes every allocation
+ * across jobs instead of paying it per compile. The caches hold no
+ * result of an earlier compile: every buffer is re-armed before
+ * anything reads it (`PseudoScratch::bind`, `ReservationTables::reset`,
+ * the subgraph walk), so one instance may serve any sequence of
+ * graphs, machine configs and batches, including after a compile
+ * that threw, and results and telemetry are the same as on fresh
+ * caches. One instance serves one thread.
  */
 struct CompileCaches
 {
-    CompileCaches() { sched.inputAnalyses = &pseudo.analyses(); }
-    // `sched` points into `pseudo`: pinned in place.
-    CompileCaches(const CompileCaches &) = delete;
-    CompileCaches &operator=(const CompileCaches &) = delete;
-
-    /** Partition-refinement scratch + the input graph's analysis. */
+    /** Partition-refinement state. */
     PseudoScratch pseudo;
 
-    /**
-     * The changed work graphs' analyses (an unmodified one reads the
-     * input's from `pseudo`), SMS order, reservation tables.
-     */
-    SchedulerCache sched;
+    /** The scheduler's reservation tables. */
+    ReservationTables sched;
 
     /** Replication subgraph-walk buffers. */
     SubgraphScratch subgraph;
@@ -216,26 +187,22 @@ struct CompileCaches
  * renumbered densely in their old order, in exactly-sized arrays,
  * with the input's node ids and a fresh generation stamp.
  *
- * @p caches selects the scratch/memo state (see CompileCaches):
+ * The input is analysed once (`analyzeLoop`), and the analysis is
+ * passed to the partitioner, every refinement and every schedule of
+ * an unchanged copy of the input; a changed work graph is analysed
+ * when it is scheduled. A compile is a function of (graph, machine,
+ * options) alone.
  *
- *  - **null (the default)**: a long-lived *thread-local* CompileCaches
- *    is used, so plain `compile(ddg, mach)` callers amortize every
- *    buffer allocation across calls on the same thread for free. The
- *    thread-local state is never quarantined after a throwing
- *    compile; that is safe because every memo inside is keyed on
- *    (`Ddg::generation()`, `MachineConfig::id()`), so a later lookup
- *    can never surface stale data (results stay bit-identical for
- *    any cache state - the digest harness pins it).
- *  - **non-null**: compile reuses exactly the caller's caches. Owners
- *    that want the conservative quarantine contract (the
- *    `CompileService` workers) discard and replace their caches after
- *    any throwing compile, since a throw may have unwound a memo
- *    mid-update.
+ * @p caches selects the buffers (see CompileCaches): null (the
+ * default) uses a long-lived *thread-local* CompileCaches, so plain
+ * `compile(ddg, mach)` callers amortize every buffer allocation
+ * across calls on the same thread; non-null uses exactly the
+ * caller's.
  *
  * Bad input throws before any pass has run. A graph whose distance-0
- * edges close a cycle throws InvalidInput once its analysis, the
- * first step of a compile, shows the cycle. A machine with no unit of
- * a kind the loop needs (say, no memory port for a load) throws
+ * edges close a cycle throws InvalidInput from its analysis, the
+ * first step of a compile. A machine with no unit of a kind the loop
+ * needs (say, no memory port for a load) throws
  * `std::invalid_argument` from `resourceMii`. Otherwise compile never
  * throws for policy reasons: an infeasible job returns `ok == false`,
  * and `maxIi` bounds the II search; what else can escape is

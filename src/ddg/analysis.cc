@@ -2,21 +2,13 @@
 
 #include <algorithm>
 
-#include "support/logging.hh"
-
 namespace cvliw
 {
 
-namespace
-{
-
-/**
- * Kahn's algorithm over the distance-0 edges. The order is short of
- * the live node count exactly when those edges close a cycle.
- */
 std::vector<NodeId>
-kahnOrder(const Ddg &ddg)
+topoOrder(const Ddg &ddg)
 {
+    // Kahn's algorithm; a cycle leaves the order short.
     std::vector<int> indeg(ddg.numNodeSlots(), 0);
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
@@ -43,8 +35,16 @@ kahnOrder(const Ddg &ddg)
         }
     }
 
+    if (static_cast<int>(order.size()) != ddg.numNodes()) {
+        throw InvalidInput("distance-0 edges close a cycle in a " +
+                           std::to_string(ddg.numNodes()) +
+                           "-node graph");
+    }
     return order;
 }
+
+namespace
+{
 
 /** ASAP/ALAP/height/depth and the critical-path length over @p order. */
 NodeTimes
@@ -229,24 +229,11 @@ cycleMii(const std::vector<CycleEdge> &edges,
 
 } // namespace
 
-std::vector<NodeId>
-topoOrder(const Ddg &ddg)
-{
-    std::vector<NodeId> order = kahnOrder(ddg);
-    if (static_cast<int>(order.size()) != ddg.numNodes())
-        cv_panic("distance-0 subgraph has a cycle (",
-                 order.size(), " of ", ddg.numNodes(),
-                 " nodes ordered)");
-    return order;
-}
-
 LoopAnalysis
 analyzeLoop(const Ddg &ddg, const MachineConfig &mach)
 {
     LoopAnalysis a;
-    a.order = kahnOrder(ddg);
-    a.zeroDistanceCycle =
-        static_cast<int>(a.order.size()) != ddg.numNodes();
+    a.order = topoOrder(ddg);
     a.times = nodeTimes(ddg, mach, a.order);
 
     // A component is a recurrence exactly when an edge joins two of
@@ -287,18 +274,6 @@ analyzeLoop(const Ddg &ddg, const MachineConfig &mach)
         a.recMii = std::max(a.recMii, r.recMii);
     }
     return a;
-}
-
-const LoopAnalysis &
-AnalysisCache::get(const Ddg &ddg, const MachineConfig &mach)
-{
-    if (gen_ != ddg.generation() || cfg_ != mach.id()) {
-        analysis_ = analyzeLoop(ddg, mach);
-        gen_ = ddg.generation();
-        cfg_ = mach.id();
-        ++runs_;
-    }
-    return analysis_;
 }
 
 } // namespace cvliw

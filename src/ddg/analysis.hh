@@ -5,20 +5,38 @@
  * order of the intra-iteration (distance-0) subgraph, ASAP/ALAP
  * times, per-node height/depth, the Tarjan SCCs and each
  * recurrence's RecMII. The MII, the partitioner's edge weights, the
- * pseudo-scheduler and the SMS order all read that one record,
- * through `AnalysisCache`, its memo.
+ * pseudo-scheduler and the SMS order all read that one record: the
+ * pipeline runs it once per graph and passes it to each pass.
  */
 
 #ifndef CVLIW_DDG_ANALYSIS_HH
 #define CVLIW_DDG_ANALYSIS_HH
 
-#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ddg/ddg.hh"
 
 namespace cvliw
 {
+
+/**
+ * Thrown for an input graph no pass can work on: today, a graph whose
+ * distance-0 edges close a cycle (no iteration could ever start).
+ * `analyzeLoop` and `topoOrder` throw it, so every pass that orders
+ * or analyses a graph does, compile() first of all. A
+ * `CompileService` batch turns it into a `Failed` job like any other
+ * exception.
+ */
+class InvalidInput : public std::runtime_error
+{
+  public:
+    explicit InvalidInput(const std::string &what)
+        : std::runtime_error(what)
+    {
+    }
+};
 
 /**
  * Per-node timing of one loop iteration, considering only distance-0
@@ -50,18 +68,8 @@ struct Recurrence
 /** What the compile loop reads about one graph on one machine. */
 struct LoopAnalysis
 {
-    /**
-     * Kahn order of the live nodes over the distance-0 edges; short
-     * of the live node count exactly when zeroDistanceCycle is set.
-     */
+    /** Kahn order of the live nodes over the distance-0 edges. */
     std::vector<NodeId> order;
-
-    /**
-     * The distance-0 edges close a cycle: no iteration could ever
-     * start. compile() rejects such a graph with a typed error; the
-     * other fields are meaningless for it.
-     */
-    bool zeroDistanceCycle = false;
 
     NodeTimes times;
 
@@ -80,62 +88,15 @@ struct LoopAnalysis
 
 /**
  * Topological order of the live nodes using only distance-0 edges.
- * Panics if the distance-0 subgraph has a cycle (an illegal DDG).
+ * @throws InvalidInput if those edges close a cycle
  */
 std::vector<NodeId> topoOrder(const Ddg &ddg);
 
-/** Analyse @p ddg on @p mach. */
-LoopAnalysis analyzeLoop(const Ddg &ddg, const MachineConfig &mach);
-
 /**
- * Single-slot memo of analyzeLoop, keyed on (Ddg::generation(),
- * MachineConfig::id()), so repeated calls on an unchanged graph (the
- * scheduler's retries, every refinement probe) cost two integer
- * compares, and a memo shared across machine configs never returns
- * a result computed for another latency table.
- *
- * A mutation or a config switch replaces the one slot, so give each
- * graph lineage its own memo: the pipeline keeps one for the input
- * graph (PseudoScratch) and one for the work graphs it schedules
- * (SchedulerCache, which reads the input's first: an unmodified
- * work graph is the input). It is intentionally not thread-safe; use
- * one instance per worker.
+ * Analyse @p ddg on @p mach.
+ * @throws InvalidInput if the distance-0 edges close a cycle
  */
-class AnalysisCache
-{
-  public:
-    /**
-     * Cached analyzeLoop(ddg, mach). The reference is valid until the
-     * next call with a different key.
-     */
-    const LoopAnalysis &get(const Ddg &ddg, const MachineConfig &mach);
-
-    /**
-     * The held analysis if it is @p ddg's on @p mach (same stamp and
-     * config), else null; never runs one.
-     */
-    const LoopAnalysis *find(const Ddg &ddg,
-                             const MachineConfig &mach) const
-    {
-        return gen_ == ddg.generation() && cfg_ == mach.id() ? &analysis_
-                                                             : nullptr;
-    }
-
-    /**
-     * Lifetime analyzeLoop runs (memo misses) of this memo: monotone,
-     * never reset. The pipeline differences it into
-     * CompileTelemetry::analysisRuns.
-     */
-    std::uint64_t runs() const { return runs_; }
-
-  private:
-    // Generation/config stamps start at 1, so 0 means "never
-    // computed".
-    std::uint64_t gen_ = 0;
-    std::uint64_t cfg_ = 0;
-    std::uint64_t runs_ = 0;
-    LoopAnalysis analysis_;
-};
+LoopAnalysis analyzeLoop(const Ddg &ddg, const MachineConfig &mach);
 
 } // namespace cvliw
 

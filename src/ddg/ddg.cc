@@ -224,6 +224,10 @@ Ddg::compact()
 NodeId
 Ddg::addNode(OpClass cls)
 {
+    if (cls >= OpClass::NumOpClasses)
+        throw std::invalid_argument(
+            "op class " + std::to_string(static_cast<int>(cls)) +
+            " outside the op classes");
     const NodeId id = static_cast<NodeId>(nodes_.size());
     DdgNode n;
     n.cls = cls;
@@ -255,16 +259,32 @@ EdgeId
 Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
              int mem_latency)
 {
-    checkNode(src);
-    checkNode(dst);
-    cv_assert(distance >= 0, "edge distance must be >= 0");
-    cv_assert(mem_latency >= std::numeric_limits<std::int16_t>::min() &&
-                  mem_latency <= std::numeric_limits<std::int16_t>::max(),
-              "memory latency ", mem_latency, " outside int16_t");
-    if (kind == EdgeKind::RegFlow) {
-        cv_assert(producesValue(nodes_[src].cls),
-                  "flow edge from non-value-producing op n", src);
+    // fromSlots' rules, before any write.
+    for (const NodeId end : {src, dst}) {
+        if (end < 0 || end >= numNodeSlots())
+            throw std::invalid_argument(
+                "endpoint " + std::to_string(end) +
+                " outside the node array");
+        if (!nodes_[end].alive)
+            throw std::invalid_argument(
+                "edge on dead node n" + std::to_string(end));
     }
+    if (kind > EdgeKind::Spill)
+        throw std::invalid_argument(
+            "edge kind " + std::to_string(static_cast<int>(kind)) +
+            " outside the edge kinds");
+    if (distance < 0)
+        throw std::invalid_argument(
+            "negative edge distance " + std::to_string(distance));
+    if (mem_latency < std::numeric_limits<std::int16_t>::min() ||
+        mem_latency > std::numeric_limits<std::int16_t>::max())
+        throw std::invalid_argument(
+            "memory latency " + std::to_string(mem_latency) +
+            " outside int16_t");
+    if (kind == EdgeKind::RegFlow && !producesValue(nodes_[src].cls))
+        throw std::invalid_argument(
+            "flow edge from non-value-producing op n" +
+            std::to_string(src));
     if (slots_[src].out == maxSpanSlots)
         throw std::invalid_argument(spanLimitRule(src, "out"));
     if (slots_[dst].in == maxSpanSlots)

@@ -133,16 +133,16 @@
  * `generation()` returns a stamp that changes on every structural
  * mutation (`addNode` / `addReplica` / `addEdge` / `removeNode` /
  * `removeEdge`, and a `compact()` that renumbers edges). Stamps are
- * process-unique: two `Ddg` objects carry the same stamp only when
- * one is an unmodified copy of the other, so the loop-analysis memo
- * (`AnalysisCache` in ddg/analysis.hh) can key a `LoopAnalysis` on
- * the stamp plus the config's id and stay correct across the
- * pipeline's copy-mutate-retry loop. Field writes
- * through the non-const `node()` / `edge()` accessors do NOT advance
- * the stamp; callers that change analysis-relevant fields that way
- * (op class, edge distance or latency) must call `bumpGeneration()`
- * themselves.
- * Flag-only writes (`liveOut`, `isSpill`) need no bump.
+ * process-unique, and a copy starts with its source's, so the stamp
+ * tells whether a copy has changed since it was taken: compile()
+ * reads it to see whether its work copy is still the input (whose
+ * analysis it already holds) and whether its result graph needs
+ * compacting. The pipeline's passes change a work copy only through
+ * the structural mutators. Field writes through the non-const
+ * `node()` / `edge()` accessors do not advance the stamp, and need
+ * not: nothing caches a result under it, so callers have no rule to
+ * follow. `bumpGeneration()` forces a new stamp; no library code
+ * needs it, and it stays because the compile benchmark calls it.
  */
 
 #ifndef CVLIW_DDG_DDG_HH
@@ -723,7 +723,11 @@ class Ddg
     static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                          const DdgEdge *edges, std::uint32_t edge_slots);
 
-    /** Create an operation of class @p cls. */
+    /**
+     * Create an operation of class @p cls.
+     * @throws std::invalid_argument, leaving the graph unchanged, for
+     *         a class outside the op classes
+     */
     NodeId addNode(OpClass cls);
 
     /**
@@ -739,9 +743,13 @@ class Ddg
      * @param kind register flow or memory ordering
      * @param distance iteration distance (>= 0)
      * @param mem_latency latency used for Memory edges (an int16_t)
-     * @throws std::invalid_argument, leaving the graph unchanged, when
-     *         @p src already holds `maxSpanSlots` out-edge slots or
-     *         @p dst as many in-edge slots
+     * @throws std::invalid_argument, leaving the graph unchanged, for
+     *         an edge `fromSlots` would reject: an endpoint outside
+     *         the node array or dead, a kind outside the edge kinds, a
+     *         negative distance, a memory latency outside int16_t, a
+     *         register-flow edge from an op that produces no value, or
+     *         @p src already holding `maxSpanSlots` out-edge slots
+     *         (@p dst as many in-edge slots)
      */
     EdgeId addEdge(NodeId src, NodeId dst, EdgeKind kind,
                    int distance = 0, int mem_latency = 1);
@@ -813,16 +821,12 @@ class Ddg
     bool hasCopies() const;
 
     /**
-     * Structural-mutation stamp; see the header comment. Unchanged
-     * stamp across two observations of (possibly different) Ddg
-     * objects guarantees identical graph structure.
+     * Structural-mutation stamp; see the header comment. A copy whose
+     * stamp still equals its source's has had no structural mutation.
      */
     std::uint64_t generation() const { return generation_; }
 
-    /**
-     * Force a new generation stamp. Call after editing analysis-
-     * relevant fields through the non-const node()/edge() accessors.
-     */
+    /** Force a new generation stamp (see the header comment). */
     void bumpGeneration() { generation_ = freshGeneration(); }
 
     /**

@@ -74,9 +74,7 @@ std::uint64_t digestSuiteResult(const SuiteResult &results);
 /**
  * The deterministic work counters of `CompileTelemetry`, summed over
  * a suite run. Like the digest, the sums are the same at any worker
- * count; `analysisRuns` also assumes caches that have not analysed
- * the suite's graphs on the same machine before (a freshly built
- * suite or a fresh machine config guarantees it).
+ * count and whatever the workers compiled before.
  */
 struct SuiteWork
 {

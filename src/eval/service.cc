@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
-#include <memory>
 
 #include "support/cpus.hh"
 #include "support/logging.hh"
@@ -26,7 +25,7 @@ const PipelineOptions kDefaultPipelineOptions{};
  */
 void
 runJob(const CompileService::Job &job, std::size_t i,
-       std::unique_ptr<CompileCaches> &caches, std::uint64_t batch,
+       CompileCaches &caches, std::uint64_t batch,
        CompileService::BatchResult &out)
 {
     trace::TraceSpan span("service", "job");
@@ -38,7 +37,7 @@ runJob(const CompileService::Job &job, std::size_t i,
     try {
         res = compile(*job.ddg, *job.mach,
                       job.opts ? *job.opts : kDefaultPipelineOptions,
-                      caches.get());
+                      &caches);
     } catch (const std::exception &err) {
         outcome = JobOutcome::Failed;
         error = err.what();
@@ -48,14 +47,8 @@ runJob(const CompileService::Job &job, std::size_t i,
         outcome = JobOutcome::Failed;
         error = "non-standard exception";
     }
-    if (outcome != JobOutcome::Ok) {
-        // Quarantine: the throw may have unwound through a memo
-        // mid-update. The memo keys make a stale hit impossible, but
-        // a half-written buffer is still a liability; failure is the
-        // rare path, so the rebuild costs nothing that matters.
-        caches = std::make_unique<CompileCaches>();
+    if (outcome != JobOutcome::Ok)
         res = CompileResult{};
-    }
     out.results[i] = std::move(res);
     out.outcomes[i] = outcome;
     out.errors[i] = std::move(error);
@@ -147,7 +140,7 @@ CompileService::~CompileService()
 void
 CompileService::workerMain()
 {
-    auto caches = std::make_unique<CompileCaches>();
+    CompileCaches caches;
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {

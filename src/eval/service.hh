@@ -12,8 +12,8 @@
  * at a time: a mutex serialises concurrent callers, and within a
  * batch the workers claim jobs by atomic index, in job order. Each
  * worker keeps one long-lived `CompileCaches` (core/pipeline.hh) for
- * every job it ever runs, which is safe because every memo inside is
- * keyed on (`Ddg::generation()`, `MachineConfig::id()`).
+ * every job it ever runs: buffers only, each re-armed before it is
+ * read, so reuse recycles capacity and nothing else.
  *
  * ## Outcomes
  *
@@ -22,12 +22,11 @@
  * `std::invalid_argument` machine that lacks a unit kind the loop
  * needs, or `std::bad_alloc` (a failed `cv_assert` aborts the process
  * and never gets here). A non-Ok slot holds a default `CompileResult`
- * (`ok == false`): partial work is discarded, and the worker that
- * caught the throw rebuilds its `CompileCaches` before its next job
- * (quarantine), so a throw that unwound through a memo mid-update
- * cannot reach a later job. A job that throws never disturbs the
- * other jobs of its batch (tests/service_test.cc drives this path
- * with real distance-0-cycle graphs).
+ * (`ok == false`): partial work is discarded. The worker keeps its
+ * `CompileCaches`: a throw can leave a buffer half-written, but the
+ * next job re-arms every buffer before reading it. A job that throws
+ * never disturbs the other jobs of its batch (tests/service_test.cc
+ * drives this path with real distance-0-cycle graphs).
  *
  * ## Determinism
  *

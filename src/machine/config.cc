@@ -1,6 +1,5 @@
 #include "machine/config.hh"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "support/logging.hh"
@@ -8,15 +7,6 @@
 
 namespace cvliw
 {
-
-std::uint64_t
-MachineConfig::freshId()
-{
-    // Process-unique stamps, like Ddg::freshGeneration: the suite
-    // runner builds configs from several threads.
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 namespace
 {
@@ -214,12 +204,13 @@ MachineConfig::resourceFor(OpClass cls) const
 void
 MachineConfig::setLatency(OpClass cls, int cycles)
 {
+    if (cls >= OpClass::NumOpClasses)
+        throw std::invalid_argument(
+            detail::concat("op class ", static_cast<int>(cls),
+                           " outside the op classes"));
     if (cycles < 1)
         throw std::invalid_argument("latency must be >= 1");
     latency_[static_cast<std::size_t>(cls)] = cycles;
-    // The override changes analysis-relevant behaviour without
-    // changing name(); re-stamp so caches see a different machine.
-    id_ = freshId();
 }
 
 int

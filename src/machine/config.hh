@@ -11,7 +11,6 @@
 #define CVLIW_MACHINE_CONFIG_HH
 
 #include <array>
-#include <cstdint>
 #include <string>
 
 #include "machine/op_class.hh"
@@ -38,7 +37,7 @@ struct ClusterResources
  * homogeneous (section 2.1); the register file is partitioned evenly
  * across clusters; buses broadcast a copied value to every cluster.
  * The factories, fromString() and setLatency() throw
- * std::invalid_argument for a bad name, shape or latency.
+ * std::invalid_argument for a bad name, shape, op class or latency.
  */
 class MachineConfig
 {
@@ -107,7 +106,11 @@ class MachineConfig
         return latency_[static_cast<std::size_t>(cls)];
     }
 
-    /** Override the latency of @p cls (custom machines only). */
+    /**
+     * Override the latency of @p cls (custom machines only).
+     * @throws std::invalid_argument, leaving the machine unchanged,
+     *         for a class outside the op classes or @p cycles < 1
+     */
     void setLatency(OpClass cls, int cycles);
 
     /** Total operations issued per cycle across all clusters. */
@@ -116,22 +119,9 @@ class MachineConfig
     /** Canonical configuration name (round-trips fromString()). */
     std::string name() const;
 
-    /**
-     * Process-unique identity stamp. Copies of a config share the
-     * stamp (they describe the same machine); every factory call and
-     * every setLatency() yields a fresh one. Caches keyed on
-     * (Ddg::generation(), id()) therefore never confuse results
-     * computed for different machines, even when two configs would
-     * print the same name() but differ in overridden latencies.
-     */
-    std::uint64_t id() const { return id_; }
-
   private:
     MachineConfig() = default;
 
-    static std::uint64_t freshId();
-
-    std::uint64_t id_ = freshId();
     int numClusters_ = 1;
     int numBuses_ = 0;
     int busLatency_ = 1;

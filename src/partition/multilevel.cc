@@ -11,8 +11,9 @@ namespace cvliw
 {
 
 PartitionResult
-multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
-                    PseudoScratch *scratch)
+multilevelPartition(const Ddg &ddg, const MachineConfig &mach,
+                    const LoopAnalysis &analysis, int ii,
+                    PseudoScratch &scratch)
 {
     PartitionResult result{
         Partition(mach.numClusters(), ddg.numNodeSlots()),
@@ -24,10 +25,7 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
         return result;
     }
 
-    PseudoScratch local;
-    PseudoScratch &s = scratch ? *scratch : local;
-    const auto weights =
-        computeEdgeWeights(ddg, mach, s.analyses().get(ddg, mach));
+    const auto weights = computeEdgeWeights(ddg, mach, analysis);
     result.hierarchy = coarsen(ddg, mach, ii, weights);
 
     // Project: bin-pack the final macro-nodes into clusters. Heavier
@@ -116,9 +114,18 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
         result.partition.assign(n, cluster_of_group[g]);
     }
 
-    result.partition =
-        refinePartition(ddg, mach, result.partition, ii, &s);
+    result.partition = refinePartition(ddg, mach, analysis,
+                                       result.partition, ii, scratch);
     return result;
+}
+
+PartitionResult
+multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
+                    PseudoScratch *scratch)
+{
+    PseudoScratch local;
+    return multilevelPartition(ddg, mach, analyzeLoop(ddg, mach), ii,
+                               scratch ? *scratch : local);
 }
 
 } // namespace cvliw

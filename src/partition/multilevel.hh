@@ -25,9 +25,16 @@ struct PartitionResult
 /**
  * Build an initial partition of @p ddg for @p mach at interval @p ii.
  * For a unified machine all nodes land in cluster 0.
- * @param scratch optional reusable refinement state (see
- *        refinePartition)
+ * @param analysis analyzeLoop(ddg, mach): the edge weights and the
+ *        refinement read it
+ * @param scratch reusable refinement state (see refinePartition)
  */
+PartitionResult multilevelPartition(const Ddg &ddg,
+                                    const MachineConfig &mach,
+                                    const LoopAnalysis &analysis, int ii,
+                                    PseudoScratch &scratch);
+
+/** The form above on analyzeLoop(ddg, mach) and @p scratch, if any. */
 PartitionResult multilevelPartition(const Ddg &ddg,
                                     const MachineConfig &mach, int ii,
                                     PseudoScratch *scratch = nullptr);

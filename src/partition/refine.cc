@@ -17,18 +17,16 @@ constexpr int kMaxPasses = 4;
 
 Partition
 refinePartition(const Ddg &ddg, const MachineConfig &mach,
-                const Partition &initial, int ii, PseudoScratch *scratch)
+                const LoopAnalysis &analysis, const Partition &initial,
+                int ii, PseudoScratch &s)
 {
     if (mach.numClusters() == 1)
         return initial;
 
-    PseudoScratch local;
-    PseudoScratch &s = scratch ? *scratch : local;
-
     Partition part = initial;
     // bind() seeds the incremental move-evaluation state and returns
     // the from-scratch result of the starting assignment.
-    PseudoResult best = s.bind(ddg, mach, part.vec(), ii);
+    PseudoResult best = s.bind(ddg, mach, analysis, part.vec(), ii);
 
     const auto live = ddg.nodes();
     // The node of the previous pass's last commit (live nodes run in
@@ -69,6 +67,15 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
     for (NodeId n : live)
         part.assign(n, s.assignment()[n]);
     return part;
+}
+
+Partition
+refinePartition(const Ddg &ddg, const MachineConfig &mach,
+                const Partition &initial, int ii, PseudoScratch *scratch)
+{
+    PseudoScratch local;
+    return refinePartition(ddg, mach, analyzeLoop(ddg, mach), initial,
+                           ii, scratch ? *scratch : local);
 }
 
 } // namespace cvliw

@@ -28,13 +28,20 @@ namespace cvliw
  *
  * @param ddg loop body (no copies)
  * @param mach target machine
+ * @param analysis analyzeLoop(ddg, mach), read by every probe
  * @param initial starting assignment
  * @param ii probed initiation interval
- * @param scratch optional reusable evaluation state; the pipeline
- *        threads one instance through every refinement so buffers
- *        and the loop-analysis memo survive across II bumps
+ * @param scratch reusable evaluation state; the pipeline threads one
+ *        instance through every refinement so its buffers survive
+ *        across II bumps
  * @return the refined partition (never worse than @p initial)
  */
+Partition refinePartition(const Ddg &ddg, const MachineConfig &mach,
+                          const LoopAnalysis &analysis,
+                          const Partition &initial, int ii,
+                          PseudoScratch &scratch);
+
+/** The form above on analyzeLoop(ddg, mach) and @p scratch, if any. */
 Partition refinePartition(const Ddg &ddg, const MachineConfig &mach,
                           const Partition &initial, int ii,
                           PseudoScratch *scratch = nullptr);

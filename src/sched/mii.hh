@@ -23,7 +23,10 @@ namespace cvliw
  */
 int resourceMii(const Ddg &ddg, const MachineConfig &mach);
 
-/** max(ResMII, RecMII), RecMII from analyzeLoop(). */
+/**
+ * max(ResMII, RecMII), RecMII from analyzeLoop(); throws what either
+ * throws.
+ */
 int minimumIi(const Ddg &ddg, const MachineConfig &mach);
 
 } // namespace cvliw

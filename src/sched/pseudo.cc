@@ -170,6 +170,7 @@ PseudoResult::better(const PseudoResult &o) const
 
 PseudoResult
 pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
+               const LoopAnalysis &analysis,
                const std::vector<ClusterId> &cluster_of, int ii,
                PseudoScratch &scratch)
 {
@@ -207,10 +208,10 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
     r.iiPart = std::max(ii_res, ii_bus);
 
     // --- Estimated length: ASAP where cut flow edges pay the bus. -----
-    const auto &order = scratch.cache_.get(ddg, mach).order;
     ++scratch.asapRuns_;
-    asapWithBusPenalty(ddg, mach, cluster_of, order, scratch.est_);
-    r.length = lengthFromAsap(ddg, mach, order, scratch.est_);
+    asapWithBusPenalty(ddg, mach, cluster_of, analysis.order,
+                       scratch.est_);
+    r.length = lengthFromAsap(ddg, mach, analysis.order, scratch.est_);
 
     // --- Register width. ------------------------------------------------
     ++scratch.widthSweeps_;
@@ -232,10 +233,12 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
 
 PseudoResult
 PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
+                    const LoopAnalysis &analysis,
                     const std::vector<ClusterId> &cluster_of, int ii)
 {
     ddg_ = &ddg;
     mach_ = &mach;
+    order_ = &analysis.order;
     ii_ = ii;
     clusters_ = mach.numClusters();
     const int slots = ddg.numNodeSlots();
@@ -300,7 +303,7 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
     widthCanOverflow_ =
         producers + dist_sum > mach.regsPerCluster();
 
-    return pseudoSchedule(ddg, mach, assign_, ii, *this);
+    return pseudoSchedule(ddg, mach, analysis, assign_, ii, *this);
 }
 
 void
@@ -394,7 +397,7 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
     const bool accept_on_ii = r.iiPart < best.iiPart;
     const int best_deficit = best.overflow + best.regOverflow;
 
-    const auto &order = cache_.get(ddg, mach).order;
+    const std::vector<NodeId> &order = *order_;
     bool have_est = false;
     auto ensure_est = [&] {
         if (!have_est) {

@@ -18,12 +18,15 @@
  *
  *  - `pseudoSchedule(..., scratch)` is the from-scratch oracle. It
  *    recomputes everything for an arbitrary assignment, reusing the
- *    scratch's buffers and analysis memo (no per-call allocation).
+ *    scratch's buffers (no per-call allocation).
  *  - `bind()` / `probeMove()` / `commitMove()` form the incremental
  *    engine: after `bind()`, the scratch owns the current assignment
  *    plus live per-(kind, cluster) resource counts and per-producer
  *    communication counts, and a single-node move is evaluated as a
  *    *delta* touching only the moved node's incident edges.
+ *
+ * Both read the graph's `LoopAnalysis` (its distance-0 order), which
+ * the caller computes once and passes in.
  *
  * ### Delta-evaluation invariants
  *
@@ -79,27 +82,27 @@ struct PseudoResult
 };
 
 /**
- * Reusable state for pseudo-schedule evaluations: the analysis memo,
- * the usage / ops-per-cluster / events / est buffers of the
- * from-scratch path, and the incremental move-evaluation state of
- * the refinement hot path (see the file comment). One instance
- * serves one thread; the pipeline threads one through every
- * refinement and every II retry, so its memo holds the input graph's
- * LoopAnalysis for the whole compile on a clustered machine.
+ * Reusable state for pseudo-schedule evaluations: the usage /
+ * ops-per-cluster / events / est buffers of the from-scratch path,
+ * and the incremental move-evaluation state of the refinement hot
+ * path (see the file comment). One instance serves one thread; the
+ * pipeline threads one through every refinement and every II retry
+ * so that the buffers are allocated once. Every bind() re-arms all
+ * of it, so nothing a previous graph left behind is ever read.
  */
 class PseudoScratch
 {
   public:
-    /** The input graph's analysis memo (see the class comment). */
-    AnalysisCache &analyses() { return cache_; }
-
     /**
      * Bind the incremental engine to (@p ddg, @p mach, @p ii) with
      * the starting assignment @p cluster_of, and return the full
      * pseudo-schedule result of that assignment (computed by the
-     * from-scratch oracle).
+     * from-scratch oracle). @p analysis is analyzeLoop(ddg, mach);
+     * like @p ddg and @p mach, it must stay alive and unchanged
+     * until the next bind(), since the probes read its order.
      */
     PseudoResult bind(const Ddg &ddg, const MachineConfig &mach,
+                      const LoopAnalysis &analysis,
                       const std::vector<ClusterId> &cluster_of, int ii);
 
     /** Current assignment (valid after bind(), kept by commitMove()). */
@@ -144,6 +147,7 @@ class PseudoScratch
   private:
     friend PseudoResult pseudoSchedule(const Ddg &,
                                        const MachineConfig &,
+                                       const LoopAnalysis &,
                                        const std::vector<ClusterId> &,
                                        int, PseudoScratch &);
 
@@ -159,11 +163,11 @@ class PseudoScratch
 
     const Ddg *ddg_ = nullptr;
     const MachineConfig *mach_ = nullptr;
+    /** The bound graph's distance-0 order (its analysis owns it). */
+    const std::vector<NodeId> *order_ = nullptr;
     int ii_ = 0;
     int clusters_ = 0;
     bool widthCanOverflow_ = true;
-
-    AnalysisCache cache_;
 
     // Incremental state (valid between bind() and the next bind()).
     std::vector<ClusterId> assign_;
@@ -201,12 +205,14 @@ class PseudoScratch
  *
  * @param ddg loop body (no copy nodes yet)
  * @param mach target machine
+ * @param analysis analyzeLoop(ddg, mach)
  * @param cluster_of cluster per NodeId
  * @param ii probed initiation interval
- * @param scratch buffer/memo state, reused across calls - refinement
- *        probes hundreds of assignments against one graph
+ * @param scratch buffers, reused across calls - refinement probes
+ *        hundreds of assignments against one graph
  */
 PseudoResult pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
+                            const LoopAnalysis &analysis,
                             const std::vector<ClusterId> &cluster_of,
                             int ii, PseudoScratch &scratch);
 

@@ -5,27 +5,19 @@
 namespace cvliw
 {
 
-ReservationTables::ReservationTables(const MachineConfig &mach, int ii)
-    : mach_(mach), ii_(ii)
-{
-    cv_assert(ii >= 1, "II must be >= 1");
-    constexpr auto num_kinds =
-        static_cast<std::size_t>(ResourceKind::NumResourceKinds);
-    used_.assign(num_kinds,
-                 std::vector<std::vector<int>>(
-                     mach.numClusters(), std::vector<int>(ii, 0)));
-    busBusy_.assign(mach.numBuses(), std::vector<bool>(ii, false));
-}
-
 void
-ReservationTables::reset(int ii)
+ReservationTables::reset(const MachineConfig &mach, int ii)
 {
     cv_assert(ii >= 1, "II must be >= 1");
+    mach_ = &mach;
     ii_ = ii;
+    used_.resize(static_cast<std::size_t>(ResourceKind::NumResourceKinds));
     for (auto &kind : used_) {
+        kind.resize(mach.numClusters());
         for (auto &cluster : kind)
             cluster.assign(ii, 0);
     }
+    busBusy_.resize(mach.numBuses());
     for (auto &bus : busBusy_)
         bus.assign(ii, false);
 }
@@ -36,7 +28,7 @@ ReservationTables::canPlaceOp(int cluster, ResourceKind kind,
 {
     cv_assert(kind != ResourceKind::Bus,
               "use canPlaceCopy for bus transfers");
-    const int avail = mach_.available(kind);
+    const int avail = mach_->available(kind);
     if (avail == 0)
         return false;
     return used_[static_cast<std::size_t>(kind)][cluster][phase(t)] <
@@ -55,7 +47,7 @@ ReservationTables::placeOp(int cluster, ResourceKind kind, int t)
 int
 ReservationTables::busFreeAt(int t) const
 {
-    const int lat = mach_.busLatency();
+    const int lat = mach_->busLatency();
     if (lat > ii_)
         return -1; // a transfer cannot even fit into one II
     // Slotted bus: transfers start on latency-aligned phases only
@@ -63,7 +55,7 @@ ReservationTables::busFreeAt(int t) const
     const int ph = phase(t);
     if (ph % lat != 0 || ph + lat > ii_)
         return -1;
-    for (int b = 0; b < mach_.numBuses(); ++b) {
+    for (int b = 0; b < mach_->numBuses(); ++b) {
         bool free = true;
         for (int k = 0; k < lat && free; ++k)
             free = !busBusy_[b][ph + k];
@@ -88,9 +80,9 @@ ReservationTables::placeCopy(int t)
 int
 ReservationTables::placeCopy(int t, int bus)
 {
-    cv_assert(bus >= 0 && bus < mach_.numBuses(),
+    cv_assert(bus >= 0 && bus < mach_->numBuses(),
               "no free bus at phase ", phase(t));
-    for (int k = 0; k < mach_.busLatency(); ++k) {
+    for (int k = 0; k < mach_->busLatency(); ++k) {
         cv_assert(!busBusy_[bus][phase(t) + k],
                   "stale bus handle for phase ", phase(t));
         busBusy_[bus][phase(t) + k] = true;
@@ -110,8 +102,8 @@ ReservationTables::removeOp(int cluster, ResourceKind kind, int t)
 void
 ReservationTables::removeCopy(int bus, int t)
 {
-    cv_assert(bus >= 0 && bus < mach_.numBuses(), "bad bus ", bus);
-    for (int k = 0; k < mach_.busLatency(); ++k) {
+    cv_assert(bus >= 0 && bus < mach_->numBuses(), "bad bus ", bus);
+    for (int k = 0; k < mach_->busLatency(); ++k) {
         cv_assert(busBusy_[bus][phase(t) + k], "removing idle bus");
         busBusy_[bus][phase(t) + k] = false;
     }

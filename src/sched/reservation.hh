@@ -25,20 +25,29 @@ namespace cvliw
 
 /**
  * Reservation state for one scheduling attempt at a fixed II. The
- * object is reusable: reset(ii) re-arms it for the next attempt
- * without releasing the table storage, so the scheduler keeps one
- * instance across II bumps and spill retries (see SchedulerCache).
+ * object is reusable: reset(mach, ii) re-arms it for the next attempt
+ * without releasing the table storage, so a compile keeps one
+ * instance across II bumps, spill retries and whole compiles (see
+ * CompileCaches).
  */
 class ReservationTables
 {
   public:
-    ReservationTables(const MachineConfig &mach, int ii);
+    /** Unarmed tables: call reset() before anything else. */
+    ReservationTables() = default;
+
+    ReservationTables(const MachineConfig &mach, int ii)
+    {
+        reset(mach, ii);
+    }
 
     /**
-     * Clear all reservations and switch to @p ii, resizing the
-     * tables in place (capacity is kept when shrinking).
+     * Clear all reservations and arm the tables for @p mach at
+     * @p ii, resizing them in place to the machine's shape (capacity
+     * is kept when shrinking). @p mach is borrowed until the next
+     * reset().
      */
-    void reset(int ii);
+    void reset(const MachineConfig &mach, int ii);
 
     int ii() const { return ii_; }
 
@@ -81,8 +90,8 @@ class ReservationTables
     int opCount(int cluster, ResourceKind kind, int t) const;
 
   private:
-    const MachineConfig &mach_;
-    int ii_;
+    const MachineConfig *mach_ = nullptr;
+    int ii_ = 0;
     // used_[kind][cluster][phase]
     std::vector<std::vector<std::vector<int>>> used_;
     // busBusy_[bus][phase]

@@ -25,48 +25,6 @@ toString(FailCause cause)
     }
 }
 
-const LoopAnalysis &
-SchedulerCache::analysis(const Ddg &ddg, const MachineConfig &mach)
-{
-    if (inputAnalyses) {
-        if (const LoopAnalysis *input = inputAnalyses->find(ddg, mach))
-            return *input;
-    }
-    return analyses.get(ddg, mach);
-}
-
-const std::vector<NodeId> &
-SchedulerCache::order(const Ddg &ddg, const MachineConfig &mach)
-{
-    // Like the analysis, the order is a function of the graph and the
-    // machine.
-    if (orderGen_ != ddg.generation() || orderCfg_ != mach.id()) {
-        order_ = smsOrder(ddg, analysis(ddg, mach));
-        orderGen_ = ddg.generation();
-        orderCfg_ = mach.id();
-    }
-    return order_;
-}
-
-ReservationTables &
-SchedulerCache::tables(const MachineConfig &mach, int ii)
-{
-    // Tables hold a reference to their machine: reset in place only
-    // when the caller passes the *same object* again (same address
-    // AND same stamp - a copy shares the stamp but may outlive the
-    // original, and re-stamping reuses addresses). Anything else
-    // re-emplaces, which also rebinds the reference.
-    if (!tables_ || tablesCfg_ != mach.id() ||
-        tablesMach_ != &mach) {
-        tables_.emplace(mach, ii);
-        tablesCfg_ = mach.id();
-        tablesMach_ = &mach;
-    } else {
-        tables_->reset(ii);
-    }
-    return *tables_;
-}
-
 namespace
 {
 
@@ -125,20 +83,16 @@ normalizeStarts(const Ddg &ddg, int ii, std::vector<int> &start)
 
 ScheduleAttempt
 scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
-             const Partition &part, int ii, const SchedulerOptions &opts,
-             SchedulerCache *cache)
+             const LoopAnalysis &analysis,
+             const std::vector<NodeId> &order, const Partition &part,
+             int ii, const SchedulerOptions &opts,
+             ReservationTables &tables)
 {
     ScheduleAttempt attempt;
     attempt.sched.ii = ii;
     attempt.sched.start.assign(ddg.numNodeSlots(), -1);
     attempt.sched.busOf.assign(ddg.numNodeSlots(), -1);
-
-    SchedulerCache local_cache;
-    SchedulerCache &memo = cache ? *cache : local_cache;
-
-    const LoopAnalysis &analysis = memo.analysis(ddg, mach);
-    const auto &order = memo.order(ddg, mach);
-    ReservationTables &tables = memo.tables(mach, ii);
+    tables.reset(mach, ii);
 
     // Effective per-edge latency, resolved once: the placement loop
     // and the sink pass read it once per (node, incident edge) visit,
@@ -379,6 +333,17 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     attempt.ok = true;
     attempt.cause = FailCause::None;
     return attempt;
+}
+
+ScheduleAttempt
+scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
+             const Partition &part, int ii, const SchedulerOptions &opts,
+             ReservationTables *tables)
+{
+    const LoopAnalysis analysis = analyzeLoop(ddg, mach);
+    ReservationTables local;
+    return scheduleAtIi(ddg, mach, analysis, smsOrder(ddg, analysis),
+                        part, ii, opts, tables ? *tables : local);
 }
 
 } // namespace cvliw

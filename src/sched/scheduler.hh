@@ -12,8 +12,6 @@
 #define CVLIW_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "ddg/analysis.hh"
@@ -71,67 +69,30 @@ struct SchedulerOptions
 };
 
 /**
- * Generation-keyed memo shared across scheduling attempts. The
- * pipeline retries scheduleAtIi at every II bump and after every
- * spill, and the work graph's LoopAnalysis and SMS order only depend
- * on the graph (never on the II) - so attempts on an unchanged graph
- * reuse them wholesale, and the ordering and the placement loop
- * share one analysis. Entries carry the machine config's identity
- * stamp, so one cache may serve several configs without stale reuse.
- * The input graph's analysis lives in its own memo (PseudoScratch's),
- * which a changed work graph never evicts; an attempt on an
- * unmodified copy of the input reads it from there. The reservation
- * tables are also pooled here: every attempt resets them in place
- * instead of reallocating.
+ * Schedule @p ddg (copies already inserted) at interval @p ii.
+ * @param analysis analyzeLoop(ddg, mach): node times and the
+ *        topological order the placement loop reads
+ * @param order smsOrder(ddg, analysis): the placement order
+ * @param part cluster of every node, including copies
+ * @param tables reservation tables, re-armed here for (@p mach,
+ *        @p ii); the pipeline passes one instance to every attempt so
+ *        that their storage is allocated once
  */
-struct SchedulerCache
-{
-    /** The changed work graphs' analysis memo. */
-    AnalysisCache analyses;
-
-    /**
-     * A memo read before `analyses` (not owned; null for none).
-     * CompileCaches points it at the input graph's memo, so an attempt
-     * on an unmodified copy of the input (same stamp) uses the input's
-     * analysis instead of running it again.
-     */
-    const AnalysisCache *inputAnalyses = nullptr;
-
-    /** analyzeLoop(ddg, mach), from inputAnalyses or `analyses`. */
-    const LoopAnalysis &analysis(const Ddg &ddg,
-                                 const MachineConfig &mach);
-
-    /** Cached smsOrder(ddg, analysis(ddg, mach)). */
-    const std::vector<NodeId> &order(const Ddg &ddg,
-                                     const MachineConfig &mach);
-
-    /**
-     * Pooled reservation tables, reset in place for each attempt.
-     * The returned reference is re-armed (empty, at @p ii) and valid
-     * until the next call.
-     */
-    ReservationTables &tables(const MachineConfig &mach, int ii);
-
-  private:
-    // (graph stamp, config id) of order_; stamps start at 1.
-    std::uint64_t orderGen_ = 0;
-    std::uint64_t orderCfg_ = 0;
-    std::vector<NodeId> order_;
-    std::uint64_t tablesCfg_ = 0;
-    const MachineConfig *tablesMach_ = nullptr;
-    std::optional<ReservationTables> tables_;
-};
+ScheduleAttempt scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
+                             const LoopAnalysis &analysis,
+                             const std::vector<NodeId> &order,
+                             const Partition &part, int ii,
+                             const SchedulerOptions &opts,
+                             ReservationTables &tables);
 
 /**
- * Schedule @p ddg (copies already inserted) at interval @p ii.
- * @param part cluster of every node, including copies
- * @param cache optional cross-attempt memo (see SchedulerCache);
- *        pass the same instance to every attempt on one graph lineage
+ * The form above on analyzeLoop(ddg, mach), its SMS order and
+ * @p tables, if any.
  */
 ScheduleAttempt scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
                              const Partition &part, int ii,
                              const SchedulerOptions &opts = {},
-                             SchedulerCache *cache = nullptr);
+                             ReservationTables *tables = nullptr);
 
 } // namespace cvliw
 

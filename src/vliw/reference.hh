@@ -57,6 +57,8 @@ class ReferenceInterpreter
      * @param original the untransformed loop body
      * @param iterations how many iterations to evaluate
      * @param seed live-in seed
+     * @throws InvalidInput if @p original's distance-0 edges close a
+     *         cycle (see topoOrder)
      */
     ReferenceInterpreter(const Ddg &original, int iterations,
                          std::uint64_t seed = 1);

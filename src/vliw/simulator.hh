@@ -42,6 +42,9 @@ struct SimulationReport
  * @param part cluster of every node in @p final_ddg
  * @param sched the modulo schedule of @p final_ddg
  * @param original the untransformed loop body
+ * @throws InvalidInput (from topoOrder) if the schedule passes the
+ *         structural checks but a graph's distance-0 edges close a
+ *         cycle
  */
 SimulationReport simulate(const Ddg &final_ddg,
                           const MachineConfig &mach,

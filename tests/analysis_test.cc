@@ -1,7 +1,8 @@
 /**
  * @file
  * DDG analysis tests: topological order and the LoopAnalysis record
- * (distance-0 cycle flag, ASAP/ALAP, SCCs, recurrences and RecMII).
+ * (ASAP/ALAP, SCCs, recurrences and RecMII), and the InvalidInput
+ * both throw for a distance-0 cycle.
  */
 
 #include <gtest/gtest.h>
@@ -55,27 +56,31 @@ TEST(LoopAnalysis, OrderIsTheTopologicalOrder)
 {
     const Ddg g = chainGraph();
     const auto a = analyzeLoop(g, MachineConfig::unified());
-    EXPECT_FALSE(a.zeroDistanceCycle);
     EXPECT_EQ(a.order, topoOrder(g));
 }
 
-TEST(LoopAnalysis, FlagsZeroDistanceCycle)
+TEST(LoopAnalysis, ZeroDistanceCycleThrowsInvalidInput)
 {
     DdgBuilder b;
     b.op("in", OpClass::Load);
     b.op("x", OpClass::IntAlu, {"in"});
     b.op("y", OpClass::IntAlu, {"x"});
     b.flow("y", "x", 0); // x -> y -> x inside one iteration
-    const auto a = analyzeLoop(b.take(), MachineConfig::unified());
-    EXPECT_TRUE(a.zeroDistanceCycle);
-    EXPECT_EQ(a.order.size(), 1u); // only "in" is ordered
+    const Ddg g = b.take();
+    const auto m = MachineConfig::unified();
+    EXPECT_THROW(analyzeLoop(g, m), InvalidInput);
+    EXPECT_THROW(topoOrder(g), InvalidInput);
+    try {
+        analyzeLoop(g, m);
+    } catch (const InvalidInput &err) {
+        EXPECT_STREQ(err.what(),
+                     "distance-0 edges close a cycle in a 3-node graph");
+    }
 
     DdgBuilder self;
     self.op("acc", OpClass::FpAlu);
     self.flow("acc", "acc", 0);
-    EXPECT_TRUE(
-        analyzeLoop(self.take(), MachineConfig::unified())
-            .zeroDistanceCycle);
+    EXPECT_THROW(analyzeLoop(self.take(), m), InvalidInput);
 }
 
 TEST(LoopAnalysis, AsapAlongChain)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+
 #include "ddg/builder.hh"
 #include "ddg/ddg.hh"
 #include "expect_invalid.hh"
@@ -91,13 +94,25 @@ TEST(Ddg, NodesListSkipsTombstones)
     EXPECT_EQ(g.numNodeSlots(), 2);
 }
 
+/** Slot counts and stamp: a rejected mutation must not move them. */
+std::tuple<int, int, int, int, std::uint64_t>
+stateOf(const Ddg &g)
+{
+    return {g.numNodeSlots(), g.numEdgeSlots(), g.numNodes(),
+            g.numEdges(), g.generation()};
+}
+
 TEST(Ddg, FlowEdgesFromStoresRejected)
 {
     Ddg g;
     const NodeId st = g.addNode(OpClass::Store);
     const NodeId b = g.addNode(OpClass::Load);
-    EXPECT_DEATH(g.addEdge(st, b, EdgeKind::RegFlow, 0),
-                 "non-value-producing");
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(g.addEdge(st, b, EdgeKind::RegFlow, 0),
+                            "non-value-producing");
+    EXPECT_EQ(stateOf(g), before);
+    EXPECT_TRUE(g.outEdges(st).empty());
+    EXPECT_TRUE(g.inEdges(b).empty());
 }
 
 TEST(Ddg, MemoryLatencyMustFitInt16)
@@ -106,8 +121,67 @@ TEST(Ddg, MemoryLatencyMustFitInt16)
     const NodeId st = g.addNode(OpClass::Store);
     const NodeId ld = g.addNode(OpClass::Load);
     g.addEdge(st, ld, EdgeKind::Memory, 1, 32767);
-    EXPECT_DEATH(g.addEdge(st, ld, EdgeKind::Memory, 1, 32768),
-                 "memory latency 32768 outside int16_t");
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(g.addEdge(st, ld, EdgeKind::Memory, 1, 32768),
+                            "memory latency 32768 outside int16_t");
+    EXPECT_INVALID_ARGUMENT(
+        g.addEdge(st, ld, EdgeKind::Memory, 1, -32769),
+        "memory latency -32769 outside int16_t");
+    EXPECT_EQ(stateOf(g), before);
+}
+
+TEST(Ddg, NegativeDistanceRejected)
+{
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(g.addEdge(a, b, EdgeKind::RegFlow, -1),
+                            "negative edge distance -1");
+    EXPECT_EQ(stateOf(g), before);
+    EXPECT_TRUE(g.outEdges(a).empty());
+}
+
+TEST(Ddg, EdgeKindOutsideTheKindsRejected)
+{
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(
+        g.addEdge(a, b, static_cast<EdgeKind>(9), 0),
+        "edge kind 9 outside the edge kinds");
+    EXPECT_EQ(stateOf(g), before);
+}
+
+TEST(Ddg, EdgeEndpointsMustBeLiveNodes)
+{
+    Ddg g;
+    const NodeId a = g.addNode(OpClass::IntAlu);
+    const NodeId b = g.addNode(OpClass::IntAlu);
+    g.removeNode(b);
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(g.addEdge(a, 2, EdgeKind::RegFlow, 0),
+                            "endpoint 2 outside the node array");
+    EXPECT_INVALID_ARGUMENT(g.addEdge(-1, a, EdgeKind::RegFlow, 0),
+                            "endpoint -1 outside the node array");
+    EXPECT_INVALID_ARGUMENT(g.addEdge(a, b, EdgeKind::RegFlow, 0),
+                            "edge on dead node n1");
+    EXPECT_EQ(stateOf(g), before);
+}
+
+TEST(Ddg, OpClassOutsideTheClassesRejected)
+{
+    // Passes index per-class tables by the op class, so a class past
+    // the last one must never enter a graph.
+    Ddg g;
+    g.addNode(OpClass::Copy);
+    const auto before = stateOf(g);
+    EXPECT_INVALID_ARGUMENT(g.addNode(OpClass::NumOpClasses),
+                            "op class 9 outside the op classes");
+    EXPECT_INVALID_ARGUMENT(g.addNode(static_cast<OpClass>(200)),
+                            "op class 200 outside the op classes");
+    EXPECT_EQ(stateOf(g), before);
 }
 
 TEST(Ddg, MemoryEdgesFromStoresAllowed)

@@ -2,8 +2,7 @@
  * @file
  * Tests for the zero-allocation DDG traversal views: tombstone
  * skipping after removals, iterator stability under const access,
- * the generation counter contract, the AnalysisCache memo, and a
- * regression check that compile() results on the paper's worked
+ * the generation counter contract, and a regression check that compile() results on the paper's worked
  * example are unchanged by the view migration. The DdgArena section
  * covers the adjacency blocks: the growth rule, stale views, the
  * 65,535-slot limit and compact(). The DdgSlots section covers
@@ -250,7 +249,7 @@ TEST(DdgViews, GenerationStampsAreProcessUnique)
 {
     // Two graphs that diverge from a common copy must never share a
     // stamp again, even after the same number of mutations - this is
-    // what lets a single-slot cache key on the stamp alone.
+    // what lets compile() tell a changed work copy from the input.
     SmallGraph s;
     Ddg copy = s.g;
     EXPECT_EQ(copy.generation(), s.g.generation());
@@ -258,32 +257,6 @@ TEST(DdgViews, GenerationStampsAreProcessUnique)
     s.g.addNode(OpClass::IntAlu);
     copy.addNode(OpClass::IntAlu);
     EXPECT_NE(copy.generation(), s.g.generation());
-}
-
-TEST(DdgViews, AnalysisCacheTracksMutations)
-{
-    SmallGraph s;
-    const auto m = MachineConfig::unified();
-    AnalysisCache cache;
-
-    EXPECT_EQ(cache.get(s.g, m).order, topoOrder(s.g));
-    // Cached record stays put while the graph is unchanged.
-    const LoopAnalysis *first = &cache.get(s.g, m);
-    EXPECT_EQ(first, &cache.get(s.g, m));
-    EXPECT_EQ(cache.runs(), 1u);
-    EXPECT_EQ(cache.get(s.g, m).times.asap,
-              analyzeLoop(s.g, m).times.asap);
-    EXPECT_EQ(cache.get(s.g, m).scc, analyzeLoop(s.g, m).scc);
-    EXPECT_EQ(cache.runs(), 1u);
-
-    // Mutate: the memo must recompute.
-    const NodeId d = s.g.addNode(OpClass::IntAlu);
-    s.g.addEdge(s.c, d, EdgeKind::RegFlow, 0);
-    EXPECT_EQ(cache.get(s.g, m).order, topoOrder(s.g));
-    EXPECT_EQ(cache.get(s.g, m).times.length,
-              analyzeLoop(s.g, m).times.length);
-    EXPECT_EQ(cache.get(s.g, m).scc, analyzeLoop(s.g, m).scc);
-    EXPECT_EQ(cache.runs(), 2u);
 }
 
 TEST(DdgViews, AnalysisReadsLiveEdgesAndTheirLatencies)

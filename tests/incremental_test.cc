@@ -1,25 +1,21 @@
 /**
  * @file
- * Tests for the incremental refinement engine and the config-keyed
- * caches:
+ * Tests for the incremental refinement engine:
  *  - the delta move evaluation (PseudoScratch::probeMove) and the
  *    incremental communication count stay bit-identical to the
  *    from-scratch pseudoSchedule / findCommunications oracles over
  *    random move sequences on generated loops,
- *  - CommInfo::update patches exactly to what a full rescan computes,
- *  - AnalysisCache / SchedulerCache never reuse results across
- *    machine configs (the generation-only-key regression).
+ *  - CommInfo::update patches exactly to what a full rescan computes.
  */
 
 #include <gtest/gtest.h>
 
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "partition/partition.hh"
 #include "sched/comms.hh"
 #include "sched/mii.hh"
 #include "sched/pseudo.hh"
-#include "sched/scheduler.hh"
-#include "sched/sms_order.hh"
 #include "workloads/generator.hh"
 #include "workloads/profiles.hh"
 
@@ -65,11 +61,14 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
                     rng.uniformInt(0, m.numClusters() - 1));
             }
 
+            const LoopAnalysis analysis = analyzeLoop(loop.ddg, m);
             PseudoScratch inc, oracle;
-            PseudoResult best = inc.bind(loop.ddg, m, assign, ii);
-            expectSameResult(
-                best, pseudoSchedule(loop.ddg, m, assign, ii, oracle),
-                loop.name().c_str());
+            PseudoResult best =
+                inc.bind(loop.ddg, m, analysis, assign, ii);
+            expectSameResult(best,
+                             pseudoSchedule(loop.ddg, m, analysis,
+                                            assign, ii, oracle),
+                             loop.name().c_str());
 
             for (int step = 0; step < 80; ++step) {
                 const NodeId n = nodes[static_cast<std::size_t>(
@@ -84,8 +83,8 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
 
                 std::vector<ClusterId> moved = inc.assignment();
                 moved[n] = c;
-                const PseudoResult full =
-                    pseudoSchedule(loop.ddg, m, moved, ii, oracle);
+                const PseudoResult full = pseudoSchedule(
+                    loop.ddg, m, analysis, moved, ii, oracle);
 
                 PseudoResult out;
                 const bool accepted = inc.probeMove(n, c, best, out);
@@ -181,75 +180,6 @@ TEST(Incremental, CommInfoUpdateHandlesGraphEdits)
     inc.update(g, assign, {a});
     expectSameComms(inc, findCommunications(g, assign), "removed");
     (void)s;
-}
-
-TEST(ConfigKeyedCaches, AnalysisTimesNotReusedAcrossConfigs)
-{
-    DdgBuilder b;
-    b.op("ld", OpClass::Load);
-    b.op("m", OpClass::FpMul, {"ld"});
-    b.op("st", OpClass::Store, {"m"});
-    const Ddg g = b.take();
-
-    const auto slow = MachineConfig::fromString("4c2b4l64r");
-    auto fast = MachineConfig::fromString("4c2b4l64r");
-    fast.setLatency(OpClass::Load, 1);
-    fast.setLatency(OpClass::FpMul, 1);
-
-    AnalysisCache cache;
-    const NodeTimes t_slow = cache.get(g, slow).times; // copy: the
-                                                       // slot is reused
-    EXPECT_EQ(t_slow.asap[1], slow.latency(OpClass::Load));
-
-    // Same cache, same graph generation, different machine: the key
-    // regression was returning the slow-machine times here.
-    const NodeTimes &t_fast = cache.get(g, fast).times;
-    EXPECT_EQ(t_fast.asap[1], 1);
-    EXPECT_NE(t_fast.asap[2], t_slow.asap[2]);
-
-    // And switching back recomputes again instead of mixing.
-    EXPECT_EQ(cache.get(g, slow).times.asap[1],
-              slow.latency(OpClass::Load));
-    EXPECT_EQ(cache.runs(), 3u);
-}
-
-TEST(ConfigKeyedCaches, SchedulerOrderNotReusedAcrossConfigs)
-{
-    const auto &profiles = specFp95Profiles();
-    Rng rng(5);
-    const Loop loop = generateLoop(profiles[0], rng, 0);
-
-    const auto a = MachineConfig::fromString("4c2b4l64r");
-    auto bcfg = MachineConfig::fromString("4c2b4l64r");
-    bcfg.setLatency(OpClass::Load, 9);
-    bcfg.setLatency(OpClass::FpAlu, 1);
-
-    SchedulerCache shared;
-    const auto order_a = shared.order(loop.ddg, a);
-    const auto expect_b = smsOrder(loop.ddg, analyzeLoop(loop.ddg, bcfg));
-    EXPECT_EQ(shared.order(loop.ddg, bcfg), expect_b);
-
-    EXPECT_EQ(shared.order(loop.ddg, a),
-              smsOrder(loop.ddg, analyzeLoop(loop.ddg, a)));
-    (void)order_a;
-}
-
-TEST(ConfigKeyedCaches, ConfigIdentityStamps)
-{
-    const auto a = MachineConfig::fromString("4c2b4l64r");
-    const auto b = MachineConfig::fromString("4c2b4l64r");
-    // Same name, separate constructions: distinct machines as far as
-    // caches are concerned.
-    EXPECT_NE(a.id(), b.id());
-
-    // Copies describe the same machine and share the stamp.
-    const MachineConfig c = a;
-    EXPECT_EQ(c.id(), a.id());
-
-    // A latency override changes analysis-relevant behaviour.
-    auto d = a;
-    d.setLatency(OpClass::Load, 7);
-    EXPECT_NE(d.id(), a.id());
 }
 
 } // namespace

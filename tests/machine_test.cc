@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "expect_invalid.hh"
 #include "machine/config.hh"
 
@@ -150,6 +152,26 @@ TEST(MachineConfig, CustomLatencyOverride)
     m.setLatency(OpClass::FpAlu, 5);
     EXPECT_EQ(m.latency(OpClass::FpAlu), 5);
     EXPECT_EQ(m.latency(OpClass::Load), 2); // untouched
+}
+
+TEST(MachineConfig, SetLatencyRejectsOpClassOutsideTheClasses)
+{
+    // The latency table has one entry per op class: a class past the
+    // last one would be written out of bounds.
+    auto m = MachineConfig::custom(2, {2, 2, 2, 0}, 1, 1, 64);
+    const auto latencies = [&] {
+        std::vector<int> lat;
+        for (int c = 0; c < static_cast<int>(OpClass::NumOpClasses); ++c)
+            lat.push_back(m.latency(static_cast<OpClass>(c)));
+        return lat;
+    };
+    const std::vector<int> before = latencies();
+    EXPECT_INVALID_ARGUMENT(m.setLatency(OpClass::NumOpClasses, 3),
+                            "op class 9 outside the op classes");
+    EXPECT_INVALID_ARGUMENT(m.setLatency(static_cast<OpClass>(200), 3),
+                            "op class 200 outside the op classes");
+    EXPECT_EQ(latencies(), before);
+    EXPECT_EQ(m.name(), "2c1b1l64r");
 }
 
 TEST(MachineConfig, AvailablePerKind)

@@ -274,10 +274,12 @@ TEST(Refine, NeverWorsensTheMetric)
         for (NodeId n : g.nodes())
             p.assign(n, 0);
         PseudoScratch scratch;
-        const auto before = pseudoSchedule(g, m, p.vec(), ii, scratch);
+        const LoopAnalysis analysis = analyzeLoop(g, m);
+        const auto before =
+            pseudoSchedule(g, m, analysis, p.vec(), ii, scratch);
         const Partition refined = refinePartition(g, m, p, ii);
         const auto after =
-            pseudoSchedule(g, m, refined.vec(), ii, scratch);
+            pseudoSchedule(g, m, analysis, refined.vec(), ii, scratch);
         EXPECT_FALSE(before.better(after));
     }
 }

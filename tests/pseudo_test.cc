@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "sched/pseudo.hh"
 
@@ -24,9 +25,10 @@ TEST(Pseudo, BalancedPartitionIsFeasible)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("2c1b2l64r");
     PseudoScratch scratch;
+    const LoopAnalysis analysis = analyzeLoop(g, m);
 
     const std::vector<ClusterId> part{0, 0, 1, 1};
-    const auto r = pseudoSchedule(g, m, part, 1, scratch);
+    const auto r = pseudoSchedule(g, m, analysis, part, 1, scratch);
     EXPECT_EQ(r.comms, 0);
     EXPECT_EQ(r.overflow, 0);
     EXPECT_EQ(r.iiPart, 1);
@@ -41,12 +43,15 @@ TEST(Pseudo, ResourcePressureRaisesIiPart)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("4c1b2l64r");
     PseudoScratch scratch;
+    const LoopAnalysis analysis = analyzeLoop(g, m);
     // All four loads in one cluster with one memory port: IIpart 4.
     const std::vector<ClusterId> part{0, 0, 0, 0};
-    EXPECT_EQ(pseudoSchedule(g, m, part, 2, scratch).iiPart, 4);
+    EXPECT_EQ(pseudoSchedule(g, m, analysis, part, 2, scratch).iiPart,
+              4);
     // Spread out: IIpart 1 (one load per cluster).
     const std::vector<ClusterId> spread{0, 1, 2, 3};
-    EXPECT_EQ(pseudoSchedule(g, m, spread, 2, scratch).iiPart, 1);
+    EXPECT_EQ(pseudoSchedule(g, m, analysis, spread, 2, scratch).iiPart,
+              1);
 }
 
 TEST(Pseudo, BusPressureRaisesIiPart)
@@ -59,10 +64,11 @@ TEST(Pseudo, BusPressureRaisesIiPart)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("4c1b2l64r");
     PseudoScratch scratch;
+    const LoopAnalysis analysis = analyzeLoop(g, m);
     // Three producers remote from w: 3 comms, 1 bus of latency 2
     // -> bus-induced II 6.
     const std::vector<ClusterId> part{0, 1, 2, 3};
-    const auto r = pseudoSchedule(g, m, part, 2, scratch);
+    const auto r = pseudoSchedule(g, m, analysis, part, 2, scratch);
     EXPECT_EQ(r.comms, 3);
     EXPECT_EQ(r.iiPart, 6);
     EXPECT_GT(r.overflow, 0); // at II=2 only 1 comm fits
@@ -76,11 +82,12 @@ TEST(Pseudo, CutEdgesLengthenEstimate)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("2c1b2l64r");
     PseudoScratch scratch;
+    const LoopAnalysis analysis = analyzeLoop(g, m);
 
     const std::vector<ClusterId> together{0, 0};
     const std::vector<ClusterId> split{0, 1};
-    const auto r0 = pseudoSchedule(g, m, together, 2, scratch);
-    const auto r1 = pseudoSchedule(g, m, split, 2, scratch);
+    const auto r0 = pseudoSchedule(g, m, analysis, together, 2, scratch);
+    const auto r1 = pseudoSchedule(g, m, analysis, split, 2, scratch);
     EXPECT_EQ(r0.length, 2);
     EXPECT_EQ(r1.length, 4); // + 2-cycle bus on the cut edge
 }
@@ -122,8 +129,13 @@ TEST(Pseudo, ImbalanceMeasured)
     const Ddg g = b.take();
     const auto m = MachineConfig::fromString("2c1b2l64r");
     PseudoScratch scratch;
-    EXPECT_EQ(pseudoSchedule(g, m, {0, 0, 0}, 2, scratch).imbalance, 3);
-    EXPECT_EQ(pseudoSchedule(g, m, {0, 0, 1}, 2, scratch).imbalance, 1);
+    const LoopAnalysis analysis = analyzeLoop(g, m);
+    EXPECT_EQ(
+        pseudoSchedule(g, m, analysis, {0, 0, 0}, 2, scratch).imbalance,
+        3);
+    EXPECT_EQ(
+        pseudoSchedule(g, m, analysis, {0, 0, 1}, 2, scratch).imbalance,
+        1);
 }
 
 } // namespace

@@ -24,7 +24,7 @@ TEST(Reservation, ResetClearsAndResizesInPlace)
     EXPECT_FALSE(t.canPlaceCopy(0));
 
     // Shrink: everything cleared, II switched.
-    t.reset(2);
+    t.reset(m, 2);
     EXPECT_EQ(t.ii(), 2);
     EXPECT_EQ(t.opCount(0, ResourceKind::IntFu, 1), 0);
     EXPECT_EQ(t.opCount(1, ResourceKind::MemPort, 1), 0);
@@ -34,7 +34,7 @@ TEST(Reservation, ResetClearsAndResizesInPlace)
     EXPECT_FALSE(t.canPlaceCopy(0));
 
     // Grow past the original capacity.
-    t.reset(6);
+    t.reset(m, 6);
     EXPECT_EQ(t.ii(), 6);
     for (int ph = 0; ph < 6; ++ph)
         EXPECT_EQ(t.opCount(0, ResourceKind::IntFu, ph), 0);
@@ -50,6 +50,39 @@ TEST(Reservation, ResetClearsAndResizesInPlace)
     fresh.placeCopy(4);
     for (int ph = 0; ph < 6; ++ph)
         EXPECT_EQ(t.canPlaceCopy(ph), fresh.canPlaceCopy(ph));
+}
+
+TEST(Reservation, ResetRearmsForAnotherMachineShape)
+{
+    // One table serves every machine a worker compiles for: reset
+    // takes the machine and resizes to its clusters and buses.
+    const auto two = MachineConfig::fromString("2c2b2l64r");
+    const auto four = MachineConfig::fromString("4c1b4l64r");
+    ReservationTables t;
+    t.reset(two, 4);
+    t.placeOp(1, ResourceKind::IntFu, 0);
+    t.placeCopy(0);
+
+    t.reset(four, 8);
+    EXPECT_EQ(t.ii(), 8);
+    for (int c = 0; c < 4; ++c) {
+        for (int ph = 0; ph < 8; ++ph)
+            EXPECT_EQ(t.opCount(c, ResourceKind::IntFu, ph), 0);
+        EXPECT_TRUE(t.canPlaceOp(c, ResourceKind::IntFu, 0));
+    }
+    // One bus of latency 4: slots at phases 0 and 4, none between.
+    EXPECT_EQ(t.busFreeAt(0), 0);
+    EXPECT_EQ(t.busFreeAt(2), -1);
+    EXPECT_EQ(t.placeCopy(4), 0);
+    EXPECT_FALSE(t.canPlaceCopy(4));
+
+    // And back to the smaller shape, with the two-bus capacity.
+    t.reset(two, 2);
+    EXPECT_EQ(t.ii(), 2);
+    EXPECT_EQ(t.opCount(1, ResourceKind::IntFu, 0), 0);
+    EXPECT_EQ(t.placeCopy(0), 0);
+    EXPECT_EQ(t.placeCopy(0), 1);
+    EXPECT_FALSE(t.canPlaceCopy(0));
 }
 
 TEST(Reservation, ProbeReturnsBusHandleForO1Placement)

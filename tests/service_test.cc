@@ -261,7 +261,8 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
     // direct compile(). Inputs: job 3 on a 2-worker pool, then an
     // Rng-seeded quarter of the jobs on a pool of the default size,
     // over two rounds of two configs; afterwards the same pool (its
-    // workers quarantined or not) serves a clean batch bit-exactly.
+    // workers' caches used by throwing jobs or not) serves a clean
+    // batch bit-exactly.
     const Ddg cyclic = zeroDistanceCycle();
     const auto &sample = sampleLoops();
     const std::vector<Loop> loops(sample.begin(), sample.begin() + 24);
@@ -348,9 +349,9 @@ TEST(CompileService, MachineWithoutMemoryPortsFailsEveryJob)
 
 TEST(CompileService, WorkerKeepsServingBitExactAfterAThrow)
 {
-    // Quarantine: on one worker, the third job's graph closes a
-    // distance-0 cycle, so its compile throws mid-batch and the same
-    // worker then runs every later job on rebuilt caches; those
+    // On one worker, the third job's graph closes a distance-0 cycle,
+    // so its compile throws mid-batch and the same worker then runs
+    // every later job on the caches the throwing job used; those
     // results must equal direct compiles.
     const auto &loops = sampleLoops();
     const auto m = MachineConfig::fromString("4c2b2l64r");

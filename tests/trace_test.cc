@@ -342,6 +342,28 @@ TEST(Telemetry, CountersIndependentOfWorkerCount)
     EXPECT_GE(analysis_runs, suite.size());
 }
 
+TEST(Telemetry, CountersIndependentOfWhatTheCachesCompiledBefore)
+{
+    // A compile is a function of (graph, machine, options): compiling
+    // a loop right after compiling it on the same caches reports the
+    // same counters, on caller-owned and on thread-local caches.
+    const auto suite = buildBenchmark("tomcatv");
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    CompileCaches caches;
+    for (const Loop &loop : suite) {
+        SCOPED_TRACE(loop.name());
+        const CounterSlice first(
+            compile(loop.ddg, m, {}, &caches).telemetry);
+        const CounterSlice again(
+            compile(loop.ddg, m, {}, &caches).telemetry);
+        const CounterSlice tls_first(compile(loop.ddg, m).telemetry);
+        const CounterSlice tls_again(compile(loop.ddg, m).telemetry);
+        EXPECT_TRUE(again == first);
+        EXPECT_TRUE(tls_first == first);
+        EXPECT_TRUE(tls_again == first);
+    }
+}
+
 TEST(Telemetry, CountersReflectTheCompile)
 {
     const auto suite = buildBenchmark("swim");
