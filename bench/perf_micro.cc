@@ -210,9 +210,9 @@ BM_ReplicationPass(benchmark::State &state)
 BENCHMARK(BM_ReplicationPass);
 
 /**
- * A rounds-dominated replication pass: one bus of latency 4 starves
- * the largest loops into ~8 selection rounds, which is where the
- * incremental CommInfo patching and subgraph-pool reuse pay off.
+ * A rounds-dominated replication pass on the 149-node loop: one bus
+ * of latency 4 at MII starves it into 8 selection rounds, each of
+ * which rebuilds every candidate subgraph and weight.
  */
 void
 BM_ReplicationHeavy(benchmark::State &state)

@@ -37,27 +37,17 @@ countReplica(ReplicationStats *stats, OpClass cls)
  * or in-edges changed (replicas, their operand producers, rewired
  * consumers and com itself) is appended to it, so the caller can
  * patch its CommInfo incrementally instead of rescanning the graph.
- * @p structural, when non-null, receives only the nodes whose
- * *in-edge list* changed (replicas and rewired consumers): the
- * subgraph walk reads in-edges, instances and communicated flags but
- * never an ancestor's out-edges, so these - not the full touched set
- * - seed the pool-staleness walk.
  */
 void
 applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
               const ReplicationSubgraph &sg,
               const std::vector<bool> &communicated,
               ReplicationStats *stats,
-              std::vector<NodeId> *touched = nullptr,
-              std::vector<NodeId> *structural = nullptr)
+              std::vector<NodeId> *touched = nullptr)
 {
     auto touch = [&](NodeId n) {
         if (touched)
             touched->push_back(n);
-    };
-    auto touchStructural = [&](NodeId n) {
-        if (structural)
-            structural->push_back(n);
     };
     // Phase 1: create all replica nodes (cycles in the subgraph make
     // a create-then-wire split necessary).
@@ -69,7 +59,6 @@ applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
             countReplica(stats, ddg.node(v).cls);
             touch(r);
             touch(v);
-            touchStructural(r);
         }
     }
 
@@ -143,7 +132,6 @@ applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
         ddg.addEdge(local, e.dst, EdgeKind::RegFlow, e.distance);
         touch(local);
         touch(e.dst);
-        touchStructural(e.dst);
     }
     touch(sg.com);
 }
@@ -161,7 +149,6 @@ int
 removeDeadCodeInCone(Ddg &ddg, const Partition &part,
                      ReplicaIndex &index, NodeId com,
                      std::vector<NodeId> *touched,
-                     std::vector<NodeId> *removed_out,
                      std::vector<char> &in_cone,
                      std::vector<NodeId> &cone, std::vector<char> &live,
                      std::vector<NodeId> &worklist)
@@ -222,8 +209,6 @@ removeDeadCodeInCone(Ddg &ddg, const Partition &part,
             for (NodeId p : ddg.flowPreds(n))
                 touched->push_back(p);
         }
-        if (removed_out)
-            removed_out->push_back(n);
         index.removeInstance(ddg.node(n).semanticId,
                              part.clusterOf(n));
         ddg.removeNode(n);
@@ -236,8 +221,7 @@ removeDeadCodeInCone(Ddg &ddg, const Partition &part,
 
 int
 removeDeadCode(Ddg &ddg, const Partition &part, ReplicaIndex &index,
-               std::vector<NodeId> *touched,
-               std::vector<NodeId> *removed_out)
+               std::vector<NodeId> *touched)
 {
     // Mark: walk register-flow edges backwards from the roots
     // (stores and live-out values).
@@ -274,8 +258,6 @@ removeDeadCode(Ddg &ddg, const Partition &part, ReplicaIndex &index,
             for (NodeId p : ddg.flowPreds(n))
                 touched->push_back(p);
         }
-        if (removed_out)
-            removed_out->push_back(n);
         index.removeInstance(ddg.node(n).semanticId,
                              part.clusterOf(n));
         ddg.removeNode(n);
@@ -296,53 +278,27 @@ reduceCommunications(Ddg &ddg, Partition &part,
 
     ReplicaIndex index(ddg, part);
 
-    // Communications and the candidate-subgraph pool are built once
-    // and patched incrementally: each round only re-pools subgraphs
-    // whose dependency cone saw a change (CommInfo::update reports
-    // the comm diffs; the flow-descendant walk below turns them into
-    // pool staleness).
+    // Communications are found once and patched after each round
+    // (CommInfo::update); the candidate subgraphs and their weights
+    // are recomputed every round, as section 3.4 prescribes.
     CommInfo comms = findCommunications(ddg, part.vec());
     if (stats)
         stats->comsInitial = comms.count();
 
-    // The incremental pool/staleness/cone machinery assumes the
-    // subgraph walk reads only flow ancestors of its producer and
-    // that every created replica has a consumer. MacroNode mode
-    // breaks both (it reads macro co-membership and force-replicates
-    // members nothing consumes), so it keeps the from-scratch
-    // per-round behaviour.
+    // Section 5.2: force com's whole level-1 macro-node into its
+    // subgraph.
     const bool macro_mode = mode == ReplicationMode::MacroNode &&
                             hier && hier->numLevels() > 1;
 
-    // One walk scratch for (at least) the whole pass: the pool
-    // rebuilds below walk a subgraph per candidate per round.
+    // One walk scratch for (at least) the whole pass: every round
+    // walks one subgraph per communication.
     SubgraphScratch local_scratch;
     SubgraphScratch &sg_scratch = scratch ? *scratch : local_scratch;
 
-    auto buildSubgraph = [&](NodeId com) {
-        std::vector<NodeId> seeds;
-        if (macro_mode) {
-            // Section 5.2: force the whole level-1 macro-node of
-            // com into the subgraph.
-            for (NodeId m : hier->membersOf(com, 1)) {
-                if (ddg.node(m).alive && m != com)
-                    seeds.push_back(m);
-            }
-        }
-        return findReplicationSubgraph(ddg, part, com,
-                                       comms.communicated, index,
-                                       seeds, {}, &sg_scratch);
-    };
-
     std::vector<ReplicationSubgraph> pool; // NodeId-ordered, = producers
-    bool pool_valid = false;
-    bool swept_globally = false;
-    std::vector<NodeId> stale_seeds;
+    std::vector<NodeId> seeds;
     std::vector<NodeId> touched;
-    std::vector<NodeId> structural;
-    std::vector<NodeId> removed_ids;
-    std::vector<char> dirty;
-    std::vector<NodeId> walk;
+    bool swept_globally = false;
     std::vector<char> dc_cone_flag;
     std::vector<NodeId> dc_cone;
     std::vector<char> dc_live;
@@ -350,62 +306,25 @@ reduceCommunications(Ddg &ddg, Partition &part,
 
     while (true) {
         if (extraComs(comms.count(), mach, ii) == 0)
-            return true; // no pool work when nothing must be removed
+            return true;
         trace::TraceSpan round_span("pipeline", "replicate.round");
         round_span.arg("comms", comms.count());
         if (stats)
             ++stats->roundsConsidered;
 
-        if (!pool_valid) {
-            pool.clear();
-            pool.reserve(comms.producers.size());
-            for (NodeId com : comms.producers)
-                pool.push_back(buildSubgraph(com));
-            pool_valid = true;
-        } else if (!stale_seeds.empty()) {
-            // A pool entry is stale iff its upward walk can visit a
-            // changed node, i.e. iff its producer is a flow
-            // descendant of one. Mark descendants once, then rebuild
-            // the pool against the patched producer list, moving
-            // fresh entries over.
-            dirty.assign(ddg.numNodeSlots(), 0);
-            walk.clear();
-            auto seed = [&](NodeId n) {
-                if (!dirty[n]) {
-                    dirty[n] = 1;
-                    walk.push_back(n);
-                }
-            };
-            for (NodeId n : stale_seeds)
-                seed(n);
-            while (!walk.empty()) {
-                const NodeId v = walk.back();
-                walk.pop_back();
-                if (!ddg.node(v).alive)
-                    continue;
-                for (NodeId w : ddg.flowSuccs(v))
-                    seed(w);
-            }
-            stale_seeds.clear();
-
-            std::vector<ReplicationSubgraph> next;
-            next.reserve(comms.producers.size());
-            std::size_t oi = 0;
-            for (NodeId com : comms.producers) {
-                while (oi < pool.size() && pool[oi].com < com)
-                    ++oi;
-                const bool reusable = oi < pool.size() &&
-                                      pool[oi].com == com &&
-                                      !dirty[com];
-                if (reusable) {
-                    next.push_back(std::move(pool[oi++]));
-                } else {
-                    if (oi < pool.size() && pool[oi].com == com)
-                        ++oi;
-                    next.push_back(buildSubgraph(com));
+        pool.clear();
+        pool.reserve(comms.producers.size());
+        for (NodeId com : comms.producers) {
+            seeds.clear();
+            if (macro_mode) {
+                for (NodeId m : hier->membersOf(com, 1)) {
+                    if (ddg.node(m).alive && m != com)
+                        seeds.push_back(m);
                 }
             }
-            pool = std::move(next);
+            pool.push_back(findReplicationSubgraph(
+                ddg, part, com, comms.communicated, index, seeds, {},
+                &sg_scratch));
         }
 
         // One usage snapshot scores every candidate of the round.
@@ -437,72 +356,28 @@ reduceCommunications(Ddg &ddg, Partition &part,
         if (best < 0)
             return false; // no feasible replication: caller raises II
 
-        // The chosen entry outlives the pool rebuild below.
-        const ReplicationSubgraph applied = pool[best];
-
+        const ReplicationSubgraph &chosen = pool[best];
         touched.clear();
-        structural.clear();
-        removed_ids.clear();
-        applySubgraph(ddg, part, index, applied, comms.communicated,
-                      stats, &touched, &structural);
+        applySubgraph(ddg, part, index, chosen, comms.communicated,
+                      stats, &touched);
         // The first sweep must be global (the input graph may carry
         // dead code); afterwards only com's ancestor cone can die.
         // MacroNode mode can create consumerless replicas outside
         // that cone, so it always sweeps globally.
         int removed;
         if (!swept_globally || macro_mode) {
-            removed = removeDeadCode(ddg, part, index, &touched,
-                                     &removed_ids);
+            removed = removeDeadCode(ddg, part, index, &touched);
             swept_globally = true;
         } else {
-            removed = removeDeadCodeInCone(
-                ddg, part, index, applied.com, &touched, &removed_ids,
-                dc_cone_flag, dc_cone, dc_live, dc_work);
+            removed = removeDeadCodeInCone(ddg, part, index, chosen.com,
+                                           &touched, dc_cone_flag,
+                                           dc_cone, dc_live, dc_work);
         }
         if (stats) {
             ++stats->comsRemoved;
             stats->instructionsRemoved += removed;
         }
-
-        // Every instance of a semantic whose instance set changed
-        // answers hasInstance() differently now: all of its live
-        // instances seed the staleness walk (the subgraph walk of
-        // any producer that can reach one may shrink or grow). That
-        // covers both this round's replications and instances lost
-        // to the dead-code sweep - a cached walk may have relied on
-        // a removed instance via a live sibling instance.
-        auto seedInstancesOf = [&](NodeId of) {
-            const NodeId sem = ddg.node(of).semanticId;
-            for (int c = 0; c < mach.numClusters(); ++c) {
-                const NodeId inst = index.instance(sem, c);
-                if (inst != invalidNode)
-                    structural.push_back(inst);
-            }
-        };
-        for (const auto &[v, clusters] : applied.required)
-            seedInstancesOf(v);
-        for (NodeId r : removed_ids)
-            seedInstancesOf(r);
-
-        const std::vector<NodeId> changed =
-            comms.update(ddg, part.vec(), touched);
-
-        // Defer the pool sync to the next working round: the last
-        // round of the pass exits at the capacity check above
-        // without paying for a rebuild it would never use. The seeds
-        // are only the live nodes a subgraph walk actually reads:
-        // comm diffs, in-edge edits and instance-set changes - not
-        // the full comm-recheck superset. MacroNode subgraphs
-        // additionally depend on macro co-membership the walk cannot
-        // see, so that mode rebuilds the pool from scratch.
-        if (macro_mode) {
-            pool_valid = false;
-        } else {
-            stale_seeds.insert(stale_seeds.end(), structural.begin(),
-                               structural.end());
-            stale_seeds.insert(stale_seeds.end(), changed.begin(),
-                               changed.end());
-        }
+        comms.update(ddg, part.vec(), touched);
     }
 }
 

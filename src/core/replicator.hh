@@ -5,8 +5,13 @@
  * current II (extra_coms > 0), repeatedly pick the feasible
  * replication subgraph with the lowest weight, replicate it, remove
  * instructions that became dead, and recompute the remaining
- * subgraphs and weights. Exactly extra_coms communications need to
- * be removed — no over-replication is possible.
+ * subgraphs and weights. Every round rebuilds every subgraph and
+ * weight from the current graph (section 3.4); only the
+ * communication set is patched rather than rescanned. Dead code is
+ * swept globally on the first round and in MacroNode mode, and
+ * within the chosen producer's ancestor cone otherwise. Exactly
+ * extra_coms communications need to be removed — no
+ * over-replication is possible.
  */
 
 #ifndef CVLIW_CORE_REPLICATOR_HH
@@ -84,15 +89,11 @@ bool replicateIntoCluster(Ddg &ddg, Partition &part,
  * keep each other alive under a local criterion). Updates @p index.
  * @param touched when non-null, receives the removed nodes and their
  *        flow producers (whose communication status may change)
- * @param removed_out when non-null, receives just the removed nodes
- *        (the replication pass re-dirties subgraphs that relied on
- *        the removed instances)
  * @return number of instructions removed
  */
 int removeDeadCode(Ddg &ddg, const Partition &part,
                    ReplicaIndex &index,
-                   std::vector<NodeId> *touched = nullptr,
-                   std::vector<NodeId> *removed_out = nullptr);
+                   std::vector<NodeId> *touched = nullptr);
 
 } // namespace cvliw
 

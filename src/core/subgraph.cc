@@ -149,14 +149,6 @@ findReplicationSubgraph(const Ddg &ddg, const Partition &part,
         }
     }
 
-    // Drop members that turned out to need no new instance anywhere.
-    for (auto it = sg.required.begin(); it != sg.required.end();) {
-        if (it->second.empty())
-            it = sg.required.erase(it);
-        else
-            ++it;
-    }
-
     for (auto &[n, clusters] : sg.required)
         std::sort(clusters.begin(), clusters.end());
     return sg;

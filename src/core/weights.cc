@@ -83,14 +83,12 @@ subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
 
     // Credit for instructions that can eventually be removed from
     // com's cluster: one slot of their resource per II each.
-    const int home = part.clusterOf(sg.com);
     for (NodeId u : removable) {
         const ResourceKind res = mach.resourceFor(ddg.node(u).cls);
         const int avail = mach.available(res);
         if (avail == 0)
             continue;
         weight -= Rational(1, static_cast<std::int64_t>(avail) * ii);
-        (void)home;
     }
 
     return weight;

@@ -26,19 +26,6 @@
 namespace cvliw
 {
 
-/** A candidate subgraph with its weight and feasibility. */
-struct WeightedSubgraph
-{
-    ReplicationSubgraph sg;
-    std::vector<NodeId> removable;
-    Rational weight;
-    /**
-     * False when some target cluster lacks the FU capacity
-     * (usage + extra > available * II) to host the replicas.
-     */
-    bool feasible = true;
-};
-
 /**
  * Weight @p sg against the current partition.
  * @param all every candidate subgraph of the current round (used for

@@ -46,7 +46,7 @@ topoOrder(const Ddg &ddg)
 namespace
 {
 
-/** ASAP/ALAP/height/depth and the critical-path length over @p order. */
+/** ASAP/ALAP/height and the critical-path length over @p order. */
 NodeTimes
 nodeTimes(const Ddg &ddg, const MachineConfig &mach,
           const std::vector<NodeId> &order)
@@ -56,9 +56,8 @@ nodeTimes(const Ddg &ddg, const MachineConfig &mach,
     t.asap.assign(slots, 0);
     t.alap.assign(slots, 0);
     t.height.assign(slots, 0);
-    t.depth.assign(slots, 0);
 
-    // Forward pass: ASAP, depth and the length (all results produced).
+    // Forward pass: ASAP and the length (all results produced).
     for (NodeId n : order) {
         for (EdgeId eid : ddg.inEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
@@ -66,7 +65,6 @@ nodeTimes(const Ddg &ddg, const MachineConfig &mach,
                 continue;
             const int lat = ddg.edgeLatency(eid, mach);
             t.asap[n] = std::max(t.asap[n], t.asap[e.src] + lat);
-            t.depth[n] = std::max(t.depth[n], t.depth[e.src] + lat);
         }
         t.length = std::max(t.length,
                             t.asap[n] + mach.latency(ddg.node(n).cls));

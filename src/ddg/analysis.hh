@@ -3,7 +3,7 @@
  * Static analyses over a DDG. `analyzeLoop` computes everything the
  * compile loop reads about a graph on a machine: the topological
  * order of the intra-iteration (distance-0) subgraph, ASAP/ALAP
- * times, per-node height/depth, the Tarjan SCCs and each
+ * times, per-node height, the Tarjan SCCs and each
  * recurrence's RecMII. The MII, the partitioner's edge weights, the
  * pseudo-scheduler and the SMS order all read that one record: the
  * pipeline runs it once per graph and passes it to each pass.
@@ -48,7 +48,6 @@ struct NodeTimes
     std::vector<int> asap;   //!< earliest start
     std::vector<int> alap;   //!< latest start preserving the length
     std::vector<int> height; //!< longest latency path to any sink
-    std::vector<int> depth;  //!< longest latency path from any source
     int length = 0;          //!< critical-path schedule length (cycles)
 
     int mobility(NodeId n) const { return alap[n] - asap[n]; }

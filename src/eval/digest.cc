@@ -46,9 +46,10 @@ bool
 SuiteWork::operator==(const SuiteWork &o) const
 {
     return std::tie(iiAttempts, refineProbes, refineCommits, asapRuns,
-                    widthSweeps, analysisRuns) ==
+                    widthSweeps, analysisRuns, replicationRounds) ==
            std::tie(o.iiAttempts, o.refineProbes, o.refineCommits,
-                    o.asapRuns, o.widthSweeps, o.analysisRuns);
+                    o.asapRuns, o.widthSweeps, o.analysisRuns,
+                    o.replicationRounds);
 }
 
 SuiteWork
@@ -63,6 +64,7 @@ sumSuiteWork(const SuiteResult &results)
         w.asapRuns += t.asapRuns;
         w.widthSweeps += t.widthSweeps;
         w.analysisRuns += t.analysisRuns;
+        w.replicationRounds += t.replicationRounds;
     }
     return w;
 }
@@ -75,7 +77,8 @@ operator<<(std::ostream &os, const SuiteWork &w)
               << " refineCommits=" << w.refineCommits
               << " asapRuns=" << w.asapRuns
               << " widthSweeps=" << w.widthSweeps
-              << " analysisRuns=" << w.analysisRuns;
+              << " analysisRuns=" << w.analysisRuns
+              << " replicationRounds=" << w.replicationRounds;
 }
 
 } // namespace cvliw

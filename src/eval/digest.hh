@@ -84,6 +84,7 @@ struct SuiteWork
     std::uint64_t asapRuns = 0;
     std::uint64_t widthSweeps = 0;
     std::uint64_t analysisRuns = 0;
+    std::uint64_t replicationRounds = 0;
 
     bool operator==(const SuiteWork &o) const;
 };
@@ -91,7 +92,7 @@ struct SuiteWork
 /** Sum the work counters of every loop of @p results. */
 SuiteWork sumSuiteWork(const SuiteResult &results);
 
-/** Prints "iiAttempts=<n> refineProbes=<n> ... analysisRuns=<n>". */
+/** Prints "iiAttempts=<n> refineProbes=<n> ... replicationRounds=<n>". */
 std::ostream &operator<<(std::ostream &os, const SuiteWork &work);
 
 } // namespace cvliw

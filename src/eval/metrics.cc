@@ -52,7 +52,6 @@ accumulate(BenchmarkAggregate &agg, const CompileResult &r,
     agg.weight += dyn;
     agg.loops += 1;
     agg.replicasStatic += r.repl.replicasAdded;
-    agg.comsRemovedStatic += r.repl.comsRemoved;
 }
 
 double

@@ -35,7 +35,6 @@ struct BenchmarkAggregate
     double weight = 0.0;         //!< total dynamic instr weight
     int loops = 0;
     long long replicasStatic = 0;
-    long long comsRemovedStatic = 0;
 
     /** Useful instructions per cycle. */
     double ipc() const;

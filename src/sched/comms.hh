@@ -25,12 +25,6 @@ struct CommInfo
     /** Producers whose values cross clusters, in NodeId order. */
     std::vector<NodeId> producers;
 
-    /**
-     * Per producer (parallel to `producers`): sorted list of remote
-     * clusters containing at least one consumer.
-     */
-    std::vector<std::vector<int>> targetClusters;
-
     /** Indexed by NodeId: true when the node's value communicates. */
     std::vector<bool> communicated;
 
@@ -38,21 +32,17 @@ struct CommInfo
     int count() const { return static_cast<int>(producers.size()); }
 
     /**
-     * Patch this CommInfo after a graph edit, recomputing the
-     * communication status of just the @p touched nodes (duplicates,
-     * dead nodes and non-producers are fine; new node ids grow the
-     * flag array). The caller guarantees that every node whose
-     * consumers, cluster or out-edges changed is in @p touched; the
-     * result is then exactly findCommunications() on the edited
-     * graph, at the cost of the touched nodes' out-degrees.
-     *
-     * @return the nodes whose communication status or remote target
-     *         set actually changed, in NodeId order (the replication
-     *         pass seeds its subgraph-staleness walk with them)
+     * Patch this CommInfo after a graph edit: recompute the flags of
+     * just the @p touched nodes (duplicates, dead nodes and
+     * non-producers are fine; new node ids grow the flag array),
+     * then rebuild `producers` from the flags. The caller guarantees
+     * that every node whose consumers, cluster or out-edges changed
+     * is in @p touched; the result is then exactly
+     * findCommunications() on the edited graph, at the cost of the
+     * touched nodes' out-degrees plus one pass over the flags.
      */
-    std::vector<NodeId> update(const Ddg &ddg,
-                               const std::vector<ClusterId> &cluster_of,
-                               std::vector<NodeId> touched);
+    void update(const Ddg &ddg, const std::vector<ClusterId> &cluster_of,
+                const std::vector<NodeId> &touched);
 };
 
 /**

@@ -31,7 +31,6 @@ insertCopies(Ddg &ddg, Partition &part, const MachineConfig &mach)
         }
 
         result.copies.push_back(copy);
-        result.producerOf.push_back(p);
     }
     return result;
 }

@@ -21,8 +21,7 @@ namespace cvliw
 /** Result of copy insertion. */
 struct CopyInsertion
 {
-    std::vector<NodeId> copies;     //!< new Copy nodes
-    std::vector<NodeId> producerOf; //!< parallel: value producer
+    std::vector<NodeId> copies; //!< new Copy nodes
 };
 
 /**

@@ -42,7 +42,7 @@ smsOrder(const Ddg &ddg, const LoopAnalysis &analysis)
     // property the no-backtracking scheduler of section 2.3.2 needs).
     // Among ready nodes, the tightest recurrence set goes first,
     // then the most critical node (lowest mobility, largest
-    // depth+height).
+    // asap+height: the longest path through it).
     std::vector<int> indeg(ddg.numNodeSlots(), 0);
     for (EdgeId eid : ddg.edges()) {
         if (ddg.edge(eid).distance == 0)
@@ -52,7 +52,7 @@ smsOrder(const Ddg &ddg, const LoopAnalysis &analysis)
     using Key = std::tuple<int, int, int, NodeId>;
     auto key_of = [&](NodeId n) {
         return Key(rank[n], times.mobility(n),
-                   -(times.depth[n] + times.height[n]), n);
+                   -(times.asap[n] + times.height[n]), n);
     };
     std::set<Key> ready;
     for (NodeId n : ddg.nodes()) {

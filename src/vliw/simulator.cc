@@ -53,7 +53,6 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
          const Ddg &original, int iterations, std::uint64_t seed)
 {
     SimulationReport report;
-    report.iterationsSimulated = iterations;
 
     // Structural checks first; a broken schedule is not worth
     // executing.

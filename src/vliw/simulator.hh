@@ -30,7 +30,6 @@ struct SimulationReport
 {
     bool ok = false;
     std::vector<std::string> errors;
-    int iterationsSimulated = 0;
     long long valuesChecked = 0;
 };
 

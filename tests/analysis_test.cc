@@ -125,10 +125,10 @@ TEST(LoopAnalysis, HeightAndDepth)
 {
     const auto m = MachineConfig::unified();
     const auto t = analyzeLoop(chainGraph(), m).times;
-    EXPECT_EQ(t.depth[0], 0);
+    EXPECT_EQ(t.asap[0], 0);
     EXPECT_EQ(t.height[3], 0);
     EXPECT_EQ(t.height[0], 11); // ld -> f1 -> f2 -> st latencies
-    EXPECT_EQ(t.depth[3], 11);
+    EXPECT_EQ(t.asap[3], 11);
 }
 
 TEST(LoopAnalysis, SingleNodesAreOwnComponents)

@@ -48,7 +48,7 @@ TEST(Copies, SingleBroadcastForTwoRemoteConsumers)
     const auto ins = insertCopies(g, p, m);
     ASSERT_EQ(ins.copies.size(), 1u);
     const NodeId copy = ins.copies[0];
-    EXPECT_EQ(ins.producerOf[0], b.id("p"));
+    EXPECT_EQ(g.flowPreds(copy).toVector(), std::vector<NodeId>{b.id("p")});
     // The copy lives in the producer's cluster.
     EXPECT_EQ(p.clusterOf(copy), 0);
     // Remote consumers read the copy, the local one does not.

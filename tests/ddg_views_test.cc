@@ -573,13 +573,13 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
                 for (NodeId n : g.nodes())
                     part.assign(n, 0);
                 ReplicaIndex index(g, part);
-                std::vector<NodeId> removed;
-                removeDeadCode(g, part, index, nullptr, &removed);
-                for (NodeId n : removed) {
-                    live_nodes.erase(std::remove(live_nodes.begin(),
-                                                 live_nodes.end(), n),
-                                     live_nodes.end());
-                }
+                removeDeadCode(g, part, index);
+                live_nodes.erase(
+                    std::remove_if(live_nodes.begin(), live_nodes.end(),
+                                   [&](NodeId n) {
+                                       return !g.node(n).alive;
+                                   }),
+                    live_nodes.end());
                 // A sweep may drain everything when no store/live-out
                 // root survived; keep the op mix meaningful.
                 while (live_nodes.size() < 2)

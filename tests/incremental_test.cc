@@ -40,7 +40,6 @@ void
 expectSameComms(const CommInfo &a, const CommInfo &b, const char *what)
 {
     EXPECT_EQ(a.producers, b.producers) << what;
-    EXPECT_EQ(a.targetClusters, b.targetClusters) << what;
     EXPECT_EQ(a.communicated, b.communicated) << what;
 }
 
