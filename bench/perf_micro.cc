@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "core/pipeline.hh"
 #include "core/replicator.hh"
@@ -267,6 +269,29 @@ BM_SuiteGeneration(benchmark::State &state)
         benchmark::DoNotOptimize(buildSuite(42));
 }
 BENCHMARK(BM_SuiteGeneration);
+
+/**
+ * The one cost that result records add: converting the 678 result
+ * graphs of one config (4c2b2l64r, replication on) back to Ddgs, as
+ * a checker or the simulator does once per result. Each conversion
+ * shares the records and rebuilds the graph's adjacency, O(V + E).
+ */
+void
+BM_ResultGraphRebuild(benchmark::State &state)
+{
+    static const SuiteResult results = CompileService::shared().compileSuite(
+        suite(), MachineConfig::fromString("4c2b2l64r"));
+    for (auto _ : state) {
+        for (const CompileResult &r : results.loops) {
+            const Ddg g = r.finalDdg;
+            benchmark::DoNotOptimize(g);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(results.loops.size()));
+    state.SetLabel(std::to_string(results.loops.size()) + " results");
+}
+BENCHMARK(BM_ResultGraphRebuild);
 
 /**
  * CompileService batch throughput: the whole suite compiled for one

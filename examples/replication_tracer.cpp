@@ -107,15 +107,17 @@ printRound(const Example &ex, int ii)
         const Rational w = subgraphWeight(ex.ddg, ex.mach, ex.part,
                                           ii, sg, pool, removable);
         std::cout << "  S_" << ex.name(sg.com) << " = {";
-        bool first = true;
-        for (const auto &[n, clusters] : sg.required) {
-            std::cout << (first ? "" : ", ") << ex.name(n) << "->{";
-            for (std::size_t i = 0; i < clusters.size(); ++i)
-                std::cout << (i ? "," : "") << clusters[i];
-            std::cout << "}";
-            first = false;
+        // One "node->{clusters}" group per member (the pairs are
+        // sorted by node).
+        for (std::size_t i = 0; i < sg.required.size(); ++i) {
+            const auto &[n, c] = sg.required[i];
+            if (i == 0 || sg.required[i - 1].first != n)
+                std::cout << (i ? "}, " : "") << ex.name(n) << "->{";
+            else
+                std::cout << ",";
+            std::cout << c;
         }
-        std::cout << "}  removable {";
+        std::cout << (sg.required.empty() ? "" : "}") << "}  removable {";
         for (std::size_t i = 0; i < removable.size(); ++i) {
             std::cout << (i ? "," : "") << ex.name(removable[i]);
         }

@@ -79,8 +79,8 @@ findCriticalCopy(const Ddg &ddg, const MachineConfig &mach,
 } // namespace
 
 void
-reduceScheduleLength(CompileResult &result, const Ddg &pre_copy,
-                     const Partition &pre_copy_part,
+reduceScheduleLength(CompileResult &result, Ddg &final_ddg,
+                     const Ddg &pre_copy, const Partition &pre_copy_part,
                      const MachineConfig &mach,
                      const SchedulerOptions &sched_opts)
 {
@@ -93,7 +93,7 @@ reduceScheduleLength(CompileResult &result, const Ddg &pre_copy,
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         NodeId producer = invalidNode;
         int cluster = -1;
-        if (!findCriticalCopy(result.finalDdg, mach, result.partition,
+        if (!findCriticalCopy(final_ddg, mach, result.partition,
                               result.schedule, producer, cluster)) {
             return;
         }
@@ -120,7 +120,7 @@ reduceScheduleLength(CompileResult &result, const Ddg &pre_copy,
         result.lengthSaved +=
             result.schedule.length - a.sched.length;
         result.schedule = a.sched;
-        result.finalDdg = std::move(scheduled);
+        final_ddg = std::move(scheduled);
         result.partition = std::move(sched_part);
         result.repl.replicasAdded += rstats.replicasAdded;
         for (std::size_t i = 0; i < rstats.replicasByCat.size(); ++i)

@@ -21,14 +21,17 @@ struct CompileResult;
 /**
  * Try to shorten result.schedule.length by replicating producers of
  * critical copies (bounded number of attempts). On success, the
- * result's schedule/graph/partition are replaced and
+ * result's schedule and partition and @p final_ddg are replaced and
  * result.lengthSaved records the improvement.
  *
  * @param result a successful compile at some II (updated in place)
- * @param pre_copy the final graph *before* copy insertion
+ * @param final_ddg the graph result.schedule schedules (updated in
+ *        place); the pipeline freezes it into result.finalDdg after
+ * @param pre_copy @p final_ddg *before* copy insertion
  * @param pre_copy_part partition matching @p pre_copy
  */
-void reduceScheduleLength(CompileResult &result, const Ddg &pre_copy,
+void reduceScheduleLength(CompileResult &result, Ddg &final_ddg,
+                          const Ddg &pre_copy,
                           const Partition &pre_copy_part,
                           const MachineConfig &mach,
                           const SchedulerOptions &sched_opts);

@@ -292,23 +292,23 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         result.ii = ii;
         result.spills = spills_done;
         result.schedule = std::move(attempt.sched);
-        result.finalDdg = std::move(work);
         result.partition = std::move(part);
         result.repl = rstats;
 
         if (length_repl) {
-            reduceScheduleLength(result, *pre_copy, *pre_copy_part,
+            reduceScheduleLength(result, work, *pre_copy, *pre_copy_part,
                                  mach, sched_opts);
         }
-        // The returned graph is the long-lived one (callers keep it
-        // for simulation and metrics): a changed graph goes back
-        // without the slack and the dead edges that replication, copy
-        // insertion, spilling or length replication left; an
-        // unchanged one keeps sharing the caller's storage. The
-        // partition drops the growth slack of the nodes those passes
-        // assigned.
-        if (result.finalDdg.generation() != original.generation())
-            result.finalDdg.compact();
+        // The returned graph is the long-lived one, so it keeps its
+        // records and no adjacency (see "Result graphs" in
+        // ddg/ddg.hh): a changed graph goes back without the slack and
+        // the dead edges that replication, copy insertion, spilling or
+        // length replication left; an unchanged one keeps sharing the
+        // caller's storage. The partition drops the growth slack of
+        // the nodes those passes assigned.
+        result.finalDdg = work.generation() == original.generation()
+                              ? work.records()
+                              : std::move(work).freeze();
         result.partition.shrinkToFit();
         compile_span.arg("ii", ii);
         finish_telemetry();

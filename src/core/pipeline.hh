@@ -130,7 +130,13 @@ struct CompileResult
     int mii = 0;          //!< lower bound (max of ResMII, RecMII)
     int ii = 0;           //!< achieved initiation interval
     Schedule schedule;    //!< over finalDdg
-    Ddg finalDdg;         //!< original + replicas + copies
+    /**
+     * Original + replicas + copies: the records alone, with no
+     * adjacency (see "Result graphs" in ddg/ddg.hh). A traversal
+     * converts it to a Ddg; an unchanged graph shares the input's
+     * arrays, tombstones and stamp included.
+     */
+    DdgRecords finalDdg;
     /** Covers every node of finalDdg; no spare capacity. */
     Partition partition;
     ReplicationStats repl;//!< replication statistics at the final II
@@ -179,13 +185,18 @@ struct CompileCaches
  * the pipeline - there is exactly one compile() - the historical
  * by-reference caches overload collapsed into the optional trailing
  * pointer. The input graph is copied; the caller's DDG is never
- * modified. The copy shares the input's storage (see "Shared storage"
- * in ddg/ddg.hh), so a result whose graph the pipeline left unchanged
- * (a unified-machine loop that needs no spill, a clustered loop that
- * needs no copy) holds no graph storage of its own. A changed result
- * graph is compacted (`Ddg::compact`): it holds only live edges,
- * renumbered densely in their old order, in exactly-sized arrays,
- * with the input's node ids and a fresh generation stamp.
+ * modified. The result's `finalDdg` holds records, not a Ddg: node
+ * and edge arrays without adjacency (see "Result graphs" in
+ * ddg/ddg.hh); a reader that traverses converts it. The work copy
+ * shares the input's storage (see "Shared storage" there), so a
+ * result whose graph the pipeline left unchanged (a unified-machine
+ * loop that needs no spill, a clustered loop that needs no copy)
+ * shares the input's node and edge arrays, tombstones and stamp
+ * included, and holds no graph storage of its own. A changed result
+ * graph is frozen (`Ddg::freeze`): it holds its nodes and only its
+ * live edges, renumbered densely in their old order, in exactly-sized
+ * arrays, with the input's node ids and a fresh generation stamp.
+ * No compile builds the adjacency of the graph it returns.
  *
  * The input is analysed once (`analyzeLoop`), and the analysis is
  * passed to the partitioner, every refinement and every schedule of

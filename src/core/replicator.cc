@@ -51,62 +51,54 @@ applySubgraph(Ddg &ddg, Partition &part, ReplicaIndex &index,
     };
     // Phase 1: create all replica nodes (cycles in the subgraph make
     // a create-then-wire split necessary).
-    for (const auto &[v, clusters] : sg.required) {
-        for (int c : clusters) {
-            const NodeId r = ddg.addReplica(v);
-            part.assign(r, c);
-            index.addInstance(ddg.node(v).semanticId, c, r);
-            countReplica(stats, ddg.node(v).cls);
-            touch(r);
-            touch(v);
-        }
+    for (const auto &[v, c] : sg.required) {
+        const NodeId r = ddg.addReplica(v);
+        part.assign(r, c);
+        index.addInstance(ddg.node(v).semanticId, c, r);
+        countReplica(stats, ddg.node(v).cls);
+        touch(r);
+        touch(v);
     }
 
     // Phase 2: wire operands of every new replica.
-    for (const auto &[v, clusters] : sg.required) {
-        for (int c : clusters) {
-            const NodeId r =
-                index.instance(ddg.node(v).semanticId, c);
-            cv_assert(r != invalidNode, "replica vanished");
-            for (EdgeId eid : ddg.inEdges(v)) {
-                const DdgEdge e = ddg.edge(eid);
-                if (e.kind == EdgeKind::Memory) {
-                    // Keep memory ordering for the replica too.
-                    ddg.addEdge(e.src, r, EdgeKind::Memory, e.distance,
-                                e.memLatency);
-                    continue;
-                }
-                if (e.kind == EdgeKind::Spill) {
-                    // A replicated reload reads the same centralized
-                    // spill slot.
-                    ddg.addEdge(e.src, r, EdgeKind::Spill,
-                                e.distance);
-                    continue;
-                }
-                const NodeId p = e.src;
-                const NodeId local =
-                    index.instance(ddg.node(p).semanticId, c);
-                if (local != invalidNode) {
-                    ddg.addEdge(local, r, EdgeKind::RegFlow,
-                                e.distance);
-                    touch(local);
-                } else if (communicated[p]) {
-                    // Delivered by the existing broadcast of p.
-                    ddg.addEdge(p, r, EdgeKind::RegFlow, e.distance);
-                    touch(p);
-                } else {
-                    cv_panic("operand n", p, " unavailable in cluster ",
-                             c, " while replicating n", sg.com);
-                }
+    for (const auto &[v, c] : sg.required) {
+        const NodeId r = index.instance(ddg.node(v).semanticId, c);
+        cv_assert(r != invalidNode, "replica vanished");
+        for (EdgeId eid : ddg.inEdges(v)) {
+            const DdgEdge e = ddg.edge(eid);
+            if (e.kind == EdgeKind::Memory) {
+                // Keep memory ordering for the replica too.
+                ddg.addEdge(e.src, r, EdgeKind::Memory, e.distance,
+                            e.memLatency);
+                continue;
             }
-            // Replicated loads/stores inherit outgoing memory
-            // ordering constraints as well.
-            for (EdgeId eid : ddg.outEdges(v)) {
-                const DdgEdge e = ddg.edge(eid);
-                if (e.kind == EdgeKind::Memory) {
-                    ddg.addEdge(r, e.dst, EdgeKind::Memory, e.distance,
-                                e.memLatency);
-                }
+            if (e.kind == EdgeKind::Spill) {
+                // A replicated reload reads the same centralized
+                // spill slot.
+                ddg.addEdge(e.src, r, EdgeKind::Spill, e.distance);
+                continue;
+            }
+            const NodeId p = e.src;
+            const NodeId local = index.instance(ddg.node(p).semanticId, c);
+            if (local != invalidNode) {
+                ddg.addEdge(local, r, EdgeKind::RegFlow, e.distance);
+                touch(local);
+            } else if (communicated[p]) {
+                // Delivered by the existing broadcast of p.
+                ddg.addEdge(p, r, EdgeKind::RegFlow, e.distance);
+                touch(p);
+            } else {
+                cv_panic("operand n", p, " unavailable in cluster ", c,
+                         " while replicating n", sg.com);
+            }
+        }
+        // Replicated loads/stores inherit outgoing memory ordering
+        // constraints as well.
+        for (EdgeId eid : ddg.outEdges(v)) {
+            const DdgEdge e = ddg.edge(eid);
+            if (e.kind == EdgeKind::Memory) {
+                ddg.addEdge(r, e.dst, EdgeKind::Memory, e.distance,
+                            e.memLatency);
             }
         }
     }

@@ -1,6 +1,7 @@
 #include "core/subgraph.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -33,23 +34,13 @@ ReplicaIndex::slot(NodeId semantic, int cluster) const
     return i;
 }
 
-int
-ReplicationSubgraph::totalNewInstances() const
-{
-    int total = 0;
-    for (const auto &[n, clusters] : required)
-        total += static_cast<int>(clusters.size());
-    return total;
-}
-
 bool
-ReplicationSubgraph::needsIn(NodeId n, int cluster) const
+ReplicationSubgraph::contains(NodeId n) const
 {
-    auto it = required.find(n);
-    if (it == required.end())
-        return false;
-    return std::binary_search(it->second.begin(), it->second.end(),
-                              cluster);
+    const auto it =
+        std::lower_bound(required.begin(), required.end(),
+                         std::make_pair(n, std::numeric_limits<int>::min()));
+    return it != required.end() && it->first == n;
 }
 
 ReplicationSubgraph
@@ -104,7 +95,7 @@ findReplicationSubgraph(const Ddg &ddg, const Partition &part,
                 return;
             visited[n] = 1;
             if (!index.hasInstance(ddg.node(n).semanticId, t)) {
-                sg.required[n].push_back(t);
+                sg.required.emplace_back(n, t);
                 required_here[n] = 1;
             }
             worklist.push_back(n);
@@ -141,7 +132,7 @@ findReplicationSubgraph(const Ddg &ddg, const Partition &part,
                 cv_assert(ddg.node(p).cls != OpClass::Store,
                           "store as flow producer");
                 if (!index.hasInstance(ddg.node(p).semanticId, t)) {
-                    sg.required[p].push_back(t);
+                    sg.required.emplace_back(p, t);
                     required_here[p] = 1;
                 }
                 worklist.push_back(p);
@@ -149,8 +140,9 @@ findReplicationSubgraph(const Ddg &ddg, const Partition &part,
         }
     }
 
-    for (auto &[n, clusters] : sg.required)
-        std::sort(clusters.begin(), clusters.end());
+    // The walk visits a node at most once per target cluster, so the
+    // pairs are distinct.
+    std::sort(sg.required.begin(), sg.required.end());
     return sg;
 }
 

@@ -13,7 +13,8 @@
 #ifndef CVLIW_CORE_SUBGRAPH_HH
 #define CVLIW_CORE_SUBGRAPH_HH
 
-#include <map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "ddg/ddg.hh"
@@ -81,21 +82,28 @@ struct ReplicationSubgraph
     std::vector<int> targetClusters;
 
     /**
-     * Members of the subgraph: node -> sorted clusters where a new
-     * replica is required. Nodes whose instances already exist in
-     * all needed clusters do not appear (paper section 3.4: "A can
-     * be removed from S_D").
+     * The replicas to create: one (member, target cluster) pair per
+     * instance, sorted by node, then cluster. Nodes whose instances
+     * already exist in all needed clusters do not appear (paper
+     * section 3.4: "A can be removed from S_D").
      */
-    std::map<NodeId, std::vector<int>> required;
+    std::vector<std::pair<NodeId, int>> required;
 
     /** Total number of replica instances to create. */
-    int totalNewInstances() const;
+    int totalNewInstances() const
+    {
+        return static_cast<int>(required.size());
+    }
 
     /** True when @p n is a member with at least one required cluster. */
-    bool contains(NodeId n) const { return required.count(n) != 0; }
+    bool contains(NodeId n) const;
 
     /** True when @p n must be replicated into @p cluster. */
-    bool needsIn(NodeId n, int cluster) const;
+    bool needsIn(NodeId n, int cluster) const
+    {
+        return std::binary_search(required.begin(), required.end(),
+                                  std::make_pair(n, cluster));
+    }
 };
 
 /**

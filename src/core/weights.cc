@@ -24,12 +24,11 @@ extraOpsMatrix(const Ddg &ddg, const MachineConfig &mach,
 {
     std::vector<int> extra(numKinds * static_cast<std::size_t>(clusters),
                            0);
-    for (const auto &[v, cs] : sg.required) {
+    for (const auto &[v, c] : sg.required) {
         const auto k = static_cast<std::size_t>(
             mach.resourceFor(ddg.node(v).cls));
-        for (int c : cs)
-            ++extra[k * static_cast<std::size_t>(clusters) +
-                    static_cast<std::size_t>(c)];
+        ++extra[k * static_cast<std::size_t>(clusters) +
+                static_cast<std::size_t>(c)];
     }
     return extra;
 }
@@ -52,33 +51,30 @@ subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
     const auto extra = extraOpsMatrix(ddg, mach, sg, num_clusters);
     Rational weight(0);
 
-    for (const auto &[v, clusters] : sg.required) {
+    for (const auto &[v, c] : sg.required) {
         const ResourceKind res = mach.resourceFor(ddg.node(v).cls);
-        for (int c : clusters) {
-            const int avail = mach.available(res);
-            if (avail == 0) {
-                // No unit of this kind: infeasible, represented by a
-                // huge weight (feasibility is reported separately).
-                weight += Rational(1000000);
-                continue;
-            }
-            Rational term(
-                usage[static_cast<std::size_t>(res)][c] +
-                    extra[static_cast<std::size_t>(res) *
-                              static_cast<std::size_t>(num_clusters) +
-                          static_cast<std::size_t>(c)],
-                static_cast<std::int64_t>(avail) * ii);
-
-            // Sharing: a copy of v in c serves every subgraph that
-            // needs it there (section 3.3, second formula).
-            int share = 0;
-            for (const ReplicationSubgraph &other : all) {
-                if (other.needsIn(v, c))
-                    ++share;
-            }
-            cv_assert(share >= 1, "subgraph not in its own pool");
-            weight += term / Rational(share);
+        const int avail = mach.available(res);
+        if (avail == 0) {
+            // No unit of this kind: infeasible, represented by a huge
+            // weight (feasibility is reported separately).
+            weight += Rational(1000000);
+            continue;
         }
+        Rational term(usage[static_cast<std::size_t>(res)][c] +
+                          extra[static_cast<std::size_t>(res) *
+                                    static_cast<std::size_t>(num_clusters) +
+                                static_cast<std::size_t>(c)],
+                      static_cast<std::int64_t>(avail) * ii);
+
+        // Sharing: a copy of v in c serves every subgraph that needs
+        // it there (section 3.3, second formula).
+        int share = 0;
+        for (const ReplicationSubgraph &other : all) {
+            if (other.needsIn(v, c))
+                ++share;
+        }
+        cv_assert(share >= 1, "subgraph not in its own pool");
+        weight += term / Rational(share);
     }
 
     // Credit for instructions that can eventually be removed from

@@ -85,6 +85,17 @@ rejectSpanLimit(const DdgEdge *edges, std::uint32_t edge_slots, NodeId v,
     cv_panic("n", v, " holds no edge past the span limit");
 }
 
+/** True when any live node of @p nodes is a Copy op. */
+bool
+anyLiveCopy(const detail::CowArray<DdgNode> &nodes)
+{
+    for (const DdgNode &n : nodes) {
+        if (n.alive && n.cls == OpClass::Copy)
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 std::uint64_t
@@ -124,16 +135,9 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         g.liveNodes_ += n.alive;
     }
 
-    // Two counters per node, then two cursors: [2v] for v's in-span,
-    // [2v + 1] for its out-span, in a per-thread scratch that loads
-    // reuse. The counts are checked against the span limit once per
-    // node, not once per edge.
-    thread_local std::vector<std::uint32_t> scratch;
-    scratch.assign(2 * std::size_t{node_slots}, 0);
-    std::uint32_t *cur = scratch.data();
-
-    // Count each span, dead edges included.
-    int live_edges = 0;
+    // The edge rules, row by row; buildAdjacency checks the span
+    // limit after them.
+    g.liveEdges_ = 0;
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = g.edges_[i];
         if (e.kind > EdgeKind::Spill)
@@ -156,22 +160,41 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                            "flow edge from a non-value-producing op");
             }
         }
+        g.liveEdges_ += e.alive;
+    }
+    g.buildAdjacency();
+    // One fresh stamp for the whole load (the constructor already
+    // produced one; bulk loading is a single structural mutation).
+    return g;
+}
+
+void
+Ddg::buildAdjacency()
+{
+    // Two counters per node, then two cursors: [2v] for v's in-span,
+    // [2v + 1] for its out-span, in a per-thread scratch that loads
+    // and conversions reuse. The counts are checked against the span
+    // limit once per node, not once per edge.
+    const std::size_t node_slots = nodes_.size();
+    thread_local std::vector<std::uint32_t> scratch;
+    scratch.assign(2 * node_slots, 0);
+    std::uint32_t *cur = scratch.data();
+    for (const DdgEdge &e : edges_) {
         ++cur[2 * static_cast<std::size_t>(e.src) + 1];
         ++cur[2 * static_cast<std::size_t>(e.dst)];
-        live_edges += e.alive;
     }
-    g.liveEdges_ = live_edges;
 
     // Exactly-sized arena: blocks back to back in node order with no
     // slack (the compact form), each span filled in edge-id order.
     // Dead edge ids stay in the spans; the views skip them.
-    g.slots_.resize(node_slots);
-    detail::AdjSlot *slots = g.slots_.writable();
+    slots_.resize(node_slots);
+    detail::AdjSlot *slots = slots_.writable();
     std::uint32_t total = 0;
     for (std::size_t v = 0; v < node_slots; ++v) {
         const std::uint32_t in = cur[2 * v], out = cur[2 * v + 1];
         if (in > maxSpanSlots || out > maxSpanSlots) {
-            rejectSpanLimit(g.edges_.data(), edge_slots,
+            rejectSpanLimit(edges_.data(),
+                            static_cast<std::uint32_t>(edges_.size()),
                             static_cast<NodeId>(v), in > maxSpanSlots);
         }
         slots[v] = {total, static_cast<std::uint16_t>(in),
@@ -180,18 +203,57 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         cur[2 * v + 1] = total + in;
         total += in + out;
     }
-    g.arena_.resize(total);
-    EdgeId *arena = g.arena_.writable();
-    for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        const DdgEdge &e = g.edges_[i];
+    arena_.resize(total);
+    EdgeId *arena = arena_.writable();
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+        const DdgEdge &e = edges_[i];
         arena[cur[2 * static_cast<std::size_t>(e.src) + 1]++] =
             static_cast<EdgeId>(i);
         arena[cur[2 * static_cast<std::size_t>(e.dst)]++] =
             static_cast<EdgeId>(i);
     }
-    // One fresh stamp for the whole load (the constructor already
-    // produced one; bulk loading is a single structural mutation).
-    return g;
+}
+
+Ddg::Ddg(const DdgRecords &records)
+    : nodes_(records.nodes_), edges_(records.edges_),
+      liveNodes_(records.liveNodes_), liveEdges_(records.liveEdges_),
+      generation_(records.generation_)
+{
+    buildAdjacency();
+}
+
+DdgRecords
+Ddg::records() const
+{
+    DdgRecords r;
+    r.nodes_ = nodes_;
+    r.edges_ = edges_;
+    r.liveNodes_ = liveNodes_;
+    r.liveEdges_ = liveEdges_;
+    r.generation_ = generation_;
+    return r;
+}
+
+DdgRecords
+Ddg::freeze() &&
+{
+    if (liveEdges_ != numEdgeSlots()) {
+        detail::CowArray<DdgEdge> live;
+        live.reserve(static_cast<std::size_t>(liveEdges_));
+        for (const DdgEdge &e : edges_) {
+            if (e.alive)
+                live.push_back(e);
+        }
+        edges_ = std::move(live);
+        generation_ = freshGeneration();
+    }
+    // Capacity slack only, except in arrays another graph still
+    // shares (see CowArray::shrinkToFit).
+    nodes_.shrinkToFit();
+    edges_.shrinkToFit();
+    DdgRecords r = records();
+    *this = Ddg();
+    return r;
 }
 
 void
@@ -435,11 +497,27 @@ Ddg::edgeLatency(EdgeId eid, const MachineConfig &mach) const
 bool
 Ddg::hasCopies() const
 {
-    for (const auto &n : nodes_) {
-        if (n.alive && n.cls == OpClass::Copy)
-            return true;
-    }
-    return false;
+    return anyLiveCopy(nodes_);
+}
+
+const DdgNode &
+DdgRecords::node(NodeId id) const
+{
+    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
+    return nodes_[id];
+}
+
+const DdgEdge &
+DdgRecords::edge(EdgeId id) const
+{
+    cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
+    return edges_[id];
+}
+
+bool
+DdgRecords::hasCopies() const
+{
+    return anyLiveCopy(nodes_);
 }
 
 void

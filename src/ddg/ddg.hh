@@ -22,8 +22,9 @@
  * offset and two 2-byte span lengths (see below). A node slot thus
  * costs 16 bytes and an edge slot 24 (the record plus its id in two
  * spans), plus arena slack. A `Ddg` handle is 80 bytes: four 16-byte
- * array handles, two live counts and the generation stamp.
- * static_asserts pin all four sizes.
+ * array handles, two live counts and the generation stamp; a
+ * `DdgRecords` handle is 48, the same without the two adjacency
+ * arrays. static_asserts pin all five sizes.
  *
  * ## Adjacency arena (CSR layout)
  *
@@ -128,6 +129,31 @@
  *    capacity trim skips arrays that are still shared, which trimming
  *    would duplicate, not shrink.
  *
+ * ## Result graphs
+ *
+ * A compile result keeps its final graph for as long as the caller
+ * keeps the result, and nothing in the pipeline traverses it after
+ * compile() returns, so it keeps a `DdgRecords`: the node and edge
+ * arrays (copy-on-write handles, shared like a Ddg's), the two live
+ * counts and the stamp, and no adjacency. That is 8 bytes per node
+ * slot and 16 per edge slot instead of 16 and 24, and two heap
+ * blocks per graph instead of four. `Ddg::freeze` makes the records
+ * of a graph it consumes, dropping dead edges as `compact()` does
+ * but building no arena; `Ddg::records` shares a graph's arrays
+ * as they are, tombstones included.
+ *
+ * A reader that traverses converts the records back to a Ddg:
+ * `Ddg(const DdgRecords &)` is implicit, so a result's `finalDdg`
+ * passes straight to `checkSchedule`, `simulate` or `KernelView`. A
+ * conversion shares the record arrays and keeps the stamp; it
+ * allocates and fills an exactly-sized arena and block array, the
+ * pass `fromSlots` runs, in O(V + E) (about 0.4 microseconds for
+ * an average suite result). The converted graph is a temporary: a
+ * `const Ddg &` bound to it inside a call is fine, but one kept past
+ * the full expression dangles. Convert into a named `Ddg` to keep it
+ * (`ReferenceInterpreter`, which keeps a reference, deletes its
+ * records overload for that reason).
+ *
  * ## Generation counter
  *
  * `generation()` returns a stamp that changes on every structural
@@ -136,8 +162,9 @@
  * process-unique, and a copy starts with its source's, so the stamp
  * tells whether a copy has changed since it was taken: compile()
  * reads it to see whether its work copy is still the input (whose
- * analysis it already holds) and whether its result graph needs
- * compacting. The pipeline's passes change a work copy only through
+ * analysis it already holds) and whether its result graph is frozen
+ * or shares the input's records. A conversion from records keeps
+ * their stamp. The pipeline's passes change a work copy only through
  * the structural mutators. Field writes through the non-const
  * `node()` / `edge()` accessors do not advance the stamp, and need
  * not: nothing caches a result under it, so callers have no rule to
@@ -687,6 +714,41 @@ class DdgSlotError : public std::runtime_error
 };
 
 /**
+ * A graph's node and edge records without its adjacency: what a
+ * compile result keeps of its final graph (see "Result graphs" in the
+ * file comment). It offers Ddg's const record accessors; a traversal
+ * needs a Ddg, which converts from it implicitly. Only a Ddg makes one
+ * (`Ddg::records`, `Ddg::freeze`); a default-constructed one is the
+ * empty graph, with stamp 0, which no Ddg has.
+ */
+class DdgRecords
+{
+  public:
+    int numNodeSlots() const { return static_cast<int>(nodes_.size()); }
+    int numEdgeSlots() const { return static_cast<int>(edges_.size()); }
+    int numNodes() const { return liveNodes_; }
+    int numEdges() const { return liveEdges_; }
+    LiveNodeRange nodes() const { return LiveNodeRange(nodes_); }
+    LiveEdgeRange edges() const { return LiveEdgeRange(edges_); }
+    const DdgNode &node(NodeId id) const;
+    const DdgEdge &edge(EdgeId id) const;
+    bool hasCopies() const;
+    std::uint64_t generation() const { return generation_; }
+
+  private:
+    friend class Ddg;
+
+    detail::CowArray<DdgNode> nodes_;
+    detail::CowArray<DdgEdge> edges_;
+    int liveNodes_ = 0;
+    int liveEdges_ = 0;
+    std::uint64_t generation_ = 0;
+};
+
+static_assert(sizeof(DdgRecords) == 48,
+              "two 16-byte array handles, two counts and a stamp");
+
+/**
  * A mutable data dependence graph. Node/edge ids are dense indices
  * into internal arrays; removed entities remain as tombstones.
  */
@@ -698,6 +760,34 @@ class Ddg
      * out-list may hold: a block stores each length in 16 bits.
      */
     static constexpr int maxSpanSlots = 65535;
+
+    Ddg() = default;
+
+    /**
+     * The graph of @p records: shares their node and edge arrays,
+     * keeps their stamp, and builds an exactly-sized adjacency as
+     * `fromSlots` does, so every span lists its edge ids, tombstones
+     * included, in id order. O(V + E); implicit, so a result's
+     * `finalDdg` passes straight to a `const Ddg &` parameter (see
+     * "Result graphs").
+     */
+    Ddg(const DdgRecords &records);
+
+    /**
+     * This graph's records, without its adjacency: shares the node and
+     * edge arrays, tombstones included, and keeps the stamp.
+     */
+    DdgRecords records() const;
+
+    /**
+     * Freeze the graph to records and drop its adjacency, building
+     * none: `compact()`'s result without the arena. A graph with a
+     * dead edge slot gives its live edges, renumbered densely in id
+     * order, and a fresh stamp; otherwise it keeps its edge ids and
+     * its stamp. The node and edge arrays lose their capacity slack
+     * unless another graph shares them. Leaves this graph empty.
+     */
+    DdgRecords freeze() &&;
 
     /**
      * Build a graph from fully-described slot arrays in one step: one
@@ -839,8 +929,9 @@ class Ddg
      * with exactly-sized arrays, no arena slack or dead region, and a
      * fresh generation stamp (its edge ids changed). Replication and
      * copy insertion leave dead edges and arena regions behind; the
-     * pipeline compacts at its copy-mutate-retry boundary and before
-     * it returns a changed graph, so a result holds only live edges.
+     * pipeline compacts at its copy-mutate-retry boundary and freezes
+     * a changed graph it returns (`freeze`, the same renumbering
+     * without an arena), so a result holds only live edges.
      * A graph with no dead edge slot and no arena slack already has
      * that form: compaction then only drops the capacity slack of the
      * arrays it owns alone (see "Shared storage") and keeps its
@@ -860,6 +951,15 @@ class Ddg
 
   private:
     static std::uint64_t freshGeneration();
+
+    /**
+     * Build the arena and the blocks of nodes_ and edges_ in the
+     * compact form: blocks back to back in node order, no slack, each
+     * span filled in edge-id order, dead edges included.
+     * @throws DdgSlotError naming the first edge row past a node's
+     *         span limit
+     */
+    void buildAdjacency();
 
     void checkNode(NodeId id) const;
     void checkEdge(EdgeId id) const;

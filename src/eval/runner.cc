@@ -1,8 +1,8 @@
 #include "eval/runner.hh"
 
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
-
-#include "support/logging.hh"
 
 namespace cvliw
 {
@@ -11,7 +11,8 @@ const BenchmarkAggregate &
 BenchmarkAggregates::at(const std::string &name) const
 {
     auto it = index_.find(name);
-    cv_assert(it != index_.end(), "no aggregate for benchmark ", name);
+    if (it == index_.end())
+        throw std::invalid_argument("no aggregate for benchmark " + name);
     return items_[it->second].second;
 }
 
@@ -30,8 +31,10 @@ BenchmarkAggregates
 aggregateByBenchmark(const std::vector<Loop> &suite,
                      const SuiteResult &results)
 {
-    cv_assert(suite.size() == results.loops.size(),
-              "suite/results size mismatch");
+    if (suite.size() != results.loops.size())
+        throw std::invalid_argument(
+            "results hold " + std::to_string(results.loops.size()) +
+            " loops, the suite " + std::to_string(suite.size()));
     BenchmarkAggregates by_bench;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         if (!results.loops[i].ok)

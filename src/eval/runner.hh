@@ -51,7 +51,10 @@ class BenchmarkAggregates
                                   : items_.begin() + it->second;
     }
 
-    /** Named entry; the benchmark must exist. */
+    /**
+     * Named entry.
+     * @throws std::invalid_argument if no entry has that name
+     */
     const BenchmarkAggregate &at(const std::string &name) const;
 
     /** Named entry, appended in insertion order when absent. */
@@ -62,12 +65,16 @@ class BenchmarkAggregates
     std::unordered_map<std::string, std::size_t> index_;
 };
 
-/** Aggregate @p results per benchmark (keyed by benchmark name). */
+/**
+ * Aggregate @p results per benchmark (keyed by benchmark name).
+ * @throws std::invalid_argument if @p results holds a different
+ *         number of loops than @p suite (so do the two below)
+ */
 BenchmarkAggregates
 aggregateByBenchmark(const std::vector<Loop> &suite,
                      const SuiteResult &results);
 
-/** Benchmark IPCs in suite order (tomcatv first), plus the HMEAN. */
+/** Benchmark IPCs in suite order (tomcatv first). */
 std::vector<std::pair<std::string, double>>
 benchmarkIpcs(const std::vector<Loop> &suite, const SuiteResult &results);
 

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "support/cpus.hh"
 #include "support/logging.hh"
@@ -168,9 +170,11 @@ CompileService::workerMain()
 CompileService::BatchResult
 CompileService::compileBatch(const std::vector<Job> &jobs)
 {
-    for (const Job &job : jobs) {
-        cv_assert(job.ddg && job.mach,
-                  "compile job without a graph or machine");
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!jobs[i].ddg || !jobs[i].mach)
+            throw std::invalid_argument(
+                "compile job " + std::to_string(i) + " has a null " +
+                (jobs[i].ddg ? "machine" : "graph"));
     }
     BatchResult out;
     out.results.resize(jobs.size());

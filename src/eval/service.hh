@@ -17,16 +17,18 @@
  *
  * ## Outcomes
  *
- * Every job ends in exactly one `JobOutcome`. `Failed` carries the
- * text of whatever the compile threw: an `InvalidInput` graph, a
+ * A batch with a job that names no graph or no machine throws
+ * `std::invalid_argument` before any job runs. Otherwise every job
+ * ends in exactly one `JobOutcome`. `Failed` carries the text of
+ * whatever the compile threw: an `InvalidInput` graph, a
  * `std::invalid_argument` machine that lacks a unit kind the loop
- * needs, or `std::bad_alloc` (a failed `cv_assert` aborts the process
- * and never gets here). A non-Ok slot holds a default `CompileResult`
- * (`ok == false`): partial work is discarded. The worker keeps its
- * `CompileCaches`: a throw can leave a buffer half-written, but the
- * next job re-arms every buffer before reading it. A job that throws
- * never disturbs the other jobs of its batch (tests/service_test.cc
- * drives this path with real distance-0-cycle graphs).
+ * needs, or `std::bad_alloc`. A non-Ok slot holds a default
+ * `CompileResult` (`ok == false`): partial work is discarded. The
+ * worker keeps its `CompileCaches`: a throw can leave a buffer
+ * half-written, but the next job re-arms every buffer before reading
+ * it. A job that throws never disturbs the other jobs of its batch
+ * (tests/service_test.cc drives this path with real
+ * distance-0-cycle graphs).
  *
  * ## Determinism
  *
@@ -122,6 +124,8 @@ class CompileService
      * Compile @p jobs and block until every job has ended. The
      * pointed-to graphs, configs and options are borrowed for the
      * call. Logs nothing: callers read the outcomes.
+     * @throws std::invalid_argument, naming the job index, before any
+     *         job runs, if a job's graph or machine is null
      */
     BatchResult compileBatch(const std::vector<Job> &jobs);
 

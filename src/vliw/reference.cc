@@ -1,6 +1,8 @@
 #include "vliw/reference.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "ddg/analysis.hh"
 #include "support/logging.hh"
@@ -67,7 +69,9 @@ ReferenceInterpreter::ReferenceInterpreter(const Ddg &original,
     : ddg_(original), iterations_(iterations), seed_(seed),
       slots_(static_cast<std::size_t>(original.numNodeSlots()))
 {
-    cv_assert(iterations >= 1);
+    if (iterations < 1)
+        throw std::invalid_argument("iterations " +
+                                    std::to_string(iterations) + " < 1");
     const auto order = topoOrder(ddg_);
     values_.assign(static_cast<std::size_t>(iterations) * slots_, 0);
 

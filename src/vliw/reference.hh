@@ -55,13 +55,21 @@ class ReferenceInterpreter
   public:
     /**
      * @param original the untransformed loop body
-     * @param iterations how many iterations to evaluate
+     * @param iterations how many iterations to evaluate (>= 1)
      * @param seed live-in seed
+     * @throws std::invalid_argument if @p iterations < 1
      * @throws InvalidInput if @p original's distance-0 edges close a
      *         cycle (see topoOrder)
      */
     ReferenceInterpreter(const Ddg &original, int iterations,
                          std::uint64_t seed = 1);
+
+    /**
+     * Records convert to a temporary Ddg, which the reference member
+     * below would outlive; convert into a named Ddg first.
+     */
+    ReferenceInterpreter(const DdgRecords &, int, std::uint64_t = 1) =
+        delete;
 
     /** Value of @p semantic (an original NodeId) at @p iter. */
     std::uint64_t value(NodeId semantic, long long iter) const;

@@ -1,6 +1,8 @@
 #include "vliw/simulator.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "ddg/analysis.hh"
 #include "support/logging.hh"
@@ -52,6 +54,9 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
          const Partition &part, const Schedule &sched,
          const Ddg &original, int iterations, std::uint64_t seed)
 {
+    if (iterations < 1)
+        throw std::invalid_argument("iterations " +
+                                    std::to_string(iterations) + " < 1");
     SimulationReport report;
 
     // Structural checks first; a broken schedule is not worth

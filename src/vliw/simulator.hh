@@ -41,6 +41,9 @@ struct SimulationReport
  * @param part cluster of every node in @p final_ddg
  * @param sched the modulo schedule of @p final_ddg
  * @param original the untransformed loop body
+ * @param iterations how many iterations to run (>= 1)
+ * @throws std::invalid_argument, before any check, if @p iterations
+ *         < 1
  * @throws InvalidInput (from topoOrder) if the schedule passes the
  *         structural checks but a graph's distance-0 edges close a
  *         cycle

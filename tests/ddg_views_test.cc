@@ -5,7 +5,9 @@
  * the generation counter contract, and a regression check that compile() results on the paper's worked
  * example are unchanged by the view migration. The DdgArena section
  * covers the adjacency blocks: the growth rule, stale views, the
- * 65,535-slot limit and compact(). The DdgSlots section covers
+ * 65,535-slot limit, compact(), and the round trip through
+ * DdgRecords (records(), freeze() and the conversion back, which
+ * rebuilds the blocks). The DdgSlots section covers
  * `Ddg::fromSlots`: each of its structural rules rejects a bad row,
  * and a graph rebuilt from its own slot arrays is field-identical to
  * it. The DdgShared section covers copy-on-write storage: a copy
@@ -651,6 +653,159 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
             alive_edges += g.edge(e).alive ? 1 : 0;
         EXPECT_EQ(alive_edges, g.numEdges());
     }
+}
+
+/**
+ * Do @p a and @p b hold the same graph? Counts, node and edge records,
+ * every node slot's raw spans and every live node's filtering views;
+ * stamps are compared by the callers.
+ */
+void
+expectSameGraph(const Ddg &a, const Ddg &b)
+{
+    ASSERT_EQ(a.numNodeSlots(), b.numNodeSlots());
+    ASSERT_EQ(a.numEdgeSlots(), b.numEdgeSlots());
+    ASSERT_EQ(a.numNodes(), b.numNodes());
+    ASSERT_EQ(a.numEdges(), b.numEdges());
+    ASSERT_EQ(a.nodes().toVector(), b.nodes().toVector());
+    ASSERT_EQ(a.edges().toVector(), b.edges().toVector());
+    for (EdgeId e = 0; e < a.numEdgeSlots(); ++e) {
+        ASSERT_EQ(std::memcmp(&a.edge(e), &b.edge(e), sizeof(DdgEdge)), 0)
+            << "edge " << e;
+    }
+    for (NodeId n = 0; n < a.numNodeSlots(); ++n) {
+        ASSERT_EQ(std::memcmp(&a.node(n), &b.node(n), sizeof(DdgNode)), 0)
+            << "node " << n;
+        ASSERT_EQ(idsOf(a.inEdgesRaw(n)), idsOf(b.inEdgesRaw(n)))
+            << "in-span of node " << n;
+        ASSERT_EQ(idsOf(a.outEdgesRaw(n)), idsOf(b.outEdgesRaw(n)))
+            << "out-span of node " << n;
+        if (!a.node(n).alive)
+            continue;
+        ASSERT_EQ(a.inEdges(n).toVector(), b.inEdges(n).toVector())
+            << "inEdges of node " << n;
+        ASSERT_EQ(a.outEdges(n).toVector(), b.outEdges(n).toVector())
+            << "outEdges of node " << n;
+        ASSERT_EQ(a.flowPreds(n).toVector(), b.flowPreds(n).toVector())
+            << "flowPreds of node " << n;
+        ASSERT_EQ(a.flowSuccs(n).toVector(), b.flowSuccs(n).toVector())
+            << "flowSuccs of node " << n;
+    }
+}
+
+/**
+ * @p g through DdgRecords and back: the records share its arrays and
+ * stamp, and the rebuilt graph lists every view and raw span exactly
+ * as @p g does. A frozen copy thaws to what compact() gives, without
+ * a dead edge, and leaves the copy empty.
+ */
+void
+expectRecordsRoundTrip(const Ddg &g)
+{
+    const DdgRecords rec = g.records();
+    ASSERT_EQ(rec.generation(), g.generation());
+    ASSERT_EQ(rec.numNodeSlots(), g.numNodeSlots());
+    ASSERT_EQ(rec.numEdgeSlots(), g.numEdgeSlots());
+    ASSERT_EQ(rec.numNodes(), g.numNodes());
+    ASSERT_EQ(rec.numEdges(), g.numEdges());
+    ASSERT_EQ(rec.nodes().toVector(), g.nodes().toVector());
+    ASSERT_EQ(rec.edges().toVector(), g.edges().toVector());
+    ASSERT_EQ(rec.hasCopies(), g.hasCopies());
+    if (g.numNodeSlots() > 0)
+        ASSERT_EQ(&rec.node(0), &g.node(0)) << "records copied the nodes";
+    const Ddg back = rec;
+    ASSERT_EQ(back.generation(), g.generation());
+    ASSERT_NO_FATAL_FAILURE(expectSameGraph(back, g));
+
+    Ddg compacted = g;
+    compacted.compact();
+    Ddg doomed = g;
+    const DdgRecords frozen = std::move(doomed).freeze();
+    ASSERT_EQ(doomed.numNodeSlots(), 0);
+    ASSERT_EQ(doomed.numEdgeSlots(), 0);
+    ASSERT_EQ(frozen.numEdgeSlots(), frozen.numEdges());
+    if (g.numEdges() != g.numEdgeSlots())
+        ASSERT_NE(frozen.generation(), g.generation());
+    else
+        ASSERT_EQ(frozen.generation(), g.generation());
+    ASSERT_NO_FATAL_FAILURE(expectSameGraph(Ddg(frozen), compacted));
+}
+
+/**
+ * Records round-trip fuzz: random addNode (copies included) /
+ * addEdge / addReplica / removeNode / removeEdge interleavings and
+ * compactions, and at random points the graph goes to DdgRecords and
+ * back (expectRecordsRoundTrip), through tombstones, block
+ * relocations and replicas. Records taken along the way must keep
+ * their bytes while the graph they share storage with mutates on.
+ */
+TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
+{
+    Rng rng(20261019);
+    int round_trips = 0;
+    for (int round = 0; round < 6; ++round) {
+        Ddg g;
+        std::vector<NodeId> live_nodes;
+        std::vector<std::pair<DdgRecords, std::string>> kept;
+        const auto pick = [&] {
+            return live_nodes[static_cast<std::size_t>(
+                rng.uniformInt(0, live_nodes.size() - 1))];
+        };
+        const auto spawn = [&](OpClass cls) {
+            live_nodes.push_back(g.addNode(cls));
+        };
+        for (int i = 0; i < 4; ++i)
+            spawn(OpClass::IntAlu);
+
+        for (int step = 0; step < 250; ++step) {
+            const std::size_t op = rng.weightedIndex({3, 8, 2, 1, 2});
+            if (op == 0) { // addNode
+                const double p = rng.uniformReal();
+                spawn(p < 0.4   ? OpClass::IntAlu
+                      : p < 0.6 ? OpClass::FpAlu
+                      : p < 0.8 ? OpClass::Load
+                      : p < 0.9 ? OpClass::Store
+                                : OpClass::Copy);
+            } else if (op == 1) { // addEdge
+                const NodeId dst = pick();
+                const bool mem = rng.chance(0.25);
+                NodeId src = pick();
+                for (int tries = 0;
+                     !mem && !producesValue(g.node(src).cls) && tries < 32;
+                     ++tries)
+                    src = pick();
+                if (!mem && !producesValue(g.node(src).cls))
+                    continue;
+                g.addEdge(src, dst,
+                          mem ? EdgeKind::Memory : EdgeKind::RegFlow,
+                          static_cast<int>(rng.uniformInt(0, 3)));
+            } else if (op == 2) { // addReplica
+                live_nodes.push_back(g.addReplica(pick()));
+            } else if (op == 3 && live_nodes.size() > 4) { // removeNode
+                const std::size_t k = static_cast<std::size_t>(
+                    rng.uniformInt(0, live_nodes.size() - 1));
+                g.removeNode(live_nodes[k]);
+                live_nodes.erase(live_nodes.begin() +
+                                 static_cast<std::ptrdiff_t>(k));
+            } else if (op == 4 && g.numEdges() > 0) { // removeEdge
+                const std::vector<EdgeId> live = g.edges().toVector();
+                g.removeEdge(live[static_cast<std::size_t>(
+                    rng.uniformInt(0, live.size() - 1))]);
+            }
+            if (rng.chance(0.03))
+                g.compact();
+            if (rng.chance(0.1)) {
+                ASSERT_NO_FATAL_FAILURE(expectRecordsRoundTrip(g));
+                ++round_trips;
+            }
+            if (rng.chance(0.03))
+                kept.emplace_back(g.records(), imageOf(g));
+        }
+        ASSERT_NO_FATAL_FAILURE(expectRecordsRoundTrip(g));
+        for (const auto &[rec, image] : kept)
+            ASSERT_EQ(imageOf(rec), image) << "a write leaked";
+    }
+    EXPECT_GT(round_trips, 100);
 }
 
 /**

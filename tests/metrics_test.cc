@@ -1,6 +1,7 @@
 /**
  * @file
- * Metric tests: Texec/IPC formulas, aggregation and harmonic mean.
+ * Metric tests: Texec/IPC formulas, aggregation and harmonic mean,
+ * and the typed errors of the aggregation entry points.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "eval/metrics.hh"
 #include "eval/runner.hh"
 #include "eval/service.hh"
+#include "expect_invalid.hh"
 
 namespace cvliw
 {
@@ -68,6 +70,29 @@ TEST(Metrics, RunnerKeepsSuiteOrder)
     ASSERT_EQ(ipcs.size(), 1u);
     EXPECT_EQ(ipcs[0].first, "mgrid");
     EXPECT_NEAR(suiteHmeanIpc(suite, res), ipcs[0].second, 1e-12);
+}
+
+TEST(Metrics, ResultsOfAnotherSizeThrow)
+{
+    const auto suite = buildBenchmark("mgrid");
+    SuiteResult res;
+    res.loops.resize(suite.size() + 1);
+    const std::string want = "results hold " +
+                             std::to_string(suite.size() + 1) +
+                             " loops, the suite " +
+                             std::to_string(suite.size());
+    EXPECT_INVALID_ARGUMENT(aggregateByBenchmark(suite, res), want);
+    EXPECT_INVALID_ARGUMENT(benchmarkIpcs(suite, res), want);
+    EXPECT_INVALID_ARGUMENT(suiteHmeanIpc(suite, res), want);
+}
+
+TEST(Metrics, AggregateOfAnAbsentBenchmarkThrows)
+{
+    BenchmarkAggregates aggs;
+    aggs["swim"].name = "swim";
+    EXPECT_EQ(aggs.at("swim").name, "swim");
+    EXPECT_INVALID_ARGUMENT(aggs.at("mgrid"),
+                            "no aggregate for benchmark mgrid");
 }
 
 TEST(Metrics, ParallelAndSerialRunsAgree)

@@ -26,6 +26,10 @@
 #ifndef CVLIW_TESTS_PAPER_GRAPH_HH
 #define CVLIW_TESTS_PAPER_GRAPH_HH
 
+#include <cstddef>
+#include <vector>
+
+#include "core/subgraph.hh"
 #include "ddg/builder.hh"
 #include "machine/config.hh"
 #include "partition/partition.hh"
@@ -80,6 +84,28 @@ struct PaperExample
             part.assign(builder.id(n), cluster);
     }
 };
+
+/** The clusters @p sg replicates @p n into, ascending. */
+inline std::vector<int>
+clustersOf(const ReplicationSubgraph &sg, NodeId n)
+{
+    std::vector<int> clusters;
+    for (const auto &[v, c] : sg.required) {
+        if (v == n)
+            clusters.push_back(c);
+    }
+    return clusters;
+}
+
+/** Number of distinct members of @p sg (its pairs are node-sorted). */
+inline std::size_t
+memberCount(const ReplicationSubgraph &sg)
+{
+    std::size_t members = 0;
+    for (std::size_t i = 0; i < sg.required.size(); ++i)
+        members += i == 0 || sg.required[i - 1].first != sg.required[i].first;
+    return members;
+}
 
 } // namespace cvliw
 

@@ -8,9 +8,11 @@
  * threw keeps serving bit-exact results. The failing jobs are real
  * inputs: graphs whose distance-0 edges close a cycle, which
  * compile() rejects with InvalidInput, and a machine without memory
- * ports, which it rejects with std::invalid_argument. The CI ThreadSanitizer and
- * ASan+UBSan jobs run this binary to catch data races and memory
- * errors in the pool itself.
+ * ports, which it rejects with std::invalid_argument. A batch with a
+ * null graph or machine throws before any job runs. Two client
+ * threads may convert and check one batch's result graphs at once.
+ * The CI ThreadSanitizer and ASan+UBSan jobs run this binary to catch
+ * data races and memory errors in the pool and the shared records.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +28,11 @@
 
 #include "eval/digest.hh"
 #include "eval/service.hh"
+#include "expect_invalid.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
+#include "vliw/checker.hh"
+#include "vliw/simulator.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
@@ -410,6 +415,64 @@ TEST(CompileService, ConcurrentCallersMatchSerialCalls)
     }
     EXPECT_EQ(par_a.outcomes, serial_a.outcomes);
     EXPECT_EQ(par_b.outcomes, serial_b.outcomes);
+}
+
+TEST(CompileService, NullGraphOrMachineThrowsBeforeAnyJobRuns)
+{
+    const auto &loops = sampleLoops();
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    CompileService service(2);
+    std::vector<CompileService::Job> jobs = jobsFor(loops, m);
+    jobs[3].ddg = nullptr;
+    EXPECT_INVALID_ARGUMENT(service.compileBatch(jobs),
+                            "compile job 3 has a null graph");
+    jobs[3].ddg = &loops[3].ddg;
+    jobs[0].mach = nullptr;
+    EXPECT_INVALID_ARGUMENT(service.compileBatch(jobs),
+                            "compile job 0 has a null machine");
+
+    // The service is untouched and serves the mended batch.
+    jobs[0].mach = &m;
+    const auto batch = service.compileBatch(jobs);
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        EXPECT_EQ(digestOf(batch.results[i]), oracleDigest(loops[i].ddg, m))
+            << "job " << i;
+    }
+}
+
+TEST(CompileService, TwoClientThreadsConvertAndCheckOneBatch)
+{
+    // Two client threads read the records of one 2-worker batch at
+    // once: each converts every result graph to a Ddg (sharing the
+    // record arrays, some of them the input's) and checks and
+    // simulates it. Both must see every result valid, and the same.
+    const auto &loops = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    CompileService service(2);
+    const auto batch = service.compileBatch(jobsFor(loops, m));
+
+    const auto checkAll = [&](long long &values, int &bad) {
+        for (std::size_t i = 0; i < loops.size(); ++i) {
+            const CompileResult &r = batch.results[i];
+            const Ddg g = r.finalDdg;
+            bad += !checkSchedule(g, m, r.partition, r.schedule).empty();
+            const auto rep =
+                simulate(g, m, r.partition, r.schedule, loops[i].ddg, 3);
+            bad += !rep.ok;
+            values += rep.valuesChecked;
+        }
+    };
+    long long values_a = 0, values_b = 0;
+    int bad_a = 0, bad_b = 0;
+    std::thread ta([&] { checkAll(values_a, bad_a); });
+    std::thread tb([&] { checkAll(values_b, bad_b); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(bad_a, 0);
+    EXPECT_EQ(bad_b, 0);
+    EXPECT_GT(values_a, 0);
+    EXPECT_EQ(values_a, values_b);
 }
 
 TEST(CompileService, CompileSuiteWarnsOncePerFailedLoop)

@@ -9,6 +9,7 @@
 
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
+#include "expect_invalid.hh"
 #include "paper_graph.hh"
 #include "vliw/reference.hh"
 #include "vliw/simulator.hh"
@@ -82,6 +83,27 @@ TEST(Simulator, ValidatesReplicatedPaperExample)
                               r.schedule, original, 10);
     EXPECT_TRUE(rep.ok) << (rep.errors.empty() ? ""
                                                : rep.errors.front());
+}
+
+TEST(Simulator, NoIterationsThrowsBeforeAnyCheck)
+{
+    DdgBuilder b;
+    b.op("ld", OpClass::Load);
+    b.op("st", OpClass::Store, {"ld"});
+    const Ddg g = b.take();
+    const auto m = MachineConfig::unified();
+    const auto r = compile(g, m);
+    ASSERT_TRUE(r.ok);
+    EXPECT_INVALID_ARGUMENT(
+        simulate(r.finalDdg, m, r.partition, r.schedule, g, 0),
+        "iterations 0 < 1");
+    // A schedule the checker rejects still throws first.
+    Schedule broken = r.schedule;
+    broken.ii = 0;
+    EXPECT_INVALID_ARGUMENT(
+        simulate(r.finalDdg, m, r.partition, broken, g, -2),
+        "iterations -2 < 1");
+    EXPECT_INVALID_ARGUMENT(ReferenceInterpreter(g, 0), "iterations 0");
 }
 
 TEST(Simulator, DetectsWrongOperandWiring)
