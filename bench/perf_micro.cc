@@ -274,7 +274,8 @@ BENCHMARK(BM_SuiteGeneration);
  * The one cost that result records add: converting the 678 result
  * graphs of one config (4c2b2l64r, replication on) back to Ddgs, as
  * a checker or the simulator does once per result. Each conversion
- * shares the records and rebuilds the graph's adjacency, O(V + E).
+ * shares an unchanged result's input arrays or materializes a changed
+ * one's records, then rebuilds the graph's adjacency, O(V + E).
  */
 void
 BM_ResultGraphRebuild(benchmark::State &state)

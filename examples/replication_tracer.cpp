@@ -101,11 +101,13 @@ printRound(const Example &ex, int ii)
         pool.push_back(findReplicationSubgraph(
             ex.ddg, ex.part, com, comms.communicated, index));
     }
+    SharerCounts sharers;
+    sharers.count(pool, ex.ddg.numNodeSlots(), ex.mach.numClusters());
     for (const auto &sg : pool) {
         const auto removable = findRemovableInstructions(
             ex.ddg, ex.part, sg.com, comms.communicated);
         const Rational w = subgraphWeight(ex.ddg, ex.mach, ex.part,
-                                          ii, sg, pool, removable);
+                                          ii, sg, sharers, removable);
         std::cout << "  S_" << ex.name(sg.com) << " = {";
         // One "node->{clusters}" group per member (the pairs are
         // sorted by node).

@@ -10,8 +10,10 @@
  * changed no decisions. Each configuration's digest line is followed
  * by a line with the suite's summed work counters (II attempts,
  * refinement probes and commits, ASAP runs, width sweeps, loop
- * analyses, replication rounds): the same at every run, so a change
- * in the work the compiler does shows there without timing noise. Both live in
+ * analyses, replication rounds) and the record bytes its results own
+ * (`resultBytes`): the same at every run, so a change in the work the
+ * compiler does or the memory its results hold shows there without
+ * timing noise. Both live in
  * eval/digest.hh (shared with tests/digest_test.cc, which pins these
  * values in CI); compilation runs on the CompileService pool, whose
  * results are deterministic for any worker count.

@@ -299,16 +299,13 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             reduceScheduleLength(result, work, *pre_copy, *pre_copy_part,
                                  mach, sched_opts);
         }
-        // The returned graph is the long-lived one, so it keeps its
-        // records and no adjacency (see "Result graphs" in
-        // ddg/ddg.hh): a changed graph goes back without the slack and
-        // the dead edges that replication, copy insertion, spilling or
-        // length replication left; an unchanged one keeps sharing the
-        // caller's storage. The partition drops the growth slack of
-        // the nodes those passes assigned.
-        result.finalDdg = work.generation() == original.generation()
-                              ? work.records()
-                              : std::move(work).freeze();
+        // The returned graph is the long-lived one, so it keeps
+        // records and no adjacency, as its input's records plus what
+        // replication, copy insertion, spilling or length replication
+        // added (see "Result graphs" in ddg/ddg.hh); an unchanged
+        // graph holds the input's records alone. The partition drops
+        // the growth slack of the nodes those passes assigned.
+        result.finalDdg = std::move(work).freeze(original);
         result.partition.shrinkToFit();
         compile_span.arg("ii", ii);
         finish_telemetry();

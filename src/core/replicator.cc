@@ -288,6 +288,7 @@ reduceCommunications(Ddg &ddg, Partition &part,
     SubgraphScratch &sg_scratch = scratch ? *scratch : local_scratch;
 
     std::vector<ReplicationSubgraph> pool; // NodeId-ordered, = producers
+    SharerCounts sharers;
     std::vector<NodeId> seeds;
     std::vector<NodeId> touched;
     bool swept_globally = false;
@@ -319,8 +320,10 @@ reduceCommunications(Ddg &ddg, Partition &part,
                 &sg_scratch));
         }
 
-        // One usage snapshot scores every candidate of the round.
+        // One usage snapshot and one sharer count score every
+        // candidate of the round.
         const auto usage = part.usage(ddg, mach);
+        sharers.count(pool, ddg.numNodeSlots(), mach.numClusters());
 
         int best = -1;
         Rational best_weight;
@@ -333,7 +336,7 @@ reduceCommunications(Ddg &ddg, Partition &part,
             const auto removable = findRemovableInstructions(
                 ddg, part, pool[i].com, comms.communicated);
             const Rational w = subgraphWeight(
-                ddg, mach, part, ii, pool[i], pool, removable,
+                ddg, mach, part, ii, pool[i], sharers, removable,
                 &usage);
             const int size = pool[i].totalNewInstances();
             if (best < 0 || w < best_weight ||

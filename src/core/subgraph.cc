@@ -146,4 +146,17 @@ findReplicationSubgraph(const Ddg &ddg, const Partition &part,
     return sg;
 }
 
+void
+SharerCounts::count(const std::vector<ReplicationSubgraph> &pool,
+                    int node_slots, int clusters)
+{
+    clusters_ = static_cast<std::size_t>(clusters);
+    counts_.assign(static_cast<std::size_t>(node_slots) * clusters_, 0);
+    for (const ReplicationSubgraph &sg : pool) {
+        for (const auto &[n, c] : sg.required)
+            ++counts_[static_cast<std::size_t>(n) * clusters_ +
+                      static_cast<std::size_t>(c)];
+    }
+}
+
 } // namespace cvliw

@@ -13,7 +13,6 @@
 #ifndef CVLIW_CORE_SUBGRAPH_HH
 #define CVLIW_CORE_SUBGRAPH_HH
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -97,13 +96,35 @@ struct ReplicationSubgraph
 
     /** True when @p n is a member with at least one required cluster. */
     bool contains(NodeId n) const;
+};
 
-    /** True when @p n must be replicated into @p cluster. */
-    bool needsIn(NodeId n, int cluster) const
+/**
+ * How many subgraphs of one replication round's pool need each
+ * (member, cluster) pair: the sharing divisor of section 3.3's
+ * weight, counted once per round into a flat [node * clusters +
+ * cluster] table instead of once per pair and candidate.
+ */
+class SharerCounts
+{
+  public:
+    /**
+     * Count the required pairs of every subgraph of @p pool, whose
+     * members are below @p node_slots and whose clusters are below
+     * @p clusters.
+     */
+    void count(const std::vector<ReplicationSubgraph> &pool,
+               int node_slots, int clusters);
+
+    /** Subgraphs of the counted pool that need @p n in @p cluster. */
+    int of(NodeId n, int cluster) const
     {
-        return std::binary_search(required.begin(), required.end(),
-                                  std::make_pair(n, cluster));
+        return counts_[static_cast<std::size_t>(n) * clusters_ +
+                       static_cast<std::size_t>(cluster)];
     }
+
+  private:
+    std::size_t clusters_ = 1;
+    std::vector<int> counts_;
 };
 
 /**

@@ -39,7 +39,7 @@ Rational
 subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
                const Partition &part, int ii,
                const ReplicationSubgraph &sg,
-               const std::vector<ReplicationSubgraph> &all,
+               const SharerCounts &sharers,
                const std::vector<NodeId> &removable,
                const std::vector<std::vector<int>> *usage_in)
 {
@@ -68,11 +68,7 @@ subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
 
         // Sharing: a copy of v in c serves every subgraph that needs
         // it there (section 3.3, second formula).
-        int share = 0;
-        for (const ReplicationSubgraph &other : all) {
-            if (other.needsIn(v, c))
-                ++share;
-        }
+        const int share = sharers.of(v, c);
         cv_assert(share >= 1, "subgraph not in its own pool");
         weight += term / Rational(share);
     }

@@ -28,8 +28,9 @@ namespace cvliw
 
 /**
  * Weight @p sg against the current partition.
- * @param all every candidate subgraph of the current round (used for
- *        the sharing division; must include @p sg itself)
+ * @param sharers the sharer counts of the current round's candidate
+ *        pool (the sharing division; the pool must include @p sg
+ *        itself)
  * @param removable result of findRemovableInstructions() for sg.com
  * @param usage optional precomputed Partition::usage(ddg, mach); the
  *        replication selector scores many candidates against one
@@ -38,7 +39,7 @@ namespace cvliw
 Rational subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
                         const Partition &part, int ii,
                         const ReplicationSubgraph &sg,
-                        const std::vector<ReplicationSubgraph> &all,
+                        const SharerCounts &sharers,
                         const std::vector<NodeId> &removable,
                         const std::vector<std::vector<int>> *usage =
                             nullptr);

@@ -1,6 +1,8 @@
 #include "ddg/ddg.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -83,17 +85,6 @@ rejectSpanLimit(const DdgEdge *edges, std::uint32_t edge_slots, NodeId v,
             rejectSlot("edge", i, spanLimitRule(v, in_side ? "in" : "out"));
     }
     cv_panic("n", v, " holds no edge past the span limit");
-}
-
-/** True when any live node of @p nodes is a Copy op. */
-bool
-anyLiveCopy(const detail::CowArray<DdgNode> &nodes)
-{
-    for (const DdgNode &n : nodes) {
-        if (n.alive && n.cls == OpClass::Copy)
-            return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -215,43 +206,149 @@ Ddg::buildAdjacency()
 }
 
 Ddg::Ddg(const DdgRecords &records)
-    : nodes_(records.nodes_), edges_(records.edges_),
-      liveNodes_(records.liveNodes_), liveEdges_(records.liveEdges_),
+    : liveNodes_(records.liveNodes_), liveEdges_(records.liveEdges_),
       generation_(records.generation_)
 {
+    if (records.delta_.size() == 0) {
+        nodes_ = records.nodes_;
+        edges_ = records.edges_;
+    } else {
+        // Base records, then the appended ones, in exactly-sized
+        // arrays; then the tombstoned base slots lose their alive flag.
+        const std::size_t bn = records.nodes_.size();
+        const std::size_t be = records.edges_.size();
+        const std::size_t an = records.addedNodes();
+        const std::size_t ae = records.addedEdges();
+        const std::uint64_t *words = records.delta_.data();
+        nodes_.reserve(bn + an);
+        nodes_.append(records.nodes_.data(), bn);
+        nodes_.append(reinterpret_cast<const DdgNode *>(words + 1), an);
+        edges_.reserve(be + ae);
+        edges_.append(records.edges_.data(), be);
+        edges_.append(reinterpret_cast<const DdgEdge *>(
+                          words + records.edgeWordsAt()),
+                      ae);
+        const std::uint64_t *bits = words + records.bitWordsAt();
+        const auto removed = [bits](std::size_t b) {
+            return (bits[b / 64] >> (b % 64)) & 1;
+        };
+        DdgNode *nodes = nodes_.writable();
+        for (std::size_t i = 0; i < bn; ++i) {
+            if (removed(i))
+                nodes[i].alive = false;
+        }
+        DdgEdge *edges = edges_.writable();
+        for (std::size_t j = 0; j < be; ++j) {
+            if (removed(bn + j))
+                edges[j].alive = false;
+        }
+    }
     buildAdjacency();
 }
 
 DdgRecords
-Ddg::records() const
+Ddg::freeze(const Ddg &base) &&
 {
+    const std::size_t bn = base.nodes_.size();
+    const std::size_t be = base.edges_.size();
+    if (nodes_.size() < bn) {
+        throw std::invalid_argument(
+            "freeze: " + std::to_string(nodes_.size()) +
+            " node slots, fewer than the base's " + std::to_string(bn));
+    }
+
+    // Tombstone bits, base node slots first, in a per-thread scratch
+    // until the delta block's size is known.
+    thread_local std::vector<std::uint64_t> bits;
+    bits.assign((bn + be + 63) / 64, 0);
+    const auto remove = [](std::size_t b) {
+        bits[b / 64] |= std::uint64_t{1} << (b % 64);
+    };
+
+    if (nodes_.data() != base.nodes_.data()) {
+        for (std::size_t i = 0; i < bn; ++i) {
+            const DdgNode &b = base.nodes_[i];
+            const DdgNode &w = nodes_[i];
+            if (b.semanticId != w.semanticId || b.cls != w.cls ||
+                b.isReplica != w.isReplica || b.isSpill != w.isSpill ||
+                b.liveOut != w.liveOut || (w.alive && !b.alive)) {
+                throw std::invalid_argument(
+                    "freeze: node record n" + std::to_string(i) +
+                    " differs from its base's");
+            }
+            if (b.alive && !w.alive)
+                remove(i);
+        }
+    }
+
+    // The live edges from `appended` on are appended; the ones before
+    // it are matched, in order, to base live edges, and the base live
+    // edges no edge matched are tombstoned.
+    std::size_t appended = edges_.size();
+    if (edges_.data() != base.edges_.data() || edges_.size() != be) {
+        const auto same = [](const DdgEdge &a, const DdgEdge &b) {
+            return a.src == b.src && a.dst == b.dst &&
+                   a.distance == b.distance &&
+                   a.memLatency == b.memLatency && a.kind == b.kind;
+        };
+        std::size_t next = 0; // first base slot not yet matched
+        for (std::size_t w = 0; w < edges_.size(); ++w) {
+            const DdgEdge &e = edges_[w];
+            if (!e.alive)
+                continue;
+            std::size_t k = next;
+            while (k < be &&
+                   !(base.edges_[k].alive && same(base.edges_[k], e)))
+                ++k;
+            if (k == be) {
+                appended = w;
+                break;
+            }
+            for (; next < k; ++next) {
+                if (base.edges_[next].alive)
+                    remove(bn + next);
+            }
+            next = k + 1;
+        }
+        for (; next < be; ++next) {
+            if (base.edges_[next].alive)
+                remove(bn + next);
+        }
+    }
+    std::size_t added_edges = 0;
+    for (std::size_t w = appended; w < edges_.size(); ++w)
+        added_edges += edges_[w].alive;
+    const std::size_t added_nodes = nodes_.size() - bn;
+    const bool any_removed =
+        std::any_of(bits.begin(), bits.end(),
+                    [](std::uint64_t word) { return word != 0; });
+
     DdgRecords r;
-    r.nodes_ = nodes_;
-    r.edges_ = edges_;
+    r.nodes_ = base.nodes_;
+    r.edges_ = base.edges_;
     r.liveNodes_ = liveNodes_;
     r.liveEdges_ = liveEdges_;
     r.generation_ = generation_;
-    return r;
-}
-
-DdgRecords
-Ddg::freeze() &&
-{
-    if (liveEdges_ != numEdgeSlots()) {
-        detail::CowArray<DdgEdge> live;
-        live.reserve(static_cast<std::size_t>(liveEdges_));
-        for (const DdgEdge &e : edges_) {
-            if (e.alive)
-                live.push_back(e);
+    if (added_nodes || added_edges || any_removed) {
+        cv_assert(added_nodes <= UINT32_MAX && added_edges <= UINT32_MAX,
+                  "delta counts overflow");
+        r.delta_.resize(1 + DdgRecords::kNodeWords * added_nodes +
+                        DdgRecords::kEdgeWords * added_edges +
+                        bits.size());
+        std::uint64_t *words = r.delta_.writable();
+        words[0] = added_nodes | (std::uint64_t{added_edges} << 32);
+        std::memcpy(words + 1, nodes_.data() + bn,
+                    added_nodes * sizeof(DdgNode));
+        auto *out =
+            reinterpret_cast<unsigned char *>(words + r.edgeWordsAt());
+        for (std::size_t w = appended; w < edges_.size(); ++w) {
+            if (edges_[w].alive) {
+                std::memcpy(out, &edges_[w], sizeof(DdgEdge));
+                out += sizeof(DdgEdge);
+            }
         }
-        edges_ = std::move(live);
-        generation_ = freshGeneration();
+        std::copy(bits.begin(), bits.end(), words + r.bitWordsAt());
     }
-    // Capacity slack only, except in arrays another graph still
-    // shares (see CowArray::shrinkToFit).
-    nodes_.shrinkToFit();
-    edges_.shrinkToFit();
-    DdgRecords r = records();
     *this = Ddg();
     return r;
 }
@@ -497,27 +594,68 @@ Ddg::edgeLatency(EdgeId eid, const MachineConfig &mach) const
 bool
 Ddg::hasCopies() const
 {
-    return anyLiveCopy(nodes_);
+    for (const DdgNode &n : nodes_) {
+        if (n.alive && n.cls == OpClass::Copy)
+            return true;
+    }
+    return false;
 }
 
-const DdgNode &
+DdgNode
 DdgRecords::node(NodeId id) const
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    return nodes_[id];
+    const auto i = static_cast<std::size_t>(id);
+    DdgNode n;
+    if (i < nodes_.size()) {
+        n = nodes_[i];
+        if (removed(i))
+            n.alive = false;
+    } else {
+        std::memcpy(static_cast<void *>(&n),
+                    delta_.data() + 1 + kNodeWords * (i - nodes_.size()),
+                    sizeof n);
+    }
+    return n;
 }
 
-const DdgEdge &
+DdgEdge
 DdgRecords::edge(EdgeId id) const
 {
     cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    return edges_[id];
+    const auto j = static_cast<std::size_t>(id);
+    DdgEdge e;
+    if (j < edges_.size()) {
+        e = edges_[j];
+        if (removed(nodes_.size() + j))
+            e.alive = false;
+    } else {
+        std::memcpy(static_cast<void *>(&e),
+                    delta_.data() + edgeWordsAt() +
+                        kEdgeWords * (j - edges_.size()),
+                    sizeof e);
+    }
+    return e;
 }
 
 bool
 DdgRecords::hasCopies() const
 {
-    return anyLiveCopy(nodes_);
+    for (NodeId v : nodes()) {
+        if (node(v).cls == OpClass::Copy)
+            return true;
+    }
+    return false;
+}
+
+std::size_t
+DdgRecords::ownedBytes() const
+{
+    if (delta_.size() == 0)
+        return 0;
+    return sizeof(DdgNode) * addedNodes() +
+           sizeof(DdgEdge) * addedEdges() +
+           8 * (delta_.size() - bitWordsAt());
 }
 
 void

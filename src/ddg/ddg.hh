@@ -23,8 +23,9 @@
  * costs 16 bytes and an edge slot 24 (the record plus its id in two
  * spans), plus arena slack. A `Ddg` handle is 80 bytes: four 16-byte
  * array handles, two live counts and the generation stamp; a
- * `DdgRecords` handle is 48, the same without the two adjacency
- * arrays. static_asserts pin all five sizes.
+ * `DdgRecords` handle is 64: its base's two record-array handles, one
+ * delta-block handle, two live counts and the stamp (see "Result
+ * graphs"). static_asserts pin all five sizes.
  *
  * ## Adjacency arena (CSR layout)
  *
@@ -133,26 +134,45 @@
  *
  * A compile result keeps its final graph for as long as the caller
  * keeps the result, and nothing in the pipeline traverses it after
- * compile() returns, so it keeps a `DdgRecords`: the node and edge
- * arrays (copy-on-write handles, shared like a Ddg's), the two live
- * counts and the stamp, and no adjacency. That is 8 bytes per node
- * slot and 16 per edge slot instead of 16 and 24, and two heap
- * blocks per graph instead of four. `Ddg::freeze` makes the records
- * of a graph it consumes, dropping dead edges as `compact()` does
- * but building no arena; `Ddg::records` shares a graph's arrays
- * as they are, tombstones included.
+ * compile() returns, so it keeps a `DdgRecords`: records without
+ * adjacency, held as a base plus a delta. A compiled loop is mostly
+ * its input, so the base is the input's node and edge arrays, shared
+ * (a result keeps its input's arrays alive), and the delta is one
+ * block that holds only what the compile added:
+ *  - the appended node records (replicas, copies, spill code);
+ *  - the appended live edges;
+ *  - one tombstone bit per input node and edge slot, set where the
+ *    compile removed a live input slot.
+ *
+ * Ids follow the base: node ids are the compiled graph's (the input's
+ * slots, then the appended ones), so a result's partition and
+ * schedule index the records directly; an input edge keeps its input
+ * id, and the appended live edges follow the input's edge slots
+ * densely. The live node and edge sequences, in id order, are the
+ * compiled graph's. A changed result's dead edge slots are thus input
+ * slots, the input's own and those the compile removed; a dead
+ * appended node slot is a node the compile added and removed again (a
+ * replica that replication's dead-code sweep removed), which keeps its
+ * id.
+ * An unchanged result has no delta block and owns nothing. `ownedBytes()` counts
+ * what a result holds that its input does not share. `node()` and
+ * `edge()` return records by value, since a base record's `alive`
+ * byte is the input's. `Ddg::freeze` is the one way to make records:
+ * it consumes a graph and diffs it against the base it was copied
+ * from (see its comment).
  *
  * A reader that traverses converts the records back to a Ddg:
  * `Ddg(const DdgRecords &)` is implicit, so a result's `finalDdg`
  * passes straight to `checkSchedule`, `simulate` or `KernelView`. A
- * conversion shares the record arrays and keeps the stamp; it
- * allocates and fills an exactly-sized arena and block array, the
- * pass `fromSlots` runs, in O(V + E) (about 0.4 microseconds for
- * an average suite result). The converted graph is a temporary: a
- * `const Ddg &` bound to it inside a call is fine, but one kept past
- * the full expression dangles. Convert into a named `Ddg` to keep it
- * (`ReferenceInterpreter`, which keeps a reference, deletes its
- * records overload for that reason).
+ * conversion of an unchanged result shares the input's arrays; a
+ * changed one materializes its records into exactly-sized arrays.
+ * Both keep the stamp and then allocate and fill an exactly-sized
+ * arena and block array, the pass `fromSlots` runs, in O(V + E). The
+ * converted graph is a temporary: a `const Ddg &` bound to it inside
+ * a call is fine, but one kept past the full expression dangles.
+ * Convert into a named `Ddg` to keep it (`ReferenceInterpreter`,
+ * which keeps a reference, deletes its records overload for that
+ * reason).
  *
  * ## Generation counter
  *
@@ -162,13 +182,12 @@
  * process-unique, and a copy starts with its source's, so the stamp
  * tells whether a copy has changed since it was taken: compile()
  * reads it to see whether its work copy is still the input (whose
- * analysis it already holds) and whether its result graph is frozen
- * or shares the input's records. A conversion from records keeps
- * their stamp. The pipeline's passes change a work copy only through
- * the structural mutators. Field writes through the non-const
- * `node()` / `edge()` accessors do not advance the stamp, and need
- * not: nothing caches a result under it, so callers have no rule to
- * follow. `bumpGeneration()` forces a new stamp; no library code
+ * analysis it already holds). Frozen records and a conversion from
+ * them keep the frozen graph's stamp. The pipeline's passes change a
+ * work copy only through the structural mutators. Field writes
+ * through the non-const `node()` / `edge()` accessors do not advance
+ * the stamp, and need not: nothing caches a result under it, so
+ * callers have no rule to follow. `bumpGeneration()` forces a new stamp; no library code
  * needs it, and it stays because the compile benchmark calls it.
  */
 
@@ -267,6 +286,8 @@ struct DdgNode
 static_assert(std::is_trivially_copyable_v<DdgNode>,
               "DdgNode must stay a POD (bulk graph copies)");
 static_assert(sizeof(DdgNode) == 8, "no id field, packed flags");
+
+class DdgRecords;
 
 namespace detail
 {
@@ -614,6 +635,19 @@ struct FlowNeighborPolicy
     }
 };
 
+/** Live node (or, with @p edges, edge) ids of a DdgRecords. */
+struct LiveRecordPolicy
+{
+    using value_type = int;
+
+    const DdgRecords *records = nullptr;
+    bool edges = false;
+
+    std::size_t limit() const;
+    bool admit(std::size_t i) const;
+    int project(std::size_t i) const { return static_cast<int>(i); }
+};
+
 } // namespace detail
 
 /**
@@ -635,6 +669,9 @@ class LiveIdRange
 
 using LiveNodeRange = LiveIdRange<DdgNode, NodeId>;
 using LiveEdgeRange = LiveIdRange<DdgEdge, EdgeId>;
+
+/** Forward range over the live node or edge ids of a DdgRecords. */
+using LiveRecordRange = detail::SkipFilterRange<detail::LiveRecordPolicy>;
 
 /**
  * Forward range over the live edge ids of one node's adjacency span,
@@ -714,39 +751,112 @@ class DdgSlotError : public std::runtime_error
 };
 
 /**
- * A graph's node and edge records without its adjacency: what a
- * compile result keeps of its final graph (see "Result graphs" in the
- * file comment). It offers Ddg's const record accessors; a traversal
- * needs a Ddg, which converts from it implicitly. Only a Ddg makes one
- * (`Ddg::records`, `Ddg::freeze`); a default-constructed one is the
- * empty graph, with stamp 0, which no Ddg has.
+ * A graph's node and edge records without its adjacency, as a shared
+ * base plus an owned delta: what a compile result keeps of its final
+ * graph (see "Result graphs" in the file comment). It offers Ddg's
+ * const record accessors, returning records by value; a traversal
+ * needs a Ddg, which converts from it implicitly. Only `Ddg::freeze`
+ * makes one; a default-constructed one is the empty graph, with
+ * stamp 0, which no Ddg has.
  */
 class DdgRecords
 {
   public:
-    int numNodeSlots() const { return static_cast<int>(nodes_.size()); }
-    int numEdgeSlots() const { return static_cast<int>(edges_.size()); }
+    int numNodeSlots() const
+    {
+        return static_cast<int>(nodes_.size() + addedNodes());
+    }
+    int numEdgeSlots() const
+    {
+        return static_cast<int>(edges_.size() + addedEdges());
+    }
     int numNodes() const { return liveNodes_; }
     int numEdges() const { return liveEdges_; }
-    LiveNodeRange nodes() const { return LiveNodeRange(nodes_); }
-    LiveEdgeRange edges() const { return LiveEdgeRange(edges_); }
-    const DdgNode &node(NodeId id) const;
-    const DdgEdge &edge(EdgeId id) const;
+    LiveRecordRange nodes() const
+    {
+        return LiveRecordRange(detail::LiveRecordPolicy{this, false});
+    }
+    LiveRecordRange edges() const
+    {
+        return LiveRecordRange(detail::LiveRecordPolicy{this, true});
+    }
+    DdgNode node(NodeId id) const;
+    DdgEdge edge(EdgeId id) const;
     bool hasCopies() const;
     std::uint64_t generation() const { return generation_; }
+
+    /**
+     * Record bytes this result holds and its base does not share,
+     * counted from element counts: 8 per appended node, 16 per
+     * appended edge and 8 per 64 base slots of tombstone bits. 0 when
+     * the records are their base's (an unchanged compile result).
+     */
+    std::size_t ownedBytes() const;
 
   private:
     friend class Ddg;
 
-    detail::CowArray<DdgNode> nodes_;
-    detail::CowArray<DdgEdge> edges_;
+    // The delta block, 64-bit words: a header word (appended nodes
+    // in the low half, appended edges in the high half), the appended
+    // node records (a word each), the appended edge records (two
+    // words each), then the tombstone bits, base node slots first.
+    // Empty when nothing was added or removed.
+    static constexpr std::size_t kNodeWords = sizeof(DdgNode) / 8;
+    static constexpr std::size_t kEdgeWords = sizeof(DdgEdge) / 8;
+
+    std::size_t addedNodes() const
+    {
+        return delta_.size() ? static_cast<std::uint32_t>(delta_[0]) : 0;
+    }
+    std::size_t addedEdges() const
+    {
+        return delta_.size() ? static_cast<std::size_t>(delta_[0] >> 32)
+                             : 0;
+    }
+    std::size_t edgeWordsAt() const
+    {
+        return 1 + kNodeWords * addedNodes();
+    }
+    std::size_t bitWordsAt() const
+    {
+        return edgeWordsAt() + kEdgeWords * addedEdges();
+    }
+    /**
+     * Did the frozen graph remove base slot @p b? Node i is bit i,
+     * edge j bit nodes_.size() + j.
+     */
+    bool removed(std::size_t b) const
+    {
+        return delta_.size() &&
+               ((delta_[bitWordsAt() + b / 64] >> (b % 64)) & 1);
+    }
+
+    detail::CowArray<DdgNode> nodes_; //!< the base's node array
+    detail::CowArray<DdgEdge> edges_; //!< the base's edge array
+    detail::CowArray<std::uint64_t> delta_;
     int liveNodes_ = 0;
     int liveEdges_ = 0;
     std::uint64_t generation_ = 0;
 };
 
-static_assert(sizeof(DdgRecords) == 48,
-              "two 16-byte array handles, two counts and a stamp");
+static_assert(sizeof(DdgRecords) == 64,
+              "three 16-byte array handles, two counts and a stamp");
+static_assert(sizeof(DdgNode) % 8 == 0 && sizeof(DdgEdge) % 8 == 0,
+              "records fill whole delta words");
+
+inline std::size_t
+detail::LiveRecordPolicy::limit() const
+{
+    return static_cast<std::size_t>(edges ? records->numEdgeSlots()
+                                          : records->numNodeSlots());
+}
+
+inline bool
+detail::LiveRecordPolicy::admit(std::size_t i) const
+{
+    const int id = static_cast<int>(i);
+    return edges ? records->edge(id).alive : records->node(id).alive;
+}
 
 /**
  * A mutable data dependence graph. Node/edge ids are dense indices
@@ -764,30 +874,39 @@ class Ddg
     Ddg() = default;
 
     /**
-     * The graph of @p records: shares their node and edge arrays,
-     * keeps their stamp, and builds an exactly-sized adjacency as
-     * `fromSlots` does, so every span lists its edge ids, tombstones
-     * included, in id order. O(V + E); implicit, so a result's
-     * `finalDdg` passes straight to a `const Ddg &` parameter (see
-     * "Result graphs").
+     * The graph of @p records, with their ids and their stamp: shares
+     * their base's node and edge arrays when they hold no delta, and
+     * otherwise materializes base and delta into exactly-sized arrays.
+     * Then builds an exactly-sized adjacency as `fromSlots` does, so
+     * every span lists its edge ids, tombstones included, in id order.
+     * O(V + E); implicit, so a result's `finalDdg` passes straight to
+     * a `const Ddg &` parameter (see "Result graphs").
      */
     Ddg(const DdgRecords &records);
 
     /**
-     * This graph's records, without its adjacency: shares the node and
-     * edge arrays, tombstones included, and keeps the stamp.
+     * Freeze this graph to records against @p base, the graph it was
+     * copied from, and drop it, building no adjacency (see "Result
+     * graphs"). The records share @p base's node and edge arrays and
+     * keep this graph's node ids, live counts and stamp; a delta
+     * block holds the rest, and there is none when this graph still
+     * holds @p base's records.
+     *
+     * This graph's first `base.numNodeSlots()` node records must equal
+     * @p base's but for a cleared `alive` (a removed node); the
+     * records after them are appended. Its live edges, in id order,
+     * are matched against @p base's live edges as an ordered
+     * subsequence, comparing every field: a matched edge keeps its
+     * base id, an unmatched base edge is tombstoned, and the live
+     * edges from the first that matches nothing on are appended. So
+     * the records' live node and edge sequences equal this graph's,
+     * whatever `compact()` renumbered. O(V + E). Leaves this graph
+     * empty.
+     * @throws std::invalid_argument, leaving this graph unchanged,
+     *         when it holds fewer node slots than @p base or a base
+     *         node record differs in more than a cleared `alive`
      */
-    DdgRecords records() const;
-
-    /**
-     * Freeze the graph to records and drop its adjacency, building
-     * none: `compact()`'s result without the arena. A graph with a
-     * dead edge slot gives its live edges, renumbered densely in id
-     * order, and a fresh stamp; otherwise it keeps its edge ids and
-     * its stamp. The node and edge arrays lose their capacity slack
-     * unless another graph shares them. Leaves this graph empty.
-     */
-    DdgRecords freeze() &&;
+    DdgRecords freeze(const Ddg &base) &&;
 
     /**
      * Build a graph from fully-described slot arrays in one step: one
@@ -930,8 +1049,8 @@ class Ddg
      * fresh generation stamp (its edge ids changed). Replication and
      * copy insertion leave dead edges and arena regions behind; the
      * pipeline compacts at its copy-mutate-retry boundary and freezes
-     * a changed graph it returns (`freeze`, the same renumbering
-     * without an arena), so a result holds only live edges.
+     * the graph it returns against its input (`freeze`), so a result
+     * owns only live edges.
      * A graph with no dead edge slot and no arena slack already has
      * that form: compaction then only drops the capacity slack of the
      * arrays it owns alone (see "Shared storage") and keeps its

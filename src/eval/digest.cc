@@ -46,10 +46,11 @@ bool
 SuiteWork::operator==(const SuiteWork &o) const
 {
     return std::tie(iiAttempts, refineProbes, refineCommits, asapRuns,
-                    widthSweeps, analysisRuns, replicationRounds) ==
+                    widthSweeps, analysisRuns, replicationRounds,
+                    resultBytes) ==
            std::tie(o.iiAttempts, o.refineProbes, o.refineCommits,
                     o.asapRuns, o.widthSweeps, o.analysisRuns,
-                    o.replicationRounds);
+                    o.replicationRounds, o.resultBytes);
 }
 
 SuiteWork
@@ -65,6 +66,7 @@ sumSuiteWork(const SuiteResult &results)
         w.widthSweeps += t.widthSweeps;
         w.analysisRuns += t.analysisRuns;
         w.replicationRounds += t.replicationRounds;
+        w.resultBytes += r.finalDdg.ownedBytes();
     }
     return w;
 }
@@ -78,7 +80,8 @@ operator<<(std::ostream &os, const SuiteWork &w)
               << " asapRuns=" << w.asapRuns
               << " widthSweeps=" << w.widthSweeps
               << " analysisRuns=" << w.analysisRuns
-              << " replicationRounds=" << w.replicationRounds;
+              << " replicationRounds=" << w.replicationRounds
+              << " resultBytes=" << w.resultBytes;
 }
 
 } // namespace cvliw

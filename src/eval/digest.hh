@@ -73,8 +73,9 @@ std::uint64_t digestSuiteResult(const SuiteResult &results);
 
 /**
  * The deterministic work counters of `CompileTelemetry`, summed over
- * a suite run. Like the digest, the sums are the same at any worker
- * count and whatever the workers compiled before.
+ * a suite run, and the record bytes the results own. Like the digest,
+ * the sums are the same at any worker count and whatever the workers
+ * compiled before.
  */
 struct SuiteWork
 {
@@ -85,14 +86,20 @@ struct SuiteWork
     std::uint64_t widthSweeps = 0;
     std::uint64_t analysisRuns = 0;
     std::uint64_t replicationRounds = 0;
+    /**
+     * Result graph bytes the results hold and their inputs do not
+     * share (`DdgRecords::ownedBytes`): memory, not work, but as
+     * noise-free.
+     */
+    std::uint64_t resultBytes = 0;
 
     bool operator==(const SuiteWork &o) const;
 };
 
-/** Sum the work counters of every loop of @p results. */
+/** Sum the work counters and owned bytes of every loop of @p results. */
 SuiteWork sumSuiteWork(const SuiteResult &results);
 
-/** Prints "iiAttempts=<n> refineProbes=<n> ... replicationRounds=<n>". */
+/** Prints "iiAttempts=<n> refineProbes=<n> ... resultBytes=<n>". */
 std::ostream &operator<<(std::ostream &os, const SuiteWork &work);
 
 } // namespace cvliw

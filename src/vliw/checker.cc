@@ -1,7 +1,5 @@
 #include "vliw/checker.hh"
 
-#include <algorithm>
-
 #include "sched/regpressure.hh"
 #include "support/logging.hh"
 #include "support/strutil.hh"
@@ -24,11 +22,24 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
         return errs;
     }
 
-    // --- Every live node is scheduled. --------------------------------
+    // --- Every live node is scheduled on a cluster of the machine,
+    // and every copy has a bus entry: the checks below index by them.
     for (NodeId v : ddg.nodes()) {
         if (v >= static_cast<NodeId>(sched.start.size()) ||
             sched.start[v] < 0) {
             errs.push_back("unscheduled node " + name(v));
+        }
+        if (!part.isAssigned(v)) {
+            errs.push_back(name(v) + " is assigned to no cluster");
+        } else if (part.clusterOf(v) >= mach.numClusters()) {
+            errs.push_back(name(v) + " is in cluster " +
+                           std::to_string(part.clusterOf(v)) +
+                           " of a " + std::to_string(mach.numClusters()) +
+                           "-cluster machine");
+        }
+        if (ddg.node(v).cls == OpClass::Copy &&
+            v >= static_cast<NodeId>(sched.busOf.size())) {
+            errs.push_back("copy " + name(v) + " has no bus entry");
         }
     }
     if (!errs.empty())
@@ -64,7 +75,7 @@ checkSchedule(const Ddg &ddg, const MachineConfig &mach,
     // each (bus, phase), in flat kind-major and bus-major arrays.
     constexpr int num_kinds =
         static_cast<int>(ResourceKind::NumResourceKinds);
-    const int clusters = std::max(mach.numClusters(), part.numClusters());
+    const int clusters = mach.numClusters();
     auto op_slot = [&](int kind, int cluster, int ph) {
         return (static_cast<std::size_t>(kind) * clusters + cluster) *
                    static_cast<std::size_t>(ii) +

@@ -26,7 +26,10 @@ struct CheckOptions
 };
 
 /**
- * Check @p sched against @p ddg/@p part/@p mach.
+ * Check @p sched against @p ddg/@p part/@p mach. A live node that is
+ * unscheduled or on no cluster of @p mach, or a copy without a
+ * `busOf` entry, is reported and ends the check: the later checks
+ * index by them.
  * @return human-readable violations; empty means the schedule is
  *         valid
  */

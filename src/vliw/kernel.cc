@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
-#include "support/logging.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
 
@@ -15,23 +16,34 @@ KernelView::KernelView(const Ddg &ddg, const MachineConfig &mach,
     : ii_(sched.ii), stageCount_(sched.stageCount),
       numClusters_(mach.numClusters())
 {
+    if (ii_ < 1)
+        throw std::invalid_argument("kernel of II " +
+                                    std::to_string(ii_) + " < 1");
     cells_.assign(ii_, std::vector<std::vector<std::string>>(
                            numClusters_));
     busCells_.assign(ii_, {});
 
     for (NodeId v : ddg.nodes()) {
         const DdgNode &node = ddg.node(v);
-        const int t = sched.start[v];
-        const int phase = ((t % ii_) + ii_) % ii_;
-        const int stage = t / ii_;
         const std::string name = "n" + std::to_string(v);
+        if (v >= static_cast<NodeId>(sched.start.size()) ||
+            sched.start[v] < 0)
+            throw std::invalid_argument(name + " is not scheduled");
+        const int t = sched.start[v];
+        const int phase = t % ii_;
+        const int stage = t / ii_;
         const std::string tag = name + "/s" + std::to_string(stage);
         if (node.cls == OpClass::Copy) {
-            for (int k = 0; k < mach.busLatency(); ++k) {
-                busCells_[((t + k) % ii_ + ii_) % ii_].push_back(
-                    k == 0 ? tag : name + "...");
-            }
+            for (int k = 0; k < mach.busLatency(); ++k)
+                busCells_[(t + k) % ii_].push_back(k == 0 ? tag
+                                                          : name + "...");
         } else {
+            if (!part.isAssigned(v) ||
+                part.clusterOf(v) >= numClusters_) {
+                throw std::invalid_argument(
+                    name + " is on no cluster of the " +
+                    std::to_string(numClusters_) + "-cluster machine");
+            }
             cells_[phase][part.clusterOf(v)].push_back(tag);
         }
     }
@@ -46,9 +58,14 @@ KernelView::KernelView(const Ddg &ddg, const MachineConfig &mach,
 const std::vector<std::string> &
 KernelView::ops(int phase, int cluster) const
 {
-    cv_assert(phase >= 0 && phase < ii_, "bad phase ", phase);
-    cv_assert(cluster >= 0 && cluster < numClusters_, "bad cluster ",
-              cluster);
+    if (phase < 0 || phase >= ii_ || cluster < 0 ||
+        cluster >= numClusters_) {
+        throw std::out_of_range(
+            "phase " + std::to_string(phase) + ", cluster " +
+            std::to_string(cluster) + " outside the " +
+            std::to_string(ii_) + "-phase, " +
+            std::to_string(numClusters_) + "-cluster kernel");
+    }
     return cells_[phase][cluster];
 }
 

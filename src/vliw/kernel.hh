@@ -23,13 +23,22 @@ namespace cvliw
 class KernelView
 {
   public:
+    /**
+     * @throws std::invalid_argument, naming the node, for an II below
+     *         1, a live node that @p sched leaves unscheduled, or a
+     *         live non-copy on no cluster of @p mach
+     */
     KernelView(const Ddg &ddg, const MachineConfig &mach,
                const Partition &part, const Schedule &sched);
 
     /** Render the kernel table. */
     void print(std::ostream &os) const;
 
-    /** Ops issued in @p cluster at kernel @p phase ("n<id>/s<stage>"). */
+    /**
+     * Ops issued in @p cluster at kernel @p phase ("n<id>/s<stage>").
+     * @throws std::out_of_range for a phase or cluster outside the
+     *         kernel
+     */
     const std::vector<std::string> &ops(int phase, int cluster) const;
 
     int ii() const { return ii_; }

@@ -52,7 +52,8 @@ collapseTransparent(const Ddg &ddg, NodeId &p, int &distance)
 SimulationReport
 simulate(const Ddg &final_ddg, const MachineConfig &mach,
          const Partition &part, const Schedule &sched,
-         const Ddg &original, int iterations, std::uint64_t seed)
+         const Ddg &original, int iterations, std::uint64_t seed,
+         const CheckOptions &opts)
 {
     if (iterations < 1)
         throw std::invalid_argument("iterations " +
@@ -61,7 +62,7 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
 
     // Structural checks first; a broken schedule is not worth
     // executing.
-    report.errors = checkSchedule(final_ddg, mach, part, sched);
+    report.errors = checkSchedule(final_ddg, mach, part, sched, opts);
     if (!report.errors.empty()) {
         report.ok = false;
         return report;
@@ -114,7 +115,11 @@ simulate(const Ddg &final_ddg, const MachineConfig &mach,
                     static_cast<long long>(i) - e.distance;
                 if (src_iter >= 0) {
                     const int lat =
-                        final_ddg.edgeLatency(eid, mach);
+                        opts.zeroBusLatencyForLength &&
+                                e.kind == EdgeKind::RegFlow &&
+                                pn.cls == OpClass::Copy
+                            ? 0
+                            : final_ddg.edgeLatency(eid, mach);
                     const long long ready =
                         sched.start[p] + src_iter * ii + lat;
                     const long long reads =

@@ -21,6 +21,7 @@
 
 #include "partition/partition.hh"
 #include "sched/scheduler.hh"
+#include "vliw/checker.hh"
 
 namespace cvliw
 {
@@ -42,6 +43,10 @@ struct SimulationReport
  * @param sched the modulo schedule of @p final_ddg
  * @param original the untransformed loop body
  * @param iterations how many iterations to run (>= 1)
+ * @param opts the scheduler variant that built @p sched, as for
+ *        checkSchedule, which runs first with them: in Figure-12
+ *        mode a copy's register-flow edges deliver at latency 0 in
+ *        the dynamic timing too
  * @throws std::invalid_argument, before any check, if @p iterations
  *         < 1
  * @throws InvalidInput (from topoOrder) if the schedule passes the
@@ -52,7 +57,8 @@ SimulationReport simulate(const Ddg &final_ddg,
                           const MachineConfig &mach,
                           const Partition &part, const Schedule &sched,
                           const Ddg &original, int iterations = 8,
-                          std::uint64_t seed = 1);
+                          std::uint64_t seed = 1,
+                          const CheckOptions &opts = {});
 
 } // namespace cvliw
 

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/pipeline.hh"
 #include "ddg/builder.hh"
 #include "sched/copies.hh"
 #include "sched/scheduler.hh"
 #include "vliw/checker.hh"
+#include "vliw/simulator.hh"
+#include "workloads/suite.hh"
 
 namespace cvliw
 {
@@ -235,6 +240,76 @@ TEST(Checker, DetectsRegisterOverflow)
     for (const auto &e : errs)
         found |= e.find("MaxLive") != std::string::npos;
     EXPECT_TRUE(found);
+}
+
+TEST(Checker, NodeOnNoClusterIsAnError)
+{
+    // The partition covers src alone: dst has no cluster.
+    Fixture f;
+    f.p = Partition(2, 1);
+    f.p.assign(f.b.id("src"), 0);
+    const auto s = f.schedule({{"src", 0}, {"dst", 1}}, 2);
+    const auto errs = checkSchedule(f.g, f.m, f.p, s);
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_EQ(errs[0], "n" + std::to_string(f.b.id("dst")) +
+                           " is assigned to no cluster");
+}
+
+TEST(Checker, ClusterOutsideTheMachineIsAnError)
+{
+    // A 4-cluster partition checked against the 2-cluster machine.
+    Fixture f;
+    f.p = Partition(4, f.g.numNodeSlots());
+    f.p.assign(f.b.id("src"), 3);
+    f.p.assign(f.b.id("dst"), 3);
+    const auto s = f.schedule({{"src", 0}, {"dst", 1}}, 2);
+    const auto errs = checkSchedule(f.g, f.m, f.p, s);
+    ASSERT_EQ(errs.size(), 2u);
+    EXPECT_NE(errs[0].find("in cluster 3 of a 2-cluster machine"),
+              std::string::npos);
+}
+
+TEST(Checker, CopyWithoutBusEntryIsAnError)
+{
+    Ddg g;
+    const NodeId p0 = g.addNode(OpClass::IntAlu);
+    const NodeId c0 = g.addNode(OpClass::Copy);
+    const NodeId w = g.addNode(OpClass::IntAlu);
+    g.node(w).liveOut = true;
+    g.addEdge(p0, c0, EdgeKind::RegFlow, 0);
+    g.addEdge(c0, w, EdgeKind::RegFlow, 0);
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    Partition part(2, g.numNodeSlots());
+    part.assign(p0, 0);
+    part.assign(c0, 0);
+    part.assign(w, 1);
+    Schedule s;
+    s.ii = 2;
+    s.start = {0, 1, 3};
+    s.length = 4;
+    s.stageCount = 2;
+    const auto errs = checkSchedule(g, m, part, s);
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_EQ(errs[0], "copy n" + std::to_string(c0) + " has no bus entry");
+}
+
+TEST(Checker, ResultCheckedAgainstAShortPartitionIsAnError)
+{
+    // A real result against a partition of one node: checkSchedule
+    // and simulate (which runs it first) report, neither aborts.
+    const Loop loop = buildBenchmark("swim").front();
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    const auto r = compile(loop.ddg, m);
+    ASSERT_TRUE(r.ok);
+    const Partition short_part(2, 1);
+    const auto errs =
+        checkSchedule(r.finalDdg, m, short_part, r.schedule);
+    ASSERT_FALSE(errs.empty());
+    EXPECT_NE(errs[0].find("assigned to no cluster"), std::string::npos);
+    const auto rep =
+        simulate(r.finalDdg, m, short_part, r.schedule, loop.ddg);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.errors, errs);
 }
 
 TEST(Checker, RealSchedulesFromTheSchedulerPass)

@@ -6,11 +6,11 @@
  * example are unchanged by the view migration. The DdgArena section
  * covers the adjacency blocks: the growth rule, stale views, the
  * 65,535-slot limit, compact(), and the round trip through
- * DdgRecords (records(), freeze() and the conversion back, which
- * rebuilds the blocks). The DdgSlots section covers
- * `Ddg::fromSlots`: each of its structural rules rejects a bad row,
- * and a graph rebuilt from its own slot arrays is field-identical to
- * it. The DdgShared section covers copy-on-write storage: a copy
+ * DdgRecords (freeze() against a base graph and the conversion back,
+ * which materializes the records and rebuilds the blocks). The
+ * DdgSlots section covers `Ddg::fromSlots`: each of its structural
+ * rules rejects a bad row, and a graph rebuilt from its own slot
+ * arrays is field-identical to it. The DdgShared section covers copy-on-write storage: a copy
  * shares and allocates nothing, a first write clones only what it
  * writes, views follow the clone, and concurrent copies of one graph
  * are race-free (the TSan job runs this binary).
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
@@ -693,51 +694,131 @@ expectSameGraph(const Ddg &a, const Ddg &b)
     }
 }
 
-/**
- * @p g through DdgRecords and back: the records share its arrays and
- * stamp, and the rebuilt graph lists every view and raw span exactly
- * as @p g does. A frozen copy thaws to what compact() gives, without
- * a dead edge, and leaves the copy empty.
- */
-void
-expectRecordsRoundTrip(const Ddg &g)
+/** Live edge ids of @p g mapped to their records, in id order. */
+template <typename Graph>
+std::vector<std::string>
+liveEdgeRecords(const Graph &g)
 {
-    const DdgRecords rec = g.records();
-    ASSERT_EQ(rec.generation(), g.generation());
-    ASSERT_EQ(rec.numNodeSlots(), g.numNodeSlots());
-    ASSERT_EQ(rec.numEdgeSlots(), g.numEdgeSlots());
-    ASSERT_EQ(rec.numNodes(), g.numNodes());
-    ASSERT_EQ(rec.numEdges(), g.numEdges());
-    ASSERT_EQ(rec.nodes().toVector(), g.nodes().toVector());
-    ASSERT_EQ(rec.edges().toVector(), g.edges().toVector());
-    ASSERT_EQ(rec.hasCopies(), g.hasCopies());
-    if (g.numNodeSlots() > 0)
-        ASSERT_EQ(&rec.node(0), &g.node(0)) << "records copied the nodes";
-    const Ddg back = rec;
-    ASSERT_EQ(back.generation(), g.generation());
-    ASSERT_NO_FATAL_FAILURE(expectSameGraph(back, g));
+    std::vector<std::string> recs;
+    for (EdgeId e : g.edges()) {
+        const DdgEdge rec = g.edge(e);
+        recs.emplace_back(reinterpret_cast<const char *>(&rec),
+                          sizeof rec);
+    }
+    return recs;
+}
 
-    Ddg compacted = g;
-    compacted.compact();
-    Ddg doomed = g;
-    const DdgRecords frozen = std::move(doomed).freeze();
-    ASSERT_EQ(doomed.numNodeSlots(), 0);
-    ASSERT_EQ(doomed.numEdgeSlots(), 0);
-    ASSERT_EQ(frozen.numEdgeSlots(), frozen.numEdges());
-    if (g.numEdges() != g.numEdgeSlots())
-        ASSERT_NE(frozen.generation(), g.generation());
-    else
-        ASSERT_EQ(frozen.generation(), g.generation());
-    ASSERT_NO_FATAL_FAILURE(expectSameGraph(Ddg(frozen), compacted));
+/** The bytes of node record @p n. */
+std::string
+bytesOf(const DdgNode &n)
+{
+    return std::string(reinterpret_cast<const char *>(&n), sizeof n);
 }
 
 /**
- * Records round-trip fuzz: random addNode (copies included) /
- * addEdge / addReplica / removeNode / removeEdge interleavings and
- * compactions, and at random points the graph goes to DdgRecords and
- * back (expectRecordsRoundTrip), through tombstones, block
- * relocations and replicas. Records taken along the way must keep
- * their bytes while the graph they share storage with mutates on.
+ * Freeze a copy of @p g, a graph copied from @p base and mutated,
+ * against @p base, and check the records and their conversion back
+ * against @p g: the same node slots and records, the same live edge
+ * records in the same order, dead slots only among @p base's, and
+ * every view of the converted graph equal to @p g's once edge ids are
+ * mapped by position in the live sequence. The records own exactly
+ * their appended records and tombstone words.
+ * @return the records
+ */
+DdgRecords
+expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
+{
+    Ddg doomed = g;
+    DdgRecords rec = std::move(doomed).freeze(base);
+    EXPECT_EQ(doomed.numNodeSlots(), 0);
+    EXPECT_EQ(doomed.numEdgeSlots(), 0);
+    EXPECT_EQ(rec.generation(), g.generation());
+    EXPECT_EQ(rec.numNodeSlots(), g.numNodeSlots());
+    EXPECT_EQ(rec.numNodes(), g.numNodes());
+    EXPECT_EQ(rec.numEdges(), g.numEdges());
+    EXPECT_EQ(rec.nodes().toVector(), g.nodes().toVector());
+    EXPECT_EQ(rec.hasCopies(), g.hasCopies());
+    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
+        EXPECT_EQ(bytesOf(rec.node(n)), bytesOf(g.node(n))) << "node " << n;
+    EXPECT_EQ(liveEdgeRecords(rec), liveEdgeRecords(g));
+
+    // Dead slots are base slots; base edge slots keep their records.
+    const int bn = base.numNodeSlots(), be = base.numEdgeSlots();
+    int removed = 0;
+    for (NodeId n = 0; n < rec.numNodeSlots(); ++n) {
+        if (n >= bn)
+            continue;
+        removed += base.node(n).alive && !rec.node(n).alive;
+    }
+    for (EdgeId e = 0; e < rec.numEdgeSlots(); ++e) {
+        if (e >= be) {
+            EXPECT_TRUE(rec.edge(e).alive) << "appended edge " << e;
+            continue;
+        }
+        DdgEdge was = base.edge(e);
+        const DdgEdge now = rec.edge(e);
+        EXPECT_TRUE(was.alive || !now.alive) << "edge " << e;
+        removed += was.alive && !now.alive;
+        was.alive = now.alive;
+        EXPECT_EQ(std::memcmp(&was, &now, sizeof was), 0) << "edge " << e;
+    }
+    const std::size_t added_nodes =
+        static_cast<std::size_t>(rec.numNodeSlots() - bn);
+    const std::size_t added_edges =
+        static_cast<std::size_t>(rec.numEdgeSlots() - be);
+    const std::size_t owned =
+        added_nodes + added_edges + static_cast<std::size_t>(removed)
+            ? 8 * added_nodes + 16 * added_edges +
+                  8 * static_cast<std::size_t>((bn + be + 63) / 64)
+            : 0;
+    EXPECT_EQ(rec.ownedBytes(), owned);
+
+    // The conversion keeps the ids and the stamp; its views are g's
+    // under the live-position map of edge ids.
+    const Ddg back = rec;
+    EXPECT_EQ(back.generation(), g.generation());
+    EXPECT_EQ(back.numNodeSlots(), rec.numNodeSlots());
+    EXPECT_EQ(back.numEdgeSlots(), rec.numEdgeSlots());
+    EXPECT_EQ(back.numNodes(), g.numNodes());
+    EXPECT_EQ(back.numEdges(), g.numEdges());
+    EXPECT_EQ(back.nodes().toVector(), g.nodes().toVector());
+    EXPECT_EQ(liveEdgeRecords(back), liveEdgeRecords(g));
+    std::vector<EdgeId> to_live(static_cast<std::size_t>(back.numEdgeSlots()),
+                                invalidEdge);
+    {
+        const std::vector<EdgeId> mine = back.edges().toVector();
+        const std::vector<EdgeId> theirs = g.edges().toVector();
+        for (std::size_t i = 0; i < mine.size() && i < theirs.size(); ++i)
+            to_live[static_cast<std::size_t>(mine[i])] = theirs[i];
+    }
+    const auto mapped = [&](const LiveAdjRange &range) {
+        std::vector<EdgeId> ids;
+        for (EdgeId e : range)
+            ids.push_back(to_live[static_cast<std::size_t>(e)]);
+        return ids;
+    };
+    for (NodeId n : g.nodes()) {
+        EXPECT_EQ(mapped(back.inEdges(n)), g.inEdges(n).toVector())
+            << "inEdges of node " << n;
+        EXPECT_EQ(mapped(back.outEdges(n)), g.outEdges(n).toVector())
+            << "outEdges of node " << n;
+        EXPECT_EQ(back.flowPreds(n).toVector(), g.flowPreds(n).toVector())
+            << "flowPreds of node " << n;
+        EXPECT_EQ(back.flowSuccs(n).toVector(), g.flowSuccs(n).toVector())
+            << "flowSuccs of node " << n;
+    }
+    return rec;
+}
+
+/**
+ * Freeze fuzz: each round builds a random base graph (tombstones
+ * included) and mutates a copy of it with random addNode (copies
+ * included) / addEdge / addReplica / removeNode / removeEdge
+ * interleavings and compactions. At random points a copy is frozen
+ * against the base and checked against the live graph
+ * (expectFreezeMatchesLiveGraph). Records kept along the way must
+ * keep their bytes while the graph they came from mutates on, and
+ * the base is never written.
  */
 TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
 {
@@ -746,7 +827,6 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
     for (int round = 0; round < 6; ++round) {
         Ddg g;
         std::vector<NodeId> live_nodes;
-        std::vector<std::pair<DdgRecords, std::string>> kept;
         const auto pick = [&] {
             return live_nodes[static_cast<std::size_t>(
                 rng.uniformInt(0, live_nodes.size() - 1))];
@@ -754,10 +834,7 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
         const auto spawn = [&](OpClass cls) {
             live_nodes.push_back(g.addNode(cls));
         };
-        for (int i = 0; i < 4; ++i)
-            spawn(OpClass::IntAlu);
-
-        for (int step = 0; step < 250; ++step) {
+        const auto mutate = [&] {
             const std::size_t op = rng.weightedIndex({3, 8, 2, 1, 2});
             if (op == 0) { // addNode
                 const double p = rng.uniformReal();
@@ -775,7 +852,7 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
                      ++tries)
                     src = pick();
                 if (!mem && !producesValue(g.node(src).cls))
-                    continue;
+                    return;
                 g.addEdge(src, dst,
                           mem ? EdgeKind::Memory : EdgeKind::RegFlow,
                           static_cast<int>(rng.uniformInt(0, 3)));
@@ -792,20 +869,91 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
                 g.removeEdge(live[static_cast<std::size_t>(
                     rng.uniformInt(0, live.size() - 1))]);
             }
+        };
+        for (int i = 0; i < 4; ++i)
+            spawn(OpClass::IntAlu);
+        for (int step = 0; step < 60; ++step)
+            mutate();
+        const Ddg base = g;
+        const std::string base_image = imageOf(base);
+
+        // An unchanged copy is its base's records and nothing more.
+        {
+            Ddg copy = base;
+            const DdgRecords same = std::move(copy).freeze(base);
+            EXPECT_EQ(same.ownedBytes(), 0u);
+            EXPECT_EQ(same.generation(), base.generation());
+            ASSERT_NO_FATAL_FAILURE(expectSameGraph(Ddg(same), base));
+        }
+
+        std::vector<std::pair<DdgRecords, std::string>> kept;
+        for (int step = 0; step < 250; ++step) {
+            mutate();
             if (rng.chance(0.03))
                 g.compact();
             if (rng.chance(0.1)) {
-                ASSERT_NO_FATAL_FAILURE(expectRecordsRoundTrip(g));
+                const DdgRecords rec = expectFreezeMatchesLiveGraph(base, g);
+                ASSERT_FALSE(HasFailure()) << "round " << round
+                                           << " step " << step;
                 ++round_trips;
+                if (rng.chance(0.3))
+                    kept.emplace_back(rec, imageOf(Ddg(rec)));
             }
-            if (rng.chance(0.03))
-                kept.emplace_back(g.records(), imageOf(g));
         }
-        ASSERT_NO_FATAL_FAILURE(expectRecordsRoundTrip(g));
+        expectFreezeMatchesLiveGraph(base, g);
+        ASSERT_FALSE(HasFailure()) << "round " << round;
         for (const auto &[rec, image] : kept)
-            ASSERT_EQ(imageOf(rec), image) << "a write leaked";
+            ASSERT_EQ(imageOf(Ddg(rec)), image) << "a write leaked";
+        ASSERT_EQ(imageOf(base), base_image) << "the base was written";
     }
     EXPECT_GT(round_trips, 100);
+}
+
+/**
+ * freeze() takes a graph whose base node records differ from the
+ * base's only in a cleared `alive`; a changed record (or a dead base
+ * node come back alive, or fewer node slots) throws
+ * std::invalid_argument and leaves the graph as it was.
+ */
+TEST(DdgArena, FreezeRejectsAChangedBaseNodeRecord)
+{
+    SmallGraph s;
+    const Ddg base = s.g;
+
+    // Each field of a base record but `alive`.
+    const std::function<void(DdgNode &)> edits[] = {
+        [](DdgNode &n) { n.cls = OpClass::FpAlu; },
+        [](DdgNode &n) { n.semanticId = 0; },
+        [](DdgNode &n) { n.isReplica = true; },
+        [](DdgNode &n) { n.isSpill = true; },
+        [](DdgNode &n) { n.liveOut = true; },
+    };
+    for (const auto &edit : edits) {
+        Ddg changed = base;
+        edit(changed.node(s.b));
+        const std::string image = imageOf(changed);
+        EXPECT_THROW(std::move(changed).freeze(base),
+                     std::invalid_argument);
+        EXPECT_EQ(imageOf(changed), image) << "a failed freeze wrote";
+    }
+
+    Ddg removed = base;
+    removed.removeNode(s.c);
+    Ddg revived = removed;
+    revived.node(s.c).alive = true;
+    EXPECT_THROW(std::move(revived).freeze(removed),
+                 std::invalid_argument);
+
+    Ddg fewer;
+    fewer.addNode(OpClass::Load);
+    EXPECT_THROW(std::move(fewer).freeze(base), std::invalid_argument);
+
+    // A removed node is a tombstone, not a change.
+    const DdgRecords rec = std::move(removed).freeze(base);
+    EXPECT_FALSE(rec.node(s.c).alive);
+    EXPECT_EQ(rec.numNodes(), 2);
+    EXPECT_EQ(rec.numEdges(), 1);
+    EXPECT_EQ(rec.ownedBytes(), 8u);
 }
 
 /**

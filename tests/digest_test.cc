@@ -13,10 +13,11 @@
  *
  * Next to each digest the test pins the suite's summed work counters
  * (`SuiteWork`): II attempts, refinement probes and commits, ASAP
- * runs, width sweeps, loop analyses and replication rounds. They are the regression
- * signal for compile work that timing noise cannot trip: a change
- * that makes the compiler do more work fails here even when the
- * digests hold.
+ * runs, width sweeps, loop analyses and replication rounds, and the
+ * record bytes the results own (`resultBytes`). They are the
+ * regression signal for compile work and result memory that timing
+ * noise cannot trip: a change that makes the compiler do more work,
+ * or its results hold more, fails here even when the digests hold.
  *
  * If a PR changes these values *intentionally* (an algorithmic
  * change, not a refactor), re-pin them here and in ROADMAP.md and say
@@ -80,11 +81,11 @@ TEST(SuiteDigest, SubsetDigestsPinned)
                                       0xf289039d9e620614ull};
     const std::uint64_t expected_combined = 0x5f7ff8d38700f3feull;
     // iiAttempts, refineProbes, refineCommits, asapRuns, widthSweeps,
-    // analysisRuns, replicationRounds.
+    // analysisRuns, replicationRounds, resultBytes.
     const SuiteWork expected_work[] = {
-        {53, 2852, 69, 364, 113, 69, 26},
-        {73, 13518, 143, 1862, 235, 104, 31},
-        {90, 15093, 138, 2243, 237, 101, 195},
+        {53, 2852, 69, 364, 113, 69, 26, 5096},
+        {73, 13518, 143, 1862, 235, 104, 31, 11464},
+        {90, 15093, 138, 2243, 237, 101, 195, 12096},
     };
 
     ResultDigest all;
@@ -120,9 +121,9 @@ TEST(SuiteDigest, FullSuiteDigestPinned)
     const std::uint64_t expected_combined = 0xf607a8cc685dd8a4ull;
     // The work sums examples/suite_digest prints.
     const SuiteWork expected_work[] = {
-        {827, 47829, 1272, 5889, 1798, 1093, 389},
-        {1043, 204777, 2287, 27056, 3663, 1516, 662},
-        {1265, 229386, 2027, 30804, 3470, 1515, 2800},
+        {827, 47829, 1272, 5889, 1798, 1093, 389, 78616},
+        {1043, 204777, 2287, 27056, 3663, 1516, 662, 183720},
+        {1265, 229386, 2027, 30804, 3470, 1515, 2800, 195136},
     };
 
     for (int workers : {1, 4, 0}) {

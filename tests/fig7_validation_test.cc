@@ -4,11 +4,15 @@
  * suite on the six paper configs, replication off and on (8,136
  * jobs), compiled as one CompileService batch. Every job must end Ok
  * with a feasible schedule that passes checkSchedule and simulates
- * equal to the reference interpreter - not a sample - and its graph
- * must hold no dead edge slot (compile() compacts a changed graph;
- * an unchanged one is the input's, which has none).
+ * equal to the reference interpreter - not a sample - and every dead
+ * slot of its graph must be one the compile removed: a result's graph
+ * shares its input's records (the suite's inputs hold no dead slot),
+ * and of its own it holds only live edges and nodes, or replicas
+ * that replication's dead-code sweep removed again.
  *
- * A second batch applies the same check to the replication paths
+ * Two more batches apply the same check to Figure 12's latency-0
+ * bound, whose copies deliver at once (the checker and the simulator
+ * take the scheduler's CheckOptions), and to the replication paths
  * that mix does not reach: the most selection rounds per loop, and
  * MacroNode mode (section 5.2).
  */
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "ddg/ddg.hh"
 #include "eval/service.hh"
 #include "vliw/checker.hh"
 #include "vliw/simulator.hh"
@@ -28,6 +33,41 @@ namespace cvliw
 {
 namespace
 {
+
+/**
+ * The first dead slot of @p result that the compile did not remove
+ * from its input @p in, empty when there is none. A result owns no
+ * dead edge record, and the input's own records are all live. The
+ * one dead record a result may own is a replica that replication's
+ * dead-code sweep removed again: node ids stay, since the partition
+ * and the schedule index them.
+ */
+std::string
+deadSlotNotRemovedInput(const DdgRecords &result, const Ddg &in)
+{
+    for (NodeId n = 0; n < result.numNodeSlots(); ++n) {
+        const DdgNode node = result.node(n);
+        if (node.alive)
+            continue;
+        if (n >= in.numNodeSlots()) {
+            if (node.isReplica)
+                continue;
+            return "dead appended node slot n" + std::to_string(n) +
+                   " is not a replica";
+        }
+        if (!in.node(n).alive)
+            return "dead input node slot n" + std::to_string(n);
+    }
+    for (EdgeId e = 0; e < result.numEdgeSlots(); ++e) {
+        if (result.edge(e).alive)
+            continue;
+        if (e >= in.numEdgeSlots())
+            return "dead appended edge slot " + std::to_string(e);
+        if (!in.edge(e).alive)
+            return "dead input edge slot " + std::to_string(e);
+    }
+    return {};
+}
 
 /** Why job @p j of @p batch is not a valid result; empty when it is. */
 std::string
@@ -40,17 +80,19 @@ invalidResult(const std::vector<CompileService::Job> &jobs,
     const CompileResult &r = batch.results[j];
     if (!r.ok)
         return "no schedule found";
-    if (r.finalDdg.numEdgeSlots() != r.finalDdg.numEdges())
-        return std::to_string(r.finalDdg.numEdgeSlots() -
-                              r.finalDdg.numEdges()) +
-               " dead edge slots";
+    const std::string dead =
+        deadSlotNotRemovedInput(r.finalDdg, *jobs[j].ddg);
+    if (!dead.empty())
+        return dead;
     const MachineConfig &mach = *jobs[j].mach;
+    CheckOptions check;
+    check.zeroBusLatencyForLength = jobs[j].opts->zeroBusLatency;
     const auto errs =
-        checkSchedule(r.finalDdg, mach, r.partition, r.schedule);
+        checkSchedule(r.finalDdg, mach, r.partition, r.schedule, check);
     if (!errs.empty())
         return "checkSchedule: " + errs.front();
     const auto rep = simulate(r.finalDdg, mach, r.partition, r.schedule,
-                              *jobs[j].ddg);
+                              *jobs[j].ddg, 8, 1, check);
     if (!rep.ok)
         return "simulate: " +
                (rep.errors.empty() ? "mismatch" : rep.errors.front());
@@ -102,6 +144,37 @@ TEST(Fig7Validation, EveryResultChecksAndSimulates)
         return suite[j % suite.size()].name() + " on " +
                jobs[j].mach->name() +
                (jobs[j].opts == &repl ? "/repl" : "/base");
+    });
+}
+
+/**
+ * Figure 12's latency-0 bound: the full suite on the six paper
+ * configs with `zeroBusLatency` (4,068 jobs). A copy keeps its bus
+ * slots but delivers at once, and the checker and the simulator are
+ * told so.
+ */
+TEST(Fig7Validation, Figure12LatencyZeroResultsCheckAndSimulate)
+{
+    const auto suite = buildSuite(42);
+    ASSERT_EQ(suite.size(), 678u);
+
+    std::vector<MachineConfig> machs;
+    for (const char *cfg : {"2c1b2l64r", "2c2b4l64r", "4c1b2l64r",
+                            "4c2b4l64r", "4c2b2l64r", "4c4b4l64r"})
+        machs.push_back(MachineConfig::fromString(cfg));
+    PipelineOptions zero;
+    zero.zeroBusLatency = true;
+
+    std::vector<CompileService::Job> jobs;
+    for (const MachineConfig &mach : machs) {
+        for (const Loop &loop : suite)
+            jobs.push_back(CompileService::Job{&loop.ddg, &mach, &zero});
+    }
+    ASSERT_EQ(jobs.size(), 4068u);
+
+    expectEveryResultValid(jobs, [&](std::size_t j) {
+        return suite[j % suite.size()].name() + " on " +
+               jobs[j].mach->name() + "/latency-0";
     });
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
@@ -87,6 +89,77 @@ TEST(Kernel, StageTagsMatchStartCycles)
         }
     }
     EXPECT_TRUE(found);
+}
+
+/** A two-op loop compiled for 2c1b2l64r. */
+struct TwoOps
+{
+    DdgBuilder b;
+    Ddg g;
+    MachineConfig m = MachineConfig::fromString("2c1b2l64r");
+    CompileResult r;
+
+    TwoOps()
+    {
+        b.op("p", OpClass::IntAlu);
+        b.op("w", OpClass::IntAlu, {"p"});
+        b.liveOut("w");
+        g = b.take();
+        r = compile(g, m);
+    }
+};
+
+TEST(Kernel, ZeroIiThrows)
+{
+    TwoOps t;
+    ASSERT_TRUE(t.r.ok);
+    Schedule s = t.r.schedule;
+    s.ii = 0;
+    EXPECT_THROW(KernelView(t.g, t.m, t.r.partition, s),
+                 std::invalid_argument);
+}
+
+TEST(Kernel, UnscheduledNodeThrowsNamingIt)
+{
+    TwoOps t;
+    ASSERT_TRUE(t.r.ok);
+    Schedule s = t.r.schedule;
+    s.start.resize(1);
+    try {
+        KernelView(t.g, t.m, t.r.partition, s);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()), "n1 is not scheduled");
+    }
+}
+
+TEST(Kernel, NodeOnNoClusterOfTheMachineThrows)
+{
+    TwoOps t;
+    ASSERT_TRUE(t.r.ok);
+    // A 4-cluster partition on the 2-cluster machine, then one that
+    // leaves w unassigned.
+    Partition wide(4, t.g.numNodeSlots());
+    wide.assign(t.b.id("p"), 0);
+    wide.assign(t.b.id("w"), 3);
+    EXPECT_THROW(KernelView(t.g, t.m, wide, t.r.schedule),
+                 std::invalid_argument);
+    Partition short_part(2, 1);
+    short_part.assign(t.b.id("p"), 0);
+    EXPECT_THROW(KernelView(t.g, t.m, short_part, t.r.schedule),
+                 std::invalid_argument);
+}
+
+TEST(Kernel, OpsOutsideTheKernelThrowOutOfRange)
+{
+    TwoOps t;
+    ASSERT_TRUE(t.r.ok);
+    const KernelView kv(t.r.finalDdg, t.m, t.r.partition, t.r.schedule);
+    EXPECT_NO_THROW(kv.ops(kv.ii() - 1, 1));
+    EXPECT_THROW(kv.ops(kv.ii(), 0), std::out_of_range);
+    EXPECT_THROW(kv.ops(-1, 0), std::out_of_range);
+    EXPECT_THROW(kv.ops(0, 2), std::out_of_range);
+    EXPECT_THROW(kv.ops(0, -1), std::out_of_range);
 }
 
 } // namespace

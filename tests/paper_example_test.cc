@@ -132,7 +132,8 @@ TEST(PaperExample, UpdatedSubgraphsAfterSE)
     ASSERT_NE(a_member, invalidNode);
 
     // --- updated weights (Figure 6): 44/8 and 42/8 ---------------------
-    std::vector<ReplicationSubgraph> pool{sd, sj};
+    SharerCounts pool;
+    pool.count({sd, sj}, ex.ddg.numNodeSlots(), ex.mach.numClusters());
     const Rational wd = subgraphWeight(ex.ddg, ex.mach, ex.part,
                                        ex.ii, sd, pool, d_removable);
     EXPECT_EQ(wd, Rational(44, 8)) << wd.toString();

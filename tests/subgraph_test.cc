@@ -55,8 +55,6 @@ TEST(Subgraph, PaperSEStopsAtCommunicatedD)
     const std::vector<std::pair<NodeId, int>> pairs{
         {ex.id("A"), 1}, {ex.id("A"), 3}, {ex.id("E"), 1}, {ex.id("E"), 3}};
     EXPECT_EQ(se.required, pairs);
-    EXPECT_TRUE(se.needsIn(ex.id("A"), 3));
-    EXPECT_FALSE(se.needsIn(ex.id("A"), 2));
 }
 
 TEST(Subgraph, PaperSJ)

@@ -19,6 +19,7 @@ namespace
 struct WeightedPool
 {
     std::vector<ReplicationSubgraph> pool;
+    SharerCounts sharers;
     CommInfo comms;
 
     WeightedPool(const PaperExample &ex)
@@ -29,6 +30,7 @@ struct WeightedPool
             pool.push_back(findReplicationSubgraph(
                 ex.ddg, ex.part, com, comms.communicated, index));
         }
+        sharers.count(pool, ex.ddg.numNodeSlots(), ex.mach.numClusters());
     }
 
     const ReplicationSubgraph &
@@ -50,7 +52,7 @@ TEST(Weights, PaperWeightSD)
         ex.ddg, ex.part, ex.id("D"), wp.comms.communicated);
     const Rational w =
         subgraphWeight(ex.ddg, ex.mach, ex.part, ex.ii,
-                       wp.of(ex.id("D")), wp.pool, removable);
+                       wp.of(ex.id("D")), wp.sharers, removable);
     EXPECT_EQ(w, Rational(49, 16)) << w.toString();
 }
 
@@ -62,7 +64,7 @@ TEST(Weights, PaperWeightSE)
         ex.ddg, ex.part, ex.id("E"), wp.comms.communicated);
     const Rational w =
         subgraphWeight(ex.ddg, ex.mach, ex.part, ex.ii,
-                       wp.of(ex.id("E")), wp.pool, removable);
+                       wp.of(ex.id("E")), wp.sharers, removable);
     EXPECT_EQ(w, Rational(31, 16)) << w.toString();
 }
 
@@ -74,7 +76,7 @@ TEST(Weights, PaperWeightSJ)
         ex.ddg, ex.part, ex.id("J"), wp.comms.communicated);
     const Rational w =
         subgraphWeight(ex.ddg, ex.mach, ex.part, ex.ii,
-                       wp.of(ex.id("J")), wp.pool, removable);
+                       wp.of(ex.id("J")), wp.sharers, removable);
     EXPECT_EQ(w, Rational(40, 16)) << w.toString();
 }
 
@@ -88,7 +90,7 @@ TEST(Weights, SEIsTheMinimum)
             ex.ddg, ex.part, sg.com, wp.comms.communicated);
         weights.emplace_back(
             sg.com, subgraphWeight(ex.ddg, ex.mach, ex.part, ex.ii,
-                                   sg, wp.pool, removable));
+                                   sg, wp.sharers, removable));
     }
     NodeId best = invalidNode;
     Rational best_w;
@@ -111,7 +113,9 @@ TEST(Weights, SharingDividesTerm)
     const auto removable = findRemovableInstructions(
         ex.ddg, ex.part, ex.id("E"), wp.comms.communicated);
 
-    std::vector<ReplicationSubgraph> only_se{wp.of(ex.id("E"))};
+    SharerCounts only_se;
+    only_se.count({wp.of(ex.id("E"))}, ex.ddg.numNodeSlots(),
+                  ex.mach.numClusters());
     const Rational alone =
         subgraphWeight(ex.ddg, ex.mach, ex.part, ex.ii,
                        wp.of(ex.id("E")), only_se, removable);
