@@ -8,6 +8,12 @@
  * scripts/bench.sh runs this binary with --benchmark_format=json and
  * records the result as BENCH_pipeline.json at the repo root, so the
  * compile-throughput trajectory is tracked PR over PR.
+ *
+ * A suite loop rests as records (`Loop::ddg`), and compile() converts
+ * them to a Ddg once per call, so the end-to-end and batch benchmarks
+ * pay that conversion as every caller does. The pass benchmarks
+ * convert their loop once, outside the timed loop, and time the pass
+ * alone; BM_InputConversion prices the conversion.
  */
 
 #include <benchmark/benchmark.h>
@@ -77,14 +83,12 @@ largestLoop(int rank)
 void
 BM_MultilevelPartition(benchmark::State &state)
 {
-    const Loop &loop = sampleLoop("su2cor", 3);
+    const Ddg g = sampleLoop("su2cor", 3).ddg;
     const auto m = MachineConfig::fromString("4c1b2l64r");
-    const int mii = minimumIi(loop.ddg, m);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            multilevelPartition(loop.ddg, m, mii));
-    }
-    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+    const int mii = minimumIi(g, m);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(multilevelPartition(g, m, mii));
+    state.SetLabel(std::to_string(g.numNodes()) + " nodes");
 }
 BENCHMARK(BM_MultilevelPartition);
 
@@ -162,11 +166,11 @@ BENCHMARK(BM_ScheduleAtIiCached)->Arg(0)->Arg(1);
 void
 BM_LoopAnalysis(benchmark::State &state)
 {
-    const Loop &loop = largestLoop(static_cast<int>(state.range(0)));
+    const Ddg g = largestLoop(static_cast<int>(state.range(0))).ddg;
     const auto m = MachineConfig::fromString("4c2b4l64r");
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzeLoop(loop.ddg, m));
-    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+        benchmark::DoNotOptimize(analyzeLoop(g, m));
+    state.SetLabel(std::to_string(g.numNodes()) + " nodes");
 }
 BENCHMARK(BM_LoopAnalysis)->Arg(0)->Arg(1);
 
@@ -178,31 +182,31 @@ BENCHMARK(BM_LoopAnalysis)->Arg(0)->Arg(1);
 void
 BM_RefinePartition(benchmark::State &state)
 {
-    const Loop &loop = largestLoop(static_cast<int>(state.range(0)));
+    const Ddg g = largestLoop(static_cast<int>(state.range(0))).ddg;
     const auto m = MachineConfig::fromString("4c2b4l64r");
-    const int mii = minimumIi(loop.ddg, m);
-    Partition p(m.numClusters(), loop.ddg.numNodeSlots());
-    for (NodeId n : loop.ddg.nodes())
+    const int mii = minimumIi(g, m);
+    Partition p(m.numClusters(), g.numNodeSlots());
+    for (NodeId n : g.nodes())
         p.assign(n, 0);
-    const LoopAnalysis analysis = analyzeLoop(loop.ddg, m);
+    const LoopAnalysis analysis = analyzeLoop(g, m);
     PseudoScratch scratch;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            refinePartition(loop.ddg, m, analysis, p, mii, scratch));
+            refinePartition(g, m, analysis, p, mii, scratch));
     }
-    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+    state.SetLabel(std::to_string(g.numNodes()) + " nodes");
 }
 BENCHMARK(BM_RefinePartition)->Arg(0)->Arg(2);
 
 void
 BM_ReplicationPass(benchmark::State &state)
 {
-    const Loop &loop = sampleLoop("tomcatv", 1);
+    const Ddg input = sampleLoop("tomcatv", 1).ddg;
     const auto m = MachineConfig::fromString("4c1b2l64r");
-    const int mii = minimumIi(loop.ddg, m);
-    const auto pr = multilevelPartition(loop.ddg, m, mii);
+    const int mii = minimumIi(input, m);
+    const auto pr = multilevelPartition(input, m, mii);
     for (auto _ : state) {
-        Ddg g = loop.ddg;
+        Ddg g = input;
         Partition part = pr.partition;
         ReplicationStats stats;
         reduceCommunications(g, part, m, mii + 2, &stats);
@@ -219,18 +223,18 @@ BENCHMARK(BM_ReplicationPass);
 void
 BM_ReplicationHeavy(benchmark::State &state)
 {
-    const Loop &loop = largestLoop(2);
+    const Ddg input = largestLoop(2).ddg;
     const auto m = MachineConfig::fromString("4c1b4l64r");
-    const int mii = minimumIi(loop.ddg, m);
-    const auto pr = multilevelPartition(loop.ddg, m, mii);
+    const int mii = minimumIi(input, m);
+    const auto pr = multilevelPartition(input, m, mii);
     for (auto _ : state) {
-        Ddg g = loop.ddg;
+        Ddg g = input;
         Partition part = pr.partition;
         ReplicationStats stats;
         reduceCommunications(g, part, m, mii, &stats);
         benchmark::DoNotOptimize(stats.replicasAdded);
     }
-    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+    state.SetLabel(std::to_string(input.numNodes()) + " nodes");
 }
 BENCHMARK(BM_ReplicationHeavy);
 
@@ -269,6 +273,28 @@ BM_SuiteGeneration(benchmark::State &state)
         benchmark::DoNotOptimize(buildSuite(42));
 }
 BENCHMARK(BM_SuiteGeneration);
+
+/**
+ * The cost a suite loop at rest adds to each compile: converting the
+ * 678 seed-42 suite loops' records to Ddgs, as every compile() call
+ * does once for its input. Each conversion shares the loop's record
+ * arrays and builds its adjacency, O(V + E), in two allocations.
+ */
+void
+BM_InputConversion(benchmark::State &state)
+{
+    const auto &loops = suite();
+    for (auto _ : state) {
+        for (const Loop &loop : loops) {
+            const Ddg g = loop.ddg;
+            benchmark::DoNotOptimize(g);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(loops.size()));
+    state.SetLabel(std::to_string(loops.size()) + " loops");
+}
+BENCHMARK(BM_InputConversion);
 
 /**
  * The one cost that result records add: converting the 678 result

@@ -302,7 +302,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         // The returned graph is the long-lived one, so it keeps
         // records and no adjacency, as its input's records plus what
         // replication, copy insertion, spilling or length replication
-        // added (see "Result graphs" in ddg/ddg.hh); an unchanged
+        // added (see "Graphs at rest" in ddg/ddg.hh); an unchanged
         // graph holds the input's records alone. The partition drops
         // the growth slack of the nodes those passes assigned.
         result.finalDdg = std::move(work).freeze(original);

@@ -132,7 +132,7 @@ struct CompileResult
     Schedule schedule;    //!< over finalDdg
     /**
      * Original + replicas + copies: the records alone, with no
-     * adjacency, frozen against the input (see "Result graphs" in
+     * adjacency, frozen against the input (see "Graphs at rest" in
      * ddg/ddg.hh). They share the input's node and edge arrays and
      * own only what the compile added and which input slots it
      * removed; an unchanged graph owns nothing and keeps the input's
@@ -187,19 +187,20 @@ struct CompileCaches
  * the pipeline - there is exactly one compile() - the historical
  * by-reference caches overload collapsed into the optional trailing
  * pointer. The input graph is copied; the caller's DDG is never
- * modified. The result's `finalDdg` holds records, not a Ddg: node
- * and edge records without adjacency (see "Result graphs" in
- * ddg/ddg.hh); a reader that traverses converts it. Every result
- * graph is frozen against the input (`Ddg::freeze`), so it shares
- * the input's node and edge arrays and keeps them alive. A result
- * whose graph the pipeline left unchanged (a unified-machine loop
- * that needs no spill, a clustered loop that needs no copy) holds
- * those arrays alone, tombstones and stamp included. A changed one
- * also owns one block: its appended nodes and live edges and a
- * tombstone bit per input slot it removed. Node ids are the compiled
- * graph's, input edges keep their input ids, and the appended live
- * edges follow them densely; the stamp is fresh. No compile builds
- * the adjacency of the graph it returns.
+ * modified. A suite loop's records (`Loop::ddg`) convert to the input
+ * Ddg at the call, once per compile. The result's `finalDdg` holds
+ * records, not a Ddg: node and edge records without adjacency (see
+ * "Graphs at rest" in ddg/ddg.hh); a reader that traverses converts
+ * it. Every result graph is frozen against the input
+ * (`Ddg::freeze`), so it shares the input's node and edge arrays and
+ * keeps them alive. A result whose graph the pipeline left unchanged
+ * (a unified-machine loop that needs no spill, a clustered loop that
+ * needs no copy) holds those arrays alone, tombstones and stamp
+ * included. A changed one also owns one block: its appended nodes and
+ * live edges and a tombstone bit per input slot it removed. Node ids
+ * are the compiled graph's, input edges keep their input ids, and the
+ * appended live edges follow them densely; the stamp is fresh. No
+ * compile builds the adjacency of the graph it returns.
  *
  * The input is analysed once (`analyzeLoop`), and the analysis is
  * passed to the partitioner, every refinement and every schedule of

@@ -87,6 +87,37 @@ rejectSpanLimit(const DdgEdge *edges, std::uint32_t edge_slots, NodeId v,
     cv_panic("n", v, " holds no edge past the span limit");
 }
 
+/**
+ * Per-thread span counters that fromSlots and conversions reuse: [2v]
+ * for node v's in-list, [2v + 1] for its out-list.
+ */
+thread_local std::vector<std::uint32_t> spanCounts;
+
+/**
+ * Count each node's in- and out-edge slots of @p edges, dead edges
+ * included, into spanCounts, and reject the first node, in node order
+ * and in-list first, whose list passes Ddg::maxSpanSlots.
+ */
+void
+countSpans(const DdgEdge *edges, std::uint32_t edge_slots,
+           std::size_t node_slots)
+{
+    spanCounts.assign(2 * node_slots, 0);
+    std::uint32_t *cur = spanCounts.data();
+    for (std::uint32_t i = 0; i < edge_slots; ++i) {
+        ++cur[2 * static_cast<std::size_t>(edges[i].src) + 1];
+        ++cur[2 * static_cast<std::size_t>(edges[i].dst)];
+    }
+    // Checked once per node, not once per edge.
+    for (std::size_t v = 0; v < node_slots; ++v) {
+        const bool in_over = cur[2 * v] > Ddg::maxSpanSlots;
+        if (in_over || cur[2 * v + 1] > Ddg::maxSpanSlots) {
+            rejectSpanLimit(edges, edge_slots, static_cast<NodeId>(v),
+                            in_over);
+        }
+    }
+}
+
 } // namespace
 
 std::uint64_t
@@ -99,19 +130,18 @@ Ddg::freshGeneration()
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-Ddg
-Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
-               const DdgEdge *edges, std::uint32_t edge_slots)
+DdgRecords
+DdgRecords::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
+                      const DdgEdge *edges, std::uint32_t edge_slots)
 {
-    Ddg g;
-    g.nodes_.append(nodes, node_slots);
-    g.edges_.append(edges, edge_slots);
+    DdgRecords r;
+    r.nodes_.append(nodes, node_slots);
+    r.edges_.append(edges, edge_slots);
 
-    // The rules are checked on the graph's own copies; a throw
-    // discards them with the graph.
-    g.liveNodes_ = 0;
+    // The rules are checked on the records' own copies; a throw
+    // discards them with the records.
     for (std::uint32_t i = 0; i < node_slots; ++i) {
-        const DdgNode &n = g.nodes_[i];
+        const DdgNode &n = r.nodes_[i];
         if (n.cls >= OpClass::NumOpClasses)
             rejectSlot("node", i,
                        "op class " +
@@ -123,14 +153,12 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                        "semantic id " + std::to_string(n.semanticId) +
                            " outside the node array");
         }
-        g.liveNodes_ += n.alive;
+        r.liveNodes_ += n.alive;
     }
 
-    // The edge rules, row by row; buildAdjacency checks the span
-    // limit after them.
-    g.liveEdges_ = 0;
+    // The edge rules, row by row, then the span limit.
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        const DdgEdge &e = g.edges_[i];
+        const DdgEdge &e = r.edges_[i];
         if (e.kind > EdgeKind::Spill)
             rejectSlot("edge", i,
                        "edge kind " +
@@ -143,37 +171,43 @@ Ddg::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         if (e.distance < 0)
             rejectSlot("edge", i, "negative distance");
         if (e.alive) {
-            if (!g.nodes_[e.src].alive || !g.nodes_[e.dst].alive)
+            if (!r.nodes_[e.src].alive || !r.nodes_[e.dst].alive)
                 rejectSlot("edge", i, "live edge on a dead node");
             if (e.kind == EdgeKind::RegFlow &&
-                !producesValue(g.nodes_[e.src].cls)) {
+                !producesValue(r.nodes_[e.src].cls)) {
                 rejectSlot("edge", i,
                            "flow edge from a non-value-producing op");
             }
         }
-        g.liveEdges_ += e.alive;
+        r.liveEdges_ += e.alive;
     }
-    g.buildAdjacency();
-    // One fresh stamp for the whole load (the constructor already
-    // produced one; bulk loading is a single structural mutation).
-    return g;
+    countSpans(r.edges_.data(), edge_slots, node_slots);
+    // One stamp for the whole load: bulk loading is a single
+    // structural mutation.
+    r.generation_ = Ddg::freshGeneration();
+    return r;
+}
+
+DdgRecords::DdgRecords(const Ddg &g)
+    : nodes_(g.nodes_), edges_(g.edges_), liveNodes_(g.liveNodes_),
+      liveEdges_(g.liveEdges_), generation_(g.generation_)
+{
+}
+
+void
+DdgRecords::bumpGeneration()
+{
+    generation_ = Ddg::freshGeneration();
 }
 
 void
 Ddg::buildAdjacency()
 {
-    // Two counters per node, then two cursors: [2v] for v's in-span,
-    // [2v + 1] for its out-span, in a per-thread scratch that loads
-    // and conversions reuse. The counts are checked against the span
-    // limit once per node, not once per edge.
+    // Two counters per node, then two cursors.
     const std::size_t node_slots = nodes_.size();
-    thread_local std::vector<std::uint32_t> scratch;
-    scratch.assign(2 * node_slots, 0);
-    std::uint32_t *cur = scratch.data();
-    for (const DdgEdge &e : edges_) {
-        ++cur[2 * static_cast<std::size_t>(e.src) + 1];
-        ++cur[2 * static_cast<std::size_t>(e.dst)];
-    }
+    countSpans(edges_.data(), static_cast<std::uint32_t>(edges_.size()),
+               node_slots);
+    std::uint32_t *cur = spanCounts.data();
 
     // Exactly-sized arena: blocks back to back in node order with no
     // slack (the compact form), each span filled in edge-id order.
@@ -183,11 +217,6 @@ Ddg::buildAdjacency()
     std::uint32_t total = 0;
     for (std::size_t v = 0; v < node_slots; ++v) {
         const std::uint32_t in = cur[2 * v], out = cur[2 * v + 1];
-        if (in > maxSpanSlots || out > maxSpanSlots) {
-            rejectSpanLimit(edges_.data(),
-                            static_cast<std::uint32_t>(edges_.size()),
-                            static_cast<NodeId>(v), in > maxSpanSlots);
-        }
         slots[v] = {total, static_cast<std::uint16_t>(in),
                     static_cast<std::uint16_t>(out)};
         cur[2 * v] = total;
@@ -356,7 +385,7 @@ Ddg::freeze(const Ddg &base) &&
 void
 Ddg::compact()
 {
-    // Already in fromSlots form? Every edge id sits in exactly two
+    // Already in the converted form? Every edge id sits in exactly two
     // spans, so an arena of twice the edge slots has no slack and no
     // dead region.
     if (liveEdges_ == numEdgeSlots() &&
@@ -375,9 +404,9 @@ Ddg::compact()
         if (e.alive)
             live.push_back(e);
     }
-    *this = fromSlots(nodes_.data(),
-                      static_cast<std::uint32_t>(nodes_.size()),
-                      live.data(), static_cast<std::uint32_t>(live.size()));
+    *this = Ddg(DdgRecords::fromSlots(
+        nodes_.data(), static_cast<std::uint32_t>(nodes_.size()),
+        live.data(), static_cast<std::uint32_t>(live.size())));
 }
 
 NodeId
@@ -418,7 +447,7 @@ EdgeId
 Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
              int mem_latency)
 {
-    // fromSlots' rules, before any write.
+    // DdgRecords::fromSlots' rules, before any write.
     for (const NodeId end : {src, dst}) {
         if (end < 0 || end >= numNodeSlots())
             throw std::invalid_argument(

@@ -24,8 +24,8 @@
  * spans), plus arena slack. A `Ddg` handle is 80 bytes: four 16-byte
  * array handles, two live counts and the generation stamp; a
  * `DdgRecords` handle is 64: its base's two record-array handles, one
- * delta-block handle, two live counts and the stamp (see "Result
- * graphs"). static_asserts pin all five sizes.
+ * delta-block handle, two live counts and the stamp (see "Graphs at
+ * rest"). static_asserts pin all five sizes.
  *
  * ## Adjacency arena (CSR layout)
  *
@@ -45,8 +45,9 @@
  *    filtering views;
  *  - the degree limit: a node holds at most `Ddg::maxSpanSlots`
  *    (65,535) edge slots in each direction, tombstones included.
- *    `fromSlots` rejects a larger span with `DdgSlotError` and
- *    `addEdge` with `std::invalid_argument`, before any write;
+ *    `DdgRecords::fromSlots` and the conversion from records reject a
+ *    larger span with `DdgSlotError`, and `addEdge` with
+ *    `std::invalid_argument`, before any write;
  *  - the growth rule: `addEdge` writes an out-edge in place while the
  *    arena entry just past the block is `invalidEdge` (slack), and an
  *    in-edge in place only while the out-list is also empty (the
@@ -60,11 +61,12 @@
  *    a block's end is always that block's own slack. A dead region is
  *    never reused or rewritten, so stale views still read valid,
  *    pre-relocation data;
- *  - `Ddg::fromSlots` builds an exactly-sized arena (blocks back to
- *    back in node order, no slack, no relocation ever happened) - the
- *    compact layout every generated graph starts from: the workload
- *    generator assembles a loop's records in scratch buffers and
- *    builds its graph with one `fromSlots` call (workloads/generator.hh);
+ *  - the conversion from records, `Ddg(const DdgRecords &)`, builds
+ *    an exactly-sized arena (blocks back to back in node order, no
+ *    slack, no relocation ever happened) - the compact layout every
+ *    compile's input starts from: a suite loop rests as the records
+ *    of one `DdgRecords::fromSlots` call (workloads/generator.hh), and
+ *    each compile converts them;
  *  - the arena only ever grows; `removeNode`/`removeEdge` tombstone
  *    edges but never move blocks. The one exception is an explicit
  *    `compact()` call, which rebuilds the graph from its live edges
@@ -130,15 +132,26 @@
  *    capacity trim skips arrays that are still shared, which trimming
  *    would duplicate, not shrink.
  *
- * ## Result graphs
+ * ## Graphs at rest
  *
- * A compile result keeps its final graph for as long as the caller
- * keeps the result, and nothing in the pipeline traverses it after
- * compile() returns, so it keeps a `DdgRecords`: records without
- * adjacency, held as a base plus a delta. A compiled loop is mostly
- * its input, so the base is the input's node and edge arrays, shared
- * (a result keeps its input's arrays alive), and the delta is one
- * block that holds only what the compile added:
+ * A graph that is kept but not traversed is a `DdgRecords`: node and
+ * edge records without adjacency. A graph being compiled or traversed
+ * is a `Ddg`. Two kinds of graph rest:
+ *  - a suite loop (`Loop::ddg`, workloads/generator.hh), from one
+ *    `DdgRecords::fromSlots` call, which checks the slot rules and
+ *    builds no adjacency. Its records are their own base and own
+ *    nothing;
+ *  - a compile result's final graph: nothing in the pipeline
+ *    traverses it after compile() returns, so `Ddg::freeze` turns it
+ *    into records held as a base plus a delta.
+ *
+ * compile() takes a `const Ddg &`, so every compile, on the client or
+ * on a pool worker, converts its input's records once, and freezes
+ * its result against that conversion, which shares the loop's arrays.
+ * A compiled loop is mostly its input, so a result's base is the
+ * input's node and edge arrays, shared (a result keeps its input's
+ * arrays alive), and its delta is one block that holds only what the
+ * compile added:
  *  - the appended node records (replicas, copies, spill code);
  *  - the appended live edges;
  *  - one tombstone bit per input node and edge slot, set where the
@@ -154,24 +167,28 @@
  * appended node slot is a node the compile added and removed again (a
  * replica that replication's dead-code sweep removed), which keeps its
  * id.
- * An unchanged result has no delta block and owns nothing. `ownedBytes()` counts
- * what a result holds that its input does not share. `node()` and
- * `edge()` return records by value, since a base record's `alive`
- * byte is the input's. `Ddg::freeze` is the one way to make records:
- * it consumes a graph and diffs it against the base it was copied
- * from (see its comment).
+ * Records without a delta (a suite loop, an unchanged result) own
+ * nothing. `ownedBytes()` counts what records hold that their base
+ * does not share. `node()` and `edge()` return records by value,
+ * since a base record's `alive` byte is the base's. `Ddg::freeze`
+ * makes a result's records: it consumes a graph and diffs it against
+ * the base it was copied from (see its comment).
+ * `DdgRecords(const Ddg &)`, explicit, gives a graph's records as they
+ * stand, arrays shared, tombstones and stamp kept: it is for
+ * hand-built graphs kept at rest, such as a test's job input.
  *
  * A reader that traverses converts the records back to a Ddg:
- * `Ddg(const DdgRecords &)` is implicit, so a result's `finalDdg`
- * passes straight to `checkSchedule`, `simulate` or `KernelView`. A
- * conversion of an unchanged result shares the input's arrays; a
- * changed one materializes its records into exactly-sized arrays.
- * Both keep the stamp and then allocate and fill an exactly-sized
- * arena and block array, the pass `fromSlots` runs, in O(V + E). The
- * converted graph is a temporary: a `const Ddg &` bound to it inside
- * a call is fine, but one kept past the full expression dangles.
- * Convert into a named `Ddg` to keep it (`ReferenceInterpreter`,
- * which keeps a reference, deletes its records overload for that
+ * `Ddg(const DdgRecords &)` is implicit, so a loop's `ddg` passes
+ * straight to compile(), and a result's `finalDdg` to
+ * `checkSchedule`, `simulate` or `KernelView`. A conversion of records
+ * without a delta shares their arrays; a changed result materializes
+ * its records into exactly-sized arrays. Both keep the stamp and then
+ * allocate and fill an exactly-sized arena and block array in
+ * O(V + E). The converted graph is a temporary: a `const Ddg &` bound
+ * to it inside a call is fine, but one kept past the full expression
+ * dangles. Convert into a named `Ddg` to keep it or to traverse it
+ * more than once (`ReferenceInterpreter` and `PseudoScratch::bind`,
+ * which keep a reference, delete their records overloads for that
  * reason).
  *
  * ## Generation counter
@@ -182,13 +199,16 @@
  * process-unique, and a copy starts with its source's, so the stamp
  * tells whether a copy has changed since it was taken: compile()
  * reads it to see whether its work copy is still the input (whose
- * analysis it already holds). Frozen records and a conversion from
- * them keep the frozen graph's stamp. The pipeline's passes change a
- * work copy only through the structural mutators. Field writes
- * through the non-const `node()` / `edge()` accessors do not advance
- * the stamp, and need not: nothing caches a result under it, so
- * callers have no rule to follow. `bumpGeneration()` forces a new stamp; no library code
- * needs it, and it stays because the compile benchmark calls it.
+ * analysis it already holds). Records from `DdgRecords::fromSlots`
+ * get a fresh stamp; records of a graph, frozen or as they stand,
+ * keep its stamp, and a conversion keeps the records' stamp. The
+ * pipeline's passes change a work copy only through the structural
+ * mutators. Field writes through the non-const `node()` / `edge()`
+ * accessors do not advance the stamp, and need not: nothing caches a
+ * result under it, so callers have no rule to follow.
+ * `bumpGeneration()`, on a Ddg or on records, forces a new stamp; no
+ * library code needs it, and it stays because the compile benchmark
+ * calls it on its suite loops.
  */
 
 #ifndef CVLIW_DDG_DDG_HH
@@ -287,6 +307,7 @@ static_assert(std::is_trivially_copyable_v<DdgNode>,
               "DdgNode must stay a POD (bulk graph copies)");
 static_assert(sizeof(DdgNode) == 8, "no id field, packed flags");
 
+class Ddg;
 class DdgRecords;
 
 namespace detail
@@ -740,8 +761,8 @@ class EdgeSpan
 };
 
 /**
- * Slot arrays that break one of `Ddg::fromSlots`' structural rules;
- * what() names the rule and the row, e.g. "edge record row 2:
+ * Slot arrays that break one of `DdgRecords::fromSlots`' structural
+ * rules; what() names the rule and the row, e.g. "edge record row 2:
  * negative distance".
  */
 class DdgSlotError : public std::runtime_error
@@ -752,16 +773,53 @@ class DdgSlotError : public std::runtime_error
 
 /**
  * A graph's node and edge records without its adjacency, as a shared
- * base plus an owned delta: what a compile result keeps of its final
- * graph (see "Result graphs" in the file comment). It offers Ddg's
- * const record accessors, returning records by value; a traversal
- * needs a Ddg, which converts from it implicitly. Only `Ddg::freeze`
- * makes one; a default-constructed one is the empty graph, with
- * stamp 0, which no Ddg has.
+ * base plus an owned delta: a graph at rest, such as a suite loop or
+ * what a compile result keeps of its final graph (see "Graphs at
+ * rest" in the file comment). It offers Ddg's const record accessors,
+ * returning records by value; a traversal needs a Ddg, which converts
+ * from it implicitly. `fromSlots` makes a loop's records,
+ * `Ddg::freeze` a result's, and the constructor from a Ddg a
+ * hand-built graph's; a default-constructed one is the empty graph,
+ * with stamp 0, which no Ddg has.
  */
 class DdgRecords
 {
   public:
+    DdgRecords() = default;
+
+    /**
+     * The records of @p g as they stand: its node and edge arrays,
+     * shared, with its tombstones, live counts and stamp, and no delta
+     * (they own nothing). For hand-built graphs kept at rest; O(1).
+     */
+    explicit DdgRecords(const Ddg &g);
+
+    /**
+     * Records from fully-described slot arrays, in one step: one
+     * generation stamp and exactly-sized arrays, each copied once, so
+     * a caller can reuse its buffers for the next graph (the workload
+     * generator does). Ids are the slot indices. No adjacency is
+     * built; a conversion to a Ddg lists each node's incident edge ids
+     * in edge-id order, exactly the state an addNode/addEdge/remove*
+     * replay would produce, so a graph rebuilt from another graph's
+     * slots is field-identical to it.
+     *
+     * The slots are checked against eight structural rules: an op
+     * class below `OpClass::NumOpClasses` (the pipeline indexes
+     * tables by op class), a semantic id inside the node array, an
+     * edge kind no greater than `EdgeKind::Spill`, edge endpoints
+     * inside the node array, a distance >= 0, no live edge on a dead
+     * node, no flow edge from an op that produces no value, and at
+     * most `Ddg::maxSpanSlots` edges into and out of each node (the
+     * row named is the first edge past the limit). The degree limit
+     * counts span lengths and builds no arena.
+     * @throws DdgSlotError naming the rule and the node or edge row
+     */
+    static DdgRecords fromSlots(const DdgNode *nodes,
+                                std::uint32_t node_slots,
+                                const DdgEdge *edges,
+                                std::uint32_t edge_slots);
+
     int numNodeSlots() const
     {
         return static_cast<int>(nodes_.size() + addedNodes());
@@ -786,10 +844,18 @@ class DdgRecords
     std::uint64_t generation() const { return generation_; }
 
     /**
-     * Record bytes this result holds and its base does not share,
+     * Force a new generation stamp, as `Ddg::bumpGeneration` does (see
+     * "Generation counter" in the file comment). No library code
+     * needs it; it stays because the compile benchmark calls it.
+     */
+    void bumpGeneration();
+
+    /**
+     * Record bytes these records hold and their base does not share,
      * counted from element counts: 8 per appended node, 16 per
      * appended edge and 8 per 64 base slots of tombstone bits. 0 when
-     * the records are their base's (an unchanged compile result).
+     * the records are their base's (a suite loop, an unchanged
+     * compile result).
      */
     std::size_t ownedBytes() const;
 
@@ -877,17 +943,22 @@ class Ddg
      * The graph of @p records, with their ids and their stamp: shares
      * their base's node and edge arrays when they hold no delta, and
      * otherwise materializes base and delta into exactly-sized arrays.
-     * Then builds an exactly-sized adjacency as `fromSlots` does, so
-     * every span lists its edge ids, tombstones included, in id order.
-     * O(V + E); implicit, so a result's `finalDdg` passes straight to
-     * a `const Ddg &` parameter (see "Result graphs").
+     * Then builds an exactly-sized adjacency, so every span lists its
+     * edge ids, tombstones included, in id order. O(V + E) and two
+     * allocations for records without a delta; implicit, so a loop's
+     * records and a result's `finalDdg` pass straight to a
+     * `const Ddg &` parameter (see "Graphs at rest").
+     * @throws DdgSlotError naming the first edge row past a node's
+     *         span limit (only records no `fromSlots` checked, such as
+     *         a result that removed and re-added a node's edges, can
+     *         hold one)
      */
     Ddg(const DdgRecords &records);
 
     /**
      * Freeze this graph to records against @p base, the graph it was
-     * copied from, and drop it, building no adjacency (see "Result
-     * graphs"). The records share @p base's node and edge arrays and
+     * copied from, and drop it, building no adjacency (see "Graphs at
+     * rest"). The records share @p base's node and edge arrays and
      * keep this graph's node ids, live counts and stamp; a delta
      * block holds the rest, and there is none when this graph still
      * holds @p base's records.
@@ -907,30 +978,6 @@ class Ddg
      *         node record differs in more than a cleared `alive`
      */
     DdgRecords freeze(const Ddg &base) &&;
-
-    /**
-     * Build a graph from fully-described slot arrays in one step: one
-     * generation stamp and exactly-sized arrays (no adjacency slack)
-     * instead of per-element mutation calls. Each array is copied
-     * once into the graph, so a caller can reuse its buffers for the
-     * next graph (the workload generator does). Ids are the slot
-     * indices; adjacency is derived here: each node's spans hold its
-     * incident edge ids in edge-id order - exactly the state an
-     * addNode/addEdge/remove* replay would produce, so a graph
-     * rebuilt from another graph's slots is field-identical to it.
-     *
-     * The slots are checked against eight structural rules: an op
-     * class below `OpClass::NumOpClasses` (the pipeline indexes
-     * tables by op class), a semantic id inside the node array, an
-     * edge kind no greater than `EdgeKind::Spill`, edge endpoints
-     * inside the node array, a distance >= 0, no live edge on a dead
-     * node, no flow edge from an op that produces no value, and at
-     * most `maxSpanSlots` edges into and out of each node (the row
-     * named is the first edge past the limit).
-     * @throws DdgSlotError naming the rule and the node or edge row
-     */
-    static Ddg fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
-                         const DdgEdge *edges, std::uint32_t edge_slots);
 
     /**
      * Create an operation of class @p cls.
@@ -953,12 +1000,12 @@ class Ddg
      * @param distance iteration distance (>= 0)
      * @param mem_latency latency used for Memory edges (an int16_t)
      * @throws std::invalid_argument, leaving the graph unchanged, for
-     *         an edge `fromSlots` would reject: an endpoint outside
-     *         the node array or dead, a kind outside the edge kinds, a
-     *         negative distance, a memory latency outside int16_t, a
-     *         register-flow edge from an op that produces no value, or
-     *         @p src already holding `maxSpanSlots` out-edge slots
-     *         (@p dst as many in-edge slots)
+     *         an edge `DdgRecords::fromSlots` would reject: an endpoint
+     *         outside the node array or dead, a kind outside the edge
+     *         kinds, a negative distance, a memory latency outside
+     *         int16_t, a register-flow edge from an op that produces no
+     *         value, or @p src already holding `maxSpanSlots` out-edge
+     *         slots (@p dst as many in-edge slots)
      */
     EdgeId addEdge(NodeId src, NodeId dst, EdgeKind kind,
                    int distance = 0, int mem_latency = 1);
@@ -1039,18 +1086,18 @@ class Ddg
     void bumpGeneration() { generation_ = freshGeneration(); }
 
     /**
-     * Rebuild the graph from its live edges: `fromSlots` on the node
-     * slots and the live edges in id order. Tombstoned edges are
-     * dropped and the live ones renumbered densely, keeping their
-     * fields and their order, so every span lists the same edges in
-     * the same order as before. Node ids, node records and flags
-     * (dead node slots included) are unchanged. The graph comes back
-     * with exactly-sized arrays, no arena slack or dead region, and a
-     * fresh generation stamp (its edge ids changed). Replication and
-     * copy insertion leave dead edges and arena regions behind; the
-     * pipeline compacts at its copy-mutate-retry boundary and freezes
-     * the graph it returns against its input (`freeze`), so a result
-     * owns only live edges.
+     * Rebuild the graph from its live edges: the conversion of
+     * `DdgRecords::fromSlots` on the node slots and the live edges in
+     * id order. Tombstoned edges are dropped and the live ones
+     * renumbered densely, keeping their fields and their order, so
+     * every span lists the same edges in the same order as before.
+     * Node ids, node records and flags (dead node slots included) are
+     * unchanged. The graph comes back with exactly-sized arrays, no
+     * arena slack or dead region, and a fresh generation stamp (its
+     * edge ids changed). Replication and copy insertion leave dead
+     * edges and arena regions behind; the pipeline compacts at its
+     * copy-mutate-retry boundary and freezes the graph it returns
+     * against its input (`freeze`), so a result owns only live edges.
      * A graph with no dead edge slot and no arena slack already has
      * that form: compaction then only drops the capacity slack of the
      * arrays it owns alone (see "Shared storage") and keeps its
@@ -1063,12 +1110,14 @@ class Ddg
      * exception to the views' survive-every-mutation contract. Call
      * only at quiescent boundaries with no views held.
      * @throws DdgSlotError, leaving the graph unchanged, if the live
-     *         graph breaks a `fromSlots` rule (possible only after
-     *         field writes through `node()`/`edge()`)
+     *         graph breaks a `DdgRecords::fromSlots` rule (possible
+     *         only after field writes through `node()`/`edge()`)
      */
     void compact();
 
   private:
+    friend class DdgRecords;
+
     static std::uint64_t freshGeneration();
 
     /**

@@ -37,6 +37,8 @@ runJob(const CompileService::Job &job, std::size_t i,
     std::string error;
     CompileResult res;
     try {
+        // The job's records convert to the Ddg compile() reads here,
+        // once, so a conversion that throws fails this job alone.
         res = compile(*job.ddg, *job.mach,
                       job.opts ? *job.opts : kDefaultPipelineOptions,
                       &caches);

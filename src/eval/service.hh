@@ -81,10 +81,17 @@ const char *toString(JobOutcome outcome);
 class CompileService
 {
   public:
-    /** One compile job: a loop body and the machine to compile for. */
+    /**
+     * One compile job: a loop body and the machine to compile for.
+     * The body is records at rest, as a suite loop holds it; the
+     * worker that runs the job converts it to a Ddg once (see "Graphs
+     * at rest" in ddg/ddg.hh), so a result shares its arrays. A
+     * hand-built graph becomes a job's records through
+     * `DdgRecords(const Ddg &)`.
+     */
     struct Job
     {
-        const Ddg *ddg = nullptr;
+        const DdgRecords *ddg = nullptr;
         const MachineConfig *mach = nullptr;
         const PipelineOptions *opts = nullptr; //!< null = defaults
     };

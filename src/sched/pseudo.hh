@@ -105,6 +105,14 @@ class PseudoScratch
                       const LoopAnalysis &analysis,
                       const std::vector<ClusterId> &cluster_of, int ii);
 
+    /**
+     * Records convert to a temporary Ddg, which the bound graph
+     * pointer below would outlive; convert into a named Ddg first.
+     */
+    PseudoResult bind(const DdgRecords &, const MachineConfig &,
+                      const LoopAnalysis &,
+                      const std::vector<ClusterId> &, int) = delete;
+
     /** Current assignment (valid after bind(), kept by commitMove()). */
     const std::vector<ClusterId> &assignment() const { return assign_; }
 

@@ -298,7 +298,7 @@ generateLoop(const BenchmarkProfile &prof, Rng &rng, int index,
         if (node.cls != OpClass::Store && scratch.flowOut[n] == 0)
             node.liveOut = true;
     }
-    loop.ddg = Ddg::fromSlots(
+    loop.ddg = DdgRecords::fromSlots(
         scratch.nodes.data(),
         static_cast<std::uint32_t>(scratch.nodes.size()),
         scratch.edges.data(),

@@ -13,12 +13,15 @@
  *
  * The generator never grows a `Ddg` node by node. It appends each
  * loop's `DdgNode`/`DdgEdge` records to the vectors of a
- * `LoopScratch`, in exactly the order and with exactly the
- * fields `addNode`/`addEdge` would give them, and then builds the
- * graph with one validated `Ddg::fromSlots` call: exactly-sized
- * arrays, and the checks `addEdge` makes
- * (endpoints in range, distance >= 0, flow edges only from value
- * producers). Its two questions about the half-built graph are
+ * `LoopScratch`, in exactly the order and with exactly the fields
+ * `addNode`/`addEdge` would give them, and then makes the loop's
+ * records with one validated `DdgRecords::fromSlots` call:
+ * exactly-sized arrays, the checks `addEdge` makes (endpoints in
+ * range, distance >= 0, flow edges only from value producers), and no
+ * adjacency. A loop rests as those records (see "Graphs at rest" in
+ * ddg/ddg.hh): nothing traverses it between compiles, and each
+ * compile converts it to a `Ddg` once, so a held suite pays no
+ * adjacency. Its two questions about the half-built graph are
  * answered from scratch arrays: a register-flow out-degree per node
  * (which sinks are live-out) and, per dataflow component, a
  * register-flow in-edge CSR in edge-id order (the ancestor loads a
@@ -46,7 +49,8 @@ struct Loop
 {
     std::string benchmark; //!< owning benchmark name
     int index = 0;         //!< loop number within the benchmark
-    Ddg ddg;               //!< loop body
+    /** Loop body, at rest: records that each compile converts. */
+    DdgRecords ddg;
     LoopProfile profile;   //!< dynamic execution profile
 
     /** "benchmark#index". */

@@ -6,14 +6,16 @@
  * example are unchanged by the view migration. The DdgArena section
  * covers the adjacency blocks: the growth rule, stale views, the
  * 65,535-slot limit, compact(), and the round trip through
- * DdgRecords (freeze() against a base graph and the conversion back,
- * which materializes the records and rebuilds the blocks). The
- * DdgSlots section covers `Ddg::fromSlots`: each of its structural
- * rules rejects a bad row, and a graph rebuilt from its own slot
- * arrays is field-identical to it. The DdgShared section covers copy-on-write storage: a copy
- * shares and allocates nothing, a first write clones only what it
- * writes, views follow the clone, and concurrent copies of one graph
- * are race-free (the TSan job runs this binary).
+ * DdgRecords (freeze() against a base graph, or a graph's records as
+ * they stand, and the conversion back, which materializes the records
+ * and rebuilds the blocks). The DdgSlots section covers
+ * `DdgRecords::fromSlots`: each of its structural rules rejects a bad
+ * row with its message, it builds no adjacency, and a graph rebuilt
+ * from its own slot arrays is field-identical to it. The DdgShared
+ * section covers copy-on-write storage: a copy shares and allocates
+ * nothing, a first write clones only what it writes, views follow the
+ * clone, and concurrent copies of one graph are race-free (the TSan
+ * job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -816,9 +818,11 @@ expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
  * included) / addEdge / addReplica / removeNode / removeEdge
  * interleavings and compactions. At random points a copy is frozen
  * against the base and checked against the live graph
- * (expectFreezeMatchesLiveGraph). Records kept along the way must
- * keep their bytes while the graph they came from mutates on, and
- * the base is never written.
+ * (expectFreezeMatchesLiveGraph), and the graph's records as they
+ * stand (`DdgRecords(const Ddg &)`) convert back to a graph equal to
+ * it, spans and views included. Records kept along the way must keep
+ * their bytes while the graph they came from mutates on, and the base
+ * is never written.
  */
 TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
 {
@@ -893,11 +897,19 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
                 g.compact();
             if (rng.chance(0.1)) {
                 const DdgRecords rec = expectFreezeMatchesLiveGraph(base, g);
+                // The graph's records as they stand own nothing and
+                // convert back to the graph itself.
+                const DdgRecords as_is(g);
+                EXPECT_EQ(as_is.ownedBytes(), 0u);
+                EXPECT_EQ(as_is.generation(), g.generation());
+                ASSERT_NO_FATAL_FAILURE(expectSameGraph(Ddg(as_is), g));
                 ASSERT_FALSE(HasFailure()) << "round " << round
                                            << " step " << step;
                 ++round_trips;
-                if (rng.chance(0.3))
+                if (rng.chance(0.3)) {
                     kept.emplace_back(rec, imageOf(Ddg(rec)));
+                    kept.emplace_back(as_is, imageOf(g));
+                }
             }
         }
         expectFreezeMatchesLiveGraph(base, g);
@@ -999,7 +1011,7 @@ TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
     EXPECT_EQ(g.inEdges(hubs[2]).size(), 48u);
 }
 
-/** A graph's slot arrays, copied out for fromSlots. */
+/** A graph's slot arrays, copied out for DdgRecords::fromSlots. */
 struct Slots
 {
     std::vector<DdgNode> nodes;
@@ -1013,16 +1025,16 @@ struct Slots
             edges.push_back(g.edge(e));
     }
 
-    Ddg build() const
+    DdgRecords build() const
     {
-        return Ddg::fromSlots(
+        return DdgRecords::fromSlots(
             nodes.data(), static_cast<std::uint32_t>(nodes.size()),
             edges.data(), static_cast<std::uint32_t>(edges.size()));
     }
 };
 
-/** A graph rebuilt by fromSlots must carry exactly-sized spans that
- *  still grow correctly when mutated afterwards. */
+/** A graph converted from fromSlots' records must carry exactly-sized
+ *  spans that still grow correctly when mutated afterwards. */
 TEST(DdgArena, FromSlotsCompactArenaGrowsAfterLoad)
 {
     SmallGraph s;
@@ -1132,7 +1144,7 @@ TEST(DdgArena, CompactKeepsOnlyLiveEdgesAndRestamps)
  */
 TEST(DdgArena, InAppendToANodeWithOutEdgesMovesItsBlock)
 {
-    // fromSlots' exact layout: node 0's block holds its two out-edges
+    // The converted layout: node 0's block holds its two out-edges
     // at arena offset 0, v's block (two in, three out) follows at 2.
     Ddg seed;
     for (int i = 0; i < 5; ++i)
@@ -1200,9 +1212,9 @@ TEST(DdgArena, InAppendToANodeWithOutEdgesMovesItsBlock)
 
 /**
  * A node holds up to 65,535 edge slots each way, through fromSlots
- * and addEdge alike. The next edge is rejected: fromSlots names its
- * row, and addEdge throws std::invalid_argument and leaves the graph
- * unchanged.
+ * and addEdge alike. The next edge is rejected: fromSlots, which
+ * counts the spans without building them, names its row, and addEdge
+ * throws std::invalid_argument and leaves the graph unchanged.
  */
 TEST(DdgArena, SpanLimitIs65535SlotsEachWay)
 {
@@ -1253,16 +1265,13 @@ TEST(DdgArena, SpanLimitIs65535SlotsEachWay)
             bad.build();
             ADD_FAILURE() << "accepted " << rules[k];
         } catch (const DdgSlotError &err) {
-            const std::string what = err.what();
-            EXPECT_NE(what.find("edge record row 131071"),
-                      std::string::npos)
-                << what;
-            EXPECT_NE(what.find(rules[k]), std::string::npos) << what;
+            EXPECT_EQ(std::string(err.what()),
+                      std::string("edge record row 131071: ") + rules[k]);
         }
     }
 }
 
-// --- Bulk construction (fromSlots). ----------------------------------
+// --- Bulk construction (DdgRecords::fromSlots). ----------------------
 
 /** Field-by-field equality of two graphs, raw spans included. */
 void
@@ -1449,9 +1458,8 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
             bad.build();
             ADD_FAILURE() << "accepted";
         } catch (const DdgSlotError &err) {
-            const std::string what = err.what();
-            EXPECT_NE(what.find(c.row), std::string::npos) << what;
-            EXPECT_NE(what.find(c.rule), std::string::npos) << what;
+            EXPECT_EQ(std::string(err.what()),
+                      std::string(c.row) + ": " + c.rule);
         }
     }
 }
@@ -1469,6 +1477,26 @@ allocsDuring(Fn &&fn)
     fn();
     g_count_news.store(false, std::memory_order_relaxed);
     return g_new_calls.load(std::memory_order_relaxed);
+}
+
+/**
+ * Records from fromSlots are their two exactly-sized record arrays
+ * and no adjacency: a load allocates those two arrays alone, and they
+ * own nothing beyond them. A conversion shares them and allocates the
+ * arena and the block array alone.
+ */
+TEST(DdgSlots, FromSlotsBuildsNoAdjacency)
+{
+    const Slots slots(everyFieldDdg());
+    (void)Ddg(slots.build()); // grows the per-thread span counters
+    std::optional<DdgRecords> rec;
+    EXPECT_EQ(allocsDuring([&] { rec.emplace(slots.build()); }), 2u);
+    EXPECT_EQ(rec->ownedBytes(), 0u);
+    EXPECT_EQ(rec->numNodeSlots(), 18);
+    std::optional<Ddg> g;
+    EXPECT_EQ(allocsDuring([&] { g.emplace(*rec); }), 2u);
+    EXPECT_EQ(g->generation(), rec->generation());
+    expectDdgIdentical(*g, everyFieldDdg());
 }
 
 /** A load feeding a chain of @p n - 1 integer ops. */

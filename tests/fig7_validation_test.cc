@@ -43,7 +43,7 @@ namespace
  * and the schedule index them.
  */
 std::string
-deadSlotNotRemovedInput(const DdgRecords &result, const Ddg &in)
+deadSlotNotRemovedInput(const DdgRecords &result, const DdgRecords &in)
 {
     for (NodeId n = 0; n < result.numNodeSlots(); ++n) {
         const DdgNode node = result.node(n);
@@ -84,15 +84,15 @@ invalidResult(const std::vector<CompileService::Job> &jobs,
         deadSlotNotRemovedInput(r.finalDdg, *jobs[j].ddg);
     if (!dead.empty())
         return dead;
-    const MachineConfig &mach = *jobs[j].mach;
+    // One conversion each of the result's and the input's records.
+    // simulate runs checkSchedule first, with the same options, and
+    // returns its errors.
+    const Ddg result(r.finalDdg);
+    const Ddg input(*jobs[j].ddg);
     CheckOptions check;
     check.zeroBusLatencyForLength = jobs[j].opts->zeroBusLatency;
-    const auto errs =
-        checkSchedule(r.finalDdg, mach, r.partition, r.schedule, check);
-    if (!errs.empty())
-        return "checkSchedule: " + errs.front();
-    const auto rep = simulate(r.finalDdg, mach, r.partition, r.schedule,
-                              *jobs[j].ddg, 8, 1, check);
+    const auto rep = simulate(result, *jobs[j].mach, r.partition,
+                              r.schedule, input, 8, 1, check);
     if (!rep.ok)
         return "simulate: " +
                (rep.errors.empty() ? "mismatch" : rep.errors.front());

@@ -10,12 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "partition/partition.hh"
 #include "sched/comms.hh"
 #include "sched/mii.hh"
 #include "sched/pseudo.hh"
+#include "vliw/reference.hh"
 #include "workloads/generator.hh"
 #include "workloads/profiles.hh"
 
@@ -49,23 +53,26 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
     Rng rng(2026);
     for (std::size_t pi = 0; pi < profiles.size(); pi += 3) {
         const Loop loop = generateLoop(profiles[pi], rng, 0);
-        const auto nodes = loop.ddg.nodes().toVector();
+        // bind() keeps the graph, so it binds a named Ddg, not the
+        // loop's records (bind refuses those; see BindAccepts below).
+        const Ddg ddg(loop.ddg);
+        const auto nodes = ddg.nodes().toVector();
         for (const char *cfg : {"2c1b2l64r", "4c2b4l64r"}) {
             const auto m = MachineConfig::fromString(cfg);
-            const int ii = minimumIi(loop.ddg, m);
+            const int ii = minimumIi(ddg, m);
 
-            std::vector<ClusterId> assign(loop.ddg.numNodeSlots(), 0);
+            std::vector<ClusterId> assign(ddg.numNodeSlots(), 0);
             for (NodeId n : nodes) {
                 assign[n] = static_cast<int>(
                     rng.uniformInt(0, m.numClusters() - 1));
             }
 
-            const LoopAnalysis analysis = analyzeLoop(loop.ddg, m);
+            const LoopAnalysis analysis = analyzeLoop(ddg, m);
             PseudoScratch inc, oracle;
             PseudoResult best =
-                inc.bind(loop.ddg, m, analysis, assign, ii);
+                inc.bind(ddg, m, analysis, assign, ii);
             expectSameResult(best,
-                             pseudoSchedule(loop.ddg, m, analysis,
+                             pseudoSchedule(ddg, m, analysis,
                                             assign, ii, oracle),
                              loop.name().c_str());
 
@@ -73,7 +80,7 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
                 const NodeId n = nodes[static_cast<std::size_t>(
                     rng.uniformInt(0, static_cast<int>(nodes.size()) -
                                           1))];
-                if (loop.ddg.node(n).cls == OpClass::Copy)
+                if (ddg.node(n).cls == OpClass::Copy)
                     continue;
                 const int c = static_cast<int>(
                     rng.uniformInt(0, m.numClusters() - 1));
@@ -83,7 +90,7 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
                 std::vector<ClusterId> moved = inc.assignment();
                 moved[n] = c;
                 const PseudoResult full = pseudoSchedule(
-                    loop.ddg, m, analysis, moved, ii, oracle);
+                    ddg, m, analysis, moved, ii, oracle);
 
                 PseudoResult out;
                 const bool accepted = inc.probeMove(n, c, best, out);
@@ -102,7 +109,7 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
 
                 ASSERT_EQ(
                     inc.commCount(),
-                    findCommunications(loop.ddg, inc.assignment())
+                    findCommunications(ddg, inc.assignment())
                         .count())
                     << loop.name() << " step " << step;
             }
@@ -116,15 +123,16 @@ TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)
     Rng rng(77);
     for (std::size_t pi = 0; pi < profiles.size(); pi += 4) {
         const Loop loop = generateLoop(profiles[pi], rng, 1);
-        const auto nodes = loop.ddg.nodes().toVector();
+        const Ddg ddg(loop.ddg);
+        const auto nodes = ddg.nodes().toVector();
         const auto m = MachineConfig::fromString("4c2b2l64r");
 
-        std::vector<ClusterId> assign(loop.ddg.numNodeSlots(), 0);
+        std::vector<ClusterId> assign(ddg.numNodeSlots(), 0);
         for (NodeId n : nodes) {
             assign[n] = static_cast<int>(
                 rng.uniformInt(0, m.numClusters() - 1));
         }
-        CommInfo inc = findCommunications(loop.ddg, assign);
+        CommInfo inc = findCommunications(ddg, assign);
 
         for (int step = 0; step < 120; ++step) {
             const NodeId n = nodes[static_cast<std::size_t>(
@@ -135,12 +143,12 @@ TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)
 
             // Moving n changes its own targets and its producers'.
             std::vector<NodeId> touched{n};
-            for (NodeId p : loop.ddg.flowPreds(n))
+            for (NodeId p : ddg.flowPreds(n))
                 touched.push_back(p);
-            inc.update(loop.ddg, assign, touched);
+            inc.update(ddg, assign, touched);
 
             expectSameComms(inc,
-                            findCommunications(loop.ddg, assign),
+                            findCommunications(ddg, assign),
                             loop.name().c_str());
         }
     }
@@ -180,6 +188,38 @@ TEST(Incremental, CommInfoUpdateHandlesGraphEdits)
     expectSameComms(inc, findCommunications(g, assign), "removed");
     (void)s;
 }
+
+/**
+ * Does `PseudoScratch::bind` accept a @p Graph? Records would convert
+ * to a temporary Ddg that the scratch's graph pointer outlives.
+ */
+template <typename Graph, typename = void>
+struct BindAccepts : std::false_type
+{
+};
+
+template <typename Graph>
+struct BindAccepts<Graph,
+                   std::void_t<decltype(std::declval<PseudoScratch &>().bind(
+                       std::declval<const Graph &>(),
+                       std::declval<const MachineConfig &>(),
+                       std::declval<const LoopAnalysis &>(),
+                       std::declval<const std::vector<ClusterId> &>(), 0))>>
+    : std::true_type
+{
+};
+
+// The two src/ classes that keep a graph reference past a call,
+// PseudoScratch and ReferenceInterpreter, accept a Ddg and refuse
+// records, so neither can keep a converted temporary.
+static_assert(BindAccepts<Ddg>::value, "bind takes a Ddg");
+static_assert(!BindAccepts<DdgRecords>::value, "bind refuses records");
+static_assert(std::is_constructible_v<ReferenceInterpreter, const Ddg &,
+                                      int>,
+              "the reference takes a Ddg");
+static_assert(!std::is_constructible_v<ReferenceInterpreter,
+                                       const DdgRecords &, int>,
+              "the reference refuses records");
 
 } // namespace
 } // namespace cvliw

@@ -476,22 +476,18 @@ TEST(Pipeline, UnchangedResultGraphSharesTheInputStorage)
     EXPECT_TRUE(sharesInput(rc.finalDdg, two));
 }
 
-TEST(Pipeline, ResultGraphWithCopiesOwnsOnlyItsAdditions)
+/**
+ * Does a changed result graph keep @p in's records in @p in's slots (a
+ * removed one loses its alive flag), own only the appended slots and
+ * the tombstone words, and hold every appended slot live?
+ */
+void
+expectOwnsOnlyItsAdditions(const DdgRecords &result, const Ddg &in)
 {
-    PaperExample ex;
-    const Ddg &in = ex.ddg;
-    const std::string image = recordBytes(in);
-    const auto r = compile(in, ex.mach);
-    ASSERT_TRUE(r.ok);
-    ASSERT_TRUE(r.finalDdg.hasCopies());
-    EXPECT_NE(r.finalDdg.generation(), in.generation());
-
-    // The input's slots keep its records (a removed one loses its
-    // alive flag); only the appended slots and the tombstone words
-    // are the result's own, and every appended slot is live.
+    EXPECT_NE(result.generation(), in.generation());
     const int bn = in.numNodeSlots(), be = in.numEdgeSlots();
-    for (NodeId n = 0; n < r.finalDdg.numNodeSlots(); ++n) {
-        DdgNode rec = r.finalDdg.node(n);
+    for (NodeId n = 0; n < result.numNodeSlots(); ++n) {
+        DdgNode rec = result.node(n);
         if (n >= bn) {
             EXPECT_TRUE(rec.alive) << "appended node " << n;
             continue;
@@ -501,8 +497,8 @@ TEST(Pipeline, ResultGraphWithCopiesOwnsOnlyItsAdditions)
         EXPECT_EQ(std::memcmp(&rec, &in.node(n), sizeof rec), 0)
             << "node " << n;
     }
-    for (EdgeId e = 0; e < r.finalDdg.numEdgeSlots(); ++e) {
-        DdgEdge rec = r.finalDdg.edge(e);
+    for (EdgeId e = 0; e < result.numEdgeSlots(); ++e) {
+        DdgEdge rec = result.edge(e);
         if (e >= be) {
             EXPECT_TRUE(rec.alive) << "appended edge " << e;
             continue;
@@ -513,15 +509,59 @@ TEST(Pipeline, ResultGraphWithCopiesOwnsOnlyItsAdditions)
             << "edge " << e;
     }
     const std::size_t added_nodes =
-        static_cast<std::size_t>(r.finalDdg.numNodeSlots() - bn);
+        static_cast<std::size_t>(result.numNodeSlots() - bn);
     const std::size_t added_edges =
-        static_cast<std::size_t>(r.finalDdg.numEdgeSlots() - be);
-    EXPECT_GT(added_nodes, 0u);
-    EXPECT_EQ(r.finalDdg.ownedBytes(),
+        static_cast<std::size_t>(result.numEdgeSlots() - be);
+    EXPECT_EQ(result.ownedBytes(),
               8 * added_nodes + 16 * added_edges +
                   8 * static_cast<std::size_t>((bn + be + 63) / 64));
+}
 
+TEST(Pipeline, ResultGraphWithCopiesOwnsOnlyItsAdditions)
+{
+    PaperExample ex;
+    const Ddg &in = ex.ddg;
+    const std::string image = recordBytes(in);
+    const auto r = compile(in, ex.mach);
+    ASSERT_TRUE(r.ok);
+    ASSERT_TRUE(r.finalDdg.hasCopies());
+    EXPECT_GT(r.finalDdg.numNodeSlots(), in.numNodeSlots());
+    expectOwnsOnlyItsAdditions(r.finalDdg, in);
     EXPECT_EQ(recordBytes(in), image) << "the input was written";
+}
+
+TEST(Pipeline, SuiteLoopResultsShareTheLoopsArrays)
+{
+    // A suite loop rests as records. Each compile converts them and
+    // freezes its result against the conversion, so an unchanged
+    // result holds the loop's own arrays and stamp, and a changed one
+    // owns only its additions. No compile writes the shared arrays.
+    const auto loops = buildBenchmark("swim");
+    int unchanged = 0, changed = 0;
+    for (const char *cfg : {"unified", "2c1b2l64r"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        for (const Loop &loop : loops) {
+            SCOPED_TRACE(loop.name() + " on " + cfg);
+            const Ddg in(loop.ddg);
+            const std::string image = recordBytes(in);
+            const auto r = compile(loop.ddg, m);
+            ASSERT_TRUE(r.ok);
+            EXPECT_EQ(recordBytes(in), image) << "the loop was written";
+            if (r.finalDdg.ownedBytes() != 0) {
+                ++changed;
+                expectOwnsOnlyItsAdditions(r.finalDdg, in);
+                continue;
+            }
+            ++unchanged;
+            EXPECT_TRUE(sharesInput(r.finalDdg, in));
+            // Both conversions share the loop's arrays.
+            const Ddg out(r.finalDdg);
+            EXPECT_EQ(&out.node(0), &in.node(0));
+            EXPECT_EQ(&out.edge(0), &in.edge(0));
+        }
+    }
+    EXPECT_GT(unchanged, 0);
+    EXPECT_GT(changed, 0);
 }
 
 /** a -> b -> a, both at distance 0: no iteration could ever start. */

@@ -90,6 +90,19 @@ zeroDistanceCycle()
     return g;
 }
 
+/** What a direct compile of @p graph on @p m throws as InvalidInput. */
+std::string
+invalidInputOf(const DdgRecords &graph, const MachineConfig &m)
+{
+    try {
+        compile(graph, m);
+    } catch (const InvalidInput &err) {
+        return err.what();
+    }
+    ADD_FAILURE() << "compile did not throw InvalidInput";
+    return {};
+}
+
 /** Field-level equality, stronger diagnostics than the digest. */
 void
 expectResultsEqual(const SuiteResult &a, const SuiteResult &b)
@@ -267,8 +280,9 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
     // Rng-seeded quarter of the jobs on a pool of the default size,
     // over two rounds of two configs; afterwards the same pool (its
     // workers' caches used by throwing jobs or not) serves a clean
-    // batch bit-exactly.
-    const Ddg cyclic = zeroDistanceCycle();
+    // batch bit-exactly. A job's graph is records, as a hand-built
+    // graph becomes one; the worker's conversion keeps the typed error.
+    const DdgRecords cyclic(zeroDistanceCycle());
     const auto &sample = sampleLoops();
     const std::vector<Loop> loops(sample.begin(), sample.begin() + 24);
     const std::vector<MachineConfig> machs = {
@@ -281,6 +295,8 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
             oracle[c].push_back(oracleDigest(loop.ddg, machs[c]));
     }
     const std::uint64_t empty = digestOf(CompileResult{});
+    const std::string cycle_error = invalidInputOf(cyclic, machs[0]);
+    ASSERT_EQ(cycle_error, invalidInputOf(cyclic, machs[1]));
 
     // One batch of every loop on machs[c], cyclic where @p bad says.
     const auto check = [&](CompileService &service, std::size_t c,
@@ -299,6 +315,7 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
                 EXPECT_NE(batch.errors[i].find("cycle"),
                           std::string::npos)
                     << batch.errors[i];
+                EXPECT_EQ(batch.errors[i], cycle_error);
                 EXPECT_EQ(digestOf(batch.results[i]), empty);
                 continue;
             }
@@ -365,7 +382,7 @@ TEST(CompileService, WorkerKeepsServingBitExactAfterAThrow)
     for (const Loop &loop : some)
         oracle.push_back(oracleDigest(loop.ddg, m));
 
-    const Ddg cyclic = zeroDistanceCycle();
+    const DdgRecords cyclic(zeroDistanceCycle());
     std::vector<CompileService::Job> jobs = jobsFor(some, m);
     jobs[2].ddg = &cyclic;
     CompileService service(1);
@@ -481,7 +498,7 @@ TEST(CompileService, CompileSuiteWarnsOncePerFailedLoop)
     // config, the outcome and the error; none for the loops that did.
     const auto &loops = sampleLoops();
     std::vector<Loop> suite(loops.begin(), loops.begin() + 4);
-    suite[1].ddg = zeroDistanceCycle();
+    suite[1].ddg = DdgRecords(zeroDistanceCycle());
     const auto m = MachineConfig::fromString("4c2b2l64r");
 
     CompileService service(2);

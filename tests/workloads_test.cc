@@ -180,6 +180,20 @@ TEST(Suite, SizeIs678)
     EXPECT_EQ(buildSuite().size(), 678u);
 }
 
+// A loop rests as records, not as a graph with adjacency: a 32-byte
+// name, the index, the 64-byte records handle and the profile.
+static_assert(sizeof(Loop) == 120, "a loop holds records, not a Ddg");
+
+TEST(Suite, LoopsRestAsRecordsThatOwnNothing)
+{
+    // Each loop's records are their own base: no delta, nothing owned
+    // beyond the exactly-sized record arrays every compile converts.
+    for (const Loop &loop : buildSuite(42)) {
+        EXPECT_EQ(loop.ddg.ownedBytes(), 0u) << loop.name();
+        EXPECT_NE(loop.ddg.generation(), 0u) << loop.name();
+    }
+}
+
 TEST(Suite, BenchmarkSubsetMatchesFullSuite)
 {
     const auto all = buildSuite(42);
@@ -202,15 +216,16 @@ TEST(Suite, LoopsAreStructurallySane)
 {
     const auto suite = buildSuite();
     for (const Loop &loop : suite) {
-        ASSERT_GE(loop.ddg.numNodes(), 5) << loop.name();
+        const Ddg g(loop.ddg);
+        ASSERT_GE(g.numNodes(), 5) << loop.name();
         // Acyclic at distance 0 (topoOrder panics otherwise).
-        EXPECT_EQ(topoOrder(loop.ddg).size(),
-                  static_cast<std::size_t>(loop.ddg.numNodes()));
+        EXPECT_EQ(topoOrder(g).size(),
+                  static_cast<std::size_t>(g.numNodes()));
         // Every sink is a store or live-out (safe for dead-code
         // elimination after replication).
-        for (NodeId n : loop.ddg.nodes()) {
-            const DdgNode &node = loop.ddg.node(n);
-            if (loop.ddg.flowSuccs(n).empty()) {
+        for (NodeId n : g.nodes()) {
+            const DdgNode &node = g.node(n);
+            if (g.flowSuccs(n).empty()) {
                 EXPECT_TRUE(node.cls == OpClass::Store ||
                             node.liveOut)
                     << loop.name() << " node n" << n;
