@@ -99,7 +99,8 @@ reduceScheduleLength(CompileResult &result, Ddg &final_ddg,
         }
 
         // The producer id is valid in the pre-copy graph as well:
-        // copy insertion only appends nodes.
+        // copy insertion only appends nodes, and the graph holds no
+        // spill code (see the header).
         Ddg trial = best_pre;
         Partition trial_part = best_part;
         ReplicationStats rstats;

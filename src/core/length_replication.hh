@@ -24,9 +24,13 @@ struct CompileResult;
  * result's schedule and partition and @p final_ddg are replaced and
  * result.lengthSaved records the improvement.
  *
- * @param result a successful compile at some II (updated in place)
+ * @param result a successful compile at some II that spilled nothing
+ *        (updated in place)
  * @param final_ddg the graph result.schedule schedules (updated in
- *        place); the pipeline freezes it into result.finalDdg after
+ *        place); the pipeline freezes it into result.finalDdg after.
+ *        It must be @p pre_copy plus the copies alone: a rebuild
+ *        from @p pre_copy would drop spill code, and a critical
+ *        copy's producer must be a node of @p pre_copy
  * @param pre_copy @p final_ddg *before* copy insertion
  * @param pre_copy_part partition matching @p pre_copy
  */

@@ -182,16 +182,6 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             result.comsFinal = 0;
         }
 
-        // Copy-mutate-retry boundary: the replication pass grew the
-        // work graph through block relocations and tombstoned the
-        // edges of the code it removed. Rebuild it from its live edges
-        // (same nodes, same adjacency order, dense edge ids) before the
-        // scheduler walks it. An unchanged graph still shares the
-        // caller's storage and is left alone. No views or edge ids are
-        // live here: the passes above take and drop their own.
-        if (work.generation() != original.generation())
-            work.compact();
-
         // Section 5.1 replication, the pre-copy graph's only reader,
         // works on it after a successful schedule. Kept only when that
         // pass runs: a kept copy shares the work graph's storage, so
@@ -295,7 +285,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         result.partition = std::move(part);
         result.repl = rstats;
 
-        if (length_repl) {
+        // Section 5.1 rebuilds the graph from the pre-copy one, which
+        // holds none of the spill code appended after the copies, so
+        // it runs only on attempts that spilled nothing.
+        if (length_repl && spills_done == 0) {
             reduceScheduleLength(result, work, *pre_copy, *pre_copy_part,
                                  mach, sched_opts);
         }

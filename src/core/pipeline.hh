@@ -33,7 +33,10 @@ struct PipelineOptions
     /** Figure-12 bound: copies keep II impact but zero latency. */
     bool zeroBusLatency = false;
 
-    /** Section 5.1: post-schedule replication to shorten the epilog. */
+    /**
+     * Section 5.1: post-schedule replication to shorten the epilog,
+     * on the successful II attempt when it spilled nothing.
+     */
     bool lengthReplication = false;
 
     /**
@@ -197,10 +200,12 @@ struct CompileCaches
  * (a unified-machine loop that needs no spill, a clustered loop that
  * needs no copy) holds those arrays alone, tombstones and stamp
  * included. A changed one also owns one block: its appended nodes and
- * live edges and a tombstone bit per input slot it removed. Node ids
- * are the compiled graph's, input edges keep their input ids, and the
- * appended live edges follow them densely; the stamp is fresh. No
- * compile builds the adjacency of the graph it returns.
+ * live edges and a tombstone bit per input slot it removed. No pass
+ * renumbers the work graph (nothing compacts it), so every input node
+ * and edge keeps its input id from the copy to the freeze, which
+ * diffs the graph against the input slot by slot; the appended live
+ * edges follow the input's edge slots densely, and the stamp is
+ * fresh. No compile builds the adjacency of the graph it returns.
  *
  * The input is analysed once (`analyzeLoop`), and the analysis is
  * passed to the partitioner, every refinement and every schedule of

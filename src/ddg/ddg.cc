@@ -118,6 +118,20 @@ countSpans(const DdgEdge *edges, std::uint32_t edge_slots,
     }
 }
 
+/**
+ * Does @p now hold record @p was, alive or removed? Every field must
+ * match but `alive`, which @p now may have cleared and not set.
+ */
+template <typename Record>
+bool
+holdsRecord(const Record &was, Record now)
+{
+    if (now.alive && !was.alive)
+        return false;
+    now.alive = was.alive;
+    return std::memcmp(&was, &now, sizeof now) == 0;
+}
+
 } // namespace
 
 std::uint64_t
@@ -280,77 +294,40 @@ Ddg::freeze(const Ddg &base) &&
 {
     const std::size_t bn = base.nodes_.size();
     const std::size_t be = base.edges_.size();
-    if (nodes_.size() < bn) {
-        throw std::invalid_argument(
-            "freeze: " + std::to_string(nodes_.size()) +
-            " node slots, fewer than the base's " + std::to_string(bn));
-    }
 
     // Tombstone bits, base node slots first, in a per-thread scratch
     // until the delta block's size is known.
     thread_local std::vector<std::uint64_t> bits;
     bits.assign((bn + be + 63) / 64, 0);
-    const auto remove = [](std::size_t b) {
-        bits[b / 64] |= std::uint64_t{1} << (b % 64);
-    };
+    bool any_removed = false;
 
-    if (nodes_.data() != base.nodes_.data()) {
-        for (std::size_t i = 0; i < bn; ++i) {
-            const DdgNode &b = base.nodes_[i];
-            const DdgNode &w = nodes_[i];
-            if (b.semanticId != w.semanticId || b.cls != w.cls ||
-                b.isReplica != w.isReplica || b.isSpill != w.isSpill ||
-                b.liveOut != w.liveOut || (w.alive && !b.alive)) {
+    // Slot i below the base's count must hold base record i, alive or
+    // removed; bit `first + i` marks a removed one. An array this
+    // graph still shares with the base holds the base's records.
+    const auto diff = [&](const auto &mine, const auto &theirs,
+                          std::size_t first, const char *slot) {
+        if (mine.data() == theirs.data())
+            return;
+        for (std::size_t i = 0; i < theirs.size(); ++i) {
+            if (i >= mine.size() || !holdsRecord(theirs[i], mine[i])) {
                 throw std::invalid_argument(
-                    "freeze: node record n" + std::to_string(i) +
-                    " differs from its base's");
+                    std::string("freeze: ") + slot + std::to_string(i) +
+                    " does not hold its base's record");
             }
-            if (b.alive && !w.alive)
-                remove(i);
+            if (theirs[i].alive && !mine[i].alive) {
+                const std::size_t b = first + i;
+                bits[b / 64] |= std::uint64_t{1} << (b % 64);
+                any_removed = true;
+            }
         }
-    }
+    };
+    diff(nodes_, base.nodes_, 0, "node slot n");
+    diff(edges_, base.edges_, bn, "edge slot ");
 
-    // The live edges from `appended` on are appended; the ones before
-    // it are matched, in order, to base live edges, and the base live
-    // edges no edge matched are tombstoned.
-    std::size_t appended = edges_.size();
-    if (edges_.data() != base.edges_.data() || edges_.size() != be) {
-        const auto same = [](const DdgEdge &a, const DdgEdge &b) {
-            return a.src == b.src && a.dst == b.dst &&
-                   a.distance == b.distance &&
-                   a.memLatency == b.memLatency && a.kind == b.kind;
-        };
-        std::size_t next = 0; // first base slot not yet matched
-        for (std::size_t w = 0; w < edges_.size(); ++w) {
-            const DdgEdge &e = edges_[w];
-            if (!e.alive)
-                continue;
-            std::size_t k = next;
-            while (k < be &&
-                   !(base.edges_[k].alive && same(base.edges_[k], e)))
-                ++k;
-            if (k == be) {
-                appended = w;
-                break;
-            }
-            for (; next < k; ++next) {
-                if (base.edges_[next].alive)
-                    remove(bn + next);
-            }
-            next = k + 1;
-        }
-        for (; next < be; ++next) {
-            if (base.edges_[next].alive)
-                remove(bn + next);
-        }
-    }
     std::size_t added_edges = 0;
-    for (std::size_t w = appended; w < edges_.size(); ++w)
-        added_edges += edges_[w].alive;
+    for (std::size_t j = be; j < edges_.size(); ++j)
+        added_edges += edges_[j].alive;
     const std::size_t added_nodes = nodes_.size() - bn;
-    const bool any_removed =
-        std::any_of(bits.begin(), bits.end(),
-                    [](std::uint64_t word) { return word != 0; });
 
     DdgRecords r;
     r.nodes_ = base.nodes_;
@@ -370,9 +347,9 @@ Ddg::freeze(const Ddg &base) &&
                     added_nodes * sizeof(DdgNode));
         auto *out =
             reinterpret_cast<unsigned char *>(words + r.edgeWordsAt());
-        for (std::size_t w = appended; w < edges_.size(); ++w) {
-            if (edges_[w].alive) {
-                std::memcpy(out, &edges_[w], sizeof(DdgEdge));
+        for (std::size_t j = be; j < edges_.size(); ++j) {
+            if (edges_[j].alive) {
+                std::memcpy(out, &edges_[j], sizeof(DdgEdge));
                 out += sizeof(DdgEdge);
             }
         }
@@ -618,63 +595,6 @@ Ddg::edgeLatency(EdgeId eid, const MachineConfig &mach) const
     if (src.cls == OpClass::Copy)
         return mach.busLatency();
     return mach.latency(src.cls);
-}
-
-bool
-Ddg::hasCopies() const
-{
-    for (const DdgNode &n : nodes_) {
-        if (n.alive && n.cls == OpClass::Copy)
-            return true;
-    }
-    return false;
-}
-
-DdgNode
-DdgRecords::node(NodeId id) const
-{
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const auto i = static_cast<std::size_t>(id);
-    DdgNode n;
-    if (i < nodes_.size()) {
-        n = nodes_[i];
-        if (removed(i))
-            n.alive = false;
-    } else {
-        std::memcpy(static_cast<void *>(&n),
-                    delta_.data() + 1 + kNodeWords * (i - nodes_.size()),
-                    sizeof n);
-    }
-    return n;
-}
-
-DdgEdge
-DdgRecords::edge(EdgeId id) const
-{
-    cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    const auto j = static_cast<std::size_t>(id);
-    DdgEdge e;
-    if (j < edges_.size()) {
-        e = edges_[j];
-        if (removed(nodes_.size() + j))
-            e.alive = false;
-    } else {
-        std::memcpy(static_cast<void *>(&e),
-                    delta_.data() + edgeWordsAt() +
-                        kEdgeWords * (j - edges_.size()),
-                    sizeof e);
-    }
-    return e;
-}
-
-bool
-DdgRecords::hasCopies() const
-{
-    for (NodeId v : nodes()) {
-        if (node(v).cls == OpClass::Copy)
-            return true;
-    }
-    return false;
 }
 
 std::size_t

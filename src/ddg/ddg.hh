@@ -71,7 +71,7 @@
  *    edges but never move blocks. The one exception is an explicit
  *    `compact()` call, which rebuilds the graph from its live edges
  *    (and invalidates outstanding views and edge ids; see its
- *    comment).
+ *    comment). No compile pass compacts.
  *
  * ## Traversal views
  *
@@ -86,7 +86,9 @@
  * graph object (the storage handle inside it) and snapshots the
  * viewed span's bounds at creation. It therefore stays valid - never
  * dangles - across every mutation short of destroying/moving the
- * graph or compacting it: tombstoning (`removeNode`/`removeEdge`),
+ * graph or compacting it (no compile pass compacts, so a view taken
+ * inside compile() survives every mutation there): tombstoning
+ * (`removeNode`/`removeEdge`),
  * `addNode`/`addReplica`, `addEdge` anywhere (an append to the node's
  * other list included, even when it relocates the block), and the
  * clone a first write to shared storage makes (see "Shared
@@ -157,22 +159,23 @@
  *  - one tombstone bit per input node and edge slot, set where the
  *    compile removed a live input slot.
  *
- * Ids follow the base: node ids are the compiled graph's (the input's
- * slots, then the appended ones), so a result's partition and
- * schedule index the records directly; an input edge keeps its input
- * id, and the appended live edges follow the input's edge slots
- * densely. The live node and edge sequences, in id order, are the
- * compiled graph's. A changed result's dead edge slots are thus input
- * slots, the input's own and those the compile removed; a dead
- * appended node slot is a node the compile added and removed again (a
- * replica that replication's dead-code sweep removed), which keeps its
- * id.
+ * Ids follow the base: no compile pass renumbers its work graph, so
+ * the compiled graph's first slots are the input's, and `Ddg::freeze`
+ * diffs them by position (see its comment). Node ids are the compiled
+ * graph's (the input's slots, then the appended ones), so a result's
+ * partition and schedule index the records directly; an input edge
+ * keeps its input id, and the appended live edges follow the input's
+ * edge slots densely. The live node and edge sequences, in id order,
+ * are the compiled graph's. A changed result's dead edge slots are
+ * thus input slots, the input's own and those the compile removed; a
+ * dead appended node slot is a node the compile added and removed
+ * again (a replica that replication's dead-code sweep removed), which
+ * keeps its id.
  * Records without a delta (a suite loop, an unchanged result) own
  * nothing. `ownedBytes()` counts what records hold that their base
- * does not share. `node()` and `edge()` return records by value,
- * since a base record's `alive` byte is the base's. `Ddg::freeze`
- * makes a result's records: it consumes a graph and diffs it against
- * the base it was copied from (see its comment).
+ * does not share. The delta block has one writer, `Ddg::freeze`, and
+ * one reader, the conversion back to a Ddg: records offer counts and
+ * a stamp, and a reader of a node or edge record converts.
  * `DdgRecords(const Ddg &)`, explicit, gives a graph's records as they
  * stand, arrays shared, tombstones and stamp kept: it is for
  * hand-built graphs kept at rest, such as a test's job input.
@@ -308,7 +311,6 @@ static_assert(std::is_trivially_copyable_v<DdgNode>,
 static_assert(sizeof(DdgNode) == 8, "no id field, packed flags");
 
 class Ddg;
-class DdgRecords;
 
 namespace detail
 {
@@ -656,19 +658,6 @@ struct FlowNeighborPolicy
     }
 };
 
-/** Live node (or, with @p edges, edge) ids of a DdgRecords. */
-struct LiveRecordPolicy
-{
-    using value_type = int;
-
-    const DdgRecords *records = nullptr;
-    bool edges = false;
-
-    std::size_t limit() const;
-    bool admit(std::size_t i) const;
-    int project(std::size_t i) const { return static_cast<int>(i); }
-};
-
 } // namespace detail
 
 /**
@@ -690,9 +679,6 @@ class LiveIdRange
 
 using LiveNodeRange = LiveIdRange<DdgNode, NodeId>;
 using LiveEdgeRange = LiveIdRange<DdgEdge, EdgeId>;
-
-/** Forward range over the live node or edge ids of a DdgRecords. */
-using LiveRecordRange = detail::SkipFilterRange<detail::LiveRecordPolicy>;
 
 /**
  * Forward range over the live edge ids of one node's adjacency span,
@@ -775,8 +761,8 @@ class DdgSlotError : public std::runtime_error
  * A graph's node and edge records without its adjacency, as a shared
  * base plus an owned delta: a graph at rest, such as a suite loop or
  * what a compile result keeps of its final graph (see "Graphs at
- * rest" in the file comment). It offers Ddg's const record accessors,
- * returning records by value; a traversal needs a Ddg, which converts
+ * rest" in the file comment). It offers Ddg's counts and stamp; a
+ * reader of its records or a traversal needs a Ddg, which converts
  * from it implicitly. `fromSlots` makes a loop's records,
  * `Ddg::freeze` a result's, and the constructor from a Ddg a
  * hand-built graph's; a default-constructed one is the empty graph,
@@ -830,17 +816,6 @@ class DdgRecords
     }
     int numNodes() const { return liveNodes_; }
     int numEdges() const { return liveEdges_; }
-    LiveRecordRange nodes() const
-    {
-        return LiveRecordRange(detail::LiveRecordPolicy{this, false});
-    }
-    LiveRecordRange edges() const
-    {
-        return LiveRecordRange(detail::LiveRecordPolicy{this, true});
-    }
-    DdgNode node(NodeId id) const;
-    DdgEdge edge(EdgeId id) const;
-    bool hasCopies() const;
     std::uint64_t generation() const { return generation_; }
 
     /**
@@ -887,15 +862,6 @@ class DdgRecords
     {
         return edgeWordsAt() + kEdgeWords * addedEdges();
     }
-    /**
-     * Did the frozen graph remove base slot @p b? Node i is bit i,
-     * edge j bit nodes_.size() + j.
-     */
-    bool removed(std::size_t b) const
-    {
-        return delta_.size() &&
-               ((delta_[bitWordsAt() + b / 64] >> (b % 64)) & 1);
-    }
 
     detail::CowArray<DdgNode> nodes_; //!< the base's node array
     detail::CowArray<DdgEdge> edges_; //!< the base's edge array
@@ -909,20 +875,6 @@ static_assert(sizeof(DdgRecords) == 64,
               "three 16-byte array handles, two counts and a stamp");
 static_assert(sizeof(DdgNode) % 8 == 0 && sizeof(DdgEdge) % 8 == 0,
               "records fill whole delta words");
-
-inline std::size_t
-detail::LiveRecordPolicy::limit() const
-{
-    return static_cast<std::size_t>(edges ? records->numEdgeSlots()
-                                          : records->numNodeSlots());
-}
-
-inline bool
-detail::LiveRecordPolicy::admit(std::size_t i) const
-{
-    const int id = static_cast<int>(i);
-    return edges ? records->edge(id).alive : records->node(id).alive;
-}
 
 /**
  * A mutable data dependence graph. Node/edge ids are dense indices
@@ -963,19 +915,19 @@ class Ddg
      * block holds the rest, and there is none when this graph still
      * holds @p base's records.
      *
-     * This graph's first `base.numNodeSlots()` node records must equal
-     * @p base's but for a cleared `alive` (a removed node); the
-     * records after them are appended. Its live edges, in id order,
-     * are matched against @p base's live edges as an ordered
-     * subsequence, comparing every field: a matched edge keeps its
-     * base id, an unmatched base edge is tombstoned, and the live
-     * edges from the first that matches nothing on are appended. So
-     * the records' live node and edge sequences equal this graph's,
-     * whatever `compact()` renumbered. O(V + E). Leaves this graph
+     * A positional diff: node slot i below `base.numNodeSlots()` and
+     * edge slot j below `base.numEdgeSlots()` must hold @p base's
+     * record i or j, alive or removed (a cleared `alive` is a
+     * tombstone bit). The node records after them are appended, and
+     * so are the live edges after them, in id order; their dead edges
+     * are dropped. So the records' live node and edge sequences equal
+     * this graph's. A copy of @p base mutated only through the
+     * structural mutators has this form; a compacted one, or one whose
+     * base record was written, does not. O(V + E). Leaves this graph
      * empty.
-     * @throws std::invalid_argument, leaving this graph unchanged,
-     *         when it holds fewer node slots than @p base or a base
-     *         node record differs in more than a cleared `alive`
+     * @throws std::invalid_argument naming the first node or edge slot
+     *         that does not hold its base record (a missing slot
+     *         included), leaving this graph unchanged
      */
     DdgRecords freeze(const Ddg &base) &&;
 
@@ -1073,9 +1025,6 @@ class Ddg
      */
     int edgeLatency(EdgeId edge, const MachineConfig &mach) const;
 
-    /** True when any live node is a Copy op. */
-    bool hasCopies() const;
-
     /**
      * Structural-mutation stamp; see the header comment. A copy whose
      * stamp still equals its source's has had no structural mutation.
@@ -1094,14 +1043,14 @@ class Ddg
      * Node ids, node records and flags (dead node slots included) are
      * unchanged. The graph comes back with exactly-sized arrays, no
      * arena slack or dead region, and a fresh generation stamp (its
-     * edge ids changed). Replication and copy insertion leave dead
-     * edges and arena regions behind; the pipeline compacts at its
-     * copy-mutate-retry boundary and freezes the graph it returns
-     * against its input (`freeze`), so a result owns only live edges.
-     * A graph with no dead edge slot and no arena slack already has
-     * that form: compaction then only drops the capacity slack of the
-     * arrays it owns alone (see "Shared storage") and keeps its
-     * stamp.
+     * edge ids changed). No compile pass calls it: compile() keeps
+     * every input edge id so that `freeze` can diff by position (a
+     * compacted copy does not freeze against its input). It stays
+     * for the compile benchmark's replay, which compacts on every
+     * attempt. A graph with no dead edge slot and no arena slack
+     * already has that form: compaction then only drops the capacity
+     * slack of the arrays it owns alone (see "Shared storage") and
+     * keeps its stamp.
      *
      * **The one view-invalidating operation:** every outstanding
      * filtering view (inEdges/outEdges/flowPreds/flowSuccs), raw span

@@ -64,13 +64,6 @@ producesValue(OpClass cls)
     return cls != OpClass::Store;
 }
 
-/** True for loads and stores. Header-inline, same reason. */
-constexpr bool
-isMemoryOp(OpClass cls)
-{
-    return cls == OpClass::Load || cls == OpClass::Store;
-}
-
 /** Figure-10 category of @p cls (Copy maps to Other). */
 OpCategory categoryOf(OpClass cls);
 

@@ -121,9 +121,8 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         vertex_of[n] = num_vertices++;
     hier.addLevel(vertex_of, num_vertices);
 
-    // Per-vertex resource usage and size.
+    // Per-vertex resource usage.
     std::vector<Usage> usage(num_vertices, Usage{});
-    std::vector<int> size(num_vertices, 1);
     for (NodeId n : ddg.nodes()) {
         const OpClass cls = ddg.node(n).cls;
         if (cls != OpClass::Copy) {
@@ -184,16 +183,13 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
                 new_id[v] = next++;
         }
 
-        // Rebuild usage/size.
+        // Rebuild usage.
         std::vector<Usage> nusage(next, Usage{});
-        std::vector<int> nsize(next, 0);
         for (int v = 0; v < num_vertices; ++v) {
             for (std::size_t k = 0; k < numKinds; ++k)
                 nusage[new_id[v]][k] += usage[v][k];
-            nsize[new_id[v]] += size[v];
         }
         usage = std::move(nusage);
-        size = std::move(nsize);
 
         // Rebuild edge weights: an edge inside a contracted pair
         // vanishes, and edges that now join the same pair merge.

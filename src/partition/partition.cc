@@ -41,18 +41,6 @@ Partition::assign(NodeId n, int cluster)
     clusterOf_[n] = static_cast<ClusterId>(cluster);
 }
 
-std::vector<int>
-Partition::opCounts(const Ddg &ddg) const
-{
-    std::vector<int> counts(numClusters_, 0);
-    for (NodeId n : ddg.nodes()) {
-        if (ddg.node(n).cls == OpClass::Copy)
-            continue;
-        ++counts[clusterOf(n)];
-    }
-    return counts;
-}
-
 std::vector<std::vector<int>>
 Partition::usage(const Ddg &ddg, const MachineConfig &mach) const
 {

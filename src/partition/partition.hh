@@ -65,9 +65,6 @@ class Partition
     /** Raw assignment vector (-1 = unassigned), indexed by NodeId. */
     const std::vector<ClusterId> &vec() const { return clusterOf_; }
 
-    /** Number of live non-copy ops of @p ddg in each cluster. */
-    std::vector<int> opCounts(const Ddg &ddg) const;
-
     /**
      * Per-(resource kind, cluster) usage counts of live non-copy ops.
      * Indexed [kind][cluster].

@@ -73,12 +73,6 @@ Rational::operator<(const Rational &o) const
            static_cast<__int128>(o.num_) * den_;
 }
 
-double
-Rational::toDouble() const
-{
-    return static_cast<double>(num_) / static_cast<double>(den_);
-}
-
 std::string
 Rational::toString() const
 {

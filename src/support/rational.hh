@@ -62,9 +62,6 @@ class Rational
     bool operator>(const Rational &o) const { return o < *this; }
     bool operator>=(const Rational &o) const { return !(*this < o); }
 
-    /** Convert to double (for reporting only; comparisons stay exact). */
-    double toDouble() const;
-
     /** Render as "num/den" ("num" when the denominator is 1). */
     std::string toString() const;
 

@@ -102,14 +102,4 @@ Rng::weightedIndex(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-std::int64_t
-Rng::geometric(std::int64_t lo, std::int64_t hi, double continue_p)
-{
-    cv_assert(lo <= hi);
-    std::int64_t k = lo;
-    while (k < hi && chance(continue_p))
-        ++k;
-    return k;
-}
-
 } // namespace cvliw

@@ -44,14 +44,6 @@ class Rng
      */
     std::size_t weightedIndex(const std::vector<double> &weights);
 
-    /**
-     * Geometric-like draw: smallest k >= lo such that successive
-     * chance(continue_p) draws stop, clamped to hi. Used for fan-out
-     * and chain-length decisions in the loop generator.
-     */
-    std::int64_t geometric(std::int64_t lo, std::int64_t hi,
-                           double continue_p);
-
   private:
     std::uint64_t s_[4];
 };

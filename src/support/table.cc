@@ -53,11 +53,4 @@ TextTable::print(std::ostream &os, bool with_header_rule) const
         emit(rows_[r]);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    for (const auto &row : rows_)
-        os << join(row, ",") << '\n';
-}
-
 } // namespace cvliw

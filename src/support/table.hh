@@ -35,9 +35,6 @@ class TextTable
      */
     void print(std::ostream &os, bool with_header_rule = true) const;
 
-    /** Render as CSV (no escaping; cells must not contain commas). */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::vector<std::string>> rows_;
 };

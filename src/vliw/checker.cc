@@ -10,7 +10,7 @@ namespace cvliw
 std::vector<std::string>
 checkSchedule(const Ddg &ddg, const MachineConfig &mach,
               const Partition &part, const Schedule &sched,
-              const CheckOptions &opts)
+              const SchedulerOptions &opts)
 {
     std::vector<std::string> errs;
     const int ii = sched.ii;

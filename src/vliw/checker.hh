@@ -18,25 +18,21 @@
 namespace cvliw
 {
 
-/** Options mirroring the scheduler variant that built the schedule. */
-struct CheckOptions
-{
-    /** Figure-12 mode: copy latency was treated as zero. */
-    bool zeroBusLatencyForLength = false;
-};
-
 /**
  * Check @p sched against @p ddg/@p part/@p mach. A live node that is
  * unscheduled or on no cluster of @p mach, or a copy without a
  * `busOf` entry, is reported and ends the check: the later checks
  * index by them.
+ * @param opts the scheduler variant that built @p sched: in Figure-12
+ *        mode (`zeroBusLatencyForLength`) a copy's value arrives at
+ *        once
  * @return human-readable violations; empty means the schedule is
  *         valid
  */
 std::vector<std::string>
 checkSchedule(const Ddg &ddg, const MachineConfig &mach,
               const Partition &part, const Schedule &sched,
-              const CheckOptions &opts = {});
+              const SchedulerOptions &opts = {});
 
 } // namespace cvliw
 

@@ -53,7 +53,7 @@ SimulationReport
 simulate(const Ddg &final_ddg, const MachineConfig &mach,
          const Partition &part, const Schedule &sched,
          const Ddg &original, int iterations, std::uint64_t seed,
-         const CheckOptions &opts)
+         const SchedulerOptions &opts)
 {
     if (iterations < 1)
         throw std::invalid_argument("iterations " +

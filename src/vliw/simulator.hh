@@ -58,7 +58,7 @@ SimulationReport simulate(const Ddg &final_ddg,
                           const Partition &part, const Schedule &sched,
                           const Ddg &original, int iterations = 8,
                           std::uint64_t seed = 1,
-                          const CheckOptions &opts = {});
+                          const SchedulerOptions &opts = {});
 
 } // namespace cvliw
 

@@ -226,17 +226,6 @@ TEST(Ddg, MemoryEdgeLatencyIsExplicit)
     EXPECT_EQ(g.edgeLatency(e, m), 3);
 }
 
-TEST(Ddg, HasCopies)
-{
-    Ddg g;
-    g.addNode(OpClass::IntAlu);
-    EXPECT_FALSE(g.hasCopies());
-    const NodeId c = g.addNode(OpClass::Copy);
-    EXPECT_TRUE(g.hasCopies());
-    g.removeNode(c);
-    EXPECT_FALSE(g.hasCopies());
-}
-
 TEST(DdgBuilder, BuildsNamedGraph)
 {
     DdgBuilder b;

@@ -697,34 +697,34 @@ expectSameGraph(const Ddg &a, const Ddg &b)
 }
 
 /** Live edge ids of @p g mapped to their records, in id order. */
-template <typename Graph>
 std::vector<std::string>
-liveEdgeRecords(const Graph &g)
+liveEdgeRecords(const Ddg &g)
 {
     std::vector<std::string> recs;
     for (EdgeId e : g.edges()) {
-        const DdgEdge rec = g.edge(e);
+        const DdgEdge &rec = g.edge(e);
         recs.emplace_back(reinterpret_cast<const char *>(&rec),
                           sizeof rec);
     }
     return recs;
 }
 
-/** The bytes of node record @p n. */
+/** The bytes of node or edge record @p r. */
+template <typename Record>
 std::string
-bytesOf(const DdgNode &n)
+bytesOf(const Record &r)
 {
-    return std::string(reinterpret_cast<const char *>(&n), sizeof n);
+    return std::string(reinterpret_cast<const char *>(&r), sizeof r);
 }
 
 /**
- * Freeze a copy of @p g, a graph copied from @p base and mutated,
- * against @p base, and check the records and their conversion back
- * against @p g: the same node slots and records, the same live edge
- * records in the same order, dead slots only among @p base's, and
- * every view of the converted graph equal to @p g's once edge ids are
- * mapped by position in the live sequence. The records own exactly
- * their appended records and tombstone words.
+ * Freeze a copy of @p g, a copy of @p base mutated through the
+ * structural mutators (not compacted), against @p base, and check the
+ * records' conversion against @p g: the same node slots and records,
+ * @p g's records in @p base's edge slots, @p g's later live edges
+ * appended densely in order, and every view equal to @p g's once the
+ * appended edge ids are mapped back. The records own exactly their
+ * appended records and tombstone words.
  * @return the records
  */
 DdgRecords
@@ -738,65 +738,40 @@ expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
     EXPECT_EQ(rec.numNodeSlots(), g.numNodeSlots());
     EXPECT_EQ(rec.numNodes(), g.numNodes());
     EXPECT_EQ(rec.numEdges(), g.numEdges());
-    EXPECT_EQ(rec.nodes().toVector(), g.nodes().toVector());
-    EXPECT_EQ(rec.hasCopies(), g.hasCopies());
-    for (NodeId n = 0; n < g.numNodeSlots(); ++n)
-        EXPECT_EQ(bytesOf(rec.node(n)), bytesOf(g.node(n))) << "node " << n;
-    EXPECT_EQ(liveEdgeRecords(rec), liveEdgeRecords(g));
 
-    // Dead slots are base slots; base edge slots keep their records.
-    const int bn = base.numNodeSlots(), be = base.numEdgeSlots();
-    int removed = 0;
-    for (NodeId n = 0; n < rec.numNodeSlots(); ++n) {
-        if (n >= bn)
-            continue;
-        removed += base.node(n).alive && !rec.node(n).alive;
-    }
-    for (EdgeId e = 0; e < rec.numEdgeSlots(); ++e) {
-        if (e >= be) {
-            EXPECT_TRUE(rec.edge(e).alive) << "appended edge " << e;
-            continue;
-        }
-        DdgEdge was = base.edge(e);
-        const DdgEdge now = rec.edge(e);
-        EXPECT_TRUE(was.alive || !now.alive) << "edge " << e;
-        removed += was.alive && !now.alive;
-        was.alive = now.alive;
-        EXPECT_EQ(std::memcmp(&was, &now, sizeof was), 0) << "edge " << e;
-    }
-    const std::size_t added_nodes =
-        static_cast<std::size_t>(rec.numNodeSlots() - bn);
-    const std::size_t added_edges =
-        static_cast<std::size_t>(rec.numEdgeSlots() - be);
-    const std::size_t owned =
-        added_nodes + added_edges + static_cast<std::size_t>(removed)
-            ? 8 * added_nodes + 16 * added_edges +
-                  8 * static_cast<std::size_t>((bn + be + 63) / 64)
-            : 0;
-    EXPECT_EQ(rec.ownedBytes(), owned);
-
-    // The conversion keeps the ids and the stamp; its views are g's
-    // under the live-position map of edge ids.
     const Ddg back = rec;
     EXPECT_EQ(back.generation(), g.generation());
-    EXPECT_EQ(back.numNodeSlots(), rec.numNodeSlots());
-    EXPECT_EQ(back.numEdgeSlots(), rec.numEdgeSlots());
+    EXPECT_EQ(back.numNodeSlots(), g.numNodeSlots());
     EXPECT_EQ(back.numNodes(), g.numNodes());
     EXPECT_EQ(back.numEdges(), g.numEdges());
     EXPECT_EQ(back.nodes().toVector(), g.nodes().toVector());
+    for (NodeId n = 0; n < std::min(back.numNodeSlots(), g.numNodeSlots());
+         ++n)
+        EXPECT_EQ(bytesOf(back.node(n)), bytesOf(g.node(n))) << "node " << n;
     EXPECT_EQ(liveEdgeRecords(back), liveEdgeRecords(g));
-    std::vector<EdgeId> to_live(static_cast<std::size_t>(back.numEdgeSlots()),
-                                invalidEdge);
-    {
-        const std::vector<EdgeId> mine = back.edges().toVector();
-        const std::vector<EdgeId> theirs = g.edges().toVector();
-        for (std::size_t i = 0; i < mine.size() && i < theirs.size(); ++i)
-            to_live[static_cast<std::size_t>(mine[i])] = theirs[i];
+
+    // Base edge slots keep their ids; the live edges after them follow
+    // densely. to_g maps each of back's edge ids to g's.
+    const int bn = base.numNodeSlots(), be = base.numEdgeSlots();
+    std::vector<EdgeId> to_g;
+    for (EdgeId e = 0; e < g.numEdgeSlots(); ++e) {
+        if (e < be || g.edge(e).alive)
+            to_g.push_back(e);
+    }
+    EXPECT_EQ(back.numEdgeSlots(), static_cast<int>(to_g.size()));
+    for (EdgeId e = 0; e < back.numEdgeSlots() &&
+                       e < static_cast<EdgeId>(to_g.size());
+         ++e) {
+        EXPECT_EQ(bytesOf(back.edge(e)),
+                  bytesOf(g.edge(to_g[static_cast<std::size_t>(e)])))
+            << "edge " << e;
     }
     const auto mapped = [&](const LiveAdjRange &range) {
         std::vector<EdgeId> ids;
-        for (EdgeId e : range)
-            ids.push_back(to_live[static_cast<std::size_t>(e)]);
+        for (EdgeId e : range) {
+            const auto i = static_cast<std::size_t>(e);
+            ids.push_back(i < to_g.size() ? to_g[i] : invalidEdge);
+        }
         return ids;
     };
     for (NodeId n : g.nodes()) {
@@ -809,6 +784,22 @@ expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
         EXPECT_EQ(back.flowSuccs(n).toVector(), g.flowSuccs(n).toVector())
             << "flowSuccs of node " << n;
     }
+
+    int removed = 0;
+    for (NodeId n = 0; n < bn; ++n)
+        removed += base.node(n).alive && !g.node(n).alive;
+    for (EdgeId e = 0; e < be; ++e)
+        removed += base.edge(e).alive && !g.edge(e).alive;
+    const std::size_t added_nodes =
+        static_cast<std::size_t>(back.numNodeSlots() - bn);
+    const std::size_t added_edges =
+        static_cast<std::size_t>(back.numEdgeSlots() - be);
+    const std::size_t owned =
+        added_nodes + added_edges + static_cast<std::size_t>(removed)
+            ? 8 * added_nodes + 16 * added_edges +
+                  8 * static_cast<std::size_t>((bn + be + 63) / 64)
+            : 0;
+    EXPECT_EQ(rec.ownedBytes(), owned);
     return rec;
 }
 
@@ -816,8 +807,9 @@ expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
  * Freeze fuzz: each round builds a random base graph (tombstones
  * included) and mutates a copy of it with random addNode (copies
  * included) / addEdge / addReplica / removeNode / removeEdge
- * interleavings and compactions. At random points a copy is frozen
- * against the base and checked against the live graph
+ * interleavings, never compacting it, as compile() mutates its work
+ * graph. At random points a copy is frozen against the base and its
+ * conversion checked against the live graph
  * (expectFreezeMatchesLiveGraph), and the graph's records as they
  * stand (`DdgRecords(const Ddg &)`) convert back to a graph equal to
  * it, spans and views included. Records kept along the way must keep
@@ -893,8 +885,6 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
         std::vector<std::pair<DdgRecords, std::string>> kept;
         for (int step = 0; step < 250; ++step) {
             mutate();
-            if (rng.chance(0.03))
-                g.compact();
             if (rng.chance(0.1)) {
                 const DdgRecords rec = expectFreezeMatchesLiveGraph(base, g);
                 // The graph's records as they stand own nothing and
@@ -962,9 +952,69 @@ TEST(DdgArena, FreezeRejectsAChangedBaseNodeRecord)
 
     // A removed node is a tombstone, not a change.
     const DdgRecords rec = std::move(removed).freeze(base);
-    EXPECT_FALSE(rec.node(s.c).alive);
+    EXPECT_FALSE(Ddg(rec).node(s.c).alive);
     EXPECT_EQ(rec.numNodes(), 2);
     EXPECT_EQ(rec.numEdges(), 1);
+    EXPECT_EQ(rec.ownedBytes(), 8u);
+}
+
+/**
+ * freeze() diffs edges by position: edge slot j below the base's
+ * count must hold the base's edge j, alive or removed. A copy whose
+ * base edge record changed, whose removed edge came back alive, that
+ * holds fewer edge slots, or that was compacted after an edge removal
+ * (its later edges moved down a slot) throws std::invalid_argument
+ * naming the first such slot and leaves the graph as it was.
+ */
+TEST(DdgArena, FreezeRejectsAChangedOrCompactedBaseEdgeRecord)
+{
+    SmallGraph s;
+    const Ddg base = s.g;
+
+    // Each field of a base record but `alive`.
+    const std::function<void(DdgEdge &)> edits[] = {
+        [&](DdgEdge &e) { e.src = s.b; },
+        [&](DdgEdge &e) { e.dst = s.c; },
+        [](DdgEdge &e) { e.distance = 2; },
+        [](DdgEdge &e) { e.memLatency = 5; },
+        [](DdgEdge &e) { e.kind = EdgeKind::Memory; },
+    };
+    for (const auto &edit : edits) {
+        Ddg changed = base;
+        edit(changed.edge(s.ca));
+        const std::string image = imageOf(changed);
+        EXPECT_INVALID_ARGUMENT(std::move(changed).freeze(base),
+                                "edge slot " + std::to_string(s.ca));
+        EXPECT_EQ(imageOf(changed), image) << "a failed freeze wrote";
+    }
+
+    Ddg removed = base;
+    removed.removeEdge(s.bc);
+    Ddg revived = removed;
+    revived.edge(s.bc).alive = true;
+    EXPECT_INVALID_ARGUMENT(std::move(revived).freeze(removed),
+                            "edge slot " + std::to_string(s.bc));
+
+    Ddg fewer;
+    for (NodeId n : base.nodes())
+        fewer.addNode(base.node(n).cls);
+    fewer.addEdge(s.a, s.b, EdgeKind::RegFlow);
+    EXPECT_INVALID_ARGUMENT(std::move(fewer).freeze(base),
+                            "edge slot " + std::to_string(s.bc));
+
+    // Compaction drops bc's slot, so ca's record lands in it.
+    Ddg compacted = removed;
+    compacted.compact();
+    ASSERT_EQ(compacted.numEdgeSlots(), base.numEdgeSlots() - 1);
+    const std::string image = imageOf(compacted);
+    EXPECT_INVALID_ARGUMENT(std::move(compacted).freeze(base),
+                            "edge slot " + std::to_string(s.bc));
+    EXPECT_EQ(imageOf(compacted), image) << "a failed freeze wrote";
+
+    // Uncompacted, the removed edge is a tombstone, not a change.
+    const DdgRecords rec = std::move(removed).freeze(base);
+    EXPECT_FALSE(Ddg(rec).edge(s.bc).alive);
+    EXPECT_EQ(rec.numEdges(), 3);
     EXPECT_EQ(rec.ownedBytes(), 8u);
 }
 

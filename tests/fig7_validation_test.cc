@@ -10,11 +10,14 @@
  * and of its own it holds only live edges and nodes, or replicas
  * that replication's dead-code sweep removed again.
  *
- * Two more batches apply the same check to Figure 12's latency-0
+ * More batches apply the same check to every other option set the
+ * figure and ablation harnesses compile with: Figure 12's latency-0
  * bound, whose copies deliver at once (the checker and the simulator
- * take the scheduler's CheckOptions), and to the replication paths
- * that mix does not reach: the most selection rounds per loop, and
- * MacroNode mode (section 5.2).
+ * take the scheduler's options), section 5.1's schedule-length
+ * replication, Figure 1's runs without spill code, the 32- and
+ * 128-register files and Figure 8's unified machine; and to the
+ * replication paths that mix does not reach: the most selection
+ * rounds per loop, and MacroNode mode (section 5.2).
  */
 
 #include <gtest/gtest.h>
@@ -43,10 +46,10 @@ namespace
  * and the schedule index them.
  */
 std::string
-deadSlotNotRemovedInput(const DdgRecords &result, const DdgRecords &in)
+deadSlotNotRemovedInput(const Ddg &result, const Ddg &in)
 {
     for (NodeId n = 0; n < result.numNodeSlots(); ++n) {
-        const DdgNode node = result.node(n);
+        const DdgNode &node = result.node(n);
         if (node.alive)
             continue;
         if (n >= in.numNodeSlots()) {
@@ -80,19 +83,18 @@ invalidResult(const std::vector<CompileService::Job> &jobs,
     const CompileResult &r = batch.results[j];
     if (!r.ok)
         return "no schedule found";
-    const std::string dead =
-        deadSlotNotRemovedInput(r.finalDdg, *jobs[j].ddg);
-    if (!dead.empty())
-        return dead;
     // One conversion each of the result's and the input's records.
-    // simulate runs checkSchedule first, with the same options, and
-    // returns its errors.
     const Ddg result(r.finalDdg);
     const Ddg input(*jobs[j].ddg);
-    CheckOptions check;
-    check.zeroBusLatencyForLength = jobs[j].opts->zeroBusLatency;
+    const std::string dead = deadSlotNotRemovedInput(result, input);
+    if (!dead.empty())
+        return dead;
+    // simulate runs checkSchedule first, with the same options, and
+    // returns its errors.
+    SchedulerOptions sched;
+    sched.zeroBusLatencyForLength = jobs[j].opts->zeroBusLatency;
     const auto rep = simulate(result, *jobs[j].mach, r.partition,
-                              r.schedule, input, 8, 1, check);
+                              r.schedule, input, 8, 1, sched);
     if (!rep.ok)
         return "simulate: " +
                (rep.errors.empty() ? "mismatch" : rep.errors.front());
@@ -119,15 +121,23 @@ expectEveryResultValid(const std::vector<CompileService::Job> &jobs,
     return batch;
 }
 
+/** The six paper configs, as Figures 7 and 12 compile them. */
+std::vector<MachineConfig>
+paperConfigs()
+{
+    std::vector<MachineConfig> machs;
+    for (const char *cfg : {"2c1b2l64r", "2c2b4l64r", "4c1b2l64r",
+                            "4c2b4l64r", "4c2b2l64r", "4c4b4l64r"})
+        machs.push_back(MachineConfig::fromString(cfg));
+    return machs;
+}
+
 TEST(Fig7Validation, EveryResultChecksAndSimulates)
 {
     const auto suite = buildSuite(42);
     ASSERT_EQ(suite.size(), 678u);
 
-    std::vector<MachineConfig> machs;
-    for (const char *cfg : {"2c1b2l64r", "2c2b4l64r", "4c1b2l64r",
-                            "4c2b4l64r", "4c2b2l64r", "4c4b4l64r"})
-        machs.push_back(MachineConfig::fromString(cfg));
+    const std::vector<MachineConfig> machs = paperConfigs();
     PipelineOptions base, repl;
     base.replication = false;
 
@@ -158,10 +168,7 @@ TEST(Fig7Validation, Figure12LatencyZeroResultsCheckAndSimulate)
     const auto suite = buildSuite(42);
     ASSERT_EQ(suite.size(), 678u);
 
-    std::vector<MachineConfig> machs;
-    for (const char *cfg : {"2c1b2l64r", "2c2b4l64r", "4c1b2l64r",
-                            "4c2b4l64r", "4c2b2l64r", "4c4b4l64r"})
-        machs.push_back(MachineConfig::fromString(cfg));
+    const std::vector<MachineConfig> machs = paperConfigs();
     PipelineOptions zero;
     zero.zeroBusLatency = true;
 
@@ -220,6 +227,93 @@ TEST(Fig7Validation, RoundsHeavyAndMacroNodeResultsCheckAndSimulate)
                           .telemetry.replicationRounds;
         EXPECT_GT(rounds, 0u) << machs[s].name();
     }
+}
+
+/**
+ * Section 5.1's schedule-length replication (fig12's heuristic
+ * column): the full suite on the six paper configs (4,068 jobs). The
+ * one path that freezes a graph rebuilt from copies of the pre-copy
+ * graph, and, for the sanitizer jobs, the one that copies a worker's
+ * graph several times in one attempt.
+ */
+TEST(Fig7Validation, Section51LengthReplicationResultsCheckAndSimulate)
+{
+    const auto suite = buildSuite(42);
+    ASSERT_EQ(suite.size(), 678u);
+    const std::vector<MachineConfig> machs = paperConfigs();
+    PipelineOptions with51;
+    with51.lengthReplication = true;
+
+    std::vector<CompileService::Job> jobs;
+    for (const MachineConfig &mach : machs) {
+        for (const Loop &loop : suite)
+            jobs.push_back(CompileService::Job{&loop.ddg, &mach, &with51});
+    }
+    ASSERT_EQ(jobs.size(), 4068u);
+
+    const auto batch = expectEveryResultValid(jobs, [&](std::size_t j) {
+        return suite[j % suite.size()].name() + " on " +
+               jobs[j].mach->name() + "/5.1";
+    });
+
+    // Each config's results really shortened some schedules.
+    for (std::size_t m = 0; m < machs.size(); ++m) {
+        int saved = 0;
+        for (std::size_t i = 0; i < suite.size(); ++i)
+            saved += batch.results[m * suite.size() + i].lengthSaved;
+        EXPECT_GT(saved, 0) << machs[m].name();
+    }
+}
+
+/**
+ * The remaining harness option sets (10,170 jobs): Figure 1's runs
+ * without spill code, replication off and on; ablation_registers'
+ * 32- and 128-register configs, replication off and on; and Figure
+ * 8's unified machine.
+ */
+TEST(Fig7Validation, NoSpillRegisterFileAndUnifiedResultsCheckAndSimulate)
+{
+    const auto suite = buildSuite(42);
+    ASSERT_EQ(suite.size(), 678u);
+
+    PipelineOptions no_spill_base, no_spill_repl, base, repl;
+    no_spill_base.replication = false;
+    no_spill_base.spilling = false;
+    no_spill_repl.spilling = false;
+    base.replication = false;
+    struct Set
+    {
+        const char *cfg;
+        const PipelineOptions *opts;
+        const char *label;
+    };
+    std::vector<Set> sets;
+    for (const char *cfg : {"2c1b2l64r", "4c1b2l64r", "4c2b2l64r"}) {
+        sets.push_back({cfg, &no_spill_base, "/no-spill/base"});
+        sets.push_back({cfg, &no_spill_repl, "/no-spill/repl"});
+    }
+    for (const char *cfg :
+         {"4c1b2l32r", "4c1b2l128r", "2c1b2l32r", "2c1b2l128r"}) {
+        sets.push_back({cfg, &base, "/base"});
+        sets.push_back({cfg, &repl, "/repl"});
+    }
+    sets.push_back({"unified", &repl, ""});
+    std::vector<MachineConfig> machs;
+    for (const Set &set : sets)
+        machs.push_back(MachineConfig::fromString(set.cfg));
+
+    std::vector<CompileService::Job> jobs;
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+        for (const Loop &loop : suite)
+            jobs.push_back(
+                CompileService::Job{&loop.ddg, &machs[k], sets[k].opts});
+    }
+    ASSERT_EQ(jobs.size(), 10170u);
+
+    expectEveryResultValid(jobs, [&](std::size_t j) {
+        return suite[j % suite.size()].name() + " on " +
+               jobs[j].mach->name() + sets[j / suite.size()].label;
+    });
 }
 
 } // namespace

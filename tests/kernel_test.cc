@@ -41,8 +41,9 @@ TEST(Kernel, PlacesOpsInPhaseAndCluster)
             total += static_cast<int>(kv.ops(t, c).size());
     }
     int expected = 0;
-    for (NodeId n : r.finalDdg.nodes())
-        expected += (r.finalDdg.node(n).cls != OpClass::Copy);
+    const Ddg final_ddg = r.finalDdg;
+    for (NodeId n : final_ddg.nodes())
+        expected += (final_ddg.node(n).cls != OpClass::Copy);
     EXPECT_EQ(total, expected);
 }
 

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
 #include "core/pipeline.hh"
 #include "ddg/builder.hh"
 #include "vliw/checker.hh"
+#include "vliw/simulator.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
@@ -94,6 +99,59 @@ TEST(LengthReplication, SuiteWideSmallGains)
     }
     // Not asserted > 0: gains are legitimately rare (Figure 12).
     SUCCEED() << improved << " loops improved";
+}
+
+/**
+ * Section 5.1 rebuilds the graph from the pre-copy graph, which holds
+ * none of the spill code appended after the copies, so it runs only
+ * on attempts that spilled nothing. Each of these loops spills on its
+ * final attempt. On the first two a spill reload is a critical copy's
+ * producer, a node the pre-copy graph does not have; on the other
+ * three the rebuilt graph would drop the spill code that `spills`
+ * counts. Each result must check and simulate and hold a store and a
+ * reload per spilled value.
+ */
+TEST(LengthReplication, SkipsAttemptsThatSpilled)
+{
+    struct Case
+    {
+        std::uint64_t seed;
+        const char *loop;
+        const char *cfg;
+    };
+    const Case cases[] = {
+        {1, "turb3d#13", "2c1b2l32r"}, {2, "su2cor#35", "2c1b2l32r"},
+        {42, "hydro2d#89", "4c2b2l32r"}, {3, "su2cor#57", "4c2b2l32r"},
+        {4, "apsi#107", "4c4b4l64r"},
+    };
+    PipelineOptions with51;
+    with51.lengthReplication = true;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.loop) + " (seed " +
+                     std::to_string(c.seed) + ") on " + c.cfg);
+        const auto suite = buildSuite(c.seed);
+        const auto loop =
+            std::find_if(suite.begin(), suite.end(), [&](const Loop &l) {
+                return l.name() == c.loop;
+            });
+        ASSERT_NE(loop, suite.end());
+        const Ddg input = loop->ddg;
+        const auto m = MachineConfig::fromString(c.cfg);
+        const auto r = compile(input, m, with51);
+        ASSERT_TRUE(r.ok);
+        EXPECT_GT(r.spills, 0);
+        EXPECT_EQ(r.lengthSaved, 0);
+
+        const Ddg final_ddg = r.finalDdg;
+        int spill_nodes = 0;
+        for (NodeId n : final_ddg.nodes())
+            spill_nodes += final_ddg.node(n).isSpill;
+        EXPECT_EQ(spill_nodes, 2 * r.spills);
+        const auto rep =
+            simulate(final_ddg, m, r.partition, r.schedule, input);
+        EXPECT_TRUE(rep.ok)
+            << (rep.errors.empty() ? "mismatch" : rep.errors.front());
+    }
 }
 
 } // namespace

@@ -36,14 +36,6 @@ TEST(OpClass, StoresProduceNoValue)
     EXPECT_TRUE(producesValue(OpClass::Copy));
 }
 
-TEST(OpClass, MemoryOps)
-{
-    EXPECT_TRUE(isMemoryOp(OpClass::Load));
-    EXPECT_TRUE(isMemoryOp(OpClass::Store));
-    EXPECT_FALSE(isMemoryOp(OpClass::IntAlu));
-    EXPECT_FALSE(isMemoryOp(OpClass::Copy));
-}
-
 TEST(OpClass, Figure10Categories)
 {
     EXPECT_EQ(categoryOf(OpClass::Load), OpCategory::Mem);

@@ -75,7 +75,6 @@ TEST(Partition, UsageCountsByKind)
     EXPECT_EQ(usage[size_t(ResourceKind::FpFu)][0], 1);
     EXPECT_EQ(usage[size_t(ResourceKind::IntFu)][1], 1);
     EXPECT_EQ(usage[size_t(ResourceKind::IntFu)][0], 0);
-    EXPECT_EQ(p.opCounts(g), (std::vector<int>{2, 1}));
 }
 
 TEST(EdgeWeights, RecurrenceEdgesAreHeaviest)
@@ -296,9 +295,9 @@ TEST(Refine, SplitsOverloadedCluster)
         p.assign(n, 0);
     const Partition refined = refinePartition(g, m, p, 2);
     // 8 loads, 1 port per cluster, II=2: needs all 4 clusters.
-    const auto counts = refined.opCounts(g);
+    const auto usage = refined.usage(g, m);
     for (int c = 0; c < 4; ++c)
-        EXPECT_EQ(counts[c], 2);
+        EXPECT_EQ(usage[size_t(ResourceKind::MemPort)][c], 2);
 }
 
 } // namespace

@@ -182,9 +182,7 @@ TEST(Scheduler, ZeroBusLatencyShortensLength)
     ASSERT_TRUE(normal.ok);
     ASSERT_TRUE(bound.ok);
     EXPECT_LT(bound.sched.length, normal.sched.length);
-    CheckOptions copts;
-    copts.zeroBusLatencyForLength = true;
-    EXPECT_TRUE(checkSchedule(g, m, p, bound.sched, copts).empty());
+    EXPECT_TRUE(checkSchedule(g, m, p, bound.sched, zero).empty());
 }
 
 TEST(Scheduler, LoopCarriedDependencesUseDistanceSlack)

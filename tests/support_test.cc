@@ -105,12 +105,6 @@ TEST(Rational, ToString)
     EXPECT_EQ(Rational(-44, 8).toString(), "-11/2");
 }
 
-TEST(Rational, ToDouble)
-{
-    EXPECT_DOUBLE_EQ(Rational(1, 2).toDouble(), 0.5);
-    EXPECT_DOUBLE_EQ(Rational(31, 16).toDouble(), 1.9375);
-}
-
 TEST(Rational, CompareExactForLargeTerms)
 {
     // Exactness where doubles would tie.
@@ -200,16 +194,6 @@ TEST(Rng, WeightedIndexRespectsWeights)
     EXPECT_GT(counts[1], counts[2]);
 }
 
-TEST(Rng, GeometricBounds)
-{
-    Rng rng(13);
-    for (int i = 0; i < 200; ++i) {
-        const auto v = rng.geometric(2, 6, 0.5);
-        EXPECT_GE(v, 2);
-        EXPECT_LE(v, 6);
-    }
-}
-
 // --- strutil -------------------------------------------------------------
 
 TEST(StrUtil, Join)
@@ -261,16 +245,6 @@ TEST(TextTable, AlignsColumns)
     EXPECT_NE(out.find("-----"), std::string::npos);
     // All lines equally wide (trailing spaces aside).
     EXPECT_NE(out.find("10.25"), std::string::npos);
-}
-
-TEST(TextTable, CsvOutput)
-{
-    TextTable t;
-    t.addRow({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
 TEST(TextTable, NumRows)

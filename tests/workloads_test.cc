@@ -263,18 +263,19 @@ TEST(Suite, MgridIsSeparable)
     for (const Loop &l : mgrid) {
         // Count weakly-connected components via union-find over all
         // edges.
-        std::vector<int> parent(l.ddg.numNodeSlots());
+        const Ddg g = l.ddg;
+        std::vector<int> parent(g.numNodeSlots());
         for (std::size_t i = 0; i < parent.size(); ++i)
             parent[i] = static_cast<int>(i);
         std::function<int(int)> find = [&](int x) {
             return parent[x] == x ? x : parent[x] = find(parent[x]);
         };
-        for (EdgeId eid : l.ddg.edges()) {
-            const DdgEdge &e = l.ddg.edge(eid);
+        for (EdgeId eid : g.edges()) {
+            const DdgEdge &e = g.edge(eid);
             parent[find(e.src)] = find(e.dst);
         }
         std::map<int, int> comps;
-        for (NodeId n : l.ddg.nodes())
+        for (NodeId n : g.nodes())
             ++comps[find(n)];
         if (comps.size() >= 3)
             ++with_many_components;
@@ -288,8 +289,9 @@ TEST(Suite, OpMixIsFloatingPointish)
     const auto suite = buildSuite();
     long long mem = 0, intops = 0, fp = 0, total = 0;
     for (const Loop &l : suite) {
-        for (NodeId n : l.ddg.nodes()) {
-            switch (categoryOf(l.ddg.node(n).cls)) {
+        const Ddg g = l.ddg;
+        for (NodeId n : g.nodes()) {
+            switch (categoryOf(g.node(n).cls)) {
               case OpCategory::Mem: ++mem; break;
               case OpCategory::Int: ++intops; break;
               case OpCategory::Fp:  ++fp; break;
