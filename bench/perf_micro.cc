@@ -277,8 +277,9 @@ BENCHMARK(BM_SuiteGeneration);
 /**
  * The cost a suite loop at rest adds to each compile: converting the
  * 678 seed-42 suite loops' records to Ddgs, as every compile() call
- * does once for its input. Each conversion shares the loop's record
- * arrays and builds its adjacency, O(V + E), in two allocations.
+ * does once for its input. Each conversion copies the loop's record
+ * blocks into the graph's arrays and builds its adjacency, O(V + E),
+ * in four allocations.
  */
 void
 BM_InputConversion(benchmark::State &state)
@@ -300,8 +301,8 @@ BENCHMARK(BM_InputConversion);
  * The one cost that result records add: converting the 678 result
  * graphs of one config (4c2b2l64r, replication on) back to Ddgs, as
  * a checker or the simulator does once per result. Each conversion
- * shares an unchanged result's input arrays or materializes a changed
- * one's records, then rebuilds the graph's adjacency, O(V + E).
+ * materializes the result's records, then rebuilds the graph's
+ * adjacency, O(V + E).
  */
 void
 BM_ResultGraphRebuild(benchmark::State &state)

@@ -112,7 +112,8 @@ reduceScheduleLength(CompileResult &result, Ddg &final_ddg,
 
         Ddg scheduled = trial;
         Partition sched_part = trial_part;
-        insertCopies(scheduled, sched_part, mach);
+        const int coms = static_cast<int>(
+            insertCopies(scheduled, sched_part, mach).copies.size());
         const ScheduleAttempt a = scheduleAtIi(
             scheduled, mach, sched_part, result.ii, sched_opts);
         if (!a.ok || a.sched.length >= result.schedule.length)
@@ -123,6 +124,7 @@ reduceScheduleLength(CompileResult &result, Ddg &final_ddg,
         result.schedule = a.sched;
         final_ddg = std::move(scheduled);
         result.partition = std::move(sched_part);
+        result.comsFinal = coms;
         result.repl.replicasAdded += rstats.replicasAdded;
         for (std::size_t i = 0; i < rstats.replicasByCat.size(); ++i)
             result.repl.replicasByCat[i] += rstats.replicasByCat[i];

@@ -21,7 +21,8 @@ struct CompileResult;
 /**
  * Try to shorten result.schedule.length by replicating producers of
  * critical copies (bounded number of attempts). On success, the
- * result's schedule and partition and @p final_ddg are replaced and
+ * result's schedule and partition and @p final_ddg are replaced,
+ * result.comsFinal counts the copies of the new @p final_ddg, and
  * result.lengthSaved records the improvement.
  *
  * @param result a successful compile at some II that spilled nothing

@@ -72,7 +72,7 @@ namespace
  * it with the default caches.
  */
 CompileResult
-compileImpl(const Ddg &original, const MachineConfig &mach,
+compileImpl(const DdgRecords &records, const MachineConfig &mach,
             const PipelineOptions &opts, CompileCaches &caches)
 {
     // Telemetry baselines: the caches' counters are lifetime-monotone,
@@ -82,6 +82,10 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     const std::uint64_t commits0 = caches.pseudo.commitCount();
     const std::uint64_t asap0 = caches.pseudo.asapRunCount();
     const std::uint64_t sweeps0 = caches.pseudo.widthSweepCount();
+
+    // The input graph, converted once: every II attempt works on a
+    // copy of it, and the result freezes against its records.
+    const Ddg original(records);
 
     // The input's one analysis: the MII, the partitioner, every
     // refinement and the scheduler of an unmodified copy of the input
@@ -184,8 +188,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
 
         // Section 5.1 replication, the pre-copy graph's only reader,
         // works on it after a successful schedule. Kept only when that
-        // pass runs: a kept copy shares the work graph's storage, so
-        // insertCopies would clone the work graph on every attempt.
+        // pass runs: the copy costs O(V + E) on every attempt.
         const bool length_repl =
             opts.lengthReplication && !mach.isUnified();
         std::optional<Ddg> pre_copy;
@@ -298,7 +301,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         // added (see "Graphs at rest" in ddg/ddg.hh); an unchanged
         // graph holds the input's records alone. The partition drops
         // the growth slack of the nodes those passes assigned.
-        result.finalDdg = std::move(work).freeze(original);
+        result.finalDdg = std::move(work).freeze(records);
         result.partition.shrinkToFit();
         compile_span.arg("ii", ii);
         finish_telemetry();
@@ -314,7 +317,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
 } // namespace
 
 CompileResult
-compile(const Ddg &original, const MachineConfig &mach,
+compile(const DdgRecords &input, const MachineConfig &mach,
         const PipelineOptions &opts, CompileCaches *caches)
 {
     if (caches == nullptr) {
@@ -324,7 +327,7 @@ compile(const Ddg &original, const MachineConfig &mach,
         static thread_local CompileCaches tls_caches;
         caches = &tls_caches;
     }
-    return compileImpl(original, mach, opts, *caches);
+    return compileImpl(input, mach, opts, *caches);
 }
 
 } // namespace cvliw

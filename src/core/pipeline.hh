@@ -186,26 +186,29 @@ struct CompileCaches
 };
 
 /**
- * Compile @p original for @p mach. **The** canonical entry point of
- * the pipeline - there is exactly one compile() - the historical
+ * Compile @p input for @p mach. **The** canonical entry point of the
+ * pipeline - there is exactly one compile() - the historical
  * by-reference caches overload collapsed into the optional trailing
- * pointer. The input graph is copied; the caller's DDG is never
- * modified. A suite loop's records (`Loop::ddg`) convert to the input
- * Ddg at the call, once per compile. The result's `finalDdg` holds
- * records, not a Ddg: node and edge records without adjacency (see
- * "Graphs at rest" in ddg/ddg.hh); a reader that traverses converts
- * it. Every result graph is frozen against the input
- * (`Ddg::freeze`), so it shares the input's node and edge arrays and
- * keeps them alive. A result whose graph the pipeline left unchanged
- * (a unified-machine loop that needs no spill, a clustered loop that
- * needs no copy) holds those arrays alone, tombstones and stamp
- * included. A changed one also owns one block: its appended nodes and
- * live edges and a tombstone bit per input slot it removed. No pass
- * renumbers the work graph (nothing compacts it), so every input node
- * and edge keeps its input id from the copy to the freeze, which
- * diffs the graph against the input slot by slot; the appended live
- * edges follow the input's edge slots densely, and the stamp is
- * fresh. No compile builds the adjacency of the graph it returns.
+ * pointer. The input is records at rest, as a suite loop holds them
+ * (`Loop::ddg`); a hand-built Ddg passes as its records, copied at the
+ * call and checked against the slot rules (`DdgSlotError`, see
+ * `DdgRecords(const Ddg &)`). compile() converts them to a Ddg once
+ * and works on copies of that graph; the caller's records are never
+ * modified. The result's `finalDdg` holds records, not a Ddg: node
+ * and edge records without adjacency (see "Graphs at rest" in
+ * ddg/ddg.hh); a reader that traverses converts it. Every result
+ * graph is frozen against the input's records (`Ddg::freeze`), so it
+ * shares their node and edge blocks and keeps them alive. A result
+ * whose graph the pipeline left unchanged (a unified-machine loop
+ * that needs no spill, a clustered loop that needs no copy) holds
+ * those blocks alone, tombstones and stamp included. A changed one
+ * also owns one block: its appended nodes and live edges and a
+ * tombstone bit per input slot it removed. No pass renumbers the work
+ * graph (nothing compacts it), so every input node and edge keeps its
+ * input id from the conversion to the freeze, which diffs the graph
+ * against the input's blocks slot by slot; the appended live edges
+ * follow the input's edge slots densely, and the stamp is fresh. No
+ * compile builds the adjacency of the graph it returns.
  *
  * The input is analysed once (`analyzeLoop`), and the analysis is
  * passed to the partitioner, every refinement and every schedule of
@@ -227,10 +230,10 @@ struct CompileCaches
  * throws for policy reasons: an infeasible job returns `ok == false`,
  * and `maxIi` bounds the II search; what else can escape is
  * `std::bad_alloc`. No compile ends the process on bad input.
- * `CompileService` turns any throw into a `Failed` job outcome;
- * direct callers own the catch.
+ * `CompileService` turns any throw into a failed job, whose error
+ * holds the text; direct callers own the catch.
  */
-CompileResult compile(const Ddg &original, const MachineConfig &mach,
+CompileResult compile(const DdgRecords &input, const MachineConfig &mach,
                       const PipelineOptions &opts = {},
                       CompileCaches *caches = nullptr);
 

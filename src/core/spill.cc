@@ -34,11 +34,6 @@ spillOneValue(Ddg &ddg, Partition &part, const MachineConfig &mach,
     const int min_gain = mach.latency(OpClass::Store) +
                          mach.latency(OpClass::Load);
 
-    // The victim search only reads: through a const reference it
-    // leaves storage shared with the caller's input unwritten (see
-    // "Shared storage" in ddg/ddg.hh) when no victim is found.
-    const Ddg &g = ddg;
-
     for (const int cluster : clusters_by_overflow) {
         // Victim: the value instance with the longest register
         // lifetime in this cluster. Both locally produced values and
@@ -48,8 +43,8 @@ spillOneValue(Ddg &ddg, Partition &part, const MachineConfig &mach,
         NodeId victim = invalidNode;
         long long best_span = min_gain;
         long long victim_def = 0;
-        for (NodeId v : g.nodes()) {
-            const DdgNode &node = g.node(v);
+        for (NodeId v : ddg.nodes()) {
+            const DdgNode &node = ddg.node(v);
             if (!producesValue(node.cls) || node.isSpill)
                 continue;
             const bool is_copy = node.cls == OpClass::Copy;
@@ -58,15 +53,15 @@ spillOneValue(Ddg &ddg, Partition &part, const MachineConfig &mach,
             // One spill per (value, cluster): a second store would
             // not shorten anything the first did not.
             bool already = false;
-            for (EdgeId eid : g.outEdges(v)) {
-                const DdgEdge &e = g.edge(eid);
+            for (EdgeId eid : ddg.outEdges(v)) {
+                const DdgEdge &e = ddg.edge(eid);
                 already |= e.kind == EdgeKind::Spill &&
                            part.clusterOf(e.dst) == cluster;
             }
             // (The spill store hangs off v via RegFlow; check those
             // too.)
-            for (NodeId w : g.flowSuccs(v)) {
-                already |= g.node(w).isSpill &&
+            for (NodeId w : ddg.flowSuccs(v)) {
+                already |= ddg.node(w).isSpill &&
                            part.clusterOf(w) == cluster;
             }
             if (already)
@@ -78,8 +73,8 @@ spillOneValue(Ddg &ddg, Partition &part, const MachineConfig &mach,
                          : mach.latency(node.cls));
             long long last = def;
             int far_consumers = 0;
-            for (EdgeId eid : g.outEdges(v)) {
-                const DdgEdge &e = g.edge(eid);
+            for (EdgeId eid : ddg.outEdges(v)) {
+                const DdgEdge &e = ddg.edge(eid);
                 if (e.kind != EdgeKind::RegFlow)
                     continue;
                 if (part.clusterOf(e.dst) != cluster)

@@ -23,16 +23,16 @@ namespace
  * else by moving the whole block to the arena tail.
  */
 void
-appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
-          EdgeId id, bool in_side)
+appendAdj(std::vector<EdgeId> &arena, detail::AdjSlot &slot, EdgeId id,
+          bool in_side)
 {
-    const std::uint32_t len = std::uint32_t{slot.in} + slot.out;
-    const std::size_t end = std::size_t{slot.offset} + len;
+    const std::size_t len = std::size_t{slot.in} + slot.out;
+    const std::size_t end = slot.offset + len;
     if ((!in_side || slot.out == 0) && end < arena.size() &&
         arena[end] == invalidEdge) {
-        arena.writable()[end] = id;
+        arena[end] = id;
     } else {
-        const std::uint32_t cap = len ? 2 * len : 4;
+        const std::size_t cap = len ? 2 * len : 4;
         cv_assert(arena.size() + cap <=
                       std::numeric_limits<std::uint32_t>::max(),
                   "adjacency arena overflow");
@@ -41,7 +41,7 @@ appendAdj(detail::CowArray<EdgeId> &arena, detail::AdjSlot &slot,
         arena.resize(arena.size() + cap, invalidEdge);
         // Pointers taken before resize would dangle: it may move the
         // arena.
-        EdgeId *a = arena.writable();
+        EdgeId *a = arena.data();
         EdgeId *to = std::copy_n(a + slot.offset, slot.in, a + off);
         if (in_side)
             *to++ = id;
@@ -59,63 +59,6 @@ rejectSlot(const char *array, std::uint32_t row, const std::string &rule)
 {
     throw DdgSlotError(std::string(array) + " record row " +
                        std::to_string(row) + ": " + rule);
-}
-
-/** The degree-limit rule for node @p v's @p side ("in" or "out") list. */
-std::string
-spanLimitRule(NodeId v, const char *side)
-{
-    return "more than " + std::to_string(Ddg::maxSpanSlots) + " " +
-           side + "-edge slots on n" + std::to_string(v);
-}
-
-/**
- * Reject the edge row of @p edges that takes node @p v's in-list
- * (@p in_side) or out-list past Ddg::maxSpanSlots. The list must be
- * that long.
- */
-[[noreturn]] void
-rejectSpanLimit(const DdgEdge *edges, std::uint32_t edge_slots, NodeId v,
-                bool in_side)
-{
-    std::uint32_t seen = 0;
-    for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        const NodeId end = in_side ? edges[i].dst : edges[i].src;
-        if (end == v && ++seen > Ddg::maxSpanSlots)
-            rejectSlot("edge", i, spanLimitRule(v, in_side ? "in" : "out"));
-    }
-    cv_panic("n", v, " holds no edge past the span limit");
-}
-
-/**
- * Per-thread span counters that fromSlots and conversions reuse: [2v]
- * for node v's in-list, [2v + 1] for its out-list.
- */
-thread_local std::vector<std::uint32_t> spanCounts;
-
-/**
- * Count each node's in- and out-edge slots of @p edges, dead edges
- * included, into spanCounts, and reject the first node, in node order
- * and in-list first, whose list passes Ddg::maxSpanSlots.
- */
-void
-countSpans(const DdgEdge *edges, std::uint32_t edge_slots,
-           std::size_t node_slots)
-{
-    spanCounts.assign(2 * node_slots, 0);
-    std::uint32_t *cur = spanCounts.data();
-    for (std::uint32_t i = 0; i < edge_slots; ++i) {
-        ++cur[2 * static_cast<std::size_t>(edges[i].src) + 1];
-        ++cur[2 * static_cast<std::size_t>(edges[i].dst)];
-    }
-    // Checked once per node, not once per edge.
-    for (std::size_t v = 0; v < node_slots; ++v) {
-        const bool in_over = cur[2 * v] > Ddg::maxSpanSlots;
-        if (in_over || cur[2 * v + 1] > Ddg::maxSpanSlots) {
-            rejectSpanLimit(edges, edge_slots, static_cast<NodeId>(v),
-                            in_over);
-        }
-    }
 }
 
 /**
@@ -149,8 +92,8 @@ DdgRecords::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
                       const DdgEdge *edges, std::uint32_t edge_slots)
 {
     DdgRecords r;
-    r.nodes_.append(nodes, node_slots);
-    r.edges_.append(edges, edge_slots);
+    r.nodes_ = detail::SharedArray<DdgNode>(nodes, node_slots);
+    r.edges_ = detail::SharedArray<DdgEdge>(edges, edge_slots);
 
     // The rules are checked on the records' own copies; a throw
     // discards them with the records.
@@ -170,7 +113,6 @@ DdgRecords::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         r.liveNodes_ += n.alive;
     }
 
-    // The edge rules, row by row, then the span limit.
     for (std::uint32_t i = 0; i < edge_slots; ++i) {
         const DdgEdge &e = r.edges_[i];
         if (e.kind > EdgeKind::Spill)
@@ -195,7 +137,6 @@ DdgRecords::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
         }
         r.liveEdges_ += e.alive;
     }
-    countSpans(r.edges_.data(), edge_slots, node_slots);
     // One stamp for the whole load: bulk loading is a single
     // structural mutation.
     r.generation_ = Ddg::freshGeneration();
@@ -203,9 +144,12 @@ DdgRecords::fromSlots(const DdgNode *nodes, std::uint32_t node_slots,
 }
 
 DdgRecords::DdgRecords(const Ddg &g)
-    : nodes_(g.nodes_), edges_(g.edges_), liveNodes_(g.liveNodes_),
-      liveEdges_(g.liveEdges_), generation_(g.generation_)
+    : DdgRecords(fromSlots(g.nodes_.data(),
+                           static_cast<std::uint32_t>(g.nodes_.size()),
+                           g.edges_.data(),
+                           static_cast<std::uint32_t>(g.edges_.size())))
 {
+    generation_ = g.generation_;
 }
 
 void
@@ -217,33 +161,33 @@ DdgRecords::bumpGeneration()
 void
 Ddg::buildAdjacency()
 {
-    // Two counters per node, then two cursors.
-    const std::size_t node_slots = nodes_.size();
-    countSpans(edges_.data(), static_cast<std::uint32_t>(edges_.size()),
-               node_slots);
-    std::uint32_t *cur = spanCounts.data();
-
-    // Exactly-sized arena: blocks back to back in node order with no
-    // slack (the compact form), each span filled in edge-id order.
-    // Dead edge ids stay in the spans; the views skip them.
-    slots_.resize(node_slots);
-    detail::AdjSlot *slots = slots_.writable();
-    std::uint32_t total = 0;
-    for (std::size_t v = 0; v < node_slots; ++v) {
-        const std::uint32_t in = cur[2 * v], out = cur[2 * v + 1];
-        slots[v] = {total, static_cast<std::uint16_t>(in),
-                    static_cast<std::uint16_t>(out)};
-        cur[2 * v] = total;
-        cur[2 * v + 1] = total + in;
-        total += in + out;
+    // Span lengths, then each block's offset: blocks back to back in
+    // node order with no slack (the compact form).
+    slots_.assign(nodes_.size(), detail::AdjSlot{});
+    for (const DdgEdge &e : edges_) {
+        ++slots_[static_cast<std::size_t>(e.src)].out;
+        ++slots_[static_cast<std::size_t>(e.dst)].in;
     }
+    // Per-thread fill cursors, reused across conversions: [2v] for
+    // node v's in-list, [2v + 1] for its out-list.
+    thread_local std::vector<std::uint32_t> cur;
+    cur.resize(2 * slots_.size());
+    std::uint32_t total = 0;
+    for (std::size_t v = 0; v < slots_.size(); ++v) {
+        detail::AdjSlot &s = slots_[v];
+        s.offset = total;
+        cur[2 * v] = total;
+        cur[2 * v + 1] = total + s.in;
+        total += s.in + s.out;
+    }
+    // Each span in edge-id order. Dead edge ids stay in the spans; the
+    // views skip them.
     arena_.resize(total);
-    EdgeId *arena = arena_.writable();
     for (std::size_t i = 0; i < edges_.size(); ++i) {
         const DdgEdge &e = edges_[i];
-        arena[cur[2 * static_cast<std::size_t>(e.src) + 1]++] =
+        arena_[cur[2 * static_cast<std::size_t>(e.src) + 1]++] =
             static_cast<EdgeId>(i);
-        arena[cur[2 * static_cast<std::size_t>(e.dst)]++] =
+        arena_[cur[2 * static_cast<std::size_t>(e.dst)]++] =
             static_cast<EdgeId>(i);
     }
 }
@@ -252,77 +196,67 @@ Ddg::Ddg(const DdgRecords &records)
     : liveNodes_(records.liveNodes_), liveEdges_(records.liveEdges_),
       generation_(records.generation_)
 {
-    if (records.delta_.size() == 0) {
-        nodes_ = records.nodes_;
-        edges_ = records.edges_;
-    } else {
-        // Base records, then the appended ones, in exactly-sized
-        // arrays; then the tombstoned base slots lose their alive flag.
-        const std::size_t bn = records.nodes_.size();
-        const std::size_t be = records.edges_.size();
-        const std::size_t an = records.addedNodes();
-        const std::size_t ae = records.addedEdges();
+    // Base records, then the appended ones, in exactly-sized arrays;
+    // then the tombstoned base slots lose their alive flag.
+    const std::size_t bn = records.nodes_.size();
+    const std::size_t be = records.edges_.size();
+    nodes_.reserve(bn + records.addedNodes());
+    nodes_.assign(records.nodes_.begin(), records.nodes_.end());
+    edges_.reserve(be + records.addedEdges());
+    edges_.assign(records.edges_.begin(), records.edges_.end());
+    if (records.delta_.size() != 0) {
+        // The delta's records are bytes in 64-bit words: copy them
+        // out, never read them through a record pointer.
+        const auto append = [](auto &arr, const std::uint64_t *from,
+                               std::size_t n) {
+            if (n == 0)
+                return;
+            const std::size_t at = arr.size();
+            arr.resize(at + n);
+            std::memcpy(static_cast<void *>(arr.data() + at), from,
+                        n * sizeof arr[0]);
+        };
         const std::uint64_t *words = records.delta_.data();
-        nodes_.reserve(bn + an);
-        nodes_.append(records.nodes_.data(), bn);
-        nodes_.append(reinterpret_cast<const DdgNode *>(words + 1), an);
-        edges_.reserve(be + ae);
-        edges_.append(records.edges_.data(), be);
-        edges_.append(reinterpret_cast<const DdgEdge *>(
-                          words + records.edgeWordsAt()),
-                      ae);
+        append(nodes_, words + 1, records.addedNodes());
+        append(edges_, words + records.edgeWordsAt(), records.addedEdges());
         const std::uint64_t *bits = words + records.bitWordsAt();
         const auto removed = [bits](std::size_t b) {
             return (bits[b / 64] >> (b % 64)) & 1;
         };
-        DdgNode *nodes = nodes_.writable();
         for (std::size_t i = 0; i < bn; ++i) {
             if (removed(i))
-                nodes[i].alive = false;
+                nodes_[i].alive = false;
         }
-        DdgEdge *edges = edges_.writable();
         for (std::size_t j = 0; j < be; ++j) {
             if (removed(bn + j))
-                edges[j].alive = false;
+                edges_[j].alive = false;
         }
     }
     buildAdjacency();
 }
 
 DdgRecords
-Ddg::freeze(const Ddg &base) &&
+Ddg::freeze(const DdgRecords &base) &&
 {
     const std::size_t bn = base.nodes_.size();
     const std::size_t be = base.edges_.size();
 
-    // Tombstone bits, base node slots first, in a per-thread scratch
-    // until the delta block's size is known.
-    thread_local std::vector<std::uint64_t> bits;
-    bits.assign((bn + be + 63) / 64, 0);
+    // Slot i below the block's size must hold the block's record i,
+    // alive or removed.
     bool any_removed = false;
-
-    // Slot i below the base's count must hold base record i, alive or
-    // removed; bit `first + i` marks a removed one. An array this
-    // graph still shares with the base holds the base's records.
     const auto diff = [&](const auto &mine, const auto &theirs,
-                          std::size_t first, const char *slot) {
-        if (mine.data() == theirs.data())
-            return;
+                          const char *slot) {
         for (std::size_t i = 0; i < theirs.size(); ++i) {
             if (i >= mine.size() || !holdsRecord(theirs[i], mine[i])) {
                 throw std::invalid_argument(
                     std::string("freeze: ") + slot + std::to_string(i) +
                     " does not hold its base's record");
             }
-            if (theirs[i].alive && !mine[i].alive) {
-                const std::size_t b = first + i;
-                bits[b / 64] |= std::uint64_t{1} << (b % 64);
-                any_removed = true;
-            }
+            any_removed |= theirs[i].alive && !mine[i].alive;
         }
     };
-    diff(nodes_, base.nodes_, 0, "node slot n");
-    diff(edges_, base.edges_, bn, "edge slot ");
+    diff(nodes_, base.nodes_, "node slot n");
+    diff(edges_, base.edges_, "edge slot ");
 
     std::size_t added_edges = 0;
     for (std::size_t j = be; j < edges_.size(); ++j)
@@ -338,22 +272,39 @@ Ddg::freeze(const Ddg &base) &&
     if (added_nodes || added_edges || any_removed) {
         cv_assert(added_nodes <= UINT32_MAX && added_edges <= UINT32_MAX,
                   "delta counts overflow");
-        r.delta_.resize(1 + DdgRecords::kNodeWords * added_nodes +
-                        DdgRecords::kEdgeWords * added_edges +
-                        bits.size());
-        std::uint64_t *words = r.delta_.writable();
-        words[0] = added_nodes | (std::uint64_t{added_edges} << 32);
-        std::memcpy(words + 1, nodes_.data() + bn,
-                    added_nodes * sizeof(DdgNode));
-        auto *out =
-            reinterpret_cast<unsigned char *>(words + r.edgeWordsAt());
-        for (std::size_t j = be; j < edges_.size(); ++j) {
-            if (edges_[j].alive) {
-                std::memcpy(out, &edges_[j], sizeof(DdgEdge));
-                out += sizeof(DdgEdge);
+        const std::size_t edges_at = 1 + DdgRecords::kNodeWords * added_nodes;
+        const std::size_t bits_at =
+            edges_at + DdgRecords::kEdgeWords * added_edges;
+        const std::size_t bit_words = (bn + be + 63) / 64;
+        const auto fill = [&](std::uint64_t *words) {
+            words[0] = added_nodes | (std::uint64_t{added_edges} << 32);
+            std::memcpy(words + 1, nodes_.data() + bn,
+                        added_nodes * sizeof(DdgNode));
+            auto *out = reinterpret_cast<unsigned char *>(words + edges_at);
+            for (std::size_t j = be; j < edges_.size(); ++j) {
+                if (edges_[j].alive) {
+                    std::memcpy(out, &edges_[j], sizeof(DdgEdge));
+                    out += sizeof(DdgEdge);
+                }
             }
-        }
-        std::copy(bits.begin(), bits.end(), words + r.bitWordsAt());
+            // A bit per base slot, node slots first, set where this
+            // graph removed the block's live record.
+            std::uint64_t *bits = words + bits_at;
+            std::fill_n(bits, bit_words, 0);
+            const auto mark = [bits](std::size_t b) {
+                bits[b / 64] |= std::uint64_t{1} << (b % 64);
+            };
+            for (std::size_t i = 0; i < bn; ++i) {
+                if (base.nodes_[i].alive && !nodes_[i].alive)
+                    mark(i);
+            }
+            for (std::size_t j = 0; j < be; ++j) {
+                if (base.edges_[j].alive && !edges_[j].alive)
+                    mark(bn + j);
+            }
+        };
+        r.delta_ = detail::SharedArray<std::uint64_t>(bits_at + bit_words,
+                                                      fill);
     }
     *this = Ddg();
     return r;
@@ -367,12 +318,10 @@ Ddg::compact()
     // dead region.
     if (liveEdges_ == numEdgeSlots() &&
         arena_.size() == 2 * edges_.size()) {
-        // Capacity slack only, except in arrays another graph still
-        // shares (see CowArray::shrinkToFit).
-        nodes_.shrinkToFit();
-        edges_.shrinkToFit();
-        arena_.shrinkToFit();
-        slots_.shrinkToFit();
+        nodes_.shrink_to_fit();
+        edges_.shrink_to_fit();
+        arena_.shrink_to_fit();
+        slots_.shrink_to_fit();
         return;
     }
     std::vector<DdgEdge> live;
@@ -450,10 +399,6 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
         throw std::invalid_argument(
             "flow edge from non-value-producing op n" +
             std::to_string(src));
-    if (slots_[src].out == maxSpanSlots)
-        throw std::invalid_argument(spanLimitRule(src, "out"));
-    if (slots_[dst].in == maxSpanSlots)
-        throw std::invalid_argument(spanLimitRule(dst, "in"));
 
     const EdgeId id = static_cast<EdgeId>(edges_.size());
     DdgEdge e;
@@ -463,9 +408,8 @@ Ddg::addEdge(NodeId src, NodeId dst, EdgeKind kind, int distance,
     e.distance = distance;
     e.memLatency = static_cast<std::int16_t>(mem_latency);
     edges_.push_back(e);
-    detail::AdjSlot *slots = slots_.writable();
-    appendAdj(arena_, slots[src], id, false);
-    appendAdj(arena_, slots[dst], id, true);
+    appendAdj(arena_, slots_[src], id, false);
+    appendAdj(arena_, slots_[dst], id, true);
     ++liveEdges_;
     bumpGeneration();
     return id;
@@ -475,20 +419,19 @@ void
 Ddg::removeNode(NodeId id)
 {
     checkNode(id);
-    DdgEdge *edges = edges_.writable();
     for (EdgeId eid : inEdgesRaw(id)) {
-        if (edges[eid].alive) {
-            edges[eid].alive = false;
+        if (edges_[eid].alive) {
+            edges_[eid].alive = false;
             --liveEdges_;
         }
     }
     for (EdgeId eid : outEdgesRaw(id)) {
-        if (edges[eid].alive) {
-            edges[eid].alive = false;
+        if (edges_[eid].alive) {
+            edges_[eid].alive = false;
             --liveEdges_;
         }
     }
-    nodes_.writable()[id].alive = false;
+    nodes_[id].alive = false;
     --liveNodes_;
     bumpGeneration();
 }
@@ -497,7 +440,7 @@ void
 Ddg::removeEdge(EdgeId id)
 {
     checkEdge(id);
-    edges_.writable()[id].alive = false;
+    edges_[id].alive = false;
     --liveEdges_;
     bumpGeneration();
 }
@@ -513,7 +456,7 @@ DdgNode &
 Ddg::node(NodeId id)
 {
     cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    return nodes_.writable()[id];
+    return nodes_[id];
 }
 
 const DdgEdge &
@@ -527,7 +470,7 @@ DdgEdge &
 Ddg::edge(EdgeId id)
 {
     cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    return edges_.writable()[id];
+    return edges_[id];
 }
 
 LiveAdjRange

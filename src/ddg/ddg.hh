@@ -18,14 +18,14 @@
  * DDG storage is most of the heap, so its records hold no redundant
  * bytes. No record has an id field (an id is its slot index) and no
  * node has a name: diagnostics call node v "n<v>". `DdgNode` is 8
- * bytes, `DdgEdge` 16, and a node's adjacency block 8: a 4-byte
- * offset and two 2-byte span lengths (see below). A node slot thus
- * costs 16 bytes and an edge slot 24 (the record plus its id in two
- * spans), plus arena slack. A `Ddg` handle is 80 bytes: four 16-byte
- * array handles, two live counts and the generation stamp; a
- * `DdgRecords` handle is 64: its base's two record-array handles, one
- * delta-block handle, two live counts and the stamp (see "Graphs at
- * rest"). static_asserts pin all five sizes.
+ * bytes, `DdgEdge` 16, and a node's adjacency block 12: a 4-byte
+ * offset and two 4-byte span lengths (see below). A node slot thus
+ * costs 20 bytes and an edge slot 24 (the record plus its id in two
+ * spans), plus arena slack. A `Ddg` is its four `std::vector`s, two
+ * live counts and the generation stamp; a `DdgRecords` handle is 64
+ * bytes: its base's two record-block handles, one delta-block handle,
+ * two live counts and the stamp (see "Graphs at rest").
+ * static_asserts pin all five sizes.
  *
  * ## Adjacency arena (CSR layout)
  *
@@ -43,11 +43,6 @@
  *  - a span's ids are stored contiguously in insertion (edge-creation)
  *    order; tombstoned edge ids stay in place and are skipped by the
  *    filtering views;
- *  - the degree limit: a node holds at most `Ddg::maxSpanSlots`
- *    (65,535) edge slots in each direction, tombstones included.
- *    `DdgRecords::fromSlots` and the conversion from records reject a
- *    larger span with `DdgSlotError`, and `addEdge` with
- *    `std::invalid_argument`, before any write;
  *  - the growth rule: `addEdge` writes an out-edge in place while the
  *    arena entry just past the block is `invalidEdge` (slack), and an
  *    in-edge in place only while the out-list is also empty (the
@@ -83,56 +78,37 @@
  * none of them may allocate.
  *
  * View validity: an adjacency view addresses the arena through the
- * graph object (the storage handle inside it) and snapshots the
- * viewed span's bounds at creation. It therefore stays valid - never
- * dangles - across every mutation short of destroying/moving the
- * graph or compacting it (no compile pass compacts, so a view taken
- * inside compile() survives every mutation there): tombstoning
- * (`removeNode`/`removeEdge`),
- * `addNode`/`addReplica`, `addEdge` anywhere (an append to the node's
- * other list included, even when it relocates the block), and the
- * clone a first write to shared storage makes (see "Shared
- * storage"). The one staleness rule: a view taken before an `addEdge`
- * that appends to the *viewed* list keeps observing the
- * pre-insertion snapshot (it misses newer edges; if the block
- * relocated it reads the intact dead region). Take a fresh view after
- * growing the list you iterate.
+ * graph object (the vector inside it) and snapshots the viewed span's
+ * bounds at creation. It therefore stays valid - never dangles -
+ * across every mutation short of destroying/moving the graph or
+ * compacting it (no compile pass compacts, so a view taken inside
+ * compile() survives every mutation there): tombstoning
+ * (`removeNode`/`removeEdge`), `addNode`/`addReplica`, and `addEdge`
+ * anywhere (an append to the node's other list included, even when
+ * it relocates the block or reallocates the arena). The one staleness
+ * rule: a view taken before an `addEdge` that appends to the *viewed*
+ * list keeps observing the pre-insertion snapshot (it misses newer
+ * edges; if the block relocated it reads the intact dead region).
+ * Take a fresh view after growing the list you iterate.
  *
  * The raw-span accessors (`inEdgesRaw()`/`outEdgesRaw()`) are the
  * no-filter fast path for read-only kernels: they yield the whole
  * span (tombstones included) as a borrowed pointer range, so the
  * caller merges the `alive` check into the edge fetch it already
  * does. Unlike the views they borrow arena storage directly and are
- * invalidated by any subsequent mutation (arena growth, or the clone
- * a first write makes, may move the storage); never hold one across
- * a mutation.
+ * invalidated by any subsequent mutation (arena growth may move the
+ * storage); never hold one across a mutation.
  *
- * ## Shared storage (copy-on-write)
+ * ## Storage: graphs own, records share
  *
- * The four arrays behind a graph (nodes, edges, adjacency arena,
- * adjacency slots) are copy-on-write blocks with atomic reference
- * counts (`detail::CowArray`):
- *  - a copy is a reference-count bump per array: no allocation, no
- *    element copy, at any graph size. Copies may be made from any
- *    number of threads at once (the pool's workers copy one client
- *    graph concurrently);
- *  - the first write to a shared array clones that array alone, so
- *    the other sharers stay bit-identical; a block is never written
- *    while shared. Writes are every structural mutation and the
- *    non-const `node()`/`edge()` accessors, so code that only reads
- *    a graph it may later change reads through a const reference;
- *  - the generation stamp is a per-object field, not shared storage:
- *    `bumpGeneration()` never clones;
- *  - the filtering views follow a clone as they follow a span
- *    relocation (see above); raw spans and references from
- *    `node()`/`edge()` borrow the storage itself and do not. A
- *    mutable reference must not be held across a copy of its graph
- *    either: writing through it after the copy would write a block
- *    the copy shares;
- *  - `compact()` of a graph that holds a dead edge or arena slack
- *    builds fresh arrays; the other sharers keep the old ones. Its
- *    capacity trim skips arrays that are still shared, which trimming
- *    would duplicate, not shrink.
+ * A Ddg owns its four arrays (nodes, edges, adjacency arena and
+ * blocks), each a `std::vector`: a copy is a deep copy, O(V + E),
+ * and no two graphs share a byte, so a write through `node()` or
+ * `edge()` changes its own graph alone, whatever copies were taken.
+ * Sharing lives in `DdgRecords` alone (see "Graphs at rest"): each of
+ * its blocks is written once, when it is made, and then only read,
+ * so records copy in O(1), from any number of threads at once, by an
+ * atomic reference-count bump (`detail::SharedArray`).
  *
  * ## Graphs at rest
  *
@@ -147,13 +123,12 @@
  *    traverses it after compile() returns, so `Ddg::freeze` turns it
  *    into records held as a base plus a delta.
  *
- * compile() takes a `const Ddg &`, so every compile, on the client or
- * on a pool worker, converts its input's records once, and freezes
- * its result against that conversion, which shares the loop's arrays.
- * A compiled loop is mostly its input, so a result's base is the
- * input's node and edge arrays, shared (a result keeps its input's
- * arrays alive), and its delta is one block that holds only what the
- * compile added:
+ * compile() takes its input's records (`const DdgRecords &`): every
+ * compile, on the client or on a pool worker, converts them once and
+ * freezes its result against them. A compiled loop is mostly its
+ * input, so a result's base is the input's node and edge blocks,
+ * shared (a result keeps its input's blocks alive), and its delta is
+ * one block that holds only what the compile added:
  *  - the appended node records (replicas, copies, spill code);
  *  - the appended live edges;
  *  - one tombstone bit per input node and edge slot, set where the
@@ -176,23 +151,22 @@
  * does not share. The delta block has one writer, `Ddg::freeze`, and
  * one reader, the conversion back to a Ddg: records offer counts and
  * a stamp, and a reader of a node or edge record converts.
- * `DdgRecords(const Ddg &)`, explicit, gives a graph's records as they
- * stand, arrays shared, tombstones and stamp kept: it is for
- * hand-built graphs kept at rest, such as a test's job input.
+ * `DdgRecords(const Ddg &)`, implicit, copies a graph's records as
+ * they stand into two fresh blocks, tombstones and stamp kept, and
+ * checks them against `fromSlots`' rules, so a hand-built graph
+ * passes straight to compile() or becomes a job's input.
  *
  * A reader that traverses converts the records back to a Ddg:
- * `Ddg(const DdgRecords &)` is implicit, so a loop's `ddg` passes
- * straight to compile(), and a result's `finalDdg` to
- * `checkSchedule`, `simulate` or `KernelView`. A conversion of records
- * without a delta shares their arrays; a changed result materializes
- * its records into exactly-sized arrays. Both keep the stamp and then
- * allocate and fill an exactly-sized arena and block array in
- * O(V + E). The converted graph is a temporary: a `const Ddg &` bound
- * to it inside a call is fine, but one kept past the full expression
- * dangles. Convert into a named `Ddg` to keep it or to traverse it
- * more than once (`ReferenceInterpreter` and `PseudoScratch::bind`,
- * which keep a reference, delete their records overloads for that
- * reason).
+ * `Ddg(const DdgRecords &)` is implicit, so a result's `finalDdg`
+ * passes straight to `checkSchedule`, `simulate` or `KernelView`. A
+ * conversion materializes base and delta into exactly-sized arrays,
+ * keeps the stamp, and builds an exactly-sized arena and block array:
+ * O(V + E) in four allocations. The converted graph is a temporary: a
+ * `const Ddg &` bound to it inside a call is fine, but one kept past
+ * the full expression dangles. Convert into a named `Ddg` to keep it
+ * or to traverse it more than once (`ReferenceInterpreter` and
+ * `PseudoScratch::bind`, which keep a reference, delete their records
+ * overloads for that reason).
  *
  * ## Generation counter
  *
@@ -209,7 +183,7 @@
  * mutators. Field writes through the non-const `node()` / `edge()`
  * accessors do not advance the stamp, and need not: nothing caches a
  * result under it, so callers have no rule to follow.
- * `bumpGeneration()`, on a Ddg or on records, forces a new stamp; no
+ * `DdgRecords::bumpGeneration()` forces a new stamp on records; no
  * library code needs it, and it stays because the compile benchmark
  * calls it on its suite loops.
  */
@@ -217,13 +191,11 @@
 #ifndef CVLIW_DDG_DDG_HH
 #define CVLIW_DDG_DDG_HH
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -316,111 +288,75 @@ namespace detail
 {
 
 /**
- * Copy-on-write array of trivially copyable elements: the storage of
- * every Ddg array (see "Shared storage" in the file comment). A copy
- * shares the block and bumps its atomic reference count; the first
- * write through a shared handle clones the block, so a shared block
- * is never written. The handle holds the element pointer itself (the
- * count sits in a header just before the elements), so a read costs
- * what a std::vector read costs. Size and capacity live in the
- * handle as 32-bit counts; sharers agree on them because a shared
- * block never changes.
+ * Immutable, reference-counted array of trivially copyable elements:
+ * the storage of `DdgRecords` (see "Storage" in the file comment). A
+ * block is filled once, when it is made, and only read after; a copy
+ * shares it and bumps its atomic reference count, from any thread.
+ * The handle holds the element pointer itself (the count sits in a
+ * header just before the elements), so a read costs what a
+ * std::vector read costs.
  */
 template <typename T>
-class CowArray
+class SharedArray
 {
     static_assert(std::is_trivially_copyable_v<T>,
-                  "CowArray copies elements as raw bytes");
+                  "SharedArray elements are written as raw bytes");
 
   public:
-    CowArray() = default;
-    CowArray(const CowArray &o) noexcept
-        : data_(o.data_), size_(o.size_), cap_(o.cap_)
+    SharedArray() = default;
+
+    /**
+     * A block of @p n elements, written once by @p fill, which gets
+     * the (uninitialized) elements' pointer and must write all @p n.
+     */
+    template <typename Fill>
+    SharedArray(std::size_t n, Fill &&fill) : SharedArray(n)
+    {
+        if (n)
+            fill(data_);
+    }
+
+    /** A block holding a copy of the @p n elements at @p src. */
+    SharedArray(const T *src, std::size_t n)
+        : SharedArray(n, [&](T *dst) {
+              std::memcpy(static_cast<void *>(dst), src, n * sizeof(T));
+          })
+    {
+    }
+
+    SharedArray(const SharedArray &o) noexcept
+        : data_(o.data_), size_(o.size_)
     {
         if (data_)
             refs(data_).fetch_add(1, std::memory_order_relaxed);
     }
-    CowArray(CowArray &&o) noexcept
+    SharedArray(SharedArray &&o) noexcept
         : data_(std::exchange(o.data_, nullptr)),
-          size_(std::exchange(o.size_, 0)),
-          cap_(std::exchange(o.cap_, 0))
+          size_(std::exchange(o.size_, 0))
     {
     }
-    CowArray &operator=(CowArray o) noexcept
+    SharedArray &operator=(SharedArray o) noexcept
     {
         std::swap(data_, o.data_);
         std::swap(size_, o.size_);
-        std::swap(cap_, o.cap_);
         return *this;
     }
-    ~CowArray() { release(data_); }
+    ~SharedArray()
+    {
+        // Acquire-release: every sharer's reads of the block happen
+        // before the last one frees it.
+        if (data_ &&
+            refs(data_).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            ::operator delete(reinterpret_cast<unsigned char *>(data_) -
+                              kHeader);
+        }
+    }
 
     std::size_t size() const { return size_; }
     const T *data() const { return data_; }
     const T *begin() const { return data_; }
     const T *end() const { return data_ + size_; }
     const T &operator[](std::size_t i) const { return data_[i]; }
-
-    /** Writable elements; a shared block is cloned exactly sized. */
-    T *writable()
-    {
-        if (shared())
-            reallocate(size_);
-        return data_;
-    }
-
-    /**
-     * Append @p n elements copied from @p src. @p src may point into
-     * this array: a reallocating append copies it before it releases
-     * the old block.
-     */
-    void append(const T *src, std::size_t n)
-    {
-        if (n == 0)
-            return;
-        const std::size_t need = size_ + n;
-        if (need > cap_ || shared()) {
-            const std::size_t cap = need > cap_ ? grown(need) : cap_;
-            T *fresh = allocate(cap);
-            copy(fresh, data_, size_);
-            copy(fresh + size_, src, n);
-            release(data_);
-            data_ = fresh;
-            cap_ = static_cast<std::uint32_t>(cap);
-        } else {
-            copy(data_ + size_, src, n);
-        }
-        size_ = static_cast<std::uint32_t>(need);
-    }
-
-    void push_back(const T &v) { append(&v, 1); }
-
-    /** Writable room for @p n elements (capacity grows 2x). */
-    void reserve(std::size_t n)
-    {
-        if (n > cap_)
-            reallocate(grown(n));
-        else if (shared())
-            reallocate(cap_);
-    }
-
-    /** Grow to @p n elements (n >= size()), new ones set to @p fill. */
-    void resize(std::size_t n, const T &fill = T())
-    {
-        reserve(n);
-        std::uninitialized_fill_n(data_ + size_, n - size_, fill);
-        size_ = static_cast<std::uint32_t>(n);
-    }
-
-    /**
-     * Drop capacity slack. A shared block keeps its slack: trimming
-     * it would add a copy, not drop one.
-     */
-    void shrinkToFit()
-    {
-        if (cap_ > size_ && !shared())
-            reallocate(size_);
-    }
 
   private:
     using Count = std::atomic<std::size_t>;
@@ -434,58 +370,19 @@ class CowArray
             reinterpret_cast<unsigned char *>(data) - kHeader));
     }
 
-    static T *allocate(std::size_t cap)
+    /** An unfilled block of @p n elements, count 1; none for n = 0. */
+    explicit SharedArray(std::size_t n) : size_(n)
     {
+        if (n == 0)
+            return;
         auto *raw = static_cast<unsigned char *>(
-            ::operator new(kHeader + cap * sizeof(T)));
+            ::operator new(kHeader + n * sizeof(T)));
         new (raw) Count(1);
-        return reinterpret_cast<T *>(raw + kHeader);
-    }
-
-    static void release(T *data) noexcept
-    {
-        if (data &&
-            refs(data).fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            ::operator delete(reinterpret_cast<unsigned char *>(data) -
-                              kHeader);
-        }
-    }
-
-    static void copy(T *dst, const T *src, std::size_t n)
-    {
-        if (n)
-            std::memcpy(static_cast<void *>(dst), src, n * sizeof(T));
-    }
-
-    /** True when another handle shares this block. */
-    bool shared() const
-    {
-        // Acquire pairs with a former sharer's releasing decrement:
-        // its reads of the block happen before our writes to it.
-        return data_ &&
-               refs(data_).load(std::memory_order_acquire) != 1;
-    }
-
-    /** Capacity for @p need elements: 2x growth, 32-bit bound. */
-    std::size_t grown(std::size_t need) const
-    {
-        const std::size_t doubled = 2 * std::size_t{cap_};
-        return std::min<std::size_t>(std::max(need, doubled), UINT32_MAX);
-    }
-
-    /** Move the elements into a fresh block of @p cap >= size(). */
-    void reallocate(std::size_t cap)
-    {
-        T *fresh = cap ? allocate(cap) : nullptr;
-        copy(fresh, data_, size_);
-        release(data_);
-        data_ = fresh;
-        cap_ = static_cast<std::uint32_t>(cap);
+        data_ = reinterpret_cast<T *>(raw + kHeader);
     }
 
     T *data_ = nullptr;
-    std::uint32_t size_ = 0;
-    std::uint32_t cap_ = 0;
+    std::size_t size_ = 0;
 };
 
 /**
@@ -496,11 +393,11 @@ class CowArray
 struct AdjSlot
 {
     std::uint32_t offset = 0;
-    std::uint16_t in = 0;
-    std::uint16_t out = 0;
+    std::uint32_t in = 0;
+    std::uint32_t out = 0;
 };
 
-static_assert(sizeof(AdjSlot) == 8, "one 8-byte block per node");
+static_assert(sizeof(AdjSlot) == 12, "one 12-byte block per node");
 
 /**
  * The one skip-filtering forward range behind every traversal view.
@@ -600,7 +497,7 @@ struct LiveSlotPolicy
 {
     using value_type = Id;
 
-    const CowArray<Entity> *arr = nullptr;
+    const std::vector<Entity> *arr = nullptr;
 
     std::size_t limit() const { return arr->size(); }
     bool admit(std::size_t i) const { return (*arr)[i].alive; }
@@ -609,16 +506,15 @@ struct LiveSlotPolicy
 
 /**
  * Live edge ids of one adjacency span. The arena is addressed through
- * the graph's storage handle (not a raw pointer) so the policy
- * survives arena reallocation and copy-on-write clones; the span
- * bounds are a snapshot taken at creation.
+ * the graph's vector (not a raw pointer) so the policy survives arena
+ * reallocation; the span bounds are a snapshot taken at creation.
  */
 struct LiveAdjPolicy
 {
     using value_type = EdgeId;
 
-    const CowArray<EdgeId> *arena = nullptr;
-    const CowArray<DdgEdge> *edges = nullptr;
+    const std::vector<EdgeId> *arena = nullptr;
+    const std::vector<DdgEdge> *edges = nullptr;
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
 
@@ -639,8 +535,8 @@ struct FlowNeighborPolicy
 {
     using value_type = NodeId;
 
-    const CowArray<EdgeId> *arena = nullptr;
-    const CowArray<DdgEdge> *edges = nullptr;
+    const std::vector<EdgeId> *arena = nullptr;
+    const std::vector<DdgEdge> *edges = nullptr;
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
     bool srcSide = false;
@@ -670,7 +566,7 @@ class LiveIdRange
     : public detail::SkipFilterRange<detail::LiveSlotPolicy<Entity, Id>>
 {
   public:
-    explicit LiveIdRange(const detail::CowArray<Entity> &arr)
+    explicit LiveIdRange(const std::vector<Entity> &arr)
         : detail::SkipFilterRange<detail::LiveSlotPolicy<Entity, Id>>(
               detail::LiveSlotPolicy<Entity, Id>{&arr})
     {
@@ -688,9 +584,9 @@ class LiveAdjRange
     : public detail::SkipFilterRange<detail::LiveAdjPolicy>
 {
   public:
-    LiveAdjRange(const detail::CowArray<EdgeId> &arena,
+    LiveAdjRange(const std::vector<EdgeId> &arena,
                  std::uint32_t offset, std::uint32_t count,
-                 const detail::CowArray<DdgEdge> &edges)
+                 const std::vector<DdgEdge> &edges)
         : detail::SkipFilterRange<detail::LiveAdjPolicy>(
               detail::LiveAdjPolicy{&arena, &edges, offset, count})
     {
@@ -707,9 +603,9 @@ class FlowNeighborRange
     : public detail::SkipFilterRange<detail::FlowNeighborPolicy>
 {
   public:
-    FlowNeighborRange(const detail::CowArray<EdgeId> &arena,
+    FlowNeighborRange(const std::vector<EdgeId> &arena,
                       std::uint32_t offset, std::uint32_t count,
-                      const detail::CowArray<DdgEdge> &edges,
+                      const std::vector<DdgEdge> &edges,
                       bool src_side)
         : detail::SkipFilterRange<detail::FlowNeighborPolicy>(
               detail::FlowNeighborPolicy{&arena, &edges, offset, count,
@@ -774,11 +670,15 @@ class DdgRecords
     DdgRecords() = default;
 
     /**
-     * The records of @p g as they stand: its node and edge arrays,
-     * shared, with its tombstones, live counts and stamp, and no delta
-     * (they own nothing). For hand-built graphs kept at rest; O(1).
+     * The records of @p g as they stand: `fromSlots` on its node and
+     * edge arrays, so two fresh blocks with its tombstones and live
+     * counts, checked against the slot rules, and no delta (they own
+     * nothing), keeping @p g's stamp. Implicit, so a hand-built graph
+     * passes straight to compile(); O(V + E).
+     * @throws DdgSlotError as fromSlots does, which only a graph whose
+     *         fields were written through `node()`/`edge()` can meet
      */
-    explicit DdgRecords(const Ddg &g);
+    DdgRecords(const Ddg &g);
 
     /**
      * Records from fully-described slot arrays, in one step: one
@@ -790,15 +690,12 @@ class DdgRecords
      * replay would produce, so a graph rebuilt from another graph's
      * slots is field-identical to it.
      *
-     * The slots are checked against eight structural rules: an op
+     * The slots are checked against seven structural rules: an op
      * class below `OpClass::NumOpClasses` (the pipeline indexes
      * tables by op class), a semantic id inside the node array, an
      * edge kind no greater than `EdgeKind::Spill`, edge endpoints
      * inside the node array, a distance >= 0, no live edge on a dead
-     * node, no flow edge from an op that produces no value, and at
-     * most `Ddg::maxSpanSlots` edges into and out of each node (the
-     * row named is the first edge past the limit). The degree limit
-     * counts span lengths and builds no arena.
+     * node, and no flow edge from an op that produces no value.
      * @throws DdgSlotError naming the rule and the node or edge row
      */
     static DdgRecords fromSlots(const DdgNode *nodes,
@@ -819,9 +716,9 @@ class DdgRecords
     std::uint64_t generation() const { return generation_; }
 
     /**
-     * Force a new generation stamp, as `Ddg::bumpGeneration` does (see
-     * "Generation counter" in the file comment). No library code
-     * needs it; it stays because the compile benchmark calls it.
+     * Force a new generation stamp (see "Generation counter" in the
+     * file comment). No library code needs it; it stays because the
+     * compile benchmark calls it.
      */
     void bumpGeneration();
 
@@ -863,16 +760,16 @@ class DdgRecords
         return edgeWordsAt() + kEdgeWords * addedEdges();
     }
 
-    detail::CowArray<DdgNode> nodes_; //!< the base's node array
-    detail::CowArray<DdgEdge> edges_; //!< the base's edge array
-    detail::CowArray<std::uint64_t> delta_;
+    detail::SharedArray<DdgNode> nodes_; //!< the base's node block
+    detail::SharedArray<DdgEdge> edges_; //!< the base's edge block
+    detail::SharedArray<std::uint64_t> delta_;
     int liveNodes_ = 0;
     int liveEdges_ = 0;
     std::uint64_t generation_ = 0;
 };
 
 static_assert(sizeof(DdgRecords) == 64,
-              "three 16-byte array handles, two counts and a stamp");
+              "three 16-byte block handles, two counts and a stamp");
 static_assert(sizeof(DdgNode) % 8 == 0 && sizeof(DdgEdge) % 8 == 0,
               "records fill whole delta words");
 
@@ -883,53 +780,44 @@ static_assert(sizeof(DdgNode) % 8 == 0 && sizeof(DdgEdge) % 8 == 0,
 class Ddg
 {
   public:
-    /**
-     * Most edge slots, tombstones included, that one node's in-list or
-     * out-list may hold: a block stores each length in 16 bits.
-     */
-    static constexpr int maxSpanSlots = 65535;
-
     Ddg() = default;
 
     /**
-     * The graph of @p records, with their ids and their stamp: shares
-     * their base's node and edge arrays when they hold no delta, and
-     * otherwise materializes base and delta into exactly-sized arrays.
-     * Then builds an exactly-sized adjacency, so every span lists its
-     * edge ids, tombstones included, in id order. O(V + E) and two
-     * allocations for records without a delta; implicit, so a loop's
-     * records and a result's `finalDdg` pass straight to a
+     * The graph of @p records, with their ids and their stamp: base
+     * and delta materialized into exactly-sized arrays, then an
+     * exactly-sized adjacency, so every span lists its edge ids,
+     * tombstones included, in id order. O(V + E) in four allocations;
+     * implicit, so a result's `finalDdg` passes straight to a
      * `const Ddg &` parameter (see "Graphs at rest").
-     * @throws DdgSlotError naming the first edge row past a node's
-     *         span limit (only records no `fromSlots` checked, such as
-     *         a result that removed and re-added a node's edges, can
-     *         hold one)
      */
     Ddg(const DdgRecords &records);
 
     /**
-     * Freeze this graph to records against @p base, the graph it was
-     * copied from, and drop it, building no adjacency (see "Graphs at
-     * rest"). The records share @p base's node and edge arrays and
-     * keep this graph's node ids, live counts and stamp; a delta
-     * block holds the rest, and there is none when this graph still
-     * holds @p base's records.
+     * Freeze this graph to records against @p base, the records it was
+     * converted from, and drop it, building no adjacency (see "Graphs
+     * at rest"). The records share @p base's node and edge blocks and
+     * keep this graph's node ids, live counts and stamp; a delta block
+     * holds the rest, and there is none when this graph still holds
+     * those blocks' records.
      *
-     * A positional diff: node slot i below `base.numNodeSlots()` and
-     * edge slot j below `base.numEdgeSlots()` must hold @p base's
+     * A positional diff against @p base's two blocks (a delta of its
+     * own, which only a result compiled again has, is diffed like the
+     * graph's other changes): node slot i below the node block's size
+     * and edge slot j below the edge block's must hold the block's
      * record i or j, alive or removed (a cleared `alive` is a
      * tombstone bit). The node records after them are appended, and
      * so are the live edges after them, in id order; their dead edges
      * are dropped. So the records' live node and edge sequences equal
-     * this graph's. A copy of @p base mutated only through the
+     * this graph's. A conversion of @p base mutated only through the
      * structural mutators has this form; a compacted one, or one whose
-     * base record was written, does not. O(V + E). Leaves this graph
-     * empty.
+     * base record was written, does not. O(V + E); allocates the delta
+     * block alone, and nothing for a graph that holds @p base's
+     * records. Leaves this graph empty.
      * @throws std::invalid_argument naming the first node or edge slot
      *         that does not hold its base record (a missing slot
      *         included), leaving this graph unchanged
      */
-    DdgRecords freeze(const Ddg &base) &&;
+    DdgRecords freeze(const DdgRecords &base) &&;
 
     /**
      * Create an operation of class @p cls.
@@ -955,9 +843,8 @@ class Ddg
      *         an edge `DdgRecords::fromSlots` would reject: an endpoint
      *         outside the node array or dead, a kind outside the edge
      *         kinds, a negative distance, a memory latency outside
-     *         int16_t, a register-flow edge from an op that produces no
-     *         value, or @p src already holding `maxSpanSlots` out-edge
-     *         slots (@p dst as many in-edge slots)
+     *         int16_t, or a register-flow edge from an op that produces
+     *         no value
      */
     EdgeId addEdge(NodeId src, NodeId dst, EdgeKind kind,
                    int distance = 0, int mem_latency = 1);
@@ -1031,9 +918,6 @@ class Ddg
      */
     std::uint64_t generation() const { return generation_; }
 
-    /** Force a new generation stamp (see the header comment). */
-    void bumpGeneration() { generation_ = freshGeneration(); }
-
     /**
      * Rebuild the graph from its live edges: the conversion of
      * `DdgRecords::fromSlots` on the node slots and the live edges in
@@ -1048,9 +932,8 @@ class Ddg
      * compacted copy does not freeze against its input). It stays
      * for the compile benchmark's replay, which compacts on every
      * attempt. A graph with no dead edge slot and no arena slack
-     * already has that form: compaction then only drops the capacity
-     * slack of the arrays it owns alone (see "Shared storage") and
-     * keeps its stamp.
+     * already has that form: compaction then only drops its arrays'
+     * capacity slack and keeps its stamp.
      *
      * **The one view-invalidating operation:** every outstanding
      * filtering view (inEdges/outEdges/flowPreds/flowSuccs), raw span
@@ -1069,35 +952,34 @@ class Ddg
 
     static std::uint64_t freshGeneration();
 
+    /** Give this graph a new stamp: every structural mutation does. */
+    void bumpGeneration() { generation_ = freshGeneration(); }
+
     /**
      * Build the arena and the blocks of nodes_ and edges_ in the
      * compact form: blocks back to back in node order, no slack, each
      * span filled in edge-id order, dead edges included.
-     * @throws DdgSlotError naming the first edge row past a node's
-     *         span limit
      */
     void buildAdjacency();
 
     void checkNode(NodeId id) const;
     void checkEdge(EdgeId id) const;
 
-    // Every array is copy-on-write storage; see "Shared storage" in
-    // the header comment.
-    detail::CowArray<DdgNode> nodes_;
-    detail::CowArray<DdgEdge> edges_;
+    std::vector<DdgNode> nodes_;
+    std::vector<DdgEdge> edges_;
     // CSR-style adjacency: one flat edge-id arena plus one block per
     // node slot, its in-span followed by its out-span (adjacency
     // costs two allocations per graph). See the header comment for
     // the invariants and the growth rule.
-    detail::CowArray<EdgeId> arena_;
-    detail::CowArray<detail::AdjSlot> slots_;
+    std::vector<EdgeId> arena_;
+    std::vector<detail::AdjSlot> slots_;
     int liveNodes_ = 0;
     int liveEdges_ = 0;
     std::uint64_t generation_ = freshGeneration();
 };
 
-static_assert(sizeof(Ddg) == 80,
-              "four 16-byte array handles, two counts and a stamp");
+static_assert(sizeof(Ddg) == 4 * sizeof(std::vector<EdgeId>) + 16,
+              "four vectors, two counts and a stamp");
 
 } // namespace cvliw
 

@@ -33,28 +33,22 @@ runJob(const CompileService::Job &job, std::size_t i,
     trace::TraceSpan span("service", "job");
     span.arg("batch", static_cast<long long>(batch));
     span.arg("job", static_cast<long long>(i));
-    JobOutcome outcome = JobOutcome::Ok;
     std::string error;
     CompileResult res;
     try {
-        // The job's records convert to the Ddg compile() reads here,
-        // once, so a conversion that throws fails this job alone.
         res = compile(*job.ddg, *job.mach,
                       job.opts ? *job.opts : kDefaultPipelineOptions,
                       &caches);
     } catch (const std::exception &err) {
-        outcome = JobOutcome::Failed;
         error = err.what();
         if (error.empty())
             error = "unknown error";
     } catch (...) {
-        outcome = JobOutcome::Failed;
         error = "non-standard exception";
     }
-    if (outcome != JobOutcome::Ok)
-        res = CompileResult{};
+    // A throw leaves res as it was declared: a failed job's slot
+    // holds a default result.
     out.results[i] = std::move(res);
-    out.outcomes[i] = outcome;
     out.errors[i] = std::move(error);
 }
 
@@ -67,25 +61,15 @@ warnNotOk(const std::vector<Loop> &suite, const MachineConfig &mach,
         const std::size_t k = first + i;
         if (batch.results[k].ok)
             continue;
-        const JobOutcome outcome = batch.outcomes[k];
+        const std::string &error = batch.errors[k];
         cv_warn("loop ", suite[i].name(), " failed to compile on ",
-                mach.name(), ": job ", toString(outcome), ": ",
-                outcome == JobOutcome::Ok ? "no schedule found"
-                                          : batch.errors[k]);
+                mach.name(), ": ",
+                error.empty() ? "no schedule found"
+                              : "job failed: " + error);
     }
 }
 
 } // namespace
-
-const char *
-toString(JobOutcome outcome)
-{
-    switch (outcome) {
-    case JobOutcome::Ok:     return "ok";
-    case JobOutcome::Failed: return "failed";
-    }
-    return "unknown";
-}
 
 int
 CompileService::defaultWorkerCount()
@@ -180,7 +164,6 @@ CompileService::compileBatch(const std::vector<Job> &jobs)
     }
     BatchResult out;
     out.results.resize(jobs.size());
-    out.outcomes.assign(jobs.size(), JobOutcome::Ok);
     out.errors.resize(jobs.size());
     if (jobs.empty())
         return out;

@@ -15,14 +15,14 @@
  * every job it ever runs: buffers only, each re-armed before it is
  * read, so reuse recycles capacity and nothing else.
  *
- * ## Outcomes
+ * ## Failed jobs
  *
  * A batch with a job that names no graph or no machine throws
- * `std::invalid_argument` before any job runs. Otherwise every job
- * ends in exactly one `JobOutcome`. `Failed` carries the text of
- * whatever the compile threw: an `InvalidInput` graph, a
+ * `std::invalid_argument` before any job runs. Otherwise a job fails
+ * exactly when its compile throws, and its error holds the text of
+ * what was thrown, never empty: an `InvalidInput` graph, a
  * `std::invalid_argument` machine that lacks a unit kind the loop
- * needs, or `std::bad_alloc`. A non-Ok slot holds a default
+ * needs, or `std::bad_alloc`. A failed job's slot holds a default
  * `CompileResult` (`ok == false`): partial work is discarded. The
  * worker keeps its `CompileCaches`: a throw can leave a buffer
  * half-written, but the next job re-arms every buffer before reading
@@ -44,7 +44,7 @@
  * CompileService svc;                           // one per usable CPU
  * SuiteResult r = svc.compileSuite(suite, mach);
  * auto rs = svc.compileSuite(suite, configs);   // one batch, n configs
- * auto b = svc.compileBatch(jobs);              // results + outcomes
+ * auto b = svc.compileBatch(jobs);              // results + errors
  * CompileService::shared().compileSuite(...);   // process-wide pool
  * ```
  */
@@ -68,26 +68,15 @@
 namespace cvliw
 {
 
-/** How one job of a batch ended (see "Outcomes" above). */
-enum class JobOutcome : std::uint8_t
-{
-    Ok,     //!< compile returned; its result is in the slot
-    Failed, //!< compile threw; the error holds what()
-};
-
-/** Stable lowercase name of @p outcome (for logs and tests). */
-const char *toString(JobOutcome outcome);
-
 class CompileService
 {
   public:
     /**
      * One compile job: a loop body and the machine to compile for.
-     * The body is records at rest, as a suite loop holds it; the
-     * worker that runs the job converts it to a Ddg once (see "Graphs
-     * at rest" in ddg/ddg.hh), so a result shares its arrays. A
-     * hand-built graph becomes a job's records through
-     * `DdgRecords(const Ddg &)`.
+     * The body is records at rest, as a suite loop holds it, and
+     * passes to compile() as it is, so a result shares its blocks (see
+     * "Graphs at rest" in ddg/ddg.hh). A hand-built graph becomes a
+     * job's records through `DdgRecords(const Ddg &)`.
      */
     struct Job
     {
@@ -96,12 +85,14 @@ class CompileService
         const PipelineOptions *opts = nullptr; //!< null = defaults
     };
 
-    /** One batch's per-job results, outcomes and errors, in job order. */
+    /**
+     * One batch's per-job results and errors, in job order. Job i
+     * failed iff errors[i] is not empty (see "Failed jobs" above).
+     */
     struct BatchResult
     {
-        std::vector<CompileResult> results; //!< default where not Ok
-        std::vector<JobOutcome> outcomes;
-        std::vector<std::string> errors; //!< empty where Ok
+        std::vector<CompileResult> results; //!< default where failed
+        std::vector<std::string> errors;    //!< empty where not failed
     };
 
     /**
@@ -130,7 +121,7 @@ class CompileService
     /**
      * Compile @p jobs and block until every job has ended. The
      * pointed-to graphs, configs and options are borrowed for the
-     * call. Logs nothing: callers read the outcomes.
+     * call. Logs nothing: callers read the errors.
      * @throws std::invalid_argument, naming the job index, before any
      *         job runs, if a job's graph or machine is null
      */
@@ -138,8 +129,8 @@ class CompileService
 
     /**
      * Compile every loop of @p suite for @p mach. Logs one warning
-     * per loop whose result is not ok, naming the loop, the config,
-     * the outcome and the error.
+     * per loop whose result is not ok, naming the loop, the config
+     * and the job's error, or that no schedule was found.
      */
     SuiteResult compileSuite(const std::vector<Loop> &suite,
                              const MachineConfig &mach,

@@ -2,20 +2,23 @@
  * @file
  * Tests for the zero-allocation DDG traversal views: tombstone
  * skipping after removals, iterator stability under const access,
- * the generation counter contract, and a regression check that compile() results on the paper's worked
- * example are unchanged by the view migration. The DdgArena section
- * covers the adjacency blocks: the growth rule, stale views, the
- * 65,535-slot limit, compact(), and the round trip through
- * DdgRecords (freeze() against a base graph, or a graph's records as
- * they stand, and the conversion back, which materializes the records
- * and rebuilds the blocks). The DdgSlots section covers
+ * the generation counter contract, and a regression check that
+ * compile() results on the paper's worked example are unchanged by
+ * the view migration. The DdgArena section covers the adjacency
+ * blocks: the growth rule, stale views, a hub of 65,536 edges each
+ * way, compact(), and the round trip through DdgRecords (freeze()
+ * against the records a graph was converted from, or a graph's
+ * records as they stand, and the conversion back, which materializes
+ * the records and rebuilds the blocks). The DdgSlots section covers
  * `DdgRecords::fromSlots`: each of its structural rules rejects a bad
- * row with its message, it builds no adjacency, and a graph rebuilt
- * from its own slot arrays is field-identical to it. The DdgShared
- * section covers copy-on-write storage: a copy shares and allocates
- * nothing, a first write clones only what it writes, views follow the
- * clone, and concurrent copies of one graph are race-free (the TSan
- * job runs this binary).
+ * row with its message, also in a graph's records, it builds no
+ * adjacency, and a graph rebuilt from its own slot arrays is
+ * field-identical to it. The DdgStorage
+ * section covers who owns what: a graph copy is independent of its
+ * source, even through a reference taken before the copy; freezing
+ * allocates the delta block alone; and threads that convert one
+ * loop's records and freeze copies against them are race-free (the
+ * TSan job runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -44,10 +47,10 @@
 #include "paper_graph.hh"
 
 // --- Global operator-new hook (this binary only). --------------------
-// The DdgShared allocation test flips g_count_news on around a graph
-// copy or write and reads how many heap allocations it made. Replacement
-// operators must live at global scope; outside the counting window
-// they are plain malloc/free pass-throughs.
+// The allocation tests flip g_count_news on around a load, a
+// conversion, a copy or a freeze and read how many heap allocations it
+// made. Replacement operators must live at global scope; outside the
+// counting window they are plain malloc/free pass-throughs.
 namespace
 {
 std::atomic<bool> g_count_news{false};
@@ -120,8 +123,7 @@ struct SmallGraph
 
 /**
  * Every byte a graph's storage holds - node and edge records and each
- * node's raw spans - as one string, for bit-identity checks. Reads
- * through const accessors only, which never clone.
+ * node's raw spans - as one string, for bit-identity checks.
  */
 std::string
 imageOf(const Ddg &g)
@@ -241,13 +243,16 @@ TEST(DdgViews, GenerationAdvancesOnStructuralMutation)
     g.removeNode(b);
     EXPECT_NE(g3, g.generation());
 
-    // Field writes through node() do not advance the stamp; an
-    // explicit bump does.
+    // Field writes through node() do not advance the stamp. Records
+    // keep their graph's stamp until an explicit bump.
     const auto g4 = g.generation();
     g.node(a).liveOut = true;
     EXPECT_EQ(g4, g.generation());
-    g.bumpGeneration();
-    EXPECT_NE(g4, g.generation());
+    DdgRecords rec = g;
+    EXPECT_EQ(rec.generation(), g4);
+    rec.bumpGeneration();
+    EXPECT_NE(rec.generation(), g4);
+    EXPECT_EQ(g.generation(), g4);
 }
 
 TEST(DdgViews, GenerationStampsAreProcessUnique)
@@ -471,9 +476,8 @@ idsOf(EdgeSpan span)
  * oracle. Exercises span growth through relocation (many edges on one
  * node), tombstoning, and bulk sweeps - the mutations the arena's
  * amortized-growth rules must keep exact. The graph is copied at
- * random points and mutated on while the copies live, so every
- * mutation also runs as a first write to shared storage; each copy
- * must keep its exact bytes.
+ * random points and mutated on while the copies live; each copy must
+ * keep its exact bytes.
  */
 TEST(DdgArena, MutationFuzzMatchesVectorOracle)
 {
@@ -628,8 +632,8 @@ TEST(DdgArena, MutationFuzzMatchesVectorOracle)
             // here).
             if (rng.chance(0.05))
                 compactAll();
-            // Freeze a sharer of the current graph; dropping the
-            // oldest one makes storage unshared again mid-stream.
+            // Keep a copy of the current graph; the oldest one is
+            // dropped now and then.
             if (rng.chance(0.05))
                 frozen.emplace_back(g, imageOf(g));
             if (!frozen.empty() && rng.chance(0.02)) {
@@ -718,20 +722,22 @@ bytesOf(const Record &r)
 }
 
 /**
- * Freeze a copy of @p g, a copy of @p base mutated through the
- * structural mutators (not compacted), against @p base, and check the
- * records' conversion against @p g: the same node slots and records,
- * @p g's records in @p base's edge slots, @p g's later live edges
- * appended densely in order, and every view equal to @p g's once the
- * appended edge ids are mapped back. The records own exactly their
- * appended records and tombstone words.
- * @return the records
+ * Freeze a copy of @p g, the graph @p records hold the records of,
+ * mutated on through the structural mutators (not compacted), against
+ * @p records, and check the frozen records' conversion against @p g:
+ * the same node slots and records, @p g's records in the base's edge
+ * slots, @p g's later live edges appended densely in order, and every
+ * view equal to @p g's once the appended edge ids are mapped back. The
+ * frozen records own exactly their appended records and tombstone
+ * words.
+ * @return the frozen records
  */
 DdgRecords
-expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
+expectFreezeMatchesLiveGraph(const DdgRecords &records, const Ddg &g)
 {
+    const Ddg base(records);
     Ddg doomed = g;
-    DdgRecords rec = std::move(doomed).freeze(base);
+    DdgRecords rec = std::move(doomed).freeze(records);
     EXPECT_EQ(doomed.numNodeSlots(), 0);
     EXPECT_EQ(doomed.numEdgeSlots(), 0);
     EXPECT_EQ(rec.generation(), g.generation());
@@ -804,17 +810,17 @@ expectFreezeMatchesLiveGraph(const Ddg &base, const Ddg &g)
 }
 
 /**
- * Freeze fuzz: each round builds a random base graph (tombstones
- * included) and mutates a copy of it with random addNode (copies
- * included) / addEdge / addReplica / removeNode / removeEdge
- * interleavings, never compacting it, as compile() mutates its work
- * graph. At random points a copy is frozen against the base and its
- * conversion checked against the live graph
- * (expectFreezeMatchesLiveGraph), and the graph's records as they
- * stand (`DdgRecords(const Ddg &)`) convert back to a graph equal to
- * it, spans and views included. Records kept along the way must keep
- * their bytes while the graph they came from mutates on, and the base
- * is never written.
+ * Freeze fuzz: each round builds a random graph (tombstones
+ * included), takes its records as the base, and mutates the graph on
+ * with random addNode (copies included) / addEdge / addReplica /
+ * removeNode / removeEdge interleavings, never compacting it, as
+ * compile() mutates its work graph. At random points a copy is frozen
+ * against the base records and its conversion checked against the
+ * live graph (expectFreezeMatchesLiveGraph), and the graph's records
+ * as they stand (`DdgRecords(const Ddg &)`) convert back to a graph
+ * equal to it, spans and views included. Records kept along the way
+ * must keep their bytes while the graph they came from mutates on,
+ * and the base is never written.
  */
 TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
 {
@@ -870,10 +876,11 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
             spawn(OpClass::IntAlu);
         for (int step = 0; step < 60; ++step)
             mutate();
-        const Ddg base = g;
+        const DdgRecords base = g;
         const std::string base_image = imageOf(base);
 
-        // An unchanged copy is its base's records and nothing more.
+        // An unchanged conversion is its base's records and nothing
+        // more.
         {
             Ddg copy = base;
             const DdgRecords same = std::move(copy).freeze(base);
@@ -920,7 +927,7 @@ TEST(DdgArena, RecordsRoundTripFuzzMatchesLiveGraph)
 TEST(DdgArena, FreezeRejectsAChangedBaseNodeRecord)
 {
     SmallGraph s;
-    const Ddg base = s.g;
+    const DdgRecords base = s.g;
 
     // Each field of a base record but `alive`.
     const std::function<void(DdgNode &)> edits[] = {
@@ -969,7 +976,7 @@ TEST(DdgArena, FreezeRejectsAChangedBaseNodeRecord)
 TEST(DdgArena, FreezeRejectsAChangedOrCompactedBaseEdgeRecord)
 {
     SmallGraph s;
-    const Ddg base = s.g;
+    const DdgRecords base = s.g;
 
     // Each field of a base record but `alive`.
     const std::function<void(DdgEdge &)> edits[] = {
@@ -996,8 +1003,8 @@ TEST(DdgArena, FreezeRejectsAChangedOrCompactedBaseEdgeRecord)
                             "edge slot " + std::to_string(s.bc));
 
     Ddg fewer;
-    for (NodeId n : base.nodes())
-        fewer.addNode(base.node(n).cls);
+    for (NodeId n : s.g.nodes())
+        fewer.addNode(s.g.node(n).cls);
     fewer.addEdge(s.a, s.b, EdgeKind::RegFlow);
     EXPECT_INVALID_ARGUMENT(std::move(fewer).freeze(base),
                             "edge slot " + std::to_string(s.bc));
@@ -1019,14 +1026,41 @@ TEST(DdgArena, FreezeRejectsAChangedOrCompactedBaseEdgeRecord)
 }
 
 /**
+ * Records with a delta of their own (a result compiled again) are a
+ * base by their two blocks: freezing a conversion of them diffs
+ * against those blocks, so the delta's records come back appended and
+ * its tombstones as bits, and the new records convert to the graph.
+ */
+TEST(DdgArena, FreezeAgainstRecordsWithADeltaDiffsTheirBlocks)
+{
+    SmallGraph s;
+    const DdgRecords base = s.g;
+    Ddg g = base;
+    const NodeId r = g.addReplica(s.b);
+    g.addEdge(s.a, r, EdgeKind::RegFlow, 0);
+    g.removeEdge(s.ca);
+    const DdgRecords once = std::move(g).freeze(base);
+    EXPECT_EQ(once.ownedBytes(), 8u + 16u + 8u);
+
+    Ddg h = once;
+    h.addEdge(r, s.c, EdgeKind::RegFlow, 1);
+    Ddg doomed = h;
+    const DdgRecords twice = std::move(doomed).freeze(once);
+    // The replica, both of its edges and ca's tombstone bit.
+    EXPECT_EQ(twice.ownedBytes(), 8u + 2 * 16u + 8u);
+    EXPECT_EQ(twice.generation(), h.generation());
+    ASSERT_NO_FATAL_FAILURE(expectSameGraph(Ddg(twice), h));
+}
+
+/**
  * A block grows in place while the arena entry just past it is
  * `invalidEdge` (for an in-edge, only while its out-list is empty)
  * and relocates otherwise. Three hubs' in- and out-lists and their
  * sinks' in-lists grow in turn, so relocated regions abut, and every
  * in-edge to a hub moves the hub's whole block. compact() at round 20
- * leaves every block without slack. A copy taken midway shares the
- * arena until the next append clones it. Every list must match the
- * vector model after every append, and the copy its own model.
+ * leaves every block without slack. A copy taken midway keeps its own
+ * lists. Every list must match the vector model after every append,
+ * and the copy its own model.
  */
 TEST(DdgArena, InterleavedGrowthThroughRelocationsMatchesModel)
 {
@@ -1261,64 +1295,43 @@ TEST(DdgArena, InAppendToANodeWithOutEdgesMovesItsBlock)
 }
 
 /**
- * A node holds up to 65,535 edge slots each way, through fromSlots
- * and addEdge alike. The next edge is rejected: fromSlots, which
- * counts the spans without building them, names its row, and addEdge
- * throws std::invalid_argument and leaves the graph unchanged.
+ * A block's span lengths are 32-bit: a hub with 65,536 edge slots each
+ * way, one past what 16-bit lengths held, grows through addEdge,
+ * converts from its records with every slot in place, and keeps
+ * growing both lists after the conversion. Every view lists every
+ * edge, in id order.
  */
-TEST(DdgArena, SpanLimitIs65535SlotsEachWay)
+TEST(DdgArena, HubOf65536EdgesEachWayConvertsAndGrows)
 {
-    constexpr int limit = Ddg::maxSpanSlots;
-    static_assert(limit == 65535);
+    constexpr int each_way = 65536;
     Ddg g;
     const NodeId src = g.addNode(OpClass::IntAlu);
     const NodeId hub = g.addNode(OpClass::IntAlu);
     const NodeId dst = g.addNode(OpClass::Store);
-    const NodeId spare_src = g.addNode(OpClass::IntAlu);
-    const NodeId spare_dst = g.addNode(OpClass::Store);
-    for (int i = 0; i < limit; ++i)
-        g.addEdge(src, hub, EdgeKind::RegFlow, i % 3);
-    for (int i = 0; i < limit; ++i)
-        g.addEdge(hub, dst, EdgeKind::RegFlow, 0);
-    EXPECT_EQ(g.inEdgesRaw(hub).size(), 65535u);
-    EXPECT_EQ(g.outEdgesRaw(hub).size(), 65535u);
-    EXPECT_EQ(g.inEdges(hub).size(), 65535u);
-    EXPECT_EQ(g.flowSuccs(hub).size(), 65535u);
+    std::vector<EdgeId> in_ids, out_ids;
+    for (int i = 0; i < each_way; ++i)
+        in_ids.push_back(g.addEdge(src, hub, EdgeKind::RegFlow, i % 3));
+    for (int i = 0; i < each_way; ++i)
+        out_ids.push_back(g.addEdge(hub, dst, EdgeKind::RegFlow, 0));
+    EXPECT_EQ(g.inEdges(hub).toVector(), in_ids);
+    EXPECT_EQ(g.outEdges(hub).toVector(), out_ids);
 
-    const std::string image = imageOf(g);
-    const std::uint64_t stamp = g.generation();
-    EXPECT_INVALID_ARGUMENT(g.addEdge(spare_src, hub, EdgeKind::RegFlow, 0),
-                            "more than 65535 in-edge slots on n1");
-    EXPECT_INVALID_ARGUMENT(g.addEdge(hub, spare_dst, EdgeKind::RegFlow, 0),
-                            "more than 65535 out-edge slots on n1");
-    EXPECT_EQ(g.generation(), stamp);
-    EXPECT_EQ(imageOf(g), image) << "a rejected edge wrote the graph";
-    g.addEdge(spare_src, spare_dst, EdgeKind::RegFlow, 0);
-    EXPECT_EQ(g.numEdges(), 2 * limit + 1);
+    Ddg built = Slots(g).build();
+    EXPECT_EQ(idsOf(built.inEdgesRaw(hub)), in_ids);
+    EXPECT_EQ(idsOf(built.outEdgesRaw(hub)), out_ids);
 
-    const Slots slots(g);
-    const Ddg built = slots.build();
-    EXPECT_EQ(built.inEdgesRaw(hub).size(), 65535u);
-    EXPECT_EQ(built.outEdgesRaw(hub).size(), 65535u);
-    EXPECT_EQ(idsOf(built.outEdgesRaw(hub)), idsOf(g.outEdgesRaw(hub)));
-    const std::pair<NodeId, NodeId> past[] = {{spare_src, hub},
-                                              {hub, spare_dst}};
-    const char *rules[] = {"more than 65535 in-edge slots on n1",
-                           "more than 65535 out-edge slots on n1"};
-    for (int k = 0; k < 2; ++k) {
-        Slots bad = slots;
-        DdgEdge extra;
-        extra.src = past[k].first;
-        extra.dst = past[k].second;
-        bad.edges.push_back(extra);
-        try {
-            bad.build();
-            ADD_FAILURE() << "accepted " << rules[k];
-        } catch (const DdgSlotError &err) {
-            EXPECT_EQ(std::string(err.what()),
-                      std::string("edge record row 131071: ") + rules[k]);
-        }
-    }
+    // An in-edge moves the hub's block, which has out-edges; the
+    // out-edge then lands in the moved block's slack.
+    in_ids.push_back(built.addEdge(src, hub, EdgeKind::RegFlow, 1));
+    out_ids.push_back(built.addEdge(hub, dst, EdgeKind::RegFlow, 2));
+    EXPECT_EQ(built.inEdgesRaw(hub).size(), 65537u);
+    EXPECT_EQ(built.inEdges(hub).toVector(), in_ids);
+    EXPECT_EQ(built.outEdges(hub).toVector(), out_ids);
+    EXPECT_EQ(built.flowPreds(hub).toVector(),
+              std::vector<NodeId>(in_ids.size(), src));
+    EXPECT_EQ(built.flowSuccs(hub).toVector(),
+              std::vector<NodeId>(out_ids.size(), dst));
+    EXPECT_EQ(built.numEdges(), 2 * each_way + 2);
 }
 
 // --- Bulk construction (DdgRecords::fromSlots). ----------------------
@@ -1514,7 +1527,25 @@ TEST(DdgSlots, FromSlotsRejectsEachStructuralRule)
     }
 }
 
-// --- Copy-on-write storage. -------------------------------------------
+/**
+ * A graph's records are checked against the same rules, so a field
+ * written through edge() past the node array fails with its rule and
+ * row before a conversion could index past a block, and so does a
+ * compile of the graph.
+ */
+TEST(DdgSlots, RecordsOfAGraphCheckTheSlotRules)
+{
+    SmallGraph s;
+    s.g.edge(s.bc).dst = 7;
+    try {
+        const DdgRecords rec(s.g);
+        ADD_FAILURE() << "accepted";
+    } catch (const DdgSlotError &err) {
+        EXPECT_EQ(std::string(err.what()),
+                  "edge record row 1: endpoint outside the node array");
+    }
+    EXPECT_THROW(compile(s.g, MachineConfig::unified()), DdgSlotError);
+}
 
 /** Heap allocations @p fn makes (counted via the global operator-new
  *  hook above). */
@@ -1530,21 +1561,22 @@ allocsDuring(Fn &&fn)
 }
 
 /**
- * Records from fromSlots are their two exactly-sized record arrays
- * and no adjacency: a load allocates those two arrays alone, and they
- * own nothing beyond them. A conversion shares them and allocates the
- * arena and the block array alone.
+ * Records from fromSlots are their two exactly-sized record blocks
+ * and no adjacency: a load allocates those two blocks alone, and they
+ * own nothing beyond them. A conversion copies them into the graph's
+ * node and edge arrays and builds the arena and the block array: four
+ * allocations.
  */
 TEST(DdgSlots, FromSlotsBuildsNoAdjacency)
 {
     const Slots slots(everyFieldDdg());
-    (void)Ddg(slots.build()); // grows the per-thread span counters
+    (void)Ddg(slots.build()); // grows the per-thread fill cursors
     std::optional<DdgRecords> rec;
     EXPECT_EQ(allocsDuring([&] { rec.emplace(slots.build()); }), 2u);
     EXPECT_EQ(rec->ownedBytes(), 0u);
     EXPECT_EQ(rec->numNodeSlots(), 18);
     std::optional<Ddg> g;
-    EXPECT_EQ(allocsDuring([&] { g.emplace(*rec); }), 2u);
+    EXPECT_EQ(allocsDuring([&] { g.emplace(*rec); }), 4u);
     EXPECT_EQ(g->generation(), rec->generation());
     expectDdgIdentical(*g, everyFieldDdg());
 }
@@ -1563,134 +1595,126 @@ chain(int n)
     return g;
 }
 
-TEST(DdgShared, GraphCopyDoesNoPerNodeAllocation)
+// --- Storage: graphs own, records share. -------------------------------
+
+/**
+ * A copy owns its four arrays: four flat allocations at any graph
+ * size, none per node.
+ */
+TEST(DdgStorage, CopyAllocatesItsFourArraysAtAnySize)
 {
-    // A copy shares all four arrays, so it allocates nothing at any
-    // size. Its first write clones only the arrays it writes, each as
-    // one flat buffer copy, so the count never scales with the node
-    // count.
-    std::size_t first_write[2] = {};
-    const int sizes[2] = {16, 128};
-    for (int k = 0; k < 2; ++k) {
-        const Ddg g = chain(sizes[k]);
+    for (const int n : {16, 128}) {
+        const Ddg g = chain(n);
         std::optional<Ddg> copy;
-        EXPECT_EQ(allocsDuring([&] { copy.emplace(g); }), 0u)
-            << sizes[k] << "-node copy allocated";
-        EXPECT_EQ(copy->numNodes(), g.numNodes());
-        first_write[k] = allocsDuring(
-            [&] { copy->addNode(OpClass::IntAlu); });
+        EXPECT_EQ(allocsDuring([&] { copy.emplace(g); }), 4u)
+            << n << "-node copy";
+        EXPECT_EQ(imageOf(*copy), imageOf(g));
     }
-    EXPECT_EQ(first_write[0], first_write[1])
-        << "first-write allocations scale with graph size";
-    // addNode writes the node and slot arrays: one clone each.
-    EXPECT_GE(first_write[1], 1u) << "counting hook is not engaged";
-    EXPECT_LE(first_write[1], 2u);
 }
 
-TEST(DdgShared, CopySharesStorage)
-{
-    const Ddg g = chain(32);
-    const Ddg copy(g);
-    EXPECT_EQ(copy.inEdgesRaw(1).begin(), g.inEdgesRaw(1).begin());
-    EXPECT_EQ(&copy.node(0), &g.node(0));
-    EXPECT_EQ(&copy.edge(0), &g.edge(0));
-    EXPECT_EQ(copy.generation(), g.generation());
-}
-
-TEST(DdgShared, FirstWriteClonesAndLeavesTheOtherSharerBitIdentical)
+/**
+ * A copy is independent of its source both ways, even through a
+ * reference from node() or edge() taken before the copy: no write to
+ * one graph, by a reference or a mutator, reaches the other.
+ */
+TEST(DdgStorage, CopyIsIndependentEvenThroughAnEarlierReference)
 {
     Ddg a = chain(24);
-    const Ddg &ca = a; // reads that must not clone
-    const std::string image = imageOf(a);
+    DdgNode &node3 = a.node(3);
+    DdgEdge &edge2 = a.edge(2);
+    const Ddg b = a;
+    const std::string image = imageOf(b);
 
-    // Writes to the copy. A field write clones the node array alone.
-    Ddg b(a);
-    const Ddg &cb = b;
-    b.node(3).liveOut = true;
-    EXPECT_NE(&cb.node(0), &ca.node(0));
-    EXPECT_EQ(&cb.edge(0), &ca.edge(0));
-    EXPECT_EQ(cb.inEdgesRaw(2).begin(), ca.inEdgesRaw(2).begin());
-    b.addEdge(0, 5, EdgeKind::RegFlow, 1);
-    b.removeNode(7);
-    b.addReplica(2);
-    b.compact();
-    EXPECT_EQ(imageOf(a), image);
-    EXPECT_NE(imageOf(b), image);
-
-    // Writes to the original: the copy keeps the old bytes.
-    const Ddg c(a);
-    a.addNode(OpClass::Store);
-    a.addEdge(4, 24, EdgeKind::RegFlow, 0);
-    a.removeEdge(0);
-    a.node(1).isSpill = true;
+    node3.liveOut = true;
+    edge2.distance = 5;
+    EXPECT_TRUE(a.node(3).liveOut);
+    EXPECT_EQ(a.edge(2).distance, 5);
+    a.addEdge(0, 5, EdgeKind::RegFlow, 1);
+    a.removeNode(7);
+    a.addReplica(2);
     a.compact();
-    EXPECT_EQ(imageOf(c), image);
-    EXPECT_NE(imageOf(a), image);
+    EXPECT_EQ(imageOf(b), image);
 
-    // The stamp is per object: bumping it clones nothing.
-    Ddg d(c);
-    d.bumpGeneration();
-    EXPECT_NE(d.generation(), c.generation());
-    EXPECT_EQ(&std::as_const(d).node(0), &c.node(0));
+    Ddg c = b;
+    c.node(4).isSpill = true;
+    c.addNode(OpClass::Store);
+    c.removeEdge(0);
+    EXPECT_EQ(imageOf(b), image);
+    EXPECT_NE(imageOf(c), image);
 }
 
-TEST(DdgShared, ViewsFollowTheCloneAndOutliveTheOtherSharer)
+/**
+ * Freezing shares the records' blocks and allocates only what the
+ * graph added: nothing for a graph that still holds the records, and
+ * exactly one block, the delta, for a changed one.
+ */
+TEST(DdgStorage, FreezeAllocatesTheDeltaAlone)
 {
-    // Under ASan a view left pointing into the pre-clone storage reads
-    // freed memory once the other sharer is gone.
-    Ddg g = chain(16);
-    auto other = std::make_unique<Ddg>(g);
-    const LiveAdjRange out = g.outEdges(2);
-    const FlowNeighborRange succs = g.flowSuccs(2);
-    const LiveNodeRange nodes = g.nodes();
-    const LiveEdgeRange edges = g.edges();
-    const std::vector<EdgeId> out_before = out.toVector();
+    const DdgRecords rec = Slots(chain(32)).build();
+    std::optional<DdgRecords> frozen;
 
-    g.node(9).liveOut = true;
-    const NodeId x = g.addNode(OpClass::Store);
-    g.addEdge(5, x, EdgeKind::RegFlow, 0);
-    g.removeEdge(g.inEdgesRaw(12)[0]);
-    other.reset();
+    Ddg same(rec);
+    EXPECT_EQ(
+        allocsDuring([&] { frozen.emplace(std::move(same).freeze(rec)); }),
+        0u);
+    EXPECT_EQ(frozen->ownedBytes(), 0u);
+    EXPECT_EQ(frozen->generation(), rec.generation());
 
-    EXPECT_EQ(out.toVector(), out_before);
-    EXPECT_EQ(succs.toVector(), std::vector<NodeId>{3});
-    EXPECT_EQ(nodes.size(), 17u);
-    EXPECT_EQ(edges.size(), 15u); // 15 chain edges, +1 added, -1 removed
-    EXPECT_TRUE(g.node(9).liveOut);
+    // A replica, a live appended edge, and node 7 removed with its two
+    // edges: 8 + 16 bytes of records and one word of tombstone bits
+    // for the 32 + 31 base slots.
+    Ddg changed(rec);
+    changed.addReplica(2);
+    changed.addEdge(0, 5, EdgeKind::RegFlow, 1);
+    changed.removeNode(7);
+    EXPECT_EQ(allocsDuring([&] {
+                  frozen.emplace(std::move(changed).freeze(rec));
+              }),
+              1u);
+    EXPECT_EQ(frozen->ownedBytes(), 32u);
+    EXPECT_EQ(frozen->numNodes(), 32);
+    EXPECT_EQ(frozen->numEdges(), 30);
 }
 
-TEST(DdgShared, ConcurrentCopiesAreRaceFree)
+/**
+ * The pool's workers convert one client loop's records and freeze
+ * their results against them at once: eight threads convert one
+ * records value, change some copies, freeze each against the records
+ * and keep some of the results past the next freeze. Every result
+ * converts back to what was frozen, and the records keep their bytes.
+ */
+TEST(DdgStorage, ThreadsConvertOneLoopsRecordsAndFreezeAgainstThem)
 {
-    // The pool's workers copy one client graph at once, and a write
-    // to a copy clones from storage the other threads are copying.
-    Ddg g = chain(64);
-    const std::string image = imageOf(g);
+    const DdgRecords rec = Slots(chain(64)).build();
+    const std::string image = imageOf(rec);
     std::atomic<int> wrong{0};
     std::vector<std::thread> pool;
     for (int t = 0; t < 8; ++t) {
         pool.emplace_back([&, t] {
-            for (int i = 0; i < 400; ++i) {
-                Ddg copy(std::as_const(g));
-                if ((i + t) % 4 == 0) {
-                    copy.node(0).liveOut = true;
+            std::vector<DdgRecords> kept;
+            for (int i = 0; i < 200; ++i) {
+                const Ddg g(rec);
+                Ddg copy = g;
+                const bool change = (i + t) % 3 == 0;
+                if (change) {
                     copy.addEdge(0, 1 + i % 63, EdgeKind::RegFlow, 1);
+                    copy.removeEdge(i % 63);
                 }
-                if (copy.numNodes() != 64 ||
-                    std::as_const(copy).node(63).cls != OpClass::IntAlu)
+                const DdgRecords out = std::move(copy).freeze(rec);
+                const Ddg back(out);
+                if (back.numNodes() != 64 || back.numEdges() != 63 ||
+                    (out.ownedBytes() != 0) != change ||
+                    back.edge(i % 63).alive == change)
                     wrong.fetch_add(1);
+                if (i % 8 == 0)
+                    kept.push_back(out);
             }
         });
     }
     for (std::thread &t : pool)
         t.join();
     EXPECT_EQ(wrong.load(), 0);
-    EXPECT_EQ(imageOf(g), image);
-
-    // Every copy dropped its references: g owns its storage alone
-    // again, so a write lands in place.
-    const DdgNode *before = &std::as_const(g).node(0);
-    g.node(0).liveOut = true;
-    EXPECT_EQ(&std::as_const(g).node(0), before);
+    EXPECT_EQ(imageOf(rec), image);
 }
 
 } // namespace

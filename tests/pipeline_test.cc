@@ -543,9 +543,9 @@ TEST(Pipeline, ResultGraphWithCopiesOwnsOnlyItsAdditions)
 TEST(Pipeline, SuiteLoopResultsShareTheLoopsArrays)
 {
     // A suite loop rests as records. Each compile converts them and
-    // freezes its result against the conversion, so an unchanged
-    // result holds the loop's own arrays and stamp, and a changed one
-    // owns only its additions. No compile writes the shared arrays.
+    // freezes its result against them, so an unchanged result holds
+    // the loop's own blocks and stamp, and a changed one owns only its
+    // additions. No compile writes the shared blocks.
     const auto loops = buildBenchmark("swim");
     int unchanged = 0, changed = 0;
     for (const char *cfg : {"unified", "2c1b2l64r"}) {
@@ -564,10 +564,6 @@ TEST(Pipeline, SuiteLoopResultsShareTheLoopsArrays)
             }
             ++unchanged;
             EXPECT_TRUE(sharesInput(r.finalDdg, in));
-            // Both conversions share the loop's arrays.
-            const Ddg out(r.finalDdg);
-            EXPECT_EQ(&out.node(0), &in.node(0));
-            EXPECT_EQ(&out.edge(0), &in.edge(0));
         }
     }
     EXPECT_GT(unchanged, 0);

@@ -3,9 +3,10 @@
  * CompileService tests: the same batch must produce bit-identical
  * results for any worker count (1, 2 and 8), for batches mixing
  * configs and options, across repeated batches on one service, and
- * for concurrent callers. Each job ends Ok or Failed without
- * disturbing the other jobs of its batch, and a worker whose job
- * threw keeps serving bit-exact results. The failing jobs are real
+ * for concurrent callers. A job fails, with a non-empty error, exactly
+ * when its compile throws, without disturbing the other jobs of its
+ * batch, and a worker whose job threw keeps serving bit-exact
+ * results. The failing jobs are real
  * inputs: graphs whose distance-0 edges close a cycle, which
  * compile() rejects with InvalidInput, and a machine without memory
  * ports, which it rejects with std::invalid_argument. A batch with a
@@ -245,10 +246,8 @@ TEST(CompileService, MixedJobBatch)
     CompileService service(4);
     const auto batch = service.compileBatch(jobs);
     ASSERT_EQ(batch.results.size(), jobs.size());
-    ASSERT_EQ(batch.outcomes.size(), jobs.size());
     ASSERT_EQ(batch.errors.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
         EXPECT_TRUE(batch.errors[i].empty()) << "job " << i;
         const CompileResult direct =
             jobs[i].opts ? compile(*jobs[i].ddg, *jobs[i].mach,
@@ -264,7 +263,6 @@ TEST(CompileService, EmptyBatch)
     CompileService service(2);
     const auto batch = service.compileBatch({});
     EXPECT_TRUE(batch.results.empty());
-    EXPECT_TRUE(batch.outcomes.empty());
     EXPECT_TRUE(batch.errors.empty());
     const SuiteResult r =
         service.compileSuite({}, MachineConfig::unified());
@@ -311,7 +309,6 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
             SCOPED_TRACE("config " + std::to_string(c) + " job " +
                          std::to_string(i));
             if (bad[i]) {
-                EXPECT_EQ(batch.outcomes[i], JobOutcome::Failed);
                 EXPECT_NE(batch.errors[i].find("cycle"),
                           std::string::npos)
                     << batch.errors[i];
@@ -319,8 +316,7 @@ TEST(CompileService, InvalidInputFailsOnlyItsJob)
                 EXPECT_EQ(digestOf(batch.results[i]), empty);
                 continue;
             }
-            ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok);
-            EXPECT_TRUE(batch.errors[i].empty());
+            ASSERT_TRUE(batch.errors[i].empty()) << batch.errors[i];
             EXPECT_EQ(digestOf(batch.results[i]), oracle[c][i]);
         }
     };
@@ -353,15 +349,14 @@ TEST(CompileService, MachineWithoutMemoryPortsFailsEveryJob)
 {
     // Every swim loop loads, and this machine has no memory port:
     // resourceMii throws std::invalid_argument, and the pool turns
-    // each throw into a Failed job instead of ending the process.
+    // each throw into a failed job instead of ending the process.
     const auto loops = buildBenchmark("swim");
     const auto m =
         MachineConfig::custom(2, ClusterResources{2, 2, 0, 0}, 1, 1, 64);
     CompileService service(2);
     const auto batch = service.compileBatch(jobsFor(loops, m));
-    ASSERT_EQ(batch.outcomes.size(), loops.size());
+    ASSERT_EQ(batch.errors.size(), loops.size());
     for (std::size_t i = 0; i < loops.size(); ++i) {
-        EXPECT_EQ(batch.outcomes[i], JobOutcome::Failed) << "job " << i;
         EXPECT_EQ(batch.errors[i],
                   "machine has no mem-port units but the loop needs them")
             << "job " << i;
@@ -387,14 +382,13 @@ TEST(CompileService, WorkerKeepsServingBitExactAfterAThrow)
     jobs[2].ddg = &cyclic;
     CompileService service(1);
     const auto batch = service.compileBatch(jobs);
-    EXPECT_EQ(batch.outcomes[2], JobOutcome::Failed);
     EXPECT_NE(batch.errors[2].find("cycle"), std::string::npos)
         << batch.errors[2];
     EXPECT_FALSE(batch.results[2].ok);
     for (std::size_t i = 0; i < some.size(); ++i) {
         if (i == 2)
             continue;
-        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        ASSERT_TRUE(batch.errors[i].empty()) << "job " << i;
         EXPECT_EQ(digestOf(batch.results[i]), oracle[i]) << "job " << i;
     }
 }
@@ -430,8 +424,8 @@ TEST(CompileService, ConcurrentCallersMatchSerialCalls)
                   digestOf(serial_b.results[i]))
             << "job " << i;
     }
-    EXPECT_EQ(par_a.outcomes, serial_a.outcomes);
-    EXPECT_EQ(par_b.outcomes, serial_b.outcomes);
+    EXPECT_EQ(par_a.errors, serial_a.errors);
+    EXPECT_EQ(par_b.errors, serial_b.errors);
 }
 
 TEST(CompileService, NullGraphOrMachineThrowsBeforeAnyJobRuns)
@@ -452,7 +446,7 @@ TEST(CompileService, NullGraphOrMachineThrowsBeforeAnyJobRuns)
     jobs[0].mach = &m;
     const auto batch = service.compileBatch(jobs);
     for (std::size_t i = 0; i < loops.size(); ++i) {
-        ASSERT_EQ(batch.outcomes[i], JobOutcome::Ok) << "job " << i;
+        ASSERT_TRUE(batch.errors[i].empty()) << "job " << i;
         EXPECT_EQ(digestOf(batch.results[i]), oracleDigest(loops[i].ddg, m))
             << "job " << i;
     }
@@ -495,7 +489,7 @@ TEST(CompileService, TwoClientThreadsConvertAndCheckOneBatch)
 TEST(CompileService, CompileSuiteWarnsOncePerFailedLoop)
 {
     // One line per loop that did not compile, naming the loop, the
-    // config, the outcome and the error; none for the loops that did.
+    // config and the error; none for the loops that did.
     const auto &loops = sampleLoops();
     std::vector<Loop> suite(loops.begin(), loops.begin() + 4);
     suite[1].ddg = DdgRecords(zeroDistanceCycle());
